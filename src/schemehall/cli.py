@@ -28,7 +28,6 @@ from .hall import (
     find_hall,
 )
 from .hypergroup import format_table
-from .quotient import quotient  # noqa: F401  (re-exported for interactive use)
 from .report import DEFAULT_PI_SETS, render_jsonl, report_records
 from .scheme import AssociationScheme, quotient_scheme, solvable_chain_scheme
 

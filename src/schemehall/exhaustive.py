@@ -6,7 +6,7 @@ cross-check the clever code against something too dumb to be wrong.
 """
 from __future__ import annotations
 
-from .errors import EmptyInputError, SearchOverflowError
+from .errors import EmptyInputError, InternalInconsistencyError, SearchOverflowError
 from .hypergroup import ClosedSubset, ElementSubset, Hypergroup
 
 __all__ = [
@@ -46,8 +46,8 @@ def closure_scan(subset: ElementSubset) -> ClosedSubset:
                 best = c.bits
             else:
                 best &= c.bits
-    assert best is not None
-    assert hg.is_closed_mask(best)
+    if best is None or not hg.is_closed_mask(best):
+        raise InternalInconsistencyError("power-set scan found no closed superset")
     return ClosedSubset(hg, best)
 
 

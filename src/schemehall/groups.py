@@ -215,9 +215,8 @@ def all_subgroups(table: Table) -> tuple[int, ...]:
     """Every subgroup, by closing one added generator at a time.
 
     Deterministic output sorted by (order, member tuple).  This is the
-    blunt enumeration used both by the Hall engine and as the oracle in
-    tests; it is exhaustive because any subgroup is reached by adding
-    its elements one by one.
+    blunt enumeration the tests use as an oracle; it is exhaustive
+    because any subgroup is reached by adding its elements one by one.
     """
     n = len(table)
     found = {1}

@@ -4,9 +4,11 @@ The route is always the same: locate the core O (the largest subnormal
 closed subset whose valencies stay inside pi), quotient by it to get a
 thin scheme, read that off as a group, solve the classical Hall problem
 there, and lift the answer back through the closed-subset
-correspondence.  Every step that theory promises is re-checked at run
-time, and an exhaustive filter over all closed subsets runs beside the
-constructive route so the two can never drift apart silently.
+correspondence.  That structure is built once per (scheme, pi) and
+cached on the scheme; every step that theory promises is re-checked
+when it is built, including an exhaustive filter over all closed
+subsets beside the constructive route, so the two can never drift
+apart silently.  Checks on a query's own inputs run on every query.
 """
 from __future__ import annotations
 
@@ -24,8 +26,9 @@ from .errors import (
 )
 from .groups import (
     Table,
-    all_subgroups,
+    conjugate_subgroup,
     find_subgroup_conjugator,
+    generated_subgroup,
     thin_hypergroup,
     validate_group,
 )
@@ -36,6 +39,7 @@ from .hypergroup import (
     enumerate_closed_subsets,
     is_strongly_normal,
     is_subnormal,
+    mask_of,
 )
 from .quotient import QuotientHypergroup, is_thin_quotient, lift_closed, project_closed, quotient
 from .scheme import (
@@ -187,25 +191,35 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     """All subgroups whose order is the pi-part of the group order.
 
     Subgroup bitmasks, ordered by member tuple.  The group must be
-    solvable; existence and mutual conjugacy of the result are classical
-    facts re-checked here, not assumed.
+    solvable.  One Hall subgroup is built greedily from the trivial one:
+    join the first element (in index order) whose generated subgroup
+    is still a pi-group, until the order is the pi-part.  In a solvable
+    group every pi-subgroup lies in a Hall pi-subgroup and all Hall
+    pi-subgroups are conjugate (P. Hall 1928), so the build never
+    stalls and the conjugation orbit of its result is the whole family.
     """
     ps = validate_pi(pi)
     t = validate_group(table)
+    n = len(t)
     if not is_solvable(thin_hypergroup(t)):
-        raise NotSolvableGroupError(f"group of order {len(t)} is not solvable")
-    target = pi_part(len(t), ps)
-    halls = tuple(m for m in all_subgroups(t) if m.bit_count() == target)
-    if not halls:
-        raise InternalInconsistencyError(
-            f"solvable group of order {len(t)} has no subgroup of order {target}"
-        )
-    for other in halls[1:]:
-        if find_subgroup_conjugator(t, halls[0], other) is None:
+        raise NotSolvableGroupError(f"group of order {n} is not solvable")
+    target = pi_part(n, ps)
+    hall = 1
+    while hall.bit_count() != target:
+        for g in range(1, n):
+            if hall >> g & 1:
+                continue
+            ext = generated_subgroup(t, hall | 1 << g)
+            if is_pi_number(ext.bit_count(), ps):
+                hall = ext
+                break
+        else:
             raise InternalInconsistencyError(
-                "two Hall subgroups of a solvable group are not conjugate"
+                f"no pi-subgroup of a solvable group of order {n} grows "
+                f"past order {hall.bit_count()} towards {target}"
             )
-    return halls
+    orbit = {conjugate_subgroup(t, hall, g) for g in range(n)}
+    return tuple(sorted(orbit, key=lambda m: tuple(bits_of(m))))
 
 
 def all_hall_subsets(
@@ -220,41 +234,71 @@ def all_hall_subsets(
     return tuple(out)
 
 
+class _HallContext:
+    """The Hall structure of one (scheme, pi), built and checked once.
+
+    core is the pi-core, hq the quotient by it and gtable that quotient
+    read off as a group; halls are the Hall subgroups of gtable in
+    hall_subgroups order and lifted[i] the Hall subset lifted from
+    halls[i].  best indexes the least lifted Hall subset.
+    """
+
+    __slots__ = ("pi", "scheme", "core", "hq", "gtable", "halls", "lifted", "best")
+
+    def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
+        self.pi = ps
+        self.scheme = scheme
+        self.core = core = compute_o_pi(scheme, ps)
+        self.hq = hq = quotient(scheme.hypergroup, core.subset)
+        self.gtable = group_from_thin(hq)
+        self.halls = hall_subgroups(self.gtable, ps)
+        lifted = []
+        for gm in self.halls:
+            t = scheme.closed_subset(lift_closed(hq, ElementSubset(hq, gm)).bits)
+            if not pi_predicates(scheme, t, ps).is_hall_pi_subset:
+                raise InternalInconsistencyError(
+                    f"lift of a group Hall subgroup is not Hall: {t.members()}"
+                )
+            lifted.append(t)
+        self.lifted = tuple(lifted)
+
+        filtered = all_hall_subsets(scheme, ps)
+        if {t.bits for t in lifted} != {t.bits for t in filtered}:
+            raise InternalInconsistencyError(
+                "constructive Hall family differs from the exhaustive filter"
+            )
+        for t in filtered:
+            if core.bits & ~t.bits:
+                raise InternalInconsistencyError(
+                    "a Hall subset does not contain the pi-core"
+                )
+        self.best = min(range(len(lifted)), key=lambda i: lifted[i].members())
+
+    def certificate(self, i: int) -> HallCertificate:
+        """A fresh certificate for the i-th Hall subset."""
+        return HallCertificate(
+            self.pi, self.scheme, self.lifted[i], self.core, self.gtable, self.halls[i], self.hq
+        )
+
+
+def _context(scheme: AssociationScheme, ps: frozenset[int]) -> _HallContext:
+    """The cached Hall context of (scheme, ps), built on first use."""
+    ctx = scheme._hall_contexts.get(ps)
+    if ctx is None:
+        ctx = scheme._hall_contexts[ps] = _HallContext(scheme, ps)
+    return ctx
+
+
 def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
     """A Hall subset for pi, with its construction trail.
 
-    Constructive route through the thin quotient group, verified
-    against the exhaustive filter; the lexicographically least Hall
-    subset is the one certified.
+    Constructive route through the thin quotient group, verified once
+    per (scheme, pi) against the exhaustive filter; the
+    lexicographically least Hall subset is the one certified.  Each
+    call returns a new certificate.
     """
-    ps = validate_pi(pi)
-    core = compute_o_pi(scheme, ps)
-    hg = scheme.hypergroup
-    hq = quotient(hg, core.subset)
-    gtable = group_from_thin(hq)
-    lifted: list[tuple[int, SchemeClosedSubset]] = []
-    for gm in hall_subgroups(gtable, ps):
-        up = lift_closed(hq, ElementSubset(hq, gm))
-        t = scheme.closed_subset(up.bits)
-        if not pi_predicates(scheme, t, ps).is_hall_pi_subset:
-            raise InternalInconsistencyError(
-                f"lift of a group Hall subgroup is not Hall: {t.members()}"
-            )
-        lifted.append((gm, t))
-
-    filtered = all_hall_subsets(scheme, ps)
-    if {t.bits for _, t in lifted} != {t.bits for t in filtered}:
-        raise InternalInconsistencyError(
-            "constructive Hall family differs from the exhaustive filter"
-        )
-    for t in filtered:
-        if core.bits & ~t.bits:
-            raise InternalInconsistencyError(
-                "a Hall subset does not contain the pi-core"
-            )
-
-    gm, best = min(lifted, key=lambda pair: pair[1].members())
-    return HallCertificate(ps, scheme, best, core, gtable, gm, hq)
+    ctx = _context(scheme, validate_pi(pi))
+    return ctx.certificate(ctx.best)
 
 
 def all_conjugating_elements(
@@ -277,7 +321,7 @@ def conjugating_element(
     inside the scanned set.  Returns the least valid relation index.
     """
     ps = validate_pi(pi)
-    core = compute_o_pi(scheme, ps)
+    ctx = _context(scheme, ps)
     for label, x in (("first", t), ("second", u)):
         if not pi_predicates(scheme, x, ps).is_hall_pi_subset:
             raise NotHallError(
@@ -293,22 +337,23 @@ def conjugating_element(
         )
 
     for x in (t, u):
-        if core.bits & ~x.bits:
+        if ctx.core.bits & ~x.bits:
             raise InternalInconsistencyError(
                 "a verified Hall subset does not contain the pi-core"
             )
-    hq = quotient(scheme.hypergroup, core.subset)
-    gtable = group_from_thin(hq)
-    a = project_closed(hq, t.subset).bits
-    b = project_closed(hq, u.subset).bits
-    g = find_subgroup_conjugator(gtable, a, b)
+    a = project_closed(ctx.hq, t.subset).bits
+    b = project_closed(ctx.hq, u.subset).bits
+    if a not in ctx.halls or b not in ctx.halls:
+        raise InternalInconsistencyError(
+            "a Hall subset does not project onto a Hall subgroup"
+        )
+    g = find_subgroup_conjugator(ctx.gtable, a, b)
     if g is None:
         raise InternalInconsistencyError(
             "quotient group route found no conjugator although a direct "
             "one exists"
         )
-    coset = set(bits_of(hq.cosets[g]))
-    if not coset & set(direct):
+    if ctx.hq.cosets[g] & mask_of(direct) == 0:
         raise InternalInconsistencyError(
             "no member of the lifted conjugator coset conjugates the "
             "subsets directly"
@@ -323,12 +368,13 @@ def extend_to_hall(
 ) -> HallCertificate:
     """Grow a closed pi-subset into a Hall subset containing it.
 
-    Multiplies by the core, projects to the quotient group, extends
-    there, lifts back.  Containment of the original subset is checked
-    directly at the end.
+    Multiplies by the core, projects to the quotient group, takes the
+    first Hall subgroup there that contains the image, and returns its
+    lift.  Containment of the original subset is checked directly at
+    the end.
     """
     ps = validate_pi(pi)
-    core = compute_o_pi(scheme, ps)
+    ctx = _context(scheme, ps)
     preds = pi_predicates(scheme, subset, ps)
     if not preds.is_closed_pi_subset:
         raise NotClosedPiSubsetError(
@@ -337,31 +383,21 @@ def extend_to_hall(
         )
 
     hg = scheme.hypergroup
-    grown = hg.mul_masks(core.bits, subset.bits)
+    grown = hg.mul_masks(ctx.core.bits, subset.bits)
     if not hg.is_closed_mask(grown):
         raise InternalInconsistencyError(
             "product of the pi-core with a closed subset must be closed"
         )
-    hq = quotient(hg, core.subset)
-    gtable = group_from_thin(hq)
-    img = project_closed(hq, hg.subset(grown)).bits
-
-    chosen = None
-    for gm in hall_subgroups(gtable, ps):
-        if img & ~gm == 0:
-            chosen = gm
-            break
+    img = project_closed(ctx.hq, hg.subset(grown)).bits
+    chosen = next((i for i, gm in enumerate(ctx.halls) if img & ~gm == 0), None)
     if chosen is None:
         raise InternalInconsistencyError(
             "no group Hall subgroup contains the projected pi-subgroup"
         )
 
-    up = lift_closed(hq, ElementSubset(hq, chosen))
-    hall = scheme.closed_subset(up.bits)
-    if not pi_predicates(scheme, hall, ps).is_hall_pi_subset:
-        raise InternalInconsistencyError("extension is not a Hall subset")
+    hall = ctx.lifted[chosen]
     if grown & ~hall.bits or subset.bits & ~hall.bits:
         raise InternalInconsistencyError(
             "extension does not contain the subset it was grown from"
         )
-    return HallCertificate(ps, scheme, hall, core, gtable, chosen, hq)
+    return ctx.certificate(chosen)

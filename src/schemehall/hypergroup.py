@@ -27,6 +27,7 @@ from .errors import (
     AssocViolationError,
     EmptyInputError,
     EmptyProductError,
+    InternalInconsistencyError,
     NoInverseError,
     NoNeutralError,
     NotSubsetError,
@@ -38,7 +39,6 @@ __all__ = [
     "ElementSubset",
     "ClosedSubset",
     "validate_hypergroup",
-    "subset_product",
     "star",
     "is_closed",
     "closure",
@@ -48,7 +48,6 @@ __all__ = [
     "is_strongly_normal",
     "is_subnormal",
     "theta_core",
-    "theta_core_generated",
     "thin_elements",
     "is_thin",
     "is_metathin",
@@ -158,7 +157,8 @@ class Hypergroup:
             and self.star_mask(mask) == mask
             and self.mul_masks(mask, mask) == mask
         )
-        assert by_def == three, f"closedness criteria disagree on {mask:#x}"
+        if by_def != three:
+            raise InternalInconsistencyError(f"closedness criteria disagree on {mask:#x}")
         return by_def
 
     # -- subset constructors -------------------------------------------
@@ -269,7 +269,8 @@ class ClosedSubset(ElementSubset):
 
 
 def _as_closed(parent: Hypergroup, bits: int) -> ClosedSubset:
-    assert parent.is_closed_mask(bits)
+    if not parent.is_closed_mask(bits):
+        raise InternalInconsistencyError(f"subset {bits:#x} is not closed")
     return ClosedSubset(parent, bits)
 
 
@@ -394,11 +395,6 @@ def validate_hypergroup(
 
 # ---------------------------------------------------------------------------
 # subset operations
-
-
-def subset_product(left: ElementSubset, right: ElementSubset) -> ElementSubset:
-    """Complex product of two subsets (union of elementwise products)."""
-    return left * right
 
 
 def star(subset: ElementSubset) -> ElementSubset:
@@ -534,21 +530,9 @@ def theta_core(hg: Hypergroup) -> ClosedSubset:
         if is_strongly_normal(c, universe):
             acc &= c.bits
     core = _as_closed(hg, acc)
-    assert is_strongly_normal(core, universe), "theta core lost strong normality"
+    if not is_strongly_normal(core, universe):
+        raise InternalInconsistencyError("theta core lost strong normality")
     return core
-
-
-def theta_core_generated(hg: Hypergroup) -> ClosedSubset:
-    """Closure of the union of all products h^h.
-
-    Candidate companion to theta_core.  The two agree on every bundled
-    structure, but the code never assumes it: callers that care compare
-    the two results explicitly.
-    """
-    acc = 1
-    for h in hg.elements:
-        acc |= hg.table[hg.inverse[h]][h]
-    return _as_closed(hg, hg.closure_mask(acc))
 
 
 class ThinReport:

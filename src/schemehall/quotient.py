@@ -195,7 +195,8 @@ def is_thin_quotient(q: QuotientHypergroup) -> bool:
     """
     thin = all(q.is_thin_element(s) for s in q.elements)
     strong = is_strongly_normal(q.modulus, q.parent.universe())
-    assert thin == strong, "thin quotient must coincide with strong normality"
+    if thin != strong:
+        raise InternalInconsistencyError("thin quotient must coincide with strong normality")
     return thin
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
-from .arith import is_pi_number, is_prime, prime_factors, validate_pi
+from .arith import is_pi_number, prime_factors, validate_pi
 from .errors import (
     IdentityViolationError,
     InternalInconsistencyError,
@@ -36,11 +36,11 @@ from .hypergroup import (
     Hypergroup,
     bits_of,
     enumerate_closed_subsets,
-    is_strongly_normal,
     mask_of,
     validate_hypergroup,
 )
 from .quotient import QuotientHypergroup, quotient
+from .solvability import solvable_chain
 
 __all__ = [
     "AssociationScheme",
@@ -79,6 +79,8 @@ class AssociationScheme:
         self.tensor = tensor  # tensor[r][p][q] = a_{pqr}
         self.valencies = valencies
         self.name = name
+        # Hall contexts by validated pi, filled by schemehall.hall
+        self._hall_contexts: dict = {}
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -523,58 +525,23 @@ class SchemeSolvableChain:
 def solvable_chain_scheme(scheme: AssociationScheme) -> SchemeSolvableChain | None:
     """Chain of closed subsets with strongly normal prime-index steps.
 
-    The boolean outcome must match solvability of the induced
-    hypergroup; the two are computed independently and compared on
-    every call.
+    The cached solvable chain of the induced hypergroup, read as closed
+    relation sets.  Each of its steps is strongly normal with a prime
+    number of double cosets, and for a strongly normal step that number
+    is the valency index; the valency index is checked against the step
+    prime on every call.
     """
-    hg = scheme.hypergroup
-    subs = enumerate_closed_subsets(hg)
-    full = hg.full_mask
-    dead: set[int] = set()
-
-    def extend(cur: int, acc: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        if cur == full:
-            return acc
-        if cur in dead:
-            return None
-        cur_val = scheme.valency_of_mask(cur)
-        ups = [g for g in subs if cur & ~g.bits == 0 and g.bits != cur]
-        f = ClosedSubset(hg, cur)
-        for g in ups:
-            if any(k.bits != g.bits and k.bits & ~g.bits == 0 for k in ups):
-                continue
-            g_val = scheme.valency_of_mask(g.bits)
-            if g_val % cur_val:
-                raise InternalInconsistencyError(
-                    "valency of a closed subset must divide that of a superset"
-                )
-            if not is_prime(g_val // cur_val):
-                continue
-            if not is_strongly_normal(f, g):
-                continue
-            got = extend(g.bits, acc + [(g.bits, g_val // cur_val)])
-            if got is not None:
-                return got
-        dead.add(cur)
+    chain = solvable_chain(scheme.hypergroup)
+    if chain is None:
         return None
-
-    steps = extend(1, [])
-
-    from .solvability import is_solvable
-
-    agrees = is_solvable(hg)
-    if (steps is not None) != agrees:
-        raise InternalInconsistencyError(
-            "scheme solvability disagrees with hypergroup solvability"
-        )
-
-    if steps is None:
-        return None
-    masks = [1] + [m for m, _ in steps]
-    return SchemeSolvableChain(
-        tuple(scheme.closed_subset(m) for m in masks),
-        tuple(p for _, p in steps),
-    )
+    subsets = tuple(SchemeClosedSubset(scheme, c) for c in chain.subsets)
+    for lo, hi, p in zip(subsets, subsets[1:], chain.step_primes):
+        if hi.valency != lo.valency * p:
+            raise InternalInconsistencyError(
+                f"valency index {hi.valency}/{lo.valency} of a solvable step "
+                f"is not its prime {p}"
+            )
+    return SchemeSolvableChain(subsets, chain.step_primes)
 
 
 def is_solvable_scheme(scheme: AssociationScheme) -> bool:

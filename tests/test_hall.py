@@ -10,7 +10,10 @@ transpositions, and O_3(S4) is trivial.
 import pytest
 
 import schemehall as sh
+from schemehall import hall as hall_module
 from schemehall.groups import all_subgroups
+
+from conftest import ALL_PI
 
 
 @pytest.fixture(scope="module")
@@ -125,17 +128,104 @@ def test_precondition_errors_and_messages(wreath28):
 
 
 def test_hall_subgroups_matches_brute_force():
-    for table, pi in [
-        (sh.symmetric(4), {2}),
-        (sh.symmetric(4), {3}),
-        (sh.dihedral(6), {2}),
-        (sh.dihedral(6), {3}),
-        (sh.quaternion(), {2}),
-    ]:
+    cases = [(name, sh.bundled_group(name).table, ALL_PI) for name in sh.bundled_group_names()]
+    s4c2 = sh.direct_product(sh.symmetric(4), sh.cyclic(2))
+    cases.append(("s4 x c2", s4c2, (frozenset({2}), frozenset({3}))))
+    for name, table, pis in cases:
         order = len(table)
-        target = sh.pi_part(order, pi)
-        brute = sorted(
-            m for m in all_subgroups(table) if bin(m).count("1") == target
-        )
-        assert sorted(sh.hall_subgroups(table, pi)) == brute
-        assert brute, (order, pi)
+        subgroups = all_subgroups(table)
+        for pi in pis:
+            target = sh.pi_part(order, pi)
+            brute = tuple(m for m in subgroups if m.bit_count() == target)
+            assert brute, (name, pi)
+            assert sh.hall_subgroups(table, pi) == brute, (name, sorted(pi))
+
+
+def test_hall_subgroups_rejects_non_solvable_group():
+    with pytest.raises(sh.NotSolvableGroupError):
+        sh.hall_subgroups(sh.alternating(5), {2, 3})
+
+
+# --- the cached Hall context ------------------------------------------------
+
+
+def _hall_answers(make, pi):
+    """Every Hall answer for pi, each query asked of the scheme make() returns.
+
+    Subsets are passed as masks and rebuilt on the scheme that answers,
+    so make may hand out one warm scheme or a fresh one per query.
+    """
+    def ask(fn, *masks):
+        s = make()
+        return fn(s, *(s.closed_subset(m) for m in masks))
+
+    cert = ask(lambda s: sh.find_hall(s, pi))
+    out = [("find_hall", cert.hall.bits, cert.o_pi.bits, cert.lifted_subgroup,
+            cert.thin_quotient_group, cert.index, cert.conjugator)]
+    halls = [t.bits for t in ask(lambda s: sh.all_hall_subsets(s, pi))]
+    for t in halls:
+        for u in halls:
+            out.append(ask(lambda s, a, b: sh.conjugating_element(s, a, b, pi), t, u))
+    seeds = ask(lambda s: [
+        t.bits for t in s.closed_subsets() if sh.pi_predicates(s, t, pi).is_closed_pi_subset
+    ])
+    for t in seeds:
+        ext = ask(lambda s, a: sh.extend_to_hall(s, a, pi), t)
+        out.append(("extend", t, ext.hall.bits, ext.lifted_subgroup))
+    return out
+
+
+def test_warm_context_matches_cold_scheme():
+    checked = 0
+    for order in sh.bundled_orders():
+        if order > 8:
+            continue
+        for sf in sh.bundled_catalogue(order):
+            warm = sf.scheme()
+            if not sh.is_solvable_scheme(warm):
+                continue
+            for pi in ALL_PI:
+                if not sh.is_pi_valenced(warm, pi):
+                    continue
+                first = _hall_answers(lambda: warm, pi)
+                again = _hall_answers(lambda: warm, pi)
+                cold = _hall_answers(sf.scheme, pi)
+                assert first == again == cold, (sf.name, sorted(pi))
+                checked += 1
+    assert checked == 336
+
+
+def test_certificates_are_not_shared(s4_scheme):
+    cert = sh.find_hall(s4_scheme, {2})
+    cert.conjugator = 5
+    again = sh.find_hall(s4_scheme, {2})
+    assert again is not cert
+    assert again.conjugator is None
+    small = s4_scheme.identity_subset()
+    ext = sh.extend_to_hall(s4_scheme, small, {2})
+    ext.conjugator = 3
+    assert sh.extend_to_hall(s4_scheme, small, {2}).conjugator is None
+
+
+def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
+    calls = []
+    original = hall_module.compute_o_pi
+
+    def counted(scheme, pi):
+        calls.append(frozenset(pi))
+        return original(scheme, pi)
+
+    monkeypatch.setattr(hall_module, "compute_o_pi", counted)
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    for pi in ({2}, {3}, {2}, {3}):
+        sh.find_hall(s4, pi)
+        halls = sh.all_hall_subsets(s4, pi)
+        sh.conjugating_element(s4, halls[0], halls[-1], pi)
+        sh.extend_to_hall(s4, s4.identity_subset(), pi)
+    assert sorted(calls, key=sorted) == [frozenset({2}), frozenset({3})]
+    # a scheme that fails the preconditions caches nothing and fails again
+    pent = sh.bundled_scheme("pentagon").scheme()
+    for _ in range(2):
+        with pytest.raises(sh.NotSolvableError):
+            sh.find_hall(pent, {2})
+    assert len(calls) == 4
