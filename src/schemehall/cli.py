@@ -165,7 +165,14 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"solvable={r['solvable']} "
                 f"closed={r['closed_subsets']['count']}"
             )
-    return 0
+    failed = [
+        (r["input"], key, entry["error"])
+        for r in records if r["valid"]
+        for key, entry in r["pi"].items() if "error" in entry
+    ]
+    for name, key, error in failed:
+        print(f"internal error: {name} pi={key}: {error}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,7 @@ __all__ = [
     "thin_hypergroup",
     "all_subgroups",
     "generated_subgroup",
+    "is_solvable_group",
     "conjugate_subgroup",
     "find_subgroup_conjugator",
 ]
@@ -209,6 +210,30 @@ def generated_subgroup(table: Table, gens: int) -> int:
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def is_solvable_group(table: Table) -> bool:
+    """Whether the derived series reaches the trivial subgroup.
+
+    Each step closes the commutators [x, y] = x^-1 y^-1 x y of the
+    current subgroup; the group is solvable when the series ends at
+    {1}, and not when a step stops shrinking (a nontrivial perfect
+    subgroup).
+    """
+    inv = group_inverse(table)
+    cur = (1 << len(table)) - 1
+    while cur != 1:
+        members = list(bits_of(cur))
+        commutators = 0
+        for x in members:
+            ix = inv[x]
+            for y in members:
+                commutators |= 1 << table[table[ix][inv[y]]][table[x][y]]
+        nxt = generated_subgroup(table, commutators)
+        if nxt == cur:
+            return False
+        cur = nxt
+    return True
 
 
 def all_subgroups(table: Table) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from .groups import (
     conjugate_subgroup,
     find_subgroup_conjugator,
     generated_subgroup,
-    thin_hypergroup,
+    is_solvable_group,
     validate_group,
 )
 from .hypergroup import (
@@ -49,7 +49,6 @@ from .scheme import (
     is_solvable_scheme,
     pi_predicates,
 )
-from .solvability import is_solvable
 
 __all__ = [
     "HallCertificate",
@@ -134,8 +133,9 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSu
 
     Enumerates every closed subset, filters, and takes the maximum; the
     claims that make the result usable downstream (it contains every
-    candidate, it is strongly normal, the quotient by it is thin) are
-    asserted rather than trusted.
+    candidate, it is strongly normal) are checked rather than trusted.
+    That the quotient by it is thin is checked by the Hall context of
+    find_hall and the other queries, which builds that quotient once.
     """
     ps = validate_pi(pi)
     _require_solvable_and_valenced(scheme, ps)
@@ -164,8 +164,6 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSu
             )
     if not is_strongly_normal(core.subset, universe):
         raise InternalInconsistencyError("the pi-core must be strongly normal")
-    if not is_thin_quotient(quotient(hg, core.subset)):
-        raise InternalInconsistencyError("quotient by the pi-core must be thin")
     return core
 
 
@@ -191,17 +189,19 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     """All subgroups whose order is the pi-part of the group order.
 
     Subgroup bitmasks, ordered by member tuple.  The group must be
-    solvable.  One Hall subgroup is built greedily from the trivial one:
-    join the first element (in index order) whose generated subgroup
-    is still a pi-group, until the order is the pi-part.  In a solvable
-    group every pi-subgroup lies in a Hall pi-subgroup and all Hall
-    pi-subgroups are conjugate (P. Hall 1928), so the build never
-    stalls and the conjugation orbit of its result is the whole family.
+    solvable, which is checked on the table itself: its derived series
+    must reach the trivial subgroup.  One Hall subgroup is built
+    greedily from the trivial one: join the first element (in index
+    order) whose generated subgroup is still a pi-group, until the
+    order is the pi-part.  In a solvable group every pi-subgroup lies
+    in a Hall pi-subgroup and all Hall pi-subgroups are conjugate
+    (P. Hall 1928), so the build never stalls and the conjugation orbit
+    of its result is the whole family.
     """
     ps = validate_pi(pi)
     t = validate_group(table)
     n = len(t)
-    if not is_solvable(thin_hypergroup(t)):
+    if not is_solvable_group(t):
         raise NotSolvableGroupError(f"group of order {n} is not solvable")
     target = pi_part(n, ps)
     hall = 1
@@ -240,16 +240,18 @@ class _HallContext:
     core is the pi-core, hq the quotient by it and gtable that quotient
     read off as a group; halls are the Hall subgroups of gtable in
     hall_subgroups order and lifted[i] the Hall subset lifted from
-    halls[i].  best indexes the least lifted Hall subset.
+    halls[i].  best indexes the least lifted Hall subset.  Every pi
+    with the same primes among those of the scheme shares the context.
     """
 
-    __slots__ = ("pi", "scheme", "core", "hq", "gtable", "halls", "lifted", "best")
+    __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "best")
 
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
-        self.pi = ps
         self.scheme = scheme
         self.core = core = compute_o_pi(scheme, ps)
         self.hq = hq = quotient(scheme.hypergroup, core.subset)
+        if not is_thin_quotient(hq):
+            raise InternalInconsistencyError("quotient by the pi-core must be thin")
         self.gtable = group_from_thin(hq)
         self.halls = hall_subgroups(self.gtable, ps)
         lifted = []
@@ -274,18 +276,24 @@ class _HallContext:
                 )
         self.best = min(range(len(lifted)), key=lambda i: lifted[i].members())
 
-    def certificate(self, i: int) -> HallCertificate:
-        """A fresh certificate for the i-th Hall subset."""
+    def certificate(self, i: int, ps: frozenset[int]) -> HallCertificate:
+        """A fresh certificate for the i-th Hall subset, asked for pi = ps."""
         return HallCertificate(
-            self.pi, self.scheme, self.lifted[i], self.core, self.gtable, self.halls[i], self.hq
+            ps, self.scheme, self.lifted[i], self.core, self.gtable, self.halls[i], self.hq
         )
 
 
 def _context(scheme: AssociationScheme, ps: frozenset[int]) -> _HallContext:
-    """The cached Hall context of (scheme, ps), built on first use."""
-    ctx = scheme._hall_contexts.get(ps)
+    """The cached Hall context of (scheme, ps), built on first use.
+
+    Keyed by the primes of ps that divide n or a valency: no other
+    prime changes an answer.  A missing context is built with ps itself,
+    so error messages name the pi asked for; errors are not cached.
+    """
+    key = ps & scheme.primes
+    ctx = scheme._hall_contexts.get(key)
     if ctx is None:
-        ctx = scheme._hall_contexts[ps] = _HallContext(scheme, ps)
+        ctx = scheme._hall_contexts[key] = _HallContext(scheme, ps)
     return ctx
 
 
@@ -297,8 +305,9 @@ def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
     lexicographically least Hall subset is the one certified.  Each
     call returns a new certificate.
     """
-    ctx = _context(scheme, validate_pi(pi))
-    return ctx.certificate(ctx.best)
+    ps = validate_pi(pi)
+    ctx = _context(scheme, ps)
+    return ctx.certificate(ctx.best, ps)
 
 
 def all_conjugating_elements(
@@ -400,4 +409,4 @@ def extend_to_hall(
         raise InternalInconsistencyError(
             "extension does not contain the subset it was grown from"
         )
-    return ctx.certificate(chosen)
+    return ctx.certificate(chosen, ps)

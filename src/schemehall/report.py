@@ -12,7 +12,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .arith import format_pi, validate_pi
-from .errors import NotPiValencedError, NotSolvableError, SchemehallError
+from .errors import (
+    InternalInconsistencyError,
+    NotPiValencedError,
+    NotSolvableError,
+    SchemehallError,
+)
 from .formats import parse_scheme
 from .hall import find_hall
 from .scheme import is_solvable_scheme, pi_predicates
@@ -30,7 +35,11 @@ def scheme_record(
     pi_sets: tuple[tuple[int, ...], ...] = DEFAULT_PI_SETS,
     timings: bool = False,
 ) -> dict:
-    """Build the report record for one scheme file body."""
+    """Build the report record for one scheme file body.
+
+    A pi whose Hall check finds an internal inconsistency gets an
+    "error" entry instead of an answer; the other pi go on.
+    """
     t0 = time.perf_counter()
     record: dict = {"schema": SCHEMA_VERSION, "input": name}
     try:
@@ -66,6 +75,8 @@ def scheme_record(
         except NotSolvableError:
             entry["pi_valenced"] = True
             entry["hall"] = None
+        except InternalInconsistencyError as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
         else:
             entry["pi_valenced"] = True
             entry["hall"] = {

@@ -79,12 +79,19 @@ class AssociationScheme:
         self.tensor = tensor  # tensor[r][p][q] = a_{pqr}
         self.valencies = valencies
         self.name = name
-        # Hall contexts by validated pi, filled by schemehall.hall
+        # Hall contexts by pi & primes, filled by schemehall.hall
         self._hall_contexts: dict = {}
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<AssociationScheme{tag} on {self.n_points} points, rank {self.rank}>"
+
+    @cached_property
+    def primes(self) -> frozenset[int]:
+        """Primes dividing n or some valency; no other prime matters to pi."""
+        return frozenset(
+            p for k in (self.n_points, *self.valencies) for p in prime_factors(k)
+        )
 
     @cached_property
     def hypergroup(self) -> Hypergroup:

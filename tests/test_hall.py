@@ -11,7 +11,8 @@ import pytest
 
 import schemehall as sh
 from schemehall import hall as hall_module
-from schemehall.groups import all_subgroups
+from schemehall import groups as groups_module
+from schemehall.groups import all_subgroups, is_solvable_group
 
 from conftest import ALL_PI
 
@@ -146,6 +147,18 @@ def test_hall_subgroups_rejects_non_solvable_group():
         sh.hall_subgroups(sh.alternating(5), {2, 3})
 
 
+def test_is_solvable_group_matches_lattice_chain():
+    tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
+    tables += [sh.alternating(5), sh.direct_product(sh.symmetric(4), sh.cyclic(2))]
+    non_solvable = []
+    for table in tables:
+        verdict = is_solvable_group(table)
+        assert verdict == sh.is_solvable(sh.thin_hypergroup(table)), len(table)
+        if not verdict:
+            non_solvable.append(len(table))
+    assert non_solvable == [60]
+
+
 # --- the cached Hall context ------------------------------------------------
 
 
@@ -217,7 +230,7 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
 
     monkeypatch.setattr(hall_module, "compute_o_pi", counted)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
-    for pi in ({2}, {3}, {2}, {3}):
+    for pi in ({2}, {3}, {2}, {3}, {2, 11}, {2, 7}):
         sh.find_hall(s4, pi)
         halls = sh.all_hall_subsets(s4, pi)
         sh.conjugating_element(s4, halls[0], halls[-1], pi)
@@ -229,3 +242,32 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
         with pytest.raises(sh.NotSolvableError):
             sh.find_hall(pent, {2})
     assert len(calls) == 4
+    # 11 and 7 divide neither n = 24 nor a valency, so {2, 11} and {2, 7}
+    # share the {2} context, while certificates keep the pi asked for
+    assert sh.find_hall(s4, {2, 11}).pi == {2, 11}
+    assert sh.find_hall(s4, {2}).pi == {2}
+    assert len(calls) == 4
+
+
+def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
+    quotients = []
+    thin = []
+    original_quotient = hall_module.quotient
+    original_thin = groups_module.thin_hypergroup
+
+    def counted_quotient(hg, sub):
+        quotients.append(sub.bits)
+        return original_quotient(hg, sub)
+
+    def counted_thin(*args, **kwargs):
+        thin.append(args)
+        return original_thin(*args, **kwargs)
+
+    monkeypatch.setattr(hall_module, "quotient", counted_quotient)
+    monkeypatch.setattr(groups_module, "thin_hypergroup", counted_thin)
+    monkeypatch.setattr(hall_module, "thin_hypergroup", counted_thin, raising=False)
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    for pi in ({2}, {3}):
+        sh.find_hall(s4, pi)
+    assert len(quotients) == 2
+    assert thin == []

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import schemehall as sh
-from schemehall import catalogue, formats
+from schemehall import catalogue, formats, report
 from schemehall.cli import main
 from schemehall.report import DEFAULT_PI_SETS, render_jsonl, report_records
 
@@ -236,3 +236,28 @@ def test_cli_report_json(tmp_path, capsys):
     assert len(lines) == len(list(SCHEMES.glob("*.scm")))
     for line in lines:
         json.loads(line)
+
+
+def test_report_records_an_internal_error_and_goes_on(monkeypatch, capsys):
+    real = report.find_hall
+
+    def flaky(scheme, pi):
+        if pi == frozenset({3}):
+            raise sh.InternalInconsistencyError("planted")
+        return real(scheme, pi)
+
+    monkeypatch.setattr(report, "find_hall", flaky)
+    text = (SCHEMES / "hm176_28.scm").read_text("utf-8")
+    rec = report.scheme_record("hm176_28", text)
+    assert rec["pi"]["{3}"] == {"error": "InternalInconsistencyError: planted"}
+    assert rec["pi"]["{2}"]["hall"]["valency"] == 4
+    assert rec["pi"]["{7}"] == {"hall": None, "pi_valenced": False}
+    assert list(rec["pi"]) == ["{2}", "{3}", "{5}", "{7}", "{2,3}"]
+
+    n_files = len(list(SCHEMES.glob("*.scm")))
+    assert main(["report", str(SCHEMES), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == n_files
+    assert "internal error: hm176_28 pi={3}: InternalInconsistencyError: planted" in captured.err
+    assert main(["report", str(SCHEMES)]) == 3
+    assert len(capsys.readouterr().out.splitlines()) == n_files
