@@ -17,6 +17,7 @@ __all__ = [
     "NotClosedError",
     "NotSubsetError",
     "SearchOverflowError",
+    "SchemeTooLargeError",
     "SchemeAxiomError",
     "NotPartitionError",
     "IdentityViolationError",
@@ -89,6 +90,10 @@ class NotSubsetError(SchemehallError):
 
 class SearchOverflowError(SchemehallError):
     """A bounded exhaustive search was asked to exceed its hard cap."""
+
+
+class SchemeTooLargeError(SchemehallError):
+    """A relation matrix is above the size bound validation accepts."""
 
 
 # ---------------------------------------------------------------------------

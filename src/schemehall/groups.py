@@ -68,15 +68,26 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
                 break
         if t[inv[x]][x] != 0:
             raise NotAGroupError(f"element {x} has no two-sided inverse")
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                if t[ab][c] != t[a][t[b][c]]:
-                    raise NotAGroupError(
-                        f"associativity fails at ({a}, {b}, {c})"
-                    )
+    witness = _associativity_witness(t)
+    if witness is not None:
+        raise NotAGroupError("associativity fails at ({}, {}, {})".format(*witness))
     return t
+
+
+def _associativity_witness(t: Table) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in index order with (ab)c != a(bc), or None.
+
+    One row of c at a time: row ab against row b read through row a.
+    """
+    n = len(t)
+    for a in range(n):
+        ta = t[a]
+        for b in range(n):
+            lhs = t[ta[b]]
+            rhs = tuple([ta[x] for x in t[b]])
+            if lhs != rhs:
+                return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
+    return None
 
 
 def group_inverse(table: Table) -> tuple[int, ...]:

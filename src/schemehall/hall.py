@@ -36,7 +36,6 @@ from .hypergroup import (
     ElementSubset,
     Hypergroup,
     bits_of,
-    enumerate_closed_subsets,
     is_strongly_normal,
     is_subnormal,
     mask_of,
@@ -142,13 +141,12 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSu
     hg = scheme.hypergroup
     universe = hg.universe()
     candidates: list[SchemeClosedSubset] = []
-    for c in enumerate_closed_subsets(hg):
-        t = SchemeClosedSubset(scheme, c)
+    for t in scheme.closed_subsets():
         if not is_pi_number(t.valency, ps):
             continue
-        if not all(is_pi_number(scheme.valencies[s], ps) for s in c.members()):
+        if not all(is_pi_number(scheme.valencies[s], ps) for s in t.members()):
             continue
-        if not is_subnormal(c, universe):
+        if not is_subnormal(t.subset, universe):
             continue
         candidates.append(t)
     if not candidates:
@@ -199,7 +197,11 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     of its result is the whole family.
     """
     ps = validate_pi(pi)
-    t = validate_group(table)
+    return _hall_subgroups(validate_group(table), ps)
+
+
+def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
+    """hall_subgroups on a table that has already passed validate_group."""
     n = len(t)
     if not is_solvable_group(t):
         raise NotSolvableGroupError(f"group of order {n} is not solvable")
@@ -253,7 +255,7 @@ class _HallContext:
         if not is_thin_quotient(hq):
             raise InternalInconsistencyError("quotient by the pi-core must be thin")
         self.gtable = group_from_thin(hq)
-        self.halls = hall_subgroups(self.gtable, ps)
+        self.halls = _hall_subgroups(self.gtable, ps)
         lifted = []
         for gm in self.halls:
             t = scheme.closed_subset(lift_closed(hq, ElementSubset(hq, gm)).bits)

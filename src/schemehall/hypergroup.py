@@ -124,9 +124,10 @@ class Hypergroup:
     def mul_masks(self, left: int, right: int) -> int:
         out = 0
         table = self.table
+        rights = list(bits_of(right))
         for a in bits_of(left):
             row = table[a]
-            for b in bits_of(right):
+            for b in rights:
                 out |= row[b]
         return out
 
@@ -138,25 +139,34 @@ class Hypergroup:
         return out
 
     def closure_mask(self, mask: int) -> int:
+        """Smallest closed subset containing mask, semi-naively.
+
+        With gens = mask, its star and the neutral element, the closure
+        is the union of the powers of gens (H1, and star reverses
+        products).  Each round multiplies only the elements new in the
+        last round by gens; the neutral is left out of the right factor
+        because it is a right identity.
+        """
         if mask == 0:
             raise EmptyInputError("cannot close the empty set")
-        cur = mask | 1
+        gens = mask | self.star_mask(mask) | 1
+        step = gens & ~1
+        cur = frontier = gens
         while True:
-            nxt = cur | self.star_mask(cur) | self.mul_masks(cur, cur)
-            if nxt == cur:
+            frontier = self.mul_masks(frontier, step) & ~cur
+            if not frontier:
                 return cur
-            cur = nxt
+            cur |= frontier
 
     def is_closed_mask(self, mask: int) -> bool:
         if mask == 0:
             return False
-        by_def = self.mul_masks(self.star_mask(mask), mask) | mask == mask
-        # the three-way characterization must agree with the definition
-        three = (
-            mask & 1 != 0
-            and self.star_mask(mask) == mask
-            and self.mul_masks(mask, mask) == mask
-        )
+        st = self.star_mask(mask)
+        prod = self.mul_masks(st, mask)
+        by_def = prod | mask == mask
+        # the three-way characterization must agree with the definition;
+        # once mask^ == mask, the product mask^ mask is mask mask
+        three = mask & 1 != 0 and st == mask and prod == mask
         if by_def != three:
             raise InternalInconsistencyError(f"closedness criteria disagree on {mask:#x}")
         return by_def
@@ -353,18 +363,9 @@ def validate_hypergroup(
                     )
 
     # H1 over all triples.
-    for p in range(k):
-        for q in range(k):
-            pq = masks[p][q]
-            for r in range(k):
-                lhs = 0
-                for x in bits_of(masks[q][r]):
-                    lhs |= masks[p][x]
-                rhs = 0
-                for y in bits_of(pq):
-                    rhs |= masks[y][r]
-                if lhs != rhs:
-                    raise AssocViolationError(p, q, r)
+    witness = _h1_witness(masks)
+    if witness is not None:
+        raise AssocViolationError(*witness)
 
     if e != 0:
         # swap labels 0 and e so the neutral element lands at index 0
@@ -393,6 +394,38 @@ def validate_hypergroup(
     )
 
 
+def _h1_witness(masks: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (p, q, r) in index order with p(qr) != (pq)r, or None.
+
+    Checks one row of r at a time: p(qr) is p times the cell qr,
+    memoized per p over the distinct cells, and (pq)r is the union of
+    the rows y in pq, memoized per distinct cell pq.  Cells must be
+    nonempty.
+    """
+    k = len(masks)
+    cells = {c: tuple(bits_of(c)) for row in masks for c in row}
+    row_unions: dict[int, list[int]] = {}
+    for c, ys in cells.items():
+        acc = list(masks[ys[0]])
+        for y in ys[1:]:
+            acc = [u | v for u, v in zip(acc, masks[y])]
+        row_unions[c] = acc
+    for p in range(k):
+        row_p = masks[p]
+        left = {}
+        for c, xs in cells.items():
+            m = 0
+            for x in xs:
+                m |= row_p[x]
+            left[c] = m
+        for q in range(k):
+            lhs = [left[c] for c in masks[q]]
+            rhs = row_unions[row_p[q]]
+            if lhs != rhs:
+                return p, q, next(r for r in range(k) if lhs[r] != rhs[r])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # subset operations
 
@@ -415,24 +448,39 @@ def closure(subset: ElementSubset) -> ClosedSubset:
 def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     """All closed subsets, sorted by size then member tuple.
 
-    Every closed subset is a join of closures of singletons, so the
-    worklist seeds with those and keeps joining until nothing new
-    appears.  The result is cached on the hypergroup.
+    Cyclic extension: every closed subset is a join of closures of
+    singletons, so the worklist seeds with those and joins each closed
+    subset found with every singleton closure not inside it, until
+    nothing new appears.  Each closed subset keeps the small generator
+    mask it was first reached from, and a join closes that mask plus
+    one representative of the singleton closure, which is cheaper than
+    closing the union.  The result is cached on the hypergroup.
     """
     if hg._closed is not None:
         return hg._closed
-    singles = sorted({hg.closure_mask(1 << s) for s in hg.elements})
-    found: set[int] = set(singles)
-    work = list(singles)
+    inv = hg.inverse
+    # s and s^ have the same closure; one representative per closure
+    singles: dict[int, int] = {}
+    for s in range(1, hg.size):
+        if inv[s] >= s:
+            singles.setdefault(hg.closure_mask(1 << s), s)
+    found: dict[int, int] = {1: 0}
+    for c, s in singles.items():
+        found.setdefault(c, 1 << s)
+    work = list(found)
     while work:
         cur = work.pop()
-        for s in singles:
-            joined = cur | s
-            if joined != cur:
-                joined = hg.closure_mask(joined)
-            if joined not in found:
-                found.add(joined)
-                work.append(joined)
+        gens = found[cur]
+        for c, s in singles.items():
+            if c & ~cur == 0:
+                continue
+            # the union is the join when it is already known closed
+            if (cur | c) not in found:
+                ext = gens | 1 << s
+                joined = hg.closure_mask(ext)
+                if joined not in found:
+                    found[joined] = ext
+                    work.append(joined)
     out = tuple(
         sorted(
             (_as_closed(hg, m) for m in found),

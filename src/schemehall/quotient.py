@@ -102,8 +102,9 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
     reps = [min(bits_of(c)) for c in cosets]
     raw: list[list[int]] = [[0] * k for _ in range(k)]
     for i in range(k):
+        rep_f = hg.mul_masks(1 << reps[i], f)
         for j in range(k):
-            prod = hg.mul_masks(hg.mul_masks(1 << reps[i], f), 1 << reps[j])
+            prod = hg.mul_masks(rep_f, 1 << reps[j])
             m = 0
             for x in bits_of(prod):
                 m |= 1 << coset_of[x]

@@ -27,6 +27,7 @@ from .errors import (
     ParentMismatchError,
     NotSquareError,
     RegularityViolationError,
+    SchemeTooLargeError,
     StarViolationError,
 )
 from .groups import Table, validate_group
@@ -58,6 +59,7 @@ __all__ = [
     "conjugators",
     "solvable_chain_scheme",
     "is_solvable_scheme",
+    "SCHEME_SIZE_CAP",
 ]
 
 
@@ -81,6 +83,7 @@ class AssociationScheme:
         self.name = name
         # Hall contexts by pi & primes, filled by schemehall.hall
         self._hall_contexts: dict = {}
+        self._closed_subsets: tuple[SchemeClosedSubset, ...] | None = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -136,10 +139,13 @@ class AssociationScheme:
         return SchemeClosedSubset(self, ClosedSubset(self.hypergroup, closed))
 
     def closed_subsets(self) -> tuple["SchemeClosedSubset", ...]:
-        return tuple(
-            SchemeClosedSubset(self, c)
-            for c in enumerate_closed_subsets(self.hypergroup)
-        )
+        """Every closed relation set, in enumerate_closed_subsets order; cached."""
+        if self._closed_subsets is None:
+            self._closed_subsets = tuple(
+                SchemeClosedSubset(self, c)
+                for c in enumerate_closed_subsets(self.hypergroup)
+            )
+        return self._closed_subsets
 
     def identity_subset(self) -> "SchemeClosedSubset":
         return SchemeClosedSubset(self, self.hypergroup.neutral_subset())
@@ -193,14 +199,21 @@ class SchemeClosedSubset:
 # ---------------------------------------------------------------------------
 # validation
 
+# Largest n * rank**2 validate_scheme accepts.  The regularity pass
+# costs about n**2 * (n + rank**2); the cap admits a thin scheme on 96
+# points (96 * 96**2 = 884,736) and every bundled input.
+SCHEME_SIZE_CAP = 1 << 20
+
 
 def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> AssociationScheme:
     """Check the scheme axioms on a relation matrix.
 
     Errors, in the order the axioms are tested: NotSquareError,
     NotPartitionError (labels not a contiguous 0-based range),
-    IdentityViolationError, StarViolationError and
-    RegularityViolationError with a five-index witness.
+    SchemeTooLargeError (n * rank**2 above SCHEME_SIZE_CAP, raised
+    before the per-pair passes start), IdentityViolationError,
+    StarViolationError and RegularityViolationError with a five-index
+    witness.
     """
     n = len(matrix)
     if n == 0:
@@ -219,6 +232,11 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     if missing:
         raise NotPartitionError(
             f"labels must form a contiguous range; missing {sorted(missing)}"
+        )
+    if n * rank * rank > SCHEME_SIZE_CAP:
+        raise SchemeTooLargeError(
+            f"{n} points of rank {rank} give n * rank**2 = {n * rank * rank}, "
+            f"above the cap {SCHEME_SIZE_CAP}"
         )
 
     for x in range(n):

@@ -271,3 +271,22 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
         sh.find_hall(s4, pi)
     assert len(quotients) == 2
     assert thin == []
+
+
+def test_context_validates_its_group_table_once(monkeypatch):
+    calls = []
+    original = groups_module.validate_group
+
+    def counted(table):
+        calls.append(len(table))
+        return original(table)
+
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    monkeypatch.setattr(groups_module, "validate_group", counted)
+    monkeypatch.setattr(hall_module, "validate_group", counted)
+    sh.find_hall(s4, {2})
+    sh.find_hall(s4, {3})
+    # S4 / O_2(S4) is S3 and O_3(S4) is trivial: one table each
+    assert calls == [6, 24]
+    sh.hall_subgroups(sh.symmetric(4), {2})
+    assert calls == [6, 24, 24]

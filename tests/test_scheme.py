@@ -15,6 +15,7 @@ Hand-checked values used below:
 import pytest
 
 import schemehall as sh
+from schemehall import scheme as scheme_module
 
 P3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 STAR_BAD = [
@@ -151,6 +152,32 @@ def test_solvable_chain_scheme_valencies(wreath28):
 
 def test_scheme_hypergroup_is_cached(pentagon):
     assert pentagon.hypergroup is pentagon.hypergroup
+    assert pentagon.closed_subsets() is pentagon.closed_subsets()
+
+
+PENTAGON = [
+    [0, 1, 2, 2, 1],
+    [1, 0, 1, 2, 2],
+    [2, 1, 0, 1, 2],
+    [2, 2, 1, 0, 1],
+    [1, 2, 2, 1, 0],
+]
+
+
+def test_validate_scheme_size_cap(monkeypatch):
+    # a thin scheme on 96 points must pass the shipped cap
+    assert 96 * 96**2 <= scheme_module.SCHEME_SIZE_CAP
+    # the pentagon has n * rank**2 = 5 * 3**2 = 45
+    monkeypatch.setattr(scheme_module, "SCHEME_SIZE_CAP", 45)
+    assert sh.validate_scheme(PENTAGON).rank == 3
+    monkeypatch.setattr(scheme_module, "SCHEME_SIZE_CAP", 44)
+    with pytest.raises(sh.SchemeTooLargeError, match="n \\* rank\\*\\*2 = 45"):
+        sh.validate_scheme(PENTAGON)
+    # the cap fires before the per-pair passes: P3 would fail regularity
+    monkeypatch.setattr(scheme_module, "SCHEME_SIZE_CAP", 26)
+    with pytest.raises(sh.SchemeTooLargeError):
+        sh.validate_scheme(P3)
+    assert issubclass(sh.SchemeTooLargeError, sh.SchemehallError)
 
 
 def test_bundled_catalogue_counts():
