@@ -89,8 +89,10 @@ from .scheme import (
     pi_predicates,
     quotient_scheme,
     solvable_chain_scheme,
+    tensor_matrix,
     to_hypergroup,
     validate_scheme,
+    wreath_matrix,
 )
 from .solvability import SolvableChain, is_solvable, solvable_chain, step_quotient_order
 
@@ -119,7 +121,7 @@ __all__ = [
     "AssociationScheme", "SchemeClosedSubset", "QuotientScheme",
     "validate_scheme", "from_group", "to_hypergroup", "quotient_scheme",
     "pi_predicates", "is_pi_valenced", "conjugate_subset", "conjugators",
-    "solvable_chain_scheme", "is_solvable_scheme",
+    "solvable_chain_scheme", "is_solvable_scheme", "wreath_matrix", "tensor_matrix",
     # hall
     "HallCertificate", "compute_o_pi", "group_from_thin", "hall_subgroups",
     "all_hall_subsets", "find_hall", "conjugating_element",

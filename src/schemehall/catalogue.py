@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import tempfile
 import urllib.error
 import urllib.request
 from importlib import resources
@@ -101,23 +102,26 @@ def fetch_catalogue(
 ) -> list[SchemeFile]:
     """Schemes of one order from cache, a mirror directory, or the net.
 
-    A fresh download is cached with a sha256 sidecar; later reads verify
-    the sidecar and raise ChecksumMismatchError when the cache was
-    tampered with.  offline=True never touches the network.
+    A fresh download is cached with a sha256 sidecar, each written to a
+    temporary file and renamed into place, sidecar first.  Later reads
+    verify the sidecar and raise ChecksumMismatchError when the cache was
+    tampered with or the sidecar is missing.  offline=True never touches
+    the network.
     """
     fname = f"as{order}.txt"
     cache = _cache_dir(cache_dir)
     cached = cache / fname
+    sidecar = cached.with_suffix(".txt.sha256")
     if cached.exists():
         data = cached.read_bytes()
-        sidecar = cached.with_suffix(".txt.sha256")
-        if sidecar.exists():
-            want = sidecar.read_text().strip()
-            got = _sha256(data)
-            if want != got:
-                raise ChecksumMismatchError(
-                    f"{cached}: sha256 {got} does not match recorded {want}"
-                )
+        if not sidecar.exists():
+            raise ChecksumMismatchError(f"{cached}: no sha256 sidecar, not trusted")
+        want = sidecar.read_text().strip()
+        got = _sha256(data)
+        if want != got:
+            raise ChecksumMismatchError(
+                f"{cached}: sha256 {got} does not match recorded {want}"
+            )
         return split_catalogue(data.decode("utf-8"), order)
 
     src = Path(source)
@@ -141,9 +145,23 @@ def fetch_catalogue(
 
     schemes = split_catalogue(data.decode("utf-8"), order)
     cache.mkdir(parents=True, exist_ok=True)
-    cached.write_bytes(data)
-    cached.with_suffix(".txt.sha256").write_text(_sha256(data) + "\n")
+    # the sidecar lands first and the data last, so an interrupted write
+    # leaves no data file to read back
+    _write_atomic(sidecar, (_sha256(data) + "\n").encode("ascii"))
+    _write_atomic(cached, data)
     return schemes
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to a temporary file next to path, then rename it into place."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ literally over all triples.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from functools import reduce
+from operator import or_
 
 from .errors import (
     AssocViolationError,
@@ -527,17 +529,26 @@ def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
 
 
 def _normal_edges(hg: Hypergroup) -> dict[int, tuple[int, ...]]:
-    """For each closed subset mask, the masks of closed supersets it is normal in."""
+    """For each closed subset mask, the masks of closed supersets it is normal in.
+
+    C is normal in D exactly when D contains C and lies inside the
+    normalizer N(C) = {x : C x inside x C}, so each C costs one
+    normalizer and then a mask test per candidate D.
+    """
     if hg._normal_edges is not None:
         return hg._normal_edges
-    subs = enumerate_closed_subsets(hg)
+    subs = [c.bits for c in enumerate_closed_subsets(hg)]
+    rows = hg.table
+    cols = list(zip(*rows))
     edges: dict[int, tuple[int, ...]] = {}
     for c in subs:
-        ups = []
-        for d in subs:
-            if c.bits != d.bits and c.issubset(d) and normalizes(d, c):
-                ups.append(d.bits)
-        edges[c.bits] = tuple(ups)
+        members = list(bits_of(c))
+        norm = 0
+        for x in range(hg.size):
+            cx = reduce(or_, map(cols[x].__getitem__, members))
+            if not cx & ~reduce(or_, map(rows[x].__getitem__, members)):
+                norm |= 1 << x
+        edges[c] = tuple(d for d in subs if d != c and c & ~d == 0 and d & ~norm == 0)
     hg._normal_edges = edges
     return edges
 

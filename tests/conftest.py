@@ -42,6 +42,35 @@ def corpus_hypergroups(max_size: int) -> tuple:
     return tuple(seen.values())
 
 
+@functools.cache
+def product_matrices() -> tuple:
+    """(name, matrix) for wreath and tensor products of bundled schemes on
+    14 to 96 points: thin ones, solvable non-thin ones with three to seven
+    distinct valencies, and two that are not solvable."""
+    cat = {o: [sf.scheme() for sf in sh.bundled_catalogue(o)] for o in range(2, 13)}
+    named = {n: sh.bundled_scheme(n).scheme() for n in ("pentagon", "petersen")}
+    build = {"wreath": sh.wreath_matrix, "tensor": sh.tensor_matrix}
+    picks = [
+        ("tensor", (2, 0), (7, -1)),
+        ("tensor", (5, 0), (3, 0)),
+        ("wreath", (4, 1), (6, 4)),
+        ("tensor", (9, 6), (4, 1)),
+        ("tensor", (6, 4), (8, 6)),
+        ("tensor", (8, -1), (6, -1)),
+        ("wreath", (12, 16), (6, 3)),
+        ("wreath", (8, 6), (12, 16)),
+        ("tensor", (8, 3), (12, 16)),
+        ("wreath", (12, -1), (8, -1)),
+        ("tensor", (12, -1), (8, -1)),
+    ]
+    out = [
+        (f"{kind} {a}:{i} {b}:{j}", build[kind](cat[a][i], cat[b][j]))
+        for kind, (a, i), (b, j) in picks
+    ]
+    out.append(("wreath petersen pentagon", sh.wreath_matrix(named["petersen"], named["pentagon"])))
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def corpus12():
     return catalogue_schemes(12)

@@ -14,7 +14,7 @@ from schemehall import hall as hall_module
 from schemehall import groups as groups_module
 from schemehall.groups import all_subgroups, is_solvable_group
 
-from conftest import ALL_PI
+from conftest import ALL_PI, product_matrices
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +290,26 @@ def test_context_validates_its_group_table_once(monkeypatch):
     assert calls == [6, 24]
     sh.hall_subgroups(sh.symmetric(4), {2})
     assert calls == [6, 24, 24]
+
+
+def test_hall_valency_is_the_pi_part_of_n_on_products():
+    """On wreath and tensor products of 14 to 96 points, every Hall
+    pi-subset has valency the pi-part of n (its index is then a
+    pi'-number); a scheme that is not solvable or not pi-valenced gets
+    the matching error instead."""
+    found = set()
+    for name, m in product_matrices():
+        s = sh.validate_scheme(m, name=name)
+        solvable = sh.is_solvable_scheme(s)
+        for pi in ALL_PI[1:]:
+            if not sh.is_pi_valenced(s, pi):
+                with pytest.raises(sh.NotPiValencedError):
+                    sh.find_hall(s, pi)
+            elif not solvable:
+                with pytest.raises(sh.NotSolvableError):
+                    sh.find_hall(s, pi)
+            else:
+                cert = sh.find_hall(s, pi)
+                assert cert.hall.valency == sh.pi_part(s.n_points, pi), (name, pi)
+                found.add((s.rank < s.n_points, s.n_points))
+    assert {(True, 96), (False, 96), (True, 48), (False, 48)} <= found

@@ -130,6 +130,83 @@ def test_fetch_cache_hit_and_checksum(tmp_path):
         catalogue.fetch_catalogue(5, cache_dir=tmp_path, offline=True)
 
 
+class _FakeResponse:
+    def __init__(self, data):
+        self.data = data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.data
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """urlopen answers from memory with the bundled order-5 catalogue."""
+    import urllib.request
+
+    data = (DATA / "catalogue" / "order05.txt").read_bytes()
+    urls = []
+
+    def fake_urlopen(url, timeout=None):
+        urls.append(url)
+        return _FakeResponse(data)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return data, urls
+
+
+def test_fetch_caches_data_and_sidecar(tmp_path, served):
+    import hashlib
+
+    data, urls = served
+    files = catalogue.fetch_catalogue(5, source="http://mirror.invalid/as", cache_dir=tmp_path)
+    assert len(files) == 3 and urls == ["http://mirror.invalid/as/as5.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["as5.txt", "as5.txt.sha256"]
+    assert (tmp_path / "as5.txt").read_bytes() == data
+    assert (tmp_path / "as5.txt.sha256").read_text() == hashlib.sha256(data).hexdigest() + "\n"
+    assert len(catalogue.fetch_catalogue(5, cache_dir=tmp_path, offline=True)) == 3
+
+
+def test_cached_file_without_sidecar_is_not_trusted(tmp_path):
+    (tmp_path / "as5.txt").write_bytes((DATA / "catalogue" / "order05.txt").read_bytes())
+    with pytest.raises(sh.ChecksumMismatchError, match="no sha256 sidecar"):
+        catalogue.fetch_catalogue(5, cache_dir=tmp_path, offline=True)
+
+
+def test_fetch_interrupted_between_renames_leaves_no_data(tmp_path, served, monkeypatch):
+    """A failure after the sidecar is in place and before the data is:
+    no data file and no temporary file remain, so nothing half-written
+    is read back, and the next fetch writes both files."""
+    import os
+
+    real_replace = os.replace
+    renames = []
+
+    def failing_replace(src, dst):
+        renames.append(Path(dst).name)
+        if len(renames) == 2:
+            raise OSError("disk went away")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk went away"):
+        catalogue.fetch_catalogue(5, source="http://mirror.invalid/as", cache_dir=tmp_path)
+    assert renames == ["as5.txt.sha256", "as5.txt"]
+    assert [p.name for p in tmp_path.iterdir()] == ["as5.txt.sha256"]
+    with pytest.raises(sh.NetworkUnavailableError):
+        catalogue.fetch_catalogue(5, cache_dir=tmp_path, offline=True)
+
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert len(catalogue.fetch_catalogue(5, source="http://mirror.invalid/as", cache_dir=tmp_path)) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["as5.txt", "as5.txt.sha256"]
+    assert len(catalogue.fetch_catalogue(5, cache_dir=tmp_path, offline=True)) == 3
+
+
 def test_bundled_corpus_is_fully_parseable():
     for order in catalogue.bundled_orders():
         for sf in catalogue.bundled_catalogue(order):

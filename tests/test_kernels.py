@@ -24,7 +24,7 @@ import schemehall as sh
 from schemehall.groups import _associativity_witness
 from schemehall.hypergroup import Hypergroup, _h1_witness
 
-from conftest import corpus_hypergroups
+from conftest import corpus_hypergroups, product_matrices
 
 
 def _members(mask):
@@ -289,3 +289,205 @@ def test_enumeration_closes_less_often(monkeypatch):
     hg = sh.thin_hypergroup(sh.symmetric(4))
     assert len(sh.enumerate_closed_subsets(hg)) == 30
     assert len(calls) < 416
+
+
+# --- scheme ingest -----------------------------------------------------------
+#
+# The passes validate_scheme used to make, written out: a double loop
+# for the identity relation, a double loop pairing each relation with
+# its partner, a fresh count table for every point pair, and the
+# product table read off the tensor one (p, q, r) triple at a time.
+
+
+def ingest_oracle(matrix):
+    """(rel, star, tensor, valencies, product table) or the first error."""
+    n = len(matrix)
+    rel = [tuple(row) for row in matrix]
+    labels = {v for row in rel for v in row}
+    rank = max(labels) + 1
+    assert labels == set(range(rank))
+    for x in range(n):
+        if rel[x][x] != 0:
+            raise sh.IdentityViolationError(x, x, f"diagonal entry ({x}, {x}) is not 0")
+        for y in range(n):
+            if x != y and rel[x][y] == 0:
+                raise sh.IdentityViolationError(x, y)
+    star = [-1] * rank
+    for x in range(n):
+        for y in range(n):
+            s, t = rel[x][y], rel[y][x]
+            if star[s] == -1:
+                star[s] = t
+            elif star[s] != t:
+                raise sh.StarViolationError(
+                    f"relation {s} pairs with both {star[s]} and {t}, seen at ({x}, {y})"
+                )
+    for s in range(rank):
+        if star[star[s]] != s:
+            raise sh.StarViolationError(f"star map is not an involution at {s}")
+    tensor = [None] * rank
+    for y in range(n):
+        for z in range(n):
+            r = rel[y][z]
+            counts = [[0] * rank for _ in range(rank)]
+            for x in range(n):
+                counts[rel[y][x]][rel[x][z]] += 1
+            if tensor[r] is None:
+                tensor[r] = counts
+            elif tensor[r] != counts:
+                for p in range(rank):
+                    for q in range(rank):
+                        if tensor[r][p][q] != counts[p][q]:
+                            raise sh.RegularityViolationError(p, q, r, y, z)
+    valencies = tuple(tensor[0][s][star[s]] for s in range(rank))
+    products = tuple(
+        tuple(
+            sum(1 << r for r in range(rank) if tensor[r][p][q])
+            for q in range(rank)
+        )
+        for p in range(rank)
+    )
+    tensor = tuple(tuple(tuple(row) for row in t) for t in tensor)
+    return tuple(rel), tuple(star), tensor, valencies, products
+
+
+def ingest_outcome(validate, matrix):
+    try:
+        out = validate(matrix)
+    except sh.SchemeAxiomError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, sh.AssociationScheme):
+        return out.rel, out.star_map, out.tensor, out.valencies, out.hypergroup.table
+    return out
+
+
+@functools.cache
+def ingest_pool():
+    """Relation matrices of every catalogue scheme (the order-28 bundle
+    included), every named scheme and the thin scheme of every bundled
+    group, one per distinct matrix."""
+    mats = [sf.matrix for order in sh.bundled_orders() for sf in sh.bundled_catalogue(order)]
+    mats += [sh.bundled_scheme(name).matrix for name in sh.bundled_scheme_names()]
+    mats += [sh.from_group(sh.bundled_group(name).table).rel for name in sh.bundled_group_names()]
+    return tuple(dict.fromkeys(tuple(map(tuple, m)) for m in mats))
+
+
+def test_validate_scheme_matches_pairwise_loops():
+    pool = ingest_pool()
+    assert len(pool) >= 136 + 38 - 20
+    assert {len(m) for m in pool} >= {1, 12, 24, 28}
+    for m in pool:
+        assert ingest_outcome(sh.validate_scheme, m) == ingest_outcome(ingest_oracle, m)
+
+
+def test_validate_scheme_matches_pairwise_loops_on_products():
+    """Wreath and tensor products past the bundled orders, up to 96 points."""
+    sizes = set()
+    for name, m in product_matrices():
+        assert ingest_outcome(sh.validate_scheme, m) == ingest_outcome(ingest_oracle, m), name
+        sizes.add(len(m))
+    assert min(sizes) < 16 and max(sizes) == 96
+
+
+def _single_cell(rng, m):
+    n = len(m)
+    out = [list(row) for row in m]
+    rank = max(map(max, m)) + 1
+    a, b = rng.randrange(n), rng.randrange(n)
+    out[a][b] = rng.choice([v for v in range(rank) if v != m[a][b]])
+    return out
+
+
+def _symmetric_pair(rng, m):
+    """rel[a][b] and rel[b][a] moved together to a relation and its
+    partner, so the star pass still holds and regularity is reached."""
+    n = len(m)
+    star = {m[x][y]: m[y][x] for x in range(n) for y in range(n)}
+    out = [list(row) for row in m]
+    a = rng.randrange(n)
+    b = rng.choice([y for y in range(n) if y != a])
+    choices = [v for v in range(1, len(star)) if v != m[a][b]]
+    if not choices:
+        return None
+    s = rng.choice(choices)
+    out[a][b], out[b][a] = s, star[s]
+    return out
+
+
+def test_validate_scheme_corruptions_name_the_oracle_witness():
+    rng = random.Random(7)
+    reached = {}
+    for m in ingest_pool():
+        if len(m) < 3:
+            continue
+        for corrupt in (_single_cell, _symmetric_pair) * 4:
+            bad = corrupt(rng, m)
+            if bad is None or len({v for row in bad for v in row}) != max(map(max, bad)) + 1:
+                continue  # no other relation, or a label vanished (a partition error)
+            want = ingest_outcome(ingest_oracle, bad)
+            assert ingest_outcome(sh.validate_scheme, bad) == want
+            kind = want[0] if isinstance(want[0], type) else None
+            reached[kind] = reached.get(kind, 0) + 1
+    assert reached.get(sh.IdentityViolationError, 0) >= 10
+    assert reached.get(sh.StarViolationError, 0) >= 10
+    assert reached.get(sh.RegularityViolationError, 0) >= 10
+
+
+def test_identity_witness_is_the_first_zero_off_the_diagonal():
+    """A row whose only 0 is off the diagonal, and one with a second 0
+    after its diagonal: row.index(0) would name x itself in the second."""
+    pent = sh.bundled_scheme("pentagon").matrix
+    bad = [list(row) for row in pent]
+    bad[2][2], bad[2][4] = 1, 0
+    assert ingest_outcome(sh.validate_scheme, bad) == ingest_outcome(ingest_oracle, bad)
+    assert "diagonal entry (2, 2)" in ingest_outcome(sh.validate_scheme, bad)[1]
+    bad = [list(row) for row in pent]
+    bad[1][3] = 0
+    got = ingest_outcome(sh.validate_scheme, bad)
+    assert got == ingest_outcome(ingest_oracle, bad)
+    assert got == (sh.IdentityViolationError, "identity relation misplaced at (1, 3)")
+
+
+def test_normal_edges_match_pairwise_normalizes():
+    """c -> d exactly when d is a proper closed superset that normalizes
+    c, in the enumeration order of d, as the pairwise scan had it."""
+    from schemehall.hypergroup import _normal_edges
+
+    for hg in kernel_pool():
+        subs = sh.enumerate_closed_subsets(hg)
+        want = {
+            c.bits: tuple(
+                d.bits
+                for d in subs
+                if c.bits != d.bits and c.issubset(d) and sh.normalizes(d, c)
+            )
+            for c in subs
+        }
+        got = _normal_edges(fresh(hg))
+        assert list(got.items()) == list(want.items()), hg.name
+
+
+def test_validate_scheme_builds_one_count_table_per_relation(monkeypatch):
+    """The regularity pass compares sorted pair codes, so the Python
+    count table is built once per relation for the tensor on a valid
+    scheme, and at most twice (to name the witness) on a failure."""
+    from schemehall import scheme as scheme_mod
+
+    calls = []
+    original = scheme_mod._count_table
+
+    def counted(rel, y, z, rank):
+        calls.append((y, z))
+        return original(rel, y, z, rank)
+
+    monkeypatch.setattr(scheme_mod, "_count_table", counted)
+    for m in (sh.bundled_scheme("pentagon").matrix, sh.from_group(sh.symmetric(4)).rel):
+        calls.clear()
+        s = sh.validate_scheme(m)
+        assert len(calls) == s.rank
+    bad = [list(row) for row in sh.from_group(sh.symmetric(4)).rel]
+    bad[1][2], bad[2][1] = bad[1][3], bad[3][1]
+    calls.clear()
+    with pytest.raises(sh.RegularityViolationError):
+        sh.validate_scheme(bad)
+    assert 0 < len(calls) <= 2

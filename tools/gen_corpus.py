@@ -31,7 +31,7 @@ import schemehall as sh
 from schemehall.errors import SchemeAxiomError
 from schemehall.groups import Table, all_subgroups, group_inverse
 from schemehall.hypergroup import bits_of
-from schemehall.scheme import AssociationScheme
+from schemehall.scheme import AssociationScheme, Matrix, tensor_matrix, wreath_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "schemehall" / "data"
@@ -40,8 +40,6 @@ MAX_ORDER = 12
 
 # published classification tallies for orders 1..12, printed for comparison
 PUBLISHED = {1: 1, 2: 1, 3: 2, 4: 4, 5: 3, 6: 8, 7: 4, 8: 21, 9: 12, 10: 13, 11: 4, 12: 59}
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +202,6 @@ def orbital_matrix(table: Table, sub: int) -> Matrix:
         tuple(dc_of[table[y][inv[x]]] for y in reps)
         for x in reps
     )
-
-
-def wreath_matrix(inner: AssociationScheme, outer: AssociationScheme) -> Matrix:
-    """Blocks shaped like `inner`, one per point of `outer`; cross-block
-    pairs see only the outer relation."""
-    shift = inner.rank - 1
-    pts = [(o, i) for o in range(outer.n_points) for i in range(inner.n_points)]
-
-    def r(p, q):
-        if p[0] == q[0]:
-            return inner.rel[p[1]][q[1]]
-        return shift + outer.rel[p[0]][q[0]]
-
-    return tuple(tuple(r(p, q) for q in pts) for p in pts)
-
-
-def tensor_matrix(s1: AssociationScheme, s2: AssociationScheme) -> Matrix:
-    pts = [(x1, x2) for x1 in range(s1.n_points) for x2 in range(s2.n_points)]
-    label: dict[tuple[int, int], int] = {}
-    rows = []
-    for p in pts:
-        row = []
-        for q in pts:
-            key = (s1.rel[p[0]][q[0]], s2.rel[p[1]][q[1]])
-            if key not in label:
-                label[key] = len(label)
-            row.append(label[key])
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def opposite_matrix(s: AssociationScheme) -> Matrix:
