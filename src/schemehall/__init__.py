@@ -34,7 +34,6 @@ from .groups import (
 )
 from .hall import (
     HallCertificate,
-    all_conjugating_elements,
     all_hall_subsets,
     compute_o_pi,
     conjugating_element,
@@ -90,7 +89,6 @@ from .scheme import (
     quotient_scheme,
     solvable_chain_scheme,
     tensor_matrix,
-    to_hypergroup,
     validate_scheme,
     wreath_matrix,
 )
@@ -119,13 +117,12 @@ __all__ = [
     "quaternion", "symmetric", "alternating", "direct_product",
     # schemes
     "AssociationScheme", "SchemeClosedSubset", "QuotientScheme",
-    "validate_scheme", "from_group", "to_hypergroup", "quotient_scheme",
+    "validate_scheme", "from_group", "quotient_scheme",
     "pi_predicates", "is_pi_valenced", "conjugate_subset", "conjugators",
     "solvable_chain_scheme", "is_solvable_scheme", "wreath_matrix", "tensor_matrix",
     # hall
     "HallCertificate", "compute_o_pi", "group_from_thin", "hall_subgroups",
-    "all_hall_subsets", "find_hall", "conjugating_element",
-    "all_conjugating_elements", "extend_to_hall",
+    "all_hall_subsets", "find_hall", "conjugating_element", "extend_to_hall",
     # io
     "SchemeFile", "GroupFile", "parse_scheme", "render_scheme",
     "parse_group", "render_group",

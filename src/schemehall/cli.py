@@ -22,14 +22,13 @@ from .errors import (
 from .formats import parse_scheme, render_scheme
 from .hall import (
     HallCertificate,
-    all_conjugating_elements,
     conjugating_element,
     extend_to_hall,
     find_hall,
 )
 from .hypergroup import format_table
 from .report import DEFAULT_PI_SETS, render_jsonl, report_records
-from .scheme import AssociationScheme, quotient_scheme, solvable_chain_scheme
+from .scheme import AssociationScheme, conjugators, quotient_scheme, solvable_chain_scheme
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -111,7 +110,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
         pi = frozenset(prime_factors(t.valency)) if t.valency > 1 else frozenset()
     s = conjugating_element(scheme, t, u, pi)
     print(f"conjugator: relation {s}")
-    print(f"all conjugators: {list(all_conjugating_elements(scheme, t, u))}")
+    print(f"all conjugators: {list(conjugators(scheme, t, u))}")
     return 0
 
 

@@ -60,12 +60,8 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
     for x in range(n):
         if t[x][0] != x or t[0][x] != x:
             raise NotAGroupError("index 0 is not a two-sided identity")
-    inv = [-1] * n
+    inv = group_inverse(t)
     for x in range(n):
-        for y in range(n):
-            if t[x][y] == 0:
-                inv[x] = y
-                break
         if t[inv[x]][x] != 0:
             raise NotAGroupError(f"element {x} has no two-sided inverse")
     witness = _associativity_witness(t)
@@ -91,14 +87,8 @@ def _associativity_witness(t: Table) -> tuple[int, int, int] | None:
 
 
 def group_inverse(table: Table) -> tuple[int, ...]:
-    n = len(table)
-    inv = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == 0:
-                inv[x] = y
-                break
-    return tuple(inv)
+    """inv[x] is the right inverse of x: the first y with xy = 0."""
+    return tuple(row.index(0) for row in table)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +261,7 @@ def all_subgroups(table: Table) -> tuple[int, ...]:
 
 def conjugate_subgroup(table: Table, sub: int, g: int) -> int:
     """The subgroup g^-1 (sub) g."""
-    inv = group_inverse(table)
-    ig = inv[g]
+    ig = table[g].index(0)
     return mask_of(table[table[ig][x]][g] for x in bits_of(sub))
 
 

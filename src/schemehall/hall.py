@@ -57,7 +57,6 @@ __all__ = [
     "all_hall_subsets",
     "find_hall",
     "conjugating_element",
-    "all_conjugating_elements",
     "extend_to_hall",
 ]
 
@@ -310,13 +309,6 @@ def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
     return ctx.certificate(ctx.best, ps)
-
-
-def all_conjugating_elements(
-    scheme: AssociationScheme, t: SchemeClosedSubset, u: SchemeClosedSubset
-) -> tuple[int, ...]:
-    """Every relation s with s^ T s = U, by direct scan."""
-    return conjugators(scheme, t, u)
 
 
 def conjugating_element(

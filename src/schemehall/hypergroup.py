@@ -41,7 +41,6 @@ __all__ = [
     "ElementSubset",
     "ClosedSubset",
     "validate_hypergroup",
-    "star",
     "is_closed",
     "closure",
     "enumerate_closed_subsets",
@@ -111,9 +110,6 @@ class Hypergroup:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def product_mask(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def product(self, a: int, b: int) -> "ElementSubset":
         return ElementSubset(self, self.table[a][b])
 
@@ -180,9 +176,6 @@ class Hypergroup:
         if mask < 0 or mask > self.full_mask:
             raise ValueError(f"mask {mask:#x} is out of range for order {self.size}")
         return ElementSubset(self, mask)
-
-    def singleton(self, s: int) -> "ElementSubset":
-        return self.subset(1 << s)
 
     def universe(self) -> "ClosedSubset":
         return ClosedSubset(self, self.full_mask)
@@ -430,11 +423,6 @@ def _h1_witness(masks: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
 
 # ---------------------------------------------------------------------------
 # subset operations
-
-
-def star(subset: ElementSubset) -> ElementSubset:
-    """Elementwise inverse image of a subset."""
-    return subset.star()
 
 
 def is_closed(subset: ElementSubset) -> bool:

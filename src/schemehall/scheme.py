@@ -33,7 +33,7 @@ from .errors import (
     SchemeTooLargeError,
     StarViolationError,
 )
-from .groups import Table, validate_group
+from .groups import Table, group_inverse, validate_group
 from .hypergroup import (
     ClosedSubset,
     ElementSubset,
@@ -43,17 +43,15 @@ from .hypergroup import (
     validate_hypergroup,
 )
 from .quotient import QuotientHypergroup, quotient
-from .solvability import solvable_chain
+from .solvability import SolvableChain, solvable_chain
 
 __all__ = [
     "AssociationScheme",
     "SchemeClosedSubset",
     "QuotientScheme",
-    "SchemeSolvableChain",
     "PiPredicates",
     "validate_scheme",
     "from_group",
-    "to_hypergroup",
     "wreath_matrix",
     "tensor_matrix",
     "quotient_scheme",
@@ -74,7 +72,6 @@ class AssociationScheme:
         self,
         rel: tuple[tuple[int, ...], ...],
         star_map: tuple[int, ...],
-        tensor: tuple[tuple[tuple[int, ...], ...], ...],
         valencies: tuple[int, ...],
         products: Sequence[Sequence[int]],
         name: str = "",
@@ -83,7 +80,6 @@ class AssociationScheme:
         self.n_points = len(rel)
         self.rank = len(valencies)
         self.star_map = star_map
-        self.tensor = tensor  # tensor[r][p][q] = a_{pqr}
         self.valencies = valencies
         self.name = name
         self._products = products  # products[p][q]: mask of r with a_{pqr} != 0
@@ -119,8 +115,11 @@ class AssociationScheme:
         self._products = None  # hg.table holds the same masks now
         return hg
 
-    def complex_product(self, p: int, q: int) -> ElementSubset:
-        return self.hypergroup.product(p, q)
+    def intersection_numbers(self, r: int) -> tuple[tuple[int, ...], ...]:
+        """table[p][q] = a_{pqr}, counted over the pair (0, z) of relation
+        r in row 0; validation proved every pair of r gives this table."""
+        rel = self.rel
+        return tuple(map(tuple, _count_table(rel, 0, rel[0].index(r), self.rank)))
 
     def valency_of_mask(self, mask: int) -> int:
         return sum(self.valencies[s] for s in bits_of(mask))
@@ -201,10 +200,10 @@ class SchemeClosedSubset:
 
 # Largest n * rank**2 validate_scheme accepts.  The regularity pass
 # sorts n pair codes for each of the n**2 point pairs inside C builtins,
-# about n**3 log n steps, and builds rank count tables of n steps each;
-# the tensor it returns holds rank**3 numbers.  The cap admits a thin
-# scheme on 96 points (96 * 96**2 = 884,736; 0.18 s on a 2-core machine
-# with Python 3.11) and every bundled input.
+# about n**3 log n steps, and keeps one key of n codes per relation
+# while it runs.  The cap admits a thin scheme on 96 points
+# (96 * 96**2 = 884,736; 0.18 s on a 2-core machine with Python 3.11)
+# and every bundled input.
 SCHEME_SIZE_CAP = 1 << 20
 
 
@@ -225,10 +224,11 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     over all x, and equal keys mean equal intersection-number tables,
     so each key is compared with the first key of its relation.  Only
     on a failure are the double loops or the two count tables run, to
-    name the same first witness the pairwise loops would.  The tensor
-    comes from one count table per relation, and the relation products
-    from the distinct codes of each key.  Cost: about n**3 log n steps
-    in C plus rank * n in Python.
+    name the same first witness the pairwise loops would.  Valencies are
+    the label counts of row 0, and the relation products come from the
+    distinct codes of each key; no intersection number is stored
+    (AssociationScheme.intersection_numbers counts them on demand).
+    Cost: about n**3 log n steps in C plus rank * n in Python.
     """
     n = len(matrix)
     if n == 0:
@@ -291,8 +291,9 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
                         if want[p][q] != got[p][q]:
                             raise RegularityViolationError(p, q, r, y, z)
 
-    tensor = [_count_table(rel, y, z, rank) for y, z in first]
-    valencies = tuple(tensor[0][s][star[s]] for s in range(rank))
+    # row 0 meets every relation, and regularity of relation 0 makes
+    # every row's label counts equal: these are the a_{s s* 0}
+    valencies = tuple(map(rel[0].count, range(rank)))
     if sum(valencies) != n:
         raise InternalInconsistencyError("valencies do not sum to the point count")
 
@@ -306,7 +307,6 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     return AssociationScheme(
         tuple(rel),
         tuple(star),
-        tuple(tuple(tuple(q) for q in r) for r in tensor),
         valencies,
         products,
         name=name,
@@ -355,21 +355,12 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     """The thin scheme of a group: (x, y) lies in relation g when y = xg."""
     t: Table = validate_group(table)
     n = len(t)
-    inv = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if t[x][y] == 0:
-                inv[x] = y
-                break
+    inv = group_inverse(t)
     rel = [[t[inv[x]][y] for y in range(n)] for x in range(n)]
     scheme = validate_scheme(rel, name=name)
     if scheme.rank != n:
         raise NotAGroupError("group scheme must be thin")
     return scheme
-
-
-def to_hypergroup(scheme: AssociationScheme) -> Hypergroup:
-    return scheme.hypergroup
 
 
 # ---------------------------------------------------------------------------
@@ -628,42 +619,25 @@ def conjugators(
 # solvability at the scheme level
 
 
-class SchemeSolvableChain:
-    __slots__ = ("subsets", "step_primes")
-
-    def __init__(
-        self,
-        subsets: tuple[SchemeClosedSubset, ...],
-        step_primes: tuple[int, ...],
-    ):
-        self.subsets = subsets
-        self.step_primes = step_primes
-
-    def __repr__(self) -> str:
-        vals = " < ".join(str(c.valency) for c in self.subsets)
-        return f"<SchemeSolvableChain valencies {vals}>"
-
-
-def solvable_chain_scheme(scheme: AssociationScheme) -> SchemeSolvableChain | None:
+def solvable_chain_scheme(scheme: AssociationScheme) -> SolvableChain | None:
     """Chain of closed subsets with strongly normal prime-index steps.
 
-    The cached solvable chain of the induced hypergroup, read as closed
-    relation sets.  Each of its steps is strongly normal with a prime
-    number of double cosets, and for a strongly normal step that number
-    is the valency index; the valency index is checked against the step
-    prime on every call.
+    The cached solvable chain of the induced hypergroup, returned as it
+    is.  Each of its steps is strongly normal with a prime number of
+    double cosets, and for a strongly normal step that number is the
+    valency index; the valency index is checked against the step prime
+    on every call.
     """
     chain = solvable_chain(scheme.hypergroup)
     if chain is None:
         return None
-    subsets = tuple(SchemeClosedSubset(scheme, c) for c in chain.subsets)
-    for lo, hi, p in zip(subsets, subsets[1:], chain.step_primes):
-        if hi.valency != lo.valency * p:
+    vals = [scheme.valency_of_mask(c.bits) for c in chain.subsets]
+    for lo, hi, p in zip(vals, vals[1:], chain.step_primes):
+        if hi != lo * p:
             raise InternalInconsistencyError(
-                f"valency index {hi.valency}/{lo.valency} of a solvable step "
-                f"is not its prime {p}"
+                f"valency index {hi}/{lo} of a solvable step is not its prime {p}"
             )
-    return SchemeSolvableChain(subsets, chain.step_primes)
+    return chain
 
 
 def is_solvable_scheme(scheme: AssociationScheme) -> bool:

@@ -66,7 +66,7 @@ def test_s4_sylows_are_conjugate(s4_scheme):
             moved = sh.conjugate_subset(s4_scheme, t, g)
             assert tuple(moved.members()) == tuple(u.members())
     assert sh.conjugating_element(s4_scheme, halls[0], halls[0], {2}) == 0
-    assert sh.all_conjugating_elements(s4_scheme, halls[0], halls[1]) == (
+    assert sh.conjugators(s4_scheme, halls[0], halls[1]) == (
         4, 5, 8, 9, 14, 15, 18, 19,
     )
 

@@ -439,9 +439,10 @@ def test_intersection_tensor_row_sums(corpus12):
     for scheme in corpus12:
         rank = len(scheme.valencies)
         n = scheme.valencies
+        tensor = [scheme.intersection_numbers(r) for r in range(rank)]
         for p in range(rank):
             for q in range(rank):
-                total = sum(scheme.tensor[r][p][q] * n[r] for r in range(rank))
+                total = sum(tensor[r][p][q] * n[r] for r in range(rank))
                 assert total == n[p] * n[q], (
                     f"tensor row-sum law: {scheme.name}: p={p} q={q} sum {total}"
                 )

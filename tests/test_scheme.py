@@ -4,13 +4,15 @@ Hand-checked values used below:
 
 * Pentagon (5-cycle distance partition): valencies (1, 2, 2).  Adjacent
   points share no common neighbour, points at distance two share one,
-  and each point has two neighbours, so tensor[1][1][1] = 0,
-  tensor[2][1][1] = 1 and tensor[0][1][1] = 2.
+  and each point has two neighbours, so a_{111} = 0, a_{112} = 1 and
+  a_{110} = 2 (intersection_numbers(r)[p][q] = a_{pqr}).
 * Petersen graph distance partition: valencies (1, 6, 3) once relation
   1 is "shares an element" between 2-element subsets of a 5-set.
 * Path on three points is NOT a scheme: the pair count for (1, 2)
   fails to be constant over relation 1.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -57,11 +59,11 @@ def test_pentagon_basics(pentagon):
     assert len(pentagon.rel) == 5
     assert pentagon.valencies == (1, 2, 2)
     assert pentagon.star_map == (0, 1, 2)
-    assert pentagon.tensor[1][1][1] == 0
-    assert pentagon.tensor[2][1][1] == 1
-    assert pentagon.tensor[0][1][1] == 2
-    assert tuple(pentagon.complex_product(1, 1).members()) == (0, 2)
-    assert tuple(pentagon.complex_product(1, 2).members()) == (1, 2)
+    assert pentagon.intersection_numbers(1)[1][1] == 0
+    assert pentagon.intersection_numbers(2)[1][1] == 1
+    assert pentagon.intersection_numbers(0)[1][1] == 2
+    assert tuple(pentagon.hypergroup.product(1, 1).members()) == (0, 2)
+    assert tuple(pentagon.hypergroup.product(1, 2).members()) == (1, 2)
     assert [tuple(cs.members()) for cs in pentagon.closed_subsets()] == [
         (0,),
         (0, 1, 2),
@@ -148,6 +150,23 @@ def test_solvable_chain_scheme_valencies(wreath28):
     assert chain is not None
     vals = [wreath28.valency_of_mask(cs.bits) for cs in chain.subsets]
     assert vals == [1, 2, 4, 28]
+
+
+def test_validated_thin_scheme_keeps_no_intersection_tensor():
+    """A validated 96-point thin scheme keeps its relation matrix, star
+    map, valencies and product masks, well under 2 MB; a stored rank**3
+    tensor of intersection numbers would take about 8 MB here."""
+    matrix = sh.from_group(sh.direct_product(sh.dihedral(12), sh.cyclic(4))).rel
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scheme = sh.validate_scheme(matrix)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scheme.rank == scheme.n_points == 96
+    assert kept - before < 2 << 20
+    assert peak - before < 4 << 20
 
 
 def test_scheme_hypergroup_is_cached(pentagon):

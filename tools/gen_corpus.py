@@ -261,7 +261,7 @@ def fingerprint(s: AssociationScheme) -> tuple:
             s.valencies[r],
             s.valencies[s.star_map[r]],
             r == s.star_map[r],
-            tuple(sorted(x for row in s.tensor[r] for x in row)),
+            tuple(sorted(x for row in s.intersection_numbers(r) for x in row)),
         )
         for r in range(s.rank)
     )
