@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InternalInconsistencyError, NoConjugatorFoundError, ParentMismatchError, AssertionError) as exc:
+    except (InternalInconsistencyError, NoConjugatorFoundError, ParentMismatchError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (SchemehallError, ValueError, OSError) as exc:

@@ -82,6 +82,21 @@ def _int_row(line_no: int, body: str) -> list[int]:
         raise FormatSyntaxError(line_no, f"expected integers, got {body!r}") from None
 
 
+def _square_body(rows: list[tuple[int, str]], n: int, what: str) -> list[list[int]]:
+    """The n body rows of n integers each, after the header."""
+    if len(rows) != n:
+        raise NotSquareError(f"expected {n} {what} rows, found {len(rows)}")
+    out = []
+    for line_no, body in rows:
+        row = _int_row(line_no, body)
+        if len(row) != n:
+            raise NotSquareError(
+                f"line {line_no}: row has {len(row)} entries, expected {n}"
+            )
+        out.append(row)
+    return out
+
+
 def parse_scheme(text: str, name: str = "") -> SchemeFile:
     tagged, lines = _content_lines(text)
     if tagged:
@@ -97,19 +112,7 @@ def parse_scheme(text: str, name: str = "") -> SchemeFile:
     if n < 1 or rank < 1:
         raise FormatSyntaxError(line_no, f"header values must be positive, got {header!r}")
 
-    rows = lines[1:]
-    if len(rows) != n:
-        raise NotSquareError(f"expected {n} matrix rows, found {len(rows)}")
-    matrix: list[list[int]] = []
-    for line_no, body in rows:
-        row = _int_row(line_no, body)
-        if len(row) != n:
-            raise NotSquareError(
-                f"line {line_no}: row has {len(row)} entries, expected {n}"
-            )
-        matrix.append(row)
-
-    matrix = _canonicalize_labels(matrix, rank, name)
+    matrix = _canonicalize_labels(_square_body(lines[1:], n, "matrix"), rank, name)
     return SchemeFile(name, n, rank, tuple(tuple(r) for r in matrix))
 
 
@@ -163,17 +166,7 @@ def parse_group(text: str, name: str = "") -> GroupFile:
     if len(head) != 1 or head[0] < 1:
         raise FormatSyntaxError(line_no, f"header must be the group order, got {header!r}")
     n = head[0]
-    rows = lines[1:]
-    if len(rows) != n:
-        raise NotSquareError(f"expected {n} table rows, found {len(rows)}")
-    table: list[list[int]] = []
-    for line_no, body in rows:
-        row = _int_row(line_no, body)
-        if len(row) != n:
-            raise NotSquareError(
-                f"line {line_no}: row has {len(row)} entries, expected {n}"
-            )
-        table.append(row)
+    table = _square_body(lines[1:], n, "table")
     return GroupFile(name, n, tuple(tuple(r) for r in table))
 
 

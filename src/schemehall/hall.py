@@ -67,7 +67,8 @@ class HallCertificate:
     hall is the closed subset itself; o_pi the core it was built over;
     thin_quotient_group the Cayley table of the quotient; and
     lifted_subgroup the subgroup (as a bitmask over quotient elements)
-    whose lift is hall.  conjugator is only set by conjugacy queries.
+    whose lift is hall.  hyper_quotient is the quotient hypergroup
+    by o_pi.
     """
 
     __slots__ = (
@@ -77,7 +78,6 @@ class HallCertificate:
         "o_pi",
         "thin_quotient_group",
         "lifted_subgroup",
-        "conjugator",
         "hyper_quotient",
     )
 
@@ -90,7 +90,6 @@ class HallCertificate:
         thin_quotient_group: Table,
         lifted_subgroup: int,
         hyper_quotient: QuotientHypergroup,
-        conjugator: int | None = None,
     ):
         self.pi = pi
         self.scheme = scheme
@@ -99,7 +98,6 @@ class HallCertificate:
         self.thin_quotient_group = thin_quotient_group
         self.lifted_subgroup = lifted_subgroup
         self.hyper_quotient = hyper_quotient
-        self.conjugator = conjugator
 
     @property
     def index(self) -> int:
@@ -142,8 +140,6 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSu
     candidates: list[SchemeClosedSubset] = []
     for t in scheme.closed_subsets():
         if not is_pi_number(t.valency, ps):
-            continue
-        if not all(is_pi_number(scheme.valencies[s], ps) for s in t.members()):
             continue
         if not is_subnormal(t.subset, universe):
             continue

@@ -210,9 +210,6 @@ class ElementSubset:
     def __contains__(self, s: int) -> bool:
         return bool(self.bits >> s & 1)
 
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSubset):
             return NotImplemented
@@ -268,9 +265,6 @@ class ClosedSubset(ElementSubset):
     """An ElementSubset that has been checked to be closed."""
 
     __slots__ = ()
-
-    def __init__(self, parent: Hypergroup, bits: int):
-        super().__init__(parent, bits)
 
 
 def _as_closed(parent: Hypergroup, bits: int) -> ClosedSubset:
@@ -367,16 +361,10 @@ def validate_hypergroup(
         perm = list(range(k))
         perm[0], perm[e] = e, 0
 
-        def pm(mask: int) -> int:
-            out = 0
-            for s in bits_of(mask):
-                out |= 1 << perm[s]
-            return out
-
         new_masks = [[0] * k for _ in range(k)]
         for a in range(k):
             for b in range(k):
-                new_masks[perm[a]][perm[b]] = pm(masks[a][b])
+                new_masks[perm[a]][perm[b]] = mask_of(perm[s] for s in bits_of(masks[a][b]))
         new_inv = [0] * k
         for s in range(k):
             new_inv[perm[s]] = perm[inv[s]]

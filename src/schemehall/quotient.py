@@ -21,7 +21,9 @@ from .hypergroup import (
     ElementSubset,
     Hypergroup,
     bits_of,
+    double_cosets,
     is_strongly_normal,
+    is_thin,
     mask_of,
     validate_hypergroup,
 )
@@ -83,20 +85,15 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
 
+    cosets = double_cosets(hg, modulus)
     coset_of = [-1] * hg.size
-    cosets: list[int] = []
-    for h in hg.elements:
-        if coset_of[h] != -1:
-            continue
-        coset = hg.mul_masks(hg.mul_masks(f, 1 << h), f)
-        idx = len(cosets)
+    for idx, coset in enumerate(cosets):
         for x in bits_of(coset):
             if coset_of[x] != -1:
                 raise InternalInconsistencyError(
                     "double cosets failed to partition the element set"
                 )
             coset_of[x] = idx
-        cosets.append(coset)
 
     k = len(cosets)
     reps = [min(bits_of(c)) for c in cosets]
@@ -105,10 +102,7 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
         rep_f = hg.mul_masks(1 << reps[i], f)
         for j in range(k):
             prod = hg.mul_masks(rep_f, 1 << reps[j])
-            m = 0
-            for x in bits_of(prod):
-                m |= 1 << coset_of[x]
-            raw[i][j] = m
+            raw[i][j] = mask_of(coset_of[x] for x in bits_of(prod))
 
     checked = validate_hypergroup(raw, name=f"{hg.name}//{modulus.members()}")
     # coset 0 contains the parent neutral, so validation must not permute
@@ -137,14 +131,10 @@ def restriction(hg: Hypergroup, subset: ElementSubset) -> tuple[Hypergroup, tupl
         raise NotClosedError("can only restrict to a closed subset")
     members = subset.members()
     pos = {old: new for new, old in enumerate(members)}
-    k = len(members)
-    raw = [[0] * k for _ in range(k)]
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            m = 0
-            for x in bits_of(hg.table[a][b]):
-                m |= 1 << pos[x]
-            raw[i][j] = m
+    raw = [
+        [mask_of(pos[x] for x in bits_of(hg.table[a][b])) for b in members]
+        for a in members
+    ]
     sub = validate_hypergroup(raw, name=f"{hg.name}|{members}")
     return sub, members
 
@@ -180,9 +170,7 @@ def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset
         raise NotClosedError("can only project a closed subset")
     if q.modulus.bits & ~subset.bits:
         raise NotSubsetError("projection needs a subset containing the modulus")
-    m = 0
-    for x in bits_of(subset.bits):
-        m |= 1 << q.coset_of[x]
+    m = mask_of(q.coset_of[x] for x in bits_of(subset.bits))
     if not q.is_closed_mask(m):
         raise InternalInconsistencyError("projection of a closed subset is not closed")
     return ClosedSubset(q, m)
@@ -194,7 +182,7 @@ def is_thin_quotient(q: QuotientHypergroup) -> bool:
     Equivalent to the modulus being strongly normal in the parent; the
     equivalence is asserted on every call.
     """
-    thin = all(q.is_thin_element(s) for s in q.elements)
+    thin = is_thin(q)
     strong = is_strongly_normal(q.modulus, q.parent.universe())
     if thin != strong:
         raise InternalInconsistencyError("thin quotient must coincide with strong normality")
@@ -215,17 +203,8 @@ class HypergroupHomomorphism:
         self.target = target
         self.mapping = mapping
 
-    def __call__(self, s: int) -> int:
-        return self.mapping[s]
-
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for s in bits_of(mask):
-            out |= 1 << self.mapping[s]
-        return out
-
-    def image(self) -> ElementSubset:
-        return ElementSubset(self.target, self.image_mask(self.source.full_mask))
+        return mask_of(self.mapping[s] for s in bits_of(mask))
 
     def __repr__(self) -> str:
         return f"<HypergroupHomomorphism {self.mapping}>"

@@ -404,24 +404,6 @@ def tensor_matrix(s1: AssociationScheme, s2: AssociationScheme) -> Matrix:
 # quotient schemes
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.up = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.up[x] != x:
-            self.up[x] = self.up[self.up[x]]
-            x = self.up[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            self.up[ry] = rx
-
-
 class QuotientScheme:
     """Scheme on the blocks x T, plus the bookkeeping of the projection."""
 
@@ -465,8 +447,10 @@ def quotient_scheme(
 ) -> QuotientScheme:
     """Quotient by a closed relation set T.
 
-    Points are merged along edges whose relation lies in T (union-find),
-    quotient relations are the double cosets T s T, and the valency law
+    T is closed, so "rel(x, y) lies in T" is an equivalence relation
+    (reflexive as 0 is in T, symmetric as T* = T, transitive as TT is
+    inside T) and the block of x is read off row x.  Quotient relations
+    are the double cosets T s T, and the valency law
     n_{s^T} * n_T = n_{TsT} is asserted exactly.  The hypergroup of the
     quotient scheme must coincide with the quotient of the hypergroup,
     table for table; anything else is an internal inconsistency.
@@ -477,32 +461,22 @@ def quotient_scheme(
     hq = quotient(hg, modulus.subset)
 
     n = scheme.n_points
-    uf = _UnionFind(n)
     t_bits = modulus.bits
-    for x in range(n):
-        rel_x = scheme.rel[x]
-        for y in range(x + 1, n):
-            if t_bits >> rel_x[y] & 1:
-                uf.union(x, y)
-
-    roots: list[int] = []
-    block_index: dict[int, int] = {}
-    block_of = [0] * n
+    block_of = [-1] * n
     members: list[list[int]] = []
     for x in range(n):
-        r = uf.find(x)
-        if r not in block_index:
-            block_index[r] = len(roots)
-            roots.append(r)
-            members.append([])
-        b = block_index[r]
-        block_of[x] = b
-        members[b].append(x)
-
-    if any(len(m) != modulus.valency for m in members):
-        raise InternalInconsistencyError(
-            "blocks of a closed subset must all have size n_T"
-        )
+        if block_of[x] != -1:
+            continue
+        block = [y for y, r in enumerate(scheme.rel[x]) if t_bits >> r & 1]
+        if len(block) != modulus.valency:
+            raise InternalInconsistencyError(
+                "blocks of a closed subset must all have size n_T"
+            )
+        for y in block:
+            if block_of[y] != -1:
+                raise InternalInconsistencyError("blocks of a closed subset overlap")
+            block_of[y] = len(members)
+        members.append(block)
 
     k = len(members)
     qrel = [[-1] * k for _ in range(k)]
@@ -626,17 +600,21 @@ def solvable_chain_scheme(scheme: AssociationScheme) -> SolvableChain | None:
     is.  Each of its steps is strongly normal with a prime number of
     double cosets, and for a strongly normal step that number is the
     valency index; the valency index is checked against the step prime
-    on every call.
+    on the first call for a scheme, and the checked chain is cached.
     """
+    try:
+        return scheme._solvable_chain
+    except AttributeError:
+        pass
     chain = solvable_chain(scheme.hypergroup)
-    if chain is None:
-        return None
-    vals = [scheme.valency_of_mask(c.bits) for c in chain.subsets]
-    for lo, hi, p in zip(vals, vals[1:], chain.step_primes):
-        if hi != lo * p:
-            raise InternalInconsistencyError(
-                f"valency index {hi}/{lo} of a solvable step is not its prime {p}"
-            )
+    if chain is not None:
+        vals = [scheme.valency_of_mask(c.bits) for c in chain.subsets]
+        for lo, hi, p in zip(vals, vals[1:], chain.step_primes):
+            if hi != lo * p:
+                raise InternalInconsistencyError(
+                    f"valency index {hi}/{lo} of a solvable step is not its prime {p}"
+                )
+    scheme._solvable_chain = chain
     return chain
 
 

@@ -16,6 +16,7 @@ of the closed subset lattice loses nothing.
 from __future__ import annotations
 
 from .arith import is_prime
+from .errors import InternalInconsistencyError
 from .hypergroup import (
     ClosedSubset,
     Hypergroup,
@@ -87,9 +88,13 @@ def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
         for g in _covers(hg, cur):
             if not is_strongly_normal(f, g):
                 continue
+            # g covers cur, so the group g // cur has no subgroups but
+            # itself and the trivial one: it is cyclic of prime order
             order = step_quotient_order(hg, cur, g.bits)
             if not is_prime(order):
-                continue
+                raise InternalInconsistencyError(
+                    f"strongly normal cover step has {order} double cosets, not a prime"
+                )
             got = extend(g.bits, acc + [(g.bits, order)])
             if got is not None:
                 return got

@@ -6,8 +6,8 @@ cross-check the clever code against something too dumb to be wrong.
 """
 from __future__ import annotations
 
-from .errors import EmptyInputError, InternalInconsistencyError, SearchOverflowError
-from .hypergroup import ClosedSubset, ElementSubset, Hypergroup
+from schemehall.errors import EmptyInputError, InternalInconsistencyError, SearchOverflowError
+from schemehall.hypergroup import ClosedSubset, ElementSubset, Hypergroup
 
 __all__ = [
     "all_closed_subsets_scan",
@@ -59,10 +59,10 @@ def solvable_chain_scan(hg: Hypergroup) -> list[int] | None:
     minimal supersets, so it double-checks that the restriction loses
     nothing.
     """
-    from .hypergroup import enumerate_closed_subsets, is_strongly_normal
-    from .solvability import step_quotient_order
+    from schemehall.hypergroup import enumerate_closed_subsets, is_strongly_normal
+    from schemehall.solvability import step_quotient_order
 
-    from .arith import is_prime
+    from schemehall.arith import is_prime
 
     subs = enumerate_closed_subsets(hg)
     full = hg.full_mask

@@ -12,10 +12,10 @@ from functools import reduce
 import pytest
 
 import schemehall as sh
-from schemehall.exhaustive import all_closed_subsets_scan
 from schemehall.groups import all_subgroups
 
 from conftest import ALL_PI, catalogue_schemes, corpus_hypergroups
+from oracles import all_closed_subsets_scan
 
 
 def test_criterion_1_order28_catalogue_scheme():

@@ -109,7 +109,6 @@ def test_wreath28_certificate(wreath28):
     assert wreath28.valency_of_mask(cert.o_pi.bits) == 4
     assert len(cert.thin_quotient_group) == 7
     assert cert.lifted_subgroup == 1  # only the neutral coset upstairs
-    assert cert.conjugator is None
 
 
 def test_precondition_errors_and_messages(wreath28):
@@ -174,7 +173,7 @@ def _hall_answers(make, pi):
 
     cert = ask(lambda s: sh.find_hall(s, pi))
     out = [("find_hall", cert.hall.bits, cert.o_pi.bits, cert.lifted_subgroup,
-            cert.thin_quotient_group, cert.index, cert.conjugator)]
+            cert.thin_quotient_group, cert.index)]
     halls = [t.bits for t in ask(lambda s: sh.all_hall_subsets(s, pi))]
     for t in halls:
         for u in halls:
@@ -210,14 +209,16 @@ def test_warm_context_matches_cold_scheme():
 
 def test_certificates_are_not_shared(s4_scheme):
     cert = sh.find_hall(s4_scheme, {2})
-    cert.conjugator = 5
+    want = cert.lifted_subgroup
+    cert.lifted_subgroup = -1
     again = sh.find_hall(s4_scheme, {2})
     assert again is not cert
-    assert again.conjugator is None
+    assert again.lifted_subgroup == want
     small = s4_scheme.identity_subset()
     ext = sh.extend_to_hall(s4_scheme, small, {2})
-    ext.conjugator = 3
-    assert sh.extend_to_hall(s4_scheme, small, {2}).conjugator is None
+    want = ext.lifted_subgroup
+    ext.lifted_subgroup = -1
+    assert sh.extend_to_hall(s4_scheme, small, {2}).lifted_subgroup == want
 
 
 def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):

@@ -24,7 +24,8 @@ from schemehall import (
     NoNeutralError,
     ParentMismatchError,
 )
-from schemehall.exhaustive import all_closed_subsets_scan, closure_scan
+
+from oracles import all_closed_subsets_scan, closure_scan
 
 PENTAGON = [
     [{0}, {1}, {2}],
@@ -74,6 +75,23 @@ def test_neutral_is_reindexed_to_zero():
 def test_missing_neutral_rejected():
     bad = [[{1}, {0, 1}], [{0, 1}, {0}]]
     with pytest.raises(NoNeutralError):
+        sh.validate_hypergroup(bad)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[{0}, {1}], [{1}]], "row 1 has length 1, expected 2"),
+    ([[1, 2], [2, 4]], r"cell \(1, 1\) mask out of range"),
+    ([[{0}, {1}], [{1}, {2}]], r"cell \(1, 1\) contains 2, outside 0..1"),
+])
+def test_malformed_table_rejected(table, message):
+    with pytest.raises(ValueError, match=message):
+        sh.validate_hypergroup(table)
+
+
+def test_two_right_neutrals_rejected():
+    # s * 0 = s * 1 = {s}: both columns act as a right neutral
+    bad = [[{0}, {0}], [{1}, {1}]]
+    with pytest.raises(NoNeutralError, match=r"multiple right neutral elements: \[0, 1\]"):
         sh.validate_hypergroup(bad)
 
 

@@ -12,6 +12,8 @@ from schemehall.report import DEFAULT_PI_SETS, render_jsonl, report_records
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "schemehall" / "data"
 SCHEMES = DATA / "schemes"
+# parses, but the identity relation appears off the diagonal at (1, 2)
+BAD_SCHEME = "3 2\n0 1 1\n1 0 0\n1 1 0\n"
 
 
 # -------------------------------------------------------------------- formats
@@ -54,6 +56,29 @@ def test_parse_errors_carry_line_numbers():
         formats.parse_scheme("2 3\n0 1\n1 0\n")
     with pytest.raises(sh.LabelGapError, match=r"got \[0, 2\]"):
         formats.parse_scheme("2 2\n0 2\n2 0\n")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("2\n0 1\n1 0\n", sh.FormatSyntaxError, "header must be 'n_points rank'"),
+    ("0 1\n", sh.FormatSyntaxError, "header values must be positive"),
+    ("2 2\n0 1\n", sh.NotSquareError, "expected 2 matrix rows, found 1"),
+])
+def test_scheme_header_and_row_count_errors(text, error, message):
+    with pytest.raises(error, match=message):
+        formats.parse_scheme(text)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("# only a comment\n", sh.FormatSyntaxError, "empty group file"),
+    ("2 2\n0 1\n1 0\n", sh.FormatSyntaxError, "header must be the group order"),
+    ("0\n", sh.FormatSyntaxError, "header must be the group order"),
+    ("x\n", sh.FormatSyntaxError, "line 1: expected integers"),
+    ("2\n0 1\n", sh.NotSquareError, "expected 2 table rows, found 1"),
+    ("2\n0 1\n1\n", sh.NotSquareError, "line 3: row has 1 entries, expected 2"),
+])
+def test_group_header_and_row_errors(text, error, message):
+    with pytest.raises(error, match=message):
+        formats.parse_group(text)
 
 
 def test_nonzero_diagonal_is_remapped_with_warning():
@@ -128,6 +153,20 @@ def test_fetch_cache_hit_and_checksum(tmp_path):
     (tmp_path / "as5.txt").write_bytes(data + b"\n0\n")
     with pytest.raises(sh.ChecksumMismatchError):
         catalogue.fetch_catalogue(5, cache_dir=tmp_path, offline=True)
+
+
+def test_fetch_reads_the_cache_dir_from_the_environment(tmp_path, monkeypatch):
+    import hashlib
+
+    data = (DATA / "catalogue" / "order05.txt").read_bytes()
+    (tmp_path / "as5.txt").write_bytes(data)
+    (tmp_path / "as5.txt.sha256").write_text(hashlib.sha256(data).hexdigest() + "\n")
+    monkeypatch.setenv(catalogue.CACHE_ENV, str(tmp_path))
+    assert catalogue.CACHE_ENV == "SCHEMEHALL_CACHE_DIR"
+    assert len(catalogue.fetch_catalogue(5, offline=True)) == 3
+    monkeypatch.setenv(catalogue.CACHE_ENV, str(tmp_path / "elsewhere"))
+    with pytest.raises(sh.NetworkUnavailableError):
+        catalogue.fetch_catalogue(5, offline=True)
 
 
 class _FakeResponse:
@@ -222,6 +261,15 @@ def test_cli_solvable_pentagon(capsys):
     assert "not solvable" in capsys.readouterr().out
 
 
+def test_cli_solvable_c6_prints_its_chain(capsys):
+    code = main(["solvable", str(SCHEMES / "c6_thin.scm")])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "solvable: [0] < [0, 3] < [0, 1, 2, 3, 4, 5]\n"
+        "step primes: [2, 3]\n"
+    )
+
+
 def test_cli_hall_wreath28_pi2(capsys):
     code = main(["hall", str(SCHEMES / "hm176_28.scm"), "--pi", "2"])
     out = capsys.readouterr().out
@@ -237,10 +285,14 @@ def test_cli_hall_wreath28_pi7(capsys):
     assert "scheme is not {7}-valenced" in err
 
 
-def test_cli_validate_and_closed(capsys):
+def test_cli_validate_and_closed(tmp_path, capsys):
     assert main(["validate", str(SCHEMES / "pentagon.scm")]) == 0
     out = capsys.readouterr().out
     assert "valid: 5 points, rank 3" in out
+    bad = tmp_path / "bad.scm"
+    bad.write_text(BAD_SCHEME, "utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out == "invalid: identity relation misplaced at (1, 2)\n"
     assert main(["closed", str(SCHEMES / "pentagon.scm")]) == 0
     out = capsys.readouterr().out
     assert "closed subsets: 2" in out
@@ -264,13 +316,18 @@ def test_cli_conjugate_and_extend(capsys):
     assert "valency: 4" in capsys.readouterr().out
 
 
-def test_cli_quotient_emits_parseable_scheme(capsys):
+def test_cli_quotient_emits_parseable_scheme(tmp_path, capsys):
     code = main(["quotient", str(SCHEMES / "hm176_28.scm"), "--t", "0,1,2,3"])
     assert code == 0
     text = capsys.readouterr().out
     sf = formats.parse_scheme(text)
     assert sf.n_points == 7
     assert sf.rank == 7
+    out = tmp_path / "q.scm"
+    code = main(["quotient", str(SCHEMES / "hm176_28.scm"), "--t", "0,1,2,3", "-o", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text("utf-8") == text
 
 
 def test_cli_missing_file_is_input_error(capsys):
@@ -313,6 +370,39 @@ def test_cli_report_json(tmp_path, capsys):
     assert len(lines) == len(list(SCHEMES.glob("*.scm")))
     for line in lines:
         json.loads(line)
+
+
+def test_cli_report_pi_and_an_invalid_record(tmp_path, capsys):
+    (tmp_path / "bad.scm").write_text(BAD_SCHEME, "utf-8")
+    (tmp_path / "c6_thin.scm").write_text((SCHEMES / "c6_thin.scm").read_text("utf-8"), "utf-8")
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "bad: INVALID (IdentityViolationError: identity relation misplaced at (1, 2))\n"
+        "c6_thin: n=6 rank=6 solvable=True closed=4\n"
+    )
+    assert main(["report", str(tmp_path), "--json", "--pi", "3,2"]) == 0
+    bad, c6 = map(json.loads, capsys.readouterr().out.splitlines())
+    assert bad == {
+        "error": "IdentityViolationError: identity relation misplaced at (1, 2)",
+        "input": "bad", "schema": 1, "valid": False,
+    }
+    assert list(c6["pi"]) == ["{2}", "{3}"]
+    assert c6["pi"]["{3}"]["hall"] == {"core": [0, 2, 4], "index": 2, "relations": [0, 2, 4], "valency": 3}
+
+
+def test_scheme_record_on_a_malformed_body_and_with_timings():
+    rec = report.scheme_record("short", "2 2\n0 1\n")
+    assert rec == {
+        "schema": 1, "input": "short", "valid": False,
+        "error": "NotSquareError: expected 2 matrix rows, found 1",
+    }
+    timed = report.scheme_record("short", "2 2\n0 1\n", timings=True)
+    assert timed.pop("timings")["total_s"] >= 0
+    assert timed == rec
+    text = (SCHEMES / "c6_thin.scm").read_text("utf-8")
+    timed = report.scheme_record("c6_thin", text, timings=True)
+    assert list(timed.pop("timings")) == ["total_s"]
+    assert timed == report.scheme_record("c6_thin", text)
 
 
 def test_report_records_an_internal_error_and_goes_on(monkeypatch, capsys):

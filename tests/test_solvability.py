@@ -14,7 +14,9 @@ Frozen facts:
 import pytest
 
 import schemehall as sh
-from schemehall.exhaustive import solvable_chain_scan
+from schemehall import solvability
+
+from oracles import solvable_chain_scan
 
 PENTAGON = [[{0}, {1}, {2}], [{1}, {0, 2}, {1, 2}], [{2}, {1, 2}, {0, 1}]]
 SQUARE = [[{0}, {1}, {2}], [{1}, {0, 2}, {1}], [{2}, {1}, {0}]]
@@ -94,3 +96,30 @@ def test_solvable_memoized():
     c6 = sh.thin_hypergroup(sh.cyclic(6))
     assert sh.is_solvable(c6)
     assert sh.is_solvable(c6)  # second call hits the cache
+
+
+def test_non_prime_cover_step_is_an_internal_error(monkeypatch):
+    """A cover step's quotient has no closed subsets but its two ends, so
+    its order is prime; a composite count means the engine broke."""
+    monkeypatch.setattr(solvability, "step_quotient_order", lambda hg, inner, outer: 4)
+    sq = sh.validate_hypergroup(SQUARE, name="square")
+    with pytest.raises(
+        sh.InternalInconsistencyError,
+        match="strongly normal cover step has 4 double cosets, not a prime",
+    ):
+        sh.solvable_chain(sq)
+
+
+def test_scheme_chain_valency_check_runs_once(monkeypatch):
+    scheme = sh.from_group(sh.symmetric(4))
+    calls = []
+    original = sh.AssociationScheme.valency_of_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(sh.AssociationScheme, "valency_of_mask", counted)
+    chains = [sh.solvable_chain_scheme(scheme) for _ in range(3)]
+    assert chains[0] is chains[1] is chains[2]
+    assert calls == [c.bits for c in chains[0].subsets]

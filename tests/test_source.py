@@ -2,7 +2,8 @@
 
 Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
-instead and this test keeps it that way.
+instead and this test keeps it that way.  The public API carries no
+name without a caller, and every name the bench tracer patches exists.
 """
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 import schemehall
 
 SOURCE = Path(schemehall.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
@@ -31,7 +33,7 @@ def test_bench_tracer_names_resolve():
     """The bench tracer looks each traced function up by name in
     schemehall.<layer>, and each method name on Hypergroup; a deletion
     or rename in the package must not leave it pointing at nothing."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    path = ROOT / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -47,3 +49,53 @@ def test_bench_tracer_names_resolve():
                 missing.append(f"{layer}.{name}")
     assert spans.METHODS <= {n for names in spans.TRACED.values() for n in names}
     assert not missing, f"traced names missing from the package: {missing}"
+
+
+def _references(path: Path) -> set[str]:
+    """Names a file loads or spells as a whole string, leaving out
+    __all__ lists, import statements and a def's uses of its own name."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in schemehall.__all__ is used somewhere in src/, tests/,
+    tools/ or bench/; the re-export in __init__ does not count."""
+    files = [
+        path
+        for top in ("src", "tests", "tools", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    used: set[str] = set()
+    for path in files:
+        used |= _references(path)
+    unused = sorted(set(schemehall.__all__) - used)
+    assert not unused, f"public names with no caller: {unused}"
+
+
+def test_version_matches_pyproject():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert f'\nversion = "{schemehall.__version__}"\n' in pyproject
