@@ -56,6 +56,8 @@ def split_catalogue(text: str, order: int, prefix: str = "scheme") -> list[Schem
     matrices.  Scheme names are 1-based positions, matching the
     catalogue numbering.
     """
+    if order < 1:
+        raise ValueError(f"scheme order must be at least 1, got {order}")
     tokens: list[int] = []
     for raw in text.splitlines():
         body = raw.split("#", 1)[0]

@@ -4,11 +4,16 @@ The route is always the same: locate the core O (the largest subnormal
 closed subset whose valencies stay inside pi), quotient by it to get a
 thin scheme, read that off as a group, solve the classical Hall problem
 there, and lift the answer back through the closed-subset
-correspondence.  That structure is built once per (scheme, pi) and
-cached on the scheme; every step that theory promises is re-checked
-when it is built, including an exhaustive filter over all closed
-subsets beside the constructive route, so the two can never drift
-apart silently.  Checks on a query's own inputs run on every query.
+correspondence.  That structure is built and checked once per
+(scheme, pi) and cached on the scheme: the core is maximal and strongly
+normal, the quotient by it is thin and a solvable group, each lifted
+Hall subgroup passes the Hall predicate, the lifted family equals an
+exhaustive filter over all closed subsets (so the two routes can never
+drift apart silently) and every Hall subset contains the core.  Queries
+read Hall subsets and their subgroups off that family.  On every query
+run the input predicates, conjugating_element's direct conjugator scan
+and its quotient-group cross-check, and extend_to_hall's closedness
+check on core * T and its final containment check.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from .hypergroup import (
     is_subnormal,
     mask_of,
 )
-from .quotient import QuotientHypergroup, is_thin_quotient, lift_closed, project_closed, quotient
+from .quotient import QuotientHypergroup, is_thin_quotient, lift_closed, quotient
 from .scheme import (
     AssociationScheme,
     SchemeClosedSubset,
@@ -141,7 +146,7 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSu
     for t in scheme.closed_subsets():
         if not is_pi_number(t.valency, ps):
             continue
-        if not is_subnormal(t.subset, universe):
+        if not is_subnormal(t, universe):
             continue
         candidates.append(t)
     if not candidates:
@@ -155,7 +160,7 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSu
                 "maximal subnormal closed pi-subset does not contain "
                 f"candidate {t.members()}"
             )
-    if not is_strongly_normal(core.subset, universe):
+    if not is_strongly_normal(core, universe):
         raise InternalInconsistencyError("the pi-core must be strongly normal")
     return core
 
@@ -237,29 +242,31 @@ class _HallContext:
     core is the pi-core, hq the quotient by it and gtable that quotient
     read off as a group; halls are the Hall subgroups of gtable in
     hall_subgroups order and lifted[i] the Hall subset lifted from
-    halls[i].  best indexes the least lifted Hall subset.  Every pi
-    with the same primes among those of the scheme shares the context.
+    halls[i], with index_of mapping lifted[i].bits back to i.  best
+    indexes the least lifted Hall subset.  Every pi with the same primes
+    among those of the scheme shares the context.
     """
 
-    __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "best")
+    __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "index_of", "best")
 
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
         self.core = core = compute_o_pi(scheme, ps)
-        self.hq = hq = quotient(scheme.hypergroup, core.subset)
+        self.hq = hq = quotient(scheme.hypergroup, core)
         if not is_thin_quotient(hq):
             raise InternalInconsistencyError("quotient by the pi-core must be thin")
         self.gtable = group_from_thin(hq)
         self.halls = _hall_subgroups(self.gtable, ps)
         lifted = []
         for gm in self.halls:
-            t = scheme.closed_subset(lift_closed(hq, ElementSubset(hq, gm)).bits)
+            t = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)
             if not pi_predicates(scheme, t, ps).is_hall_pi_subset:
                 raise InternalInconsistencyError(
                     f"lift of a group Hall subgroup is not Hall: {t.members()}"
                 )
             lifted.append(t)
         self.lifted = tuple(lifted)
+        self.index_of = {t.bits: i for i, t in enumerate(lifted)}
 
         filtered = all_hall_subsets(scheme, ps)
         if {t.bits for t in lifted} != {t.bits for t in filtered}:
@@ -316,8 +323,9 @@ def conjugating_element(
     """A relation conjugating one Hall subset onto another.
 
     Inputs are re-verified as Hall subsets.  The conjugator is found by
-    direct scan; the quotient-group route is run as well and must land
-    inside the scanned set.  Returns the least valid relation index.
+    direct scan; the quotient-group route is run as well, on the Hall
+    subgroups the context lifted to t and u, and must land inside the
+    scanned set.  Returns the least valid relation index.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
@@ -335,18 +343,13 @@ def conjugating_element(
             "conjugacy is guaranteed here, so this is an engine bug"
         )
 
-    for x in (t, u):
-        if ctx.core.bits & ~x.bits:
-            raise InternalInconsistencyError(
-                "a verified Hall subset does not contain the pi-core"
-            )
-    a = project_closed(ctx.hq, t.subset).bits
-    b = project_closed(ctx.hq, u.subset).bits
-    if a not in ctx.halls or b not in ctx.halls:
+    i = ctx.index_of.get(t.bits)
+    j = ctx.index_of.get(u.bits)
+    if i is None or j is None:
         raise InternalInconsistencyError(
-            "a Hall subset does not project onto a Hall subgroup"
+            "a verified Hall subset is missing from the lifted Hall family"
         )
-    g = find_subgroup_conjugator(ctx.gtable, a, b)
+    g = find_subgroup_conjugator(ctx.gtable, ctx.halls[i], ctx.halls[j])
     if g is None:
         raise InternalInconsistencyError(
             "quotient group route found no conjugator although a direct "
@@ -367,10 +370,11 @@ def extend_to_hall(
 ) -> HallCertificate:
     """Grow a closed pi-subset into a Hall subset containing it.
 
-    Multiplies by the core, projects to the quotient group, takes the
-    first Hall subgroup there that contains the image, and returns its
-    lift.  Containment of the original subset is checked directly at
-    the end.
+    Multiplies by the core and takes the first lifted Hall subset that
+    contains the product.  The product is closed and contains the core,
+    so it is a union of cosets, and this is the first Hall subgroup of
+    the quotient group containing its image.  Containment of the
+    original subset is checked directly at the end.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
@@ -387,15 +391,13 @@ def extend_to_hall(
         raise InternalInconsistencyError(
             "product of the pi-core with a closed subset must be closed"
         )
-    img = project_closed(ctx.hq, hg.subset(grown)).bits
-    chosen = next((i for i, gm in enumerate(ctx.halls) if img & ~gm == 0), None)
+    chosen = next((i for i, h in enumerate(ctx.lifted) if grown & ~h.bits == 0), None)
     if chosen is None:
         raise InternalInconsistencyError(
-            "no group Hall subgroup contains the projected pi-subgroup"
+            "no lifted Hall subset contains the product of the pi-core "
+            "with the subset"
         )
-
-    hall = ctx.lifted[chosen]
-    if grown & ~hall.bits or subset.bits & ~hall.bits:
+    if subset.bits & ~ctx.lifted[chosen].bits:
         raise InternalInconsistencyError(
             "extension does not contain the subset it was grown from"
         )

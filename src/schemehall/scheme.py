@@ -130,56 +130,38 @@ class AssociationScheme:
             raise NotClosedError(
                 f"relation set {sub.members()} is not closed"
             )
-        return SchemeClosedSubset(self, ClosedSubset(self.hypergroup, sub.bits))
+        return SchemeClosedSubset(self, sub.bits)
 
     def relation_closure(self, relations: Iterable[int] | int) -> "SchemeClosedSubset":
         sub = self.hypergroup.subset(relations)
-        closed = self.hypergroup.closure_mask(sub.bits)
-        return SchemeClosedSubset(self, ClosedSubset(self.hypergroup, closed))
+        return SchemeClosedSubset(self, self.hypergroup.closure_mask(sub.bits))
 
     def closed_subsets(self) -> tuple["SchemeClosedSubset", ...]:
         """Every closed relation set, in enumerate_closed_subsets order; cached."""
         if self._closed_subsets is None:
             self._closed_subsets = tuple(
-                SchemeClosedSubset(self, c)
+                SchemeClosedSubset(self, c.bits)
                 for c in enumerate_closed_subsets(self.hypergroup)
             )
         return self._closed_subsets
 
     def identity_subset(self) -> "SchemeClosedSubset":
-        return SchemeClosedSubset(self, self.hypergroup.neutral_subset())
+        return SchemeClosedSubset(self, 1)
 
     def full_subset(self) -> "SchemeClosedSubset":
-        return SchemeClosedSubset(self, self.hypergroup.universe())
+        return SchemeClosedSubset(self, self.hypergroup.full_mask)
 
 
-class SchemeClosedSubset:
-    """A closed set of relations tagged with its valency."""
+class SchemeClosedSubset(ClosedSubset):
+    """A closed subset of scheme.hypergroup tagged with its valency; the
+    caller has already checked that the mask is closed."""
 
-    __slots__ = ("scheme", "subset", "valency")
+    __slots__ = ("scheme", "valency")
 
-    def __init__(self, scheme: AssociationScheme, subset: ClosedSubset):
+    def __init__(self, scheme: AssociationScheme, bits: int):
+        super().__init__(scheme.hypergroup, bits)
         self.scheme = scheme
-        self.subset = subset
-        self.valency = scheme.valency_of_mask(subset.bits)
-
-    @property
-    def bits(self) -> int:
-        return self.subset.bits
-
-    def members(self) -> tuple[int, ...]:
-        return self.subset.members()
-
-    def __len__(self) -> int:
-        return len(self.subset)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchemeClosedSubset):
-            return NotImplemented
-        return self.scheme is other.scheme and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((id(self.scheme), self.bits))
+        self.valency = scheme.valency_of_mask(bits)
 
     def __repr__(self) -> str:
         return f"<closed relations {list(self.members())} valency {self.valency}>"
@@ -248,11 +230,7 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
         raise NotPartitionError(
             f"labels must form a contiguous range; missing {sorted(missing)}"
         )
-    if n * rank * rank > SCHEME_SIZE_CAP:
-        raise SchemeTooLargeError(
-            f"{n} points of rank {rank} give n * rank**2 = {n * rank * rank}, "
-            f"above the cap {SCHEME_SIZE_CAP}"
-        )
+    _check_size(n, rank)
 
     cols = list(zip(*rel))
     for x, row in enumerate(rel):
@@ -313,6 +291,15 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     )
 
 
+def _check_size(n: int, rank: int) -> None:
+    """Raise SchemeTooLargeError when n * rank**2 is above SCHEME_SIZE_CAP."""
+    if n * rank * rank > SCHEME_SIZE_CAP:
+        raise SchemeTooLargeError(
+            f"{n} points of rank {rank} give n * rank**2 = {n * rank * rank}, "
+            f"above the cap {SCHEME_SIZE_CAP}"
+        )
+
+
 def _count_table(rel: Sequence[Sequence[int]], y: int, z: int, rank: int) -> list[list[int]]:
     """counts[p][q] = |{x : rel(y, x) = p and rel(x, z) = q}|, one pass over x."""
     counts = [[0] * rank for _ in range(rank)]
@@ -352,7 +339,9 @@ def _raise_star_witness(rel: Sequence[Sequence[int]], rank: int) -> NoReturn:
 
 
 def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationScheme:
-    """The thin scheme of a group: (x, y) lies in relation g when y = xg."""
+    """The thin scheme of a group: (x, y) lies in relation g when y = xg.
+    It has rank n, so the size cap is applied before the group checks."""
+    _check_size(len(table), len(table))
     t: Table = validate_group(table)
     n = len(t)
     inv = group_inverse(t)
@@ -458,7 +447,7 @@ def quotient_scheme(
     if modulus.scheme is not scheme:
         raise ParentMismatchError("modulus belongs to a different scheme")
     hg = scheme.hypergroup
-    hq = quotient(hg, modulus.subset)
+    hq = quotient(hg, modulus)
 
     n = scheme.n_points
     t_bits = modulus.bits

@@ -186,7 +186,7 @@ def test_criterion_5_quotient_coincidence_and_valency_law():
         rank = len(scheme.valencies)
         for t in scheme.closed_subsets():
             q = sh.quotient_scheme(scheme, t)
-            hq = sh.quotient(hg, sh.ClosedSubset(hg, t.bits))
+            hq = sh.quotient(hg, t)
             assert q.hyper_quotient.table == hq.table, (
                 f"{scheme.name}: T={t.bits:#x}"
             )

@@ -7,6 +7,8 @@ see `all_subgroups`), O_2(S4) is the Klein four-group of double
 transpositions, and O_3(S4) is trivial.
 """
 
+import importlib
+
 import pytest
 
 import schemehall as sh
@@ -15,6 +17,9 @@ from schemehall import groups as groups_module
 from schemehall.groups import all_subgroups, is_solvable_group
 
 from conftest import ALL_PI, product_matrices
+
+# the package's quotient function shadows its quotient module
+quotient_module = importlib.import_module("schemehall.quotient")
 
 
 @pytest.fixture(scope="module")
@@ -314,3 +319,43 @@ def test_hall_valency_is_the_pi_part_of_n_on_products():
                 assert cert.hall.valency == sh.pi_part(s.n_points, pi), (name, pi)
                 found.add((s.rank < s.n_points, s.n_points))
     assert {(True, 96), (False, 96), (True, 48), (False, 48)} <= found
+
+
+def test_queries_read_the_verified_family_without_projecting(monkeypatch):
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    sh.find_hall(s4, {2})
+    calls = []
+    real = quotient_module.project_closed
+
+    def counted(q, subset):
+        calls.append(1)
+        return real(q, subset)
+
+    monkeypatch.setattr(quotient_module, "project_closed", counted)
+    # a by-name import of project_closed in hall would be counted too
+    monkeypatch.setattr(hall_module, "project_closed", counted, raising=False)
+    halls = sh.all_hall_subsets(s4, {2})
+    for t in halls:
+        for u in halls:
+            sh.conjugating_element(s4, t, u, {2})
+    extended = 0
+    for t in s4.closed_subsets():
+        if sh.pi_predicates(s4, t, {2}).is_closed_pi_subset:
+            cert = sh.extend_to_hall(s4, t, {2})
+            assert t.bits & ~cert.hall.bits == 0
+            extended += 1
+    assert extended > len(halls)
+    assert calls == []
+
+
+def test_sylow_counts_on_bundled_groups():
+    cases = 0
+    for name in sh.bundled_group_names():
+        table = sh.bundled_group(name).table
+        n = len(table)
+        scheme = sh.from_group(table, name=name)
+        for p in sorted(scheme.primes):
+            count = len(sh.all_hall_subsets(scheme, {p}))
+            assert count % p == 1 and n % count == 0, (name, p, count)
+            cases += 1
+    assert cases == 58

@@ -119,6 +119,12 @@ def test_split_catalogue_rejects_ragged_stream():
         catalogue.split_catalogue("0 1\n1 0\n0\n", 2)
 
 
+@pytest.mark.parametrize("order", [0, -2])
+def test_split_catalogue_rejects_an_order_below_one(order):
+    with pytest.raises(ValueError, match=f"at least 1, got {order}"):
+        catalogue.split_catalogue("0 1\n1 0\n", order)
+
+
 def test_fetch_from_mirror_directory(tmp_path):
     mirror = tmp_path / "mirror"
     mirror.mkdir()

@@ -526,7 +526,7 @@ def test_thinness_criterion_for_solvable_schemes(corpus12):
                     continue
                 if not sh.is_pi_number(scheme.valency_of_mask(t.bits), pi):
                     continue
-                if sh.is_subnormal(sh.ClosedSubset(hg, t.bits), universe):
+                if sh.is_subnormal(t, universe):
                     witness = t
                     break
             if witness is None:
@@ -547,7 +547,7 @@ def test_quotient_scheme_solvability_and_subnormal_lift(corpus12):
         universe = hg.universe()
         closed = scheme.closed_subsets()
         for t in closed:
-            if not sh.is_subnormal(sh.ClosedSubset(hg, t.bits), universe):
+            if not sh.is_subnormal(t, universe):
                 continue
             q = sh.quotient_scheme(scheme, t)
             ctx = f"{scheme.name}: T={t.bits:#x}"
@@ -562,6 +562,6 @@ def test_quotient_scheme_solvability_and_subnormal_lift(corpus12):
                 down = frozenset(q.rel_class_of[s] for s in u.members())
                 down_sub = sh.ClosedSubset(qhg, sum(1 << s for s in down))
                 if sh.is_subnormal(down_sub, qfull):
-                    assert sh.is_subnormal(sh.ClosedSubset(hg, u.bits), universe), (
+                    assert sh.is_subnormal(u, universe), (
                         f"scheme subnormality lift: {ctx} U={u.bits:#x}"
                     )

@@ -116,9 +116,7 @@ def test_wreath28_thin_radical_quotient(wreath28):
     assert q.scheme.valencies == (1,) * 7
     # the induced hypergroup of the quotient agrees with quotienting
     # the induced hypergroup directly
-    hg = wreath28.hypergroup
-    d = sh.ClosedSubset(hg, t4.bits)
-    assert q.hyper_quotient.table == sh.quotient(hg, d).table
+    assert q.hyper_quotient.table == sh.quotient(wreath28.hypergroup, t4).table
 
 
 def test_quotient_scheme_rejects_foreign_subset(pentagon, wreath28):
@@ -197,6 +195,44 @@ def test_validate_scheme_size_cap(monkeypatch):
     with pytest.raises(sh.SchemeTooLargeError):
         sh.validate_scheme(P3)
     assert issubclass(sh.SchemeTooLargeError, sh.SchemehallError)
+
+
+def test_from_group_applies_the_size_cap_before_the_group_checks(monkeypatch):
+    calls = []
+    real = scheme_module.validate_group
+
+    def counted(table):
+        calls.append(1)
+        return real(table)
+
+    monkeypatch.setattr(scheme_module, "validate_group", counted)
+    # S3 is thin on 6 points: n * rank**2 = 6**3 = 216
+    monkeypatch.setattr(scheme_module, "SCHEME_SIZE_CAP", 6**3 - 1)
+    with pytest.raises(sh.SchemeTooLargeError, match="n \\* rank\\*\\*2 = 216"):
+        sh.from_group(sh.symmetric(3))
+    assert calls == []
+    monkeypatch.setattr(scheme_module, "SCHEME_SIZE_CAP", 6**3)
+    assert sh.from_group(sh.symmetric(3)).rank == 6
+    assert calls == [1]
+
+
+def test_scheme_closed_subset_is_a_hypergroup_closed_subset(wreath28):
+    hg = wreath28.hypergroup
+    t = wreath28.closed_subset([0, 1, 2, 3])
+    assert isinstance(t, sh.ClosedSubset)
+    assert not hasattr(t, "subset")
+    assert t == sh.ClosedSubset(hg, t.bits)
+    assert hash(t) == hash(sh.ClosedSubset(hg, t.bits))
+    assert repr(t) == "<closed relations [0, 1, 2, 3] valency 4>"
+    # it goes straight into the hypergroup and quotient functions
+    assert sh.is_subnormal(t, hg.universe())
+    q = sh.quotient(hg, t)
+    assert q.modulus == t
+    assert sh.project_closed(q, wreath28.full_subset()) == q.universe()
+    assert sh.project_closed(q, t) == q.neutral_subset()
+    # subsets of another scheme are still told apart
+    other = sh.bundled_scheme("hm176_28").scheme()
+    assert other.closed_subset(t.bits) != t
 
 
 def test_bundled_catalogue_counts():
