@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit one JSON object per scheme")
     p.add_argument("--pi", help="primes queried individually (default: 2,3,5,7 and {2,3})")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes, at least 1")
 
     return parser
 

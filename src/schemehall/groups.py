@@ -10,7 +10,13 @@ from collections.abc import Sequence
 from itertools import permutations
 
 from .errors import NotAGroupError
-from .hypergroup import Hypergroup, bits_of, mask_of, validate_hypergroup
+from .hypergroup import (
+    Hypergroup,
+    _associativity_witness,
+    bits_of,
+    mask_of,
+    validate_hypergroup,
+)
 
 __all__ = [
     "validate_group",
@@ -68,22 +74,6 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
     if witness is not None:
         raise NotAGroupError("associativity fails at ({}, {}, {})".format(*witness))
     return t
-
-
-def _associativity_witness(t: Table) -> tuple[int, int, int] | None:
-    """The first (a, b, c) in index order with (ab)c != a(bc), or None.
-
-    One row of c at a time: row ab against row b read through row a.
-    """
-    n = len(t)
-    for a in range(n):
-        ta = t[a]
-        for b in range(n):
-            lhs = t[ta[b]]
-            rhs = tuple([ta[x] for x in t[b]])
-            if lhs != rhs:
-                return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
-    return None
 
 
 def group_inverse(table: Table) -> tuple[int, ...]:

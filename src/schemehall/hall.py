@@ -43,9 +43,10 @@ from .hypergroup import (
     bits_of,
     is_strongly_normal,
     is_subnormal,
+    is_thin,
     mask_of,
 )
-from .quotient import QuotientHypergroup, is_thin_quotient, lift_closed, quotient
+from .quotient import QuotientHypergroup, lift_closed, quotient
 from .scheme import (
     AssociationScheme,
     SchemeClosedSubset,
@@ -253,7 +254,9 @@ class _HallContext:
         self.scheme = scheme
         self.core = core = compute_o_pi(scheme, ps)
         self.hq = hq = quotient(scheme.hypergroup, core)
-        if not is_thin_quotient(hq):
+        # compute_o_pi checked that the core is strongly normal, which is
+        # what makes the quotient thin; this checks the quotient side
+        if not is_thin(hq):
             raise InternalInconsistencyError("quotient by the pi-core must be thin")
         self.gtable = group_from_thin(hq)
         self.halls = _hall_subgroups(self.gtable, ps)

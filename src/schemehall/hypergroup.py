@@ -16,14 +16,18 @@ The axioms checked by validate_hypergroup:
 
 The inverse map, when it exists, is pinned down by H2/H3: t is the
 inverse of s exactly when the neutral element lies in ts.  Validation
-exploits that to locate the unique candidate and then checks H3
-literally over all triples.
+exploits that to locate the unique candidate and then checks H3 over
+all triples.  When every product is a single element (a thin table,
+such as a group or a quotient by a strongly normal closed subset), H3
+and H1 are checked on the table of element indices a row or column at
+a time; other tables take the set-valued loops.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from operator import or_
+from itertools import chain
+from operator import itemgetter, or_
 
 from .errors import (
     AssocViolationError,
@@ -335,24 +339,18 @@ def validate_hypergroup(
             )
         inv[s] = ts[0]
 
-    # H3, literal check with the map just built.
-    for p in range(k):
-        ip = inv[p]
-        for q in range(k):
-            iq = inv[q]
-            pq = masks[p][q]
-            for r in bits_of(pq):
-                if not masks[ip][r] >> q & 1:
-                    raise NoInverseError(
-                        f"H3 fails: {r} in {p}*{q} but {q} not in inv({p})*{r}"
-                    )
-                if not masks[r][iq] >> p & 1:
-                    raise NoInverseError(
-                        f"H3 fails: {r} in {p}*{q} but {p} not in {r}*inv({q})"
-                    )
-
-    # H1 over all triples.
-    witness = _h1_witness(masks)
+    if sum(map(int.bit_count, chain.from_iterable(masks))) == k * k:
+        # thin: every cell is one element, so H3 and H1 are checks on the
+        # table of element indices, a whole row or column at a time
+        pos = {1 << s: s for s in range(k)}
+        t = tuple(tuple(map(pos.__getitem__, row)) for row in masks)
+        if not _thin_h3_holds(t, inv):
+            _h3_literal(masks, inv)  # names the first witness
+            raise InternalInconsistencyError("thin H3 check failed but the literal loop passed")
+        witness = _associativity_witness(t)
+    else:
+        _h3_literal(masks, inv)
+        witness = _h1_witness(masks)
     if witness is not None:
         raise AssocViolationError(*witness)
 
@@ -375,6 +373,66 @@ def validate_hypergroup(
         tuple(inv),
         name=name,
     )
+
+
+def _thin_h3_holds(t: Sequence[Sequence[int]], inv: Sequence[int]) -> bool:
+    """H3 on a thin index table: r = pq must give q = p^r and p = r q^.
+
+    So row p^ read through row p, and column q^ read through column q,
+    must each be the identity map.
+    """
+    ident = list(range(len(t)))
+    cols = tuple(zip(*t))
+    for p, row in enumerate(t):
+        back = t[inv[p]]
+        if [back[r] for r in row] != ident:
+            return False
+    for q, col in enumerate(cols):
+        back = cols[inv[q]]
+        if [back[r] for r in col] != ident:
+            return False
+    return True
+
+
+def _h3_literal(masks: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
+    """H3 over all triples with the inverse map inv; raises on the first witness."""
+    k = len(masks)
+    for p in range(k):
+        ip = inv[p]
+        for q in range(k):
+            iq = inv[q]
+            pq = masks[p][q]
+            for r in bits_of(pq):
+                if not masks[ip][r] >> q & 1:
+                    raise NoInverseError(
+                        f"H3 fails: {r} in {p}*{q} but {q} not in inv({p})*{r}"
+                    )
+                if not masks[r][iq] >> p & 1:
+                    raise NoInverseError(
+                        f"H3 fails: {r} in {p}*{q} but {p} not in {r}*inv({q})"
+                    )
+
+
+def _associativity_witness(t: Sequence[tuple[int, ...]]) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in index order with (ab)c != a(bc), or None.
+
+    t is a table of element indices in range, with tuple rows.  One row
+    of c at a time: row ab against row b read through row a, which
+    itemgetter(*row b) reads in one call.  On a thin table this is the
+    first (p, q, r) of _h1_witness.
+    """
+    n = len(t)
+    if n == 1:
+        return None  # t is ((0,),); itemgetter of one index returns a bare value
+    reads = [itemgetter(*row) for row in t]
+    for a in range(n):
+        ta = t[a]
+        for b in range(n):
+            lhs = t[ta[b]]
+            rhs = reads[b](ta)
+            if lhs != rhs:
+                return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
+    return None
 
 
 def _h1_witness(masks: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -497,8 +555,19 @@ def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
         raise NotSubsetError("strong normality is only defined for F inside G")
     hg = f.parent
     inv = hg.inverse
+    rows = hg.table
+    cols = tuple(zip(*rows))
+    members = list(bits_of(f.bits))
     for h in bits_of(g.bits):
-        conj = hg.mul_masks(hg.mul_masks(1 << inv[h], f.bits), 1 << h)
+        # h^F is row h^ over F, then (h^F)h is column h over h^F
+        row = rows[inv[h]]
+        hf = 0
+        for x in members:
+            hf |= row[x]
+        col = cols[h]
+        conj = 0
+        for y in bits_of(hf):
+            conj |= col[y]
         if conj & ~f.bits:
             return False
     return True
@@ -607,12 +676,16 @@ def double_cosets(hg: Hypergroup, f: ElementSubset, within: int | None = None) -
     """
     if not hg.is_closed_mask(f.bits):
         raise NotSubsetError("double cosets need a closed modulus")
-    domain = hg.full_mask if within is None else within
+    return _double_cosets(hg, f.bits, hg.full_mask if within is None else within)
+
+
+def _double_cosets(hg: Hypergroup, f: int, domain: int) -> list[int]:
+    """double_cosets for a modulus mask f already known to be closed."""
     out: list[int] = []
     remaining = domain
     while remaining:
         h = remaining & -remaining
-        coset = hg.mul_masks(hg.mul_masks(f.bits, h), f.bits)
+        coset = hg.mul_masks(hg.mul_masks(f, h), f)
         out.append(coset)
         if coset & ~domain:
             raise NotSubsetError("double coset escaped the ambient subset")

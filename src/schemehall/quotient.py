@@ -20,8 +20,8 @@ from .hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
+    _double_cosets,
     bits_of,
-    double_cosets,
     is_strongly_normal,
     is_thin,
     mask_of,
@@ -85,7 +85,7 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
 
-    cosets = double_cosets(hg, modulus)
+    cosets = _double_cosets(hg, f, hg.full_mask)
     coset_of = [-1] * hg.size
     for idx, coset in enumerate(cosets):
         for x in bits_of(coset):
@@ -96,13 +96,31 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
             coset_of[x] = idx
 
     k = len(cosets)
-    reps = [min(bits_of(c)) for c in cosets]
-    raw: list[list[int]] = [[0] * k for _ in range(k)]
+    rows = hg.table
+    cols = tuple(zip(*rows))
+    f_members = list(bits_of(f))
+    reps = [(c & -c).bit_length() - 1 for c in cosets]
+    raw: list[list[int]] = []
     for i in range(k):
-        rep_f = hg.mul_masks(1 << reps[i], f)
+        # (rep_i F) rep_j is column rep_j over the members of rep_i F
+        row_i = rows[reps[i]]
+        rep_f = 0
+        for x in f_members:
+            rep_f |= row_i[x]
+        rep_f_members = list(bits_of(rep_f))
+        row = []
         for j in range(k):
-            prod = hg.mul_masks(rep_f, 1 << reps[j])
-            raw[i][j] = mask_of(coset_of[x] for x in bits_of(prod))
+            col = cols[reps[j]]
+            prod = 0
+            for y in rep_f_members:
+                prod |= col[y]
+            m = 0
+            while prod:  # one coset per step: the lowest member names it
+                c = coset_of[(prod & -prod).bit_length() - 1]
+                m |= 1 << c
+                prod &= ~cosets[c]
+            row.append(m)
+        raw.append(row)
 
     checked = validate_hypergroup(raw, name=f"{hg.name}//{modulus.members()}")
     # coset 0 contains the parent neutral, so validation must not permute

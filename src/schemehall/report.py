@@ -105,16 +105,19 @@ def report_records(
 ) -> list[dict]:
     """Records for (name, text) pairs, ordered by input name.
 
-    jobs > 1 fans the per-scheme work out over processes; the output
-    order stays the sorted-name order either way.
+    jobs > 1 fans the per-scheme work out over at most that many
+    processes, and never more than there are inputs; the output order
+    stays the sorted-name order either way.  jobs < 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (name, text, pi_sets, timings)
         for name, text in sorted(inputs, key=lambda p: p[0])
     ]
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs == 1 or len(tasks) <= 1:
         return [_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_worker, tasks))
 
 

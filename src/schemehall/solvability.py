@@ -20,7 +20,7 @@ from .errors import InternalInconsistencyError
 from .hypergroup import (
     ClosedSubset,
     Hypergroup,
-    double_cosets,
+    _double_cosets,
     enumerate_closed_subsets,
     is_strongly_normal,
 )
@@ -49,7 +49,7 @@ class SolvableChain:
 
 def step_quotient_order(hg: Hypergroup, inner: int, outer: int) -> int:
     """Number of double cosets of the closed set `inner` inside `outer`."""
-    return len(double_cosets(hg, ClosedSubset(hg, inner), within=outer))
+    return len(_double_cosets(hg, inner, outer))
 
 
 def _covers(hg: Hypergroup, cur: int) -> list[ClosedSubset]:

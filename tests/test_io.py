@@ -368,6 +368,44 @@ def test_report_records_deterministic():
     assert all(json.loads(line)["schema"] == 1 for line in once.splitlines())
 
 
+def test_report_jobs_must_be_at_least_one(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["report", str(SCHEMES), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+    with pytest.raises(ValueError):
+        report_records([], jobs=0)
+
+
+def test_report_starts_no_more_workers_than_inputs(monkeypatch, capsys):
+    """A pool that records its size and runs the tasks in this process,
+    so no worker is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    inputs = [(p.stem, p.read_text("utf-8")) for p in sorted(SCHEMES.glob("*.scm"))[:3]]
+    serial = report_records(inputs)
+    assert sizes == []
+    assert report_records(inputs, jobs=10**9) == serial
+    assert report_records(inputs, jobs=2) == serial
+    assert sizes == [3, 2]
+    assert main(["report", str(SCHEMES), "--jobs", str(10**9)]) == 0
+    assert sizes[-1] == len(list(SCHEMES.glob("*.scm")))
+    capsys.readouterr()
+
+
 def test_cli_report_json(tmp_path, capsys):
     code = main(["report", str(SCHEMES), "--json"])
     assert code == 0

@@ -8,7 +8,11 @@ A^A inside A for closedness, the worklist of singleton-closure joins
 for enumeration, and the triple loops over (p, q, r) for H1 and over
 (a, b, c) for group associativity.  They run over every corpus
 hypergroup, the thin hypergroups of all bundled groups (order <= 24)
-and the hypergroups of the order-28 catalogue schemes.
+and the hypergroups of the order-28 catalogue schemes.  The thin
+tables (groups, the quotients the Hall contexts build and a 96-point
+group) are also checked against the set-valued validation loops, the
+quotient table against a product of cosets per pair, and strong
+normality against its two-product definition.
 
 The operation-count guards at the end count calls, not time.
 """
@@ -17,14 +21,14 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 
 import schemehall as sh
-from schemehall.groups import _associativity_witness
-from schemehall.hypergroup import Hypergroup, _h1_witness
+from schemehall.hypergroup import Hypergroup, _associativity_witness, _h1_witness
 
-from conftest import corpus_hypergroups, product_matrices
+from conftest import ALL_PI, catalogue_schemes, corpus_hypergroups, product_matrices
 
 
 def _members(mask):
@@ -242,6 +246,225 @@ def test_validate_group_names_the_first_failing_triple():
     assert reached >= 10
 
 
+# --- thin tables -------------------------------------------------------------
+#
+# validate_hypergroup as it reads every table: the neutral column, the
+# inverse search, H3 over every (p, q, r in pq) and H1 by the triple
+# loop (by _h1_witness, itself checked against that loop above, past 24
+# elements).
+
+
+def validate_oracle(table):
+    """(table, inverse) of a valid mask table, or (error type, message)."""
+    k = len(table)
+    masks = [list(row) for row in table]
+    try:
+        candidates = [e for e in range(k) if all(masks[s][e] == 1 << s for s in range(k))]
+        if not candidates:
+            raise sh.NoNeutralError("no element acts as a right neutral")
+        if len(candidates) > 1:
+            raise sh.NoNeutralError(f"multiple right neutral elements: {candidates}")
+        e = candidates[0]
+        inv = []
+        for s in range(k):
+            ts = [t for t in range(k) if masks[t][s] >> e & 1]
+            if len(ts) != 1:
+                raise sh.NoInverseError(
+                    f"element {s} has {len(ts)} inverse candidates {ts}, expected 1"
+                )
+            inv.append(ts[0])
+        for p in range(k):
+            for q in range(k):
+                for r in _members(masks[p][q]):
+                    if not masks[inv[p]][r] >> q & 1:
+                        raise sh.NoInverseError(
+                            f"H3 fails: {r} in {p}*{q} but {q} not in inv({p})*{r}"
+                        )
+                    if not masks[r][inv[q]] >> p & 1:
+                        raise sh.NoInverseError(
+                            f"H3 fails: {r} in {p}*{q} but {p} not in {r}*inv({q})"
+                        )
+        witness = h1_oracle(masks) if k <= 24 else _h1_witness(masks)
+        if witness is not None:
+            raise sh.AssocViolationError(*witness)
+    except sh.HypergroupAxiomError as exc:
+        return type(exc), str(exc)
+    perm = list(range(k))
+    perm[0], perm[e] = e, 0
+    new = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            new[perm[a]][perm[b]] = sum(1 << perm[s] for s in _members(masks[a][b]))
+    new_inv = [0] * k
+    for s in range(k):
+        new_inv[perm[s]] = perm[inv[s]]
+    return tuple(map(tuple, new)), tuple(new_inv)
+
+
+def validate_outcome(table):
+    try:
+        hg = sh.validate_hypergroup(table)
+    except sh.HypergroupAxiomError as exc:
+        return type(exc), str(exc)
+    return hg.table, hg.inverse
+
+
+def _thin(t):
+    return [[1 << v for v in row] for row in t]
+
+
+def _relabel(t, perm):
+    """t with each label x renamed perm[x]."""
+    n = len(t)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[t[a][b]]
+    return out
+
+
+def _neutral_last(t):
+    n = len(t)
+    return _relabel(t, [n - 1, *range(1, n - 1), 0])
+
+
+@functools.cache
+def thin_pool():
+    """Index tables: the bundled groups, every quotient a Hall context of
+    the catalogue builds, and D12 x C4 on 96 points."""
+    tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
+    for scheme in catalogue_schemes(28):
+        for pi in ALL_PI[1:]:
+            try:
+                q = sh.find_hall(scheme, pi).hyper_quotient
+            except (sh.NotPiValencedError, sh.NotSolvableError):
+                continue
+            tables.append(tuple(tuple(m.bit_length() - 1 for m in row) for row in q.table))
+    tables.append(sh.direct_product(sh.dihedral(12), sh.cyclic(4)))
+    return tuple(dict.fromkeys(tuple(map(tuple, t)) for t in tables))
+
+
+def test_thin_validation_matches_set_valued_loops():
+    pool = thin_pool()
+    assert len(pool) >= 38 and max(map(len, pool)) == 96
+    for t in pool:
+        for table in (t, _neutral_last(t)) if len(t) > 1 else (t,):
+            raw = _thin(table)
+            want = validate_oracle(raw)
+            assert isinstance(want[0], tuple), len(t)
+            assert validate_outcome(raw) == want, len(t)
+
+
+def _row_swaps(t, rng):
+    """One row with two nonzero entries exchanged: the inverse search
+    still finds one candidate each, but row p^ read through row p is no
+    longer the identity, so H3 fails."""
+    n = len(t)
+    for _ in range(4):
+        rows = [list(row) for row in t]
+        a = rng.randrange(1, n)
+        b, b2 = rng.sample([b for b in range(1, n) if t[a][b] != 0], 2)
+        rows[a][b], rows[a][b2] = rows[a][b2], rows[a][b]
+        yield rows
+
+
+def _chein_loop(t):
+    """The Moufang loop M(G, 2) on G and Gu: an inverse-property loop,
+    so H2 and H3 hold, and associative only when G is abelian."""
+    n = len(t)
+    inv = [row.index(0) for row in t]
+    out = [[0] * 2 * n for _ in range(2 * n)]
+    for g in range(n):
+        for h in range(n):
+            out[g][h] = t[g][h]
+            out[g][n + h] = n + t[h][g]
+            out[n + g][h] = n + t[g][inv[h]]
+            out[n + g][n + h] = t[inv[h]][g]
+    return out
+
+
+def test_thin_corruptions_name_the_literal_witness():
+    """Intercalate swaps and row swaps of the pool tables break H3 (of
+    the intercalate swaps of the pool tables of order 4 to 16, none
+    reaches H1); the Moufang loops of the nonabelian bundled groups of
+    order <= 12, relabelled at random, fail only H1."""
+    rng = random.Random(8)
+    bad = []
+    for t in thin_pool():
+        if 4 <= len(t) <= 24:
+            bad += [*itertools.islice(_intercalate_swaps(t), 6), *_row_swaps(t, rng)]
+    for name in sh.bundled_group_names():
+        t = sh.bundled_group(name).table
+        if len(t) <= 12:
+            loop = _chein_loop(t)
+            n = len(loop)
+            bad += [loop] + [_relabel(loop, rng.sample(range(n), n)) for _ in range(4)]
+    reached = {}
+    for rows in bad:
+        want = validate_oracle(_thin(rows))
+        assert validate_outcome(_thin(rows)) == want, len(rows)
+        kind = want[0] if isinstance(want[0], type) else None
+        reached[kind] = reached.get(kind, 0) + 1
+    assert reached.get(sh.AssocViolationError, 0) >= 20
+    assert reached.get(sh.NoInverseError, 0) >= 100
+
+
+def quotient_table_oracle(hg, f):
+    """(cosets, table) with each cell built from two products of masks."""
+    cosets = []
+    remaining = hg.full_mask
+    while remaining:
+        h = remaining & -remaining
+        coset = mul_oracle(hg, mul_oracle(hg, f, h), f)
+        cosets.append(coset)
+        remaining &= ~coset
+    coset_of = {x: i for i, c in enumerate(cosets) for x in _members(c)}
+    reps = [_members(c)[0] for c in cosets]
+    table = tuple(
+        tuple(
+            sum(
+                {1 << coset_of[x] for x in _members(mul_oracle(hg, mul_oracle(hg, 1 << a, f), 1 << b))}
+            )
+            for b in reps
+        )
+        for a in reps
+    )
+    return tuple(cosets), table
+
+
+def test_quotient_table_matches_coset_products():
+    count = 0
+    for scheme in catalogue_schemes(28):
+        hg = scheme.hypergroup
+        for c in scheme.closed_subsets():
+            q = sh.quotient(hg, c)
+            assert (q.cosets, q.table) == quotient_table_oracle(hg, c.bits), scheme.name
+            count += 1
+    assert count >= 646
+
+
+def strongly_normal_oracle(hg, f, g):
+    for h in _members(g):
+        conj = mul_oracle(hg, mul_oracle(hg, 1 << hg.inverse[h], f), 1 << h)
+        if conj & ~f:
+            return False
+    return True
+
+
+def test_is_strongly_normal_matches_two_products():
+    rng = random.Random(9)
+    seen = set()
+    for hg in kernel_pool():
+        subs = [c.bits for c in sh.enumerate_closed_subsets(hg)]
+        pairs = [(f, g) for f in subs for g in subs if f & ~g == 0]
+        pairs += [(m, hg.full_mask) for m in random_masks(rng, hg, 10)]
+        for f, g in pairs:
+            got = sh.is_strongly_normal(hg.subset(f), hg.subset(g))
+            assert got == strongly_normal_oracle(hg, f, g), (hg.name, f, g)
+            seen.add(got)
+    assert seen == {True, False}
+
+
 # --- operation-count guards -------------------------------------------------
 
 
@@ -289,6 +512,29 @@ def test_enumeration_closes_less_often(monkeypatch):
     hg = sh.thin_hypergroup(sh.symmetric(4))
     assert len(sh.enumerate_closed_subsets(hg)) == 30
     assert len(calls) < 416
+
+
+def test_hall_context_checks_strong_normality_once(monkeypatch):
+    """Building the {2} context of a warm S4 scheme: compute_o_pi checks
+    that the core is strongly normal, and the quotient side is checked
+    by thinness alone, so one is_strongly_normal call in all."""
+    calls = []
+    original = sh.is_strongly_normal
+
+    def counted(f, g):
+        calls.append(f.bits)
+        return original(f, g)
+
+    s4 = sh.from_group(sh.symmetric(4))
+    assert sh.is_solvable_scheme(s4)
+    # every module that binds the name (the package exports functions
+    # named like some of its modules, so look them up in sys.modules)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("schemehall.") and hasattr(module, "is_strongly_normal"):
+            monkeypatch.setattr(module, "is_strongly_normal", counted)
+    cert = sh.find_hall(s4, {2})
+    assert cert.hall.valency == 8 and cert.o_pi.valency == 4
+    assert len(calls) == 1
 
 
 # --- scheme ingest -----------------------------------------------------------
