@@ -54,6 +54,8 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
         if len(row) != n:
             raise NotAGroupError(f"row {x} has length {len(row)}, expected {n}")
         for v in row:
+            if not isinstance(v, int):
+                raise NotAGroupError(f"entry {v!r} in row {x} is not an integer")
             if not 0 <= v < n:
                 raise NotAGroupError(f"entry {v} in row {x} outside 0..{n - 1}")
         rows.append(tuple(row))

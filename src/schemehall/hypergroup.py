@@ -339,11 +339,10 @@ def validate_hypergroup(
             )
         inv[s] = ts[0]
 
-    if sum(map(int.bit_count, chain.from_iterable(masks))) == k * k:
-        # thin: every cell is one element, so H3 and H1 are checks on the
-        # table of element indices, a whole row or column at a time
-        pos = {1 << s: s for s in range(k)}
-        t = tuple(tuple(map(pos.__getitem__, row)) for row in masks)
+    t = _thin_index_table(masks)
+    if t is not None:
+        # thin: H3 and H1 are checks on the table of element indices, a
+        # whole row or column at a time
         if not _thin_h3_holds(t, inv):
             _h3_literal(masks, inv)  # names the first witness
             raise InternalInconsistencyError("thin H3 check failed but the literal loop passed")
@@ -373,6 +372,15 @@ def validate_hypergroup(
         tuple(inv),
         name=name,
     )
+
+
+def _thin_index_table(masks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...] | None:
+    """Nonempty mask cells read as element indices, or None if one holds several."""
+    k = len(masks)
+    if sum(map(int.bit_count, chain.from_iterable(masks))) != k * k:
+        return None
+    pos = {1 << s: s for s in range(k)}
+    return tuple(tuple(map(pos.__getitem__, row)) for row in masks)
 
 
 def _thin_h3_holds(t: Sequence[Sequence[int]], inv: Sequence[int]) -> bool:
@@ -668,15 +676,11 @@ def is_metathin(hg: Hypergroup) -> bool:
     return thin_elements(hg).metathin
 
 
-def double_cosets(hg: Hypergroup, f: ElementSubset, within: int | None = None) -> list[int]:
-    """Masks of the double cosets F h F, for h ranging over `within`.
-
-    `within` defaults to the full element set; masks are returned in
-    order of their smallest member.
-    """
+def double_cosets(hg: Hypergroup, f: ElementSubset) -> list[int]:
+    """Masks of the double cosets F h F of hg, in order of their smallest member."""
     if not hg.is_closed_mask(f.bits):
         raise NotSubsetError("double cosets need a closed modulus")
-    return _double_cosets(hg, f.bits, hg.full_mask if within is None else within)
+    return _double_cosets(hg, f.bits, hg.full_mask)
 
 
 def _double_cosets(hg: Hypergroup, f: int, domain: int) -> list[int]:

@@ -23,6 +23,7 @@ LOOP5 = [
     ([[0, 1], [0, 1]], "column 0 is not a permutation"),
     ([[1, 0], [0, 1]], "index 0 is not a two-sided identity"),
     (LOOP5, "element 2 has no two-sided inverse"),
+    ([[0.0, 1], [1, 0]], "entry 0.0 in row 0 is not an integer"),
 ])
 def test_validate_group_names_each_failed_axiom(table, message):
     with pytest.raises(sh.NotAGroupError) as exc:

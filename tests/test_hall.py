@@ -20,6 +20,7 @@ from conftest import ALL_PI, product_matrices
 
 # the package's quotient function shadows its quotient module
 quotient_module = importlib.import_module("schemehall.quotient")
+hypergroup_module = importlib.import_module("schemehall.hypergroup")
 
 
 @pytest.fixture(scope="module")
@@ -280,22 +281,44 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
 
 
 def test_context_validates_its_group_table_once(monkeypatch):
+    assoc = []
     calls = []
+    original_assoc = hypergroup_module._associativity_witness
     original = groups_module.validate_group
+
+    def counted_assoc(t):
+        assoc.append(len(t))
+        return original_assoc(t)
 
     def counted(table):
         calls.append(len(table))
         return original(table)
 
     s4 = sh.from_group(sh.symmetric(4), name="s4")
+    assert s4.hypergroup.size == 24
+    monkeypatch.setattr(hypergroup_module, "_associativity_witness", counted_assoc)
+    monkeypatch.setattr(groups_module, "_associativity_witness", counted_assoc)
     monkeypatch.setattr(groups_module, "validate_group", counted)
     monkeypatch.setattr(hall_module, "validate_group", counted)
     sh.find_hall(s4, {2})
     sh.find_hall(s4, {3})
-    # S4 / O_2(S4) is S3 and O_3(S4) is trivial: one table each
-    assert calls == [6, 24]
+    # S4 / O_2(S4) is S3 and O_3(S4) is trivial: the quotient's
+    # validate_hypergroup checks each group once, group_from_thin reads it
+    assert assoc == [6, 24]
+    assert calls == []
     sh.hall_subgroups(sh.symmetric(4), {2})
-    assert calls == [6, 24, 24]
+    assert calls == [24]
+    assert assoc == [6, 24, 24]
+
+
+def test_group_from_thin_reads_the_validated_group():
+    for name in sh.bundled_group_names():
+        t = sh.bundled_group(name).table
+        assert sh.group_from_thin(sh.thin_hypergroup(t)) == sh.validate_group(t), name
+    pentagon = sh.bundled_scheme("pentagon").scheme().hypergroup
+    with pytest.raises(sh.InternalInconsistencyError) as exc:
+        sh.group_from_thin(pentagon)
+    assert str(exc.value) == "product 1 * 1 is not a single element; hypergroup is not thin"
 
 
 def test_hall_valency_is_the_pi_part_of_n_on_products():

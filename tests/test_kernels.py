@@ -313,6 +313,23 @@ def _thin(t):
     return [[1 << v for v in row] for row in t]
 
 
+def group_agrees(rows, want):
+    """On a table whose row 0 and column 0 are the identity,
+    validate_group accepts exactly when validate_hypergroup does (want is
+    the validate_oracle outcome); so a thin table that passed H1-H3 needs
+    no second group check.  False when the table has no such identity."""
+    n = len(rows)
+    if list(rows[0]) != list(range(n)) or [row[0] for row in rows] != list(range(n)):
+        return False
+    try:
+        sh.validate_group(rows)
+    except sh.NotAGroupError:
+        assert not isinstance(want[0], tuple), n
+    else:
+        assert isinstance(want[0], tuple), n
+    return True
+
+
 def _relabel(t, perm):
     """t with each label x renamed perm[x]."""
     n = len(t)
@@ -347,12 +364,15 @@ def thin_pool():
 def test_thin_validation_matches_set_valued_loops():
     pool = thin_pool()
     assert len(pool) >= 38 and max(map(len, pool)) == 96
+    as_group = 0
     for t in pool:
         for table in (t, _neutral_last(t)) if len(t) > 1 else (t,):
             raw = _thin(table)
             want = validate_oracle(raw)
             assert isinstance(want[0], tuple), len(t)
             assert validate_outcome(raw) == want, len(t)
+            as_group += group_agrees(table, want)
+    assert as_group == len(pool)
 
 
 def _row_swaps(t, rng):
@@ -400,13 +420,16 @@ def test_thin_corruptions_name_the_literal_witness():
             n = len(loop)
             bad += [loop] + [_relabel(loop, rng.sample(range(n), n)) for _ in range(4)]
     reached = {}
+    as_group = 0
     for rows in bad:
         want = validate_oracle(_thin(rows))
         assert validate_outcome(_thin(rows)) == want, len(rows)
         kind = want[0] if isinstance(want[0], type) else None
         reached[kind] = reached.get(kind, 0) + 1
+        as_group += group_agrees(rows, want)
     assert reached.get(sh.AssocViolationError, 0) >= 20
     assert reached.get(sh.NoInverseError, 0) >= 100
+    assert as_group >= 300  # the others lost the identity row or column 0
 
 
 def quotient_table_oracle(hg, f):
