@@ -54,7 +54,7 @@ def _print_certificate(cert: HallCertificate) -> None:
     print(f"valency: {cert.hall.valency}")
     print(f"index: {cert.index}")
     print(f"core: relations {list(cert.o_pi.members())} (valency {cert.o_pi.valency})")
-    print(f"thin quotient group order: {len(cert.thin_quotient_group)}")
+    print(f"thin quotient group order: {cert.scheme.n_points // cert.o_pi.valency}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

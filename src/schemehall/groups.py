@@ -192,41 +192,46 @@ def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergrou
 
 
 def generated_subgroup(table: Table, gens: int) -> int:
-    """Mask of the subgroup generated by the masked elements."""
-    cur = gens | 1
-    while True:
-        nxt = cur
-        for a in bits_of(cur):
+    """Mask of the subgroup generated by the masked elements: 1 and gens
+    closed under right multiplication by gens, which in a finite group
+    holds the inverses too.  Each round multiplies only the new elements."""
+    right = list(bits_of(gens))
+    cur = new = gens | 1
+    while new:
+        nxt = 0
+        for a in bits_of(new):
             row = table[a]
-            for b in bits_of(cur):
+            for b in right:
                 nxt |= 1 << row[b]
-        if nxt == cur:
-            return cur
-        cur = nxt
+        new = nxt & ~cur
+        cur |= new
+    return cur
 
 
-def is_solvable_group(table: Table) -> bool:
-    """Whether the derived series reaches the trivial subgroup.
-
-    Each step closes the commutators [x, y] = x^-1 y^-1 x y of the
-    current subgroup; the group is solvable when the series ends at
-    {1}, and not when a step stops shrinking (a nontrivial perfect
-    subgroup).
-    """
+def _derived_series(table: Table) -> list[int]:
+    """The derived series G > G' > G'' > ... as subgroup masks, ending at
+    {1} or at the first step that stops shrinking (a nontrivial perfect
+    subgroup).  Each step closes the commutators [x, y] = x^-1 y^-1 x y
+    of the step before."""
     inv = group_inverse(table)
-    cur = (1 << len(table)) - 1
-    while cur != 1:
-        members = list(bits_of(cur))
+    series = [(1 << len(table)) - 1]
+    while series[-1] != 1:
+        members = list(bits_of(series[-1]))
         commutators = 0
         for x in members:
             ix = inv[x]
             for y in members:
                 commutators |= 1 << table[table[ix][inv[y]]][table[x][y]]
         nxt = generated_subgroup(table, commutators)
-        if nxt == cur:
-            return False
-        cur = nxt
-    return True
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
+def is_solvable_group(table: Table) -> bool:
+    """Whether the derived series reaches the trivial subgroup."""
+    return _derived_series(table)[-1] == 1
 
 
 def all_subgroups(table: Table) -> tuple[int, ...]:

@@ -1,23 +1,26 @@
 """Hall subsets of solvable schemes with bounded valency primes.
 
-The route is always the same: locate the core O (the largest subnormal
-closed subset whose valencies stay inside pi), quotient by it to get a
-thin scheme, read that off as a group, solve the classical Hall problem
-there, and lift the answer back through the closed-subset
-correspondence.  That structure is built and checked once per
-(scheme, pi) and cached on the scheme: the core is maximal and strongly
-normal, the quotient by it is thin (so a group) and solvable, each lifted
-Hall subgroup passes the Hall predicate, the lifted family equals an
-exhaustive filter over all closed subsets (so the two routes can never
-drift apart silently) and every Hall subset contains the core.  Queries
-read Hall subsets and their subgroups off that family.  On every query
-run the input predicates, conjugating_element's direct conjugator scan
-and its quotient-group cross-check, and extend_to_hall's closedness
-check on core * T and its final containment check.
+The route goes through one group per scheme: G = S // O^θ(S), the
+quotient by the thin residue, which the residue series that decides
+solvability builds and reads off as a group once.  For each pi the Hall
+pi-subgroups of G are found by the classical route and lifted back
+through the closed-subset correspondence; the pi-core is the lift of
+O_pi(G), their intersection.  That structure is built and checked once
+per (scheme, pi) and cached on the scheme: the core is strongly normal,
+G is solvable, each lifted Hall subgroup passes the Hall predicate, the
+lifted family equals an exhaustive filter over all closed subsets (so
+the two routes can never drift apart silently) and every Hall subset
+contains the core.  Queries read Hall subsets and their subgroups off
+that family.  On every query run the input predicates,
+conjugating_element's direct conjugator scan and its quotient-group
+cross-check, and extend_to_hall's closedness check on core * T and its
+final containment check.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import reduce
+from operator import and_
 
 from .arith import format_pi, is_pi_number, pi_part, validate_pi
 from .errors import (
@@ -37,16 +40,8 @@ from .groups import (
     is_solvable_group,
     validate_group,
 )
-from .hypergroup import (
-    ElementSubset,
-    Hypergroup,
-    _thin_index_table,
-    bits_of,
-    is_strongly_normal,
-    is_subnormal,
-    mask_of,
-)
-from .quotient import QuotientHypergroup, lift_closed, quotient
+from .hypergroup import ElementSubset, bits_of, is_strongly_normal, mask_of
+from .quotient import QuotientHypergroup, lift_closed
 from .scheme import (
     AssociationScheme,
     SchemeClosedSubset,
@@ -54,6 +49,7 @@ from .scheme import (
     is_solvable_scheme,
     pi_predicates,
 )
+from .solvability import _residue_series, group_from_thin
 
 __all__ = [
     "HallCertificate",
@@ -70,11 +66,13 @@ __all__ = [
 class HallCertificate:
     """Everything find_hall and extend_to_hall establish, in one record.
 
-    hall is the closed subset itself; o_pi the core it was built over;
-    thin_quotient_group the Cayley table of the quotient; and
-    lifted_subgroup the subgroup (as a bitmask over quotient elements)
-    whose lift is hall.  hyper_quotient is the quotient hypergroup
-    by o_pi.
+    hall is the closed subset itself and o_pi the pi-core inside it.
+    The other three fields refer to the quotient by the thin residue,
+    S // O^θ(S), not to the quotient by o_pi: hyper_quotient is that
+    quotient hypergroup, thin_quotient_group its Cayley table G, and
+    lifted_subgroup the Hall subgroup of G (a bitmask over quotient
+    elements) whose lift is hall.  The thin quotient by o_pi has order
+    n // o_pi.valency.
     """
 
     __slots__ = (
@@ -130,54 +128,31 @@ def _require_solvable_and_valenced(scheme: AssociationScheme, ps: frozenset[int]
         )
 
 
-def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSubset:
-    """Largest subnormal closed subset with all valencies pi-numbers.
+def _residue_quotient(
+    scheme: AssociationScheme, ps: frozenset[int]
+) -> tuple[QuotientHypergroup, Table, tuple[int, ...]]:
+    """The quotient S // O^θ(S) of a solvable scheme, its group table and
+    that group's Hall ps-subgroups, found once per (scheme, ps & primes)."""
+    _, hq, table = _residue_series(scheme.hypergroup)[0]
+    key = ps & scheme.primes
+    halls = scheme._residue_halls.get(key)
+    if halls is None:
+        halls = scheme._residue_halls[key] = _hall_subgroups(table, ps)
+    return hq, table, halls
 
-    Enumerates every closed subset, filters, and takes the maximum; the
-    claims that make the result usable downstream (it contains every
-    candidate, it is strongly normal) are checked rather than trusted.
-    That the quotient by it is thin is checked by the Hall context of
-    find_hall and the other queries, which builds that quotient once.
-    """
+
+def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSubset:
+    """The pi-core, the largest subnormal closed pi-subset: being strongly
+    normal, it is the lift of O_pi(G) for G = S // O^θ(S), the
+    intersection of the Hall pi-subgroups of G.  That the lift is
+    strongly normal is checked rather than trusted."""
     ps = validate_pi(pi)
     _require_solvable_and_valenced(scheme, ps)
-    hg = scheme.hypergroup
-    universe = hg.universe()
-    candidates: list[SchemeClosedSubset] = []
-    for t in scheme.closed_subsets():
-        if not is_pi_number(t.valency, ps):
-            continue
-        if not is_subnormal(t, universe):
-            continue
-        candidates.append(t)
-    if not candidates:
-        raise InternalInconsistencyError(
-            "a solvable scheme has no subnormal closed pi-subsets at all"
-        )
-    core = max(candidates, key=lambda t: t.valency)
-    for t in candidates:
-        if t.bits & ~core.bits:
-            raise InternalInconsistencyError(
-                "maximal subnormal closed pi-subset does not contain "
-                f"candidate {t.members()}"
-            )
-    if not is_strongly_normal(core, universe):
+    hq, _, halls = _residue_quotient(scheme, ps)
+    core = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, reduce(and_, halls))).bits)
+    if not is_strongly_normal(core, scheme.hypergroup.universe()):
         raise InternalInconsistencyError("the pi-core must be strongly normal")
     return core
-
-
-def group_from_thin(hg: Hypergroup) -> Table:
-    """Read a thin hypergroup off as a Cayley table, checking only thinness:
-    validate_hypergroup built hg, checking H1-H3 with the neutral put at 0."""
-    t = _thin_index_table(hg.table)
-    if t is None:
-        p, q = next(
-            (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
-        )
-        raise InternalInconsistencyError(
-            f"product {p} * {q} is not a single element; hypergroup is not thin"
-        )
-    return t
 
 
 def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
@@ -236,12 +211,13 @@ def all_hall_subsets(
 class _HallContext:
     """The Hall structure of one (scheme, pi), built and checked once.
 
-    core is the pi-core, hq the quotient by it and gtable that quotient
-    read off as a group; halls are the Hall subgroups of gtable in
-    hall_subgroups order and lifted[i] the Hall subset lifted from
-    halls[i], with index_of mapping lifted[i].bits back to i.  best
-    indexes the least lifted Hall subset.  Every pi with the same primes
-    among those of the scheme shares the context.
+    core is the pi-core, hq the quotient by the thin residue and gtable
+    that quotient read off as a group, both shared by every pi; halls
+    are the Hall subgroups of gtable in hall_subgroups order and
+    lifted[i] the Hall subset lifted from halls[i], with index_of
+    mapping lifted[i].bits back to i.  best indexes the least lifted
+    Hall subset.  Every pi with the same primes among those of the
+    scheme shares the context.
     """
 
     __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "index_of", "best")
@@ -249,10 +225,8 @@ class _HallContext:
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
         self.core = core = compute_o_pi(scheme, ps)
-        self.hq = hq = quotient(scheme.hypergroup, core)
-        # the core is strongly normal (compute_o_pi), so hq is thin; group_from_thin checks that
-        self.gtable = group_from_thin(hq)
-        self.halls = _hall_subgroups(self.gtable, ps)
+        hq, self.gtable, self.halls = _residue_quotient(scheme, ps)
+        self.hq = hq
         lifted = []
         for gm in self.halls:
             t = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)

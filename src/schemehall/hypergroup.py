@@ -85,7 +85,7 @@ class Hypergroup:
     instances through validate_hypergroup.
     """
 
-    __slots__ = ("size", "table", "inverse", "name", "_closed", "_normal_edges", "_solvable")
+    __slots__ = ("size", "table", "inverse", "name", "_closed", "_normal_edges", "_residue")
 
     def __init__(
         self,
@@ -630,19 +630,20 @@ def is_subnormal(f: ElementSubset, g: ElementSubset) -> bool:
     return False
 
 
-def theta_core(hg: Hypergroup) -> ClosedSubset:
-    """Intersection of all strongly normal closed subsets of hg.
+def _thin_residue(hg: Hypergroup, mask: int) -> int:
+    """Closure of the products s^s over the elements s of a closed mask."""
+    return hg.closure_mask(reduce(or_, (hg.table[hg.inverse[s]][s] for s in bits_of(mask))))
 
-    The intersection is itself strongly normal and closed; both facts
-    are asserted rather than trusted.
+
+def theta_core(hg: Hypergroup) -> ClosedSubset:
+    """The thin residue: the closed subset generated by every s^s.
+
+    Each strongly normal closed subset contains every s^s, so this is
+    the smallest one once it is strongly normal itself, which is checked
+    rather than trusted.
     """
-    universe = hg.universe()
-    acc = hg.full_mask
-    for c in enumerate_closed_subsets(hg):
-        if is_strongly_normal(c, universe):
-            acc &= c.bits
-    core = _as_closed(hg, acc)
-    if not is_strongly_normal(core, universe):
+    core = ClosedSubset(hg, _thin_residue(hg, hg.full_mask))
+    if not is_strongly_normal(core, hg.universe()):
         raise InternalInconsistencyError("theta core lost strong normality")
     return core
 

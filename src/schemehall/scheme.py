@@ -43,7 +43,7 @@ from .hypergroup import (
     validate_hypergroup,
 )
 from .quotient import QuotientHypergroup, quotient
-from .solvability import SolvableChain, solvable_chain
+from .solvability import SolvableChain, is_solvable, solvable_chain
 
 __all__ = [
     "AssociationScheme",
@@ -83,8 +83,10 @@ class AssociationScheme:
         self.valencies = valencies
         self.name = name
         self._products = products  # products[p][q]: mask of r with a_{pqr} != 0
-        # Hall contexts by pi & primes, filled by schemehall.hall
+        # Hall contexts, and Hall subgroups of the residue quotient group,
+        # by pi & primes; both filled by schemehall.hall
         self._hall_contexts: dict = {}
+        self._residue_halls: dict = {}
         self._closed_subsets: tuple[SchemeClosedSubset, ...] | None = None
 
     def __repr__(self) -> str:
@@ -585,11 +587,11 @@ def conjugators(
 def solvable_chain_scheme(scheme: AssociationScheme) -> SolvableChain | None:
     """Chain of closed subsets with strongly normal prime-index steps.
 
-    The cached solvable chain of the induced hypergroup, returned as it
-    is.  Each of its steps is strongly normal with a prime number of
-    double cosets, and for a strongly normal step that number is the
-    valency index; the valency index is checked against the step prime
-    on the first call for a scheme, and the checked chain is cached.
+    The solvable chain of the induced hypergroup, refined from its
+    residue series.  Each of its steps is strongly normal with a prime
+    number of double cosets, and for a strongly normal step that number
+    is the valency index; the valency index is checked against the step
+    prime on the first call for a scheme, and the checked chain is cached.
     """
     try:
         return scheme._solvable_chain
@@ -608,4 +610,5 @@ def solvable_chain_scheme(scheme: AssociationScheme) -> SolvableChain | None:
 
 
 def is_solvable_scheme(scheme: AssociationScheme) -> bool:
-    return solvable_chain_scheme(scheme) is not None
+    """Read off the residue series of the induced hypergroup; no chain is built."""
+    return is_solvable(scheme.hypergroup)

@@ -1,32 +1,39 @@
-"""Solvable chains of closed subsets.
+"""Solvability through the thin residue.
 
-A hypergroup is solvable when a chain of closed subsets
+The thin residue O^θ(T) of a closed subset T is the closure of the
+products s^s, s in T.  Every strongly normal closed subset of T holds
+each s^s, and for scheme hypergroups O^θ(T) is strongly normal itself
+(Zieschang 2005), so T // O^θ(T) is a group.  H is solvable exactly when
+its residue series H = T_0 > T_1 = O^θ(T_0) > ... reaches {0}, no step
+equal to its whole, with every factor T_i // T_{i+1} a solvable group.
+group_from_thin reads each factor off as a group; its thinness check is
+the strong-normality check of the step.
 
-    {0} = F_0 < F_1 < ... < F_n = H
-
-exists in which every F_{i-1} is strongly normal in F_i and the
-quotient F_i // F_{i-1} has prime order.  Strong normality makes that
-quotient thin, so each step is a group of prime order.
-
-A useful consequence drives the search: a valid step F < G admits no
-closed subset strictly between F and G (the quotient has prime order
-and therefore only trivial closed subsets), so stepping through covers
-of the closed subset lattice loses nothing.
+A solvable chain {0} = F_0 < F_1 < ... < F_n = H, each F_{i-1} strongly
+normal in F_i with F_i // F_{i-1} of prime order, is a witness built
+only when asked for: each factor group is refined through a series of
+prime indices, and its subgroups are lifted to closed subsets.
 """
 from __future__ import annotations
 
 from .arith import is_prime
 from .errors import InternalInconsistencyError
+from .groups import Table, _derived_series, generated_subgroup, is_solvable_group
 from .hypergroup import (
     ClosedSubset,
     Hypergroup,
     _double_cosets,
-    enumerate_closed_subsets,
+    _thin_index_table,
+    _thin_residue,
+    bits_of,
     is_strongly_normal,
+    mask_of,
 )
+from .quotient import QuotientHypergroup, quotient, subquotient
 
 __all__ = [
     "SolvableChain",
+    "group_from_thin",
     "solvable_chain",
     "is_solvable",
     "step_quotient_order",
@@ -47,72 +54,101 @@ class SolvableChain:
         return f"<SolvableChain {path} primes {list(self.step_primes)}>"
 
 
+def group_from_thin(hg: Hypergroup) -> Table:
+    """Read a thin hypergroup off as a Cayley table, checking only thinness:
+    validate_hypergroup built hg, checking H1-H3 with the neutral put at 0."""
+    t = _thin_index_table(hg.table)
+    if t is None:
+        p, q = next(
+            (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
+        )
+        raise InternalInconsistencyError(
+            f"product {p} * {q} is not a single element; hypergroup is not thin"
+        )
+    return t
+
+
+def _residue_series(hg: Hypergroup) -> tuple[tuple[int, QuotientHypergroup, Table], ...] | None:
+    """The factors T // O^θ(T) of the residue series from the top down,
+    as (T, quotient, group table), cached; None when hg is not solvable.
+    Below the top, the quotient is one of the restriction to T.  A
+    series that stands still needs no quotient.  The one-element
+    hypergroup has the factor {0} // {0}, so a solvable hypergroup
+    always has a top factor."""
+    try:
+        return hg._residue
+    except AttributeError:
+        pass
+    masks = [hg.full_mask]
+    while len(masks) == 1 or masks[-1] != 1:
+        masks.append(_thin_residue(hg, masks[-1]))
+        if masks[-1] == masks[-2] != 1:
+            hg._residue = None
+            return None
+    factors = []
+    for outer, inner in zip(masks, masks[1:]):
+        sub = ClosedSubset(hg, inner)
+        if outer == hg.full_mask:
+            q = quotient(hg, sub)
+        else:
+            q = subquotient(hg, ClosedSubset(hg, outer), sub)
+        table = group_from_thin(q)
+        if not is_solvable_group(table):
+            hg._residue = None
+            return None
+        factors.append((outer, q, table))
+    hg._residue = tuple(factors)
+    return hg._residue
+
+
+def _prime_series(t: Table) -> list[int]:
+    """Subgroups 1 = H_0 < ... < H_m = G of a solvable group, each normal
+    of prime index in the next.  Each abelian section D' < D of the
+    derived series is climbed from D' by <cur, g> of least order, then
+    least g; it is normal in D, as D / D' is abelian."""
+    out = [1]
+    for top in reversed(_derived_series(t)[:-1]):
+        while out[-1] != top:
+            cur = out[-1]
+            steps = []
+            for g in bits_of(top & ~cur):
+                ext = generated_subgroup(t, cur | 1 << g)
+                if is_prime(ext.bit_count() // cur.bit_count()):
+                    steps.append((ext.bit_count(), g, ext))
+            out.append(min(steps)[2])
+    return out
+
+
 def step_quotient_order(hg: Hypergroup, inner: int, outer: int) -> int:
     """Number of double cosets of the closed set `inner` inside `outer`."""
     return len(_double_cosets(hg, inner, outer))
 
 
-def _covers(hg: Hypergroup, cur: int) -> list[ClosedSubset]:
-    """Minimal closed subsets strictly above `cur` in the lattice."""
-    subs = enumerate_closed_subsets(hg)
-    ups = [g for g in subs if cur & ~g.bits == 0 and g.bits != cur]
-    out = []
-    for g in ups:
-        if any(k.bits != g.bits and k.bits & ~g.bits == 0 for k in ups):
-            continue
-        out.append(g)
-    return out
-
-
 def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
-    """Find a solvable chain, or return None.
-
-    Depth first over lattice covers, visiting candidates in the
-    deterministic order of enumerate_closed_subsets and memoizing
-    subsets that cannot reach the top.  The outcome is cached on the
-    hypergroup, which repeated Hall queries lean on.
-    """
-    try:
-        return hg._solvable
-    except AttributeError:
-        pass
-    full = hg.full_mask
-    dead: set[int] = set()
-
-    def extend(cur: int, acc: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        if cur == full:
-            return acc
-        if cur in dead:
-            return None
-        f = ClosedSubset(hg, cur)
-        for g in _covers(hg, cur):
-            if not is_strongly_normal(f, g):
-                continue
-            # g covers cur, so the group g // cur has no subgroups but
-            # itself and the trivial one: it is cyclic of prime order
-            order = step_quotient_order(hg, cur, g.bits)
-            if not is_prime(order):
-                raise InternalInconsistencyError(
-                    f"strongly normal cover step has {order} double cosets, not a prime"
-                )
-            got = extend(g.bits, acc + [(g.bits, order)])
-            if got is not None:
-                return got
-        dead.add(cur)
+    """A solvable chain refined from the residue series, or None; each
+    step is checked to be strongly normal with a prime number of double
+    cosets.  Each call refines the cached series afresh."""
+    series = _residue_series(hg)
+    if series is None:
         return None
-
-    steps = extend(1, [])
-    if steps is None:
-        hg._solvable = None
-        return None
-    masks = [1] + [m for m, _ in steps]
-    chain = SolvableChain(
-        tuple(ClosedSubset(hg, m) for m in masks),
-        tuple(p for _, p in steps),
-    )
-    hg._solvable = chain
-    return chain
+    masks = [1]
+    for outer, q, table in reversed(series):
+        members = tuple(bits_of(outer))
+        for h in _prime_series(table)[1:]:
+            # the cosets are disjoint, so their sum is their union
+            lifted = sum(q.cosets[c] for c in bits_of(h))
+            masks.append(mask_of(members[x] for x in bits_of(lifted)))
+    subsets = tuple(ClosedSubset(hg, m) for m in masks)
+    primes = tuple(step_quotient_order(hg, lo, hi) for lo, hi in zip(masks, masks[1:]))
+    for lo, hi, p in zip(subsets, subsets[1:], primes):
+        if not is_prime(p):
+            raise InternalInconsistencyError(
+                f"strongly normal cover step has {p} double cosets, not a prime"
+            )
+        if not is_strongly_normal(lo, hi):
+            raise InternalInconsistencyError(f"chain step {lo} is not strongly normal in {hi}")
+    return SolvableChain(subsets, primes)
 
 
 def is_solvable(hg: Hypergroup) -> bool:
-    return solvable_chain(hg) is not None
+    return _residue_series(hg) is not None

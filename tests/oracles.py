@@ -1,18 +1,32 @@
 """Brute-force oracles.
 
 These deliberately recompute results of the fast algorithms by scanning
-whole power sets or whole superset lattices.  They exist so tests can
-cross-check the clever code against something too dumb to be wrong.
+whole power sets or whole closed-subset lattices.  They exist so tests
+can cross-check the clever code against something too dumb to be wrong.
+The lattice walks the library used before it read solvability, the
+theta core and the pi-core off the thin residue live here as well.
 """
 from __future__ import annotations
 
+from schemehall.arith import is_pi_number, is_prime
 from schemehall.errors import EmptyInputError, InternalInconsistencyError, SearchOverflowError
-from schemehall.hypergroup import ClosedSubset, ElementSubset, Hypergroup
+from schemehall.hypergroup import (
+    ClosedSubset,
+    ElementSubset,
+    Hypergroup,
+    enumerate_closed_subsets,
+    is_strongly_normal,
+    is_subnormal,
+)
+from schemehall.solvability import step_quotient_order
 
 __all__ = [
     "all_closed_subsets_scan",
     "closure_scan",
     "solvable_chain_scan",
+    "solvable_chain_dfs",
+    "theta_core_lattice",
+    "o_pi_lattice",
 ]
 
 SCAN_CAP = 16
@@ -59,11 +73,6 @@ def solvable_chain_scan(hg: Hypergroup) -> list[int] | None:
     minimal supersets, so it double-checks that the restriction loses
     nothing.
     """
-    from schemehall.hypergroup import enumerate_closed_subsets, is_strongly_normal
-    from schemehall.solvability import step_quotient_order
-
-    from schemehall.arith import is_prime
-
     subs = enumerate_closed_subsets(hg)
     full = hg.full_mask
 
@@ -86,3 +95,66 @@ def solvable_chain_scan(hg: Hypergroup) -> list[int] | None:
         return None
 
     return extend([1])
+
+
+def _covers(hg: Hypergroup, cur: int) -> list[ClosedSubset]:
+    """Minimal closed subsets strictly above `cur` in the lattice."""
+    ups = [g for g in enumerate_closed_subsets(hg) if cur & ~g.bits == 0 and g.bits != cur]
+    return [g for g in ups if not any(k.bits != g.bits and k.bits & ~g.bits == 0 for k in ups)]
+
+
+def solvable_chain_dfs(hg: Hypergroup) -> list[int] | None:
+    """The cover search: depth first over lattice covers in enumeration
+    order, memoizing subsets that cannot reach the top.  A valid step
+    F < G has a quotient of prime order, which has no closed subsets
+    but its two ends, so G covers F and the search loses nothing.
+    Returns the chain's masks from {0} to the full set, or None."""
+    full = hg.full_mask
+    dead: set[int] = set()
+
+    def extend(chain: list[int]) -> list[int] | None:
+        cur = chain[-1]
+        if cur == full:
+            return chain
+        if cur in dead:
+            return None
+        f = ClosedSubset(hg, cur)
+        for g in _covers(hg, cur):
+            if not is_strongly_normal(f, g):
+                continue
+            order = step_quotient_order(hg, cur, g.bits)
+            if not is_prime(order):
+                raise InternalInconsistencyError(
+                    f"strongly normal cover step has {order} double cosets, not a prime"
+                )
+            got = extend(chain + [g.bits])
+            if got is not None:
+                return got
+        dead.add(cur)
+        return None
+
+    return extend([1])
+
+
+def theta_core_lattice(hg: Hypergroup) -> ClosedSubset:
+    """Intersection of all strongly normal closed subsets."""
+    universe = hg.universe()
+    acc = hg.full_mask
+    for c in enumerate_closed_subsets(hg):
+        if is_strongly_normal(c, universe):
+            acc &= c.bits
+    return ClosedSubset(hg, acc)
+
+
+def o_pi_lattice(scheme, ps: frozenset[int]) -> int:
+    """Mask of the largest subnormal closed subset whose valency is a
+    pi-number; it must contain every other one."""
+    universe = scheme.hypergroup.universe()
+    found = [
+        t for t in scheme.closed_subsets()
+        if is_pi_number(t.valency, ps) and is_subnormal(t, universe)
+    ]
+    core = max(found, key=lambda t: t.valency)
+    if any(t.bits & ~core.bits for t in found):
+        raise InternalInconsistencyError("the largest subnormal pi-subset misses another one")
+    return core.bits

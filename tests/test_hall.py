@@ -21,6 +21,7 @@ from conftest import ALL_PI, product_matrices
 # the package's quotient function shadows its quotient module
 quotient_module = importlib.import_module("schemehall.quotient")
 hypergroup_module = importlib.import_module("schemehall.hypergroup")
+solvability_module = importlib.import_module("schemehall.solvability")
 
 
 @pytest.fixture(scope="module")
@@ -257,9 +258,11 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
 
 
 def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
+    """The residue series builds S4 // {0} once, and every pi reads its
+    Hall structure off that one quotient."""
     quotients = []
     thin = []
-    original_quotient = hall_module.quotient
+    original_quotient = solvability_module.quotient
     original_thin = groups_module.thin_hypergroup
 
     def counted_quotient(hg, sub):
@@ -270,13 +273,13 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
         thin.append(args)
         return original_thin(*args, **kwargs)
 
-    monkeypatch.setattr(hall_module, "quotient", counted_quotient)
+    monkeypatch.setattr(solvability_module, "quotient", counted_quotient)
     monkeypatch.setattr(groups_module, "thin_hypergroup", counted_thin)
     monkeypatch.setattr(hall_module, "thin_hypergroup", counted_thin, raising=False)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     for pi in ({2}, {3}):
         sh.find_hall(s4, pi)
-    assert len(quotients) == 2
+    assert len(quotients) == 1
     assert thin == []
 
 
@@ -302,13 +305,13 @@ def test_context_validates_its_group_table_once(monkeypatch):
     monkeypatch.setattr(hall_module, "validate_group", counted)
     sh.find_hall(s4, {2})
     sh.find_hall(s4, {3})
-    # S4 / O_2(S4) is S3 and O_3(S4) is trivial: the quotient's
-    # validate_hypergroup checks each group once, group_from_thin reads it
-    assert assoc == [6, 24]
+    # the thin residue of S4 is {0}: validate_hypergroup checks the one
+    # quotient S4 // {0} once, group_from_thin reads it, and both pi use it
+    assert assoc == [24]
     assert calls == []
     sh.hall_subgroups(sh.symmetric(4), {2})
     assert calls == [24]
-    assert assoc == [6, 24, 24]
+    assert assoc == [24, 24]
 
 
 def test_group_from_thin_reads_the_validated_group():

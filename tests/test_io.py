@@ -1,5 +1,7 @@
 """File formats, catalogue access and the command line."""
 
+import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -10,7 +12,8 @@ from schemehall import catalogue, formats, report
 from schemehall.cli import main
 from schemehall.report import DEFAULT_PI_SETS, render_jsonl, report_records
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "schemehall" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "schemehall" / "data"
 SCHEMES = DATA / "schemes"
 # parses, but the identity relation appears off the diagonal at (1, 2)
 BAD_SCHEME = "3 2\n0 1 1\n1 0 0\n1 1 0\n"
@@ -366,6 +369,19 @@ def test_report_records_deterministic():
     assert wreath["pi"]["{2}"]["hall"]["index"] == 7
     assert wreath["pi"]["{7}"] == {"hall": None, "pi_valenced": False}
     assert all(json.loads(line)["schema"] == 1 for line in once.splitlines())
+
+
+def test_catalogue_report_bytes_match_the_frozen_digest():
+    """The JSONL report over the seed-0 benchmark inputs, which are the
+    bundled catalogue, hashes to the digest bench/facts.json freezes;
+    bench/ is only read."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    text = render_jsonl(report_records(inputs.catalogue_inputs(0), jobs=1, timings=False))
+    facts = json.loads((ROOT / "bench" / "facts.json").read_text())
+    digest = facts["catalogue_report"]["jsonl_sha256_seed0"]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_report_jobs_must_be_at_least_one(capsys):

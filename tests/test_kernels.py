@@ -347,23 +347,25 @@ def _neutral_last(t):
 
 @functools.cache
 def thin_pool():
-    """Index tables: the bundled groups, every quotient a Hall context of
-    the catalogue builds, and D12 x C4 on 96 points."""
+    """Index tables: the bundled groups, for each Hall certificate of the
+    catalogue both the quotient by the thin residue it carries and the
+    quotient by its pi-core, and D12 x C4 on 96 points."""
     tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
     for scheme in catalogue_schemes(28):
         for pi in ALL_PI[1:]:
             try:
-                q = sh.find_hall(scheme, pi).hyper_quotient
+                cert = sh.find_hall(scheme, pi)
             except (sh.NotPiValencedError, sh.NotSolvableError):
                 continue
-            tables.append(tuple(tuple(m.bit_length() - 1 for m in row) for row in q.table))
+            for q in (cert.hyper_quotient, sh.quotient(scheme.hypergroup, cert.o_pi)):
+                tables.append(tuple(tuple(m.bit_length() - 1 for m in row) for row in q.table))
     tables.append(sh.direct_product(sh.dihedral(12), sh.cyclic(4)))
     return tuple(dict.fromkeys(tuple(map(tuple, t)) for t in tables))
 
 
 def test_thin_validation_matches_set_valued_loops():
     pool = thin_pool()
-    assert len(pool) >= 38 and max(map(len, pool)) == 96
+    assert len(pool) == 52 and max(map(len, pool)) == 96
     as_group = 0
     for t in pool:
         for table in (t, _neutral_last(t)) if len(t) > 1 else (t,):
