@@ -3,8 +3,8 @@
 These deliberately recompute results of the fast algorithms by scanning
 whole power sets or whole closed-subset lattices.  They exist so tests
 can cross-check the clever code against something too dumb to be wrong.
-The lattice walks the library used before it read solvability, the
-theta core and the pi-core off the thin residue live here as well.
+Lattice walks for solvability, the theta core and the pi-core, which
+the library reads off the thin residue instead, live here as well.
 """
 from __future__ import annotations
 
