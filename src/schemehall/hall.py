@@ -133,7 +133,7 @@ def _residue_quotient(
 ) -> tuple[QuotientHypergroup, Table, tuple[int, ...]]:
     """The quotient S // O^θ(S) of a solvable scheme, its group table and
     that group's Hall ps-subgroups, found once per (scheme, ps & primes)."""
-    _, hq, table = _residue_series(scheme.hypergroup)[0]
+    hq, table = _residue_series(scheme.hypergroup)[0]
     key = ps & scheme.primes
     halls = scheme._residue_halls.get(key)
     if halls is None:
@@ -169,14 +169,15 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     of its result is the whole family.
     """
     ps = validate_pi(pi)
-    return _hall_subgroups(validate_group(table), ps)
+    t = validate_group(table)
+    if not is_solvable_group(t):
+        raise NotSolvableGroupError(f"group of order {len(t)} is not solvable")
+    return _hall_subgroups(t, ps)
 
 
 def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
-    """hall_subgroups on a table checked by validate_group or group_from_thin."""
+    """hall_subgroups on a solvable table, as checked by hall_subgroups or the residue series."""
     n = len(t)
-    if not is_solvable_group(t):
-        raise NotSolvableGroupError(f"group of order {n} is not solvable")
     target = pi_part(n, ps)
     hall = 1
     while hall.bit_count() != target:

@@ -1,10 +1,11 @@
 """Quotients of hypergroups and structure preserving maps.
 
-The quotient of a hypergroup H by a closed subset F lives on the double
-cosets F h F.  Coset i is represented by the smallest element it
-contains, cosets are numbered in order of their representatives, and
-the coset of the neutral element (which is F itself) therefore always
-lands at index 0.
+The quotient T // F, F inside T closed subsets of H, lives on the double
+cosets F h F, h in T, as masks over H; one kernel reads it off H's table
+for quotient (T = H), subquotient and restriction (F = {0}).  Coset i is
+represented by the smallest element it contains, cosets are numbered in
+order of their representatives, and the coset of the neutral element
+(which is F itself) therefore always lands at index 0.
 """
 from __future__ import annotations
 
@@ -49,9 +50,9 @@ class QuotientHypergroup(Hypergroup):
     """Hypergroup of double cosets, remembering where it came from.
 
     Inherits the full Hypergroup interface; `parent`, `modulus`,
-    `cosets` (bitmasks over parent elements, indexed by coset) and
-    `coset_of` (parent element to coset index) carry the projection
-    data.
+    `cosets` (bitmasks over parent elements, indexed by coset, that
+    partition the outer closed subset) and `coset_of` (parent element
+    to coset index, -1 outside it) carry the projection data.
     """
 
     __slots__ = ("parent", "modulus", "cosets", "coset_of")
@@ -73,19 +74,19 @@ class QuotientHypergroup(Hypergroup):
         self.coset_of = coset_of
 
 
-def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
-    """H // F for a closed subset F of H.
-
-    The product of cosets with representatives a and b is the set of
-    cosets meeting a F b.  The resulting table is re-validated against
-    the hypergroup axioms before being returned.
-    """
+def _quotient(
+    hg: Hypergroup, outer: int, modulus: ElementSubset, name: str
+) -> QuotientHypergroup:
+    """outer // F for a closed mask outer holding F, read off hg's own rows
+    and columns.  The product of cosets with representatives a and b is
+    the set of cosets meeting a F b; the table is validated once against
+    the hypergroup axioms before being returned."""
     modulus._check(hg.universe())
     if not hg.is_closed_mask(modulus.bits):
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
 
-    cosets = _double_cosets(hg, f, hg.full_mask)
+    cosets = _double_cosets(hg, f, outer)
     coset_of = [-1] * hg.size
     for idx, coset in enumerate(cosets):
         for x in bits_of(coset):
@@ -122,7 +123,7 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
             row.append(m)
         raw.append(row)
 
-    checked = validate_hypergroup(raw, name=f"{hg.name}//{modulus.members()}")
+    checked = validate_hypergroup(raw, name=name)
     # coset 0 contains the parent neutral, so validation must not permute
     if checked.table != tuple(tuple(row) for row in raw):
         raise InternalInconsistencyError("quotient neutral coset was not at index 0")
@@ -138,34 +139,34 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
     )
 
 
-def restriction(hg: Hypergroup, subset: ElementSubset) -> tuple[Hypergroup, tuple[int, ...]]:
-    """The closed subset as a hypergroup of its own.
+def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
+    """H // F for a closed subset F of H."""
+    return _quotient(hg, hg.full_mask, modulus, f"{hg.name}//{modulus.members()}")
 
-    Returns the re-indexed hypergroup together with the member tuple, so
-    new index i corresponds to old element members[i].
+
+def restriction(hg: Hypergroup, subset: ElementSubset) -> tuple[QuotientHypergroup, tuple[int, ...]]:
+    """The closed subset T as a hypergroup of its own, T // {0}.
+
+    Returns it together with the member tuple, so new index i
+    corresponds to old element members[i].
     """
     subset._check(hg.universe())
     if not hg.is_closed_mask(subset.bits):
         raise NotClosedError("can only restrict to a closed subset")
     members = subset.members()
-    pos = {old: new for new, old in enumerate(members)}
-    raw = [
-        [mask_of(pos[x] for x in bits_of(hg.table[a][b])) for b in members]
-        for a in members
-    ]
-    sub = validate_hypergroup(raw, name=f"{hg.name}|{members}")
-    return sub, members
+    return _quotient(hg, subset.bits, hg.neutral_subset(), f"{hg.name}|{members}"), members
 
 
 def subquotient(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> QuotientHypergroup:
-    """outer // inner, both closed subsets of hg with inner inside outer."""
+    """outer // inner, both closed subsets of hg with inner inside outer;
+    its parent is hg and its cosets partition outer."""
     outer._check(inner)
     if not inner.issubset(outer):
         raise NotSubsetError("inner subset must lie inside the outer one")
-    sub, members = restriction(hg, outer)
-    pos = {old: new for new, old in enumerate(members)}
-    inner_in_sub = sub.subset(mask_of(pos[x] for x in inner.members()))
-    return quotient(sub, inner_in_sub)
+    outer._check(hg.universe())
+    if not hg.is_closed_mask(outer.bits):
+        raise NotClosedError("can only restrict to a closed subset")
+    return _quotient(hg, outer.bits, inner, f"{hg.name}|{outer.members()}//{inner.members()}")
 
 
 def lift_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
@@ -182,12 +183,14 @@ def lift_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
 
 
 def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
-    """Image in the quotient of a closed subset of the parent containing F."""
+    """Image in the quotient of a closed subset between F and the outer subset."""
     subset._check(q.parent.universe())
     if not q.parent.is_closed_mask(subset.bits):
         raise NotClosedError("can only project a closed subset")
     if q.modulus.bits & ~subset.bits:
         raise NotSubsetError("projection needs a subset containing the modulus")
+    if subset.bits & ~sum(q.cosets):
+        raise NotSubsetError("projection needs a subset inside the outer subset")
     m = mask_of(q.coset_of[x] for x in bits_of(subset.bits))
     if not q.is_closed_mask(m):
         raise InternalInconsistencyError("projection of a closed subset is not closed")
@@ -197,11 +200,11 @@ def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset
 def is_thin_quotient(q: QuotientHypergroup) -> bool:
     """True when every coset of the quotient is thin.
 
-    Equivalent to the modulus being strongly normal in the parent; the
-    equivalence is asserted on every call.
+    Equivalent to the modulus being strongly normal in the outer subset;
+    the equivalence is asserted on every call.
     """
     thin = is_thin(q)
-    strong = is_strongly_normal(q.modulus, q.parent.universe())
+    strong = is_strongly_normal(q.modulus, lift_closed(q, q.universe()))
     if thin != strong:
         raise InternalInconsistencyError("thin quotient must coincide with strong normality")
     return thin

@@ -27,9 +27,8 @@ from .hypergroup import (
     _thin_residue,
     bits_of,
     is_strongly_normal,
-    mask_of,
 )
-from .quotient import QuotientHypergroup, quotient, subquotient
+from .quotient import QuotientHypergroup, subquotient
 
 __all__ = [
     "SolvableChain",
@@ -68,10 +67,10 @@ def group_from_thin(hg: Hypergroup) -> Table:
     return t
 
 
-def _residue_series(hg: Hypergroup) -> tuple[tuple[int, QuotientHypergroup, Table], ...] | None:
+def _residue_series(hg: Hypergroup) -> tuple[tuple[QuotientHypergroup, Table], ...] | None:
     """The factors T // O^θ(T) of the residue series from the top down,
-    as (T, quotient, group table), cached; None when hg is not solvable.
-    Below the top, the quotient is one of the restriction to T.  A
+    as (quotient, group table), cached; None when hg is not solvable.
+    Each quotient is a subquotient of hg, its cosets masks over hg.  A
     series that stands still needs no quotient.  The one-element
     hypergroup has the factor {0} // {0}, so a solvable hypergroup
     always has a top factor."""
@@ -87,16 +86,12 @@ def _residue_series(hg: Hypergroup) -> tuple[tuple[int, QuotientHypergroup, Tabl
             return None
     factors = []
     for outer, inner in zip(masks, masks[1:]):
-        sub = ClosedSubset(hg, inner)
-        if outer == hg.full_mask:
-            q = quotient(hg, sub)
-        else:
-            q = subquotient(hg, ClosedSubset(hg, outer), sub)
+        q = subquotient(hg, ClosedSubset(hg, outer), ClosedSubset(hg, inner))
         table = group_from_thin(q)
         if not is_solvable_group(table):
             hg._residue = None
             return None
-        factors.append((outer, q, table))
+        factors.append((q, table))
     hg._residue = tuple(factors)
     return hg._residue
 
@@ -132,12 +127,10 @@ def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
     if series is None:
         return None
     masks = [1]
-    for outer, q, table in reversed(series):
-        members = tuple(bits_of(outer))
+    for q, table in reversed(series):
         for h in _prime_series(table)[1:]:
             # the cosets are disjoint, so their sum is their union
-            lifted = sum(q.cosets[c] for c in bits_of(h))
-            masks.append(mask_of(members[x] for x in bits_of(lifted)))
+            masks.append(sum(q.cosets[c] for c in bits_of(h)))
     subsets = tuple(ClosedSubset(hg, m) for m in masks)
     primes = tuple(step_quotient_order(hg, lo, hi) for lo, hi in zip(masks, masks[1:]))
     for lo, hi, p in zip(subsets, subsets[1:], primes):

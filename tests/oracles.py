@@ -4,20 +4,32 @@ These deliberately recompute results of the fast algorithms by scanning
 whole power sets or whole closed-subset lattices.  They exist so tests
 can cross-check the clever code against something too dumb to be wrong.
 Lattice walks for solvability, the theta core and the pi-core, which
-the library reads off the thin residue instead, live here as well.
+the library reads off the thin residue instead, live here as well, and
+so does the subquotient built by way of a validated restriction copy,
+which the library reads straight off the parent table.
 """
 from __future__ import annotations
 
 from schemehall.arith import is_pi_number, is_prime
-from schemehall.errors import EmptyInputError, InternalInconsistencyError, SearchOverflowError
+from schemehall.errors import (
+    EmptyInputError,
+    InternalInconsistencyError,
+    NotClosedError,
+    NotSubsetError,
+    SearchOverflowError,
+)
 from schemehall.hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
+    bits_of,
     enumerate_closed_subsets,
     is_strongly_normal,
     is_subnormal,
+    mask_of,
+    validate_hypergroup,
 )
+from schemehall.quotient import QuotientHypergroup, quotient
 from schemehall.solvability import step_quotient_order
 
 __all__ = [
@@ -27,6 +39,9 @@ __all__ = [
     "solvable_chain_dfs",
     "theta_core_lattice",
     "o_pi_lattice",
+    "restriction_copy",
+    "subquotient_of_copy",
+    "subquotient_over_parent",
 ]
 
 SCAN_CAP = 16
@@ -158,3 +173,49 @@ def o_pi_lattice(scheme, ps: frozenset[int]) -> int:
     if any(t.bits & ~core.bits for t in found):
         raise InternalInconsistencyError("the largest subnormal pi-subset misses another one")
     return core.bits
+
+
+def restriction_copy(hg: Hypergroup, subset: ElementSubset) -> tuple[Hypergroup, tuple[int, ...]]:
+    """The closed subset as a hypergroup of its own.
+
+    Returns the re-indexed hypergroup together with the member tuple, so
+    new index i corresponds to old element members[i].
+    """
+    subset._check(hg.universe())
+    if not hg.is_closed_mask(subset.bits):
+        raise NotClosedError("can only restrict to a closed subset")
+    members = subset.members()
+    pos = {old: new for new, old in enumerate(members)}
+    raw = [
+        [mask_of(pos[x] for x in bits_of(hg.table[a][b])) for b in members]
+        for a in members
+    ]
+    sub = validate_hypergroup(raw, name=f"{hg.name}|{members}")
+    return sub, members
+
+
+def subquotient_of_copy(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> QuotientHypergroup:
+    """outer // inner, both closed subsets of hg with inner inside outer,
+    as the quotient of the restriction copy; its cosets are masks over
+    that copy, element i standing for outer.members()[i]."""
+    outer._check(inner)
+    if not inner.issubset(outer):
+        raise NotSubsetError("inner subset must lie inside the outer one")
+    sub, members = restriction_copy(hg, outer)
+    pos = {old: new for new, old in enumerate(members)}
+    inner_in_sub = sub.subset(mask_of(pos[x] for x in inner.members()))
+    return quotient(sub, inner_in_sub)
+
+
+def subquotient_over_parent(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> tuple:
+    """(table, inverse, cosets, coset_of) of subquotient_of_copy, its
+    cosets mapped through the members of outer back to masks over hg and
+    coset_of read off them, -1 outside outer."""
+    q = subquotient_of_copy(hg, outer, inner)
+    members = outer.members()
+    cosets = tuple(mask_of(members[x] for x in bits_of(c)) for c in q.cosets)
+    coset_of = [-1] * hg.size
+    for i, c in enumerate(cosets):
+        for x in bits_of(c):
+            coset_of[x] = i
+    return q.table, q.inverse, cosets, tuple(coset_of)

@@ -262,18 +262,18 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
     Hall structure off that one quotient."""
     quotients = []
     thin = []
-    original_quotient = solvability_module.quotient
+    original_quotient = solvability_module.subquotient
     original_thin = groups_module.thin_hypergroup
 
-    def counted_quotient(hg, sub):
-        quotients.append(sub.bits)
-        return original_quotient(hg, sub)
+    def counted_quotient(hg, outer, inner):
+        quotients.append(inner.bits)
+        return original_quotient(hg, outer, inner)
 
     def counted_thin(*args, **kwargs):
         thin.append(args)
         return original_thin(*args, **kwargs)
 
-    monkeypatch.setattr(solvability_module, "quotient", counted_quotient)
+    monkeypatch.setattr(solvability_module, "subquotient", counted_quotient)
     monkeypatch.setattr(groups_module, "thin_hypergroup", counted_thin)
     monkeypatch.setattr(hall_module, "thin_hypergroup", counted_thin, raising=False)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
@@ -312,6 +312,25 @@ def test_context_validates_its_group_table_once(monkeypatch):
     sh.hall_subgroups(sh.symmetric(4), {2})
     assert calls == [24]
     assert assoc == [24, 24]
+
+
+def test_hall_path_runs_the_derived_series_once(monkeypatch):
+    """The residue series checks S4 // {0} solvable once; the Hall
+    subgroups of each pi trust that check."""
+    calls = []
+    original = groups_module._derived_series
+
+    def counted(t):
+        calls.append(len(t))
+        return original(t)
+
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    assert s4.hypergroup.size == 24
+    monkeypatch.setattr(groups_module, "_derived_series", counted)
+    monkeypatch.setattr(solvability_module, "_derived_series", counted)
+    sh.find_hall(s4, {2})
+    sh.find_hall(s4, {3})
+    assert calls == [24]
 
 
 def test_group_from_thin_reads_the_validated_group():

@@ -17,6 +17,9 @@ import pytest
 import schemehall as sh
 from schemehall.hypergroup import bits_of
 
+from conftest import catalogue_schemes
+from oracles import restriction_copy, subquotient_of_copy, subquotient_over_parent
+
 PENTAGON = [[{0}, {1}, {2}], [{1}, {0, 2}, {1, 2}], [{2}, {1, 2}, {0, 1}]]
 SQUARE = [[{0}, {1}, {2}], [{1}, {0, 2}, {1}], [{2}, {1}, {0}]]
 
@@ -96,6 +99,64 @@ def test_subquotient_degenerate_cases(c6):
     part = sh.subquotient(c6, sh.closure(c6.subset([2])), c6.neutral_subset())
     assert part.size == 3
     assert sh.is_thin(part)
+
+
+def test_subquotient_matches_the_restriction_copy_on_the_catalogue():
+    """Every closed pair F inside T of the catalogue to order 12: T // F
+    read off the parent table equals the quotient of the validated
+    restriction copy, cosets mapped back through the members of T."""
+    pairs = 0
+    for scheme in catalogue_schemes(12):
+        hg = scheme.hypergroup
+        closed = sh.enumerate_closed_subsets(hg)
+        for t in closed:
+            for f in closed:
+                if not f.issubset(t):
+                    continue
+                q = sh.subquotient(hg, t, f)
+                got = (q.table, q.inverse, q.cosets, q.coset_of)
+                assert got == subquotient_over_parent(hg, t, f), (scheme.name, t, f)
+                assert q.parent is hg and q.modulus == f
+                pairs += 1
+    assert pairs == 1633
+
+
+def test_subquotient_projects_and_lifts_over_the_parent(c6):
+    """A subquotient's parent is hg itself: lifts land in hg, and a
+    closed subset of hg that leaves the outer subset does not project.
+    The restriction to T is T // {0}."""
+    t = sh.closure(c6.subset([2]))
+    q = sh.subquotient(c6, t, c6.neutral_subset())
+    assert q.coset_of == (0, -1, 1, -1, 2, -1)
+    with pytest.raises(sh.NotSubsetError):
+        sh.project_closed(q, c6.universe())
+    assert sh.lift_closed(q, sh.project_closed(q, t)) == t
+    assert sh.is_thin_quotient(q)
+    sub, members = sh.restriction(c6, t)
+    assert members == (0, 2, 4) and sub.parent is c6
+    assert (sub.table, sub.inverse, sub.cosets) == (q.table, q.inverse, q.cosets)
+
+
+def test_kernel_entries_reject_as_the_restriction_copy_does(c6, c3):
+    """Same error type and message, checked in the same order."""
+    odd, halves = c6.subset([1, 3]), c6.subset([0, 3])
+    cases = [
+        (sh.subquotient, subquotient_of_copy, (c6.subset([0, 1]), c6.neutral_subset())),
+        (sh.subquotient, subquotient_of_copy, (odd, c6.neutral_subset())),
+        (sh.subquotient, subquotient_of_copy, (halves, c6.subset([0, 2]))),
+        (sh.subquotient, subquotient_of_copy, (c6.universe(), c6.subset([0, 1]))),
+        (sh.subquotient, subquotient_of_copy, (c3.universe(), c3.neutral_subset())),
+        (sh.subquotient, subquotient_of_copy, (c6.universe(), c3.neutral_subset())),
+        (sh.restriction, restriction_copy, (c6.subset([0, 1]),)),
+        (sh.restriction, restriction_copy, (odd,)),
+        (sh.restriction, restriction_copy, (c3.universe(),)),
+    ]
+    for kernel, copy, args in cases:
+        with pytest.raises(sh.SchemehallError) as new:
+            kernel(c6, *args)
+        with pytest.raises(sh.SchemehallError) as old:
+            copy(c6, *args)
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value)), args
 
 
 def test_lift_project_bijection(c6):

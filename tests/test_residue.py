@@ -8,6 +8,7 @@ pi the scheme meets the hypotheses for, the pi-core is the largest
 subnormal closed pi-subset and the lifted Hall family is the exhaustive
 filter.  The solvable chain refined from the residue series is checked
 step by step, and P. Hall's criterion is checked on the group schemes.
+Each residue factor equals the quotient of a validated restriction copy.
 """
 
 import functools
@@ -16,9 +17,10 @@ import sys
 
 import schemehall as sh
 from schemehall import hall as hall_module
+from schemehall.solvability import _residue_series
 
 from conftest import ALL_PI, catalogue_schemes, product_matrices
-from oracles import o_pi_lattice, solvable_chain_dfs, theta_core_lattice
+from oracles import o_pi_lattice, solvable_chain_dfs, subquotient_over_parent, theta_core_lattice
 
 
 @functools.cache
@@ -45,6 +47,19 @@ def test_residue_is_the_lattice_theta_core_and_decides_solvability():
         hg = s.hypergroup
         assert sh.theta_core(hg) == theta_core_lattice(hg), s.name
         assert sh.is_solvable_scheme(s) == (solvable_chain_dfs(hg) is not None), s.name
+
+
+def test_residue_factors_match_the_restriction_copy():
+    factors = 0
+    for s in corpus():
+        hg = s.hypergroup
+        for q, table in _residue_series(hg) or ():
+            outer = sh.ClosedSubset(hg, sum(q.cosets))
+            got = (q.table, q.inverse, q.cosets, q.coset_of)
+            assert got == subquotient_over_parent(hg, outer, q.modulus), s.name
+            assert table == sh.group_from_thin(q), s.name
+            factors += 1
+    assert factors == 178
 
 
 def test_core_and_family_match_the_lattice():
@@ -114,3 +129,36 @@ def test_solvability_and_core_walk_no_lattice(monkeypatch):
         for pi in pis:
             sh.compute_o_pi(s, pi)
     assert calls == []
+
+
+def test_each_residue_factor_is_validated_once(monkeypatch):
+    """On a fresh scheme with its hypergroup built, is_solvable_scheme
+    validates each residue factor once, never on the set-valued path,
+    and restricts nothing; the wreath products have five and four
+    factors."""
+    calls = []
+
+    def counting(module_name, name):
+        original = getattr(importlib.import_module(module_name), name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("schemehall.") and hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    counting("schemehall.hypergroup", "validate_hypergroup")
+    counting("schemehall.hypergroup", "_h1_witness")
+    counting("schemehall.quotient", "restriction")
+    cases = [
+        (sh.bundled_scheme("hm176_28").scheme(), 2),
+        (sh.validate_scheme(product_matrices()[6][1]), 5),
+        (sh.validate_scheme(product_matrices()[2][1]), 4),
+    ]
+    for s, factors in cases:
+        assert s.hypergroup.size > 1
+        calls.clear()
+        assert sh.is_solvable_scheme(s)
+        assert calls == ["validate_hypergroup"] * factors, s.name
