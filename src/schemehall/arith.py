@@ -7,6 +7,7 @@ pi-number for every pi, including the empty set.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 
 __all__ = [
     "is_prime",
@@ -47,9 +48,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def is_pi_number(n: int, pi: frozenset[int]) -> bool:
+@lru_cache(maxsize=4096)
+def _prime_set(n: int) -> frozenset[int]:
+    """prime_factors(n) as a frozenset, cached: the same few valencies and
+    indices are asked about again for every closed subset and pi.  A
+    ValueError for n < 1 is raised afresh on each call, never cached."""
+    return frozenset(prime_factors(n))
+
+
+def is_pi_number(n: int, pi: Iterable[int]) -> bool:
     """True when every prime divisor of n lies in pi."""
-    return all(p in pi for p in prime_factors(n))
+    return _prime_set(n).issubset(pi)
 
 
 def pi_part(n: int, pi: frozenset[int]) -> int:

@@ -123,21 +123,33 @@ class Hypergroup:
 
     # -- mask level (internal workhorses) -----------------------------
 
+    # the two kernels below walk their masks inline, low = m & -m, as
+    # bits_of does: they run on every product and closure step, where a
+    # generator's next() calls cost more than the loop body
+
     def mul_masks(self, left: int, right: int) -> int:
-        out = 0
+        rights = []
+        while right:
+            low = right & -right
+            rights.append(low.bit_length() - 1)
+            right ^= low
         table = self.table
-        rights = list(bits_of(right))
-        for a in bits_of(left):
-            row = table[a]
+        out = 0
+        while left:
+            low = left & -left
+            row = table[low.bit_length() - 1]
             for b in rights:
                 out |= row[b]
+            left ^= low
         return out
 
     def star_mask(self, mask: int) -> int:
         inv = self.inverse
         out = 0
-        for s in bits_of(mask):
-            out |= 1 << inv[s]
+        while mask:
+            low = mask & -mask
+            out |= 1 << inv[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def closure_mask(self, mask: int) -> int:

@@ -2,7 +2,8 @@
 
 The quotient T // F, F inside T closed subsets of H, lives on the double
 cosets F h F, h in T, as masks over H; one kernel reads it off H's table
-for quotient (T = H), subquotient and restriction (F = {0}).  Coset i is
+for quotient (T = H), subquotient and restriction (F = {0}), except
+H // {0}, which is H itself with singleton cosets.  Coset i is
 represented by the smallest element it contains, cosets are numbered in
 order of their representatives, and the coset of the neutral element
 (which is F itself) therefore always lands at index 0.
@@ -80,11 +81,23 @@ def _quotient(
     """outer // F for a closed mask outer holding F, read off hg's own rows
     and columns.  The product of cosets with representatives a and b is
     the set of cosets meeting a F b; the table is validated once against
-    the hypergroup axioms before being returned."""
+    the hypergroup axioms before being returned.  H // {0} is H itself,
+    its cosets the singletons: it shares hg's table, which
+    validate_hypergroup checked when it built hg."""
     modulus._check(hg.universe())
     if not hg.is_closed_mask(modulus.bits):
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
+    if f == 1 and outer == hg.full_mask:
+        return QuotientHypergroup(
+            hg.table,
+            hg.inverse,
+            parent=hg,
+            modulus=ClosedSubset(hg, 1),
+            cosets=tuple(1 << s for s in hg.elements),
+            coset_of=tuple(hg.elements),
+            name=name,
+        )
 
     cosets = _double_cosets(hg, f, outer)
     coset_of = [-1] * hg.size

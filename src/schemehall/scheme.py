@@ -20,7 +20,7 @@ from itertools import chain
 from operator import add
 from typing import NoReturn
 
-from .arith import is_pi_number, prime_factors, validate_pi
+from .arith import _prime_set, is_pi_number, prime_factors, validate_pi
 from .errors import (
     IdentityViolationError,
     InternalInconsistencyError,
@@ -40,6 +40,7 @@ from .hypergroup import (
     Hypergroup,
     bits_of,
     enumerate_closed_subsets,
+    mask_of,
     validate_hypergroup,
 )
 from .quotient import QuotientHypergroup, quotient
@@ -87,6 +88,8 @@ class AssociationScheme:
         # by pi & primes; both filled by schemehall.hall
         self._hall_contexts: dict = {}
         self._residue_halls: dict = {}
+        # masks of the pi-valenced relations, by pi & primes
+        self._pi_valenced: dict = {}
         self._closed_subsets: tuple[SchemeClosedSubset, ...] | None = None
 
     def __repr__(self) -> str:
@@ -534,10 +537,21 @@ class PiPredicates:
         )
 
 
+def _pi_valenced_mask(scheme: AssociationScheme, ps: frozenset[int]) -> int:
+    """Mask of the relations whose valency is a ps-number, for a validated
+    ps; cached per scheme by ps & primes, as no other prime decides it."""
+    key = ps & scheme.primes
+    mask = scheme._pi_valenced.get(key)
+    if mask is None:
+        mask = scheme._pi_valenced[key] = mask_of(
+            s for s, v in enumerate(scheme.valencies) if is_pi_number(v, key)
+        )
+    return mask
+
+
 def is_pi_valenced(scheme: AssociationScheme, pi: Iterable[int]) -> bool:
     """True when every relation valency of the scheme is a pi-number."""
-    ps = validate_pi(pi)
-    return all(is_pi_number(v, ps) for v in scheme.valencies)
+    return _pi_valenced_mask(scheme, validate_pi(pi)) == (1 << scheme.rank) - 1
 
 
 def pi_predicates(
@@ -546,13 +560,13 @@ def pi_predicates(
     ps = validate_pi(pi)
     if subset.scheme is not scheme:
         raise ParentMismatchError("subset belongs to a different scheme")
-    valenced = all(is_pi_number(scheme.valencies[s], ps) for s in subset.members())
+    valenced = subset.bits & ~_pi_valenced_mask(scheme, ps) == 0
     closed_pi = valenced and is_pi_number(subset.valency, ps)
     n_total = scheme.n_points
     index = n_total // subset.valency
     if subset.valency * index != n_total:
         raise InternalInconsistencyError("closed subset valency must divide n")
-    hall = closed_pi and (index == 1 or all(p not in ps for p in prime_factors(index)))
+    hall = closed_pi and _prime_set(index).isdisjoint(ps)
     return PiPredicates(valenced, closed_pi, hall)
 
 

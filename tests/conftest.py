@@ -71,6 +71,22 @@ def product_matrices() -> tuple:
     return tuple(out)
 
 
+@functools.cache
+def group_schemes() -> tuple:
+    """Thin schemes of the 38 bundled groups and of A5."""
+    out = [sh.from_group(sh.bundled_group(n).table, name=n) for n in sh.bundled_group_names()]
+    out.append(sh.from_group(sh.alternating(5), name="a5"))
+    return tuple(out)
+
+
+@functools.cache
+def residue_corpus() -> tuple:
+    """The catalogue to order 28, the twelve product schemes and the
+    group schemes: 187 schemes, 72 of them not solvable."""
+    products = tuple(sh.validate_scheme(m, name=name) for name, m in product_matrices())
+    return catalogue_schemes(28) + products + group_schemes()
+
+
 @pytest.fixture(scope="session")
 def corpus12():
     return catalogue_schemes(12)

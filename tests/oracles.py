@@ -6,7 +6,9 @@ can cross-check the clever code against something too dumb to be wrong.
 Lattice walks for solvability, the theta core and the pi-core, which
 the library reads off the thin residue instead, live here as well, and
 so does the subquotient built by way of a validated restriction copy,
-which the library reads straight off the parent table.
+which the library reads straight off the parent table.  So do the
+product and star kernels as they were written over bits_of, before the
+library walked their masks inline.
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ from schemehall.quotient import QuotientHypergroup, quotient
 from schemehall.solvability import step_quotient_order
 
 __all__ = [
+    "mul_masks_bits_of",
+    "star_mask_bits_of",
     "all_closed_subsets_scan",
     "closure_scan",
     "solvable_chain_scan",
@@ -45,6 +49,27 @@ __all__ = [
 ]
 
 SCAN_CAP = 16
+
+
+def mul_masks_bits_of(hg: Hypergroup, left: int, right: int) -> int:
+    """Hypergroup.mul_masks with both masks walked by bits_of."""
+    out = 0
+    table = hg.table
+    rights = list(bits_of(right))
+    for a in bits_of(left):
+        row = table[a]
+        for b in rights:
+            out |= row[b]
+    return out
+
+
+def star_mask_bits_of(hg: Hypergroup, mask: int) -> int:
+    """Hypergroup.star_mask with the mask walked by bits_of."""
+    inv = hg.inverse
+    out = 0
+    for s in bits_of(mask):
+        out |= 1 << inv[s]
+    return out
 
 
 def all_closed_subsets_scan(hg: Hypergroup) -> tuple[ClosedSubset, ...]:

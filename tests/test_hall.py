@@ -8,6 +8,7 @@ transpositions, and O_3(S4) is trivial.
 """
 
 import importlib
+import sys
 
 import pytest
 
@@ -305,13 +306,39 @@ def test_context_validates_its_group_table_once(monkeypatch):
     monkeypatch.setattr(hall_module, "validate_group", counted)
     sh.find_hall(s4, {2})
     sh.find_hall(s4, {3})
-    # the thin residue of S4 is {0}: validate_hypergroup checks the one
-    # quotient S4 // {0} once, group_from_thin reads it, and both pi use it
-    assert assoc == [24]
+    # the thin residue of S4 is {0}, and S4 // {0} is S4's own table,
+    # checked when s4.hypergroup was built: group_from_thin reads it as
+    # it stands, and both pi use it
+    assert assoc == []
     assert calls == []
     sh.hall_subgroups(sh.symmetric(4), {2})
     assert calls == [24]
-    assert assoc == [24, 24]
+    assert assoc == [24]
+
+
+def test_find_hall_on_a_group_scheme_validates_no_hypergroup(monkeypatch):
+    """Once a group scheme's hypergroup is built, find_hall validates no
+    hypergroup: its residue factor H // {0} is H itself."""
+    calls = []
+    original = hypergroup_module.validate_hypergroup
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("schemehall.") and hasattr(module, "validate_hypergroup"):
+            monkeypatch.setattr(module, "validate_hypergroup", counted)
+    queries = 0
+    for name in sh.bundled_group_names():
+        s = sh.from_group(sh.bundled_group(name).table, name=name)
+        assert s.hypergroup.size == s.n_points
+        calls.clear()
+        for p in sorted(s.primes):
+            sh.find_hall(s, {p})
+            queries += 1
+        assert calls == [], name
+    assert queries == 58
 
 
 def test_hall_path_runs_the_derived_series_once(monkeypatch):

@@ -12,7 +12,10 @@ and the hypergroups of the order-28 catalogue schemes.  The thin
 tables (groups, the quotients the Hall contexts build and a 96-point
 group) are also checked against the set-valued validation loops, the
 quotient table against a product of cosets per pair, and strong
-normality against its two-product definition.
+normality against its two-product definition.  The product and star
+kernels, which walk their masks inline, are checked against their
+bits_of versions in oracles.py on every scheme of the residue corpus,
+and so is H // {0}, against the quotient of the restriction copy.
 
 The operation-count guards at the end count calls, not time.
 """
@@ -28,7 +31,14 @@ import pytest
 import schemehall as sh
 from schemehall.hypergroup import Hypergroup, _associativity_witness, _h1_witness
 
-from conftest import ALL_PI, catalogue_schemes, corpus_hypergroups, product_matrices
+from conftest import (
+    ALL_PI,
+    catalogue_schemes,
+    corpus_hypergroups,
+    product_matrices,
+    residue_corpus,
+)
+from oracles import mul_masks_bits_of, star_mask_bits_of, subquotient_over_parent
 
 
 def _members(mask):
@@ -139,6 +149,33 @@ def test_mul_masks_matches_double_loop():
         pairs += [(rng.randrange(1 << hg.size), rng.randrange(1 << hg.size)) for _ in range(40)]
         for left, right in pairs:
             assert hg.mul_masks(left, right) == mul_oracle(hg, left, right), (hg.name, left, right)
+
+
+def test_inline_kernels_match_the_bits_of_loops():
+    """On the hypergroup of every scheme of the residue corpus, mul_masks
+    and star_mask equal their bits_of versions on seeded random masks,
+    and H // {0}, which shares H's table, equals the quotient of the
+    validated restriction copy and keeps the name the double-coset
+    kernel gave it."""
+    rng = random.Random(13)
+    sizes = set()
+    for scheme in residue_corpus():
+        hg = scheme.hypergroup
+        sizes.add(hg.size)
+        full = hg.full_mask
+        masks = [0, 1, full, *(1 << s for s in range(hg.size)), *random_masks(rng, hg, 12)]
+        for mask in masks:
+            assert hg.star_mask(mask) == star_mask_bits_of(hg, mask), (scheme.name, mask)
+        for left in masks[:3] + masks[-12:]:
+            for right in masks[:3] + masks[-12:]:
+                got = hg.mul_masks(left, right)
+                assert got == mul_masks_bits_of(hg, left, right), (scheme.name, left, right)
+        q = sh.quotient(hg, hg.neutral_subset())
+        got = (q.table, q.inverse, q.cosets, q.coset_of)
+        assert got == subquotient_over_parent(hg, hg.universe(), hg.neutral_subset()), scheme.name
+        assert q.name == f"{hg.name}//(0,)"
+        assert q.parent is hg and q.modulus == hg.neutral_subset()
+    assert {1, 24, 60, 96} <= sizes
 
 
 def test_closure_matches_fixpoint():

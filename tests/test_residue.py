@@ -11,7 +11,6 @@ step by step, and P. Hall's criterion is checked on the group schemes.
 Each residue factor equals the quotient of a validated restriction copy.
 """
 
-import functools
 import importlib
 import sys
 
@@ -19,21 +18,8 @@ import schemehall as sh
 from schemehall import hall as hall_module
 from schemehall.solvability import _residue_series
 
-from conftest import ALL_PI, catalogue_schemes, product_matrices
+from conftest import ALL_PI, group_schemes, product_matrices, residue_corpus as corpus
 from oracles import o_pi_lattice, solvable_chain_dfs, subquotient_over_parent, theta_core_lattice
-
-
-@functools.cache
-def group_schemes() -> tuple:
-    out = [sh.from_group(sh.bundled_group(n).table, name=n) for n in sh.bundled_group_names()]
-    out.append(sh.from_group(sh.alternating(5), name="a5"))
-    return tuple(out)
-
-
-@functools.cache
-def corpus() -> tuple:
-    products = tuple(sh.validate_scheme(m, name=name) for name, m in product_matrices())
-    return catalogue_schemes(28) + products + group_schemes()
 
 
 def test_corpus_size():

@@ -19,6 +19,8 @@ import pytest
 import schemehall as sh
 from schemehall import scheme as scheme_module
 
+from conftest import ALL_PI, catalogue_schemes
+
 P3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 STAR_BAD = [
     [0, 1, 1, 2],
@@ -241,3 +243,50 @@ def test_bundled_catalogue_counts():
         files = sh.bundled_catalogue(order)
         assert len(files) == count, order
     assert sum(expected.values()) == 132
+
+
+def _primes_literal(n):
+    return {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
+
+
+def test_pi_predicates_match_the_literal_definition():
+    """Every (scheme, pi, closed subset) of the catalogue to order 28:
+    pi_predicates, read off a cached mask of the pi-valenced relations
+    and cached prime sets, equals the definition relation by relation;
+    is_pi_valenced does too.  Each pi is asked as a frozenset and as a
+    list, so a cached answer is read back for the same primes."""
+    triples = 0
+    for scheme in catalogue_schemes(28):
+        n = scheme.n_points
+        for pi in ALL_PI:
+            valenced_rel = [_primes_literal(v) <= pi for v in scheme.valencies]
+            assert sh.is_pi_valenced(scheme, pi) == all(valenced_rel), scheme.name
+            assert sh.is_pi_valenced(scheme, sorted(pi)) == all(valenced_rel), scheme.name
+            for t in scheme.closed_subsets():
+                valenced = all(valenced_rel[s] for s in t.members())
+                closed_pi = valenced and _primes_literal(t.valency) <= pi
+                hall = closed_pi and not _primes_literal(n // t.valency) & pi
+                for asked in (pi, sorted(pi)):
+                    pp = sh.pi_predicates(scheme, t, asked)
+                    got = (pp.is_pi_valenced, pp.is_closed_pi_subset, pp.is_hall_pi_subset)
+                    assert got == (valenced, closed_pi, hall), (scheme.name, sorted(pi), t)
+                triples += 1
+    assert triples == 646 * len(ALL_PI)
+
+
+def test_is_pi_number_keeps_its_errors_and_pi_containers():
+    for n in (0, -1):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"expected a positive integer, got {n}"):
+                sh.is_pi_number(n, {2})
+    for make in (list, tuple, set, frozenset):
+        assert sh.is_pi_number(12, make([2, 3]))
+        assert not sh.is_pi_number(12, make([2]))
+        assert sh.is_pi_number(1, make([]))
+        assert not sh.is_pi_number(7, make([]))
+    got = sh.prime_factors(12)
+    got.append(5)
+    got.remove(3)
+    assert sh.prime_factors(12) == [2, 3]
+    assert not sh.is_pi_number(12, {2, 5})
+    assert sh.is_pi_number(12, {2, 3})
