@@ -20,8 +20,9 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; plenty for the orders handled here."""
-    if n < 2:
+    """Primality by trial division; plenty for the orders handled here.
+    Anything but a plain int, a bool or a float included, is not prime."""
+    if type(n) is not int or n < 2:
         return False
     d = 2
     while d * d <= n:
@@ -63,10 +64,8 @@ def is_pi_number(n: int, pi: Iterable[int]) -> bool:
 
 def pi_part(n: int, pi: frozenset[int]) -> int:
     """Largest divisor of n that is a pi-number."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
     out = 1
-    for p in prime_factors(n):
+    for p in _prime_set(n):
         if p in pi:
             while n % p == 0:
                 n //= p
@@ -79,7 +78,7 @@ def validate_pi(pi: Iterable[int]) -> frozenset[int]:
     out = frozenset(pi)
     for p in out:
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"{p!r} is not prime")
     return out
 
 

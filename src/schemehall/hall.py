@@ -45,6 +45,7 @@ from .quotient import QuotientHypergroup, lift_closed
 from .scheme import (
     AssociationScheme,
     SchemeClosedSubset,
+    _pi_valenced_mask,
     conjugators,
     is_solvable_scheme,
     pi_predicates,
@@ -115,12 +116,13 @@ class HallCertificate:
 
 
 def _require_solvable_and_valenced(scheme: AssociationScheme, ps: frozenset[int]) -> None:
-    for s, v in enumerate(scheme.valencies):
-        if not is_pi_number(v, ps):
-            raise NotPiValencedError(
-                f"scheme is not {format_pi(ps)}-valenced: "
-                f"relation {s} has valency {v}"
-            )
+    missing = ~_pi_valenced_mask(scheme, ps) & ((1 << scheme.rank) - 1)
+    if missing:
+        s = (missing & -missing).bit_length() - 1  # the first relation that fails
+        raise NotPiValencedError(
+            f"scheme is not {format_pi(ps)}-valenced: "
+            f"relation {s} has valency {scheme.valencies[s]}"
+        )
     if not is_solvable_scheme(scheme):
         raise NotSolvableError(
             "scheme admits no chain of strongly normal closed subsets "

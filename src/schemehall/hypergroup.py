@@ -85,7 +85,7 @@ class Hypergroup:
     instances through validate_hypergroup.
     """
 
-    __slots__ = ("size", "table", "inverse", "name", "_closed", "_normal_edges", "_residue")
+    __slots__ = ("size", "table", "inverse", "name", "_closed", "_residue")
 
     def __init__(
         self,
@@ -98,7 +98,6 @@ class Hypergroup:
         self.inverse = inverse
         self.name = name
         self._closed: tuple[ClosedSubset, ...] | None = None
-        self._normal_edges: dict[int, tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -547,14 +546,47 @@ def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     return out
 
 
+def _normalizer(hg: Hypergroup, c: int, within: int) -> int:
+    """Mask of the elements x of within with C x inside x C.
+
+    For every x at once: C x is the union over the members y of C of
+    row y read at x, and x C the union of column y, read through the
+    rows; each union is one C-level pass per member.
+    """
+    rows = hg.table
+    cx = xc = [0] * hg.size
+    for y in bits_of(c):
+        cx = list(map(or_, cx, rows[y]))
+        xc = list(map(or_, xc, map(itemgetter(y), rows)))
+    return mask_of(x for x in bits_of(within) if not cx[x] & ~xc[x])
+
+
+def _conjugates(hg: Hypergroup, mask: int, within: int) -> Iterator[tuple[int, int]]:
+    """Yield (h, h^ M h) for each element h of within, lowest first.
+
+    h^M is row h^ over the members of M, listed once; (h^M)h is then
+    column h over h^M, read as rows[y][h].
+    """
+    rows = hg.table
+    inv = hg.inverse
+    members = list(bits_of(mask))
+    for h in bits_of(within):
+        row = rows[inv[h]]
+        hm = 0
+        for x in members:
+            hm |= row[x]
+        conj = 0
+        while hm:  # inline, as in mul_masks: this loop runs once per member of h^M
+            y = hm & -hm
+            conj |= rows[y.bit_length() - 1][h]
+            hm ^= y
+        yield h, conj
+
+
 def normalizes(d: ElementSubset, e: ElementSubset) -> bool:
     """True when E d is contained in d E for every element d of D."""
     d._check(e)
-    hg = d.parent
-    for x in bits_of(d.bits):
-        if hg.mul_masks(e.bits, 1 << x) & ~hg.mul_masks(1 << x, e.bits):
-            return False
-    return True
+    return _normalizer(d.parent, e.bits, d.bits) == d.bits
 
 
 def is_normal_in(f: ElementSubset, g: ElementSubset) -> bool:
@@ -573,66 +605,33 @@ def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
     f._check(g)
     if not f.issubset(g):
         raise NotSubsetError("strong normality is only defined for F inside G")
-    hg = f.parent
-    inv = hg.inverse
-    rows = hg.table
-    cols = tuple(zip(*rows))
-    members = list(bits_of(f.bits))
-    for h in bits_of(g.bits):
-        # h^F is row h^ over F, then (h^F)h is column h over h^F
-        row = rows[inv[h]]
-        hf = 0
-        for x in members:
-            hf |= row[x]
-        col = cols[h]
-        conj = 0
-        for y in bits_of(hf):
-            conj |= col[y]
-        if conj & ~f.bits:
-            return False
-    return True
-
-
-def _normal_edges(hg: Hypergroup) -> dict[int, tuple[int, ...]]:
-    """For each closed subset mask, the masks of closed supersets it is normal in.
-
-    C is normal in D exactly when D contains C and lies inside the
-    normalizer N(C) = {x : C x inside x C}, so each C costs one
-    normalizer and then a mask test per candidate D.
-    """
-    if hg._normal_edges is not None:
-        return hg._normal_edges
-    subs = [c.bits for c in enumerate_closed_subsets(hg)]
-    rows = hg.table
-    cols = list(zip(*rows))
-    edges: dict[int, tuple[int, ...]] = {}
-    for c in subs:
-        members = list(bits_of(c))
-        norm = 0
-        for x in range(hg.size):
-            cx = reduce(or_, map(cols[x].__getitem__, members))
-            if not cx & ~reduce(or_, map(rows[x].__getitem__, members)):
-                norm |= 1 << x
-        edges[c] = tuple(d for d in subs if d != c and c & ~d == 0 and d & ~norm == 0)
-    hg._normal_edges = edges
-    return edges
+    return all(not conj & ~f.bits for _, conj in _conjugates(f.parent, f.bits, g.bits))
 
 
 def is_subnormal(f: ElementSubset, g: ElementSubset) -> bool:
-    """True when a chain F = F0 normal in F1 ... normal in Fn = G exists."""
+    """True when a chain F = F0 normal in F1 ... normal in Fn = G exists.
+
+    Depth first over the closed subsets between F and G: C steps to each
+    closed D above it that lies in the normalizer of C in G, which is
+    exactly when C is normal in D.
+    """
     f._check(g)
     if not f.issubset(g):
         return False
     if f.bits == g.bits:
         return True
-    edges = _normal_edges(f.parent)
+    hg = f.parent
+    if not hg.is_closed_mask(f.bits):
+        return False  # every link of a chain is a closed subset
+    subs = [d.bits for d in enumerate_closed_subsets(hg)]
+    target = g.bits
     seen = {f.bits}
     stack = [f.bits]
-    target = g.bits
     while stack:
         cur = stack.pop()
-        for up in edges.get(cur, ()):
-            if up & ~target:
+        norm = _normalizer(hg, cur, target)
+        for up in subs:
+            if up == cur or cur & ~up or up & ~norm:
                 continue
             if up == target:
                 return True

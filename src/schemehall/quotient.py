@@ -111,23 +111,22 @@ def _quotient(
 
     k = len(cosets)
     rows = hg.table
-    cols = tuple(zip(*rows))
     f_members = list(bits_of(f))
     reps = [(c & -c).bit_length() - 1 for c in cosets]
     raw: list[list[int]] = []
     for i in range(k):
-        # (rep_i F) rep_j is column rep_j over the members of rep_i F
+        # (rep_i F) rep_j is column rep_j over the members of rep_i F,
+        # read off their rows
         row_i = rows[reps[i]]
         rep_f = 0
         for x in f_members:
             rep_f |= row_i[x]
-        rep_f_members = list(bits_of(rep_f))
+        rep_f_rows = [rows[y] for y in bits_of(rep_f)]
         row = []
-        for j in range(k):
-            col = cols[reps[j]]
+        for r in reps:
             prod = 0
-            for y in rep_f_members:
-                prod |= col[y]
+            for y_row in rep_f_rows:
+                prod |= y_row[r]
             m = 0
             while prod:  # one coset per step: the lowest member names it
                 c = coset_of[(prod & -prod).bit_length() - 1]

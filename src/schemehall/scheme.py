@@ -38,6 +38,7 @@ from .hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
+    _conjugates,
     bits_of,
     enumerate_closed_subsets,
     mask_of,
@@ -575,7 +576,7 @@ def conjugate_subset(
 ) -> ElementSubset:
     """The relation set s^ T s.  One-sided; not assumed closed."""
     hg = scheme.hypergroup
-    mask = hg.mul_masks(hg.mul_masks(1 << hg.inverse[s], subset.bits), 1 << s)
+    _, mask = next(_conjugates(hg, subset.bits, 1 << s))
     return ElementSubset(hg, mask)
 
 
@@ -587,11 +588,8 @@ def conjugators(
     Swapping the arguments answers the other direction; nothing here
     assumes the two agree.
     """
-    return tuple(
-        s
-        for s in range(scheme.rank)
-        if conjugate_subset(scheme, t, s).bits == u.bits
-    )
+    hg = scheme.hypergroup
+    return tuple(s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits)
 
 
 # ---------------------------------------------------------------------------

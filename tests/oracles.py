@@ -8,7 +8,10 @@ the library reads off the thin residue instead, live here as well, and
 so does the subquotient built by way of a validated restriction copy,
 which the library reads straight off the parent table.  So do the
 product and star kernels as they were written over bits_of, before the
-library walked their masks inline.
+library walked their masks inline.  The normality tests as they were
+spelled before the library read them off one conjugation kernel and one
+normalizer kernel (two mul_masks products per element, and a chain
+search that tests normality pair by pair) are kept here too.
 """
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ from schemehall.solvability import step_quotient_order
 __all__ = [
     "mul_masks_bits_of",
     "star_mask_bits_of",
+    "normalizes_mul_masks",
+    "conjugate_mul_masks",
+    "subnormal_chain_search",
     "all_closed_subsets_scan",
     "closure_scan",
     "solvable_chain_scan",
@@ -70,6 +76,50 @@ def star_mask_bits_of(hg: Hypergroup, mask: int) -> int:
     for s in bits_of(mask):
         out |= 1 << inv[s]
     return out
+
+
+def normalizes_mul_masks(d: ElementSubset, e: ElementSubset) -> bool:
+    """normalizes: E x inside x E for each x in D, two products per x."""
+    d._check(e)
+    hg = d.parent
+    for x in bits_of(d.bits):
+        if hg.mul_masks(e.bits, 1 << x) & ~hg.mul_masks(1 << x, e.bits):
+            return False
+    return True
+
+
+def conjugate_mul_masks(scheme, subset: ElementSubset, s: int) -> ElementSubset:
+    """conjugate_subset: s^ T s as the product (s^ T) s."""
+    hg = scheme.hypergroup
+    mask = hg.mul_masks(hg.mul_masks(1 << hg.inverse[s], subset.bits), 1 << s)
+    return ElementSubset(hg, mask)
+
+
+def subnormal_chain_search(f: ElementSubset, g: ElementSubset) -> bool:
+    """is_subnormal: breadth first from F over the closed subsets inside
+    G, stepping from C to D when C lies in D and D normalizes C, tested
+    by normalizes_mul_masks.  Every link of a chain is closed, so a
+    subset F other than G reaches G only when F is closed."""
+    f._check(g)
+    if not f.issubset(g):
+        return False
+    if f.bits == g.bits:
+        return True
+    hg = f.parent
+    if not hg.is_closed_mask(f.bits):
+        return False
+    inside = [d for d in enumerate_closed_subsets(hg) if d.issubset(g)]
+    reached = {f.bits}
+    frontier = [f]
+    while frontier:
+        step = []
+        for c in frontier:
+            for d in inside:
+                if d.bits not in reached and c.issubset(d) and normalizes_mul_masks(d, c):
+                    reached.add(d.bits)
+                    step.append(d)
+        frontier = step
+    return g.bits in reached
 
 
 def all_closed_subsets_scan(hg: Hypergroup) -> tuple[ClosedSubset, ...]:

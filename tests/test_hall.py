@@ -17,7 +17,7 @@ from schemehall import hall as hall_module
 from schemehall import groups as groups_module
 from schemehall.groups import all_subgroups, is_solvable_group
 
-from conftest import ALL_PI, product_matrices
+from conftest import ALL_PI, catalogue_schemes, product_matrices
 
 # the package's quotient function shadows its quotient module
 quotient_module = importlib.import_module("schemehall.quotient")
@@ -431,3 +431,25 @@ def test_sylow_counts_on_bundled_groups():
             assert count % p == 1 and n % count == 0, (name, p, count)
             cases += 1
     assert cases == 58
+
+
+def test_not_pi_valenced_names_the_first_relation():
+    """find_hall reads the relation it names off the cached mask of
+    pi-valenced relations; the message is the one the first-relation
+    scan over the valencies builds, on every scheme of the catalogue to
+    order 28 and every pi it is not valenced for."""
+    raised = 0
+    for scheme in catalogue_schemes(28):
+        for pi in ALL_PI:
+            first = next(
+                ((s, v) for s, v in enumerate(scheme.valencies) if not sh.is_pi_number(v, pi)),
+                None,
+            )
+            if first is None:
+                continue
+            want = f"scheme is not {sh.format_pi(pi)}-valenced: relation {first[0]} has valency {first[1]}"
+            with pytest.raises(sh.NotPiValencedError) as info:
+                sh.find_hall(scheme, pi)
+            assert str(info.value) == want, (scheme.name, sorted(pi))
+            raised += 1
+    assert raised == 1002

@@ -16,6 +16,9 @@ normality against its two-product definition.  The product and star
 kernels, which walk their masks inline, are checked against their
 bits_of versions in oracles.py on every scheme of the residue corpus,
 and so is H // {0}, against the quotient of the restriction copy.
+Conjugation, normality and subnormality, each read off one kernel, are
+checked against their two-product spellings and a pairwise chain
+search in oracles.py.
 
 The operation-count guards at the end count calls, not time.
 """
@@ -38,7 +41,14 @@ from conftest import (
     product_matrices,
     residue_corpus,
 )
-from oracles import mul_masks_bits_of, star_mask_bits_of, subquotient_over_parent
+from oracles import (
+    conjugate_mul_masks,
+    mul_masks_bits_of,
+    normalizes_mul_masks,
+    star_mask_bits_of,
+    subnormal_chain_search,
+    subquotient_over_parent,
+)
 
 
 def _members(mask):
@@ -757,23 +767,63 @@ def test_identity_witness_is_the_first_zero_off_the_diagonal():
     assert got == (sh.IdentityViolationError, "identity relation misplaced at (1, 3)")
 
 
-def test_normal_edges_match_pairwise_normalizes():
-    """c -> d exactly when d is a proper closed superset that normalizes
-    c, in the enumeration order of d, as the pairwise scan had it."""
-    from schemehall.hypergroup import _normal_edges
+def test_conjugation_matches_two_products_on_the_residue_corpus():
+    """conjugate_subset, conjugators and is_strongly_normal, all read off
+    one conjugation kernel, against s^ T s as two mul_masks products, on
+    every closed subset T of the 187 residue-corpus schemes.  conjugators
+    is asked for T itself, for every closed conjugate of T and for the
+    full set; strong normality for every closed G holding T."""
+    subsets = 0
+    for scheme in residue_corpus():
+        hg = scheme.hypergroup
+        closed = scheme.closed_subsets()
+        by_bits = {c.bits: c for c in closed}
+        for t in closed:
+            conj = [conjugate_mul_masks(scheme, t, s) for s in range(scheme.rank)]
+            for s, want in enumerate(conj):
+                got = sh.conjugate_subset(scheme, t, s)
+                assert got.parent is hg and got.bits == want.bits, (scheme.name, t, s)
+            targets = {t.bits, hg.full_mask} | {c.bits for c in conj if c.bits in by_bits}
+            for u in targets:
+                want = tuple(s for s, c in enumerate(conj) if c.bits == u)
+                assert sh.conjugators(scheme, t, by_bits[u]) == want, (scheme.name, t, u)
+            for g in closed:
+                if t.issubset(g):
+                    want = all(conj[h].issubset(t) for h in g.members())
+                    assert sh.is_strongly_normal(t, g) == want, (scheme.name, t, g)
+            subsets += 1
+    assert subsets == 1146
 
+
+def test_normality_matches_pairwise_products_and_chain_search(hypergroups8):
+    """normalizes and is_normal_in on every ordered pair of closed subsets
+    of the kernel pool and on random subsets, against two mul_masks
+    products per element; and is_subnormal on every closed pair F inside
+    G and on random subsets F below the full set, of the order <= 8
+    corpus, against a breadth-first chain search built on those
+    products."""
+    rng = random.Random(14)
+    normal = set()
     for hg in kernel_pool():
         subs = sh.enumerate_closed_subsets(hg)
-        want = {
-            c.bits: tuple(
-                d.bits
-                for d in subs
-                if c.bits != d.bits and c.issubset(d) and sh.normalizes(d, c)
-            )
-            for c in subs
-        }
-        got = _normal_edges(fresh(hg))
-        assert list(got.items()) == list(want.items()), hg.name
+        loose = [hg.subset(m) for m in random_masks(rng, hg, 6)]
+        for d in (*subs, *loose):
+            for e in (*subs, *loose):
+                want = normalizes_mul_masks(d, e)
+                assert sh.normalizes(d, e) == want, (hg.name, d, e)
+                assert sh.is_normal_in(e, d) == (e.issubset(d) and want), (hg.name, e, d)
+                normal.add((want, d.is_closed() and e.is_closed()))
+    assert normal == {(True, True), (False, True), (True, False), (False, False)}
+    outcomes = set()
+    for hg in hypergroups8:
+        subs = sh.enumerate_closed_subsets(hg)
+        pairs = [(f, g) for f in subs for g in subs if f.issubset(g)]
+        pairs += [(hg.subset(m), hg.universe()) for m in random_masks(rng, hg, 4)]
+        for f, g in pairs:
+            got = sh.is_subnormal(f, g)
+            assert got == subnormal_chain_search(f, g), (hg.name, f, g)
+            outcomes.add((got, f.bits == g.bits, f.is_closed()))
+    assert outcomes >= {(True, False, True), (False, False, True), (False, False, False)}
 
 
 def test_validate_scheme_builds_one_count_table_per_relation(monkeypatch):

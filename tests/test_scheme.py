@@ -12,6 +12,7 @@ Hand-checked values used below:
   fails to be constant over relation 1.
 """
 
+import re
 import tracemalloc
 
 import pytest
@@ -290,3 +291,34 @@ def test_is_pi_number_keeps_its_errors_and_pi_containers():
     assert sh.prime_factors(12) == [2, 3]
     assert not sh.is_pi_number(12, {2, 5})
     assert sh.is_pi_number(12, {2, 3})
+
+
+def test_pi_part_is_the_literal_product_of_prime_powers():
+    """pi_part reads the cached prime set of n; it must still be the
+    product of the full powers of the primes of pi dividing n, for pi
+    given as a frozenset and as a list, and keep its error for n < 1."""
+    for pi in ALL_PI:
+        for n in range(1, 2001):
+            want = 1
+            for p in pi:
+                e = max(k for k in range(n.bit_length()) if n % p**k == 0)
+                want *= p**e
+            assert sh.pi_part(n, pi) == want, (n, sorted(pi))
+            assert sh.pi_part(n, sorted(pi)) == want, (n, sorted(pi))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^expected a positive integer, got {n}$"):
+            sh.pi_part(n, frozenset({2}))
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, None, "3", True])
+def test_pi_rejects_anything_but_a_prime_int(bad):
+    """A float, None, a string or a bool is no prime, even when it
+    compares equal to one; find_hall reports it like any non-prime."""
+    assert not sh.is_prime(bad)
+    message = f"^{re.escape(repr(bad))} is not prime$"
+    with pytest.raises(ValueError, match=message):
+        sh.validate_pi([bad])
+    with pytest.raises(ValueError, match=message):
+        sh.validate_pi([2, bad])
+    with pytest.raises(ValueError, match=message):
+        sh.find_hall(sh.from_group(sh.cyclic(7)), [bad])
