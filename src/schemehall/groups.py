@@ -54,7 +54,7 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
         if len(row) != n:
             raise NotAGroupError(f"row {x} has length {len(row)}, expected {n}")
         for v in row:
-            if not isinstance(v, int):
+            if type(v) is not int:  # bool is an int subclass
                 raise NotAGroupError(f"entry {v!r} in row {x} is not an integer")
             if not 0 <= v < n:
                 raise NotAGroupError(f"entry {v} in row {x} outside 0..{n - 1}")

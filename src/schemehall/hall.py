@@ -47,7 +47,6 @@ from .scheme import (
     SchemeClosedSubset,
     _pi_valenced_mask,
     conjugators,
-    is_solvable_scheme,
     pi_predicates,
 )
 from .solvability import _residue_series, group_from_thin
@@ -115,7 +114,15 @@ class HallCertificate:
         )
 
 
-def _require_solvable_and_valenced(scheme: AssociationScheme, ps: frozenset[int]) -> None:
+def _core_and_halls(
+    scheme: AssociationScheme, ps: frozenset[int]
+) -> tuple[QuotientHypergroup, Table, tuple[int, ...], SchemeClosedSubset]:
+    """The Hall structure of (scheme, ps), built once: the quotient
+    S // O^θ(S), its group table, that group's Hall ps-subgroups and
+    the pi-core lifted from their intersection, O_pi(G).  Raises
+    NotPiValencedError naming the first relation that fails, then
+    NotSolvableError.  That the core is strongly normal is checked
+    rather than trusted."""
     missing = ~_pi_valenced_mask(scheme, ps) & ((1 << scheme.rank) - 1)
     if missing:
         s = (missing & -missing).bit_length() - 1  # the first relation that fails
@@ -123,38 +130,27 @@ def _require_solvable_and_valenced(scheme: AssociationScheme, ps: frozenset[int]
             f"scheme is not {format_pi(ps)}-valenced: "
             f"relation {s} has valency {scheme.valencies[s]}"
         )
-    if not is_solvable_scheme(scheme):
+    series = _residue_series(scheme.hypergroup)
+    if series is None:
         raise NotSolvableError(
             "scheme admits no chain of strongly normal closed subsets "
             "with prime valency indices"
         )
-
-
-def _residue_quotient(
-    scheme: AssociationScheme, ps: frozenset[int]
-) -> tuple[QuotientHypergroup, Table, tuple[int, ...]]:
-    """The quotient S // O^θ(S) of a solvable scheme, its group table and
-    that group's Hall ps-subgroups, found once per (scheme, ps & primes)."""
-    hq, table = _residue_series(scheme.hypergroup)[0]
-    key = ps & scheme.primes
-    halls = scheme._residue_halls.get(key)
-    if halls is None:
-        halls = scheme._residue_halls[key] = _hall_subgroups(table, ps)
-    return hq, table, halls
+    hq, table = series[0]
+    halls = _hall_subgroups(table, ps)
+    core = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, reduce(and_, halls))).bits)
+    if not is_strongly_normal(core, scheme.hypergroup.universe()):
+        raise InternalInconsistencyError("the pi-core must be strongly normal")
+    return hq, table, halls, core
 
 
 def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSubset:
     """The pi-core, the largest subnormal closed pi-subset: being strongly
     normal, it is the lift of O_pi(G) for G = S // O^θ(S), the
-    intersection of the Hall pi-subgroups of G.  That the lift is
-    strongly normal is checked rather than trusted."""
-    ps = validate_pi(pi)
-    _require_solvable_and_valenced(scheme, ps)
-    hq, _, halls = _residue_quotient(scheme, ps)
-    core = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, reduce(and_, halls))).bits)
-    if not is_strongly_normal(core, scheme.hypergroup.universe()):
-        raise InternalInconsistencyError("the pi-core must be strongly normal")
-    return core
+    intersection of the Hall pi-subgroups of G.  Each call builds that
+    structure afresh through the residue series, walking no lattice;
+    Hall queries read the core off their cached context instead."""
+    return _core_and_halls(scheme, validate_pi(pi))[3]
 
 
 def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
@@ -227,9 +223,8 @@ class _HallContext:
 
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
-        self.core = core = compute_o_pi(scheme, ps)
-        hq, self.gtable, self.halls = _residue_quotient(scheme, ps)
-        self.hq = hq
+        hq, self.gtable, self.halls, core = _core_and_halls(scheme, ps)
+        self.hq, self.core = hq, core
         lifted = []
         for gm in self.halls:
             t = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)

@@ -590,7 +590,8 @@ def normalizes(d: ElementSubset, e: ElementSubset) -> bool:
 
 
 def is_normal_in(f: ElementSubset, g: ElementSubset) -> bool:
-    """F normal in G: F, G closed, F inside G and G normalizes F."""
+    """True when F lies inside G and G normalizes F.  Closedness is not
+    checked: for closed F and G this is F normal in G."""
     f._check(g)
     if not f.issubset(g):
         return False

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .formats import parse_scheme
 from .hall import find_hall
-from .scheme import is_solvable_scheme, pi_predicates
+from .scheme import is_solvable_scheme
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_PI_SETS", "scheme_record", "report_records", "render_jsonl"]
 

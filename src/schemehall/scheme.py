@@ -85,10 +85,8 @@ class AssociationScheme:
         self.valencies = valencies
         self.name = name
         self._products = products  # products[p][q]: mask of r with a_{pqr} != 0
-        # Hall contexts, and Hall subgroups of the residue quotient group,
-        # by pi & primes; both filled by schemehall.hall
+        # Hall contexts by pi & primes, filled by schemehall.hall
         self._hall_contexts: dict = {}
-        self._residue_halls: dict = {}
         # masks of the pi-valenced relations, by pi & primes
         self._pi_valenced: dict = {}
         self._closed_subsets: tuple[SchemeClosedSubset, ...] | None = None
@@ -227,8 +225,9 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
             raise NotSquareError(f"row {x} has length {len(row)}, expected {n}")
         rel.append(tuple(row))
 
-    labels = {v for row in rel for v in row}
-    if any(not isinstance(v, int) or v < 0 for v in labels):
+    labels = set(chain.from_iterable(rel))
+    # the type of every entry: the set keeps one of the equal 1, 1.0 and True
+    if set(map(type, chain.from_iterable(rel))) != {int} or min(labels) < 0:
         raise NotPartitionError("relation labels must be non-negative integers")
     rank = max(labels) + 1
     missing = set(range(rank)) - labels
@@ -602,13 +601,9 @@ def solvable_chain_scheme(scheme: AssociationScheme) -> SolvableChain | None:
     The solvable chain of the induced hypergroup, refined from its
     residue series.  Each of its steps is strongly normal with a prime
     number of double cosets, and for a strongly normal step that number
-    is the valency index; the valency index is checked against the step
-    prime on the first call for a scheme, and the checked chain is cached.
+    is the valency index; every call checks the valency index against
+    the step prime.
     """
-    try:
-        return scheme._solvable_chain
-    except AttributeError:
-        pass
     chain = solvable_chain(scheme.hypergroup)
     if chain is not None:
         vals = [scheme.valency_of_mask(c.bits) for c in chain.subsets]
@@ -617,7 +612,6 @@ def solvable_chain_scheme(scheme: AssociationScheme) -> SolvableChain | None:
                 raise InternalInconsistencyError(
                     f"valency index {hi}/{lo} of a solvable step is not its prime {p}"
                 )
-    scheme._solvable_chain = chain
     return chain
 
 

@@ -24,11 +24,15 @@ LOOP5 = [
     ([[1, 0], [0, 1]], "index 0 is not a two-sided identity"),
     (LOOP5, "element 2 has no two-sided inverse"),
     ([[0.0, 1], [1, 0]], "entry 0.0 in row 0 is not an integer"),
+    ([[0, True], [True, 0]], "entry True in row 0 is not an integer"),
+    ([[False, 1], [1, 0]], "entry False in row 0 is not an integer"),
+    ([[0, 1], [1, False]], "entry False in row 1 is not an integer"),
 ])
 def test_validate_group_names_each_failed_axiom(table, message):
-    with pytest.raises(sh.NotAGroupError) as exc:
-        sh.validate_group(table)
-    assert str(exc.value) == message
+    for build in (sh.validate_group, sh.from_group):
+        with pytest.raises(sh.NotAGroupError) as exc:
+            build(table)
+        assert str(exc.value) == message
 
 
 def test_quaternion_is_the_bundled_q8():

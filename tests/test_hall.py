@@ -230,14 +230,16 @@ def test_certificates_are_not_shared(s4_scheme):
 
 
 def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
+    """The Hall structure (core, quotient and its Hall subgroups) is
+    built once per (scheme, pi & primes); a failed build is not cached."""
     calls = []
-    original = hall_module.compute_o_pi
+    original = hall_module._core_and_halls
 
-    def counted(scheme, pi):
-        calls.append(frozenset(pi))
-        return original(scheme, pi)
+    def counted(scheme, ps):
+        calls.append(frozenset(ps))
+        return original(scheme, ps)
 
-    monkeypatch.setattr(hall_module, "compute_o_pi", counted)
+    monkeypatch.setattr(hall_module, "_core_and_halls", counted)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     for pi in ({2}, {3}, {2}, {3}, {2, 11}, {2, 7}):
         sh.find_hall(s4, pi)

@@ -587,7 +587,7 @@ def test_enumeration_closes_less_often(monkeypatch):
 
 
 def test_hall_context_checks_strong_normality_once(monkeypatch):
-    """Building the {2} context of a warm S4 scheme: compute_o_pi checks
+    """Building the {2} context of a warm S4 scheme: the Hall build checks
     that the core is strongly normal, and the quotient side is checked
     by thinness alone, so one is_strongly_normal call in all."""
     calls = []

@@ -58,6 +58,21 @@ def test_validator_error_order():
         sh.validate_scheme(P3)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0, 1], [1.0, 0]],
+    [[0, 1.0], [1, 0]],
+    [[0.0, 1], [1, 0]],
+    [[0, True], [True, 0]],
+    [[0, 1], [True, 0]],
+    [[False, 1], [1, 0]],
+])
+def test_validator_checks_the_type_of_every_entry(matrix):
+    """1, 1.0 and True are equal, so a set of labels keeps whichever
+    came first; each entry's own type decides."""
+    with pytest.raises(sh.NotPartitionError, match="^relation labels must be non-negative integers$"):
+        sh.validate_scheme(matrix)
+
+
 def test_pentagon_basics(pentagon):
     assert len(pentagon.rel) == 5
     assert pentagon.valencies == (1, 2, 2)

@@ -111,6 +111,9 @@ def test_non_prime_cover_step_is_an_internal_error(monkeypatch):
 
 
 def test_scheme_chain_valency_check_runs_once(monkeypatch):
+    """Once per call: no chain is cached on the scheme, so each call
+    refines the series afresh to the same chain and reads the valency
+    of each of its subsets once."""
     scheme = sh.from_group(sh.symmetric(4))
     calls = []
     original = sh.AssociationScheme.valency_of_mask
@@ -120,6 +123,13 @@ def test_scheme_chain_valency_check_runs_once(monkeypatch):
         return original(self, mask)
 
     monkeypatch.setattr(sh.AssociationScheme, "valency_of_mask", counted)
-    chains = [sh.solvable_chain_scheme(scheme) for _ in range(3)]
-    assert chains[0] is chains[1] is chains[2]
-    assert calls == [c.bits for c in chains[0].subsets]
+    chains = []
+    for _ in range(3):
+        calls.clear()
+        chains.append(sh.solvable_chain_scheme(scheme))
+        assert calls == [c.bits for c in chains[-1].subsets]
+    first = chains[0]
+    assert len(first.subsets) == 5
+    for chain in chains[1:]:
+        assert chain.subsets == first.subsets
+        assert chain.step_primes == first.step_primes == (2, 2, 3, 2)

@@ -2,8 +2,9 @@
 
 Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
-instead and this test keeps it that way.  The public API carries no
-name without a caller, and every name the bench tracer patches exists.
+instead and this test keeps it that way.  No module imports a name it
+does not use, the public API carries no name without a caller, and
+every name the bench tracer patches exists.
 """
 
 import ast
@@ -27,6 +28,37 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never loads; a string in __all__ counts
+    as a use, as a re-export."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports_in_package():
+    files = [path for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"]
+    assert files
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert not unused, f"unused imports in the package: {unused}"
 
 
 def test_bench_tracer_names_resolve():
