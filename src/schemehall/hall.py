@@ -8,9 +8,10 @@ through the closed-subset correspondence; the pi-core is the lift of
 O_pi(G), their intersection.  That structure is built and checked once
 per (scheme, pi) and cached on the scheme: the core is strongly normal,
 G is solvable, each lifted Hall subgroup passes the Hall predicate, the
-lifted family equals an exhaustive filter over all closed subsets (so
-the two routes can never drift apart silently) and every Hall subset
-contains the core.  Queries read Hall subsets and their subgroups off
+lifted family equals an exhaustive filter over every closed pi-subset,
+read off the cached lattice when the scheme has one (so the two routes
+can never drift apart silently) and every Hall subset contains the
+core.  Queries read Hall subsets and their subgroups off
 that family.  On every query run the input predicates,
 conjugating_element's direct conjugator scan and its quotient-group
 cross-check, and extend_to_hall's closedness check on core * T and its
@@ -34,20 +35,20 @@ from .errors import (
 )
 from .groups import (
     Table,
-    conjugate_subgroup,
     find_subgroup_conjugator,
     generated_subgroup,
+    group_inverse,
     is_solvable_group,
     validate_group,
 )
-from .hypergroup import ElementSubset, bits_of, is_strongly_normal, mask_of
+from .hypergroup import ElementSubset, bits_of, enumerate_closed_subsets, is_strongly_normal, mask_of
 from .quotient import QuotientHypergroup, lift_closed
 from .scheme import (
     AssociationScheme,
     SchemeClosedSubset,
+    _pi_predicates,
     _pi_valenced_mask,
     conjugators,
-    pi_predicates,
 )
 from .solvability import _residue_series, group_from_thin
 
@@ -191,20 +192,52 @@ def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
                 f"no pi-subgroup of a solvable group of order {n} grows "
                 f"past order {hall.bit_count()} towards {target}"
             )
-    orbit = {conjugate_subgroup(t, hall, g) for g in range(n)}
+    # the conjugates g^-1 (hall) g, with the members listed once
+    members = list(bits_of(hall))
+    inv = group_inverse(t)
+    orbit = set()
+    for g in range(n):
+        row = t[inv[g]]
+        conj = 0
+        for x in members:
+            conj |= 1 << t[row[x]][g]
+        orbit.add(conj)
     return tuple(sorted(orbit, key=lambda m: tuple(bits_of(m))))
 
 
 def all_hall_subsets(
     scheme: AssociationScheme, pi: Iterable[int]
 ) -> tuple[SchemeClosedSubset, ...]:
-    """Exhaustive filter: every closed subset passing the Hall predicate."""
+    """Exhaustive filter: every closed pi-subset passing the Hall
+    predicate, in closed_subsets order.
+
+    A Hall subset has the pi-part of n as its valency, so when that is
+    n or 1 the one candidate is the full set or {0}.  Otherwise the
+    candidates are the scheme's cached lattice if it has one, else the
+    closed pi-subsets alone: a closed subset of a closed pi-subset is
+    one too (for closed C inside D, n_C divides n_D), so
+    enumerate_closed_subsets walks them without the rest of the lattice.
+    """
     ps = validate_pi(pi)
-    out = []
-    for t in scheme.closed_subsets():
-        if pi_predicates(scheme, t, ps).is_hall_pi_subset:
-            out.append(t)
-    return tuple(out)
+    n = scheme.n_points
+    target = pi_part(n, ps)
+    if target == n:
+        candidates = (scheme.full_subset(),)
+    elif target == 1:
+        candidates = (scheme.identity_subset(),)
+    elif scheme._closed_subsets is not None:
+        candidates = scheme._closed_subsets
+    else:
+        valenced = _pi_valenced_mask(scheme, ps)
+
+        def closed_pi(mask: int) -> bool:
+            return mask & ~valenced == 0 and is_pi_number(scheme.valency_of_mask(mask), ps)
+
+        candidates = (
+            SchemeClosedSubset(scheme, c.bits)
+            for c in enumerate_closed_subsets(scheme.hypergroup, closed_pi)
+        )
+    return tuple(t for t in candidates if _pi_predicates(scheme, t, ps).is_hall_pi_subset)
 
 
 class _HallContext:
@@ -228,7 +261,7 @@ class _HallContext:
         lifted = []
         for gm in self.halls:
             t = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)
-            if not pi_predicates(scheme, t, ps).is_hall_pi_subset:
+            if not _pi_predicates(scheme, t, ps).is_hall_pi_subset:
                 raise InternalInconsistencyError(
                     f"lift of a group Hall subgroup is not Hall: {t.members()}"
                 )
@@ -298,7 +331,7 @@ def conjugating_element(
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
     for label, x in (("first", t), ("second", u)):
-        if not pi_predicates(scheme, x, ps).is_hall_pi_subset:
+        if not _pi_predicates(scheme, x, ps).is_hall_pi_subset:
             raise NotHallError(
                 f"{label} subset (relations {list(x.members())}, valency "
                 f"{x.valency}) is not a Hall {format_pi(ps)}-subset"
@@ -346,7 +379,7 @@ def extend_to_hall(
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
-    preds = pi_predicates(scheme, subset, ps)
+    preds = _pi_predicates(scheme, subset, ps)
     if not preds.is_closed_pi_subset:
         raise NotClosedPiSubsetError(
             f"subset of valency {subset.valency} with relations "

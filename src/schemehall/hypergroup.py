@@ -24,7 +24,7 @@ a time; other tables take the set-valued loops.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain
 from operator import itemgetter, or_
@@ -151,7 +151,7 @@ class Hypergroup:
             mask ^= low
         return out
 
-    def closure_mask(self, mask: int) -> int:
+    def closure_mask(self, mask: int, within: int | None = None) -> int:
         """Smallest closed subset containing mask, semi-naively.
 
         With gens = mask, its star and the neutral element, the closure
@@ -159,13 +159,20 @@ class Hypergroup:
         products).  Each round multiplies only the elements new in the
         last round by gens; the neutral is left out of the right factor
         because it is a right identity.
+
+        With a within mask, the closure is wanted only if it lies inside
+        within: 0 is returned as soon as gens or a round's new elements
+        leave it, without finishing the closure.
         """
         if mask == 0:
             raise EmptyInputError("cannot close the empty set")
+        outside = 0 if within is None else ~within
         gens = mask | self.star_mask(mask) | 1
         step = gens & ~1
         cur = frontier = gens
         while True:
+            if frontier & outside:
+                return 0
             frontier = self.mul_masks(frontier, step) & ~cur
             if not frontier:
                 return cur
@@ -500,7 +507,9 @@ def closure(subset: ElementSubset) -> ClosedSubset:
     return _as_closed(subset.parent, subset.parent.closure_mask(subset.bits))
 
 
-def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
+def enumerate_closed_subsets(
+    hg: Hypergroup, keep: Callable[[int], bool] | None = None
+) -> tuple[ClosedSubset, ...]:
     """All closed subsets, sorted by size then member tuple.
 
     Cyclic extension: every closed subset is a join of closures of
@@ -510,18 +519,33 @@ def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     mask it was first reached from, and a join closes that mask plus
     one representative of the singleton closure, which is cheaper than
     closing the union.  The result is cached on the hypergroup.
+
+    keep, a predicate on masks, narrows the answer to the closed
+    subsets it accepts, in the same order.  It must hold on every
+    closed subset of a closed mask it holds on.  Then every closed
+    subset it accepts is a join of singleton closures it accepts, so
+    only those seed the walk, a join is closed only while it stays
+    inside their union, and a join keep rejects is dropped.  That
+    answer is not cached; once the whole lattice is, it is filtered.
     """
     if hg._closed is not None:
-        return hg._closed
+        return hg._closed if keep is None else tuple(c for c in hg._closed if keep(c.bits))
     inv = hg.inverse
     # s and s^ have the same closure; one representative per closure
     singles: dict[int, int] = {}
     for s in range(1, hg.size):
         if inv[s] >= s:
             singles.setdefault(hg.closure_mask(1 << s), s)
+    within = None
+    if keep is not None:
+        if not keep(1):
+            return ()
+        singles = {c: s for c, s in singles.items() if keep(c)}
+        within = reduce(or_, singles, 1)
     found: dict[int, int] = {1: 0}
     for c, s in singles.items():
         found.setdefault(c, 1 << s)
+    dropped: set[int] = set()
     work = list(found)
     while work:
         cur = work.pop()
@@ -530,10 +554,13 @@ def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
             if c & ~cur == 0:
                 continue
             # the union is the join when it is already known closed
-            if (cur | c) not in found:
+            union = cur | c
+            if union not in found and union not in dropped:
                 ext = gens | 1 << s
-                joined = hg.closure_mask(ext)
-                if joined not in found:
+                joined = hg.closure_mask(ext, within)
+                if joined == 0 or keep is not None and not keep(joined):
+                    dropped.add(union)
+                elif joined not in found:
                     found[joined] = ext
                     work.append(joined)
     out = tuple(
@@ -542,7 +569,8 @@ def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
             key=ElementSubset.sort_key,
         )
     )
-    hg._closed = out
+    if keep is None:
+        hg._closed = out
     return out
 
 

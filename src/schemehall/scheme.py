@@ -557,7 +557,13 @@ def is_pi_valenced(scheme: AssociationScheme, pi: Iterable[int]) -> bool:
 def pi_predicates(
     scheme: AssociationScheme, subset: SchemeClosedSubset, pi: Iterable[int]
 ) -> PiPredicates:
-    ps = validate_pi(pi)
+    return _pi_predicates(scheme, subset, validate_pi(pi))
+
+
+def _pi_predicates(
+    scheme: AssociationScheme, subset: SchemeClosedSubset, ps: frozenset[int]
+) -> PiPredicates:
+    """pi_predicates for a ps that validate_pi has returned."""
     if subset.scheme is not scheme:
         raise ParentMismatchError("subset belongs to a different scheme")
     valenced = subset.bits & ~_pi_valenced_mask(scheme, ps) == 0

@@ -6,7 +6,9 @@ can cross-check the clever code against something too dumb to be wrong.
 Lattice walks for solvability, the theta core and the pi-core, which
 the library reads off the thin residue instead, live here as well, and
 so does the subquotient built by way of a validated restriction copy,
-which the library reads straight off the parent table.  So do the
+which the library reads straight off the parent table.  The Hall filter
+over every closed subset, which the library runs over the closed
+pi-subsets alone, is kept here too.  So are the
 product and star kernels as they were written over bits_of, before the
 library walked their masks inline.  The normality tests as they were
 spelled before the library read them off one conjugation kernel and one
@@ -35,6 +37,7 @@ from schemehall.hypergroup import (
     validate_hypergroup,
 )
 from schemehall.quotient import QuotientHypergroup, quotient
+from schemehall.scheme import pi_predicates
 from schemehall.solvability import step_quotient_order
 
 __all__ = [
@@ -49,6 +52,7 @@ __all__ = [
     "solvable_chain_dfs",
     "theta_core_lattice",
     "o_pi_lattice",
+    "hall_filter_lattice",
     "restriction_copy",
     "subquotient_of_copy",
     "subquotient_over_parent",
@@ -248,6 +252,13 @@ def o_pi_lattice(scheme, ps: frozenset[int]) -> int:
     if any(t.bits & ~core.bits for t in found):
         raise InternalInconsistencyError("the largest subnormal pi-subset misses another one")
     return core.bits
+
+
+def hall_filter_lattice(scheme, pi) -> tuple:
+    """all_hall_subsets as a filter over the whole closed-subset
+    lattice: every closed subset passing the Hall predicate, in
+    closed_subsets order.  Caches the lattice on the scheme."""
+    return tuple(t for t in scheme.closed_subsets() if pi_predicates(scheme, t, pi).is_hall_pi_subset)
 
 
 def restriction_copy(hg: Hypergroup, subset: ElementSubset) -> tuple[Hypergroup, tuple[int, ...]]:

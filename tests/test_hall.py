@@ -18,6 +18,7 @@ from schemehall import groups as groups_module
 from schemehall.groups import all_subgroups, is_solvable_group
 
 from conftest import ALL_PI, catalogue_schemes, product_matrices
+from oracles import hall_filter_lattice
 
 # the package's quotient function shadows its quotient module
 quotient_module = importlib.import_module("schemehall.quotient")
@@ -455,3 +456,24 @@ def test_not_pi_valenced_names_the_first_relation():
             assert str(info.value) == want, (scheme.name, sorted(pi))
             raised += 1
     assert raised == 1002
+
+
+def test_hall_filter_walks_closed_pi_subsets_only():
+    """all_hall_subsets on fresh schemes, with no lattice cached, against
+    the filter over every closed subset: the same Hall subsets in the
+    same order for every pi <= {2, 3, 5, 7} on the catalogue to order
+    28 and the bundled groups, and no lattice is left cached."""
+    fresh = [sf.scheme for order in sh.bundled_orders() if order <= 28 for sf in sh.bundled_catalogue(order)]
+    fresh += [
+        lambda name=name: sh.from_group(sh.bundled_group(name).table, name=name)
+        for name in sh.bundled_group_names()
+    ]
+    pairs = 0
+    for make in fresh:
+        scheme = make()
+        got = [tuple(t.bits for t in sh.all_hall_subsets(scheme, pi)) for pi in ALL_PI]
+        assert scheme.hypergroup._closed is None, scheme.name
+        want = [tuple(t.bits for t in hall_filter_lattice(scheme, pi)) for pi in ALL_PI]
+        assert got == want, scheme.name
+        pairs += len(ALL_PI)
+    assert pairs == 2784

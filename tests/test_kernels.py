@@ -576,14 +576,74 @@ def test_enumeration_closes_less_often(monkeypatch):
     calls = []
     original = Hypergroup.closure_mask
 
-    def counted(self, mask):
+    def counted(self, mask, within=None):
         calls.append(mask)
-        return original(self, mask)
+        return original(self, mask, within)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted)
     hg = sh.thin_hypergroup(sh.symmetric(4))
     assert len(sh.enumerate_closed_subsets(hg)) == 30
     assert len(calls) < 416
+
+
+def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
+    """find_hall on a fresh S4 scheme, its residue series built first:
+    the full walk makes 389 closures, the {2} walk fewer, the {3} walk
+    fewer again, and {2, 3} and {} (Hall subsets S4 and {0}) none.  No
+    walk of the whole lattice is made, and none is left cached."""
+    closures = []
+    keeps = []
+    original_closure = Hypergroup.closure_mask
+    original_enumerate = sh.enumerate_closed_subsets
+
+    def counted_closure(self, mask, within=None):
+        closures.append(mask)
+        return original_closure(self, mask, within)
+
+    def counted_enumerate(hg, keep=None):
+        keeps.append(keep)
+        return original_enumerate(hg, keep)
+
+    monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("schemehall") and getattr(module, "enumerate_closed_subsets", None) is original_enumerate:
+            monkeypatch.setattr(module, "enumerate_closed_subsets", counted_enumerate)
+    made = {}
+    for pi in ({2}, {3}, {2, 3}, set()):
+        s4 = sh.from_group(sh.symmetric(4))
+        assert sh.is_solvable_scheme(s4)
+        closures.clear()
+        assert sh.find_hall(s4, pi).hall.valency == sh.pi_part(24, frozenset(pi))
+        assert s4.hypergroup._closed is None
+        made[frozenset(pi)] = len(closures)
+    assert made[frozenset({3})] < made[frozenset({2})] < 389
+    assert made[frozenset({2, 3})] == made[frozenset()] == 0
+    assert len(keeps) == 2 and None not in keeps
+
+
+def test_keep_walk_is_the_filtered_full_walk():
+    """enumerate_closed_subsets with a keep that holds on every closed
+    subset of a mask it holds on: the full walk filtered by keep, in
+    the same order, on a fresh hypergroup that caches no lattice; and
+    the same again read off the cached lattice."""
+    rng = random.Random(7)
+    for hg in kernel_pool():
+        full = sh.enumerate_closed_subsets(hg)
+        allowed = rng.randrange(1 << hg.size) | 1
+        largest = rng.randrange(1, hg.size + 1)
+        keeps = (
+            lambda m: m == 1,
+            lambda m: m & ~allowed == 0,
+            lambda m: m.bit_count() <= largest,
+            lambda m: m & ~allowed == 0 and m.bit_count() <= largest,
+            lambda m: False,
+        )
+        for keep in keeps:
+            want = [c.bits for c in full if keep(c.bits)]
+            cold = fresh(hg)
+            assert [c.bits for c in sh.enumerate_closed_subsets(cold, keep)] == want
+            assert cold._closed is None
+            assert [c.bits for c in sh.enumerate_closed_subsets(hg, keep)] == want
 
 
 def test_hall_context_checks_strong_normality_once(monkeypatch):
