@@ -6,7 +6,7 @@ is sized for groups of order at most a few hundred.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import permutations
 
 from .errors import NotAGroupError
@@ -14,7 +14,6 @@ from .hypergroup import (
     Hypergroup,
     _associativity_witness,
     bits_of,
-    mask_of,
     validate_hypergroup,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "all_subgroups",
     "generated_subgroup",
     "is_solvable_group",
-    "conjugate_subgroup",
     "find_subgroup_conjugator",
 ]
 
@@ -256,15 +254,24 @@ def all_subgroups(table: Table) -> tuple[int, ...]:
     return tuple(sorted(found, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
 
 
-def conjugate_subgroup(table: Table, sub: int, g: int) -> int:
-    """The subgroup g^-1 (sub) g."""
-    ig = table[g].index(0)
-    return mask_of(table[table[ig][x]][g] for x in bits_of(sub))
+def _conjugates(table: Table, sub: int) -> Iterator[int]:
+    """The subgroups g^-1 (sub) g for g = 0, 1, ..., n - 1, in that order.
+
+    The members of sub are listed once; each g^-1 is found as it is
+    reached, so a caller that stops early pays for no other inverse.
+    """
+    members = list(bits_of(sub))
+    for g in range(len(table)):
+        row = table[table[g].index(0)]
+        conj = 0
+        for x in members:
+            conj |= 1 << table[row[x]][g]
+        yield conj
 
 
 def find_subgroup_conjugator(table: Table, sub_a: int, sub_b: int) -> int | None:
     """Smallest g with g^-1 A g = B, or None."""
-    for g in range(len(table)):
-        if conjugate_subgroup(table, sub_a, g) == sub_b:
+    for g, conj in enumerate(_conjugates(table, sub_a)):
+        if conj == sub_b:
             return g
     return None

@@ -35,13 +35,13 @@ from .errors import (
 )
 from .groups import (
     Table,
+    _conjugates,
     find_subgroup_conjugator,
     generated_subgroup,
-    group_inverse,
     is_solvable_group,
     validate_group,
 )
-from .hypergroup import ElementSubset, bits_of, enumerate_closed_subsets, is_strongly_normal, mask_of
+from .hypergroup import ElementSubset, _enumerate_closed, bits_of, is_strongly_normal, mask_of
 from .quotient import QuotientHypergroup, lift_closed
 from .scheme import (
     AssociationScheme,
@@ -192,17 +192,7 @@ def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
                 f"no pi-subgroup of a solvable group of order {n} grows "
                 f"past order {hall.bit_count()} towards {target}"
             )
-    # the conjugates g^-1 (hall) g, with the members listed once
-    members = list(bits_of(hall))
-    inv = group_inverse(t)
-    orbit = set()
-    for g in range(n):
-        row = t[inv[g]]
-        conj = 0
-        for x in members:
-            conj |= 1 << t[row[x]][g]
-        orbit.add(conj)
-    return tuple(sorted(orbit, key=lambda m: tuple(bits_of(m))))
+    return tuple(sorted(set(_conjugates(t, hall)), key=lambda m: tuple(bits_of(m))))
 
 
 def all_hall_subsets(
@@ -215,8 +205,9 @@ def all_hall_subsets(
     n or 1 the one candidate is the full set or {0}.  Otherwise the
     candidates are the scheme's cached lattice if it has one, else the
     closed pi-subsets alone: a closed subset of a closed pi-subset is
-    one too (for closed C inside D, n_C divides n_D), so
-    enumerate_closed_subsets walks them without the rest of the lattice.
+    one too (for closed C inside D, n_C divides n_D), so the closed
+    subset walk narrowed to them finds them without the rest of the
+    lattice.
     """
     ps = validate_pi(pi)
     n = scheme.n_points
@@ -235,7 +226,7 @@ def all_hall_subsets(
 
         candidates = (
             SchemeClosedSubset(scheme, c.bits)
-            for c in enumerate_closed_subsets(scheme.hypergroup, closed_pi)
+            for c in _enumerate_closed(scheme.hypergroup, closed_pi)
         )
     return tuple(t for t in candidates if _pi_predicates(scheme, t, ps).is_hall_pi_subset)
 

@@ -507,9 +507,7 @@ def closure(subset: ElementSubset) -> ClosedSubset:
     return _as_closed(subset.parent, subset.parent.closure_mask(subset.bits))
 
 
-def enumerate_closed_subsets(
-    hg: Hypergroup, keep: Callable[[int], bool] | None = None
-) -> tuple[ClosedSubset, ...]:
+def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     """All closed subsets, sorted by size then member tuple.
 
     Cyclic extension: every closed subset is a join of closures of
@@ -519,17 +517,25 @@ def enumerate_closed_subsets(
     mask it was first reached from, and a join closes that mask plus
     one representative of the singleton closure, which is cheaper than
     closing the union.  The result is cached on the hypergroup.
+    """
+    if hg._closed is None:
+        hg._closed = _enumerate_closed(hg, None)
+    return hg._closed
+
+
+def _enumerate_closed(
+    hg: Hypergroup, keep: Callable[[int], bool] | None
+) -> tuple[ClosedSubset, ...]:
+    """enumerate_closed_subsets' walk, uncached, narrowed by keep.
 
     keep, a predicate on masks, narrows the answer to the closed
     subsets it accepts, in the same order.  It must hold on every
-    closed subset of a closed mask it holds on.  Then every closed
-    subset it accepts is a join of singleton closures it accepts, so
-    only those seed the walk, a join is closed only while it stays
-    inside their union, and a join keep rejects is dropped.  That
-    answer is not cached; once the whole lattice is, it is filtered.
+    closed subset of a closed mask it holds on; nothing checks that.
+    Then every closed subset it accepts is a join of singleton closures
+    it accepts, so only those seed the walk, a join is closed only
+    while it stays inside their union, and a join keep rejects is
+    dropped.
     """
-    if hg._closed is not None:
-        return hg._closed if keep is None else tuple(c for c in hg._closed if keep(c.bits))
     inv = hg.inverse
     # s and s^ have the same closure; one representative per closure
     singles: dict[int, int] = {}
@@ -563,15 +569,12 @@ def enumerate_closed_subsets(
                 elif joined not in found:
                     found[joined] = ext
                     work.append(joined)
-    out = tuple(
+    return tuple(
         sorted(
             (_as_closed(hg, m) for m in found),
             key=ElementSubset.sort_key,
         )
     )
-    if keep is None:
-        hg._closed = out
-    return out
 
 
 def _normalizer(hg: Hypergroup, c: int, within: int) -> int:

@@ -32,7 +32,7 @@ import sys
 import pytest
 
 import schemehall as sh
-from schemehall.hypergroup import Hypergroup, _associativity_witness, _h1_witness
+from schemehall.hypergroup import Hypergroup, _associativity_witness, _enumerate_closed, _h1_witness
 
 from conftest import (
     ALL_PI,
@@ -594,20 +594,18 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     closures = []
     keeps = []
     original_closure = Hypergroup.closure_mask
-    original_enumerate = sh.enumerate_closed_subsets
 
     def counted_closure(self, mask, within=None):
         closures.append(mask)
         return original_closure(self, mask, within)
 
-    def counted_enumerate(hg, keep=None):
+    def counted_walk(hg, keep):
         keeps.append(keep)
-        return original_enumerate(hg, keep)
+        return _enumerate_closed(hg, keep)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("schemehall") and getattr(module, "enumerate_closed_subsets", None) is original_enumerate:
-            monkeypatch.setattr(module, "enumerate_closed_subsets", counted_enumerate)
+    for name in ("schemehall.hypergroup", "schemehall.hall"):
+        monkeypatch.setattr(sys.modules[name], "_enumerate_closed", counted_walk)
     made = {}
     for pi in ({2}, {3}, {2, 3}, set()):
         s4 = sh.from_group(sh.symmetric(4))
@@ -622,10 +620,10 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
 
 
 def test_keep_walk_is_the_filtered_full_walk():
-    """enumerate_closed_subsets with a keep that holds on every closed
+    """The closed subset walk with a keep that holds on every closed
     subset of a mask it holds on: the full walk filtered by keep, in
-    the same order, on a fresh hypergroup that caches no lattice; and
-    the same again read off the cached lattice."""
+    the same order, on a fresh hypergroup, which it leaves with no
+    lattice cached."""
     rng = random.Random(7)
     for hg in kernel_pool():
         full = sh.enumerate_closed_subsets(hg)
@@ -641,9 +639,8 @@ def test_keep_walk_is_the_filtered_full_walk():
         for keep in keeps:
             want = [c.bits for c in full if keep(c.bits)]
             cold = fresh(hg)
-            assert [c.bits for c in sh.enumerate_closed_subsets(cold, keep)] == want
+            assert [c.bits for c in _enumerate_closed(cold, keep)] == want
             assert cold._closed is None
-            assert [c.bits for c in sh.enumerate_closed_subsets(hg, keep)] == want
 
 
 def test_hall_context_checks_strong_normality_once(monkeypatch):
