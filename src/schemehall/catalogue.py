@@ -9,16 +9,16 @@ a catalogue site, caching files next to a sha256 sidecar.  Downloads
 use the layout <source>/as<order>.txt.  The classification data at
 http://kissme.shinshu-u.ac.jp/as is the usual source; tests rely only
 on the vendored corpus.
+
+The stdlib modules that only these paths use are imported on first use,
+so `import schemehall` does not pay for them: urllib.request on a
+download, hashlib on a cache read or write, tempfile on a cache write,
+and importlib.resources on the first bundled_* call.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
@@ -93,6 +93,8 @@ def _cache_dir(explicit: str | os.PathLike[str] | None) -> Path:
 
 
 def _sha256(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -138,6 +140,9 @@ def fetch_catalogue(
             f"offline and {fname} is not cached under {cache}"
         )
 
+    import urllib.error
+    import urllib.request
+
     url = f"{source.rstrip('/')}/{fname}"
     try:
         with urllib.request.urlopen(url, timeout=30) as resp:
@@ -156,6 +161,8 @@ def fetch_catalogue(
 
 def _write_atomic(path: Path, data: bytes) -> None:
     """Write data to a temporary file next to path, then rename it into place."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -170,6 +177,8 @@ def _write_atomic(path: Path, data: bytes) -> None:
 # vendored corpus
 
 def _data_root():
+    from importlib import resources
+
     return resources.files("schemehall") / "data"
 
 

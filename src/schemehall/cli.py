@@ -159,18 +159,27 @@ def cmd_report(args: argparse.Namespace) -> int:
             if not r["valid"]:
                 print(f"{r['input']}: INVALID ({r['error']})")
                 continue
+            size = f"{r['input']}: n={r['n_points']} rank={r['rank']}"
+            if "error" in r:
+                print(f"{size} ERROR ({r['error']})")
+                continue
             print(
-                f"{r['input']}: n={r['n_points']} rank={r['rank']} "
-                f"solvable={r['solvable']} "
+                f"{size} solvable={r['solvable']} "
                 f"closed={r['closed_subsets']['count']}"
             )
-    failed = [
-        (r["input"], key, entry["error"])
-        for r in records if r["valid"]
-        for key, entry in r["pi"].items() if "error" in entry
-    ]
-    for name, key, error in failed:
-        print(f"internal error: {name} pi={key}: {error}", file=sys.stderr)
+    failed = []
+    for r in records:
+        if not r["valid"]:
+            continue
+        if "error" in r:
+            failed.append((r["input"], r["error"]))
+            continue
+        failed.extend(
+            (f"{r['input']} pi={key}", entry["error"])
+            for key, entry in r["pi"].items() if "error" in entry
+        )
+    for where, error in failed:
+        print(f"internal error: {where}: {error}", file=sys.stderr)
     return 3 if failed else 0
 
 

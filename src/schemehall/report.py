@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .arith import format_pi, validate_pi
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
 )
 from .formats import parse_scheme
 from .hall import find_hall
-from .scheme import is_solvable_scheme
+from .scheme import AssociationScheme, is_solvable_scheme
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_PI_SETS", "scheme_record", "report_records", "render_jsonl"]
 
@@ -38,7 +37,10 @@ def scheme_record(
     """Build the report record for one scheme file body.
 
     A pi whose Hall check finds an internal inconsistency gets an
-    "error" entry instead of an answer; the other pi go on.
+    "error" entry instead of an answer; the other pi go on.  One found
+    outside the per-pi checks, by the hypergroup build, the solvability
+    test or the closed-subset census, leaves a valid record with its
+    size fields and a top-level "error" in place of the analysis.
     """
     t0 = time.perf_counter()
     record: dict = {"schema": SCHEMA_VERSION, "input": name}
@@ -47,21 +49,29 @@ def scheme_record(
     except SchemehallError as exc:
         record["valid"] = False
         record["error"] = f"{type(exc).__name__}: {exc}"
-        if timings:
-            record["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
-        return record
+    else:
+        record["valid"] = True
+        record["n_points"] = scheme.n_points
+        record["rank"] = scheme.rank
+        record["valencies"] = list(scheme.valencies)
+        try:
+            record.update(_analysis(scheme, pi_sets))
+        except InternalInconsistencyError as exc:
+            record["error"] = f"{type(exc).__name__}: {exc}"
 
-    record["valid"] = True
-    record["n_points"] = scheme.n_points
-    record["rank"] = scheme.rank
-    record["valencies"] = list(scheme.valencies)
-    record["solvable"] = is_solvable_scheme(scheme)
+    if timings:
+        record["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
+    return record
+
+
+def _analysis(scheme: AssociationScheme, pi_sets: tuple[tuple[int, ...], ...]) -> dict:
+    """Solvability, closed-subset census and per-pi Hall entries."""
+    out: dict = {"solvable": is_solvable_scheme(scheme)}
     census = scheme.closed_subsets()
-    record["closed_subsets"] = {
+    out["closed_subsets"] = {
         "count": len(census),
         "valencies": sorted(c.valency for c in census),
     }
-
     by_pi: dict[str, dict] = {}
     for pi in pi_sets:
         ps = validate_pi(pi)
@@ -86,11 +96,8 @@ def scheme_record(
                 "core": list(cert.o_pi.members()),
             }
         by_pi[key] = entry
-    record["pi"] = by_pi
-
-    if timings:
-        record["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
-    return record
+    out["pi"] = by_pi
+    return out
 
 
 def _worker(task: tuple[str, str, tuple[tuple[int, ...], ...], bool]) -> dict:
@@ -107,7 +114,9 @@ def report_records(
 
     jobs > 1 fans the per-scheme work out over at most that many
     processes, and never more than there are inputs; the output order
-    stays the sorted-name order either way.  jobs < 1 raises ValueError.
+    stays the sorted-name order either way.  The process pool is only
+    imported then, so a serial report never loads concurrent.futures or
+    multiprocessing.  jobs < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -117,6 +126,8 @@ def report_records(
     ]
     if jobs == 1 or len(tasks) <= 1:
         return [_worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_worker, tasks))
 

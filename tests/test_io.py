@@ -1,5 +1,6 @@
 """File formats, catalogue access and the command line."""
 
+import concurrent.futures
 import hashlib
 import importlib.util
 import json
@@ -220,6 +221,19 @@ def test_fetch_caches_data_and_sidecar(tmp_path, served):
     assert len(catalogue.fetch_catalogue(5, cache_dir=tmp_path, offline=True)) == 3
 
 
+def test_fetch_failure_raises_network_unavailable_and_caches_nothing(tmp_path, monkeypatch):
+    import urllib.error
+    import urllib.request
+
+    def down(url, timeout=None):
+        raise urllib.error.URLError("down")
+
+    monkeypatch.setattr(urllib.request, "urlopen", down)
+    with pytest.raises(sh.NetworkUnavailableError, match="http://mirror.invalid/as/as5.txt"):
+        catalogue.fetch_catalogue(5, source="http://mirror.invalid/as", cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cached_file_without_sidecar_is_not_trusted(tmp_path):
     (tmp_path / "as5.txt").write_bytes((DATA / "catalogue" / "order05.txt").read_bytes())
     with pytest.raises(sh.ChecksumMismatchError, match="no sha256 sidecar"):
@@ -410,7 +424,9 @@ def test_report_starts_no_more_workers_than_inputs(monkeypatch, capsys):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    # report_records imports the pool inside its jobs > 1 branch, so the
+    # patch goes on the module it is imported from
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     inputs = [(p.stem, p.read_text("utf-8")) for p in sorted(SCHEMES.glob("*.scm"))[:3]]
     serial = report_records(inputs)
     assert sizes == []
@@ -488,3 +504,38 @@ def test_report_records_an_internal_error_and_goes_on(monkeypatch, capsys):
     assert "internal error: hm176_28 pi={3}: InternalInconsistencyError: planted" in captured.err
     assert main(["report", str(SCHEMES)]) == 3
     assert len(capsys.readouterr().out.splitlines()) == n_files
+
+
+def test_report_records_a_scheme_level_internal_error_and_goes_on(monkeypatch, capsys):
+    """An inconsistency outside the per-pi checks leaves the record's size
+    fields and a top-level error; every other record is unchanged."""
+    n_files = len(list(SCHEMES.glob("*.scm")))
+    assert main(["report", str(SCHEMES), "--json"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    real = report.is_solvable_scheme
+
+    def flaky(scheme):
+        if scheme.n_points == 28:
+            raise sh.InternalInconsistencyError("planted")
+        return real(scheme)
+
+    monkeypatch.setattr(report, "is_solvable_scheme", flaky)
+    rec = report.scheme_record("hm176_28", (SCHEMES / "hm176_28.scm").read_text("utf-8"))
+    assert rec == {
+        "schema": 1, "input": "hm176_28", "valid": True, "n_points": 28, "rank": 10,
+        "valencies": [1, 1, 1, 1, 4, 4, 4, 4, 4, 4],
+        "error": "InternalInconsistencyError: planted",
+    }
+
+    assert main(["report", str(SCHEMES), "--json"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == n_files
+    changed = [i for i, (a, b) in enumerate(zip(clean, lines)) if a != b]
+    assert [json.loads(lines[i]) for i in changed] == [rec]
+    assert captured.err == "internal error: hm176_28: InternalInconsistencyError: planted\n"
+
+    assert main(["report", str(SCHEMES)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == n_files
+    assert "hm176_28: n=28 rank=10 ERROR (InternalInconsistencyError: planted)" in out

@@ -4,12 +4,18 @@ Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
 does not use, the public API carries no name without a caller, and
-every name the bench tracer patches exists.
+every name the bench tracer patches exists.  Importing the package
+and its CLI loads none of the stdlib stacks that only the download,
+the cache, the bundled data or a process pool need.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import schemehall
@@ -131,3 +137,29 @@ def test_every_public_name_has_a_caller():
 def test_version_matches_pyproject():
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert f'\nversion = "{schemehall.__version__}"\n' in pyproject
+
+
+# loaded on first use by fetch_catalogue, the cache, bundled_* and report --jobs
+DEFERRED = (
+    "urllib.request", "http.client", "ssl", "socket", "email", "hashlib",
+    "tempfile", "importlib.resources", "concurrent.futures", "multiprocessing",
+    "logging",
+)
+
+
+def test_import_loads_no_deferred_stdlib_stack():
+    """Against the modules the interpreter already holds before the import,
+    so a site hook that preloads some of them does not hide a regression."""
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import schemehall, schemehall.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    new = set(json.loads(out))
+    loaded = sorted(name for name in DEFERRED if name in new)
+    assert not loaded, f"import schemehall loads {loaded}"
