@@ -74,9 +74,14 @@ def pi_part(n: int, pi: frozenset[int]) -> int:
 
 
 def validate_pi(pi: Iterable[int]) -> frozenset[int]:
-    """Normalize a collection of primes to a frozenset, rejecting non-primes."""
+    """Normalize a collection of primes to a frozenset, rejecting non-primes
+    and, before any trial division, ints above 2**20."""
     out = frozenset(pi)
     for p in out:
+        # n * rank**2 <= SCHEME_SIZE_CAP = 2**20 for every admitted scheme,
+        # so no larger prime divides an order or valency it could ask about
+        if type(p) is int and p > 1 << 20:
+            raise ValueError(f"{p} is above 2**20, the largest order a scheme may have")
         if not is_prime(p):
             raise ValueError(f"{p!r} is not prime")
     return out

@@ -29,8 +29,6 @@ from .errors import (
 from .formats import GroupFile, SchemeFile, parse_group, parse_scheme
 
 __all__ = [
-    "DEFAULT_SOURCE",
-    "CACHE_ENV",
     "split_catalogue",
     "fetch_catalogue",
     "bundled_orders",
@@ -47,14 +45,14 @@ CACHE_ENV = "SCHEMEHALL_CACHE_DIR"
 _INT_LINE = re.compile(r"^[\s\d]+$")
 
 
-def split_catalogue(text: str, order: int, prefix: str = "scheme") -> list[SchemeFile]:
+def split_catalogue(text: str, order: int) -> list[SchemeFile]:
     """Split a concatenated-matrix catalogue file into scheme files.
 
     Tolerant of the informal upstream layout: lines that are not pure
     whitespace-separated integers are treated as metadata and skipped;
     the remaining integer stream must chop evenly into order x order
-    matrices.  Scheme names are 1-based positions, matching the
-    catalogue numbering.
+    matrices.  Schemes are named scheme{order}_{i}, i the 1-based
+    position, matching the catalogue numbering.
     """
     if order < 1:
         raise ValueError(f"scheme order must be at least 1, got {order}")
@@ -79,7 +77,7 @@ def split_catalogue(text: str, order: int, prefix: str = "scheme") -> list[Schem
             tuple(chunk[r * order : (r + 1) * order]) for r in range(order)
         )
         rank = len({v for row in matrix for v in row})
-        out.append(SchemeFile(f"{prefix}{order}_{i + 1}", order, rank, matrix))
+        out.append(SchemeFile(f"scheme{order}_{i + 1}", order, rank, matrix))
     return out
 
 

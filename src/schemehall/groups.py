@@ -19,7 +19,6 @@ from .hypergroup import (
 
 __all__ = [
     "validate_group",
-    "group_inverse",
     "cyclic",
     "dihedral",
     "dicyclic",
@@ -28,10 +27,6 @@ __all__ = [
     "alternating",
     "direct_product",
     "thin_hypergroup",
-    "all_subgroups",
-    "generated_subgroup",
-    "is_solvable_group",
-    "find_subgroup_conjugator",
 ]
 
 Table = tuple[tuple[int, ...], ...]

@@ -98,6 +98,8 @@ class Hypergroup:
         self.inverse = inverse
         self.name = name
         self._closed: tuple[ClosedSubset, ...] | None = None
+        # residue-series factors, () when not solvable: see solvability._residue_series
+        self._residue: tuple | None = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""

@@ -43,7 +43,6 @@ __all__ = [
     "kernel",
     "natural_projection",
     "find_isomorphism",
-    "ISOMORPHISM_ORDER_CAP",
 ]
 
 

@@ -21,7 +21,7 @@ from .formats import parse_scheme
 from .hall import find_hall
 from .scheme import AssociationScheme, is_solvable_scheme
 
-__all__ = ["SCHEMA_VERSION", "DEFAULT_PI_SETS", "scheme_record", "report_records", "render_jsonl"]
+__all__ = ["scheme_record", "report_records", "render_jsonl"]
 
 SCHEMA_VERSION = 1
 

@@ -51,7 +51,6 @@ __all__ = [
     "AssociationScheme",
     "SchemeClosedSubset",
     "QuotientScheme",
-    "PiPredicates",
     "validate_scheme",
     "from_group",
     "wreath_matrix",
@@ -63,7 +62,6 @@ __all__ = [
     "conjugators",
     "solvable_chain_scheme",
     "is_solvable_scheme",
-    "SCHEME_SIZE_CAP",
 ]
 
 

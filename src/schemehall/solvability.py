@@ -73,23 +73,21 @@ def _residue_series(hg: Hypergroup) -> tuple[tuple[QuotientHypergroup, Table], .
     Each quotient is a subquotient of hg, its cosets masks over hg.  A
     series that stands still needs no quotient.  The one-element
     hypergroup has the factor {0} // {0}, so a solvable hypergroup
-    always has a top factor."""
-    try:
-        return hg._residue
-    except AttributeError:
-        pass
+    always has a top factor, and the cache holds () for not solvable."""
+    if hg._residue is not None:
+        return hg._residue or None
     masks = [hg.full_mask]
     while len(masks) == 1 or masks[-1] != 1:
         masks.append(_thin_residue(hg, masks[-1]))
         if masks[-1] == masks[-2] != 1:
-            hg._residue = None
+            hg._residue = ()
             return None
     factors = []
     for outer, inner in zip(masks, masks[1:]):
         q = subquotient(hg, ClosedSubset(hg, outer), ClosedSubset(hg, inner))
         table = group_from_thin(q)
         if not is_solvable_group(table):
-            hg._residue = None
+            hg._residue = ()
             return None
         factors.append((q, table))
     hg._residue = tuple(factors)

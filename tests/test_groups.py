@@ -59,3 +59,10 @@ def test_dic3_is_a_thin_catalogue_scheme_of_order_12():
 def test_dicyclic_needs_n_at_least_2():
     with pytest.raises(ValueError, match="dicyclic"):
         sh.dicyclic(1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_dihedral_needs_n_at_least_1(n):
+    with pytest.raises(ValueError) as exc:
+        sh.dihedral(n)
+    assert str(exc.value) == "dihedral(n) needs n >= 1"

@@ -251,3 +251,18 @@ def test_is_closed_matches_definition(pentagon):
     assert sh.is_closed(pentagon.subset([0]))
     assert not sh.is_closed(pentagon.subset([0, 1]))
     assert sh.is_closed(pentagon.universe())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p, s: p.subset(1 << p.size), ValueError, "mask 0x8 is out of range for order 3"),
+    (lambda p, s: sh.validate_hypergroup([]), NoNeutralError, "empty table has no neutral element"),
+    (
+        lambda p, s: sh.is_strongly_normal(s.subset([0, 2]), s.subset([0, 1])),
+        sh.NotSubsetError,
+        "strong normality is only defined for F inside G",
+    ),
+])
+def test_hypergroup_input_checks(pentagon, square, call, error, message):
+    with pytest.raises(error) as exc:
+        call(pentagon, square)
+    assert str(exc.value) == message

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import schemehall as sh
-from schemehall import catalogue, formats, report
+from schemehall import catalogue, cli, formats, report
 from schemehall.cli import main
 from schemehall.report import DEFAULT_PI_SETS, render_jsonl, report_records
 
@@ -325,6 +325,44 @@ def test_cli_rejects_non_prime_pi(capsys):
     code = main(["hall", str(SCHEMES / "hm176_28.scm"), "--pi", "4"])
     assert code == 2
     assert "4 is not prime" in capsys.readouterr().err
+    code = main(["hall", str(SCHEMES / "hm176_28.scm"), "--pi", str(2**61 - 1)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 2305843009213693951 is above 2**20, the largest order a scheme may have\n"
+    )
+
+
+def test_cli_conjugate_defaults_pi_to_the_first_subsets_primes(monkeypatch, capsys):
+    """Without --pi the primes of the first subset's valency, 4, are used."""
+    args = ["conjugate", str(SCHEMES / "hm176_28.scm"), "--t", "0,1,2,3", "--u", "0,1,2,3"]
+    assert main(args + ["--pi", "2"]) == 0
+    explicit = capsys.readouterr().out
+    real = cli.conjugating_element
+    seen = []
+
+    def spy(scheme, t, u, pi):
+        seen.append(pi)
+        return real(scheme, t, u, pi)
+
+    monkeypatch.setattr(cli, "conjugating_element", spy)
+    assert main(args) == 0
+    assert capsys.readouterr().out == explicit
+    assert seen == [frozenset({2})]
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    def broken(scheme, pi):
+        raise sh.InternalInconsistencyError("planted")
+
+    monkeypatch.setattr(cli, "find_hall", broken)
+    assert main(["hall", str(SCHEMES / "pentagon.scm"), "--pi", "2"]) == 3
+    assert capsys.readouterr().err == "internal error: planted\n"
+
+
+def test_cli_report_on_a_directory_without_schemes(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("3 2\n", "utf-8")
+    assert main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: no .scm files under {tmp_path}\n"
 
 
 def test_cli_conjugate_and_extend(capsys):

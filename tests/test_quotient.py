@@ -238,3 +238,37 @@ def test_second_isomorphism_instances_on_c6(c6):
             assert sh.find_isomorphism(big, direct) is not None
             pairs += 1
     assert pairs == 9  # 4 closed subsets of C6, all normal, nested pairs
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (
+        lambda c6, q: sh.lift_closed(q, q.subset([0, 1])),
+        sh.NotClosedError,
+        "can only lift a closed subset of the quotient",
+    ),
+    (
+        lambda c6, q: sh.project_closed(q, c6.subset([0, 1])),
+        sh.NotClosedError,
+        "can only project a closed subset",
+    ),
+    (
+        lambda c6, q: sh.project_closed(q, c6.subset([0, 2, 4])),
+        sh.NotSubsetError,
+        "projection needs a subset containing the modulus",
+    ),
+    (
+        lambda c6, q: sh.validate_homomorphism(c6, q, (0, 1)),
+        ValueError,
+        "mapping length does not match the source order",
+    ),
+    (
+        lambda c6, q: sh.validate_homomorphism(c6, q, (0, 1, 2, 0, 1, 3)),
+        ValueError,
+        "mapping value 3 outside the target",
+    ),
+])
+def test_quotient_input_checks(c6, call, error, message):
+    q = sh.quotient(c6, c6.subset([0, 3]))
+    with pytest.raises(error) as exc:
+        call(c6, q)
+    assert str(exc.value) == message

@@ -18,7 +18,7 @@ import tracemalloc
 import pytest
 
 import schemehall as sh
-from schemehall import scheme as scheme_module
+from schemehall import arith, scheme as scheme_module
 
 from conftest import ALL_PI, catalogue_schemes
 
@@ -326,9 +326,11 @@ def test_pi_part_is_the_literal_product_of_prime_powers():
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, None, "3", True])
-def test_pi_rejects_anything_but_a_prime_int(bad):
+def test_pi_rejects_anything_but_a_prime_int(bad, monkeypatch):
     """A float, None, a string or a bool is no prime, even when it
-    compares equal to one; find_hall reports it like any non-prime."""
+    compares equal to one; find_hall reports it like any non-prime.
+    An int above 2**20, past any admitted scheme's order, is refused
+    before trial division; the largest prime below the bound is not."""
     assert not sh.is_prime(bad)
     message = f"^{re.escape(repr(bad))} is not prime$"
     with pytest.raises(ValueError, match=message):
@@ -337,3 +339,21 @@ def test_pi_rejects_anything_but_a_prime_int(bad):
         sh.validate_pi([2, bad])
     with pytest.raises(ValueError, match=message):
         sh.find_hall(sh.from_group(sh.cyclic(7)), [bad])
+    assert sh.validate_pi([1048573]) == {1048573}
+    monkeypatch.setattr(arith, "is_prime", lambda p: pytest.fail("trial division ran"))
+    with pytest.raises(ValueError, match=r"^2305843009213693951 is above 2\*\*20, "):
+        sh.validate_pi([2**61 - 1])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s: s.closed_subset([1]), sh.NotClosedError, "relation set (1,) is not closed"),
+    (
+        lambda s: sh.pi_predicates(s, sh.bundled_scheme("pentagon").scheme().full_subset(), [2]),
+        sh.ParentMismatchError,
+        "subset belongs to a different scheme",
+    ),
+])
+def test_scheme_input_checks(pentagon, call, error, message):
+    with pytest.raises(error) as exc:
+        call(pentagon)
+    assert str(exc.value) == message

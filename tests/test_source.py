@@ -4,7 +4,8 @@ Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
 does not use, the public API carries no name without a caller, and
-every name the bench tracer patches exists.  Importing the package
+every name the bench tracer patches exists.  The package's __all__ is
+the union of its submodules' lists and nothing else.  Importing the package
 and its CLI loads none of the stdlib stacks that only the download,
 the cache, the bundled data or a process pool need.
 """
@@ -132,6 +133,25 @@ def test_every_public_name_has_a_caller():
         used |= _references(path)
     unused = sorted(set(schemehall.__all__) - used)
     assert not unused, f"public names with no caller: {unused}"
+
+
+def test_package_surface_is_the_submodule_lists():
+    """__init__ only star-imports: each submodule's __all__ is the one
+    place a public name is declared, so the caller test above sees every
+    one.  A name two submodules declare is the same object in both."""
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    listed = [
+        f"line {node.lineno}" for node in imports
+        if isinstance(node, ast.Import) or [alias.name for alias in node.names] != ["*"]
+    ]
+    assert not listed, f"__init__.py imports names one by one: {listed}"
+    modules = [importlib.import_module(f"schemehall.{node.module}") for node in imports]
+    declared = ["__version__"] + [name for module in modules for name in module.__all__]
+    assert sorted(schemehall.__all__) == sorted(set(declared))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(schemehall, name) is getattr(module, name), (module.__name__, name)
 
 
 def test_version_matches_pyproject():
