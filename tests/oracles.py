@@ -8,7 +8,10 @@ the library reads off the thin residue instead, live here as well, and
 so does the subquotient built by way of a validated restriction copy,
 which the library reads straight off the parent table.  The Hall filter
 over every closed subset, which the library runs over the closed
-pi-subsets alone, is kept here too.  So are the
+pi-subsets alone, is kept here too, and so is the extension route that
+multiplied a seed by the pi-core before looking for a Hall subset
+containing it, which the library answers from the lifted Hall family
+alone.  So are the
 product and star kernels as they were written over bits_of, before the
 library walked their masks inline.  The normality tests as they were
 spelled before the library read them off one conjugation kernel and one
@@ -17,7 +20,7 @@ search that tests normality pair by pair) are kept here too.
 """
 from __future__ import annotations
 
-from schemehall.arith import is_pi_number, is_prime
+from schemehall.arith import is_pi_number, is_prime, validate_pi
 from schemehall.errors import (
     EmptyInputError,
     InternalInconsistencyError,
@@ -25,6 +28,7 @@ from schemehall.errors import (
     NotSubsetError,
     SearchOverflowError,
 )
+from schemehall.hall import HallCertificate, _context
 from schemehall.hypergroup import (
     ClosedSubset,
     ElementSubset,
@@ -53,6 +57,7 @@ __all__ = [
     "theta_core_lattice",
     "o_pi_lattice",
     "hall_filter_lattice",
+    "extend_via_core_product",
     "restriction_copy",
     "subquotient_of_copy",
     "subquotient_over_parent",
@@ -259,6 +264,23 @@ def hall_filter_lattice(scheme, pi) -> tuple:
     lattice: every closed subset passing the Hall predicate, in
     closed_subsets order.  Caches the lattice on the scheme."""
     return tuple(t for t in scheme.closed_subsets() if pi_predicates(scheme, t, pi).is_hall_pi_subset)
+
+
+def extend_via_core_product(scheme, t, pi) -> HallCertificate:
+    """extend_to_hall by way of the product of the pi-core with t: the
+    product must be closed, and the certificate is that of the first
+    lifted Hall subset containing it, in the order of the scheme's Hall
+    context."""
+    ps = validate_pi(pi)
+    ctx = _context(scheme, ps)
+    hg = scheme.hypergroup
+    grown = hg.mul_masks(ctx.core.bits, t.bits)
+    if not hg.is_closed_mask(grown):
+        raise InternalInconsistencyError("product of the pi-core with a closed subset must be closed")
+    for i, h in enumerate(ctx.lifted):
+        if grown & ~h.bits == 0:
+            return ctx.certificate(i, ps)
+    raise InternalInconsistencyError("no lifted Hall subset contains the product")
 
 
 def restriction_copy(hg: Hypergroup, subset: ElementSubset) -> tuple[Hypergroup, tuple[int, ...]]:

@@ -18,7 +18,7 @@ from schemehall import groups as groups_module
 from schemehall.groups import all_subgroups, is_solvable_group
 
 from conftest import ALL_PI, catalogue_schemes, product_matrices
-from oracles import hall_filter_lattice
+from oracles import extend_via_core_product, hall_filter_lattice
 
 # the package's quotient function shadows its quotient module
 quotient_module = importlib.import_module("schemehall.quotient")
@@ -477,3 +477,70 @@ def test_hall_filter_walks_closed_pi_subsets_only():
         assert got == want, scheme.name
         pairs += len(ALL_PI)
     assert pairs == 2784
+
+
+def test_extend_to_hall_matches_the_core_product_route():
+    """extend_to_hall against the route through core * T, on every
+    solvable pi-valenced scheme of the catalogue to order 12 and every
+    bundled group scheme, for every pi and every closed pi-subset T:
+    the same Hall subset and lifted subgroup, and core * T is closed
+    (the oracle raises otherwise)."""
+    schemes = [s for s in catalogue_schemes(12) if sh.is_solvable_scheme(s)]
+    schemes += [sh.from_group(sh.bundled_group(n).table, name=n) for n in sh.bundled_group_names()]
+    seeds = 0
+    for scheme in schemes:
+        for pi in ALL_PI:
+            if not sh.is_pi_valenced(scheme, pi):
+                continue
+            for t in scheme.closed_subsets():
+                if not sh.pi_predicates(scheme, t, pi).is_closed_pi_subset:
+                    continue
+                got = sh.extend_to_hall(scheme, t, pi)
+                want = extend_via_core_product(scheme, t, pi)
+                assert (got.hall.bits, got.lifted_subgroup) == (want.hall.bits, want.lifted_subgroup), (
+                    scheme.name, sorted(pi), t.members(),
+                )
+                seeds += 1
+    assert seeds == 5004
+
+
+def test_extend_to_hall_multiplies_and_closes_nothing(monkeypatch):
+    """Once find_hall has built the context, extend_to_hall makes no
+    complex product and no closedness check."""
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    sh.find_hall(s4, {2})
+    seeds = [t for t in s4.closed_subsets() if sh.pi_predicates(s4, t, {2}).is_closed_pi_subset]
+    calls = []
+    hg_class = hypergroup_module.Hypergroup
+    for name in ("mul_masks", "is_closed_mask"):
+        real = getattr(hg_class, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(hg_class, name, counted)
+    for t in seeds:
+        assert t.bits & ~sh.extend_to_hall(s4, t, {2}).hall.bits == 0
+    assert len(seeds) > 3
+    assert calls == []
+
+
+def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypatch):
+    halls = sh.all_hall_subsets(s4_scheme, {2})
+    t, u = halls[0], halls[1]
+    with monkeypatch.context() as m:
+        m.setattr(hall_module, "conjugators", lambda scheme, a, b: ())
+        with pytest.raises(sh.NoConjugatorFoundError, match="no relation conjugates the first Hall subset"):
+            sh.conjugating_element(s4_scheme, t, u, {2})
+    with monkeypatch.context() as m:
+        m.setattr(hall_module, "find_subgroup_conjugator", lambda table, a, b: None)
+        with pytest.raises(sh.InternalInconsistencyError) as info:
+            sh.conjugating_element(s4_scheme, t, u, {2})
+        assert str(info.value) == "quotient group route found no conjugator although a direct one exists"
+    with monkeypatch.context() as m:
+        m.setattr(hall_module, "find_subgroup_conjugator", lambda table, a, b: 0)
+        with pytest.raises(sh.InternalInconsistencyError) as info:
+            sh.conjugating_element(s4_scheme, t, u, {2})
+        assert str(info.value) == "no member of the lifted conjugator coset conjugates the subsets directly"
+    assert sh.conjugating_element(s4_scheme, t, u, {2}) == 4

@@ -4,6 +4,9 @@ import concurrent.futures
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,6 +285,23 @@ def test_cli_solvable_pentagon(capsys):
     code = main(["solvable", str(SCHEMES / "pentagon.scm")])
     assert code == 1
     assert "not solvable" in capsys.readouterr().out
+
+
+def test_cli_runs_as_a_module():
+    """python -m schemehall.cli runs a command, with src on the path and
+    the package not installed."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "schemehall.cli", *args, str(SCHEMES / "pentagon.scm")],
+            env=env, capture_output=True, text=True, check=False,
+        )
+
+    valid = run("validate")
+    assert (valid.returncode, valid.stdout) == (0, "valid: 5 points, rank 3, valencies [1, 2, 2]\n")
+    solvable = run("solvable")
+    assert (solvable.returncode, solvable.stdout) == (1, "not solvable\n")
 
 
 def test_cli_solvable_c6_prints_its_chain(capsys):
