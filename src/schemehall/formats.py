@@ -77,7 +77,7 @@ def _content_lines(text: str) -> tuple[str, list[tuple[int, str]]]:
 
 def _int_row(line_no: int, body: str) -> list[int]:
     try:
-        return [int(tok) for tok in body.split()]
+        return list(map(int, body.split()))
     except ValueError:
         raise FormatSyntaxError(line_no, f"expected integers, got {body!r}") from None
 

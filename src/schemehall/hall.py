@@ -219,12 +219,16 @@ def all_hall_subsets(
         candidates = scheme._closed_subsets
     else:
         valenced = _pi_valenced_mask(scheme, ps)
+        valency: dict[int, int] = {}  # by mask, for each mask closed_pi summed
 
         def closed_pi(mask: int) -> bool:
-            return mask & ~valenced == 0 and is_pi_number(scheme.valency_of_mask(mask), ps)
+            if mask & ~valenced:
+                return False
+            v = valency[mask] = scheme.valency_of_mask(mask)
+            return is_pi_number(v, ps)
 
         candidates = (
-            SchemeClosedSubset(scheme, c.bits)
+            SchemeClosedSubset(scheme, c.bits, valency[c.bits])
             for c in _enumerate_closed(scheme.hypergroup, closed_pi)
         )
     return tuple(t for t in candidates if _pi_predicates(scheme, t, ps).is_hall_pi_subset)

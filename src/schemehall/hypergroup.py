@@ -196,9 +196,18 @@ class Hypergroup:
     # -- subset constructors -------------------------------------------
 
     def subset(self, elements: Iterable[int] | int) -> "ElementSubset":
-        mask = elements if isinstance(elements, int) else mask_of(elements)
-        if mask < 0 or mask > self.full_mask:
-            raise ValueError(f"mask {mask:#x} is out of range for order {self.size}")
+        if isinstance(elements, int):
+            mask = elements
+            if mask < 0 or mask > self.full_mask:
+                raise ValueError(f"mask {mask:#x} is out of range for order {self.size}")
+        else:
+            mask = 0
+            for s in elements:
+                if type(s) is not int:  # bool is an int subclass
+                    raise ValueError(f"element {s!r} is not an int")
+                if not 0 <= s < self.size:
+                    raise ValueError(f"element {s} is out of range for order {self.size}")
+                mask |= 1 << s
         return ElementSubset(self, mask)
 
     def universe(self) -> "ClosedSubset":
@@ -322,16 +331,23 @@ def validate_hypergroup(
             raise ValueError(f"row {a} has length {len(row)}, expected {k}")
         mrow = []
         for b, cell in enumerate(row):
-            if isinstance(cell, int):
+            if type(cell) is int:  # bool is an int subclass
                 m = cell
                 if m < 0 or m >> k:
                     raise ValueError(f"cell ({a}, {b}) mask out of range")
             else:
+                try:
+                    members = iter(cell)
+                except TypeError:
+                    raise ValueError(
+                        f"cell ({a}, {b}) is {cell!r}, neither an int mask "
+                        f"nor an iterable of elements"
+                    ) from None
                 m = 0
-                for s in cell:
-                    if not 0 <= s < k:
+                for s in members:
+                    if type(s) is not int or not 0 <= s < k:
                         raise ValueError(
-                            f"cell ({a}, {b}) contains {s}, outside 0..{k - 1}"
+                            f"cell ({a}, {b}) contains {s!r}, outside 0..{k - 1}"
                         )
                     m |= 1 << s
             if m == 0:
@@ -566,9 +582,11 @@ def _enumerate_closed(
             if union not in found and union not in dropped:
                 ext = gens | 1 << s
                 joined = hg.closure_mask(ext, within)
+                if joined in found:
+                    continue  # keep accepted it when it was found
                 if joined == 0 or keep is not None and not keep(joined):
                     dropped.add(union)
-                elif joined not in found:
+                else:
                     found[joined] = ext
                     work.append(joined)
     return tuple(

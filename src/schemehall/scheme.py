@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
-from operator import add
+from operator import add, itemgetter
 from typing import NoReturn
 
 from .arith import _prime_set, is_pi_number, prime_factors, validate_pi
@@ -156,14 +156,15 @@ class AssociationScheme:
 
 class SchemeClosedSubset(ClosedSubset):
     """A closed subset of scheme.hypergroup tagged with its valency; the
-    caller has already checked that the mask is closed."""
+    caller has already checked that the mask is closed, and may pass the
+    valency it has already summed."""
 
     __slots__ = ("scheme", "valency")
 
-    def __init__(self, scheme: AssociationScheme, bits: int):
+    def __init__(self, scheme: AssociationScheme, bits: int, valency: int | None = None):
         super().__init__(scheme.hypergroup, bits)
         self.scheme = scheme
-        self.valency = scheme.valency_of_mask(bits)
+        self.valency = scheme.valency_of_mask(bits) if valency is None else valency
 
     def __repr__(self) -> str:
         return f"<closed relations {list(self.members())} valency {self.valency}>"
@@ -185,9 +186,11 @@ class SchemeClosedSubset(ClosedSubset):
 # Largest n * rank**2 validate_scheme accepts.  The regularity pass
 # sorts n pair codes for each of the n**2 point pairs inside C builtins,
 # about n**3 log n steps, and keeps one key of n codes per relation
-# while it runs.  The cap admits a thin scheme on 96 points
-# (96 * 96**2 = 884,736; 0.18 s on a 2-core machine with Python 3.11)
-# and every bundled input.
+# while it runs; a thin input (every row a permutation) is keyed
+# without sorting, n**3 steps in C.  The cap admits a thin scheme on 96
+# points (96 * 96**2 = 884,736; 0.03 s on a 2-core machine with Python
+# 3.11, where a non-thin scheme on 96 points takes 0.08 s) and every
+# bundled input.
 SCHEME_SIZE_CAP = 1 << 20
 
 
@@ -206,13 +209,17 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     (rel[x][y], rel[y][x]) must hold one partner per relation.  Pair
     (y, z) is keyed by the sorted codes rank * rel[y][x] + rel[x][z]
     over all x, and equal keys mean equal intersection-number tables,
-    so each key is compared with the first key of its relation.  Only
+    so each key is compared with the first key of its relation.  When
+    rank == n > 1 and every row is a permutation (a thin input), no
+    pair is sorted: the key lists rel[x][z] with x taken in the order
+    of rel[y][x] = 0, 1, ..., which is the sorted codes' order.  Only
     on a failure are the double loops or the two count tables run, to
     name the same first witness the pairwise loops would.  Valencies are
     the label counts of row 0, and the relation products come from the
     distinct codes of each key; no intersection number is stored
     (AssociationScheme.intersection_numbers counts them on demand).
-    Cost: about n**3 log n steps in C plus rank * n in Python.
+    Cost: about n**3 log n steps in C plus n**2 in Python, or n**3
+    steps in C on a thin input.
     """
     n = len(matrix)
     if n == 0:
@@ -253,13 +260,22 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
             raise StarViolationError(f"star map is not an involution at {s}")
 
     # pair (y, z) gets the sorted codes rank*rel[y][x] + rel[x][z] over x:
-    # two pairs have equal keys exactly when their count tables are equal
-    keys: list[list[int] | None] = [None] * rank
+    # two pairs have equal keys exactly when their count tables are equal.
+    # When every row is a permutation, rel[y][x] = p names one x, at[p],
+    # and key[p] = rel[at[p]][z] is the p-th sorted code less rank * p.
+    thin = rank == n > 1 and all(len(set(row)) == n for row in rel)
+    keys: list[Sequence[int] | None] = [None] * rank
     first: list[tuple[int, int]] = [(0, 0)] * rank
     for y, row in enumerate(rel):
-        codes = [rank * p for p in row]
+        if thin:
+            at = [0] * n
+            for x, p in enumerate(row):
+                at[p] = x
+            pick = itemgetter(*at)
+        else:
+            codes = [rank * p for p in row]
         for z, r in enumerate(row):
-            key = sorted(map(add, codes, cols[z]))
+            key = pick(cols[z]) if thin else sorted(map(add, codes, cols[z]))
             known = keys[r]
             if known is None:
                 keys[r] = key
@@ -278,12 +294,17 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     if sum(valencies) != n:
         raise InternalInconsistencyError("valencies do not sum to the point count")
 
-    # p q holds r exactly when code rank*p + q occurs in the key of r
+    # p q holds r exactly when code rank*p + q occurs in the key of r;
+    # a thin key holds the one q of each p
     products = [[0] * rank for _ in range(rank)]
     for r, key in enumerate(keys):
         bit = 1 << r
-        for c in set(key):
-            products[c // rank][c % rank] |= bit
+        if thin:
+            for p, q in enumerate(key):
+                products[p][q] |= bit
+        else:
+            for c in set(key):
+                products[c // rank][c % rank] |= bit
 
     return AssociationScheme(
         tuple(rel),
@@ -346,11 +367,10 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     It has rank n, so the size cap is applied before the group checks."""
     _check_size(len(table), len(table))
     t: Table = validate_group(table)
-    n = len(t)
     inv = group_inverse(t)
-    rel = [[t[inv[x]][y] for y in range(n)] for x in range(n)]
+    rel = [t[i] for i in inv]  # row x is row x^-1 of the table
     scheme = validate_scheme(rel, name=name)
-    if scheme.rank != n:
+    if scheme.rank != len(t):
         raise NotAGroupError("group scheme must be thin")
     return scheme
 

@@ -82,6 +82,12 @@ def test_missing_neutral_rejected():
     ([[{0}, {1}], [{1}]], "row 1 has length 1, expected 2"),
     ([[1, 2], [2, 4]], r"cell \(1, 1\) mask out of range"),
     ([[{0}, {1}], [{1}, {2}]], r"cell \(1, 1\) contains 2, outside 0..1"),
+    ([[{0}, {1}], [{1}, 1.0]], r"cell \(1, 1\) is 1.0, neither an int mask nor an iterable"),
+    ([[{0}, {1}], [{1}, None]], r"cell \(1, 1\) is None, neither an int mask nor an iterable"),
+    ([[1, 2], [2, True]], r"cell \(1, 1\) is True, neither an int mask nor an iterable"),
+    ([[{0}, {1}], [{1}, [True]]], r"cell \(1, 1\) contains True, outside 0..1"),
+    ([[{0}, {1}], [{1}, [1.0]]], r"cell \(1, 1\) contains 1.0, outside 0..1"),
+    ([[{0}, {1}], [{1}, [-1]]], r"cell \(1, 1\) contains -1, outside 0..1"),
 ])
 def test_malformed_table_rejected(table, message):
     with pytest.raises(ValueError, match=message):
@@ -255,6 +261,10 @@ def test_is_closed_matches_definition(pentagon):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda p, s: p.subset(1 << p.size), ValueError, "mask 0x8 is out of range for order 3"),
+    (lambda p, s: p.subset([0, -1]), ValueError, "element -1 is out of range for order 3"),
+    (lambda p, s: p.subset([3]), ValueError, "element 3 is out of range for order 3"),
+    (lambda p, s: p.subset([True]), ValueError, "element True is not an int"),
+    (lambda p, s: p.subset([1.0]), ValueError, "element 1.0 is not an int"),
     (lambda p, s: sh.validate_hypergroup([]), NoNeutralError, "empty table has no neutral element"),
     (
         lambda p, s: sh.is_strongly_normal(s.subset([0, 2]), s.subset([0, 1])),

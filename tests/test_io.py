@@ -397,6 +397,17 @@ def test_cli_conjugate_and_extend(capsys):
     assert "valency: 4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, bad", [
+    (["extend", "--pi", "2", "--t", "-1"], -1),
+    (["conjugate", "--t", "-1", "--u", "0,1,2,3"], -1),
+    (["quotient", "--t", "0,-3"], -3),
+])
+def test_cli_negative_relation_is_input_error(args, bad, capsys):
+    """A negative relation id is named with the rank, and exits 2."""
+    assert main([args[0], str(SCHEMES / "hm176_28.scm"), *args[1:]]) == 2
+    assert capsys.readouterr().err == f"error: element {bad} is out of range for order 10\n"
+
+
 def test_cli_quotient_emits_parseable_scheme(tmp_path, capsys):
     code = main(["quotient", str(SCHEMES / "hm176_28.scm"), "--t", "0,1,2,3"])
     assert code == 0

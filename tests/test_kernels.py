@@ -643,6 +643,29 @@ def test_keep_walk_is_the_filtered_full_walk():
             assert cold._closed is None
 
 
+def test_keep_walk_sums_each_valency_once(monkeypatch):
+    """all_hall_subsets on a fresh S4 with pi = {2} walks the closed
+    2-subsets alone: keep is asked only about masks the walk has not
+    found, and the valency keep sums is the one the kept subset carries,
+    so no mask's valency is summed twice."""
+    calls = []
+    original = sh.AssociationScheme.valency_of_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        return original(self, mask)
+
+    s4 = sh.from_group(sh.symmetric(4))
+    monkeypatch.setattr(sh.AssociationScheme, "valency_of_mask", counted)
+    halls = sh.all_hall_subsets(s4, {2})
+    monkeypatch.undo()
+    assert [t.valency for t in halls] == [8, 8, 8]
+    assert s4._closed_subsets is None
+    kept = {c.bits for c in s4.closed_subsets() if c.valency & (c.valency - 1) == 0}
+    assert len(kept) == 20 and kept <= set(calls)
+    assert len(calls) == len(set(calls))
+
+
 def test_hall_context_checks_strong_normality_once(monkeypatch):
     """Building the {2} context of a warm S4 scheme: the Hall build checks
     that the core is strongly normal, and the quotient side is checked
@@ -809,6 +832,77 @@ def test_validate_scheme_corruptions_name_the_oracle_witness():
     assert reached.get(sh.RegularityViolationError, 0) >= 10
 
 
+def steiner_loop_10():
+    """rel[x][y] = x y in the Steiner loop of order 10: 0 is the identity,
+    1..9 are the points 3i + j + 1 of the affine plane over Z3, x x = 0,
+    and x y is the third point of the line through x and y, the one
+    with all three points summing to 0.  Every row is a permutation and
+    the star pass holds (x^-1 = x), but the loop is not associative, so
+    the matrix is not regular."""
+    def mul(x, y):
+        if 0 in (x, y):
+            return x + y
+        if x == y:
+            return 0
+        (a, b), (c, d) = divmod(x - 1, 3), divmod(y - 1, 3)
+        return 3 * (-a - c) % 9 + (-b - d) % 3 + 1
+    return [[mul(x, y) for y in range(10)] for x in range(10)]
+
+
+def test_thin_keys_name_the_oracle_witness():
+    """The Steiner loop reaches the permutation-keyed pass, whose keys
+    differ: the same witness as the pairwise loops, on the loop and on
+    seeded relabellings of its points, which keep every row a
+    permutation."""
+    m = steiner_loop_10()
+    assert all(sorted(row) == list(range(10)) for row in m)
+    want = (
+        sh.RegularityViolationError,
+        "intersection number for (4, 6) over relation 3 is not constant; "
+        "first deviation at point pair (1, 2)",
+    )
+    assert ingest_outcome(ingest_oracle, m) == want
+    assert ingest_outcome(sh.validate_scheme, m) == want
+    rng = random.Random(10)
+    witnesses = set()
+    for _ in range(8):
+        perm = [0, *rng.sample(range(1, 10), 9)]
+        bad = [[0] * 10 for _ in range(10)]
+        for x in range(10):
+            for y in range(10):
+                bad[perm[x]][perm[y]] = perm[m[x][y]]
+        want = ingest_outcome(ingest_oracle, bad)
+        assert want[0] is sh.RegularityViolationError
+        assert ingest_outcome(sh.validate_scheme, bad) == want
+        witnesses.add(want[1])
+    assert len(witnesses) > 1
+
+
+def test_thin_input_is_keyed_without_sorting(monkeypatch):
+    """A thin input, valid or failing regularity, makes no sorted call;
+    a non-thin one sorts a key per point pair."""
+    from schemehall import scheme as scheme_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(scheme_mod, "sorted", counted, raising=False)
+    thin = [sh.from_group(sh.symmetric(4)).rel]
+    thin += [m for _, m in product_matrices() if max(map(max, m)) + 1 == len(m)]
+    assert len(thin) >= 3
+    calls.clear()
+    for m in thin:
+        sh.validate_scheme(m)
+    with pytest.raises(sh.RegularityViolationError):
+        sh.validate_scheme(steiner_loop_10())
+    assert calls == []
+    sh.validate_scheme(sh.bundled_scheme("pentagon").matrix)
+    assert len(calls) == 5 * 5
+
+
 def test_identity_witness_is_the_first_zero_off_the_diagonal():
     """A row whose only 0 is off the diagonal, and one with a second 0
     after its diagonal: row.index(0) would name x itself in the second."""
@@ -884,9 +978,11 @@ def test_normality_matches_pairwise_products_and_chain_search(hypergroups8):
 
 
 def test_validate_scheme_builds_one_count_table_per_relation(monkeypatch):
-    """The regularity pass compares sorted pair codes, so a valid scheme
-    needs no Python count table at all, and a failure builds at most
-    two (to name the witness)."""
+    """The regularity pass compares pair keys (sorted pair codes, or the
+    permutation-indexed keys of a thin input such as S4's), so a valid
+    scheme builds no Python count table at all, and a failure builds
+    two, the first pair's of its relation and its own, to name the
+    witness."""
     from schemehall import scheme as scheme_mod
 
     calls = []

@@ -347,6 +347,8 @@ def test_pi_rejects_anything_but_a_prime_int(bad, monkeypatch):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda s: s.closed_subset([1]), sh.NotClosedError, "relation set (1,) is not closed"),
+    (lambda s: s.closed_subset([-1]), ValueError, "element -1 is out of range for order 3"),
+    (lambda s: s.relation_closure([0, -2]), ValueError, "element -2 is out of range for order 3"),
     (
         lambda s: sh.pi_predicates(s, sh.bundled_scheme("pentagon").scheme().full_subset(), [2]),
         sh.ParentMismatchError,
