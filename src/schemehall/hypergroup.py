@@ -528,13 +528,16 @@ def closure(subset: ElementSubset) -> ClosedSubset:
 def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     """All closed subsets, sorted by size then member tuple.
 
-    Cyclic extension: every closed subset is a join of closures of
-    singletons, so the worklist seeds with those and joins each closed
-    subset found with every singleton closure not inside it, until
-    nothing new appears.  Each closed subset keeps the small generator
-    mask it was first reached from, and a join closes that mask plus
-    one representative of the singleton closure, which is cheaper than
-    closing the union.  The result is cached on the hypergroup.
+    Close-by-One (Ganter, "Two basic algorithms in concept analysis",
+    1984) over closure_mask, one attribute per pair {s, s^}, the
+    smaller: depth first, a closed C reached by adding attribute y is
+    extended by each attribute j > y not in C, closing C's generator
+    mask plus j, and the closure D is kept only when it adds nothing
+    below j, so each closed subset is reached once, with no record of
+    those reached.  By the FCbO rule (Outrata and Vychodil, Information
+    Sciences 185, 2012) j is skipped without closing when a closure of
+    j that failed the test above C, or j's singleton closure, holds an
+    element below j that C lacks.  The result is cached on the hypergroup.
     """
     if hg._closed is None:
         hg._closed = _enumerate_closed(hg, None)
@@ -549,46 +552,42 @@ def _enumerate_closed(
     keep, a predicate on masks, narrows the answer to the closed
     subsets it accepts, in the same order.  It must hold on every
     closed subset of a closed mask it holds on; nothing checks that.
-    Then every closed subset it accepts is a join of singleton closures
-    it accepts, so only those seed the walk, a join is closed only
-    while it stays inside their union, and a join keep rejects is
-    dropped.
+    Then each closed subset it accepts is reached through accepted
+    ones, by attributes whose singleton closure it accepts, so only
+    those are tried, a closure is taken only inside the union of their
+    closures, and keep is asked once per closed subset, after the test.
     """
     inv = hg.inverse
-    # s and s^ have the same closure; one representative per closure
-    singles: dict[int, int] = {}
-    for s in range(1, hg.size):
-        if inv[s] >= s:
-            singles.setdefault(hg.closure_mask(1 << s), s)
+    # s and s^ have the same closure: one attribute per pair, the smaller
+    attrs = [(s, hg.closure_mask(1 << s)) for s in range(1, hg.size) if inv[s] >= s]
     within = None
     if keep is not None:
         if not keep(1):
             return ()
-        singles = {c: s for c, s in singles.items() if keep(c)}
-        within = reduce(or_, singles, 1)
-    found: dict[int, int] = {1: 0}
-    for c, s in singles.items():
-        found.setdefault(c, 1 << s)
-    dropped: set[int] = set()
-    work = list(found)
-    while work:
-        cur = work.pop()
-        gens = found[cur]
-        for c, s in singles.items():
-            if c & ~cur == 0:
+        verdict = {c: keep(c) for c in dict.fromkeys(c for _, c in attrs)}
+        attrs = [(s, c) for s, c in attrs if verdict[c]]
+        within = reduce(or_, (c for _, c in attrs), 1)
+    found = [1]
+    # a node is (closed mask, generators, next attribute slot, bounds):
+    # bounds[i] lies inside the node's closure with attrs[i]
+    stack = [(1, 0, 0, [c for _, c in attrs])]
+    while stack:
+        cur, gens, first, bounds = stack.pop()
+        passed = bounds[:]  # shared by the children, filled in below
+        for i in range(first, len(attrs)):
+            j, single = attrs[i]
+            below = (1 << j) - 1
+            if cur >> j & 1 or bounds[i] & ~cur & below:
                 continue
-            # the union is the join when it is already known closed
-            union = cur | c
-            if union not in found and union not in dropped:
-                ext = gens | 1 << s
-                joined = hg.closure_mask(ext, within)
-                if joined in found:
-                    continue  # keep accepted it when it was found
-                if joined == 0 or keep is not None and not keep(joined):
-                    dropped.add(union)
-                else:
-                    found[joined] = ext
-                    work.append(joined)
+            ext = gens | 1 << j
+            joined = hg.closure_mask(ext, within) if gens else single
+            if joined & ~cur & below:
+                passed[i] = joined  # fails the test here, so in every child
+            elif joined and (
+                keep is None or (verdict[joined] if joined in verdict else keep(joined))
+            ):
+                found.append(joined)
+                stack.append((joined, ext, i + 1, passed))
     return tuple(
         sorted(
             (_as_closed(hg, m) for m in found),

@@ -24,7 +24,6 @@ from .arith import _prime_set, is_pi_number, prime_factors, validate_pi
 from .errors import (
     IdentityViolationError,
     InternalInconsistencyError,
-    NotAGroupError,
     NotClosedError,
     NotPartitionError,
     ParentMismatchError,
@@ -364,15 +363,16 @@ def _raise_star_witness(rel: Sequence[Sequence[int]], rank: int) -> NoReturn:
 
 def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationScheme:
     """The thin scheme of a group: (x, y) lies in relation g when y = xg.
-    It has rank n, so the size cap is applied before the group checks."""
+    It has rank n, so the size cap is applied before the group checks.
+    Once the table is a group the scheme axioms hold by construction:
+    relation g has valency 1 and partner g^-1, and relation p then q is
+    relation pq.  The hypergroup still checks H1-H3 on those products."""
     _check_size(len(table), len(table))
     t: Table = validate_group(table)
     inv = group_inverse(t)
-    rel = [t[i] for i in inv]  # row x is row x^-1 of the table
-    scheme = validate_scheme(rel, name=name)
-    if scheme.rank != len(t):
-        raise NotAGroupError("group scheme must be thin")
-    return scheme
+    rel = tuple(t[i] for i in inv)  # row x is row x^-1 of the table
+    products = [[1 << pq for pq in row] for row in t]
+    return AssociationScheme(rel, inv, (1,) * len(t), products, name=name)
 
 
 # ---------------------------------------------------------------------------

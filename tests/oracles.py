@@ -16,9 +16,16 @@ product and star kernels as they were written over bits_of, before the
 library walked their masks inline.  The normality tests as they were
 spelled before the library read them off one conjugation kernel and one
 normalizer kernel (two mul_masks products per element, and a chain
-search that tests normality pair by pair) are kept here too.
+search that tests normality pair by pair) are kept here too, and so is
+the closed subset walk by cyclic extension that the library replaced
+with Close-by-One, as the reference the new walk must match mask for
+mask.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
+from functools import reduce
+from operator import or_
 
 from schemehall.arith import is_pi_number, is_prime, validate_pi
 from schemehall.errors import (
@@ -33,6 +40,7 @@ from schemehall.hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
+    _as_closed,
     bits_of,
     enumerate_closed_subsets,
     is_strongly_normal,
@@ -52,6 +60,7 @@ __all__ = [
     "subnormal_chain_search",
     "all_closed_subsets_scan",
     "closure_scan",
+    "closed_subsets_cyclic_extension",
     "solvable_chain_scan",
     "solvable_chain_dfs",
     "theta_core_lattice",
@@ -162,6 +171,58 @@ def closure_scan(subset: ElementSubset) -> ClosedSubset:
     if best is None or not hg.is_closed_mask(best):
         raise InternalInconsistencyError("power-set scan found no closed superset")
     return ClosedSubset(hg, best)
+
+
+def closed_subsets_cyclic_extension(
+    hg: Hypergroup, keep: Callable[[int], bool] | None
+) -> tuple[ClosedSubset, ...]:
+    """The closed subset walk by cyclic extension, keep-filtered as the
+    library's walk is: a worklist seeded with the singleton closures
+    joins each closed subset found with every singleton closure not
+    inside it, closing its generator mask plus one representative, and
+    spots the subsets it has reached with a found dict and a dropped set.
+    """
+    inv = hg.inverse
+    # s and s^ have the same closure; one representative per closure
+    singles: dict[int, int] = {}
+    for s in range(1, hg.size):
+        if inv[s] >= s:
+            singles.setdefault(hg.closure_mask(1 << s), s)
+    within = None
+    if keep is not None:
+        if not keep(1):
+            return ()
+        singles = {c: s for c, s in singles.items() if keep(c)}
+        within = reduce(or_, singles, 1)
+    found: dict[int, int] = {1: 0}
+    for c, s in singles.items():
+        found.setdefault(c, 1 << s)
+    dropped: set[int] = set()
+    work = list(found)
+    while work:
+        cur = work.pop()
+        gens = found[cur]
+        for c, s in singles.items():
+            if c & ~cur == 0:
+                continue
+            # the union is the join when it is already known closed
+            union = cur | c
+            if union not in found and union not in dropped:
+                ext = gens | 1 << s
+                joined = hg.closure_mask(ext, within)
+                if joined in found:
+                    continue  # keep accepted it when it was found
+                if joined == 0 or keep is not None and not keep(joined):
+                    dropped.add(union)
+                else:
+                    found[joined] = ext
+                    work.append(joined)
+    return tuple(
+        sorted(
+            (_as_closed(hg, m) for m in found),
+            key=ElementSubset.sort_key,
+        )
+    )
 
 
 def solvable_chain_scan(hg: Hypergroup) -> list[int] | None:

@@ -5,8 +5,9 @@ and associativity loops written out the slow way, copied here so the
 comparison never runs the code under test: a double loop for products,
 the fixpoint cur -> cur | cur^ | cur*cur for closure, the definition
 A^A inside A for closedness, the worklist of singleton-closure joins
-for enumeration, and the triple loops over (p, q, r) for H1 and over
-(a, b, c) for group associativity.  They run over every corpus
+for enumeration (and the cyclic-extension walk in oracles.py, which
+the Close-by-One walk replaced), and the triple loops over (p, q, r)
+for H1 and over (a, b, c) for group associativity.  They run over every corpus
 hypergroup, the thin hypergroups of all bundled groups (order <= 24)
 and the hypergroups of the order-28 catalogue schemes.  The thin
 tables (groups, the quotients the Hall contexts build and a 96-point
@@ -33,6 +34,7 @@ import pytest
 
 import schemehall as sh
 from schemehall.hypergroup import Hypergroup, _associativity_witness, _enumerate_closed, _h1_witness
+from schemehall.scheme import _pi_valenced_mask
 
 from conftest import (
     ALL_PI,
@@ -42,6 +44,7 @@ from conftest import (
     residue_corpus,
 )
 from oracles import (
+    closed_subsets_cyclic_extension,
     conjugate_mul_masks,
     mul_masks_bits_of,
     normalizes_mul_masks,
@@ -568,11 +571,9 @@ def test_closure_multiplies_each_element_once(counted_products):
         assert sum(m.bit_count() for m in counted_products) <= got.bit_count(), mask
 
 
-def test_enumeration_closes_less_often(monkeypatch):
-    """Closed subsets of S4 (30 of them): the worklist over singleton
-    joins made 416 closure_mask calls; cyclic extension, with one
-    closure per inverse pair and known unions taken as joins, makes
-    389."""
+@pytest.fixture
+def counted_closures(monkeypatch):
+    """Masks of every Hypergroup.closure_mask call, in order."""
     calls = []
     original = Hypergroup.closure_mask
 
@@ -581,9 +582,33 @@ def test_enumeration_closes_less_often(monkeypatch):
         return original(self, mask, within)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted)
+    return calls
+
+
+def test_enumeration_closes_less_often(counted_closures):
+    """Closed subsets of S4 (30 of them): Close-by-One makes 133
+    closure_mask calls, 16 for the singleton closures of the inverse
+    pairs and the rest for extensions that pass the FCbO rule."""
     hg = sh.thin_hypergroup(sh.symmetric(4))
     assert len(sh.enumerate_closed_subsets(hg)) == 30
-    assert len(calls) < 416
+    assert len(counted_closures) <= 133
+
+
+def test_enumeration_closes_at_most_ten_times_per_closed_subset(counted_closures):
+    """The full walk on thin C2^5, D8 x C4 and S4 x C2 makes at most 10
+    closure_mask calls per closed subset it finds (about 4, 7 and 6);
+    the cyclic-extension walk in oracles.py makes 25 to 31."""
+    c2 = sh.cyclic(2)
+    c2_5 = functools.reduce(sh.direct_product, [c2] * 5)
+    for table in (
+        c2_5,
+        sh.direct_product(sh.dihedral(8), sh.cyclic(4)),
+        sh.direct_product(sh.symmetric(4), c2),
+    ):
+        hg = sh.thin_hypergroup(table)
+        counted_closures.clear()
+        found = len(sh.enumerate_closed_subsets(hg))
+        assert len(counted_closures) <= 10 * found, (len(table), found)
 
 
 def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
@@ -641,6 +666,46 @@ def test_keep_walk_is_the_filtered_full_walk():
             cold = fresh(hg)
             assert [c.bits for c in _enumerate_closed(cold, keep)] == want
             assert cold._closed is None
+
+
+def closed_pi_keep(scheme, pi):
+    """all_hall_subsets' keep: a mask of pi-valenced relations whose
+    valency is a pi-number."""
+    ps = frozenset(pi)
+    valenced = _pi_valenced_mask(scheme, ps)
+    return lambda m: not m & ~valenced and sh.is_pi_number(scheme.valency_of_mask(m), ps)
+
+
+def test_close_by_one_matches_cyclic_extension():
+    """The Close-by-One walk equals the cyclic-extension walk it
+    replaced (oracles.py), mask for mask and in order, full and with
+    seeded keeps, on every pool hypergroup.  Past order 12, on the thin
+    schemes of S4 x C2 (48 points) and D8 x C4 (64 points), it does so
+    full and with the closed pi-subset keep of all_hall_subsets for
+    pi = {2} and {3}."""
+    def same(hg, keep):
+        got = [c.bits for c in _enumerate_closed(fresh(hg), keep)]
+        assert got == [c.bits for c in closed_subsets_cyclic_extension(fresh(hg), keep)]
+        return got
+
+    rng = random.Random(21)
+    for hg in kernel_pool():
+        same(hg, None)
+        for _ in range(3):
+            allowed = rng.randrange(1 << hg.size) | 1
+            largest = rng.randrange(1, hg.size + 1)
+            same(hg, lambda m: m & ~allowed == 0)
+            same(hg, lambda m: m.bit_count() <= largest)
+            same(hg, lambda m: m & ~allowed == 0 and m.bit_count() <= largest)
+    for table, count in (
+        (sh.direct_product(sh.symmetric(4), sh.cyclic(2)), 98),
+        (sh.direct_product(sh.dihedral(8), sh.cyclic(4)), 125),
+    ):
+        scheme = sh.from_group(table)
+        assert len(same(scheme.hypergroup, None)) == count
+        for pi in ({2}, {3}):
+            kept = same(scheme.hypergroup, closed_pi_keep(scheme, pi))
+            assert kept and max(map(scheme.valency_of_mask, kept)) == sh.pi_part(len(table), pi)
 
 
 def test_keep_walk_sums_each_valency_once(monkeypatch):

@@ -109,6 +109,24 @@ def test_from_group_is_thin():
     assert q.scheme.valencies == (1, 1, 1)
 
 
+def test_from_group_equals_the_validated_rows():
+    """from_group builds the thin scheme without validate_scheme's passes:
+    on every bundled group and on S4 x C4 (96 points) it equals
+    validate_scheme of the same rows in relations, partners, valencies
+    and the hypergroup's table and inverse."""
+    tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
+    tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(4)))
+    for table in tables:
+        got = sh.from_group(table)
+        want = sh.validate_scheme(got.rel)
+        assert got.rel == want.rel
+        assert got.star_map == want.star_map
+        assert got.valencies == want.valencies
+        assert got.hypergroup.table == want.hypergroup.table
+        assert got.hypergroup.inverse == want.hypergroup.inverse
+    assert len(tables[-1]) == 96
+
+
 def test_wreath28_structure(wreath28):
     assert len(wreath28.rel) == 28
     assert wreath28.valencies == (1, 1, 1, 1, 4, 4, 4, 4, 4, 4)
