@@ -188,7 +188,7 @@ def generated_subgroup(table: Table, gens: int) -> int:
     """Mask of the subgroup generated by the masked elements: 1 and gens
     closed under right multiplication by gens, which in a finite group
     holds the inverses too.  Each round multiplies only the new elements."""
-    right = list(bits_of(gens))
+    right = bits_of(gens)
     cur = new = gens | 1
     while new:
         nxt = 0
@@ -209,7 +209,7 @@ def _derived_series(table: Table) -> list[int]:
     inv = group_inverse(table)
     series = [(1 << len(table)) - 1]
     while series[-1] != 1:
-        members = list(bits_of(series[-1]))
+        members = bits_of(series[-1])
         commutators = 0
         for x in members:
             ix = inv[x]
@@ -246,7 +246,7 @@ def all_subgroups(table: Table) -> tuple[int, ...]:
             if ext not in found:
                 found.add(ext)
                 work.append(ext)
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), bits_of(m))))
 
 
 def _conjugates(table: Table, sub: int) -> Iterator[int]:
@@ -255,7 +255,7 @@ def _conjugates(table: Table, sub: int) -> Iterator[int]:
     The members of sub are listed once; each g^-1 is found as it is
     reached, so a caller that stops early pays for no other inverse.
     """
-    members = list(bits_of(sub))
+    members = bits_of(sub)
     for g in range(len(table)):
         row = table[table[g].index(0)]
         conj = 0

@@ -191,7 +191,7 @@ def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
                 f"no pi-subgroup of a solvable group of order {n} grows "
                 f"past order {hall.bit_count()} towards {target}"
             )
-    return tuple(sorted(set(_conjugates(t, hall)), key=lambda m: tuple(bits_of(m))))
+    return tuple(sorted(set(_conjugates(t, hall)), key=bits_of))
 
 
 def all_hall_subsets(
@@ -254,7 +254,10 @@ class _HallContext:
         self.hq, self.core = hq, core
         lifted = []
         for gm in self.halls:
-            t = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)
+            if len(self.halls) == 1:
+                t = core  # the one Hall subgroup is their intersection
+            else:
+                t = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)
             if not _pi_predicates(scheme, t, ps).is_hall_pi_subset:
                 raise InternalInconsistencyError(
                     f"lift of a group Hall subgroup is not Hall: {t.members()}"

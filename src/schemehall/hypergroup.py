@@ -61,12 +61,31 @@ __all__ = [
 ]
 
 
-def bits_of(mask: int) -> Iterator[int]:
-    """Yield the positions of the set bits of mask, lowest first."""
+def _chunk_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """t[b] lists the set bits of b << 8k, lowest first, built by doubling."""
+    t: list[tuple[int, ...]] = [()]
+    for i in range(8 * k, 8 * k + 8):
+        t += [s + (i,) for s in t]  # the entries with bit i set
+    return tuple(t)
+
+
+# by chunk index, built as masks reach them (a racing build stores the same table)
+_CHUNKS = {0: _chunk_table(0)}
+
+
+def bits_of(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of mask, lowest first, read off _CHUNKS."""
+    if mask < 256:
+        return _CHUNKS[0][mask]
+    out: tuple[int, ...] = ()
+    k = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        if k not in _CHUNKS:
+            _CHUNKS[k] = _chunk_table(k)
+        out += _CHUNKS[k][mask & 255]
+        mask >>= 8
+        k += 1
+    return out
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -124,33 +143,24 @@ class Hypergroup:
 
     # -- mask level (internal workhorses) -----------------------------
 
-    # the two kernels below walk their masks inline, low = m & -m, as
-    # bits_of does: they run on every product and closure step, where a
-    # generator's next() calls cost more than the loop body
+    # the product and star kernels run on every closure step; bits_of
+    # hands them each mask's members as one tuple from its chunk tables
 
     def mul_masks(self, left: int, right: int) -> int:
-        rights = []
-        while right:
-            low = right & -right
-            rights.append(low.bit_length() - 1)
-            right ^= low
         table = self.table
+        rights = bits_of(right)
         out = 0
-        while left:
-            low = left & -left
-            row = table[low.bit_length() - 1]
+        for a in bits_of(left):
+            row = table[a]
             for b in rights:
                 out |= row[b]
-            left ^= low
         return out
 
     def star_mask(self, mask: int) -> int:
         inv = self.inverse
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << inv[low.bit_length() - 1]
-            mask ^= low
+        for s in bits_of(mask):
+            out |= 1 << inv[s]
         return out
 
     def closure_mask(self, mask: int, within: int | None = None) -> int:
@@ -232,10 +242,10 @@ class ElementSubset:
         self.bits = bits
 
     def members(self) -> tuple[int, ...]:
-        return tuple(bits_of(self.bits))
+        return bits_of(self.bits)
 
     def __iter__(self) -> Iterator[int]:
-        return bits_of(self.bits)
+        return iter(bits_of(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -259,9 +269,7 @@ class ElementSubset:
         if not isinstance(other, ElementSubset):
             raise TypeError(f"expected ElementSubset, got {type(other).__name__}")
         if self.parent is not other.parent:
-            raise ParentMismatchError(
-                "subsets belong to different hypergroups"
-            )
+            raise ParentMismatchError("subsets belong to different hypergroups")
 
     def __or__(self, other: "ElementSubset") -> "ElementSubset":
         self._check(other)
@@ -346,9 +354,7 @@ def validate_hypergroup(
                 m = 0
                 for s in members:
                     if type(s) is not int or not 0 <= s < k:
-                        raise ValueError(
-                            f"cell ({a}, {b}) contains {s!r}, outside 0..{k - 1}"
-                        )
+                        raise ValueError(f"cell ({a}, {b}) contains {s!r}, outside 0..{k - 1}")
                     m |= 1 << s
             if m == 0:
                 raise EmptyProductError(a, b)
@@ -488,7 +494,7 @@ def _h1_witness(masks: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     nonempty.
     """
     k = len(masks)
-    cells = {c: tuple(bits_of(c)) for row in masks for c in row}
+    cells = {c: bits_of(c) for row in masks for c in row}
     row_unions: dict[int, list[int]] = {}
     for c, ys in cells.items():
         acc = list(masks[ys[0]])
@@ -619,17 +625,15 @@ def _conjugates(hg: Hypergroup, mask: int, within: int) -> Iterator[tuple[int, i
     """
     rows = hg.table
     inv = hg.inverse
-    members = list(bits_of(mask))
+    members = bits_of(mask)
     for h in bits_of(within):
         row = rows[inv[h]]
         hm = 0
         for x in members:
             hm |= row[x]
         conj = 0
-        while hm:  # inline, as in mul_masks: this loop runs once per member of h^M
-            y = hm & -hm
-            conj |= rows[y.bit_length() - 1][h]
-            hm ^= y
+        for y in bits_of(hm):
+            conj |= rows[y][h]
         yield h, conj
 
 

@@ -110,7 +110,7 @@ def _quotient(
 
     k = len(cosets)
     rows = hg.table
-    f_members = list(bits_of(f))
+    f_members = bits_of(f)
     reps = [(c & -c).bit_length() - 1 for c in cosets]
     raw: list[list[int]] = []
     for i in range(k):
@@ -185,9 +185,7 @@ def lift_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
     subset._check(q.universe())
     if not q.is_closed_mask(subset.bits):
         raise NotClosedError("can only lift a closed subset of the quotient")
-    m = 0
-    for c in bits_of(subset.bits):
-        m |= q.cosets[c]
+    m = sum(map(q.cosets.__getitem__, bits_of(subset.bits)))  # the cosets are disjoint
     if not q.parent.is_closed_mask(m):
         raise InternalInconsistencyError("lift of a closed subset is not closed")
     return ClosedSubset(q.parent, m)

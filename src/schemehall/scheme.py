@@ -5,8 +5,9 @@ of the relation containing the pair (x, y).  Relation 0 is the
 identity, so rel[x][y] == 0 exactly when x == y.  Validation checks the
 partition shape, the star pairing and full regularity: the intersection
 number a[p][q][r] = |{x : rel(y,x) = p and rel(x,z) = q}| must not
-depend on which pair (y, z) of relation r is used, and this is checked
-for every point pair, not sampled.
+depend on which pair (y, z) of relation r is used.  Once the star
+pairing holds, a_pq(z, y) = a_{q*p*}(y, z), so the pairs (y, z) with
+z = 0 or z >= y are compared, which settles every pair; none is sampled.
 
 Relations multiply through the induced hypergroup: p q is the set of
 relations r with a[p][q][r] != 0.  Closed subsets of relations, their
@@ -95,9 +96,7 @@ class AssociationScheme:
     @cached_property
     def primes(self) -> frozenset[int]:
         """Primes dividing n or some valency; no other prime matters to pi."""
-        return frozenset(
-            p for k in (self.n_points, *self.valencies) for p in prime_factors(k)
-        )
+        return frozenset(p for k in (self.n_points, *self.valencies) for p in prime_factors(k))
 
     @cached_property
     def hypergroup(self) -> Hypergroup:
@@ -110,9 +109,7 @@ class AssociationScheme:
                 f"relations of a valid scheme must form a hypergroup: {exc}"
             ) from exc
         if hg.table != tuple(tuple(row) for row in raw):
-            raise InternalInconsistencyError(
-                "identity relation was not the hypergroup neutral"
-            )
+            raise InternalInconsistencyError("identity relation was not the hypergroup neutral")
         self._products = None  # hg.table holds the same masks now
         return hg
 
@@ -123,14 +120,12 @@ class AssociationScheme:
         return tuple(map(tuple, _count_table(rel, 0, rel[0].index(r), self.rank)))
 
     def valency_of_mask(self, mask: int) -> int:
-        return sum(self.valencies[s] for s in bits_of(mask))
+        return sum(map(self.valencies.__getitem__, bits_of(mask)))
 
     def closed_subset(self, relations: Iterable[int] | int) -> "SchemeClosedSubset":
         sub = self.hypergroup.subset(relations)
         if not sub.is_closed():
-            raise NotClosedError(
-                f"relation set {sub.members()} is not closed"
-            )
+            raise NotClosedError(f"relation set {sub.members()} is not closed")
         return SchemeClosedSubset(self, sub.bits)
 
     def relation_closure(self, relations: Iterable[int] | int) -> "SchemeClosedSubset":
@@ -147,10 +142,10 @@ class AssociationScheme:
         return self._closed_subsets
 
     def identity_subset(self) -> "SchemeClosedSubset":
-        return SchemeClosedSubset(self, 1)
+        return SchemeClosedSubset(self, 1, 1)
 
     def full_subset(self) -> "SchemeClosedSubset":
-        return SchemeClosedSubset(self, self.hypergroup.full_mask)
+        return SchemeClosedSubset(self, self.hypergroup.full_mask, self.n_points)
 
 
 class SchemeClosedSubset(ClosedSubset):
@@ -183,13 +178,12 @@ class SchemeClosedSubset(ClosedSubset):
 # validation
 
 # Largest n * rank**2 validate_scheme accepts.  The regularity pass
-# sorts n pair codes for each of the n**2 point pairs inside C builtins,
-# about n**3 log n steps, and keeps one key of n codes per relation
-# while it runs; a thin input (every row a permutation) is keyed
-# without sorting, n**3 steps in C.  The cap admits a thin scheme on 96
-# points (96 * 96**2 = 884,736; 0.03 s on a 2-core machine with Python
-# 3.11, where a non-thin scheme on 96 points takes 0.08 s) and every
-# bundled input.
+# sorts n pair codes for each of the n * (n + 1) / 2 + n - 1 pairs
+# (y, z) with z = 0 or z >= y inside C builtins, about n**3 log n / 2
+# steps, and keeps one key of n codes per relation while it runs; a
+# thin input (every row a permutation) is keyed without sorting, about
+# n**3 / 2 steps in C.  The cap admits a thin scheme on 96 points
+# (96 * 96**2 = 884,736) and every bundled input.
 SCHEME_SIZE_CAP = 1 << 20
 
 
@@ -203,22 +197,27 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     StarViolationError and RegularityViolationError with a five-index
     witness.
 
-    Every point pair is checked, with the per-pair work in C builtins.
+    Every point pair is covered, with the per-pair work in C builtins.
     Each row must hold its one 0 on the diagonal; the set of pairs
-    (rel[x][y], rel[y][x]) must hold one partner per relation.  Pair
-    (y, z) is keyed by the sorted codes rank * rel[y][x] + rel[x][z]
-    over all x, and equal keys mean equal intersection-number tables,
-    so each key is compared with the first key of its relation.  When
-    rank == n > 1 and every row is a permutation (a thin input), no
-    pair is sorted: the key lists rel[x][z] with x taken in the order
-    of rel[y][x] = 0, 1, ..., which is the sorted codes' order.  Only
-    on a failure are the double loops or the two count tables run, to
-    name the same first witness the pairwise loops would.  Valencies are
-    the label counts of row 0, and the relation products come from the
-    distinct codes of each key; no intersection number is stored
-    (AssociationScheme.intersection_numbers counts them on demand).
-    Cost: about n**3 log n steps in C plus n**2 in Python, or n**3
-    steps in C on a thin input.
+    (rel[x][y], rel[y][x]) must hold one partner per relation, so
+    rel(z, y) = rel(y, z)*.  Pair (y, z) is keyed by the sorted codes
+    rank * rel[y][x] + rel[x][z] over all x, equal keys meaning equal
+    intersection-number tables, and each key is compared with the first
+    key of its relation, for the pairs with z = 0 or z >= y only: the
+    table of (y, z) is that of (z, y) transposed and starred, so the
+    pairs of r below the diagonal share the starred table of r*, which
+    the column-0 pairs tie to the table of r (the diagonal pairs equate
+    every row's label counts, so column 0 meets every relation).  A
+    thin input (rank == n > 1, every row a permutation) is keyed
+    without sorting, in the order of rel[y][x] = 0, 1, ...  Only when
+    two keys differ is every pair keyed, in row-major order, and the
+    first differing pair's two count tables run, to name the witness
+    the pairwise loops would.  Valencies are the label counts of row 0,
+    and the relation products come from the distinct codes of each key;
+    no intersection number is stored (AssociationScheme.intersection_numbers
+    counts them on demand).  Cost: n * (n + 1) / 2 + n - 1 keys, about
+    n**3 log n / 2 steps in C plus n**2 / 2 in Python, or n**3 / 2 steps
+    in C on a thin input.
     """
     n = len(matrix)
     if n == 0:
@@ -236,9 +235,7 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     rank = max(labels) + 1
     missing = set(range(rank)) - labels
     if missing:
-        raise NotPartitionError(
-            f"labels must form a contiguous range; missing {sorted(missing)}"
-        )
+        raise NotPartitionError(f"labels must form a contiguous range; missing {sorted(missing)}")
     _check_size(n, rank)
 
     cols = list(zip(*rel))
@@ -251,41 +248,16 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     pairs = set(zip(chain.from_iterable(rel), chain.from_iterable(cols)))
     if len(pairs) != rank:
         _raise_star_witness(rel, rank)
-    star = [0] * rank
-    for s, t in pairs:
-        star[s] = t
+    star = list(map(dict(pairs).__getitem__, range(rank)))  # one pair per label
     for s in range(rank):
         if star[star[s]] != s:
             raise StarViolationError(f"star map is not an involution at {s}")
 
-    # pair (y, z) gets the sorted codes rank*rel[y][x] + rel[x][z] over x:
-    # two pairs have equal keys exactly when their count tables are equal.
-    # When every row is a permutation, rel[y][x] = p names one x, at[p],
-    # and key[p] = rel[at[p]][z] is the p-th sorted code less rank * p.
     thin = rank == n > 1 and all(len(set(row)) == n for row in rel)
-    keys: list[Sequence[int] | None] = [None] * rank
-    first: list[tuple[int, int]] = [(0, 0)] * rank
-    for y, row in enumerate(rel):
-        if thin:
-            at = [0] * n
-            for x, p in enumerate(row):
-                at[p] = x
-            pick = itemgetter(*at)
-        else:
-            codes = [rank * p for p in row]
-        for z, r in enumerate(row):
-            key = pick(cols[z]) if thin else sorted(map(add, codes, cols[z]))
-            known = keys[r]
-            if known is None:
-                keys[r] = key
-                first[r] = (y, z)
-            elif known != key:
-                want = _count_table(rel, *first[r], rank)
-                got = _count_table(rel, y, z, rank)
-                for p in range(rank):
-                    for q in range(rank):
-                        if want[p][q] != got[p][q]:
-                            raise RegularityViolationError(p, q, r, y, z)
+    keys = _pair_keys(rel, cols, rank, thin, upper=True)
+    if keys is None:
+        _pair_keys(rel, cols, rank, thin, upper=False)  # names the witness
+        raise InternalInconsistencyError("pair keys differ but no count table does")
 
     # row 0 meets every relation, and regularity of relation 0 makes
     # every row's label counts equal: these are the a_{s s* 0}
@@ -297,21 +269,9 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     # a thin key holds the one q of each p
     products = [[0] * rank for _ in range(rank)]
     for r, key in enumerate(keys):
-        bit = 1 << r
-        if thin:
-            for p, q in enumerate(key):
-                products[p][q] |= bit
-        else:
-            for c in set(key):
-                products[c // rank][c % rank] |= bit
-
-    return AssociationScheme(
-        tuple(rel),
-        tuple(star),
-        valencies,
-        products,
-        name=name,
-    )
+        for p, q in enumerate(key) if thin else (divmod(c, rank) for c in set(key)):
+            products[p][q] |= 1 << r
+    return AssociationScheme(tuple(rel), tuple(star), valencies, products, name=name)
 
 
 def _check_size(n: int, rank: int) -> None:
@@ -321,6 +281,45 @@ def _check_size(n: int, rank: int) -> None:
             f"{n} points of rank {rank} give n * rank**2 = {n * rank * rank}, "
             f"above the cap {SCHEME_SIZE_CAP}"
         )
+
+
+def _pair_keys(
+    rel: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], rank: int, thin: bool, upper: bool
+) -> list[Sequence[int]] | None:
+    """The key of each relation's first pair (y, z), each later pair's
+    key compared with it.  With upper, only the pairs with z = 0 or
+    z >= y are keyed, and a differing key returns None; otherwise every
+    pair is, in row-major order, and a differing key raises the
+    RegularityViolationError its two count tables name.  A thin key
+    lists rel[x][z] for the x with rel[y][x] = 0, 1, ...: the sorted
+    codes rank*rel[y][x] + rel[x][z] less rank * rel[y][x].
+    """
+    n = len(rel)
+    keys: list[Sequence[int] | None] = [None] * rank
+    first: list[tuple[int, int]] = [(0, 0)] * rank
+    for y, row in enumerate(rel):
+        if thin:
+            at = dict(zip(row, range(n)))  # rel[y][at[p]] = p
+            pick = itemgetter(*map(at.__getitem__, range(n)))
+        else:
+            codes = [rank * p for p in row]
+        for z in (0, *range(y, n)) if upper and y else range(n):
+            r = row[z]
+            key = pick(cols[z]) if thin else sorted(map(add, codes, cols[z]))
+            known = keys[r]
+            if known is None:
+                keys[r] = key
+                first[r] = (y, z)
+            elif known != key:
+                if upper:
+                    return None
+                want = _count_table(rel, *first[r], rank)
+                got = _count_table(rel, y, z, rank)
+                for p in range(rank):
+                    for q in range(rank):
+                        if want[p][q] != got[p][q]:
+                            raise RegularityViolationError(p, q, r, y, z)
+    return keys
 
 
 def _count_table(rel: Sequence[Sequence[int]], y: int, z: int, rank: int) -> list[list[int]]:
@@ -481,9 +480,7 @@ def quotient_scheme(
             continue
         block = [y for y, r in enumerate(scheme.rel[x]) if t_bits >> r & 1]
         if len(block) != modulus.valency:
-            raise InternalInconsistencyError(
-                "blocks of a closed subset must all have size n_T"
-            )
+            raise InternalInconsistencyError("blocks of a closed subset must all have size n_T")
         for y in block:
             if block_of[y] != -1:
                 raise InternalInconsistencyError("blocks of a closed subset overlap")
@@ -501,9 +498,7 @@ def quotient_scheme(
             if cur == -1:
                 qrel[bx][block_of[y]] = c
             elif cur != c:
-                raise InternalInconsistencyError(
-                    "block pair met two different relation cosets"
-                )
+                raise InternalInconsistencyError("block pair met two different relation cosets")
 
     qscheme = validate_scheme(qrel, name=f"{scheme.name}//T" if scheme.name else "")
 

@@ -12,8 +12,9 @@ pi-subsets alone, is kept here too, and so is the extension route that
 multiplied a seed by the pi-core before looking for a Hall subset
 containing it, which the library answers from the lifted Hall family
 alone.  So are the
-product and star kernels as they were written over bits_of, before the
-library walked their masks inline.  The normality tests as they were
+product and star kernels as they were written inline, one low bit
+m & -m at a time, before the library read each mask's members off the
+tables of bits_of.  The normality tests as they were
 spelled before the library read them off one conjugation kernel and one
 normalizer kernel (two mul_masks products per element, and a chain
 search that tests normality pair by pair) are kept here too, and so is
@@ -53,8 +54,8 @@ from schemehall.scheme import pi_predicates
 from schemehall.solvability import step_quotient_order
 
 __all__ = [
-    "mul_masks_bits_of",
-    "star_mask_bits_of",
+    "mul_masks_low_bit",
+    "star_mask_low_bit",
     "normalizes_mul_masks",
     "conjugate_mul_masks",
     "subnormal_chain_search",
@@ -75,24 +76,32 @@ __all__ = [
 SCAN_CAP = 16
 
 
-def mul_masks_bits_of(hg: Hypergroup, left: int, right: int) -> int:
-    """Hypergroup.mul_masks with both masks walked by bits_of."""
-    out = 0
+def mul_masks_low_bit(hg: Hypergroup, left: int, right: int) -> int:
+    """Hypergroup.mul_masks with both masks walked one low bit at a time."""
+    rights = []
+    while right:
+        low = right & -right
+        rights.append(low.bit_length() - 1)
+        right ^= low
     table = hg.table
-    rights = list(bits_of(right))
-    for a in bits_of(left):
-        row = table[a]
+    out = 0
+    while left:
+        low = left & -left
+        row = table[low.bit_length() - 1]
         for b in rights:
             out |= row[b]
+        left ^= low
     return out
 
 
-def star_mask_bits_of(hg: Hypergroup, mask: int) -> int:
-    """Hypergroup.star_mask with the mask walked by bits_of."""
+def star_mask_low_bit(hg: Hypergroup, mask: int) -> int:
+    """Hypergroup.star_mask with the mask walked one low bit at a time."""
     inv = hg.inverse
     out = 0
-    for s in bits_of(mask):
-        out |= 1 << inv[s]
+    while mask:
+        low = mask & -mask
+        out |= 1 << inv[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

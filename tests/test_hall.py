@@ -287,6 +287,27 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
     assert thin == []
 
 
+def test_unique_hall_subgroup_reuses_the_core_lift(monkeypatch):
+    """When the quotient group has one Hall subgroup it is the
+    intersection the core was lifted from, so a pi whose Hall subset is
+    the whole scheme makes one lift_closed call; S4 with pi = {2} lifts
+    the core and its three Sylow 2-subgroups."""
+    calls = []
+    original = hall_module.lift_closed
+
+    def counted(q, sub):
+        calls.append(sub.bits)
+        return original(q, sub)
+
+    monkeypatch.setattr(hall_module, "lift_closed", counted)
+    cert = sh.find_hall(sh.from_group(sh.symmetric(4), name="s4"), {2, 3})
+    assert cert.hall.bits == cert.o_pi.bits == cert.scheme.hypergroup.full_mask
+    assert cert.hall.valency == 24 and len(calls) == 1
+    calls.clear()
+    cert = sh.find_hall(sh.from_group(sh.symmetric(4), name="s4"), {2})
+    assert cert.hall.valency == 8 and len(calls) == 4
+
+
 def test_context_validates_its_group_table_once(monkeypatch):
     assoc = []
     calls = []

@@ -14,9 +14,11 @@ tables (groups, the quotients the Hall contexts build and a 96-point
 group) are also checked against the set-valued validation loops, the
 quotient table against a product of cosets per pair, and strong
 normality against its two-product definition.  The product and star
-kernels, which walk their masks inline, are checked against their
-bits_of versions in oracles.py on every scheme of the residue corpus,
-and so is H // {0}, against the quotient of the restriction copy.
+kernels, which walk the member tuples bits_of reads off its tables,
+are checked against the low-bit loops in oracles.py that they replaced
+on every scheme of the residue corpus, and so is H // {0}, against the
+quotient of the restriction copy; bits_of itself against a literal
+scan of the bits.
 Conjugation, normality and subnormality, each read off one kernel, are
 checked against their two-product spellings and a pairwise chain
 search in oracles.py.
@@ -33,7 +35,13 @@ import sys
 import pytest
 
 import schemehall as sh
-from schemehall.hypergroup import Hypergroup, _associativity_witness, _enumerate_closed, _h1_witness
+from schemehall.hypergroup import (
+    Hypergroup,
+    _associativity_witness,
+    _enumerate_closed,
+    _h1_witness,
+    bits_of,
+)
 from schemehall.scheme import _pi_valenced_mask
 
 from conftest import (
@@ -46,9 +54,9 @@ from conftest import (
 from oracles import (
     closed_subsets_cyclic_extension,
     conjugate_mul_masks,
-    mul_masks_bits_of,
+    mul_masks_low_bit,
     normalizes_mul_masks,
-    star_mask_bits_of,
+    star_mask_low_bit,
     subnormal_chain_search,
     subquotient_over_parent,
 )
@@ -164,9 +172,21 @@ def test_mul_masks_matches_double_loop():
             assert hg.mul_masks(left, right) == mul_oracle(hg, left, right), (hg.name, left, right)
 
 
-def test_inline_kernels_match_the_bits_of_loops():
+def test_bits_of_lists_the_set_bits():
+    """bits_of, read off its per-chunk tables, against the literal scan
+    on every mask below 2**12 and on seeded masks of up to 200 bits,
+    whose chunk tables it builds as the masks reach them."""
+    for m in range(1 << 12):
+        assert bits_of(m) == tuple(_members(m)), m
+    rng = random.Random(22)
+    for width in range(13, 201):
+        for m in (rng.getrandbits(width), (1 << width) - 1, 1 << (width - 1)):
+            assert bits_of(m) == tuple(_members(m)), m
+
+
+def test_table_kernels_match_the_low_bit_loops():
     """On the hypergroup of every scheme of the residue corpus, mul_masks
-    and star_mask equal their bits_of versions on seeded random masks,
+    and star_mask equal their low-bit loops on seeded random masks,
     and H // {0}, which shares H's table, equals the quotient of the
     validated restriction copy and keeps the name the double-coset
     kernel gave it."""
@@ -178,11 +198,11 @@ def test_inline_kernels_match_the_bits_of_loops():
         full = hg.full_mask
         masks = [0, 1, full, *(1 << s for s in range(hg.size)), *random_masks(rng, hg, 12)]
         for mask in masks:
-            assert hg.star_mask(mask) == star_mask_bits_of(hg, mask), (scheme.name, mask)
+            assert hg.star_mask(mask) == star_mask_low_bit(hg, mask), (scheme.name, mask)
         for left in masks[:3] + masks[-12:]:
             for right in masks[:3] + masks[-12:]:
                 got = hg.mul_masks(left, right)
-                assert got == mul_masks_bits_of(hg, left, right), (scheme.name, left, right)
+                assert got == mul_masks_low_bit(hg, left, right), (scheme.name, left, right)
         q = sh.quotient(hg, hg.neutral_subset())
         got = (q.table, q.inverse, q.cosets, q.coset_of)
         assert got == subquotient_over_parent(hg, hg.universe(), hg.neutral_subset()), scheme.name
@@ -613,9 +633,10 @@ def test_enumeration_closes_at_most_ten_times_per_closed_subset(counted_closures
 
 def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     """find_hall on a fresh S4 scheme, its residue series built first:
-    the full walk makes 389 closures, the {2} walk fewer, the {3} walk
-    fewer again, and {2, 3} and {} (Hall subsets S4 and {0}) none.  No
-    walk of the whole lattice is made, and none is left cached."""
+    the {2} walk makes fewer closures than a full walk of the same
+    lattice (85 and 133 under Close-by-One), the {3} walk fewer again
+    (22), and {2, 3} and {} (Hall subsets S4 and {0}) none.  No walk of
+    the whole lattice is made, and none is left cached."""
     closures = []
     keeps = []
     original_closure = Hypergroup.closure_mask
@@ -639,7 +660,10 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
         assert sh.find_hall(s4, pi).hall.valency == sh.pi_part(24, frozenset(pi))
         assert s4.hypergroup._closed is None
         made[frozenset(pi)] = len(closures)
-    assert made[frozenset({3})] < made[frozenset({2})] < 389
+    hg = sh.from_group(sh.symmetric(4)).hypergroup
+    closures.clear()
+    _enumerate_closed(hg, None)
+    assert made[frozenset({3})] < made[frozenset({2})] < len(closures)
     assert made[frozenset({2, 3})] == made[frozenset()] == 0
     assert len(keeps) == 2 and None not in keeps
 
@@ -897,6 +921,44 @@ def test_validate_scheme_corruptions_name_the_oracle_witness():
     assert reached.get(sh.RegularityViolationError, 0) >= 10
 
 
+def test_corruptions_witnessed_below_the_diagonal_name_the_oracle_witness():
+    """validate_scheme keys only the pairs (y, z) with z = 0 or z >= y
+    and reruns every pair once a key differs, so a symmetric-pair
+    corruption that keeps the star pass and whose row-major witness
+    lies below the diagonal raises the oracle's exact error: seeded
+    corruptions of the ingest pool, whose witnesses lie in column 0,
+    and S3's thin scheme with (4, 5) and (5, 4) moved to relation 1,
+    whose witness (2, 1) no upper-triangle key covers."""
+    s3 = [list(row) for row in sh.from_group(sh.bundled_group("s3").table).rel]
+    s3[4][5] = s3[5][4] = 1  # relation 1 is its own partner
+    want = (
+        sh.RegularityViolationError,
+        "intersection number for (5, 1) over relation 4 is not constant; "
+        "first deviation at point pair (2, 1)",
+    )
+    assert ingest_outcome(ingest_oracle, s3) == want
+    assert ingest_outcome(sh.validate_scheme, s3) == want
+    rng = random.Random(22)
+    below = 0
+    for m in ingest_pool():
+        if len(m) < 3:
+            continue
+        for _ in range(4):
+            bad = _symmetric_pair(rng, m)
+            if bad is None or len({v for row in bad for v in row}) != max(map(max, bad)) + 1:
+                continue
+            try:
+                ingest_oracle(bad)
+            except sh.RegularityViolationError as exc:
+                y, z = exc.witness[3:]
+                if z < y:
+                    assert ingest_outcome(sh.validate_scheme, bad) == (type(exc), str(exc))
+                    below += 1
+            except sh.SchemeAxiomError:
+                pass
+    assert below >= 10
+
+
 def steiner_loop_10():
     """rel[x][y] = x y in the Steiner loop of order 10: 0 is the identity,
     1..9 are the points 3i + j + 1 of the affine plane over Z3, x x = 0,
@@ -945,7 +1007,8 @@ def test_thin_keys_name_the_oracle_witness():
 
 def test_thin_input_is_keyed_without_sorting(monkeypatch):
     """A thin input, valid or failing regularity, makes no sorted call;
-    a non-thin one sorts a key per point pair."""
+    a non-thin valid one sorts a key per pair (y, z) with z = 0 or
+    z >= y: 5 * 6 / 2 + 4 on the pentagon."""
     from schemehall import scheme as scheme_mod
 
     calls = []
@@ -965,7 +1028,7 @@ def test_thin_input_is_keyed_without_sorting(monkeypatch):
         sh.validate_scheme(steiner_loop_10())
     assert calls == []
     sh.validate_scheme(sh.bundled_scheme("pentagon").matrix)
-    assert len(calls) == 5 * 5
+    assert len(calls) == 5 * 6 // 2 + 4
 
 
 def test_identity_witness_is_the_first_zero_off_the_diagonal():
