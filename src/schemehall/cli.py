@@ -107,7 +107,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     if args.pi is not None:
         pi = _pi(args.pi)
     else:
-        pi = frozenset(prime_factors(t.valency)) if t.valency > 1 else frozenset()
+        pi = frozenset(prime_factors(t.valency))
     s = conjugating_element(scheme, t, u, pi)
     print(f"conjugator: relation {s}")
     print(f"all conjugators: {list(conjugators(scheme, t, u))}")

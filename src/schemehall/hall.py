@@ -12,9 +12,11 @@ lifted family equals an exhaustive filter over every closed pi-subset,
 read off the cached lattice when the scheme has one (so the two routes
 can never drift apart silently).  Queries read Hall subsets and their
 subgroups off that family: extend_to_hall answers with the first lifted
-Hall subset that contains its seed.  On every query run the input
-predicates and conjugating_element's direct conjugator scan and its
-quotient-group cross-check.
+Hall subset that contains its seed.  Conjugacy is certified at build
+too: for each lifted Hall subset after the first, the quotient group's
+conjugator must have a relation in its coset that conjugates the first
+onto it.  A query re-checks only its inputs: the Hall predicate on each,
+and conjugating_element's direct conjugator scan.
 """
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ from .groups import (
     is_solvable_group,
     validate_group,
 )
-from .hypergroup import ElementSubset, _enumerate_closed, bits_of, is_strongly_normal, mask_of
+from . import hypergroup
+from .hypergroup import ElementSubset, _enumerate_closed, bits_of, is_strongly_normal
 from .quotient import QuotientHypergroup, lift_closed
 from .scheme import (
     AssociationScheme,
@@ -240,13 +243,13 @@ class _HallContext:
     core is the pi-core, hq the quotient by the thin residue and gtable
     that quotient read off as a group, both shared by every pi; halls
     are the Hall subgroups of gtable in hall_subgroups order and
-    lifted[i] the Hall subset lifted from halls[i], with index_of
-    mapping lifted[i].bits back to i.  best indexes the least lifted
-    Hall subset.  Every pi with the same primes among those of the
-    scheme shares the context.
+    lifted[i] the Hall subset lifted from halls[i], each certified
+    conjugate to lifted[0] through the coset of a conjugator of halls[0]
+    onto halls[i].  best indexes the least lifted Hall subset.  Every pi
+    with the same primes among those of the scheme shares the context.
     """
 
-    __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "index_of", "best")
+    __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "best")
 
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
@@ -264,7 +267,19 @@ class _HallContext:
                 )
             lifted.append(t)
         self.lifted = tuple(lifted)
-        self.index_of = {t.bits: i for i, t in enumerate(lifted)}
+        for gm, t in zip(self.halls[1:], lifted[1:]):
+            g = find_subgroup_conjugator(self.gtable, self.halls[0], gm)
+            if g is None:
+                raise InternalInconsistencyError(
+                    "quotient group route found no conjugator although a direct "
+                    "one exists"
+                )
+            within = hypergroup._conjugates(scheme.hypergroup, lifted[0].bits, hq.cosets[g])
+            if not any(conj == t.bits for _, conj in within):
+                raise InternalInconsistencyError(
+                    "no member of the lifted conjugator coset conjugates the "
+                    "subsets directly"
+                )
 
         filtered = all_hall_subsets(scheme, ps)
         if {t.bits for t in lifted} != {t.bits for t in filtered}:
@@ -315,13 +330,13 @@ def conjugating_element(
 ) -> int:
     """A relation conjugating one Hall subset onto another.
 
-    Inputs are re-verified as Hall subsets.  The conjugator is found by
-    direct scan; the quotient-group route is run as well, on the Hall
-    subgroups the context lifted to t and u, and must land inside the
-    scanned set.  Returns the least valid relation index.
+    Inputs are re-verified as Hall subsets and the conjugator is found
+    by direct scan; the context certified at build that its Hall family
+    is conjugate through the quotient group.  Returns the least valid
+    relation index.
     """
     ps = validate_pi(pi)
-    ctx = _context(scheme, ps)
+    _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
     for label, x in (("first", t), ("second", u)):
         if not _pi_predicates(scheme, x, ps).is_hall_pi_subset:
             raise NotHallError(
@@ -335,25 +350,7 @@ def conjugating_element(
             "no relation conjugates the first Hall subset onto the second; "
             "conjugacy is guaranteed here, so this is an engine bug"
         )
-
-    i = ctx.index_of.get(t.bits)
-    j = ctx.index_of.get(u.bits)
-    if i is None or j is None:
-        raise InternalInconsistencyError(
-            "a verified Hall subset is missing from the lifted Hall family"
-        )
-    g = find_subgroup_conjugator(ctx.gtable, ctx.halls[i], ctx.halls[j])
-    if g is None:
-        raise InternalInconsistencyError(
-            "quotient group route found no conjugator although a direct "
-            "one exists"
-        )
-    if ctx.hq.cosets[g] & mask_of(direct) == 0:
-        raise InternalInconsistencyError(
-            "no member of the lifted conjugator coset conjugates the "
-            "subsets directly"
-        )
-    return min(direct)
+    return direct[0]  # conjugators lists relations in ascending order
 
 
 def extend_to_hall(

@@ -100,7 +100,7 @@ class AssociationScheme:
 
     @cached_property
     def hypergroup(self) -> Hypergroup:
-        """Relations under complex multiplication."""
+        """Relations under complex multiplication; their inverses must be star_map."""
         raw = self._products
         try:
             hg = validate_hypergroup(raw, name=self.name or "scheme relations")
@@ -110,6 +110,8 @@ class AssociationScheme:
             ) from exc
         if hg.table != tuple(tuple(row) for row in raw):
             raise InternalInconsistencyError("identity relation was not the hypergroup neutral")
+        if hg.inverse != self.star_map:
+            raise InternalInconsistencyError("hypergroup inverses differ from the star map")
         self._products = None  # hg.table holds the same masks now
         return hg
 

@@ -554,14 +554,47 @@ def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypa
         m.setattr(hall_module, "conjugators", lambda scheme, a, b: ())
         with pytest.raises(sh.NoConjugatorFoundError, match="no relation conjugates the first Hall subset"):
             sh.conjugating_element(s4_scheme, t, u, {2})
+    # the quotient-group route is checked once, when the context is built
     with monkeypatch.context() as m:
         m.setattr(hall_module, "find_subgroup_conjugator", lambda table, a, b: None)
         with pytest.raises(sh.InternalInconsistencyError) as info:
-            sh.conjugating_element(s4_scheme, t, u, {2})
+            sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
         assert str(info.value) == "quotient group route found no conjugator although a direct one exists"
     with monkeypatch.context() as m:
         m.setattr(hall_module, "find_subgroup_conjugator", lambda table, a, b: 0)
         with pytest.raises(sh.InternalInconsistencyError) as info:
-            sh.conjugating_element(s4_scheme, t, u, {2})
+            sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
         assert str(info.value) == "no member of the lifted conjugator coset conjugates the subsets directly"
     assert sh.conjugating_element(s4_scheme, t, u, {2}) == 4
+
+
+@pytest.mark.parametrize(
+    "table, pi, k",
+    [
+        (sh.symmetric(4), {2}, 3),
+        (sh.direct_product(sh.symmetric(4), sh.cyclic(2)), {3}, 4),
+    ],
+    ids=["s4-pi2", "s4xc2-pi3"],
+)
+def test_conjugacy_is_certified_once_per_family(table, pi, k, monkeypatch):
+    """A context of k Hall subsets finds k - 1 quotient-group conjugators
+    at build; conjugating_element finds none."""
+    calls = []
+    real = hall_module.find_subgroup_conjugator
+
+    def counted(gtable, a, b):
+        calls.append((a, b))
+        return real(gtable, a, b)
+
+    monkeypatch.setattr(hall_module, "find_subgroup_conjugator", counted)
+    scheme = sh.from_group(table)
+    sh.find_hall(scheme, pi)
+    assert len(calls) == k - 1
+    halls = sh.all_hall_subsets(scheme, pi)
+    assert len(halls) == k
+    calls.clear()
+    for t in halls:
+        for u in halls:
+            g = sh.conjugating_element(scheme, t, u, pi)
+            assert sh.conjugate_subset(scheme, t, g) == u
+    assert calls == []

@@ -73,6 +73,13 @@ def test_validator_checks_the_type_of_every_entry(matrix):
         sh.validate_scheme(matrix)
 
 
+def test_hypergroup_inverses_must_match_the_star_map():
+    pent = sh.bundled_scheme("pentagon").scheme()
+    pent.star_map = (0, 2, 1)
+    with pytest.raises(sh.InternalInconsistencyError, match="inverses differ from the star map"):
+        pent.hypergroup
+
+
 def test_pentagon_basics(pentagon):
     assert len(pentagon.rel) == 5
     assert pentagon.valencies == (1, 2, 2)
