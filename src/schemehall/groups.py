@@ -14,7 +14,6 @@ from .hypergroup import (
     Hypergroup,
     _associativity_witness,
     bits_of,
-    validate_hypergroup,
 )
 
 __all__ = [
@@ -174,10 +173,10 @@ def direct_product(g1: Table, g2: Table) -> Table:
 
 
 def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergroup:
-    """The group as a hypergroup with singleton products."""
+    """The group as a hypergroup with singleton products; validate_group's
+    proof of the group axioms is its proof of H1-H3."""
     t = validate_group(table)
-    raw = [[1 << v for v in row] for row in t]
-    return validate_hypergroup(raw, name=name)
+    return Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
 
 
 # ---------------------------------------------------------------------------

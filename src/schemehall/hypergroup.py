@@ -45,7 +45,6 @@ __all__ = [
     "ElementSubset",
     "ClosedSubset",
     "validate_hypergroup",
-    "is_closed",
     "closure",
     "enumerate_closed_subsets",
     "normalizes",
@@ -55,7 +54,6 @@ __all__ = [
     "theta_core",
     "thin_elements",
     "is_thin",
-    "is_metathin",
     "double_cosets",
     "format_table",
 ]
@@ -101,7 +99,7 @@ class Hypergroup:
     table[a][b] is the bitmask of the product set ab, inverse[s] is the
     index of s^.  Instances are value objects but compare by identity;
     the identity is what ties an ElementSubset to its parent.  Build
-    instances through validate_hypergroup.
+    instances through validate_hypergroup, or thin_hypergroup for a group.
     """
 
     __slots__ = ("size", "table", "inverse", "name", "_closed", "_residue")
@@ -244,14 +242,8 @@ class ElementSubset:
     def members(self) -> tuple[int, ...]:
         return bits_of(self.bits)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(bits_of(self.bits))
-
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __contains__(self, s: int) -> bool:
-        return bool(self.bits >> s & 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSubset):
@@ -274,14 +266,6 @@ class ElementSubset:
     def __or__(self, other: "ElementSubset") -> "ElementSubset":
         self._check(other)
         return ElementSubset(self.parent, self.bits | other.bits)
-
-    def __and__(self, other: "ElementSubset") -> "ElementSubset":
-        self._check(other)
-        return ElementSubset(self.parent, self.bits & other.bits)
-
-    def __sub__(self, other: "ElementSubset") -> "ElementSubset":
-        self._check(other)
-        return ElementSubset(self.parent, self.bits & ~other.bits)
 
     def __mul__(self, other: "ElementSubset") -> "ElementSubset":
         self._check(other)
@@ -521,11 +505,6 @@ def _h1_witness(masks: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
 # subset operations
 
 
-def is_closed(subset: ElementSubset) -> bool:
-    """True when the subset is nonempty and A^A lands inside A."""
-    return subset.is_closed()
-
-
 def closure(subset: ElementSubset) -> ClosedSubset:
     """Smallest closed subset containing the given nonempty subset."""
     return _as_closed(subset.parent, subset.parent.closure_mask(subset.bits))
@@ -737,10 +716,6 @@ def thin_elements(hg: Hypergroup) -> ThinReport:
 
 def is_thin(hg: Hypergroup) -> bool:
     return all(hg.is_thin_element(s) for s in hg.elements)
-
-
-def is_metathin(hg: Hypergroup) -> bool:
-    return thin_elements(hg).metathin
 
 
 def double_cosets(hg: Hypergroup, f: ElementSubset) -> list[int]:

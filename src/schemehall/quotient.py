@@ -2,7 +2,7 @@
 
 The quotient T // F, F inside T closed subsets of H, lives on the double
 cosets F h F, h in T, as masks over H; one kernel reads it off H's table
-for quotient (T = H), subquotient and restriction (F = {0}), except
+for quotient (T = H) and subquotient, except
 H // {0}, which is H itself with singleton cosets.  Coset i is
 represented by the smallest element it contains, cosets are numbered in
 order of their representatives, and the coset of the neutral element
@@ -34,7 +34,6 @@ __all__ = [
     "QuotientHypergroup",
     "quotient",
     "subquotient",
-    "restriction",
     "lift_closed",
     "project_closed",
     "is_thin_quotient",
@@ -155,19 +154,6 @@ def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
     return _quotient(hg, hg.full_mask, modulus, f"{hg.name}//{modulus.members()}")
 
 
-def restriction(hg: Hypergroup, subset: ElementSubset) -> tuple[QuotientHypergroup, tuple[int, ...]]:
-    """The closed subset T as a hypergroup of its own, T // {0}.
-
-    Returns it together with the member tuple, so new index i
-    corresponds to old element members[i].
-    """
-    subset._check(hg.universe())
-    if not hg.is_closed_mask(subset.bits):
-        raise NotClosedError("can only restrict to a closed subset")
-    members = subset.members()
-    return _quotient(hg, subset.bits, hg.neutral_subset(), f"{hg.name}|{members}"), members
-
-
 def subquotient(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> QuotientHypergroup:
     """outer // inner, both closed subsets of hg with inner inside outer;
     its parent is hg and its cosets partition outer."""
@@ -210,7 +196,7 @@ def is_thin_quotient(q: QuotientHypergroup) -> bool:
     """True when every coset of the quotient is thin.
 
     Equivalent to the modulus being strongly normal in the outer subset;
-    the equivalence is asserted on every call.
+    every call checks that, raising InternalInconsistencyError if not.
     """
     thin = is_thin(q)
     strong = is_strongly_normal(q.modulus, lift_closed(q, q.universe()))

@@ -165,16 +165,6 @@ class SchemeClosedSubset(ClosedSubset):
     def __repr__(self) -> str:
         return f"<closed relations {list(self.members())} valency {self.valency}>"
 
-    def index_in(self, other: "SchemeClosedSubset") -> int:
-        """Valency index n_U / n_T for T inside U; divisibility asserted."""
-        if self.scheme is not other.scheme:
-            raise InternalInconsistencyError("subsets of different schemes")
-        if other.valency % self.valency:
-            raise InternalInconsistencyError(
-                f"valency {self.valency} does not divide {other.valency}"
-            )
-        return other.valency // self.valency
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -367,13 +357,17 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     It has rank n, so the size cap is applied before the group checks.
     Once the table is a group the scheme axioms hold by construction:
     relation g has valency 1 and partner g^-1, and relation p then q is
-    relation pq.  The hypergroup still checks H1-H3 on those products."""
+    relation pq.  The hypergroup reuses validate_group's proof of H1-H3,
+    with relation 0 as its neutral and the star map as its inverse."""
     _check_size(len(table), len(table))
     t: Table = validate_group(table)
     inv = group_inverse(t)
     rel = tuple(t[i] for i in inv)  # row x is row x^-1 of the table
-    products = [[1 << pq for pq in row] for row in t]
-    return AssociationScheme(rel, inv, (1,) * len(t), products, name=name)
+    products = tuple(tuple(1 << pq for pq in row) for row in t)
+    hg = Hypergroup(products, inv, name=name or "scheme relations")
+    scheme = AssociationScheme(rel, inv, (1,) * len(t), products, name=name)
+    scheme.hypergroup = hg  # the cached_property's value
+    return scheme
 
 
 # ---------------------------------------------------------------------------
@@ -422,30 +416,21 @@ class QuotientScheme:
 
     __slots__ = (
         "scheme",
-        "parent",
         "modulus",
         "blocks",
-        "block_of",
-        "rel_class_of",
         "hyper_quotient",
     )
 
     def __init__(
         self,
         scheme: AssociationScheme,
-        parent: AssociationScheme,
         modulus: SchemeClosedSubset,
         blocks: tuple[tuple[int, ...], ...],
-        block_of: tuple[int, ...],
-        rel_class_of: tuple[int, ...],
         hyper_quotient: QuotientHypergroup,
     ):
         self.scheme = scheme
-        self.parent = parent
         self.modulus = modulus
         self.blocks = blocks
-        self.block_of = block_of
-        self.rel_class_of = rel_class_of
         self.hyper_quotient = hyper_quotient
 
     def __repr__(self) -> str:
@@ -464,9 +449,9 @@ def quotient_scheme(
     (reflexive as 0 is in T, symmetric as T* = T, transitive as TT is
     inside T) and the block of x is read off row x.  Quotient relations
     are the double cosets T s T, and the valency law
-    n_{s^T} * n_T = n_{TsT} is asserted exactly.  The hypergroup of the
+    n_{s^T} * n_T = n_{TsT} is checked exactly.  The hypergroup of the
     quotient scheme must coincide with the quotient of the hypergroup,
-    table for table; anything else is an internal inconsistency.
+    table for table.  Either failure raises InternalInconsistencyError.
     """
     if modulus.scheme is not scheme:
         raise ParentMismatchError("modulus belongs to a different scheme")
@@ -522,11 +507,8 @@ def quotient_scheme(
 
     return QuotientScheme(
         qscheme,
-        scheme,
         modulus,
         tuple(tuple(m) for m in members),
-        tuple(block_of),
-        tuple(hq.coset_of),
         hq,
     )
 

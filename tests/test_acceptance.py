@@ -137,8 +137,8 @@ def test_criterion_4_isomorphism_statements():
             assert sh.is_normal_in(ker, phi.source.universe()), hg.name
             image = sorted(set(phi.mapping))
             im_closed = phi.target.subset(image)
-            assert sh.is_closed(im_closed), hg.name
-            im_hg, _ = sh.restriction(phi.target, im_closed)
+            assert im_closed.is_closed(), hg.name
+            im_hg = sh.subquotient(phi.target, im_closed, phi.target.neutral_subset())
             iso = sh.find_isomorphism(sh.quotient(phi.source, ker), im_hg)
             assert iso is not None, f"collapse mismatch: {hg.name}"
             first += 1
@@ -193,7 +193,7 @@ def test_criterion_5_quotient_coincidence_and_valency_law():
             n_t = scheme.valency_of_mask(t.bits)
             for s in range(rank):
                 tst = hg.mul_masks(hg.mul_masks(t.bits, 1 << s), t.bits)
-                image_valency = q.scheme.valencies[q.rel_class_of[s]]
+                image_valency = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
                 assert image_valency * n_t == scheme.valency_of_mask(tst), (
                     f"{scheme.name}: T={t.bits:#x} s={s}"
                 )

@@ -3,6 +3,7 @@
 import pytest
 
 import schemehall as sh
+from schemehall.groups import find_subgroup_conjugator
 
 # a loop of order 5: 2 * 3 = 0 but 3 * 2 = 1, so 2 has a right inverse
 # that is not a left one
@@ -66,3 +67,10 @@ def test_dihedral_needs_n_at_least_1(n):
     with pytest.raises(ValueError) as exc:
         sh.dihedral(n)
     assert str(exc.value) == "dihedral(n) needs n >= 1"
+
+
+def test_distinct_subgroups_of_an_abelian_group_have_no_conjugator():
+    # C2 x C2 is abelian: each subgroup is its only conjugate
+    k4 = sh.direct_product(sh.cyclic(2), sh.cyclic(2))
+    assert find_subgroup_conjugator(k4, 0b0011, 0b0101) is None
+    assert find_subgroup_conjugator(k4, 0b0011, 0b0011) == 0

@@ -208,14 +208,20 @@ def test_theta_core(pentagon, square):
 
 def test_metathin(square, pentagon):
     # square: theta core {0,2} equals the thin elements, so metathin
-    assert sh.is_metathin(square)
-    assert not sh.is_metathin(pentagon)
+    assert sh.thin_elements(square).metathin
+    assert not sh.thin_elements(pentagon).metathin
 
 
 def test_strong_normality(square):
     full = square.universe()
     assert sh.is_strongly_normal(square.subset([0, 2]), full)
     assert not sh.is_strongly_normal(square.subset([0]), full)
+
+
+def test_subnormality_needs_f_inside_g():
+    c4 = sh.thin_hypergroup(sh.cyclic(4))
+    assert sh.is_subnormal(c4.subset([0, 2]), c4.universe())
+    assert not sh.is_subnormal(c4.universe(), c4.subset([0, 2]))
 
 
 def test_double_cosets(square):
@@ -254,9 +260,9 @@ def test_subset_star_reverses_products(a_bits, b_bits):
 
 
 def test_is_closed_matches_definition(pentagon):
-    assert sh.is_closed(pentagon.subset([0]))
-    assert not sh.is_closed(pentagon.subset([0, 1]))
-    assert sh.is_closed(pentagon.universe())
+    assert pentagon.subset([0]).is_closed()
+    assert not pentagon.subset([0, 1]).is_closed()
+    assert pentagon.universe().is_closed()
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -94,6 +94,16 @@ def test_nonzero_diagonal_is_remapped_with_warning():
     assert sf.matrix == ((0, 1), (1, 0))
 
 
+def test_nonconstant_diagonal_parses_unchanged_and_fails_validation():
+    """Labels 1, 0, 0 on the diagonal are not remapped; validate_scheme
+    names the first diagonal cell that is not 0."""
+    sf = formats.parse_scheme("3 2\n0 1 1\n1 1 0\n1 0 0\n")
+    assert sf.matrix == ((0, 1, 1), (1, 1, 0), (1, 0, 0))
+    with pytest.raises(sh.IdentityViolationError) as exc:
+        sf.scheme()
+    assert str(exc.value) == "diagonal entry (1, 1) is not 0"
+
+
 def test_group_round_trip():
     gf = catalogue.bundled_group("s4")
     assert gf.order == 24
@@ -406,6 +416,12 @@ def test_cli_negative_relation_is_input_error(args, bad, capsys):
     """A negative relation id is named with the rank, and exits 2."""
     assert main([args[0], str(SCHEMES / "hm176_28.scm"), *args[1:]]) == 2
     assert capsys.readouterr().err == f"error: element {bad} is out of range for order 10\n"
+
+
+def test_cli_non_integer_relation_is_input_error(capsys):
+    args = ["conjugate", str(SCHEMES / "hm176_28.scm"), "--t", "0,x", "--u", "0"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: expected comma-separated integers, got '0,x'\n"
 
 
 def test_cli_quotient_emits_parseable_scheme(tmp_path, capsys):

@@ -285,7 +285,7 @@ def test_metathin_sandwich_law(hypergroups8):
     all closed subsets with thin quotient."""
     seen_metathin = 0
     for hg in hypergroups8:
-        if not sh.is_metathin(hg):
+        if not sh.thin_elements(hg).metathin:
             continue
         seen_metathin += 1
         p, s = _tables(hg)
@@ -367,7 +367,7 @@ def test_closed_subset_solvability_descent(hypergroups10):
         if not sh.is_solvable(hg):
             continue
         for e in sh.enumerate_closed_subsets(hg):
-            sub, _ = sh.restriction(hg, e)
+            sub = sh.subquotient(hg, e, hg.neutral_subset())
             assert sh.is_solvable(sub), (
                 f"closed-subset solvability descent: {hg.name}: E={e.bits:#x}"
             )
@@ -397,7 +397,7 @@ def test_two_step_solvability_assembly(hypergroups10):
     hypergroup solvable."""
     for hg in hypergroups10:
         for e in sh.enumerate_closed_subsets(hg):
-            sub, _ = sh.restriction(hg, e)
+            sub = sh.subquotient(hg, e, hg.neutral_subset())
             if not sh.is_solvable(sub):
                 continue
             if not sh.is_solvable(sh.quotient(hg, e)):
@@ -472,7 +472,7 @@ def test_pi_valency_transfer_to_quotients(corpus12):
             q = sh.quotient_scheme(scheme, t)
             for s in range(len(scheme.valencies)):
                 n_s = scheme.valencies[s]
-                n_image = q.scheme.valencies[q.rel_class_of[s]]
+                n_image = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
                 for pi in pi_sets:
                     if sh.is_pi_number(n_s, pi) and sh.is_pi_number(n_t, pi):
                         assert sh.is_pi_number(n_image, pi), (
@@ -496,7 +496,7 @@ def test_valency_transfer_to_quotients(corpus12):
             for s in range(len(scheme.valencies)):
                 tst = hg.mul_masks(hg.mul_masks(t.bits, 1 << s), t.bits)
                 n_tst = scheme.valency_of_mask(tst)
-                n_image = q.scheme.valencies[q.rel_class_of[s]]
+                n_image = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
                 assert n_image * n_t == n_tst, (
                     f"double-coset valency law: {scheme.name}: "
                     f"T={t.bits:#x} s={s}"
@@ -559,7 +559,7 @@ def test_quotient_scheme_solvability_and_subnormal_lift(corpus12):
             for u in closed:
                 if t.bits & ~u.bits:
                     continue
-                down = frozenset(q.rel_class_of[s] for s in u.members())
+                down = frozenset(q.hyper_quotient.coset_of[s] for s in u.members())
                 down_sub = sh.ClosedSubset(qhg, sum(1 << s for s in down))
                 if sh.is_subnormal(down_sub, qfull):
                     assert sh.is_subnormal(u, universe), (

@@ -18,7 +18,7 @@ import schemehall as sh
 from schemehall.hypergroup import bits_of
 
 from conftest import catalogue_schemes
-from oracles import restriction_copy, subquotient_of_copy, subquotient_over_parent
+from oracles import subquotient_of_copy, subquotient_over_parent
 
 PENTAGON = [[{0}, {1}, {2}], [{1}, {0, 2}, {1, 2}], [{2}, {1, 2}, {0, 1}]]
 SQUARE = [[{0}, {1}, {2}], [{1}, {0, 2}, {1}], [{2}, {1}, {0}]]
@@ -86,8 +86,7 @@ def test_quotient_rejects_foreign_subset(c6, c3):
 def test_restriction_to_closed_subset(c6):
     e = sh.closure(c6.subset([2]))
     assert tuple(e.members()) == (0, 2, 4)
-    sub, members = sh.restriction(c6, e)
-    assert members == (0, 2, 4)
+    sub = sh.subquotient(c6, e, c6.neutral_subset())
     assert sub.size == 3
     assert sub.table == ((1, 2, 4), (2, 4, 1), (4, 1, 2))
 
@@ -123,8 +122,7 @@ def test_subquotient_matches_the_restriction_copy_on_the_catalogue():
 
 def test_subquotient_projects_and_lifts_over_the_parent(c6):
     """A subquotient's parent is hg itself: lifts land in hg, and a
-    closed subset of hg that leaves the outer subset does not project.
-    The restriction to T is T // {0}."""
+    closed subset of hg that leaves the outer subset does not project."""
     t = sh.closure(c6.subset([2]))
     q = sh.subquotient(c6, t, c6.neutral_subset())
     assert q.coset_of == (0, -1, 1, -1, 2, -1)
@@ -132,9 +130,7 @@ def test_subquotient_projects_and_lifts_over_the_parent(c6):
         sh.project_closed(q, c6.universe())
     assert sh.lift_closed(q, sh.project_closed(q, t)) == t
     assert sh.is_thin_quotient(q)
-    sub, members = sh.restriction(c6, t)
-    assert members == (0, 2, 4) and sub.parent is c6
-    assert (sub.table, sub.inverse, sub.cosets) == (q.table, q.inverse, q.cosets)
+    assert t.members() == (0, 2, 4) and q.parent is c6
 
 
 def test_kernel_entries_reject_as_the_restriction_copy_does(c6, c3):
@@ -147,9 +143,6 @@ def test_kernel_entries_reject_as_the_restriction_copy_does(c6, c3):
         (sh.subquotient, subquotient_of_copy, (c6.universe(), c6.subset([0, 1]))),
         (sh.subquotient, subquotient_of_copy, (c3.universe(), c3.neutral_subset())),
         (sh.subquotient, subquotient_of_copy, (c6.universe(), c3.neutral_subset())),
-        (sh.restriction, restriction_copy, (c6.subset([0, 1]),)),
-        (sh.restriction, restriction_copy, (odd,)),
-        (sh.restriction, restriction_copy, (c3.universe(),)),
     ]
     for kernel, copy, args in cases:
         with pytest.raises(sh.SchemehallError) as new:

@@ -119,9 +119,8 @@ def test_solvability_and_core_walk_no_lattice(monkeypatch):
 
 def test_each_residue_factor_is_validated_once(monkeypatch):
     """On a fresh scheme with its hypergroup built, is_solvable_scheme
-    validates each residue factor once, never on the set-valued path,
-    and restricts nothing; the wreath products have five and four
-    factors."""
+    validates each residue factor once, never on the set-valued path;
+    the wreath products have five and four factors."""
     calls = []
 
     def counting(module_name, name):
@@ -137,7 +136,6 @@ def test_each_residue_factor_is_validated_once(monkeypatch):
 
     counting("schemehall.hypergroup", "validate_hypergroup")
     counting("schemehall.hypergroup", "_h1_witness")
-    counting("schemehall.quotient", "restriction")
     cases = [
         (sh.bundled_scheme("hm176_28").scheme(), 2),
         (sh.validate_scheme(product_matrices()[6][1]), 5),

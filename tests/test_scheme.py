@@ -12,7 +12,9 @@ Hand-checked values used below:
   fails to be constant over relation 1.
 """
 
+import importlib
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -120,7 +122,9 @@ def test_from_group_equals_the_validated_rows():
     """from_group builds the thin scheme without validate_scheme's passes:
     on every bundled group and on S4 x C4 (96 points) it equals
     validate_scheme of the same rows in relations, partners, valencies
-    and the hypergroup's table and inverse."""
+    and the hypergroup's table and inverse.  thin_hypergroup of each
+    table equals validate_hypergroup of its singleton table in table and
+    inverse."""
     tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
     tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(4)))
     for table in tables:
@@ -131,7 +135,34 @@ def test_from_group_equals_the_validated_rows():
         assert got.valencies == want.valencies
         assert got.hypergroup.table == want.hypergroup.table
         assert got.hypergroup.inverse == want.hypergroup.inverse
+        thin = sh.thin_hypergroup(table)
+        want_thin = sh.validate_hypergroup([[1 << v for v in row] for row in table])
+        assert (thin.table, thin.inverse) == (want_thin.table, want_thin.inverse)
     assert len(tables[-1]) == 96
+
+
+def test_a_group_table_is_proved_associative_once(monkeypatch):
+    """from_group(S4).hypergroup and thin_hypergroup(S4) each build the
+    hypergroup from the table validate_group returned: associativity is
+    proved once, and validate_hypergroup does not run."""
+    calls = []
+    for name in ("_associativity_witness", "validate_hypergroup"):
+        original = getattr(importlib.import_module("schemehall.hypergroup"), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("schemehall.") and hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    for build in (
+        lambda: sh.from_group(sh.symmetric(4)).hypergroup,
+        lambda: sh.thin_hypergroup(sh.symmetric(4)),
+    ):
+        calls.clear()
+        assert build().size == 24
+        assert calls == ["_associativity_witness"]
 
 
 def test_wreath28_structure(wreath28):
@@ -151,7 +182,7 @@ def test_wreath28_thin_radical_quotient(wreath28):
         cs for cs in wreath28.closed_subsets() if wreath28.valency_of_mask(cs.bits) == 4
     ][0]
     assert tuple(t4.members()) == (0, 1, 2, 3)
-    assert t4.index_in(wreath28.full_subset()) == 7
+    assert wreath28.full_subset().valency // t4.valency == 7
     pp = sh.pi_predicates(wreath28, t4, {2})
     assert pp.is_pi_valenced and pp.is_closed_pi_subset and pp.is_hall_pi_subset
     q = sh.quotient_scheme(wreath28, t4)

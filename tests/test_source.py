@@ -3,8 +3,10 @@
 Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
-does not use, the public API carries no name without a caller, and
-every name the bench tracer patches exists.  The package's __all__ is
+does not use, the public API carries no name without a caller, the
+names only tests call are listed, and every name the bench tracer
+patches exists.  The README's quick tour runs and shows the values its
+comments state.  The package's __all__ is
 the union of its submodules' lists and nothing else.  Importing the package
 and its CLI loads none of the stdlib stacks that only the download,
 the cache, the bundled data or a process pool need.
@@ -135,6 +137,35 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names with no caller: {unused}"
 
 
+# public names whose only callers are tests; __version__ is metadata
+TEST_ONLY_NAMES = [
+    "bundled_scheme",
+    "bundled_scheme_names",
+    "closure",
+    "fetch_catalogue",
+    "find_isomorphism",
+    "is_normal_in",
+    "is_thin_quotient",
+    "natural_projection",
+    "thin_elements",
+]
+
+
+def test_public_names_only_tests_call_are_listed():
+    """The names in schemehall.__all__ with no caller in src/, tools/ or
+    bench/ are exactly TEST_ONLY_NAMES, so a new one fails here until it
+    is added to that list on purpose."""
+    files = [
+        path
+        for top in ("src", "tools", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    used: set[str] = {"__version__"}
+    for path in files:
+        used |= _references(path)
+    assert sorted(set(schemehall.__all__) - used) == TEST_ONLY_NAMES
+
+
 def test_package_surface_is_the_submodule_lists():
     """__init__ only star-imports: each submodule's __all__ is the one
     place a public name is declared, so the caller test above sees every
@@ -183,3 +214,34 @@ def test_import_loads_no_deferred_stdlib_stack():
     new = set(json.loads(out))
     loaded = sorted(name for name in DEFERRED if name in new)
     assert not loaded, f"import schemehall loads {loaded}"
+
+
+def test_readme_quick_tour_runs(monkeypatch):
+    """The python block under "## Library quick tour" runs from the repo
+    root, and each bare expression in it gives the value its comment
+    states."""
+    tour = (ROOT / "README.md").read_text().split("## Library quick tour\n", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            shown.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert shown == [
+        (1, 1, 1, 1, 4, 4, 4, 4, 4, 4),  # s.valencies
+        4,  # a_{4,9,0}
+        (0, 1, 2, 3),  # the Hall {2}-subset
+        7,  # its index
+        4,  # t4.valency
+        True,  # is_subnormal
+        True,  # is_solvable
+        (0, 1, 2, 3),  # the theta core
+        [1, 2, 4, 10],  # the chain sizes
+        (2, 2, 7),  # chain.step_primes
+        (2, 2, 7),  # solvable_chain_scheme(s).step_primes
+    ]
+    assert namespace["q"].size == 7
