@@ -7,10 +7,10 @@ pi-subgroups of G are found by the classical route and lifted back
 through the closed-subset correspondence; the pi-core is the lift of
 O_pi(G), their intersection.  That structure is built and checked once
 per (scheme, pi) and cached on the scheme: the core is strongly normal,
-G is solvable, each lifted Hall subgroup passes the Hall predicate, the
-lifted family equals an exhaustive filter over every closed pi-subset,
-read off the cached lattice when the scheme has one (so the two routes
-can never drift apart silently).  Queries read Hall subsets and their
+G is solvable, and the lifted family equals an exhaustive filter over
+every closed pi-subset, read off the cached lattice when the scheme has
+one; as the filter keeps only subsets passing the Hall predicate, that
+equality also proves each lift Hall.  Queries read Hall subsets and their
 subgroups off that family: extend_to_hall answers with the first lifted
 Hall subset that contains its seed.  Conjugacy is certified at build
 too: for each lifted Hall subset after the first, the quotient group's
@@ -243,10 +243,11 @@ class _HallContext:
     core is the pi-core, hq the quotient by the thin residue and gtable
     that quotient read off as a group, both shared by every pi; halls
     are the Hall subgroups of gtable in hall_subgroups order and
-    lifted[i] the Hall subset lifted from halls[i], each certified
-    conjugate to lifted[0] through the coset of a conjugator of halls[0]
-    onto halls[i].  best indexes the least lifted Hall subset.  Every pi
-    with the same primes among those of the scheme shares the context.
+    lifted[i] the lift of halls[i], Hall as the family equals
+    all_hall_subsets, and certified conjugate to lifted[0] through the
+    coset of a conjugator of halls[0] onto halls[i].  best indexes the
+    least lifted Hall subset.  Every pi with the same primes among those
+    of the scheme shares the context.
     """
 
     __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "best")
@@ -255,26 +256,21 @@ class _HallContext:
         self.scheme = scheme
         hq, self.gtable, self.halls, core = _core_and_halls(scheme, ps)
         self.hq, self.core = hq, core
-        lifted = []
-        for gm in self.halls:
-            if len(self.halls) == 1:
-                t = core  # the one Hall subgroup is their intersection
-            else:
-                t = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)
-            if not _pi_predicates(scheme, t, ps).is_hall_pi_subset:
-                raise InternalInconsistencyError(
-                    f"lift of a group Hall subgroup is not Hall: {t.members()}"
-                )
-            lifted.append(t)
-        self.lifted = tuple(lifted)
-        for gm, t in zip(self.halls[1:], lifted[1:]):
+        if len(self.halls) == 1:
+            self.lifted = (core,)  # the one Hall subgroup is their intersection
+        else:
+            self.lifted = tuple(
+                SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)
+                for gm in self.halls
+            )
+        for gm, t in zip(self.halls[1:], self.lifted[1:]):
             g = find_subgroup_conjugator(self.gtable, self.halls[0], gm)
             if g is None:
                 raise InternalInconsistencyError(
                     "quotient group route found no conjugator although a direct "
                     "one exists"
                 )
-            within = hypergroup._conjugates(scheme.hypergroup, lifted[0].bits, hq.cosets[g])
+            within = hypergroup._conjugates(scheme.hypergroup, self.lifted[0].bits, hq.cosets[g])
             if not any(conj == t.bits for _, conj in within):
                 raise InternalInconsistencyError(
                     "no member of the lifted conjugator coset conjugates the "
@@ -282,11 +278,11 @@ class _HallContext:
                 )
 
         filtered = all_hall_subsets(scheme, ps)
-        if {t.bits for t in lifted} != {t.bits for t in filtered}:
+        if {t.bits for t in self.lifted} != {t.bits for t in filtered}:
             raise InternalInconsistencyError(
                 "constructive Hall family differs from the exhaustive filter"
             )
-        self.best = min(range(len(lifted)), key=lambda i: lifted[i].members())
+        self.best = min(range(len(self.lifted)), key=lambda i: self.lifted[i].members())
 
     def certificate(self, i: int, ps: frozenset[int]) -> HallCertificate:
         """A fresh certificate for the i-th Hall subset, asked for pi = ps."""

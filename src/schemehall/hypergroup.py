@@ -132,9 +132,6 @@ class Hypergroup:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def product(self, a: int, b: int) -> "ElementSubset":
-        return ElementSubset(self, self.table[a][b])
-
     def is_thin_element(self, s: int) -> bool:
         """An element h is thin when h^h = {0}."""
         return self.table[self.inverse[s]][s] == 1
@@ -206,6 +203,8 @@ class Hypergroup:
     def subset(self, elements: Iterable[int] | int) -> "ElementSubset":
         if isinstance(elements, int):
             mask = elements
+            if type(mask) is not int:  # bool is an int subclass
+                raise ValueError(f"mask {mask!r} is not an int")
             if mask < 0 or mask > self.full_mask:
                 raise ValueError(f"mask {mask:#x} is out of range for order {self.size}")
         else:

@@ -118,6 +118,8 @@ class AssociationScheme:
     def intersection_numbers(self, r: int) -> tuple[tuple[int, ...], ...]:
         """table[p][q] = a_{pqr}, counted over the pair (0, z) of relation
         r in row 0; validation proved every pair of r gives this table."""
+        if type(r) is not int or not 0 <= r < self.rank:  # bool is an int subclass
+            raise ValueError(f"relation {r} is out of range for rank {self.rank}")
         rel = self.rel
         return tuple(map(tuple, _count_table(rel, 0, rel[0].index(r), self.rank)))
 
@@ -254,8 +256,6 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     # row 0 meets every relation, and regularity of relation 0 makes
     # every row's label counts equal: these are the a_{s s* 0}
     valencies = tuple(map(rel[0].count, range(rank)))
-    if sum(valencies) != n:
-        raise InternalInconsistencyError("valencies do not sum to the point count")
 
     # p q holds r exactly when code rank*p + q occurs in the key of r;
     # a thin key holds the one q of each p
@@ -449,9 +449,9 @@ def quotient_scheme(
     (reflexive as 0 is in T, symmetric as T* = T, transitive as TT is
     inside T) and the block of x is read off row x.  Quotient relations
     are the double cosets T s T, and the valency law
-    n_{s^T} * n_T = n_{TsT} is checked exactly.  The hypergroup of the
-    quotient scheme must coincide with the quotient of the hypergroup,
-    table for table.  Either failure raises InternalInconsistencyError.
+    n_{s^T} * n_T = n_{TsT} is checked exactly.  Its products and star
+    map must be the table and inverse quotient proved H1-H3 for, which
+    become its hypergroup.  Either failure raises InternalInconsistencyError.
     """
     if modulus.scheme is not scheme:
         raise ParentMismatchError("modulus belongs to a different scheme")
@@ -488,12 +488,13 @@ def quotient_scheme(
                 raise InternalInconsistencyError("block pair met two different relation cosets")
 
     qscheme = validate_scheme(qrel, name=f"{scheme.name}//T" if scheme.name else "")
-
-    if qscheme.hypergroup.table != hq.table or qscheme.hypergroup.inverse != hq.inverse:
+    if tuple(map(tuple, qscheme._products)) != hq.table or qscheme.star_map != hq.inverse:
         raise InternalInconsistencyError(
             "hypergroup of the quotient scheme differs from the quotient "
             "of the hypergroup"
         )
+    qscheme._products = None  # the hypergroup's table holds the same masks
+    qscheme.hypergroup = Hypergroup(hq.table, hq.inverse, name=qscheme.name or "scheme relations")
 
     n_t = modulus.valency
     for s in range(scheme.rank):
@@ -577,6 +578,10 @@ def conjugate_subset(
     scheme: AssociationScheme, subset: SchemeClosedSubset, s: int
 ) -> ElementSubset:
     """The relation set s^ T s.  One-sided; not assumed closed."""
+    if subset.scheme is not scheme:
+        raise ParentMismatchError("subset belongs to a different scheme")
+    if type(s) is not int or not 0 <= s < scheme.rank:  # bool is an int subclass
+        raise ValueError(f"relation {s} is out of range for rank {scheme.rank}")
     hg = scheme.hypergroup
     _, mask = next(_conjugates(hg, subset.bits, 1 << s))
     return ElementSubset(hg, mask)
@@ -590,6 +595,8 @@ def conjugators(
     Swapping the arguments answers the other direction; nothing here
     assumes the two agree.
     """
+    if t.scheme is not scheme or u.scheme is not scheme:
+        raise ParentMismatchError("subset belongs to a different scheme")
     hg = scheme.hypergroup
     return tuple(s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits)
 

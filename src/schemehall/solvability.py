@@ -28,7 +28,7 @@ from .hypergroup import (
     bits_of,
     is_strongly_normal,
 )
-from .quotient import QuotientHypergroup, subquotient
+from .quotient import QuotientHypergroup, lift_closed, subquotient
 
 __all__ = [
     "SolvableChain",
@@ -118,27 +118,24 @@ def step_quotient_order(hg: Hypergroup, inner: int, outer: int) -> int:
 
 
 def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
-    """A solvable chain refined from the residue series, or None; each
-    step is checked to be strongly normal with a prime number of double
-    cosets.  Each call refines the cached series afresh."""
+    """A solvable chain lifted by lift_closed from the residue series, or
+    None; each step is checked strongly normal with a prime number of
+    double cosets.  Each call refines the cached series afresh."""
     series = _residue_series(hg)
     if series is None:
         return None
-    masks = [1]
+    chain = [hg.neutral_subset()]
     for q, table in reversed(series):
-        for h in _prime_series(table)[1:]:
-            # the cosets are disjoint, so their sum is their union
-            masks.append(sum(q.cosets[c] for c in bits_of(h)))
-    subsets = tuple(ClosedSubset(hg, m) for m in masks)
-    primes = tuple(step_quotient_order(hg, lo, hi) for lo, hi in zip(masks, masks[1:]))
-    for lo, hi, p in zip(subsets, subsets[1:], primes):
+        chain.extend(lift_closed(q, q.subset(h)) for h in _prime_series(table)[1:])
+    primes = tuple(step_quotient_order(hg, lo.bits, hi.bits) for lo, hi in zip(chain, chain[1:]))
+    for lo, hi, p in zip(chain, chain[1:], primes):
         if not is_prime(p):
             raise InternalInconsistencyError(
                 f"strongly normal cover step has {p} double cosets, not a prime"
             )
         if not is_strongly_normal(lo, hi):
             raise InternalInconsistencyError(f"chain step {lo} is not strongly normal in {hi}")
-    return SolvableChain(subsets, primes)
+    return SolvableChain(tuple(chain), primes)
 
 
 def is_solvable(hg: Hypergroup) -> bool:

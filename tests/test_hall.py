@@ -308,6 +308,42 @@ def test_unique_hall_subgroup_reuses_the_core_lift(monkeypatch):
     assert cert.hall.valency == 8 and len(calls) == 4
 
 
+def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
+    """The context runs the Hall predicate only inside the exhaustive
+    filter: with S4's lattice cached, once on each of its 30 closed
+    subsets for pi = {2}.  A lift that is closed but not Hall (here
+    every lift returns the core, O_2 = V4) is caught by the family's
+    equality with that filter."""
+    s4 = sh.from_group(sh.symmetric(4))
+    lattice = s4.closed_subsets()
+    calls = []
+    real_predicates = hall_module._pi_predicates
+
+    def counted(scheme, subset, ps):
+        calls.append(subset.bits)
+        return real_predicates(scheme, subset, ps)
+
+    with monkeypatch.context() as m:
+        m.setattr(hall_module, "_pi_predicates", counted)
+        cert = sh.find_hall(s4, {2})
+    assert cert.hall.valency == 8
+    assert len(lattice) == 30
+    assert sorted(calls) == sorted(t.bits for t in lattice)
+
+    real_lift = hall_module.lift_closed
+    lifts = []
+
+    def first_lift_only(q, sub):
+        lifts.append(lifts[0] if lifts else real_lift(q, sub))
+        return lifts[-1]
+
+    monkeypatch.setattr(hall_module, "lift_closed", first_lift_only)
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
+    assert str(info.value) == "constructive Hall family differs from the exhaustive filter"
+    assert len(lifts) == 4 and lifts[0].bits.bit_count() == 4
+
+
 def test_context_validates_its_group_table_once(monkeypatch):
     assoc = []
     calls = []

@@ -53,8 +53,8 @@ def square():
 def test_validate_accepts_pentagon(pentagon):
     assert pentagon.size == 3
     assert pentagon.inverse == (0, 1, 2)
-    assert pentagon.product(1, 1).members() == (0, 2)
-    assert pentagon.product(2, 2).members() == (0, 1)
+    assert (pentagon.subset([1]) * pentagon.subset([1])).members() == (0, 2)
+    assert (pentagon.subset([2]) * pentagon.subset([2])).members() == (0, 1)
 
 
 def test_neutral_is_reindexed_to_zero():

@@ -89,8 +89,9 @@ def test_pentagon_basics(pentagon):
     assert pentagon.intersection_numbers(1)[1][1] == 0
     assert pentagon.intersection_numbers(2)[1][1] == 1
     assert pentagon.intersection_numbers(0)[1][1] == 2
-    assert tuple(pentagon.hypergroup.product(1, 1).members()) == (0, 2)
-    assert tuple(pentagon.hypergroup.product(1, 2).members()) == (1, 2)
+    hg = pentagon.hypergroup
+    assert tuple((hg.subset([1]) * hg.subset([1])).members()) == (0, 2)
+    assert tuple((hg.subset([1]) * hg.subset([2])).members()) == (1, 2)
     assert [tuple(cs.members()) for cs in pentagon.closed_subsets()] == [
         (0,),
         (0, 1, 2),
@@ -191,6 +192,47 @@ def test_wreath28_thin_radical_quotient(wreath28):
     # the induced hypergroup of the quotient agrees with quotienting
     # the induced hypergroup directly
     assert q.hyper_quotient.table == sh.quotient(wreath28.hypergroup, t4).table
+
+
+def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
+    """quotient proves H1-H3 on the quotient table, and that table is the
+    quotient scheme's hypergroup: one validate_hypergroup call for a
+    non-trivial modulus, none for {0}, whose quotient is the hypergroup
+    itself."""
+    calls = []
+    original = sh.validate_hypergroup
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    s = sh.bundled_scheme("hm176_28").scheme()
+    assert s.hypergroup.size == 10
+    for key, module in list(sys.modules.items()):
+        if key.startswith("schemehall.") and hasattr(module, "validate_hypergroup"):
+            monkeypatch.setattr(module, "validate_hypergroup", counted)
+    q = sh.quotient_scheme(s, s.closed_subset([0, 1, 2, 3]))
+    assert calls == [7]
+    assert q.scheme.hypergroup.table == q.hyper_quotient.table
+    assert q.scheme.hypergroup.inverse == q.hyper_quotient.inverse == q.scheme.star_map
+    calls.clear()
+    q = sh.quotient_scheme(s, s.identity_subset())
+    assert calls == []
+    assert q.scheme.hypergroup.table == s.hypergroup.table
+    # the one comparison left still catches a hypergroup quotient whose
+    # table or inverse disagrees with the quotient scheme
+    real = scheme_module.quotient
+    for skew in (
+        lambda hq: (hq.table[:1] + hq.table[2:0:-1] + hq.table[3:], hq.inverse),
+        lambda hq: (hq.table, hq.inverse[:1] + hq.inverse[:0:-1]),
+    ):
+        def skewed(hg, modulus, skew=skew):
+            hq = real(hg, modulus)
+            return sh.QuotientHypergroup(*skew(hq), hg, hq.modulus, hq.cosets, hq.coset_of)
+
+        monkeypatch.setattr(scheme_module, "quotient", skewed)
+        with pytest.raises(sh.InternalInconsistencyError, match="^hypergroup of the quotient scheme differs"):
+            sh.quotient_scheme(s, s.closed_subset([0, 1, 2, 3]))
 
 
 def test_quotient_scheme_rejects_foreign_subset(pentagon, wreath28):
@@ -409,6 +451,48 @@ def test_pi_rejects_anything_but_a_prime_int(bad, monkeypatch):
         lambda s: sh.pi_predicates(s, sh.bundled_scheme("pentagon").scheme().full_subset(), [2]),
         sh.ParentMismatchError,
         "subset belongs to a different scheme",
+    ),
+    pytest.param(
+        lambda s: sh.conjugators(s, sh.from_group(sh.cyclic(3)).full_subset(), s.full_subset()),
+        sh.ParentMismatchError,
+        "subset belongs to a different scheme",
+        id="conjugators-foreign-first",
+    ),
+    pytest.param(
+        lambda s: sh.conjugators(s, s.full_subset(), sh.from_group(sh.cyclic(3)).full_subset()),
+        sh.ParentMismatchError,
+        "subset belongs to a different scheme",
+        id="conjugators-foreign-second",
+    ),
+    pytest.param(
+        lambda s: sh.conjugate_subset(s, sh.from_group(sh.cyclic(3)).full_subset(), 1),
+        sh.ParentMismatchError,
+        "subset belongs to a different scheme",
+        id="conjugate_subset-foreign",
+    ),
+    *(
+        pytest.param(
+            lambda s, r=r: sh.conjugate_subset(s, s.full_subset(), r),
+            ValueError,
+            f"relation {r} is out of range for rank 3",
+            id=f"conjugate_subset-relation-{r}",
+        )
+        for r in (3, -1, True)
+    ),
+    *(
+        pytest.param(
+            lambda s, r=r: s.intersection_numbers(r),
+            ValueError,
+            f"relation {r} is out of range for rank 3",
+            id=f"intersection_numbers-relation-{r}",
+        )
+        for r in (99, -1, True)
+    ),
+    pytest.param(
+        lambda s: s.hypergroup.subset(True), ValueError, "mask True is not an int", id="subset-bool",
+    ),
+    pytest.param(
+        lambda s: s.closed_subset(True), ValueError, "mask True is not an int", id="closed_subset-bool",
     ),
 ])
 def test_scheme_input_checks(pentagon, call, error, message):

@@ -133,3 +133,22 @@ def test_scheme_chain_valency_check_runs_once(monkeypatch):
     for chain in chains[1:]:
         assert chain.subsets == first.subsets
         assert chain.step_primes == first.step_primes == (2, 2, 3, 2)
+
+
+def test_chain_subsets_are_lifted_by_lift_closed(monkeypatch):
+    """Each subset above {0} is the lift_closed image of a subgroup of a
+    residue factor, which checks it closed: one call per chain step."""
+    hg = sh.bundled_scheme("hm176_28").scheme().hypergroup
+    calls = []
+    original = solvability.lift_closed
+
+    def counted(q, sub):
+        lifted = original(q, sub)
+        calls.append(lifted.bits)
+        return lifted
+
+    monkeypatch.setattr(solvability, "lift_closed", counted)
+    chain = sh.solvable_chain(hg)
+    assert chain.step_primes == (2, 2, 7)
+    assert calls == [c.bits for c in chain.subsets[1:]]
+    assert chain.subsets[0] == hg.neutral_subset()

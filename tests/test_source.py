@@ -4,21 +4,23 @@ Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
 does not use, the public API carries no name without a caller, the
-names only tests call are listed, and every name the bench tracer
-patches exists.  The README's quick tour runs and shows the values its
-comments state.  The package's __all__ is
-the union of its submodules' lists and nothing else.  Importing the package
+names and methods only tests call are listed, and every name the bench
+tracer patches exists.  The README's quick tour runs and shows the
+values its comments state.  The package's __all__ is the union of its
+submodules' lists and nothing else.  Importing the package
 and its CLI loads none of the stdlib stacks that only the download,
 the cache, the bundled data or a process pool need.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import schemehall
@@ -164,6 +166,39 @@ def test_public_names_only_tests_call_are_listed():
     for path in files:
         used |= _references(path)
     assert sorted(set(schemehall.__all__) - used) == TEST_ONLY_NAMES
+
+
+# public methods of __all__ classes whose only callers are tests
+TEST_ONLY_MEMBERS = ["AssociationScheme.relation_closure"]
+METHOD_TYPES = (
+    types.FunctionType, property, functools.cached_property, staticmethod, classmethod,
+)
+
+
+def test_public_methods_only_tests_call_are_listed():
+    """The public methods and properties of the classes in
+    schemehall.__all__ whose name no file in src/, tools/ or bench/
+    loads are exactly TEST_ONLY_MEMBERS, so a method only tests reach
+    fails here until it is listed on purpose."""
+    files = [
+        path
+        for top in ("src", "tools", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    used: set[str] = set()
+    for path in files:
+        used |= _references(path)
+    classes = [
+        (name, obj) for name in schemehall.__all__
+        if isinstance(obj := getattr(schemehall, name), type)
+    ]
+    unused = [
+        f"{name}.{attr}"
+        for name, cls in classes
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and isinstance(value, METHOD_TYPES) and attr not in used
+    ]
+    assert sorted(unused) == TEST_ONLY_MEMBERS
 
 
 def test_package_surface_is_the_submodule_lists():

@@ -162,12 +162,6 @@ GROUPS_PER_ORDER = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2,
 # constructions
 
 
-def thin_matrix(table: Table) -> Matrix:
-    inv = group_inverse(table)
-    n = len(table)
-    return tuple(tuple(table[inv[x]][y] for y in range(n)) for x in range(n))
-
-
 def trivial_matrix(n: int) -> Matrix:
     return tuple(tuple(0 if x == y else 1 for y in range(n)) for x in range(n))
 
@@ -400,7 +394,7 @@ def build_corpus() -> Registry:
     thin_found: dict[int, int] = {}
     for name, table in lib:
         if len(table) <= MAX_ORDER:
-            if reg.add(thin_matrix(table), name=f"thin-{name}") is not None:
+            if reg.add(sh.from_group(table).rel, name=f"thin-{name}") is not None:
                 thin_found[len(table)] = thin_found.get(len(table), 0) + 1
     for order, expect in GROUPS_PER_ORDER.items():
         got = thin_found.get(order, 0)
@@ -467,11 +461,11 @@ def write_catalogue(reg: Registry) -> None:
 
 
 def order28_matrices() -> list[Matrix]:
-    c4 = sh.validate_scheme(thin_matrix(sh.cyclic(4)))
-    c7 = sh.validate_scheme(thin_matrix(sh.cyclic(7)))
+    c4 = sh.from_group(sh.cyclic(4))
+    c7 = sh.from_group(sh.cyclic(7))
     return [
-        thin_matrix(sh.cyclic(28)),
-        thin_matrix(sh.dihedral(14)),
+        sh.from_group(sh.cyclic(28)).rel,
+        sh.from_group(sh.dihedral(14)).rel,
         wreath_matrix(c7, c4),
         wreath_matrix(c4, c7),
     ]
@@ -513,10 +507,10 @@ def write_named_schemes() -> None:
     )
     put("petersen", pet)
 
-    put("c6_thin", thin_matrix(sh.cyclic(6)))
+    put("c6_thin", sh.from_group(sh.cyclic(6)).rel)
 
-    c4 = sh.validate_scheme(thin_matrix(sh.cyclic(4)))
-    c7 = sh.validate_scheme(thin_matrix(sh.cyclic(7)))
+    c4 = sh.from_group(sh.cyclic(4))
+    c7 = sh.from_group(sh.cyclic(7))
     put("hm176_28", wreath_matrix(c4, c7))
 
 
@@ -545,7 +539,7 @@ def run_oracle_checks() -> None:
         if not 2 <= n <= 6:
             continue
         want = sring_count_oracle(table)
-        thin = sh.validate_scheme(thin_matrix(table))
+        thin = sh.from_group(table)
         via_fusion = 1 + len(fusion_matrices(thin))
         assert via_fusion == want, (
             f"{name}: fusion route finds {via_fusion} translation schemes, "
