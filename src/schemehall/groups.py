@@ -6,13 +6,14 @@ is sized for groups of order at most a few hundred.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
 
 from .errors import NotAGroupError
 from .hypergroup import (
     Hypergroup,
     _associativity_witness,
+    _right_generators,
     bits_of,
 )
 
@@ -176,7 +177,9 @@ def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergrou
     """The group as a hypergroup with singleton products; validate_group's
     proof of the group axioms is its proof of H1-H3."""
     t = validate_group(table)
-    return Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
+    hg = Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
+    hg._thin_table = t
+    return hg
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +206,20 @@ def generated_subgroup(table: Table, gens: int) -> int:
 def _derived_series(table: Table) -> list[int]:
     """The derived series G > G' > G'' > ... as subgroup masks, ending at
     {1} or at the first step that stops shrinking (a nontrivial perfect
-    subgroup).  Each step closes the commutators [x, y] = x^-1 y^-1 x y
-    of the step before."""
+    subgroup).  Each step D' is closed from the commutators
+    [x, y] = x^-1 y^-1 x y with x in a generating set of D and y in D.
+    That is exact: the subgroup N they generate is normal in D, as
+    [x, y]^g = [x, g]^-1 [x, yg], so each generator x of D is central
+    modulo N, D / N is abelian, and N holds every commutator of D."""
     inv = group_inverse(table)
     series = [(1 << len(table)) - 1]
     while series[-1] != 1:
         members = bits_of(series[-1])
         commutators = 0
-        for x in members:
-            ix = inv[x]
+        for x in _right_generators(table, members):
+            row_ix, row_x = table[inv[x]], table[x]
             for y in members:
-                commutators |= 1 << table[table[ix][inv[y]]][table[x][y]]
+                commutators |= 1 << table[row_ix[inv[y]]][row_x[y]]
         nxt = generated_subgroup(table, commutators)
         if nxt == series[-1]:
             break
@@ -248,14 +254,14 @@ def all_subgroups(table: Table) -> tuple[int, ...]:
     return tuple(sorted(found, key=lambda m: (m.bit_count(), bits_of(m))))
 
 
-def _conjugates(table: Table, sub: int) -> Iterator[int]:
-    """The subgroups g^-1 (sub) g for g = 0, 1, ..., n - 1, in that order.
+def _conjugates(table: Table, sub: int, gs: Iterable[int]) -> Iterator[int]:
+    """The subgroups g^-1 (sub) g for g in gs, in that order.
 
     The members of sub are listed once; each g^-1 is found as it is
     reached, so a caller that stops early pays for no other inverse.
     """
     members = bits_of(sub)
-    for g in range(len(table)):
+    for g in gs:
         row = table[table[g].index(0)]
         conj = 0
         for x in members:
@@ -263,9 +269,22 @@ def _conjugates(table: Table, sub: int) -> Iterator[int]:
         yield conj
 
 
+def _right_transversal(table: Table, sub: int) -> list[int]:
+    """The least element of each right coset (sub) g, in ascending order."""
+    members = bits_of(sub)
+    covered = 0
+    reps = []
+    for g in range(len(table)):
+        if not covered >> g & 1:
+            reps.append(g)
+            for h in members:
+                covered |= 1 << table[h][g]
+    return reps
+
+
 def find_subgroup_conjugator(table: Table, sub_a: int, sub_b: int) -> int | None:
     """Smallest g with g^-1 A g = B, or None."""
-    for g, conj in enumerate(_conjugates(table, sub_a)):
+    for g, conj in enumerate(_conjugates(table, sub_a, range(len(table)))):
         if conj == sub_b:
             return g
     return None

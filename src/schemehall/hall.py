@@ -5,7 +5,10 @@ quotient by the thin residue, which the residue series that decides
 solvability builds and reads off as a group once.  For each pi the Hall
 pi-subgroups of G are found by the classical route and lifted back
 through the closed-subset correspondence; the pi-core is the lift of
-O_pi(G), their intersection.  That structure is built and checked once
+O_pi(G), their intersection.  The Hall subgroups and their intersection
+are subgroups of G by construction, so they are lifted by quotient._lift,
+which skips lift_closed's check that its input is closed in G and keeps
+the check that the lift is closed.  That structure is built and checked once
 per (scheme, pi) and cached on the scheme: the core is strongly normal,
 G is solvable, and the lifted family equals an exhaustive filter over
 every closed pi-subset, read off the cached lattice when the scheme has
@@ -16,7 +19,8 @@ Hall subset that contains its seed.  Conjugacy is certified at build
 too: for each lifted Hall subset after the first, the quotient group's
 conjugator must have a relation in its coset that conjugates the first
 onto it.  A query re-checks only its inputs: the Hall predicate on each,
-and conjugating_element's direct conjugator scan.
+and conjugating_element's direct conjugator scan, which stops at the
+least relation that conjugates.
 """
 from __future__ import annotations
 
@@ -37,20 +41,21 @@ from .errors import (
 from .groups import (
     Table,
     _conjugates,
+    _right_transversal,
     find_subgroup_conjugator,
     generated_subgroup,
     is_solvable_group,
     validate_group,
 )
 from . import hypergroup
-from .hypergroup import ElementSubset, _enumerate_closed, bits_of, is_strongly_normal
-from .quotient import QuotientHypergroup, lift_closed
+from .hypergroup import _enumerate_closed, bits_of, is_strongly_normal
+from .quotient import QuotientHypergroup, _lift
 from .scheme import (
     AssociationScheme,
     SchemeClosedSubset,
+    _first_conjugator,
     _pi_predicates,
     _pi_valenced_mask,
-    conjugators,
 )
 from .solvability import _residue_series, group_from_thin
 
@@ -141,7 +146,7 @@ def _core_and_halls(
         )
     hq, table = series[0]
     halls = _hall_subgroups(table, ps)
-    core = SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, reduce(and_, halls))).bits)
+    core = SchemeClosedSubset(scheme, _lift(hq, reduce(and_, halls)).bits)
     if not is_strongly_normal(core, scheme.hypergroup.universe()):
         raise InternalInconsistencyError("the pi-core must be strongly normal")
     return hq, table, halls, core
@@ -167,7 +172,9 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     order is the pi-part.  In a solvable group every pi-subgroup lies
     in a Hall pi-subgroup and all Hall pi-subgroups are conjugate
     (P. Hall 1928), so the build never stalls and the conjugation orbit
-    of its result is the whole family.
+    of its result is the whole family.  The build is one pass over the
+    elements and the orbit is taken over a right transversal of the
+    result: see _hall_subgroups.
     """
     ps = validate_pi(pi)
     t = validate_group(table)
@@ -177,24 +184,32 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
 
 
 def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
-    """hall_subgroups on a solvable table, as checked by hall_subgroups or the residue series."""
+    """hall_subgroups on a solvable table, as checked by hall_subgroups or the residue series.
+
+    The greedy build makes one pass over the elements and joins the same
+    ones as restarting at element 1 after each join: a g that failed to
+    join H fails to join every later H' containing H, as <H', g> holds
+    <H, g>, whose order has a prime outside pi.  The orbit conjugates by
+    the least element of each right coset Hg, |G : H| conjugations, as
+    g^-1 H g depends only on the coset: (hg)^-1 H (hg) = g^-1 H g.
+    """
     n = len(t)
     target = pi_part(n, ps)
     hall = 1
-    while hall.bit_count() != target:
-        for g in range(1, n):
-            if hall >> g & 1:
-                continue
-            ext = generated_subgroup(t, hall | 1 << g)
-            if is_pi_number(ext.bit_count(), ps):
-                hall = ext
-                break
-        else:
-            raise InternalInconsistencyError(
-                f"no pi-subgroup of a solvable group of order {n} grows "
-                f"past order {hall.bit_count()} towards {target}"
-            )
-    return tuple(sorted(set(_conjugates(t, hall)), key=bits_of))
+    for g in range(1, n):
+        if hall.bit_count() == target:
+            break
+        if hall >> g & 1:
+            continue
+        ext = generated_subgroup(t, hall | 1 << g)
+        if is_pi_number(ext.bit_count(), ps):
+            hall = ext
+    if hall.bit_count() != target:
+        raise InternalInconsistencyError(
+            f"no pi-subgroup of a solvable group of order {n} grows "
+            f"past order {hall.bit_count()} towards {target}"
+        )
+    return tuple(sorted(set(_conjugates(t, hall, _right_transversal(t, hall))), key=bits_of))
 
 
 def all_hall_subsets(
@@ -260,7 +275,7 @@ class _HallContext:
             self.lifted = (core,)  # the one Hall subgroup is their intersection
         else:
             self.lifted = tuple(
-                SchemeClosedSubset(scheme, lift_closed(hq, ElementSubset(hq, gm)).bits)
+                SchemeClosedSubset(scheme, _lift(hq, gm).bits)
                 for gm in self.halls
             )
         for gm, t in zip(self.halls[1:], self.lifted[1:]):
@@ -340,13 +355,13 @@ def conjugating_element(
                 f"{x.valency}) is not a Hall {format_pi(ps)}-subset"
             )
 
-    direct = conjugators(scheme, t, u)
-    if not direct:
+    s = _first_conjugator(scheme, t, u)
+    if s is None:
         raise NoConjugatorFoundError(
             "no relation conjugates the first Hall subset onto the second; "
             "conjugacy is guaranteed here, so this is an engine bug"
         )
-    return direct[0]  # conjugators lists relations in ascending order
+    return s
 
 
 def extend_to_hall(

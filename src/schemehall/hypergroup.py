@@ -102,7 +102,7 @@ class Hypergroup:
     instances through validate_hypergroup, or thin_hypergroup for a group.
     """
 
-    __slots__ = ("size", "table", "inverse", "name", "_closed", "_residue")
+    __slots__ = ("size", "table", "inverse", "name", "_closed", "_residue", "_thin_table")
 
     def __init__(
         self,
@@ -117,6 +117,9 @@ class Hypergroup:
         self._closed: tuple[ClosedSubset, ...] | None = None
         # residue-series factors, () when not solvable: see solvability._residue_series
         self._residue: tuple | None = None
+        # the table of element indices, set by the builders that read a thin table
+        # off their input: see solvability.group_from_thin
+        self._thin_table: tuple[tuple[int, ...], ...] | None = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -392,11 +395,14 @@ def validate_hypergroup(
             new_inv[perm[s]] = perm[inv[s]]
         masks, inv = new_masks, new_inv
 
-    return Hypergroup(
+    hg = Hypergroup(
         tuple(tuple(row) for row in masks),
         tuple(inv),
         name=name,
     )
+    if t is not None:
+        hg._thin_table = t if e == 0 else _thin_index_table(hg.table)
+    return hg
 
 
 def _thin_index_table(masks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...] | None:
@@ -446,17 +452,65 @@ def _h3_literal(masks: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
                     )
 
 
+def _right_generators(t: Sequence[Sequence[int]], elements: Iterable[int]) -> list[int]:
+    """A generating set of elements, a set closed under the products of the
+    index table t, greedily: each element, in the order given, that the
+    right products of the elements reached so far do not yet reach.
+
+    An element is reached when it is a generator, or a reached element
+    times a generator, so every reached element is a product of
+    generators; each one left over becomes a generator, so every element
+    is reached.  Each reached element is multiplied by each generator
+    once.
+    """
+    seen = bytearray(len(t))
+    reached: list[int] = []
+    gens: list[int] = []
+    for x in elements:
+        if seen[x]:
+            continue
+        gens.append(x)
+        seen[x] = 1
+        todo = [x]
+        for r in reached:  # the earlier elements times the new generator
+            y = t[r][x]
+            if not seen[y]:
+                seen[y] = 1
+                todo.append(y)
+        while todo:
+            r = todo.pop()
+            reached.append(r)
+            row = t[r]
+            for g in gens:
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = 1
+                    todo.append(y)
+    return gens
+
+
 def _associativity_witness(t: Sequence[tuple[int, ...]]) -> tuple[int, int, int] | None:
     """The first (a, b, c) in index order with (ab)c != a(bc), or None.
 
-    t is a table of element indices in range, with tuple rows.  One row
-    of c at a time: row ab against row b read through row a, which
-    itemgetter(*row b) reads in one call.  On a thin table this is the
-    first (p, q, r) of _h1_witness.
+    t is a table of element indices in range, with tuple rows.  Light's
+    test (Clifford and Preston, The Algebraic Theory of Semigroups,
+    vol. 1, 1961): the b with (ab)c = a(bc) for every a and c are closed
+    under products, since then (a(bb'))c = ((ab)b')c = (ab)(b'c) =
+    a(b(b'c)) = a((bb')c).  So it is enough to test b over a generating
+    set, _right_generators: row ab against row b read through row a,
+    which itemgetter(*row b) reads in one call, for every a.  Only when
+    that test fails does the scan over every b name the first witness.
+    On a thin table this is the first (p, q, r) of _h1_witness.
     """
     n = len(t)
     if n == 1:
         return None  # t is ((0,),); itemgetter of one index returns a bare value
+    for b in _right_generators(t, range(n)):
+        read = itemgetter(*t[b])
+        if any(t[ta[b]] != read(ta) for ta in t):
+            break
+    else:
+        return None
     reads = [itemgetter(*row) for row in t]
     for a in range(n):
         ta = t[a]
@@ -465,7 +519,7 @@ def _associativity_witness(t: Sequence[tuple[int, ...]]) -> tuple[int, int, int]
             rhs = reads[b](ta)
             if lhs != rhs:
                 return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
-    return None
+    raise InternalInconsistencyError("Light's test failed but the full scan passed")
 
 
 def _h1_witness(masks: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:

@@ -87,7 +87,7 @@ def _quotient(
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
     if f == 1 and outer == hg.full_mask:
-        return QuotientHypergroup(
+        q = QuotientHypergroup(
             hg.table,
             hg.inverse,
             parent=hg,
@@ -96,6 +96,8 @@ def _quotient(
             coset_of=tuple(hg.elements),
             name=name,
         )
+        q._thin_table = hg._thin_table
+        return q
 
     cosets = _double_cosets(hg, f, outer)
     coset_of = [-1] * hg.size
@@ -138,7 +140,7 @@ def _quotient(
     if checked.table != tuple(tuple(row) for row in raw):
         raise InternalInconsistencyError("quotient neutral coset was not at index 0")
 
-    return QuotientHypergroup(
+    q = QuotientHypergroup(
         checked.table,
         checked.inverse,
         parent=hg,
@@ -147,6 +149,8 @@ def _quotient(
         coset_of=tuple(coset_of),
         name=checked.name,
     )
+    q._thin_table = checked._thin_table
+    return q
 
 
 def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
@@ -167,11 +171,20 @@ def subquotient(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> Q
 
 
 def lift_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
-    """Union of the cosets named by a closed subset of the quotient."""
+    """Union of the cosets named by a closed subset of the quotient: the
+    input is checked to be a closed subset of q, then _lift."""
     subset._check(q.universe())
     if not q.is_closed_mask(subset.bits):
         raise NotClosedError("can only lift a closed subset of the quotient")
-    m = sum(map(q.cosets.__getitem__, bits_of(subset.bits)))  # the cosets are disjoint
+    return _lift(q, subset.bits)
+
+
+def _lift(q: QuotientHypergroup, bits: int) -> ClosedSubset:
+    """The union of the cosets named by bits, which must be a closed mask
+    of q, checked closed in q's parent.  Callers that built bits closed,
+    such as the Hall subgroups of q read off as a group, skip
+    lift_closed's input check."""
+    m = sum(map(q.cosets.__getitem__, bits_of(bits)))  # the cosets are disjoint
     if not q.parent.is_closed_mask(m):
         raise InternalInconsistencyError("lift of a closed subset is not closed")
     return ClosedSubset(q.parent, m)

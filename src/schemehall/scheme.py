@@ -365,6 +365,7 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     rel = tuple(t[i] for i in inv)  # row x is row x^-1 of the table
     products = tuple(tuple(1 << pq for pq in row) for row in t)
     hg = Hypergroup(products, inv, name=name or "scheme relations")
+    hg._thin_table = t
     scheme = AssociationScheme(rel, inv, (1,) * len(t), products, name=name)
     scheme.hypergroup = hg  # the cached_property's value
     return scheme
@@ -453,7 +454,7 @@ def quotient_scheme(
     map must be the table and inverse quotient proved H1-H3 for, which
     become its hypergroup.  Either failure raises InternalInconsistencyError.
     """
-    if modulus.scheme is not scheme:
+    if getattr(modulus, "scheme", None) is not scheme:
         raise ParentMismatchError("modulus belongs to a different scheme")
     hg = scheme.hypergroup
     hq = quotient(hg, modulus)
@@ -562,7 +563,7 @@ def _pi_predicates(
     scheme: AssociationScheme, subset: SchemeClosedSubset, ps: frozenset[int]
 ) -> PiPredicates:
     """pi_predicates for a ps that validate_pi has returned."""
-    if subset.scheme is not scheme:
+    if getattr(subset, "scheme", None) is not scheme:
         raise ParentMismatchError("subset belongs to a different scheme")
     valenced = subset.bits & ~_pi_valenced_mask(scheme, ps) == 0
     closed_pi = valenced and is_pi_number(subset.valency, ps)
@@ -578,7 +579,7 @@ def conjugate_subset(
     scheme: AssociationScheme, subset: SchemeClosedSubset, s: int
 ) -> ElementSubset:
     """The relation set s^ T s.  One-sided; not assumed closed."""
-    if subset.scheme is not scheme:
+    if getattr(subset, "scheme", None) is not scheme:
         raise ParentMismatchError("subset belongs to a different scheme")
     if type(s) is not int or not 0 <= s < scheme.rank:  # bool is an int subclass
         raise ValueError(f"relation {s} is out of range for rank {scheme.rank}")
@@ -595,10 +596,20 @@ def conjugators(
     Swapping the arguments answers the other direction; nothing here
     assumes the two agree.
     """
-    if t.scheme is not scheme or u.scheme is not scheme:
+    if getattr(t, "scheme", None) is not scheme or getattr(u, "scheme", None) is not scheme:
         raise ParentMismatchError("subset belongs to a different scheme")
     hg = scheme.hypergroup
     return tuple(s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits)
+
+
+def _first_conjugator(
+    scheme: AssociationScheme, t: SchemeClosedSubset, u: SchemeClosedSubset
+) -> int | None:
+    """conjugators(scheme, t, u)[0], or None when there is none, found by
+    conjugating by the relations in ascending order up to the first match;
+    t and u must be subsets of scheme."""
+    hg = scheme.hypergroup
+    return next((s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits), None)
 
 
 # ---------------------------------------------------------------------------

@@ -55,15 +55,22 @@ class SolvableChain:
 
 def group_from_thin(hg: Hypergroup) -> Table:
     """Read a thin hypergroup off as a Cayley table, checking only thinness:
-    validate_hypergroup built hg, checking H1-H3 with the neutral put at 0."""
-    t = _thin_index_table(hg.table)
+    validate_hypergroup built hg, checking H1-H3 with the neutral put at 0.
+    The table of element indices is read once per hypergroup: the builders
+    that read it off a thin table keep it on hg (validate_hypergroup,
+    from_group, thin_hypergroup, and quotient, whose H // {0} shares its
+    parent's), and otherwise it is read here and kept."""
+    t = hg._thin_table
     if t is None:
-        p, q = next(
-            (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
-        )
-        raise InternalInconsistencyError(
-            f"product {p} * {q} is not a single element; hypergroup is not thin"
-        )
+        t = _thin_index_table(hg.table)
+        if t is None:
+            p, q = next(
+                (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
+            )
+            raise InternalInconsistencyError(
+                f"product {p} * {q} is not a single element; hypergroup is not thin"
+            )
+        hg._thin_table = t
     return t
 
 

@@ -20,7 +20,11 @@ normalizer kernel (two mul_masks products per element, and a chain
 search that tests normality pair by pair) are kept here too, and so is
 the closed subset walk by cyclic extension that the library replaced
 with Close-by-One, as the reference the new walk must match mask for
-mask.
+mask.  On the group side, the derived series from the commutators of
+all pairs, and the Hall subgroups built by restarting the greedy join
+after each success and conjugated by every group element, are the
+references for the library's generator commutators and coset
+transversal.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from collections.abc import Callable
 from functools import reduce
 from operator import or_
 
-from schemehall.arith import is_pi_number, is_prime, validate_pi
+from schemehall.arith import is_pi_number, is_prime, pi_part, validate_pi
 from schemehall.errors import (
     EmptyInputError,
     InternalInconsistencyError,
@@ -36,6 +40,7 @@ from schemehall.errors import (
     NotSubsetError,
     SearchOverflowError,
 )
+from schemehall.groups import Table, generated_subgroup, group_inverse
 from schemehall.hall import HallCertificate, _context
 from schemehall.hypergroup import (
     ClosedSubset,
@@ -71,6 +76,8 @@ __all__ = [
     "restriction_copy",
     "subquotient_of_copy",
     "subquotient_over_parent",
+    "derived_series_all_pairs",
+    "hall_subgroups_full_orbit",
 ]
 
 SCAN_CAP = 16
@@ -397,3 +404,42 @@ def subquotient_over_parent(hg: Hypergroup, outer: ElementSubset, inner: Element
         for x in bits_of(c):
             coset_of[x] = i
     return q.table, q.inverse, cosets, tuple(coset_of)
+
+
+def derived_series_all_pairs(table: Table) -> list[int]:
+    """groups._derived_series with each step closed from the commutators
+    [x, y] of every pair x, y of the step before."""
+    inv = group_inverse(table)
+    series = [(1 << len(table)) - 1]
+    while series[-1] != 1:
+        members = bits_of(series[-1])
+        commutators = 0
+        for x in members:
+            for y in members:
+                commutators |= 1 << table[table[inv[x]][inv[y]]][table[x][y]]
+        nxt = generated_subgroup(table, commutators)
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
+def hall_subgroups_full_orbit(table: Table, ps: frozenset[int]) -> tuple[int, ...]:
+    """hall._hall_subgroups with the greedy join restarted at element 1
+    after each success and the orbit taken under conjugation by every
+    element g, as g^-1 H g."""
+    n = len(table)
+    target = pi_part(n, ps)
+    hall = 1
+    while hall.bit_count() != target:
+        for g in range(1, n):
+            if not hall >> g & 1:
+                ext = generated_subgroup(table, hall | 1 << g)
+                if is_pi_number(ext.bit_count(), ps):
+                    hall = ext
+                    break
+        else:
+            raise InternalInconsistencyError("the greedy join stalled")
+    inv = group_inverse(table)
+    orbit = {mask_of(table[table[inv[g]][x]][g] for x in bits_of(hall)) for g in range(n)}
+    return tuple(sorted(orbit, key=bits_of))

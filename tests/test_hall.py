@@ -8,6 +8,7 @@ transpositions, and O_3(S4) is trivial.
 """
 
 import importlib
+import itertools
 import sys
 
 import pytest
@@ -18,7 +19,7 @@ from schemehall import groups as groups_module
 from schemehall.groups import all_subgroups, is_solvable_group
 
 from conftest import ALL_PI, catalogue_schemes, product_matrices
-from oracles import extend_via_core_product, hall_filter_lattice
+from oracles import extend_via_core_product, hall_filter_lattice, hall_subgroups_full_orbit
 
 # the package's quotient function shadows its quotient module
 quotient_module = importlib.import_module("schemehall.quotient")
@@ -148,6 +149,43 @@ def test_hall_subgroups_matches_brute_force():
             brute = tuple(m for m in subgroups if m.bit_count() == target)
             assert brute, (name, pi)
             assert sh.hall_subgroups(table, pi) == brute, (name, sorted(pi))
+
+
+def test_hall_subgroups_match_the_full_conjugation_orbit():
+    """One greedy pass and one conjugation per right coset of the Hall
+    subgroup give the family that restarting the join after each success
+    and conjugating by every element gives: on every bundled solvable
+    group and S4 x C2, for every pi of the primes of its order."""
+    tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
+    tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(2)))
+    cases = 0
+    for t in tables:
+        if not is_solvable_group(t):
+            continue
+        primes = sh.prime_factors(len(t))
+        for k in range(len(primes) + 1):
+            for pi in itertools.combinations(primes, k):
+                ps = frozenset(pi)
+                assert hall_module._hall_subgroups(t, ps) == hall_subgroups_full_orbit(t, ps)
+                cases += 1
+    assert cases > 100
+
+
+def test_hall_orbit_conjugates_once_per_coset(monkeypatch):
+    """S4 with pi = {2}: the three Sylow 2-subgroups are read off 3
+    conjugations, one per right coset of the first, not 24."""
+    conjugations = []
+    real = hall_module._conjugates
+
+    def counted(*args):
+        for conj in real(*args):
+            conjugations.append(conj)
+            yield conj
+
+    monkeypatch.setattr(hall_module, "_conjugates", counted)
+    halls = hall_module._hall_subgroups(sh.symmetric(4), frozenset({2}))
+    assert len(halls) == 3 and len(conjugations) == 3
+    assert set(conjugations) == set(halls)
 
 
 def test_hall_subgroups_rejects_non_solvable_group():
@@ -290,16 +328,16 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
 def test_unique_hall_subgroup_reuses_the_core_lift(monkeypatch):
     """When the quotient group has one Hall subgroup it is the
     intersection the core was lifted from, so a pi whose Hall subset is
-    the whole scheme makes one lift_closed call; S4 with pi = {2} lifts
-    the core and its three Sylow 2-subgroups."""
+    the whole scheme makes one _lift call; S4 with pi = {2} lifts the
+    core and its three Sylow 2-subgroups."""
     calls = []
-    original = hall_module.lift_closed
+    original = hall_module._lift
 
-    def counted(q, sub):
-        calls.append(sub.bits)
-        return original(q, sub)
+    def counted(q, bits):
+        calls.append(bits)
+        return original(q, bits)
 
-    monkeypatch.setattr(hall_module, "lift_closed", counted)
+    monkeypatch.setattr(hall_module, "_lift", counted)
     cert = sh.find_hall(sh.from_group(sh.symmetric(4), name="s4"), {2, 3})
     assert cert.hall.bits == cert.o_pi.bits == cert.scheme.hypergroup.full_mask
     assert cert.hall.valency == 24 and len(calls) == 1
@@ -330,14 +368,14 @@ def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
     assert len(lattice) == 30
     assert sorted(calls) == sorted(t.bits for t in lattice)
 
-    real_lift = hall_module.lift_closed
+    real_lift = hall_module._lift
     lifts = []
 
-    def first_lift_only(q, sub):
-        lifts.append(lifts[0] if lifts else real_lift(q, sub))
+    def first_lift_only(q, bits):
+        lifts.append(lifts[0] if lifts else real_lift(q, bits))
         return lifts[-1]
 
-    monkeypatch.setattr(hall_module, "lift_closed", first_lift_only)
+    monkeypatch.setattr(hall_module, "_lift", first_lift_only)
     with pytest.raises(sh.InternalInconsistencyError) as info:
         sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
     assert str(info.value) == "constructive Hall family differs from the exhaustive filter"
@@ -428,6 +466,35 @@ def test_group_from_thin_reads_the_validated_group():
     with pytest.raises(sh.InternalInconsistencyError) as exc:
         sh.group_from_thin(pentagon)
     assert str(exc.value) == "product 1 * 1 is not a single element; hypergroup is not thin"
+
+
+def test_group_from_thin_reads_no_table_for_a_group_scheme(monkeypatch):
+    """from_group keeps the validated table on the hypergroup and S4 // {0}
+    shares it, so solvability and the Hall contexts read no index table;
+    a residue factor validate_hypergroup built keeps the one it read.  A
+    thin hypergroup that holds no table has it read once, and kept."""
+    reads = []
+    real = solvability_module._thin_index_table
+
+    def counted(masks):
+        reads.append(len(masks))
+        return real(masks)
+
+    monkeypatch.setattr(solvability_module, "_thin_index_table", counted)
+    s4 = sh.from_group(sh.symmetric(4))
+    assert sh.is_solvable_scheme(s4)
+    for pi in ({2}, {3}):
+        sh.find_hall(s4, pi)
+    wreath = sh.bundled_scheme("hm176_28").scheme()
+    assert sh.is_solvable_scheme(wreath)
+    sh.find_hall(wreath, {2})
+    assert reads == []
+    for name in sh.bundled_group_names():
+        t = sh.bundled_group(name).table
+        bare = sh.thin_hypergroup(t)
+        bare._thin_table = None  # as a builder that keeps no index table leaves it
+        assert sh.group_from_thin(bare) == sh.group_from_thin(bare) == sh.validate_group(t), name
+    assert len(reads) == len(sh.bundled_group_names())
 
 
 def test_hall_valency_is_the_pi_part_of_n_on_products():
@@ -583,11 +650,51 @@ def test_extend_to_hall_multiplies_and_closes_nothing(monkeypatch):
     assert calls == []
 
 
+def test_conjugating_element_is_the_least_conjugator():
+    """conjugating_element answers conjugators(...)[0] on every Hall pair
+    of criterion 2: every solvable catalogue scheme of order <= 12 and
+    every pi it is pi-valenced for."""
+    pairs = 0
+    for scheme in catalogue_schemes(12):
+        if not sh.is_solvable_scheme(scheme):
+            continue
+        for pi in ALL_PI:
+            if not sh.is_pi_valenced(scheme, pi):
+                continue
+            halls = sh.all_hall_subsets(scheme, pi)
+            for t in halls:
+                for u in halls:
+                    want = sh.conjugators(scheme, t, u)[0]
+                    assert sh.conjugating_element(scheme, t, u, pi) == want, scheme.name
+                    pairs += 1
+    assert pairs > 500
+
+
+def test_conjugating_element_stops_at_the_first_conjugator(s4_scheme, monkeypatch):
+    """The 9 ordered pairs of S4's Sylow 2-subsets take 22 relation
+    conjugations, each pair up to its least conjugator, not 9 * 24."""
+    scheme_module = sys.modules["schemehall.scheme"]
+    halls = sh.all_hall_subsets(s4_scheme, {2})
+    sh.find_hall(s4_scheme, {2})
+    conjugations = []
+    real = scheme_module._conjugates
+
+    def counted(*args):
+        for h, conj in real(*args):
+            conjugations.append(h)
+            yield h, conj
+
+    monkeypatch.setattr(scheme_module, "_conjugates", counted)
+    answers = [sh.conjugating_element(s4_scheme, t, u, {2}) for t in halls for u in halls]
+    assert answers == [0, 4, 2, 3, 0, 1, 2, 1, 0]
+    assert len(conjugations) == sum(a + 1 for a in answers) == 22
+
+
 def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypatch):
     halls = sh.all_hall_subsets(s4_scheme, {2})
     t, u = halls[0], halls[1]
     with monkeypatch.context() as m:
-        m.setattr(hall_module, "conjugators", lambda scheme, a, b: ())
+        m.setattr(hall_module, "_first_conjugator", lambda scheme, a, b: None)
         with pytest.raises(sh.NoConjugatorFoundError, match="no relation conjugates the first Hall subset"):
             sh.conjugating_element(s4_scheme, t, u, {2})
     # the quotient-group route is checked once, when the context is built

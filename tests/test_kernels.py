@@ -21,7 +21,11 @@ quotient of the restriction copy; bits_of itself against a literal
 scan of the bits.
 Conjugation, normality and subnormality, each read off one kernel, are
 checked against their two-product spellings and a pairwise chain
-search in oracles.py.
+search in oracles.py.  Light's associativity test, which tests only a
+generating set, is checked against the (a, b, c) triple loop on the
+bundled groups, relabelled copies and copies with two cells of a row
+swapped; the derived series, closed from the commutators of a
+generating set, against the all-pairs series in oracles.py.
 
 The operation-count guards at the end count calls, not time.
 """
@@ -42,6 +46,7 @@ from schemehall.hypergroup import (
     _h1_witness,
     bits_of,
 )
+from schemehall.groups import _derived_series
 from schemehall.scheme import _pi_valenced_mask
 
 from conftest import (
@@ -54,6 +59,7 @@ from conftest import (
 from oracles import (
     closed_subsets_cyclic_extension,
     conjugate_mul_masks,
+    derived_series_all_pairs,
     mul_masks_low_bit,
     normalizes_mul_masks,
     star_mask_low_bit,
@@ -282,6 +288,70 @@ def test_group_associativity_witness_matches_triple_loop():
             bad = _corrupt_cell(rng, t, lambda rng, old: rng.randrange(n))
             bad = tuple(tuple(row) for row in bad)
             assert _associativity_witness(bad) == group_assoc_oracle(bad), n
+
+
+def test_light_associativity_witness_matches_triple_loop():
+    """Light's test, which checks associativity on a generating set only,
+    names the triple loop's first witness: on every bundled group, on
+    relabelled copies (whose generating sets differ) and on copies with
+    two cells of one row swapped, which stays a Latin row."""
+    rng = random.Random(26)
+    failing = 0
+    for name in sh.bundled_group_names():
+        t = sh.bundled_group(name).table
+        n = len(t)
+        relabelled = [
+            tuple(map(tuple, _relabel(t, rng.sample(range(n), n)))) for _ in range(2)
+        ]
+        for copy in (t, *relabelled):
+            assert _associativity_witness(copy) is None, name
+            if n < 3:
+                continue
+            for _ in range(12):
+                rows = [list(row) for row in copy]
+                a = rng.randrange(n)
+                b, c = rng.sample(range(n), 2)
+                rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
+                bad = tuple(map(tuple, rows))
+                want = group_assoc_oracle(bad)
+                assert _associativity_witness(bad) == want, name
+                failing += want is not None
+    assert failing > 1000, failing
+
+
+def test_light_test_builds_a_row_reader_per_generator(monkeypatch):
+    """from_group on C2^6 tests associativity on its greedy generating
+    set, the identity and six involutions: 7 row readers and 7 * 64 row
+    comparisons, where testing every b builds 64 readers."""
+    hypergroup_module = sys.modules["schemehall.hypergroup"]
+    readers = []
+    real = hypergroup_module.itemgetter
+
+    def counted(*items):
+        readers.append(items)
+        return real(*items)
+
+    table = sh.cyclic(2)
+    for _ in range(5):
+        table = sh.direct_product(table, sh.cyclic(2))
+    monkeypatch.setattr(hypergroup_module, "itemgetter", counted)
+    assert sh.from_group(table).n_points == 64
+    assert len(readers) <= 7
+
+
+def test_derived_series_matches_all_pairs():
+    """The commutators of a generating set with the whole step generate
+    the same derived subgroup as those of every pair: on every bundled
+    group, on A5, which is perfect, and on S4 x C4."""
+    tables = [sh.bundled_group(n).table for n in sh.bundled_group_names()]
+    tables += [sh.alternating(5), sh.direct_product(sh.symmetric(4), sh.cyclic(4))]
+    lengths = set()
+    for t in tables:
+        series = _derived_series(t)
+        assert series == derived_series_all_pairs(t), len(t)
+        lengths.add(len(series))
+    assert _derived_series(sh.alternating(5)) == [(1 << 60) - 1]
+    assert {1, 2, 3, 4} <= lengths
 
 
 def _intercalate_swaps(t):

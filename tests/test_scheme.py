@@ -443,6 +443,13 @@ def test_pi_rejects_anything_but_a_prime_int(bad, monkeypatch):
         sh.validate_pi([2**61 - 1])
 
 
+def _on_c3(call):
+    """call(scheme, subset) on the thin scheme of C3 and its hypergroup's
+    universe, a subset of the hypergroup rather than of the scheme."""
+    c3 = sh.from_group(sh.cyclic(3))
+    return call(c3, c3.hypergroup.universe())
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda s: s.closed_subset([1]), sh.NotClosedError, "relation set (1,) is not closed"),
     (lambda s: s.closed_subset([-1]), ValueError, "element -1 is out of range for order 3"),
@@ -487,6 +494,42 @@ def test_pi_rejects_anything_but_a_prime_int(bad, monkeypatch):
             id=f"intersection_numbers-relation-{r}",
         )
         for r in (99, -1, True)
+    ),
+    *(
+        pytest.param(call, sh.ParentMismatchError, message, id=f"{door}-hypergroup-subset")
+        for door, call, message in (
+            (
+                "conjugators",
+                lambda s: sh.conjugators(s, s.hypergroup.universe(), s.full_subset()),
+                "subset belongs to a different scheme",
+            ),
+            (
+                "conjugate_subset",
+                lambda s: sh.conjugate_subset(s, s.hypergroup.universe(), 1),
+                "subset belongs to a different scheme",
+            ),
+            (
+                "pi_predicates",
+                lambda s: sh.pi_predicates(s, s.hypergroup.universe(), [2]),
+                "subset belongs to a different scheme",
+            ),
+            (
+                "quotient_scheme",
+                lambda s: sh.quotient_scheme(s, s.hypergroup.universe()),
+                "modulus belongs to a different scheme",
+            ),
+            # the pentagon is not solvable, so the Hall doors ask C3's scheme
+            (
+                "conjugating_element",
+                lambda s: _on_c3(lambda c, u: sh.conjugating_element(c, u, u, [3])),
+                "subset belongs to a different scheme",
+            ),
+            (
+                "extend_to_hall",
+                lambda s: _on_c3(lambda c, u: sh.extend_to_hall(c, u, [3])),
+                "subset belongs to a different scheme",
+            ),
+        )
     ),
     pytest.param(
         lambda s: s.hypergroup.subset(True), ValueError, "mask True is not an int", id="subset-bool",
