@@ -11,8 +11,8 @@ which skips lift_closed's check that its input is closed in G and keeps
 the check that the lift is closed.  That structure is built and checked once
 per (scheme, pi) and cached on the scheme: the core is strongly normal,
 G is solvable, and the lifted family equals an exhaustive filter over
-every closed pi-subset, read off the cached lattice when the scheme has
-one; as the filter keeps only subsets passing the Hall predicate, that
+every closed pi-subset, read off the cached lattice when the hypergroup
+has one; as the filter keeps only subsets passing the Hall predicate, that
 equality also proves each lift Hall.  Queries read Hall subsets and their
 subgroups off that family: extend_to_hall answers with the first lifted
 Hall subset that contains its seed.  Conjugacy is certified at build
@@ -48,12 +48,12 @@ from .groups import (
     validate_group,
 )
 from . import hypergroup
-from .hypergroup import _enumerate_closed, bits_of, is_strongly_normal
+from .hypergroup import ClosedSubset, _enumerate_closed, bits_of, is_strongly_normal
 from .quotient import QuotientHypergroup, _lift
 from .scheme import (
     AssociationScheme,
-    SchemeClosedSubset,
     _first_conjugator,
+    _own_subset,
     _pi_predicates,
     _pi_valenced_mask,
 )
@@ -74,7 +74,8 @@ __all__ = [
 class HallCertificate:
     """Everything find_hall and extend_to_hall establish, in one record.
 
-    hall is the closed subset itself and o_pi the pi-core inside it.
+    hall is the closed subset of scheme.hypergroup itself and o_pi the
+    pi-core inside it; each carries its valency.
     The other three fields refer to the quotient by the thin residue,
     S // O^θ(S), not to the quotient by o_pi: hyper_quotient is that
     quotient hypergroup, thin_quotient_group its Cayley table G, and
@@ -97,8 +98,8 @@ class HallCertificate:
         self,
         pi: frozenset[int],
         scheme: AssociationScheme,
-        hall: SchemeClosedSubset,
-        o_pi: SchemeClosedSubset,
+        hall: ClosedSubset,
+        o_pi: ClosedSubset,
         thin_quotient_group: Table,
         lifted_subgroup: int,
         hyper_quotient: QuotientHypergroup,
@@ -124,7 +125,7 @@ class HallCertificate:
 
 def _core_and_halls(
     scheme: AssociationScheme, ps: frozenset[int]
-) -> tuple[QuotientHypergroup, Table, tuple[int, ...], SchemeClosedSubset]:
+) -> tuple[QuotientHypergroup, Table, tuple[int, ...], ClosedSubset]:
     """The Hall structure of (scheme, ps), built once: the quotient
     S // O^θ(S), its group table, that group's Hall ps-subgroups and
     the pi-core lifted from their intersection, O_pi(G).  Raises
@@ -146,13 +147,13 @@ def _core_and_halls(
         )
     hq, table = series[0]
     halls = _hall_subgroups(table, ps)
-    core = SchemeClosedSubset(scheme, _lift(hq, reduce(and_, halls)).bits)
+    core = _lift(hq, reduce(and_, halls))
     if not is_strongly_normal(core, scheme.hypergroup.universe()):
         raise InternalInconsistencyError("the pi-core must be strongly normal")
     return hq, table, halls, core
 
 
-def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> SchemeClosedSubset:
+def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
     """The pi-core, the largest subnormal closed pi-subset: being strongly
     normal, it is the lift of O_pi(G) for G = S // O^θ(S), the
     intersection of the Hall pi-subgroups of G.  Each call builds that
@@ -212,29 +213,29 @@ def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(set(_conjugates(t, hall, _right_transversal(t, hall))), key=bits_of))
 
 
-def all_hall_subsets(
-    scheme: AssociationScheme, pi: Iterable[int]
-) -> tuple[SchemeClosedSubset, ...]:
+def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[ClosedSubset, ...]:
     """Exhaustive filter: every closed pi-subset passing the Hall
     predicate, in closed_subsets order.
 
     A Hall subset has the pi-part of n as its valency, so when that is
-    n or 1 the one candidate is the full set or {0}.  Otherwise the
-    candidates are the scheme's cached lattice if it has one, else the
-    closed pi-subsets alone: a closed subset of a closed pi-subset is
-    one too (for closed C inside D, n_C divides n_D), so the closed
-    subset walk narrowed to them finds them without the rest of the
-    lattice.
+    n or 1 the one candidate is the full set or {0}, given its valency.
+    Otherwise the candidates are the hypergroup's cached lattice if it
+    has one, else the closed pi-subsets alone: a closed subset of a
+    closed pi-subset is one too (for closed C inside D, n_C divides
+    n_D), so the closed subset walk narrowed to them finds them without
+    the rest of the lattice, and each kept subset is handed the valency
+    the walk summed.
     """
     ps = validate_pi(pi)
+    hg = scheme.hypergroup
     n = scheme.n_points
     target = pi_part(n, ps)
     if target == n:
-        candidates = (scheme.full_subset(),)
+        candidates = (ClosedSubset(hg, hg.full_mask, n),)
     elif target == 1:
-        candidates = (scheme.identity_subset(),)
-    elif scheme._closed_subsets is not None:
-        candidates = scheme._closed_subsets
+        candidates = (ClosedSubset(hg, 1, 1),)
+    elif hg._closed is not None:
+        candidates = hg._closed
     else:
         valenced = _pi_valenced_mask(scheme, ps)
         valency: dict[int, int] = {}  # by mask, for each mask closed_pi summed
@@ -242,13 +243,12 @@ def all_hall_subsets(
         def closed_pi(mask: int) -> bool:
             if mask & ~valenced:
                 return False
-            v = valency[mask] = scheme.valency_of_mask(mask)
+            v = valency[mask] = hg.valency_of_mask(mask)
             return is_pi_number(v, ps)
 
-        candidates = (
-            SchemeClosedSubset(scheme, c.bits, valency[c.bits])
-            for c in _enumerate_closed(scheme.hypergroup, closed_pi)
-        )
+        candidates = _enumerate_closed(hg, closed_pi)
+        for c in candidates:
+            c.valency = valency[c.bits]
     return tuple(t for t in candidates if _pi_predicates(scheme, t, ps).is_hall_pi_subset)
 
 
@@ -274,10 +274,7 @@ class _HallContext:
         if len(self.halls) == 1:
             self.lifted = (core,)  # the one Hall subgroup is their intersection
         else:
-            self.lifted = tuple(
-                SchemeClosedSubset(scheme, _lift(hq, gm).bits)
-                for gm in self.halls
-            )
+            self.lifted = tuple(_lift(hq, gm) for gm in self.halls)
         for gm, t in zip(self.halls[1:], self.lifted[1:]):
             g = find_subgroup_conjugator(self.gtable, self.halls[0], gm)
             if g is None:
@@ -335,8 +332,8 @@ def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
 
 def conjugating_element(
     scheme: AssociationScheme,
-    t: SchemeClosedSubset,
-    u: SchemeClosedSubset,
+    t: ClosedSubset,
+    u: ClosedSubset,
     pi: Iterable[int],
 ) -> int:
     """A relation conjugating one Hall subset onto another.
@@ -349,6 +346,7 @@ def conjugating_element(
     ps = validate_pi(pi)
     _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
     for label, x in (("first", t), ("second", u)):
+        _own_subset(scheme, x)
         if not _pi_predicates(scheme, x, ps).is_hall_pi_subset:
             raise NotHallError(
                 f"{label} subset (relations {list(x.members())}, valency "
@@ -366,7 +364,7 @@ def conjugating_element(
 
 def extend_to_hall(
     scheme: AssociationScheme,
-    subset: SchemeClosedSubset,
+    subset: ClosedSubset,
     pi: Iterable[int],
 ) -> HallCertificate:
     """Grow a closed pi-subset into a Hall subset containing it.
@@ -379,6 +377,7 @@ def extend_to_hall(
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
+    _own_subset(scheme, subset)
     preds = _pi_predicates(scheme, subset, ps)
     if not preds.is_closed_pi_subset:
         raise NotClosedPiSubsetError(

@@ -100,9 +100,13 @@ class Hypergroup:
     index of s^.  Instances are value objects but compare by identity;
     the identity is what ties an ElementSubset to its parent.  Build
     instances through validate_hypergroup, or thin_hypergroup for a group.
+    The hypergroup of an association scheme carries the scheme's
+    valencies, by relation; other hypergroups carry None.
     """
 
-    __slots__ = ("size", "table", "inverse", "name", "_closed", "_residue", "_thin_table")
+    __slots__ = (
+        "size", "table", "inverse", "name", "valencies", "_closed", "_residue", "_thin_table",
+    )
 
     def __init__(
         self,
@@ -114,6 +118,7 @@ class Hypergroup:
         self.table = table
         self.inverse = inverse
         self.name = name
+        self.valencies: tuple[int, ...] | None = None
         self._closed: tuple[ClosedSubset, ...] | None = None
         # residue-series factors, () when not solvable: see solvability._residue_series
         self._residue: tuple | None = None
@@ -134,6 +139,12 @@ class Hypergroup:
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
+
+    def valency_of_mask(self, mask: int) -> int:
+        """The sum of the valencies of the elements of mask."""
+        if self.valencies is None:
+            raise ValueError(f"{self!r} carries no valencies: it is not a scheme's hypergroup")
+        return sum(map(self.valencies.__getitem__, bits_of(mask)))
 
     def is_thin_element(self, s: int) -> bool:
         """An element h is thin when h^h = {0}."""
@@ -289,9 +300,27 @@ class ElementSubset:
 
 
 class ClosedSubset(ElementSubset):
-    """An ElementSubset that has been checked to be closed."""
+    """An ElementSubset that has been checked to be closed.  On a scheme's
+    hypergroup its valency sums its relations' valencies: given by a caller
+    that has summed them, else summed on first read and kept."""
 
-    __slots__ = ()
+    __slots__ = ("_valency",)
+
+    def __init__(self, parent: Hypergroup, bits: int, valency: int | None = None):
+        self.parent = parent
+        self.bits = bits
+        self._valency = valency
+
+    @property
+    def valency(self) -> int:
+        v = self._valency
+        if v is None:
+            v = self._valency = self.parent.valency_of_mask(self.bits)
+        return v
+
+    @valency.setter
+    def valency(self, v: int) -> None:
+        self._valency = v
 
 
 def _as_closed(parent: Hypergroup, bits: int) -> ClosedSubset:

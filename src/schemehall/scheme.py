@@ -10,8 +10,9 @@ pairing holds, a_pq(z, y) = a_{q*p*}(y, z), so the pairs (y, z) with
 z = 0 or z >= y are compared, which settles every pair; none is sampled.
 
 Relations multiply through the induced hypergroup: p q is the set of
-relations r with a[p][q][r] != 0.  Closed subsets of relations, their
-valencies and the quotient scheme on blocks live here as well.
+relations r with a[p][q][r] != 0; it carries the valencies, so a closed
+set of relations is a ClosedSubset of it.  The quotient scheme on blocks
+lives here as well.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .hypergroup import (
     ElementSubset,
     Hypergroup,
     _conjugates,
-    bits_of,
     enumerate_closed_subsets,
     mask_of,
     validate_hypergroup,
@@ -49,7 +49,6 @@ from .solvability import SolvableChain, is_solvable, solvable_chain
 
 __all__ = [
     "AssociationScheme",
-    "SchemeClosedSubset",
     "QuotientScheme",
     "validate_scheme",
     "from_group",
@@ -87,7 +86,6 @@ class AssociationScheme:
         self._hall_contexts: dict = {}
         # masks of the pi-valenced relations, by pi & primes
         self._pi_valenced: dict = {}
-        self._closed_subsets: tuple[SchemeClosedSubset, ...] | None = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -100,7 +98,8 @@ class AssociationScheme:
 
     @cached_property
     def hypergroup(self) -> Hypergroup:
-        """Relations under complex multiplication; their inverses must be star_map."""
+        """Relations under complex multiplication, carrying the valencies;
+        their inverses must be star_map."""
         raw = self._products
         try:
             hg = validate_hypergroup(raw, name=self.name or "scheme relations")
@@ -113,6 +112,7 @@ class AssociationScheme:
         if hg.inverse != self.star_map:
             raise InternalInconsistencyError("hypergroup inverses differ from the star map")
         self._products = None  # hg.table holds the same masks now
+        hg.valencies = self.valencies
         return hg
 
     def intersection_numbers(self, r: int) -> tuple[tuple[int, ...], ...]:
@@ -123,49 +123,15 @@ class AssociationScheme:
         rel = self.rel
         return tuple(map(tuple, _count_table(rel, 0, rel[0].index(r), self.rank)))
 
-    def valency_of_mask(self, mask: int) -> int:
-        return sum(map(self.valencies.__getitem__, bits_of(mask)))
-
-    def closed_subset(self, relations: Iterable[int] | int) -> "SchemeClosedSubset":
+    def closed_subset(self, relations: Iterable[int] | int) -> ClosedSubset:
         sub = self.hypergroup.subset(relations)
         if not sub.is_closed():
             raise NotClosedError(f"relation set {sub.members()} is not closed")
-        return SchemeClosedSubset(self, sub.bits)
+        return ClosedSubset(sub.parent, sub.bits)
 
-    def relation_closure(self, relations: Iterable[int] | int) -> "SchemeClosedSubset":
-        sub = self.hypergroup.subset(relations)
-        return SchemeClosedSubset(self, self.hypergroup.closure_mask(sub.bits))
-
-    def closed_subsets(self) -> tuple["SchemeClosedSubset", ...]:
-        """Every closed relation set, in enumerate_closed_subsets order; cached."""
-        if self._closed_subsets is None:
-            self._closed_subsets = tuple(
-                SchemeClosedSubset(self, c.bits)
-                for c in enumerate_closed_subsets(self.hypergroup)
-            )
-        return self._closed_subsets
-
-    def identity_subset(self) -> "SchemeClosedSubset":
-        return SchemeClosedSubset(self, 1, 1)
-
-    def full_subset(self) -> "SchemeClosedSubset":
-        return SchemeClosedSubset(self, self.hypergroup.full_mask, self.n_points)
-
-
-class SchemeClosedSubset(ClosedSubset):
-    """A closed subset of scheme.hypergroup tagged with its valency; the
-    caller has already checked that the mask is closed, and may pass the
-    valency it has already summed."""
-
-    __slots__ = ("scheme", "valency")
-
-    def __init__(self, scheme: AssociationScheme, bits: int, valency: int | None = None):
-        super().__init__(scheme.hypergroup, bits)
-        self.scheme = scheme
-        self.valency = scheme.valency_of_mask(bits) if valency is None else valency
-
-    def __repr__(self) -> str:
-        return f"<closed relations {list(self.members())} valency {self.valency}>"
+    def closed_subsets(self) -> tuple[ClosedSubset, ...]:
+        """Every closed relation set: enumerate_closed_subsets of the hypergroup, cached there."""
+        return enumerate_closed_subsets(self.hypergroup)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +332,8 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     products = tuple(tuple(1 << pq for pq in row) for row in t)
     hg = Hypergroup(products, inv, name=name or "scheme relations")
     hg._thin_table = t
-    scheme = AssociationScheme(rel, inv, (1,) * len(t), products, name=name)
+    hg.valencies = (1,) * len(t)
+    scheme = AssociationScheme(rel, inv, hg.valencies, products, name=name)
     scheme.hypergroup = hg  # the cached_property's value
     return scheme
 
@@ -425,7 +392,7 @@ class QuotientScheme:
     def __init__(
         self,
         scheme: AssociationScheme,
-        modulus: SchemeClosedSubset,
+        modulus: ClosedSubset,
         blocks: tuple[tuple[int, ...], ...],
         hyper_quotient: QuotientHypergroup,
     ):
@@ -441,9 +408,7 @@ class QuotientScheme:
         )
 
 
-def quotient_scheme(
-    scheme: AssociationScheme, modulus: SchemeClosedSubset
-) -> QuotientScheme:
+def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> QuotientScheme:
     """Quotient by a closed relation set T.
 
     T is closed, so "rel(x, y) lies in T" is an equivalence relation
@@ -454,9 +419,7 @@ def quotient_scheme(
     map must be the table and inverse quotient proved H1-H3 for, which
     become its hypergroup.  Either failure raises InternalInconsistencyError.
     """
-    if getattr(modulus, "scheme", None) is not scheme:
-        raise ParentMismatchError("modulus belongs to a different scheme")
-    hg = scheme.hypergroup
+    hg = _own_subset(scheme, modulus, "modulus")
     hq = quotient(hg, modulus)
 
     n = scheme.n_points
@@ -496,11 +459,12 @@ def quotient_scheme(
         )
     qscheme._products = None  # the hypergroup's table holds the same masks
     qscheme.hypergroup = Hypergroup(hq.table, hq.inverse, name=qscheme.name or "scheme relations")
+    qscheme.hypergroup.valencies = qscheme.valencies
 
     n_t = modulus.valency
     for s in range(scheme.rank):
         c = hq.coset_of[s]
-        coset_valency = scheme.valency_of_mask(hq.cosets[c])
+        coset_valency = hg.valency_of_mask(hq.cosets[c])
         if qscheme.valencies[c] * n_t != coset_valency:
             raise InternalInconsistencyError(
                 f"valency law fails at relation {s}: "
@@ -553,61 +517,64 @@ def is_pi_valenced(scheme: AssociationScheme, pi: Iterable[int]) -> bool:
     return _pi_valenced_mask(scheme, validate_pi(pi)) == (1 << scheme.rank) - 1
 
 
+def _own_subset(scheme: AssociationScheme, subset: object, what: str = "subset") -> Hypergroup:
+    """scheme.hypergroup, once subset is checked to be one of its closed
+    subsets; anything else raises ParentMismatchError naming what."""
+    hg = scheme.hypergroup
+    if not isinstance(subset, ClosedSubset) or subset.parent is not hg:
+        raise ParentMismatchError(f"{what} belongs to a different scheme")
+    return hg
+
+
 def pi_predicates(
-    scheme: AssociationScheme, subset: SchemeClosedSubset, pi: Iterable[int]
+    scheme: AssociationScheme, subset: ClosedSubset, pi: Iterable[int]
 ) -> PiPredicates:
+    _own_subset(scheme, subset)
     return _pi_predicates(scheme, subset, validate_pi(pi))
 
 
 def _pi_predicates(
-    scheme: AssociationScheme, subset: SchemeClosedSubset, ps: frozenset[int]
+    scheme: AssociationScheme, subset: ClosedSubset, ps: frozenset[int]
 ) -> PiPredicates:
-    """pi_predicates for a ps that validate_pi has returned."""
-    if getattr(subset, "scheme", None) is not scheme:
-        raise ParentMismatchError("subset belongs to a different scheme")
+    """pi_predicates for a ps that validate_pi has returned and a closed
+    subset of scheme.hypergroup, which the caller has checked."""
+    valency = subset.valency
     valenced = subset.bits & ~_pi_valenced_mask(scheme, ps) == 0
-    closed_pi = valenced and is_pi_number(subset.valency, ps)
+    closed_pi = valenced and is_pi_number(valency, ps)
     n_total = scheme.n_points
-    index = n_total // subset.valency
-    if subset.valency * index != n_total:
+    index = n_total // valency
+    if valency * index != n_total:
         raise InternalInconsistencyError("closed subset valency must divide n")
     hall = closed_pi and _prime_set(index).isdisjoint(ps)
     return PiPredicates(valenced, closed_pi, hall)
 
 
 def conjugate_subset(
-    scheme: AssociationScheme, subset: SchemeClosedSubset, s: int
+    scheme: AssociationScheme, subset: ClosedSubset, s: int
 ) -> ElementSubset:
     """The relation set s^ T s.  One-sided; not assumed closed."""
-    if getattr(subset, "scheme", None) is not scheme:
-        raise ParentMismatchError("subset belongs to a different scheme")
+    hg = _own_subset(scheme, subset)
     if type(s) is not int or not 0 <= s < scheme.rank:  # bool is an int subclass
         raise ValueError(f"relation {s} is out of range for rank {scheme.rank}")
-    hg = scheme.hypergroup
     _, mask = next(_conjugates(hg, subset.bits, 1 << s))
     return ElementSubset(hg, mask)
 
 
-def conjugators(
-    scheme: AssociationScheme, t: SchemeClosedSubset, u: SchemeClosedSubset
-) -> tuple[int, ...]:
+def conjugators(scheme: AssociationScheme, t: ClosedSubset, u: ClosedSubset) -> tuple[int, ...]:
     """All relations s with s^ T s = U, checked one-sided only.
 
     Swapping the arguments answers the other direction; nothing here
     assumes the two agree.
     """
-    if getattr(t, "scheme", None) is not scheme or getattr(u, "scheme", None) is not scheme:
-        raise ParentMismatchError("subset belongs to a different scheme")
-    hg = scheme.hypergroup
+    hg = _own_subset(scheme, t)
+    _own_subset(scheme, u)
     return tuple(s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits)
 
 
-def _first_conjugator(
-    scheme: AssociationScheme, t: SchemeClosedSubset, u: SchemeClosedSubset
-) -> int | None:
+def _first_conjugator(scheme: AssociationScheme, t: ClosedSubset, u: ClosedSubset) -> int | None:
     """conjugators(scheme, t, u)[0], or None when there is none, found by
     conjugating by the relations in ascending order up to the first match;
-    t and u must be subsets of scheme."""
+    t and u must be closed subsets of scheme.hypergroup."""
     hg = scheme.hypergroup
     return next((s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits), None)
 
@@ -623,11 +590,11 @@ def solvable_chain_scheme(scheme: AssociationScheme) -> SolvableChain | None:
     residue series.  Each of its steps is strongly normal with a prime
     number of double cosets, and for a strongly normal step that number
     is the valency index; every call checks the valency index against
-    the step prime.
+    the step prime, reading each subset's valency once.
     """
     chain = solvable_chain(scheme.hypergroup)
     if chain is not None:
-        vals = [scheme.valency_of_mask(c.bits) for c in chain.subsets]
+        vals = [c.valency for c in chain.subsets]
         for lo, hi, p in zip(vals, vals[1:], chain.step_primes):
             if hi != lo * p:
                 raise InternalInconsistencyError(

@@ -23,7 +23,7 @@ def test_criterion_1_order28_catalogue_scheme():
     candidates = []
     for sf in sh.bundled_catalogue(28):
         scheme = sf.scheme()
-        sizes = {scheme.valency_of_mask(cs.bits) for cs in scheme.closed_subsets()}
+        sizes = {scheme.hypergroup.valency_of_mask(cs.bits) for cs in scheme.closed_subsets()}
         if (
             sh.is_solvable_scheme(scheme)
             and sh.is_pi_valenced(scheme, {2})
@@ -36,12 +36,12 @@ def test_criterion_1_order28_catalogue_scheme():
 
     assert sh.is_solvable_scheme(target)
     assert sh.is_pi_valenced(target, {2})
-    sizes = {target.valency_of_mask(cs.bits) for cs in target.closed_subsets()}
+    sizes = {target.hypergroup.valency_of_mask(cs.bits) for cs in target.closed_subsets()}
     assert 4 in sizes
     assert 7 not in sizes
 
     cert = sh.find_hall(target, {2})
-    assert target.valency_of_mask(cert.hall.bits) == 4
+    assert target.hypergroup.valency_of_mask(cert.hall.bits) == 4
     assert cert.index == 7
     assert time.monotonic() - start < 60
 
@@ -89,7 +89,7 @@ def test_criterion_3_group_correspondence():
         for pi in ALL_PI:
             cert = sh.find_hall(scheme, pi)
             want = sh.pi_part(order, pi)
-            got = scheme.valency_of_mask(cert.hall.bits)
+            got = scheme.hypergroup.valency_of_mask(cert.hall.bits)
             assert got == want, f"{name} pi={sorted(pi)}: |Hall|={got}, want {want}"
 
     s4 = sh.from_group(sh.bundled_group("s4").table, name="s4")
@@ -190,11 +190,11 @@ def test_criterion_5_quotient_coincidence_and_valency_law():
             assert q.hyper_quotient.table == hq.table, (
                 f"{scheme.name}: T={t.bits:#x}"
             )
-            n_t = scheme.valency_of_mask(t.bits)
+            n_t = scheme.hypergroup.valency_of_mask(t.bits)
             for s in range(rank):
                 tst = hg.mul_masks(hg.mul_masks(t.bits, 1 << s), t.bits)
                 image_valency = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
-                assert image_valency * n_t == scheme.valency_of_mask(tst), (
+                assert image_valency * n_t == scheme.hypergroup.valency_of_mask(tst), (
                     f"{scheme.name}: T={t.bits:#x} s={s}"
                 )
 

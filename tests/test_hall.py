@@ -84,7 +84,7 @@ def test_s4_sylows_are_conjugate(s4_scheme):
 def test_conjugating_element_rejects_non_hall(s4_scheme):
     halls = sh.all_hall_subsets(s4_scheme, {2})
     with pytest.raises(sh.NotHallError):
-        sh.conjugating_element(s4_scheme, s4_scheme.identity_subset(), halls[0], {2})
+        sh.conjugating_element(s4_scheme, s4_scheme.hypergroup.neutral_subset(), halls[0], {2})
 
 
 def test_o_pi_values(s4_scheme):
@@ -97,7 +97,7 @@ def test_o_pi_values(s4_scheme):
 def test_extend_to_hall(s4_scheme):
     tab = sh.symmetric(4)
     involution = next(x for x in range(1, 24) if tab[x][x] == 0)
-    small = s4_scheme.relation_closure([involution])
+    small = sh.closure(s4_scheme.hypergroup.subset([involution]))
     assert tuple(small.members()) == (0, 1)
     cert = sh.extend_to_hall(s4_scheme, small, {2})
     assert len(cert.hall.members()) == 8
@@ -107,16 +107,16 @@ def test_extend_to_hall(s4_scheme):
 def test_extend_to_hall_rejects_non_pi_subset(s4_scheme):
     tab = sh.symmetric(4)
     three_cycle = next(x for x in range(1, 24) if tab[x][x] != 0)
-    odd = s4_scheme.relation_closure([three_cycle])
+    odd = sh.closure(s4_scheme.hypergroup.subset([three_cycle]))
     with pytest.raises(sh.NotClosedPiSubsetError):
         sh.extend_to_hall(s4_scheme, odd, {2})
 
 
 def test_wreath28_certificate(wreath28):
     cert = sh.find_hall(wreath28, {2})
-    assert wreath28.valency_of_mask(cert.hall.bits) == 4
+    assert wreath28.hypergroup.valency_of_mask(cert.hall.bits) == 4
     assert cert.index == 7
-    assert wreath28.valency_of_mask(cert.o_pi.bits) == 4
+    assert wreath28.hypergroup.valency_of_mask(cert.o_pi.bits) == 4
     assert len(cert.thin_quotient_group) == 7
     assert cert.lifted_subgroup == 1  # only the neutral coset upstairs
 
@@ -261,7 +261,7 @@ def test_certificates_are_not_shared(s4_scheme):
     again = sh.find_hall(s4_scheme, {2})
     assert again is not cert
     assert again.lifted_subgroup == want
-    small = s4_scheme.identity_subset()
+    small = s4_scheme.hypergroup.neutral_subset()
     ext = sh.extend_to_hall(s4_scheme, small, {2})
     want = ext.lifted_subgroup
     ext.lifted_subgroup = -1
@@ -284,7 +284,7 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
         sh.find_hall(s4, pi)
         halls = sh.all_hall_subsets(s4, pi)
         sh.conjugating_element(s4, halls[0], halls[-1], pi)
-        sh.extend_to_hall(s4, s4.identity_subset(), pi)
+        sh.extend_to_hall(s4, s4.hypergroup.neutral_subset(), pi)
     assert sorted(calls, key=sorted) == [frozenset({2}), frozenset({3})]
     # a scheme that fails the preconditions caches nothing and fails again
     pent = sh.bundled_scheme("pentagon").scheme()

@@ -161,6 +161,21 @@ def test_closed_subsets_square(square):
     assert [c.members() for c in subsets] == [(0,), (0, 2), (0, 1, 2)]
 
 
+def test_valency_needs_a_schemes_hypergroup(pentagon):
+    """A closed subset's valency sums the valencies its hypergroup
+    carries.  A scheme's hypergroup and its quotient scheme's carry them;
+    a validate_hypergroup table and a quotient hypergroup carry none, and
+    reading the valency raises ValueError naming the hypergroup."""
+    c6 = sh.from_group(sh.cyclic(6), name="c6")
+    t = c6.closed_subset([0, 3])
+    assert (t.valency, c6.hypergroup.universe().valency) == (2, 6)
+    assert sh.quotient_scheme(c6, t).scheme.hypergroup.universe().valency == 3
+    for hg in (pentagon, sh.quotient(c6.hypergroup, t)):
+        with pytest.raises(ValueError) as exc:
+            hg.universe().valency
+        assert str(exc.value) == f"{hg!r} carries no valencies: it is not a scheme's hypergroup"
+
+
 def test_closure_against_scan(square):
     for bits in range(1, 1 << square.size):
         fast = sh.closure(square.subset(bits))

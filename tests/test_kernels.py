@@ -767,7 +767,7 @@ def closed_pi_keep(scheme, pi):
     valency is a pi-number."""
     ps = frozenset(pi)
     valenced = _pi_valenced_mask(scheme, ps)
-    return lambda m: not m & ~valenced and sh.is_pi_number(scheme.valency_of_mask(m), ps)
+    return lambda m: not m & ~valenced and sh.is_pi_number(scheme.hypergroup.valency_of_mask(m), ps)
 
 
 def test_close_by_one_matches_cyclic_extension():
@@ -799,7 +799,8 @@ def test_close_by_one_matches_cyclic_extension():
         assert len(same(scheme.hypergroup, None)) == count
         for pi in ({2}, {3}):
             kept = same(scheme.hypergroup, closed_pi_keep(scheme, pi))
-            assert kept and max(map(scheme.valency_of_mask, kept)) == sh.pi_part(len(table), pi)
+            assert kept
+            assert max(map(scheme.hypergroup.valency_of_mask, kept)) == sh.pi_part(len(table), pi)
 
 
 def test_keep_walk_sums_each_valency_once(monkeypatch):
@@ -808,18 +809,18 @@ def test_keep_walk_sums_each_valency_once(monkeypatch):
     found, and the valency keep sums is the one the kept subset carries,
     so no mask's valency is summed twice."""
     calls = []
-    original = sh.AssociationScheme.valency_of_mask
+    original = sh.Hypergroup.valency_of_mask
 
     def counted(self, mask):
         calls.append(mask)
         return original(self, mask)
 
     s4 = sh.from_group(sh.symmetric(4))
-    monkeypatch.setattr(sh.AssociationScheme, "valency_of_mask", counted)
+    monkeypatch.setattr(sh.Hypergroup, "valency_of_mask", counted)
     halls = sh.all_hall_subsets(s4, {2})
     monkeypatch.undo()
     assert [t.valency for t in halls] == [8, 8, 8]
-    assert s4._closed_subsets is None
+    assert s4.hypergroup._closed is None
     kept = {c.bits for c in s4.closed_subsets() if c.valency & (c.valency - 1) == 0}
     assert len(kept) == 20 and kept <= set(calls)
     assert len(calls) == len(set(calls))

@@ -468,7 +468,7 @@ def test_pi_valency_transfer_to_quotients(corpus12):
     for scheme in corpus12:
         hg = scheme.hypergroup
         for t in scheme.closed_subsets():
-            n_t = scheme.valency_of_mask(t.bits)
+            n_t = scheme.hypergroup.valency_of_mask(t.bits)
             q = sh.quotient_scheme(scheme, t)
             for s in range(len(scheme.valencies)):
                 n_s = scheme.valencies[s]
@@ -488,14 +488,14 @@ def test_valency_transfer_to_quotients(corpus12):
         hg = scheme.hypergroup
         n_full = sum(scheme.valencies)
         for t in scheme.closed_subsets():
-            n_t = scheme.valency_of_mask(t.bits)
+            n_t = scheme.hypergroup.valency_of_mask(t.bits)
             q = sh.quotient_scheme(scheme, t)
             assert sum(q.scheme.valencies) * n_t == n_full, (
                 f"valency transfer law: {scheme.name}: T={t.bits:#x}"
             )
             for s in range(len(scheme.valencies)):
                 tst = hg.mul_masks(hg.mul_masks(t.bits, 1 << s), t.bits)
-                n_tst = scheme.valency_of_mask(tst)
+                n_tst = scheme.hypergroup.valency_of_mask(tst)
                 n_image = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
                 assert n_image * n_t == n_tst, (
                     f"double-coset valency law: {scheme.name}: "
@@ -524,7 +524,7 @@ def test_thinness_criterion_for_solvable_schemes(corpus12):
                     continue
                 if not all(scheme.valencies[s] == 1 for s in t.members()):
                     continue
-                if not sh.is_pi_number(scheme.valency_of_mask(t.bits), pi):
+                if not sh.is_pi_number(scheme.hypergroup.valency_of_mask(t.bits), pi):
                     continue
                 if sh.is_subnormal(t, universe):
                     witness = t

@@ -74,7 +74,7 @@ def test_chain_steps_are_strongly_normal_with_prime_valency_index():
             assert sh.is_strongly_normal(lo, hi), s.name
             order = sh.step_quotient_order(hg, lo.bits, hi.bits)
             assert sh.is_prime(order) and order == p, s.name
-            assert s.valency_of_mask(hi.bits) == order * s.valency_of_mask(lo.bits), s.name
+            assert hi.valency == order * lo.valency, s.name
 
 
 def test_p_hall_criterion_on_group_schemes():

@@ -111,9 +111,9 @@ def test_from_group_is_thin():
     assert c6s.valencies == (1,) * 6
     assert sh.is_thin(c6s.hypergroup)
     # group quotients survive the round trip
-    t = c6s.relation_closure([3])
+    t = sh.closure(c6s.hypergroup.subset([3]))
     assert tuple(t.members()) == (0, 3)
-    assert c6s.valency_of_mask(t.bits) == 2
+    assert c6s.hypergroup.valency_of_mask(t.bits) == 2
     q = sh.quotient_scheme(c6s, t)
     assert len(q.blocks) == 3
     assert q.scheme.valencies == (1, 1, 1)
@@ -170,7 +170,7 @@ def test_wreath28_structure(wreath28):
     assert len(wreath28.rel) == 28
     assert wreath28.valencies == (1, 1, 1, 1, 4, 4, 4, 4, 4, 4)
     sizes = sorted(
-        wreath28.valency_of_mask(cs.bits) for cs in wreath28.closed_subsets()
+        wreath28.hypergroup.valency_of_mask(cs.bits) for cs in wreath28.closed_subsets()
     )
     assert sizes == [1, 2, 4, 28]
     assert sh.is_pi_valenced(wreath28, {2})
@@ -180,10 +180,10 @@ def test_wreath28_structure(wreath28):
 
 def test_wreath28_thin_radical_quotient(wreath28):
     t4 = [
-        cs for cs in wreath28.closed_subsets() if wreath28.valency_of_mask(cs.bits) == 4
+        cs for cs in wreath28.closed_subsets() if wreath28.hypergroup.valency_of_mask(cs.bits) == 4
     ][0]
     assert tuple(t4.members()) == (0, 1, 2, 3)
-    assert wreath28.full_subset().valency // t4.valency == 7
+    assert wreath28.hypergroup.universe().valency // t4.valency == 7
     pp = sh.pi_predicates(wreath28, t4, {2})
     assert pp.is_pi_valenced and pp.is_closed_pi_subset and pp.is_hall_pi_subset
     q = sh.quotient_scheme(wreath28, t4)
@@ -216,7 +216,7 @@ def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
     assert q.scheme.hypergroup.table == q.hyper_quotient.table
     assert q.scheme.hypergroup.inverse == q.hyper_quotient.inverse == q.scheme.star_map
     calls.clear()
-    q = sh.quotient_scheme(s, s.identity_subset())
+    q = sh.quotient_scheme(s, s.hypergroup.neutral_subset())
     assert calls == []
     assert q.scheme.hypergroup.table == s.hypergroup.table
     # the one comparison left still catches a hypergroup quotient whose
@@ -237,7 +237,7 @@ def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
 
 def test_quotient_scheme_rejects_foreign_subset(pentagon, wreath28):
     with pytest.raises(sh.ParentMismatchError):
-        sh.quotient_scheme(pentagon, wreath28.identity_subset())
+        sh.quotient_scheme(pentagon, wreath28.hypergroup.neutral_subset())
 
 
 def test_conjugators_on_thin_s3():
@@ -262,7 +262,7 @@ def test_conjugators_on_thin_s3():
 def test_solvable_chain_scheme_valencies(wreath28):
     chain = sh.solvable_chain_scheme(wreath28)
     assert chain is not None
-    vals = [wreath28.valency_of_mask(cs.bits) for cs in chain.subsets]
+    vals = [wreath28.hypergroup.valency_of_mask(cs.bits) for cs in chain.subsets]
     assert vals == [1, 2, 4, 28]
 
 
@@ -339,12 +339,12 @@ def test_scheme_closed_subset_is_a_hypergroup_closed_subset(wreath28):
     assert not hasattr(t, "subset")
     assert t == sh.ClosedSubset(hg, t.bits)
     assert hash(t) == hash(sh.ClosedSubset(hg, t.bits))
-    assert repr(t) == "<closed relations [0, 1, 2, 3] valency 4>"
+    assert repr(t) == "{0, 1, 2, 3}"
     # it goes straight into the hypergroup and quotient functions
     assert sh.is_subnormal(t, hg.universe())
     q = sh.quotient(hg, t)
     assert q.modulus == t
-    assert sh.project_closed(q, wreath28.full_subset()) == q.universe()
+    assert sh.project_closed(q, wreath28.hypergroup.universe()) == q.universe()
     assert sh.project_closed(q, t) == q.neutral_subset()
     # subsets of another scheme are still told apart
     other = sh.bundled_scheme("hm176_28").scheme()
@@ -443,43 +443,103 @@ def test_pi_rejects_anything_but_a_prime_int(bad, monkeypatch):
         sh.validate_pi([2**61 - 1])
 
 
-def _on_c3(call):
-    """call(scheme, subset) on the thin scheme of C3 and its hypergroup's
-    universe, a subset of the hypergroup rather than of the scheme."""
-    c3 = sh.from_group(sh.cyclic(3))
-    return call(c3, c3.hypergroup.universe())
+# the scheme doors that take closed subsets: each asks scheme s about
+# one subset t, names the message a subset of anything but s.hypergroup
+# gets, and reads its answer in a comparable form
+SUBSET_DOORS = (
+    (
+        "conjugators",
+        lambda s, t: sh.conjugators(s, t, t),
+        "subset belongs to a different scheme",
+        lambda a: a,
+    ),
+    (
+        "conjugate_subset",
+        lambda s, t: sh.conjugate_subset(s, t, 1),
+        "subset belongs to a different scheme",
+        lambda a: a,
+    ),
+    (
+        "pi_predicates",
+        lambda s, t: sh.pi_predicates(s, t, [2]),
+        "subset belongs to a different scheme",
+        repr,
+    ),
+    (
+        "quotient_scheme",
+        sh.quotient_scheme,
+        "modulus belongs to a different scheme",
+        lambda q: (q.scheme.rel, q.blocks),
+    ),
+    (
+        "conjugating_element",
+        lambda s, t: sh.conjugating_element(s, t, t, [3]),
+        "subset belongs to a different scheme",
+        lambda a: a,
+    ),
+    (
+        "extend_to_hall",
+        lambda s, t: sh.extend_to_hall(s, t, [3]),
+        "subset belongs to a different scheme",
+        lambda c: (c.hall, c.o_pi, c.lifted_subgroup),
+    ),
+)
+# the pentagon is not solvable, so the Hall doors ask C3's scheme
+HALL_DOORS = {"conjugating_element", "extend_to_hall"}
+
+
+def _door_scheme(door, pentagon):
+    return sh.from_group(sh.cyclic(3)) if door in HALL_DOORS else pentagon
+
+
+def _ask_door(door, ask, subset_of):
+    """call(pentagon) asking the door's scheme about subset_of(scheme)."""
+    def call(pentagon):
+        s = _door_scheme(door, pentagon)
+        return ask(s, subset_of(s))
+    return call
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda s: s.closed_subset([1]), sh.NotClosedError, "relation set (1,) is not closed"),
     (lambda s: s.closed_subset([-1]), ValueError, "element -1 is out of range for order 3"),
-    (lambda s: s.relation_closure([0, -2]), ValueError, "element -2 is out of range for order 3"),
     (
-        lambda s: sh.pi_predicates(s, sh.bundled_scheme("pentagon").scheme().full_subset(), [2]),
+        lambda s: sh.closure(s.hypergroup.subset([0, -2])),
+        ValueError,
+        "element -2 is out of range for order 3",
+    ),
+    (
+        lambda s: sh.pi_predicates(
+            s, sh.bundled_scheme("pentagon").scheme().hypergroup.universe(), [2]
+        ),
         sh.ParentMismatchError,
         "subset belongs to a different scheme",
     ),
     pytest.param(
-        lambda s: sh.conjugators(s, sh.from_group(sh.cyclic(3)).full_subset(), s.full_subset()),
+        lambda s: sh.conjugators(
+            s, sh.from_group(sh.cyclic(3)).hypergroup.universe(), s.hypergroup.universe()
+        ),
         sh.ParentMismatchError,
         "subset belongs to a different scheme",
         id="conjugators-foreign-first",
     ),
     pytest.param(
-        lambda s: sh.conjugators(s, s.full_subset(), sh.from_group(sh.cyclic(3)).full_subset()),
+        lambda s: sh.conjugators(
+            s, s.hypergroup.universe(), sh.from_group(sh.cyclic(3)).hypergroup.universe()
+        ),
         sh.ParentMismatchError,
         "subset belongs to a different scheme",
         id="conjugators-foreign-second",
     ),
     pytest.param(
-        lambda s: sh.conjugate_subset(s, sh.from_group(sh.cyclic(3)).full_subset(), 1),
+        lambda s: sh.conjugate_subset(s, sh.from_group(sh.cyclic(3)).hypergroup.universe(), 1),
         sh.ParentMismatchError,
         "subset belongs to a different scheme",
         id="conjugate_subset-foreign",
     ),
     *(
         pytest.param(
-            lambda s, r=r: sh.conjugate_subset(s, s.full_subset(), r),
+            lambda s, r=r: sh.conjugate_subset(s, s.hypergroup.universe(), r),
             ValueError,
             f"relation {r} is out of range for rank 3",
             id=f"conjugate_subset-relation-{r}",
@@ -495,41 +555,25 @@ def _on_c3(call):
         )
         for r in (99, -1, True)
     ),
+    # the universe of a validated copy of the scheme's hypergroup
     *(
-        pytest.param(call, sh.ParentMismatchError, message, id=f"{door}-hypergroup-subset")
-        for door, call, message in (
-            (
-                "conjugators",
-                lambda s: sh.conjugators(s, s.hypergroup.universe(), s.full_subset()),
-                "subset belongs to a different scheme",
-            ),
-            (
-                "conjugate_subset",
-                lambda s: sh.conjugate_subset(s, s.hypergroup.universe(), 1),
-                "subset belongs to a different scheme",
-            ),
-            (
-                "pi_predicates",
-                lambda s: sh.pi_predicates(s, s.hypergroup.universe(), [2]),
-                "subset belongs to a different scheme",
-            ),
-            (
-                "quotient_scheme",
-                lambda s: sh.quotient_scheme(s, s.hypergroup.universe()),
-                "modulus belongs to a different scheme",
-            ),
-            # the pentagon is not solvable, so the Hall doors ask C3's scheme
-            (
-                "conjugating_element",
-                lambda s: _on_c3(lambda c, u: sh.conjugating_element(c, u, u, [3])),
-                "subset belongs to a different scheme",
-            ),
-            (
-                "extend_to_hall",
-                lambda s: _on_c3(lambda c, u: sh.extend_to_hall(c, u, [3])),
-                "subset belongs to a different scheme",
-            ),
+        pytest.param(
+            _ask_door(door, ask, lambda s: sh.validate_hypergroup(s.hypergroup.table).universe()),
+            sh.ParentMismatchError,
+            message,
+            id=f"{door}-hypergroup-subset",
         )
+        for door, ask, message, _ in SUBSET_DOORS
+    ),
+    # every relation of the scheme, as a subset that is not a ClosedSubset
+    *(
+        pytest.param(
+            _ask_door(door, ask, lambda s: s.hypergroup.subset(s.hypergroup.full_mask)),
+            sh.ParentMismatchError,
+            message,
+            id=f"{door}-element-subset",
+        )
+        for door, ask, message, _ in SUBSET_DOORS
     ),
     pytest.param(
         lambda s: s.hypergroup.subset(True), ValueError, "mask True is not an int", id="subset-bool",
@@ -542,3 +586,15 @@ def test_scheme_input_checks(pentagon, call, error, message):
     with pytest.raises(error) as exc:
         call(pentagon)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "door, ask, answer", [pytest.param(d, a, r, id=d) for d, a, _, r in SUBSET_DOORS]
+)
+def test_scheme_doors_take_their_hypergroups_closed_subsets(pentagon, door, ask, answer):
+    """A closed subset of scheme.hypergroup is a closed set of relations:
+    its universe gets the answer closed_subset of every relation gets."""
+    s = _door_scheme(door, pentagon)
+    got = ask(s, s.hypergroup.universe())
+    want = ask(s, s.closed_subset(range(s.rank)))
+    assert answer(got) == answer(want)

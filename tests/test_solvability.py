@@ -116,13 +116,13 @@ def test_scheme_chain_valency_check_runs_once(monkeypatch):
     of each of its subsets once."""
     scheme = sh.from_group(sh.symmetric(4))
     calls = []
-    original = sh.AssociationScheme.valency_of_mask
+    original = sh.Hypergroup.valency_of_mask
 
     def counted(self, mask):
         calls.append(mask)
         return original(self, mask)
 
-    monkeypatch.setattr(sh.AssociationScheme, "valency_of_mask", counted)
+    monkeypatch.setattr(sh.Hypergroup, "valency_of_mask", counted)
     chains = []
     for _ in range(3):
         calls.clear()

@@ -4,7 +4,8 @@ Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
 does not use, the public API carries no name without a caller, the
-names and methods only tests call are listed, and every name the bench
+names and methods only tests call are listed, ClosedSubset has no
+subclass, and every name the bench
 tracer patches exists.  The README's quick tour runs and shows the
 values its comments state.  The package's __all__ is the union of its
 submodules' lists and nothing else.  Importing the package
@@ -18,6 +19,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -169,7 +171,7 @@ def test_public_names_only_tests_call_are_listed():
 
 
 # public methods of __all__ classes whose only callers are tests
-TEST_ONLY_MEMBERS = ["AssociationScheme.relation_closure"]
+TEST_ONLY_MEMBERS: list[str] = []
 METHOD_TYPES = (
     types.FunctionType, property, functools.cached_property, staticmethod, classmethod,
 )
@@ -199,6 +201,15 @@ def test_public_methods_only_tests_call_are_listed():
         if not attr.startswith("_") and isinstance(value, METHOD_TYPES) and attr not in used
     ]
     assert sorted(unused) == TEST_ONLY_MEMBERS
+
+
+def test_closed_subset_has_no_subclass():
+    """A closed set of relations is a ClosedSubset of the scheme's
+    hypergroup, which carries the valencies: once every submodule is
+    imported, no type wraps ClosedSubset to add them again."""
+    for info in pkgutil.iter_modules(schemehall.__path__):
+        importlib.import_module(f"schemehall.{info.name}")
+    assert schemehall.ClosedSubset.__subclasses__() == []
 
 
 def test_package_surface_is_the_submodule_lists():
