@@ -13,14 +13,16 @@ per (scheme, pi) and cached on the scheme: the core is strongly normal,
 G is solvable, and the lifted family equals an exhaustive filter over
 every closed pi-subset, read off the cached lattice when the hypergroup
 has one; as the filter keeps only subsets passing the Hall predicate, that
-equality also proves each lift Hall.  Queries read Hall subsets and their
+equality also proves each lift Hall.  The core is conjugated by a
+generating set alone, which each hypergroup builds once, with the
+attributes every pi's walk shares.  Queries read Hall subsets and their
 subgroups off that family: extend_to_hall answers with the first lifted
 Hall subset that contains its seed.  Conjugacy is certified at build
 too: for each lifted Hall subset after the first, the quotient group's
 conjugator must have a relation in its coset that conjugates the first
-onto it.  A query re-checks only its inputs: the Hall predicate on each,
-and conjugating_element's direct conjugator scan, which stops at the
-least relation that conjugates.
+onto it.  A query re-checks only its inputs: a mask test on each, and
+conjugating_element's direct conjugator scan, which stops at the least
+relation that conjugates.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from .scheme import (
     AssociationScheme,
     _first_conjugator,
     _own_subset,
-    _pi_predicates,
+    _pi_tests,
     _pi_valenced_mask,
 )
 from .solvability import _residue_series, group_from_thin
@@ -217,19 +219,19 @@ def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[Clos
     """Exhaustive filter: every closed pi-subset passing the Hall
     predicate, in closed_subsets order.
 
-    A Hall subset has the pi-part of n as its valency, so when that is
-    n or 1 the one candidate is the full set or {0}, given its valency.
-    Otherwise the candidates are the hypergroup's cached lattice if it
-    has one, else the closed pi-subsets alone: a closed subset of a
-    closed pi-subset is one too (for closed C inside D, n_C divides
-    n_D), so the closed subset walk narrowed to them finds them without
-    the rest of the lattice, and each kept subset is handed the valency
-    the walk summed.
+    A Hall subset is pi-valenced with the pi-part of n as its valency
+    (scheme._pi_tests), so when that is n or 1 the one candidate is the
+    full set or {0}, given its valency.  Otherwise the candidates are
+    the hypergroup's cached lattice if it has one, else the closed
+    pi-subsets alone: a closed subset of a closed pi-subset is one too
+    (for closed C inside D, n_C divides n_D), so the closed subset walk
+    narrowed to them finds them without the rest of the lattice, and
+    each kept subset is handed the valency the walk summed.
     """
     ps = validate_pi(pi)
     hg = scheme.hypergroup
     n = scheme.n_points
-    target = pi_part(n, ps)
+    valenced, target = _pi_valenced_mask(scheme, ps), pi_part(n, ps)
     if target == n:
         candidates = (ClosedSubset(hg, hg.full_mask, n),)
     elif target == 1:
@@ -237,7 +239,6 @@ def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[Clos
     elif hg._closed is not None:
         candidates = hg._closed
     else:
-        valenced = _pi_valenced_mask(scheme, ps)
         valency: dict[int, int] = {}  # by mask, for each mask closed_pi summed
 
         def closed_pi(mask: int) -> bool:
@@ -249,26 +250,28 @@ def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[Clos
         candidates = _enumerate_closed(hg, closed_pi)
         for c in candidates:
             c.valency = valency[c.bits]
-    return tuple(t for t in candidates if _pi_predicates(scheme, t, ps).is_hall_pi_subset)
+    return tuple(t for t in candidates if _pi_tests(scheme, t, valenced, target)[1])
 
 
 class _HallContext:
     """The Hall structure of one (scheme, pi), built and checked once.
 
-    core is the pi-core, hq the quotient by the thin residue and gtable
-    that quotient read off as a group, both shared by every pi; halls
-    are the Hall subgroups of gtable in hall_subgroups order and
-    lifted[i] the lift of halls[i], Hall as the family equals
-    all_hall_subsets, and certified conjugate to lifted[0] through the
-    coset of a conjugator of halls[0] onto halls[i].  best indexes the
-    least lifted Hall subset.  Every pi with the same primes among those
-    of the scheme shares the context.
+    valenced masks the pi-valenced relations and target is the pi-part
+    of n, for the queries' tests.  core is the pi-core, hq the quotient
+    by the thin residue and gtable that quotient read off as a group,
+    both shared by every pi; halls are the Hall subgroups of gtable in
+    hall_subgroups order and lifted[i] the lift of halls[i], Hall as the
+    family equals all_hall_subsets, and certified conjugate to lifted[0]
+    through the coset of a conjugator of halls[0] onto halls[i].  best
+    indexes the least lifted Hall subset.  Every pi with the same primes
+    among those of the scheme shares the context.
     """
 
-    __slots__ = ("scheme", "core", "hq", "gtable", "halls", "lifted", "best")
+    __slots__ = ("scheme", "valenced", "target", "core", "hq", "gtable", "halls", "lifted", "best")
 
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
+        self.valenced, self.target = _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps)
         hq, self.gtable, self.halls, core = _core_and_halls(scheme, ps)
         self.hq, self.core = hq, core
         if len(self.halls) == 1:
@@ -344,10 +347,10 @@ def conjugating_element(
     relation index.
     """
     ps = validate_pi(pi)
-    _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
+    ctx = _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
     for label, x in (("first", t), ("second", u)):
         _own_subset(scheme, x)
-        if not _pi_predicates(scheme, x, ps).is_hall_pi_subset:
+        if not _pi_tests(scheme, x, ctx.valenced, ctx.target)[1]:
             raise NotHallError(
                 f"{label} subset (relations {list(x.members())}, valency "
                 f"{x.valency}) is not a Hall {format_pi(ps)}-subset"
@@ -378,8 +381,7 @@ def extend_to_hall(
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
     _own_subset(scheme, subset)
-    preds = _pi_predicates(scheme, subset, ps)
-    if not preds.is_closed_pi_subset:
+    if not _pi_tests(scheme, subset, ctx.valenced, ctx.target)[0]:
         raise NotClosedPiSubsetError(
             f"subset of valency {subset.valency} with relations "
             f"{list(subset.members())} is not a closed {format_pi(ps)}-subset"

@@ -105,7 +105,8 @@ class Hypergroup:
     """
 
     __slots__ = (
-        "size", "table", "inverse", "name", "valencies", "_closed", "_residue", "_thin_table",
+        "size", "table", "inverse", "name", "valencies",
+        "_closed", "_attrs", "_gens", "_residue", "_thin_table",
     )
 
     def __init__(
@@ -120,6 +121,9 @@ class Hypergroup:
         self.name = name
         self.valencies: tuple[int, ...] | None = None
         self._closed: tuple[ClosedSubset, ...] | None = None
+        # Close-by-One's attributes and a generating set: see _attributes, _generators
+        self._attrs: tuple[tuple[int, int], ...] | None = None
+        self._gens: int | None = None
         # residue-series factors, () when not solvable: see solvability._residue_series
         self._residue: tuple | None = None
         # the table of element indices, set by the builders that read a thin table
@@ -152,8 +156,8 @@ class Hypergroup:
 
     # -- mask level (internal workhorses) -----------------------------
 
-    # the product and star kernels run on every closure step; bits_of
-    # hands them each mask's members as one tuple from its chunk tables
+    # the product and star kernels, and closure_mask's rounds, read each
+    # mask's members as one tuple that bits_of takes from its chunk tables
 
     def mul_masks(self, left: int, right: int) -> int:
         table = self.table
@@ -188,13 +192,19 @@ class Hypergroup:
         if mask == 0:
             raise EmptyInputError("cannot close the empty set")
         outside = 0 if within is None else ~within
+        table = self.table
         gens = mask | self.star_mask(mask) | 1
-        step = gens & ~1
+        steps = bits_of(gens & ~1)
         cur = frontier = gens
         while True:
             if frontier & outside:
                 return 0
-            frontier = self.mul_masks(frontier, step) & ~cur
+            new = 0
+            for a in bits_of(frontier):
+                row = table[a]
+                for b in steps:
+                    new |= row[b]
+            frontier = new & ~cur
             if not frontier:
                 return cur
             cur |= frontier
@@ -611,6 +621,31 @@ def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     return hg._closed
 
 
+def _attributes(hg: Hypergroup) -> tuple[tuple[int, int], ...]:
+    """Close-by-One's attributes (s, closure of {s}), one per pair {s, s^},
+    the smaller, as s and s^ have the same closure; built once per
+    hypergroup and shared by the full walk and every keep walk."""
+    if hg._attrs is None:
+        inv = hg.inverse
+        hg._attrs = tuple((s, hg.closure_mask(1 << s)) for s in range(1, hg.size) if inv[s] >= s)
+    return hg._attrs
+
+
+def _generators(hg: Hypergroup) -> int:
+    """Mask of a generating set of hg and its stars, built once per
+    hypergroup: each element outside the closure of those before it.
+    Each is an attribute, the smaller of its pair, picked in attribute
+    order without closing every singleton."""
+    if hg._gens is None:
+        gens, reached = 0, 1
+        for s in range(1, hg.size):
+            if not reached >> s & 1:
+                gens |= 1 << s
+                reached = hg.closure_mask(gens)
+        hg._gens = gens | hg.star_mask(gens)
+    return hg._gens
+
+
 def _enumerate_closed(
     hg: Hypergroup, keep: Callable[[int], bool] | None
 ) -> tuple[ClosedSubset, ...]:
@@ -624,9 +659,7 @@ def _enumerate_closed(
     those are tried, a closure is taken only inside the union of their
     closures, and keep is asked once per closed subset, after the test.
     """
-    inv = hg.inverse
-    # s and s^ have the same closure: one attribute per pair, the smaller
-    attrs = [(s, hg.closure_mask(1 << s)) for s in range(1, hg.size) if inv[s] >= s]
+    attrs = _attributes(hg)
     within = None
     if keep is not None:
         if not keep(1):
@@ -716,12 +749,20 @@ def is_normal_in(f: ElementSubset, g: ElementSubset) -> bool:
 def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
     """F strongly normal in G: h^ F h inside F for every h in G.
 
+    When G is the whole hypergroup, only the h of _generators are tried.
+    The h with h^ F h inside F hold the neutral element and are closed
+    under products: for k in h1 h2, H3 puts k^ in h2^ h1^, so k^ F k
+    lies in h2^ (h1^ F h1) h2, inside h2^ F h2, inside F.  So they hold
+    the closure of the generators and their stars, which is every element.
+
     Raises NotSubsetError when F is not contained in G.
     """
     f._check(g)
     if not f.issubset(g):
         raise NotSubsetError("strong normality is only defined for F inside G")
-    return all(not conj & ~f.bits for _, conj in _conjugates(f.parent, f.bits, g.bits))
+    hg = f.parent
+    within = _generators(hg) if g.bits == hg.full_mask else g.bits
+    return all(not conj & ~f.bits for _, conj in _conjugates(hg, f.bits, within))
 
 
 def is_subnormal(f: ElementSubset, g: ElementSubset) -> bool:

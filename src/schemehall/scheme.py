@@ -22,7 +22,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import NoReturn
 
-from .arith import _prime_set, is_pi_number, prime_factors, validate_pi
+from .arith import is_pi_number, pi_part, prime_factors, validate_pi
 from .errors import (
     IdentityViolationError,
     InternalInconsistencyError,
@@ -502,13 +502,14 @@ class PiPredicates:
 
 def _pi_valenced_mask(scheme: AssociationScheme, ps: frozenset[int]) -> int:
     """Mask of the relations whose valency is a ps-number, for a validated
-    ps; cached per scheme by ps & primes, as no other prime decides it."""
+    ps, testing each distinct valency once; cached per scheme by
+    ps & primes, as no other prime decides it."""
     key = ps & scheme.primes
     mask = scheme._pi_valenced.get(key)
     if mask is None:
-        mask = scheme._pi_valenced[key] = mask_of(
-            s for s, v in enumerate(scheme.valencies) if is_pi_number(v, key)
-        )
+        vals = scheme.valencies
+        ok = {v: is_pi_number(v, key) for v in set(vals)}
+        mask = scheme._pi_valenced[key] = mask_of(s for s, v in enumerate(vals) if ok[v])
     return mask
 
 
@@ -530,23 +531,26 @@ def pi_predicates(
     scheme: AssociationScheme, subset: ClosedSubset, pi: Iterable[int]
 ) -> PiPredicates:
     _own_subset(scheme, subset)
-    return _pi_predicates(scheme, subset, validate_pi(pi))
+    ps = validate_pi(pi)
+    valenced = _pi_valenced_mask(scheme, ps)
+    closed_pi, hall = _pi_tests(scheme, subset, valenced, pi_part(scheme.n_points, ps))
+    return PiPredicates(subset.bits & ~valenced == 0, closed_pi, hall)
 
 
-def _pi_predicates(
-    scheme: AssociationScheme, subset: ClosedSubset, ps: frozenset[int]
-) -> PiPredicates:
-    """pi_predicates for a ps that validate_pi has returned and a closed
-    subset of scheme.hypergroup, which the caller has checked."""
-    valency = subset.valency
-    valenced = subset.bits & ~_pi_valenced_mask(scheme, ps) == 0
-    closed_pi = valenced and is_pi_number(valency, ps)
-    n_total = scheme.n_points
-    index = n_total // valency
-    if valency * index != n_total:
+def _pi_tests(
+    scheme: AssociationScheme, subset: ClosedSubset, valenced: int, target: int
+) -> tuple[bool, bool]:
+    """(closed pi-subset, Hall pi-subset) for a closed subset of
+    scheme.hypergroup, from the mask of the pi-valenced relations and
+    target, the pi-part of n.  Its valency v divides n, which is checked,
+    so v is a pi-number exactly when it divides target, and then the
+    index n / v is a pi'-number too exactly when v is target."""
+    v = subset.valency
+    if scheme.n_points % v:
         raise InternalInconsistencyError("closed subset valency must divide n")
-    hall = closed_pi and _prime_set(index).isdisjoint(ps)
-    return PiPredicates(valenced, closed_pi, hall)
+    if subset.bits & ~valenced:
+        return False, False
+    return target % v == 0, v == target
 
 
 def conjugate_subset(

@@ -42,6 +42,19 @@ def corpus_hypergroups(max_size: int) -> tuple:
     return tuple(seen.values())
 
 
+def row_reading_copy(hg: sh.Hypergroup) -> tuple:
+    """A fresh copy of hg whose product table lists, in order, the index
+    of every row read from it, and that list."""
+    reads = []
+
+    class Rows(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    return sh.Hypergroup(Rows(hg.table), hg.inverse, hg.name), reads
+
+
 @functools.cache
 def product_matrices() -> tuple:
     """(name, matrix) for wreath and tensor products of bundled schemes on

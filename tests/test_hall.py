@@ -347,7 +347,7 @@ def test_unique_hall_subgroup_reuses_the_core_lift(monkeypatch):
 
 
 def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
-    """The context runs the Hall predicate only inside the exhaustive
+    """The context runs the Hall test only inside the exhaustive
     filter: with S4's lattice cached, once on each of its 30 closed
     subsets for pi = {2}.  A lift that is closed but not Hall (here
     every lift returns the core, O_2 = V4) is caught by the family's
@@ -355,14 +355,14 @@ def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
     s4 = sh.from_group(sh.symmetric(4))
     lattice = s4.closed_subsets()
     calls = []
-    real_predicates = hall_module._pi_predicates
+    real_tests = hall_module._pi_tests
 
-    def counted(scheme, subset, ps):
+    def counted(scheme, subset, valenced, target):
         calls.append(subset.bits)
-        return real_predicates(scheme, subset, ps)
+        return real_tests(scheme, subset, valenced, target)
 
     with monkeypatch.context() as m:
-        m.setattr(hall_module, "_pi_predicates", counted)
+        m.setattr(hall_module, "_pi_tests", counted)
         cert = sh.find_hall(s4, {2})
     assert cert.hall.valency == 8
     assert len(lattice) == 30

@@ -25,6 +25,7 @@ from schemehall import (
     ParentMismatchError,
 )
 
+from conftest import row_reading_copy
 from oracles import all_closed_subsets_scan, closure_scan
 
 PENTAGON = [
@@ -183,29 +184,22 @@ def test_closure_against_scan(square):
         assert fast.bits == slow.bits
 
 
-def test_closure_within_a_mask(square, monkeypatch):
+def test_closure_within_a_mask(square):
     """closure_mask with a within mask is the closure when that lies
     inside within, else 0, which it returns as soon as a round leaves
-    within: on C8, closing {1} inside {0, 1, 2, 6, 7} stops after two
-    products, where the whole closure takes four."""
+    within: on C8, closing {1} inside {0, 1, 2, 6, 7} multiplies two
+    frontiers, {0, 1, 7} and {2, 6}, reading their rows, where the whole
+    closure multiplies four, down to {3, 5} and {4}."""
     for hg in (square, sh.thin_hypergroup(sh.symmetric(3))):
         for bits in range(1, 1 << hg.size):
             whole = hg.closure_mask(bits)
             for within in range(1 << hg.size):
                 want = whole if whole & ~within == 0 else 0
                 assert hg.closure_mask(bits, within) == want
-    c8 = sh.thin_hypergroup(sh.cyclic(8))
-    products = []
-    original = type(c8).mul_masks
-
-    def counted(self, left, right):
-        products.append(left)
-        return original(self, left, right)
-
-    monkeypatch.setattr(type(c8), "mul_masks", counted)
-    assert c8.closure_mask(0b10) == 0xFF and len(products) == 4
-    products.clear()
-    assert c8.closure_mask(0b10, 0b11000111) == 0 and len(products) == 2
+    c8, reads = row_reading_copy(sh.thin_hypergroup(sh.cyclic(8)))
+    assert c8.closure_mask(0b10) == 0xFF and reads == [0, 1, 7, 2, 6, 3, 5, 4]
+    reads.clear()
+    assert c8.closure_mask(0b10, 0b11000111) == 0 and reads == [0, 1, 7, 2, 6]
 
 
 def test_thin_detection(pentagon, square):

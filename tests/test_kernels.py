@@ -25,7 +25,9 @@ search in oracles.py.  Light's associativity test, which tests only a
 generating set, is checked against the (a, b, c) triple loop on the
 bundled groups, relabelled copies and copies with two cells of a row
 swapped; the derived series, closed from the commutators of a
-generating set, against the all-pairs series in oracles.py.
+generating set, against the all-pairs series in oracles.py; strong
+normality in the whole hypergroup, tested on a generating set and its
+stars alone, against the scan over every element.
 
 The operation-count guards at the end count calls, not time.
 """
@@ -42,9 +44,12 @@ import schemehall as sh
 from schemehall.hypergroup import (
     Hypergroup,
     _associativity_witness,
+    _conjugates,
     _enumerate_closed,
+    _generators,
     _h1_witness,
     bits_of,
+    mask_of,
 )
 from schemehall.groups import _derived_series
 from schemehall.scheme import _pi_valenced_mask
@@ -55,6 +60,7 @@ from conftest import (
     corpus_hypergroups,
     product_matrices,
     residue_corpus,
+    row_reading_copy,
 )
 from oracles import (
     closed_subsets_cyclic_extension,
@@ -630,35 +636,56 @@ def test_is_strongly_normal_matches_two_products():
     assert seen == {True, False}
 
 
+def test_strong_normality_on_generators_matches_the_full_scan():
+    """is_strongly_normal in the whole hypergroup conjugates by a
+    generating set and its stars alone; it equals the scan over every
+    element on each closed subset of the 174 corpus hypergroups (the
+    catalogue to order 28 and the bundled groups; 508 of 937 are
+    strongly normal), and of the thin schemes of S4 x C2 and D8 x C4 and
+    the one-element hypergroup, whose generating set is empty (47 of 224
+    strongly normal)."""
+    def scan(hg, f):
+        return all(not conj & ~f for _, conj in _conjugates(hg, f, hg.full_mask))
+
+    corpus = [
+        *(s.hypergroup for s in catalogue_schemes(28)),
+        *(sh.thin_hypergroup(sh.bundled_group(n).table) for n in sh.bundled_group_names()),
+    ]
+    larger = [
+        sh.from_group(sh.direct_product(sh.symmetric(4), sh.cyclic(2))).hypergroup,
+        sh.from_group(sh.direct_product(sh.dihedral(8), sh.cyclic(4))).hypergroup,
+        sh.thin_hypergroup(sh.cyclic(1)),
+    ]
+    counts = []
+    for hgs in (corpus, larger):
+        checked = strong = 0
+        for hg in hgs:
+            universe = hg.universe()
+            for c in sh.enumerate_closed_subsets(hg):
+                want = scan(hg, c.bits)
+                assert sh.is_strongly_normal(c, universe) == want, (hg.name, c)
+                checked += 1
+                strong += want
+        counts.append((len(hgs), checked, strong))
+    assert counts == [(174, 937, 508), (3, 98 + 125 + 1, 47)]
+    assert _generators(larger[-1]) == 0
+
+
 # --- operation-count guards -------------------------------------------------
 
 
-@pytest.fixture
-def counted_products(monkeypatch):
-    """Left operands of every Hypergroup.mul_masks call, in order."""
-    lefts = []
-    original = Hypergroup.mul_masks
-
-    def counted(self, left, right):
-        lefts.append(left)
-        return original(self, left, right)
-
-    monkeypatch.setattr(Hypergroup, "mul_masks", counted)
-    return lefts
-
-
-def test_closure_multiplies_each_element_once(counted_products):
-    """Semi-naive closure on S4: at most |closure| + 1 products, and the
-    left operands (the frontiers) are disjoint, so their sizes add up to
-    at most |closure|.  The fixpoint cur -> cur * cur breaks the second
-    bound on every singleton of order above 2."""
-    hg = sh.thin_hypergroup(sh.symmetric(4))
+def test_closure_multiplies_each_element_once():
+    """Semi-naive closure on S4 reads the row of each element of the
+    closure at most once: the frontiers, whose rows each round reads,
+    are disjoint and lie in the closure.  The fixpoint cur -> cur * cur
+    reads some row twice on every singleton of order above 2."""
+    hg, reads = row_reading_copy(sh.thin_hypergroup(sh.symmetric(4)))
     rng = random.Random(6)
     for mask in [1 << s for s in range(24)] + random_masks(rng, hg, 30) + [hg.full_mask]:
-        counted_products.clear()
+        reads.clear()
         got = hg.closure_mask(mask)
-        assert len(counted_products) <= got.bit_count() + 1, mask
-        assert sum(m.bit_count() for m in counted_products) <= got.bit_count(), mask
+        assert len(reads) == len(set(reads)), mask
+        assert mask_of(reads) & ~got == 0, mask
 
 
 @pytest.fixture
@@ -702,7 +729,8 @@ def test_enumeration_closes_at_most_ten_times_per_closed_subset(counted_closures
 
 
 def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
-    """find_hall on a fresh S4 scheme, its residue series built first:
+    """find_hall on a fresh S4 scheme, its residue series built first,
+    and its generating set, one closure per generator, counted apart:
     the {2} walk makes fewer closures than a full walk of the same
     lattice (85 and 133 under Close-by-One), the {3} walk fewer again
     (22), and {2, 3} and {} (Hall subsets S4 and {0}) none.  No walk of
@@ -723,19 +751,65 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     for name in ("schemehall.hypergroup", "schemehall.hall"):
         monkeypatch.setattr(sys.modules[name], "_enumerate_closed", counted_walk)
     made = {}
+    once = set()
     for pi in ({2}, {3}, {2, 3}, set()):
         s4 = sh.from_group(sh.symmetric(4))
         assert sh.is_solvable_scheme(s4)
         closures.clear()
+        gens = _generators(s4.hypergroup)
+        once.add((len(closures), gens))
+        closures.clear()
         assert sh.find_hall(s4, pi).hall.valency == sh.pi_part(24, frozenset(pi))
         assert s4.hypergroup._closed is None
         made[frozenset(pi)] = len(closures)
+    (prep, gens), = once
+    assert 0 < prep <= gens.bit_count() < 24
     hg = sh.from_group(sh.symmetric(4)).hypergroup
     closures.clear()
     _enumerate_closed(hg, None)
     assert made[frozenset({3})] < made[frozenset({2})] < len(closures)
     assert made[frozenset({2, 3})] == made[frozenset()] == 0
     assert len(keeps) == 2 and None not in keeps
+
+
+def test_second_pi_closes_no_singleton(monkeypatch):
+    """On one fresh S4 scheme the {2} query builds the generating set
+    and, for its walk, the attributes (16 singleton closures); the {3}
+    walk after it closes no singleton and makes fewer closures than on
+    a fresh scheme, {2, 3} and {} make none, and the generating set is
+    built once in all."""
+    closures = []
+    builds = []
+    original_closure = Hypergroup.closure_mask
+    original_generators = _generators
+
+    def counted_closure(self, mask, within=None):
+        closures.append(mask)
+        return original_closure(self, mask, within)
+
+    def counted_generators(hg):
+        builds.append(hg._gens is None)
+        return original_generators(hg)
+
+    monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
+    monkeypatch.setattr(sys.modules["schemehall.hypergroup"], "_generators", counted_generators)
+    fresh3 = sh.from_group(sh.symmetric(4))
+    sh.is_solvable_scheme(fresh3)
+    sh.find_hall(fresh3, {3})
+    on_fresh = len(closures)
+    s4 = sh.from_group(sh.symmetric(4))
+    sh.is_solvable_scheme(s4)
+    closures.clear()
+    sh.find_hall(s4, {2})
+    inv = s4.hypergroup.inverse
+    singles = [m for m in closures if m.bit_count() == 1]
+    assert set(singles) >= {1 << s for s in range(1, 24) if inv[s] >= s}
+    for pi in ({3}, {2, 3}, set()):
+        closures.clear()
+        sh.find_hall(s4, pi)
+        assert not any(m.bit_count() == 1 for m in closures), pi
+        assert len(closures) < on_fresh if pi == {3} else closures == []
+    assert builds == [True, True, False, False, False]
 
 
 def test_keep_walk_is_the_filtered_full_walk():
@@ -829,13 +903,21 @@ def test_keep_walk_sums_each_valency_once(monkeypatch):
 def test_hall_context_checks_strong_normality_once(monkeypatch):
     """Building the {2} context of a warm S4 scheme: the Hall build checks
     that the core is strongly normal, and the quotient side is checked
-    by thinness alone, so one is_strongly_normal call in all."""
+    by thinness alone, so one is_strongly_normal call in all.  It
+    conjugates the core by the generating set and its stars alone, not
+    by all 24 relations."""
     calls = []
     original = sh.is_strongly_normal
+    original_conjugates = _conjugates
+    withins = []
 
     def counted(f, g):
         calls.append(f.bits)
         return original(f, g)
+
+    def counted_conjugates(hg, mask, within):
+        withins.append(within)
+        return original_conjugates(hg, mask, within)
 
     s4 = sh.from_group(sh.symmetric(4))
     assert sh.is_solvable_scheme(s4)
@@ -847,6 +929,13 @@ def test_hall_context_checks_strong_normality_once(monkeypatch):
     cert = sh.find_hall(s4, {2})
     assert cert.hall.valency == 8 and cert.o_pi.valency == 4
     assert len(calls) == 1
+    s4 = sh.from_group(sh.symmetric(4))
+    assert sh.is_solvable_scheme(s4)
+    monkeypatch.setattr(sys.modules["schemehall.hypergroup"], "_conjugates", counted_conjugates)
+    sh.find_hall(s4, {2})
+    hg = s4.hypergroup
+    assert withins[0] == _generators(hg) and hg.full_mask not in withins
+    assert withins[0].bit_count() < 24
 
 
 # --- scheme ingest -----------------------------------------------------------

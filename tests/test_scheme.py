@@ -388,6 +388,93 @@ def test_pi_predicates_match_the_literal_definition():
     assert triples == 646 * len(ALL_PI)
 
 
+def test_mask_hall_tests_match_the_prime_set_definitions():
+    """scheme._pi_tests, which compares a closed subset with the mask of
+    the pi-valenced relations and its valency with the pi-part of n,
+    equals the definitions on every closed subset and every pi inside
+    {2, 3, 5, 7}: a closed pi-subset is pi-valenced with a pi-number
+    valency, and a Hall one has a pi'-number index too.  The corpus is
+    the catalogue to order 28 and the thin schemes of the bundled
+    groups; above order 12, the thin scheme of S4 x C2 (48 points) and
+    the wreath product of two order-6 schemes (36 points)."""
+    cat6 = [sf.scheme() for sf in sh.bundled_catalogue(6)]
+    schemes = [
+        *catalogue_schemes(28),
+        *(sh.from_group(sh.bundled_group(g).table) for g in sh.bundled_group_names()),
+        sh.from_group(sh.direct_product(sh.symmetric(4), sh.cyclic(2))),
+        sh.validate_scheme(sh.wreath_matrix(cat6[1], cat6[-1])),
+    ]
+    primes = {}
+    seen = set()
+    for scheme in schemes:
+        n = scheme.n_points
+        for pi in ALL_PI:
+            valenced = scheme_module._pi_valenced_mask(scheme, pi)
+            target = sh.pi_part(n, pi)
+            for t in scheme.closed_subsets():
+                v = t.valency
+                for k in (v, n // v, *scheme.valencies):
+                    if k not in primes:
+                        primes[k] = _primes_literal(k)
+                closed_pi = all(primes[scheme.valencies[s]] <= pi for s in t.members())
+                closed_pi = closed_pi and primes[v] <= pi
+                hall = closed_pi and not primes[n // v] & pi
+                got = scheme_module._pi_tests(scheme, t, valenced, target)
+                assert got == (closed_pi, hall), (scheme.name, sorted(pi), t)
+                seen.add(got)
+    assert len(schemes) == 176
+    assert [s.n_points for s in schemes[-2:]] == [48, 36]
+    assert len(set(schemes[-1].valencies)) > 2
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_pi_valenced_mask_tests_each_valency_once(monkeypatch):
+    """On a cache miss the mask of the pi-valenced relations asks
+    is_pi_number once per distinct valency: once on the thin scheme of
+    S4 (rank 24), three times on a rank-8 wreath product with valencies
+    1, 4 and 6, and not at all on a hit."""
+    calls = []
+    real = scheme_module.is_pi_number
+
+    def counted(v, pi):
+        calls.append(v)
+        return real(v, pi)
+
+    cat6 = [sf.scheme() for sf in sh.bundled_catalogue(6)]
+    s4 = sh.from_group(sh.symmetric(4))
+    wreath = sh.validate_scheme(sh.wreath_matrix(cat6[1], cat6[-1]))
+    monkeypatch.setattr(scheme_module, "is_pi_number", counted)
+    for scheme, want in ((s4, [1]), (wreath, [1, 4, 6])):
+        assert sh.is_pi_valenced(scheme, {2}) == (scheme is s4)
+        assert sorted(calls) == want and scheme.rank > len(want)
+        calls.clear()
+        assert sh.is_pi_valenced(scheme, [2, 7]) == (scheme is s4)
+        assert calls == []
+
+
+def test_valency_must_divide_n_on_every_path():
+    """A closed subset whose valency does not divide n is refused with
+    the same InternalInconsistencyError by pi_predicates, the Hall
+    filter, conjugating_element and extend_to_hall."""
+    s4 = sh.from_group(sh.symmetric(4))
+    hg = s4.hypergroup
+    bad = sh.ClosedSubset(hg, 1, 5)
+    halls = sh.all_hall_subsets(s4, {2})
+    message = "closed subset valency must divide n"
+    calls = [
+        lambda: sh.pi_predicates(s4, bad, {2}),
+        lambda: sh.conjugating_element(s4, bad, halls[0], {2}),
+        lambda: sh.conjugating_element(s4, halls[0], bad, {2}),
+        lambda: sh.extend_to_hall(s4, bad, {2}),
+    ]
+    for call in calls:
+        with pytest.raises(sh.InternalInconsistencyError, match=message):
+            call()
+    s4.closed_subsets()[3].valency = 5  # the cached lattice the filter reads
+    with pytest.raises(sh.InternalInconsistencyError, match=message):
+        sh.all_hall_subsets(s4, {2})
+
+
 def test_is_pi_number_keeps_its_errors_and_pi_containers():
     for n in (0, -1):
         for _ in range(3):
