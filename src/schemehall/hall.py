@@ -5,24 +5,25 @@ quotient by the thin residue, which the residue series that decides
 solvability builds and reads off as a group once.  For each pi the Hall
 pi-subgroups of G are found by the classical route and lifted back
 through the closed-subset correspondence; the pi-core is the lift of
-O_pi(G), their intersection.  The Hall subgroups and their intersection
-are subgroups of G by construction, so they are lifted by quotient._lift,
-which skips lift_closed's check that its input is closed in G and keeps
-the check that the lift is closed.  That structure is built and checked once
-per (scheme, pi) and cached on the scheme: the core is strongly normal,
-G is solvable, and the lifted family equals an exhaustive filter over
+O_pi(G), their intersection.  That structure is built once per (scheme,
+pi) and cached on the scheme, and each of its facts has one check.  The
+core is lifted by quotient._lift, which checks the lift closed, as no
+filter stands behind it; it is checked strongly normal by conjugating
+it with a generating set alone, which each hypergroup builds once, with
+the attributes every pi's walk shares.  G is solvable by the residue
+series.  Each lifted Hall subset is the plain sum of the cosets its
+subgroup names, and the family must equal an exhaustive filter over
 every closed pi-subset, read off the cached lattice when the hypergroup
-has one; as the filter keeps only subsets passing the Hall predicate, that
-equality also proves each lift Hall.  The core is conjugated by a
-generating set alone, which each hypergroup builds once, with the
-attributes every pi's walk shares.  Queries read Hall subsets and their
+has one; as the filter keeps only closed subsets passing the Hall
+predicate, that equality proves each lift closed and Hall.  After it,
+the family is certified conjugate: for each lifted Hall subset after the first, the
+quotient group's conjugator must have a relation in its coset that
+conjugates the first onto it.  Queries read Hall subsets and their
 subgroups off that family: extend_to_hall answers with the first lifted
-Hall subset that contains its seed.  Conjugacy is certified at build
-too: for each lifted Hall subset after the first, the quotient group's
-conjugator must have a relation in its coset that conjugates the first
-onto it.  A query re-checks only its inputs: a mask test on each, and
-conjugating_element's direct conjugator scan, which stops at the least
-relation that conjugates.
+Hall subset that contains its seed.  A query re-checks only its inputs:
+a mask test on each, and conjugating_element's scan, which stops at the
+least relation that conjugates.  That scan, the certificate's coset
+step and scheme.conjugators all read one search, hypergroup._conjugators.
 """
 from __future__ import annotations
 
@@ -49,12 +50,10 @@ from .groups import (
     is_solvable_group,
     validate_group,
 )
-from . import hypergroup
-from .hypergroup import ClosedSubset, _enumerate_closed, bits_of, is_strongly_normal
+from .hypergroup import ClosedSubset, _conjugators, _enumerate_closed, bits_of, is_strongly_normal
 from .quotient import QuotientHypergroup, _lift
 from .scheme import (
     AssociationScheme,
-    _first_conjugator,
     _own_subset,
     _pi_tests,
     _pi_valenced_mask,
@@ -126,15 +125,16 @@ class HallCertificate:
 
 
 def _core_and_halls(
-    scheme: AssociationScheme, ps: frozenset[int]
+    scheme: AssociationScheme, ps: frozenset[int], valenced: int
 ) -> tuple[QuotientHypergroup, Table, tuple[int, ...], ClosedSubset]:
     """The Hall structure of (scheme, ps), built once: the quotient
     S // O^θ(S), its group table, that group's Hall ps-subgroups and
-    the pi-core lifted from their intersection, O_pi(G).  Raises
-    NotPiValencedError naming the first relation that fails, then
-    NotSolvableError.  That the core is strongly normal is checked
-    rather than trusted."""
-    missing = ~_pi_valenced_mask(scheme, ps) & ((1 << scheme.rank) - 1)
+    the pi-core lifted from their intersection, O_pi(G).  valenced masks
+    the ps-valenced relations.  Raises NotPiValencedError naming the
+    first relation that fails, then NotSolvableError.  The core is
+    checked closed by _lift and strongly normal by conjugation, rather
+    than trusted."""
+    missing = ~valenced & ((1 << scheme.rank) - 1)
     if missing:
         s = (missing & -missing).bit_length() - 1  # the first relation that fails
         raise NotPiValencedError(
@@ -161,7 +161,8 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
     intersection of the Hall pi-subgroups of G.  Each call builds that
     structure afresh through the residue series, walking no lattice;
     Hall queries read the core off their cached context instead."""
-    return _core_and_halls(scheme, validate_pi(pi))[3]
+    ps = validate_pi(pi)
+    return _core_and_halls(scheme, ps, _pi_valenced_mask(scheme, ps))[3]
 
 
 def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
@@ -260,11 +261,15 @@ class _HallContext:
     of n, for the queries' tests.  core is the pi-core, hq the quotient
     by the thin residue and gtable that quotient read off as a group,
     both shared by every pi; halls are the Hall subgroups of gtable in
-    hall_subgroups order and lifted[i] the lift of halls[i], Hall as the
-    family equals all_hall_subsets, and certified conjugate to lifted[0]
-    through the coset of a conjugator of halls[0] onto halls[i].  best
-    indexes the least lifted Hall subset.  Every pi with the same primes
-    among those of the scheme shares the context.
+    hall_subgroups order and lifted[i] the sum of the cosets halls[i]
+    names, given the valency target.  No lift is checked on its own: the
+    family equals all_hall_subsets, whose members are closed and Hall,
+    which proves each lift closed, Hall and of that valency.  Only then
+    is each certified conjugate to lifted[0] through the coset of a
+    conjugator of halls[0] onto halls[i].  The core alone is checked closed by
+    _lift, in _core_and_halls.  best indexes the least lifted Hall
+    subset.  Every pi with the same primes among those of the scheme
+    shares the context.
     """
 
     __slots__ = ("scheme", "valenced", "target", "core", "hq", "gtable", "halls", "lifted", "best")
@@ -272,12 +277,18 @@ class _HallContext:
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
         self.valenced, self.target = _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps)
-        hq, self.gtable, self.halls, core = _core_and_halls(scheme, ps)
-        self.hq, self.core = hq, core
-        if len(self.halls) == 1:
-            self.lifted = (core,)  # the one Hall subgroup is their intersection
-        else:
-            self.lifted = tuple(_lift(hq, gm) for gm in self.halls)
+        self.hq, self.gtable, self.halls, self.core = _core_and_halls(scheme, ps, self.valenced)
+        hg, cosets = scheme.hypergroup, self.hq.cosets
+        self.lifted = tuple(
+            ClosedSubset(hg, sum(map(cosets.__getitem__, bits_of(gm))), self.target)
+            for gm in self.halls
+        )
+        filtered = all_hall_subsets(scheme, ps)
+        if {t.bits for t in self.lifted} != {t.bits for t in filtered}:
+            raise InternalInconsistencyError(
+                "constructive Hall family differs from the exhaustive filter"
+            )
+
         for gm, t in zip(self.halls[1:], self.lifted[1:]):
             g = find_subgroup_conjugator(self.gtable, self.halls[0], gm)
             if g is None:
@@ -285,18 +296,11 @@ class _HallContext:
                     "quotient group route found no conjugator although a direct "
                     "one exists"
                 )
-            within = hypergroup._conjugates(scheme.hypergroup, self.lifted[0].bits, hq.cosets[g])
-            if not any(conj == t.bits for _, conj in within):
+            if next(_conjugators(hg, self.lifted[0].bits, t.bits, cosets[g]), None) is None:
                 raise InternalInconsistencyError(
                     "no member of the lifted conjugator coset conjugates the "
                     "subsets directly"
                 )
-
-        filtered = all_hall_subsets(scheme, ps)
-        if {t.bits for t in self.lifted} != {t.bits for t in filtered}:
-            raise InternalInconsistencyError(
-                "constructive Hall family differs from the exhaustive filter"
-            )
         self.best = min(range(len(self.lifted)), key=lambda i: self.lifted[i].members())
 
     def certificate(self, i: int, ps: frozenset[int]) -> HallCertificate:
@@ -341,10 +345,10 @@ def conjugating_element(
 ) -> int:
     """A relation conjugating one Hall subset onto another.
 
-    Inputs are re-verified as Hall subsets and the conjugator is found
-    by direct scan; the context certified at build that its Hall family
-    is conjugate through the quotient group.  Returns the least valid
-    relation index.
+    Inputs are re-verified as Hall subsets and the conjugator is the
+    first that _conjugators yields over every relation, the least valid
+    relation index; the context certified at build that its Hall family
+    is conjugate through the quotient group.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
@@ -356,7 +360,7 @@ def conjugating_element(
                 f"{x.valency}) is not a Hall {format_pi(ps)}-subset"
             )
 
-    s = _first_conjugator(scheme, t, u)
+    s = next(_conjugators(scheme.hypergroup, t.bits, u.bits, scheme.hypergroup.full_mask), None)
     if s is None:
         raise NoConjugatorFoundError(
             "no relation conjugates the first Hall subset onto the second; "

@@ -731,6 +731,11 @@ def _conjugates(hg: Hypergroup, mask: int, within: int) -> Iterator[tuple[int, i
         yield h, conj
 
 
+def _conjugators(hg: Hypergroup, t: int, u: int, within: int) -> Iterator[int]:
+    """Yield each h of within, lowest first, with h^ T h = U, for masks t and u."""
+    return (h for h, conj in _conjugates(hg, t, within) if conj == u)
+
+
 def normalizes(d: ElementSubset, e: ElementSubset) -> bool:
     """True when E d is contained in d E for every element d of D."""
     d._check(e)

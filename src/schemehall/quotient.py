@@ -182,8 +182,10 @@ def lift_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
 def _lift(q: QuotientHypergroup, bits: int) -> ClosedSubset:
     """The union of the cosets named by bits, which must be a closed mask
     of q, checked closed in q's parent.  Callers that built bits closed,
-    such as the Hall subgroups of q read off as a group, skip
-    lift_closed's input check."""
+    such as the pi-core, lifted from the intersection of the Hall
+    subgroups of q read off as a group, skip lift_closed's input check.
+    The Hall subsets themselves are summed without this check, as their
+    equality with the exhaustive Hall filter proves them closed."""
     m = sum(map(q.cosets.__getitem__, bits_of(bits)))  # the cosets are disjoint
     if not q.parent.is_closed_mask(m):
         raise InternalInconsistencyError("lift of a closed subset is not closed")

@@ -40,6 +40,7 @@ from .hypergroup import (
     ElementSubset,
     Hypergroup,
     _conjugates,
+    _conjugators,
     enumerate_closed_subsets,
     mask_of,
     validate_hypergroup,
@@ -572,15 +573,7 @@ def conjugators(scheme: AssociationScheme, t: ClosedSubset, u: ClosedSubset) -> 
     """
     hg = _own_subset(scheme, t)
     _own_subset(scheme, u)
-    return tuple(s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits)
-
-
-def _first_conjugator(scheme: AssociationScheme, t: ClosedSubset, u: ClosedSubset) -> int | None:
-    """conjugators(scheme, t, u)[0], or None when there is none, found by
-    conjugating by the relations in ascending order up to the first match;
-    t and u must be closed subsets of scheme.hypergroup."""
-    hg = scheme.hypergroup
-    return next((s for s, conj in _conjugates(hg, t.bits, hg.full_mask) if conj == u.bits), None)
+    return tuple(_conjugators(hg, t.bits, u.bits, hg.full_mask))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ see `all_subgroups`), O_2(S4) is the Klein four-group of double
 transpositions, and O_3(S4) is trivial.
 """
 
+import functools
 import importlib
 import itertools
+import operator
 import sys
 
 import pytest
@@ -274,9 +276,9 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
     calls = []
     original = hall_module._core_and_halls
 
-    def counted(scheme, ps):
+    def counted(scheme, ps, valenced):
         calls.append(frozenset(ps))
-        return original(scheme, ps)
+        return original(scheme, ps, valenced)
 
     monkeypatch.setattr(hall_module, "_core_and_halls", counted)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
@@ -297,6 +299,26 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
     assert sh.find_hall(s4, {2, 11}).pi == {2, 11}
     assert sh.find_hall(s4, {2}).pi == {2}
     assert len(calls) == 4
+
+
+def test_context_build_masks_the_pi_valenced_relations_twice(monkeypatch):
+    """A Hall context computes the pi-valenced mask once for itself and
+    its core and Hall build, and all_hall_subsets once more for the
+    exhaustive filter, which computes its own inputs: 2 calls for S4
+    with pi = {2}, and none for a query on the cached context."""
+    calls = []
+    original = hall_module._pi_valenced_mask
+
+    def counted(scheme, ps):
+        calls.append(ps)
+        return original(scheme, ps)
+
+    monkeypatch.setattr(hall_module, "_pi_valenced_mask", counted)
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    assert sh.find_hall(s4, {2}).hall.valency == 8
+    assert calls == [frozenset({2})] * 2
+    sh.find_hall(s4, {2})
+    assert len(calls) == 2
 
 
 def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
@@ -325,11 +347,13 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
     assert thin == []
 
 
-def test_unique_hall_subgroup_reuses_the_core_lift(monkeypatch):
-    """When the quotient group has one Hall subgroup it is the
-    intersection the core was lifted from, so a pi whose Hall subset is
-    the whole scheme makes one _lift call; S4 with pi = {2} lifts the
-    core and its three Sylow 2-subgroups."""
+def test_only_the_core_is_lifted_with_a_closedness_check(monkeypatch):
+    """_lift, which checks its lift closed, runs for the pi-core alone,
+    as no filter stands behind the core; each lifted Hall subset is a
+    plain coset sum, proved closed by the family's equality with the
+    exhaustive filter.  So S4 makes one _lift call for pi = {2, 3},
+    whose Hall subset is the whole scheme, and one for pi = {2}, with
+    its three Sylow 2-subsets."""
     calls = []
     original = hall_module._lift
 
@@ -343,15 +367,16 @@ def test_unique_hall_subgroup_reuses_the_core_lift(monkeypatch):
     assert cert.hall.valency == 24 and len(calls) == 1
     calls.clear()
     cert = sh.find_hall(sh.from_group(sh.symmetric(4), name="s4"), {2})
-    assert cert.hall.valency == 8 and len(calls) == 4
+    assert cert.hall.valency == 8 and calls == [cert.o_pi.bits]
 
 
 def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
     """The context runs the Hall test only inside the exhaustive
     filter: with S4's lattice cached, once on each of its 30 closed
     subsets for pi = {2}.  A lift that is closed but not Hall (here
-    every lift returns the core, O_2 = V4) is caught by the family's
-    equality with that filter."""
+    every Hall subgroup of the quotient group is replaced by the core
+    subgroup, O_2 = V4) is caught by the family's equality with that
+    filter."""
     s4 = sh.from_group(sh.symmetric(4))
     lattice = s4.closed_subsets()
     calls = []
@@ -368,18 +393,45 @@ def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
     assert len(lattice) == 30
     assert sorted(calls) == sorted(t.bits for t in lattice)
 
-    real_lift = hall_module._lift
-    lifts = []
+    real_build = hall_module._core_and_halls
+    injected = []
 
-    def first_lift_only(q, bits):
-        lifts.append(lifts[0] if lifts else real_lift(q, bits))
-        return lifts[-1]
+    def core_subgroup_only(scheme, ps, valenced):
+        hq, table, halls, core = real_build(scheme, ps, valenced)
+        injected[:] = [functools.reduce(operator.and_, halls)] * len(halls)
+        return hq, table, tuple(injected), core
 
-    monkeypatch.setattr(hall_module, "_lift", first_lift_only)
+    monkeypatch.setattr(hall_module, "_core_and_halls", core_subgroup_only)
     with pytest.raises(sh.InternalInconsistencyError) as info:
         sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
     assert str(info.value) == "constructive Hall family differs from the exhaustive filter"
-    assert len(lifts) == 4 and lifts[0].bits.bit_count() == 4
+    assert len(injected) == 3 and injected[0].bit_count() == 4
+
+
+def test_a_lift_that_is_not_closed_fails_the_filter_equality(monkeypatch):
+    """No lifted Hall subset is checked closed on its own, and the
+    family's equality with the exhaustive filter is checked before the
+    conjugacy certificate reads any lift.  So a lift that is not closed
+    (here S4's second Sylow 2-subgroup with its last element swapped for
+    one outside it) fails with the filter's message, not with the
+    certificate's."""
+    real_build = hall_module._core_and_halls
+    injected = []
+
+    def one_non_subgroup(scheme, ps, valenced):
+        hq, table, halls, core = real_build(scheme, ps, valenced)
+        top = 1 << (halls[1].bit_length() - 1)
+        outside = ~halls[1] & (halls[1] + 1)  # the least element outside it
+        injected.append(halls[1] & ~top | outside)
+        return hq, table, (halls[0], injected[0]) + halls[2:], core
+
+    s4 = sh.from_group(sh.symmetric(4))
+    monkeypatch.setattr(hall_module, "_core_and_halls", one_non_subgroup)
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.find_hall(s4, {2})
+    assert str(info.value) == "constructive Hall family differs from the exhaustive filter"
+    assert injected[0].bit_count() == 8
+    assert not s4.hypergroup.is_closed_mask(injected[0])
 
 
 def test_context_validates_its_group_table_once(monkeypatch):
@@ -673,18 +725,17 @@ def test_conjugating_element_is_the_least_conjugator():
 def test_conjugating_element_stops_at_the_first_conjugator(s4_scheme, monkeypatch):
     """The 9 ordered pairs of S4's Sylow 2-subsets take 22 relation
     conjugations, each pair up to its least conjugator, not 9 * 24."""
-    scheme_module = sys.modules["schemehall.scheme"]
     halls = sh.all_hall_subsets(s4_scheme, {2})
     sh.find_hall(s4_scheme, {2})
     conjugations = []
-    real = scheme_module._conjugates
+    real = hypergroup_module._conjugates
 
     def counted(*args):
         for h, conj in real(*args):
             conjugations.append(h)
             yield h, conj
 
-    monkeypatch.setattr(scheme_module, "_conjugates", counted)
+    monkeypatch.setattr(hypergroup_module, "_conjugates", counted)
     answers = [sh.conjugating_element(s4_scheme, t, u, {2}) for t in halls for u in halls]
     assert answers == [0, 4, 2, 3, 0, 1, 2, 1, 0]
     assert len(conjugations) == sum(a + 1 for a in answers) == 22
@@ -693,8 +744,9 @@ def test_conjugating_element_stops_at_the_first_conjugator(s4_scheme, monkeypatc
 def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypatch):
     halls = sh.all_hall_subsets(s4_scheme, {2})
     t, u = halls[0], halls[1]
+    sh.find_hall(s4_scheme, {2})  # the context's own conjugacy check runs before the patch
     with monkeypatch.context() as m:
-        m.setattr(hall_module, "_first_conjugator", lambda scheme, a, b: None)
+        m.setattr(hall_module, "_conjugators", lambda hg, a, b, within: iter(()))
         with pytest.raises(sh.NoConjugatorFoundError, match="no relation conjugates the first Hall subset"):
             sh.conjugating_element(s4_scheme, t, u, {2})
     # the quotient-group route is checked once, when the context is built
