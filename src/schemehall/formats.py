@@ -9,13 +9,17 @@ render(parse(text)) == text holds for canonical files.
 
 Group files are the same idea with a single-number header: "n", then
 the n x n multiplication table (row x, column g giving x g).
+
+Both formats share one reader, _read (comments, the name line and the
+header's integers), and one writer, _write; each parser checks only its
+own header.
 """
 from __future__ import annotations
 
 import warnings
 
 from .errors import FormatSyntaxError, LabelGapError, NotSquareError
-from .scheme import AssociationScheme, validate_scheme
+from .scheme import AssociationScheme, Matrix, validate_scheme
 
 __all__ = [
     "SchemeFile",
@@ -61,20 +65,6 @@ class GroupFile:
         return f"<GroupFile{tag} order {self.order}>"
 
 
-def _content_lines(text: str) -> tuple[str, list[tuple[int, str]]]:
-    """Strip comments; return the declared name and (line_no, body) pairs."""
-    name = ""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith(_NAME_PREFIX) and not name:
-            name = raw[len(_NAME_PREFIX):].strip()
-            continue
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((i, body))
-    return name, out
-
-
 def _int_row(line_no: int, body: str) -> list[int]:
     try:
         return list(map(int, body.split()))
@@ -82,7 +72,7 @@ def _int_row(line_no: int, body: str) -> list[int]:
         raise FormatSyntaxError(line_no, f"expected integers, got {body!r}") from None
 
 
-def _square_body(rows: list[tuple[int, str]], n: int, what: str) -> list[list[int]]:
+def _square_body(rows: list[tuple[int, str]], n: int, what: str) -> Matrix:
     """The n body rows of n integers each, after the header."""
     if len(rows) != n:
         raise NotSquareError(f"expected {n} {what} rows, found {len(rows)}")
@@ -93,30 +83,50 @@ def _square_body(rows: list[tuple[int, str]], n: int, what: str) -> list[list[in
             raise NotSquareError(
                 f"line {line_no}: row has {len(row)} entries, expected {n}"
             )
-        out.append(row)
-    return out
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _read(text: str, name: str, what: str) -> tuple[str, int, str, list[int], list[tuple[int, str]]]:
+    """Strip comments; the first '# name:' line wins over name.  Return the
+    name, the header's line number, text and integers, and the body's
+    (line_no, text) pairs."""
+    tagged = ""
+    lines = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        if raw.startswith(_NAME_PREFIX) and not tagged:
+            tagged = raw[len(_NAME_PREFIX):].strip()
+            continue
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((i, body))
+    if not lines:
+        raise FormatSyntaxError(0, f"empty {what} file")
+    line_no, header = lines[0]
+    return tagged or name, line_no, header, _int_row(line_no, header), lines[1:]
+
+
+def _write(name: str, header: str, rows: Matrix) -> str:
+    """The optional name line, the header, then one line per row."""
+    out = [f"{_NAME_PREFIX} {name}"] if name else []
+    out.append(header)
+    out.extend(" ".join(map(str, row)) for row in rows)
+    return "\n".join(out) + "\n"
 
 
 def parse_scheme(text: str, name: str = "") -> SchemeFile:
-    tagged, lines = _content_lines(text)
-    if tagged:
-        name = tagged
-    if not lines:
-        raise FormatSyntaxError(0, "empty scheme file")
-
-    line_no, header = lines[0]
-    head = _int_row(line_no, header)
+    name, line_no, header, head, body = _read(text, name, "scheme")
     if len(head) != 2:
         raise FormatSyntaxError(line_no, f"header must be 'n_points rank', got {header!r}")
     n, rank = head
     if n < 1 or rank < 1:
         raise FormatSyntaxError(line_no, f"header values must be positive, got {header!r}")
 
-    matrix = _canonicalize_labels(_square_body(lines[1:], n, "matrix"), rank, name)
-    return SchemeFile(name, n, rank, tuple(tuple(r) for r in matrix))
+    matrix = _canonicalize_labels(_square_body(body, n, "matrix"), rank, name)
+    return SchemeFile(name, n, rank, matrix)
 
 
-def _canonicalize_labels(matrix: list[list[int]], rank: int, name: str) -> list[list[int]]:
+def _canonicalize_labels(matrix: Matrix, rank: int, name: str) -> Matrix:
     labels = sorted({v for row in matrix for v in row})
     if len(labels) != rank:
         raise LabelGapError(
@@ -127,54 +137,30 @@ def _canonicalize_labels(matrix: list[list[int]], rank: int, name: str) -> list[
             f"labels must be 0..{rank - 1}, got {labels}"
         )
     diag = {matrix[x][x] for x in range(len(matrix))}
-    if len(diag) != 1:
-        # leave it; validate_scheme reports the precise cell
+    # a diagonal already 0 is kept, and so is a mixed one: validate_scheme reports its cell
+    if len(diag) != 1 or 0 in diag:
         return matrix
-    d = diag.pop()
-    if d == 0:
-        return matrix
+    (d,) = diag
     warnings.warn(
         f"scheme {name or '<unnamed>'}: diagonal label {d} remapped to 0",
         stacklevel=3,
     )
     swap = {d: 0, 0: d}
-    return [[swap.get(v, v) for v in row] for row in matrix]
+    return tuple(tuple(swap.get(v, v) for v in row) for row in matrix)
 
 
 def render_scheme(obj: SchemeFile | AssociationScheme) -> str:
-    if isinstance(obj, AssociationScheme):
-        name, n, rank, matrix = obj.name, obj.n_points, obj.rank, obj.rel
-    else:
-        name, n, rank, matrix = obj.name, obj.n_points, obj.rank, obj.matrix
-    out = []
-    if name:
-        out.append(f"{_NAME_PREFIX} {name}")
-    out.append(f"{n} {rank}")
-    for row in matrix:
-        out.append(" ".join(str(v) for v in row))
-    return "\n".join(out) + "\n"
+    matrix = obj.rel if isinstance(obj, AssociationScheme) else obj.matrix
+    return _write(obj.name, f"{obj.n_points} {obj.rank}", matrix)
 
 
 def parse_group(text: str, name: str = "") -> GroupFile:
-    tagged, lines = _content_lines(text)
-    if tagged:
-        name = tagged
-    if not lines:
-        raise FormatSyntaxError(0, "empty group file")
-    line_no, header = lines[0]
-    head = _int_row(line_no, header)
+    name, line_no, header, head, body = _read(text, name, "group")
     if len(head) != 1 or head[0] < 1:
         raise FormatSyntaxError(line_no, f"header must be the group order, got {header!r}")
     n = head[0]
-    table = _square_body(lines[1:], n, "table")
-    return GroupFile(name, n, tuple(tuple(r) for r in table))
+    return GroupFile(name, n, _square_body(body, n, "table"))
 
 
 def render_group(gf: GroupFile) -> str:
-    out = []
-    if gf.name:
-        out.append(f"{_NAME_PREFIX} {gf.name}")
-    out.append(str(gf.order))
-    for row in gf.table:
-        out.append(" ".join(str(v) for v in row))
-    return "\n".join(out) + "\n"
+    return _write(gf.name, str(gf.order), gf.table)

@@ -848,6 +848,7 @@ def is_thin(hg: Hypergroup) -> bool:
 
 def double_cosets(hg: Hypergroup, f: ElementSubset) -> list[int]:
     """Masks of the double cosets F h F of hg, in order of their smallest member."""
+    hg.universe()._check(f)
     if not hg.is_closed_mask(f.bits):
         raise NotSubsetError("double cosets need a closed modulus")
     return _double_cosets(hg, f.bits, hg.full_mask)

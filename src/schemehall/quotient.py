@@ -250,6 +250,8 @@ def validate_homomorphism(
     if len(mapping) != source.size:
         raise ValueError("mapping length does not match the source order")
     for v in mapping:
+        if type(v) is not int:  # bool is an int subclass
+            raise ValueError(f"mapping value {v!r} is not an int")
         if not 0 <= v < target.size:
             raise ValueError(f"mapping value {v} outside the target")
     if mapping[0] != 0:

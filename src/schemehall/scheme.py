@@ -34,7 +34,7 @@ from .errors import (
     SchemeTooLargeError,
     StarViolationError,
 )
-from .groups import Table, group_inverse, validate_group
+from .groups import thin_hypergroup
 from .hypergroup import (
     ClosedSubset,
     ElementSubset,
@@ -322,19 +322,18 @@ def _raise_star_witness(rel: Sequence[Sequence[int]], rank: int) -> NoReturn:
 def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationScheme:
     """The thin scheme of a group: (x, y) lies in relation g when y = xg.
     It has rank n, so the size cap is applied before the group checks.
-    Once the table is a group the scheme axioms hold by construction:
-    relation g has valency 1 and partner g^-1, and relation p then q is
-    relation pq.  The hypergroup reuses validate_group's proof of H1-H3,
-    with relation 0 as its neutral and the star map as its inverse."""
+    Its hypergroup comes from groups.thin_hypergroup, the one builder of a
+    group's thin hypergroup, whose proof of the group axioms is its proof
+    of H1-H3, with relation 0 as its neutral and the star map as its
+    inverse.  Once the table is a group the scheme axioms hold by
+    construction: relation g has valency 1 and partner g^-1, and relation
+    p then q is relation pq."""
     _check_size(len(table), len(table))
-    t: Table = validate_group(table)
-    inv = group_inverse(t)
+    hg = thin_hypergroup(table, name=name or "scheme relations")
+    t, inv = hg._thin_table, hg.inverse
     rel = tuple(t[i] for i in inv)  # row x is row x^-1 of the table
-    products = tuple(tuple(1 << pq for pq in row) for row in t)
-    hg = Hypergroup(products, inv, name=name or "scheme relations")
-    hg._thin_table = t
     hg.valencies = (1,) * len(t)
-    scheme = AssociationScheme(rel, inv, hg.valencies, products, name=name)
+    scheme = AssociationScheme(rel, inv, hg.valencies, hg.table, name=name)
     scheme.hypergroup = hg  # the cached_property's value
     return scheme
 

@@ -244,6 +244,19 @@ def test_double_cosets_require_closed(pentagon):
         sh.double_cosets(pentagon, pentagon.subset([1]))
 
 
+def test_double_cosets_refuse_a_subset_of_another_hypergroup():
+    c4 = sh.thin_hypergroup(sh.cyclic(4))
+    twin = sh.thin_hypergroup(sh.cyclic(4))  # equal table, another hypergroup
+    c8 = sh.thin_hypergroup(sh.cyclic(8))
+    with pytest.raises(sh.ParentMismatchError):
+        sh.double_cosets(c4, twin.subset([0, 2]))
+    with pytest.raises(sh.ParentMismatchError):
+        sh.double_cosets(c4, c8.subset([0, 4]))
+    with pytest.raises(TypeError, match="expected ElementSubset, got tuple"):
+        sh.double_cosets(c4, (0, 2))
+    assert sh.double_cosets(c4, c4.subset([0, 2])) == [0b101, 0b1010]
+
+
 def test_format_table_smoke(square):
     text = sh.format_table(square)
     assert "{0,2}" in text

@@ -259,6 +259,21 @@ def test_second_isomorphism_instances_on_c6(c6):
         ValueError,
         "mapping value 3 outside the target",
     ),
+    (
+        lambda c6, q: sh.validate_homomorphism(c6, q, (0, True, 2, 0, 1, 2)),
+        ValueError,
+        "mapping value True is not an int",
+    ),
+    (
+        lambda c6, q: sh.validate_homomorphism(c6, q, (0, 1.0, 2, 0, 1, 2)),
+        ValueError,
+        "mapping value 1.0 is not an int",
+    ),
+    (
+        lambda c6, q: sh.validate_homomorphism(c6, q, (0, "1", 2, 0, 1, 2)),
+        ValueError,
+        "mapping value '1' is not an int",
+    ),
 ])
 def test_quotient_input_checks(c6, call, error, message):
     q = sh.quotient(c6, c6.subset([0, 3]))

@@ -20,7 +20,7 @@ import tracemalloc
 import pytest
 
 import schemehall as sh
-from schemehall import arith, scheme as scheme_module
+from schemehall import arith, groups as groups_module, scheme as scheme_module
 
 from conftest import ALL_PI, catalogue_schemes
 
@@ -315,13 +315,13 @@ def test_validate_scheme_size_cap(monkeypatch):
 
 def test_from_group_applies_the_size_cap_before_the_group_checks(monkeypatch):
     calls = []
-    real = scheme_module.validate_group
+    real = groups_module.validate_group
 
     def counted(table):
         calls.append(1)
         return real(table)
 
-    monkeypatch.setattr(scheme_module, "validate_group", counted)
+    monkeypatch.setattr(groups_module, "validate_group", counted)
     # S3 is thin on 6 points: n * rank**2 = 6**3 = 216
     monkeypatch.setattr(scheme_module, "SCHEME_SIZE_CAP", 6**3 - 1)
     with pytest.raises(sh.SchemeTooLargeError, match="n \\* rank\\*\\*2 = 216"):
