@@ -18,9 +18,10 @@ The inverse map, when it exists, is pinned down by H2/H3: t is the
 inverse of s exactly when the neutral element lies in ts.  Validation
 exploits that to locate the unique candidate and then checks H3 over
 all triples.  When every product is a single element (a thin table,
-such as a group or a quotient by a strongly normal closed subset), H3
-and H1 are checked on the table of element indices a row or column at
-a time; other tables take the set-valued loops.
+such as a group or a quotient by a strongly normal closed subset), H1-H3
+hold exactly when it is a group's table: groups.thin_hypergroup builds
+it, and its validate_group is the proof.  Other tables, and any it
+refuses, take the set-valued loops.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .errors import (
     EmptyProductError,
     InternalInconsistencyError,
     NoInverseError,
+    NotAGroupError,
     NoNeutralError,
     NotSubsetError,
     ParentMismatchError,
@@ -406,42 +408,36 @@ def validate_hypergroup(
             )
         inv[s] = ts[0]
 
-    t = _thin_index_table(masks)
-    if t is not None:
-        # thin: H3 and H1 are checks on the table of element indices, a
-        # whole row or column at a time
-        if not _thin_h3_holds(t, inv):
-            _h3_literal(masks, inv)  # names the first witness
-            raise InternalInconsistencyError("thin H3 check failed but the literal loop passed")
-        witness = _associativity_witness(t)
-    else:
-        _h3_literal(masks, inv)
-        witness = _h1_witness(masks)
-    if witness is not None:
-        raise AssocViolationError(*witness)
-
+    rows, hinv = masks, inv
     if e != 0:
         # swap labels 0 and e so the neutral element lands at index 0
         perm = list(range(k))
         perm[0], perm[e] = e, 0
 
-        new_masks = [[0] * k for _ in range(k)]
+        rows = [[0] * k for _ in range(k)]
         for a in range(k):
             for b in range(k):
-                new_masks[perm[a]][perm[b]] = mask_of(perm[s] for s in bits_of(masks[a][b]))
-        new_inv = [0] * k
+                rows[perm[a]][perm[b]] = mask_of(perm[s] for s in bits_of(masks[a][b]))
+        hinv = [0] * k
         for s in range(k):
-            new_inv[perm[s]] = perm[inv[s]]
-        masks, inv = new_masks, new_inv
+            hinv[perm[s]] = perm[inv[s]]
 
-    hg = Hypergroup(
-        tuple(tuple(row) for row in masks),
-        tuple(inv),
-        name=name,
-    )
+    t = _thin_index_table(rows)
+    if t is not None:  # H1-H3 hold exactly when t is a group's table
+        from .groups import thin_hypergroup  # groups builds on this module
+
+        try:
+            return thin_hypergroup(t, name=name)
+        except NotAGroupError:
+            pass
+    # the literal loops name the first witness, in the input's labels
+    _h3_literal(masks, inv)
+    witness = _h1_witness(masks)
+    if witness is not None:
+        raise AssocViolationError(*witness)
     if t is not None:
-        hg._thin_table = t if e == 0 else _thin_index_table(hg.table)
-    return hg
+        raise InternalInconsistencyError("validate_group refused a table that passed H1-H3")
+    return Hypergroup(tuple(tuple(row) for row in rows), tuple(hinv), name=name)
 
 
 def _thin_index_table(masks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...] | None:
@@ -451,25 +447,6 @@ def _thin_index_table(masks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
         return None
     pos = {1 << s: s for s in range(k)}
     return tuple(tuple(map(pos.__getitem__, row)) for row in masks)
-
-
-def _thin_h3_holds(t: Sequence[Sequence[int]], inv: Sequence[int]) -> bool:
-    """H3 on a thin index table: r = pq must give q = p^r and p = r q^.
-
-    So row p^ read through row p, and column q^ read through column q,
-    must each be the identity map.
-    """
-    ident = list(range(len(t)))
-    cols = tuple(zip(*t))
-    for p, row in enumerate(t):
-        back = t[inv[p]]
-        if [back[r] for r in row] != ident:
-            return False
-    for q, col in enumerate(cols):
-        back = cols[inv[q]]
-        if [back[r] for r in col] != ident:
-            return False
-    return True
 
 
 def _h3_literal(masks: Sequence[Sequence[int]], inv: Sequence[int]) -> None:

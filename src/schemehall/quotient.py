@@ -81,8 +81,8 @@ def _quotient(
     the set of cosets meeting a F b; the table is validated once against
     the hypergroup axioms before being returned.  H // {0} is H itself,
     its cosets the singletons: it shares hg's table, which
-    validate_hypergroup checked when it built hg."""
-    modulus._check(hg.universe())
+    validate_hypergroup checked when it built hg.  Callers check that
+    modulus is a subset of hg."""
     if not hg.is_closed_mask(modulus.bits):
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
@@ -155,16 +155,17 @@ def _quotient(
 
 def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
     """H // F for a closed subset F of H."""
+    hg.universe()._check(modulus)
     return _quotient(hg, hg.full_mask, modulus, f"{hg.name}//{modulus.members()}")
 
 
 def subquotient(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> QuotientHypergroup:
     """outer // inner, both closed subsets of hg with inner inside outer;
     its parent is hg and its cosets partition outer."""
-    outer._check(inner)
+    hg.universe()._check(outer)
+    hg.universe()._check(inner)
     if not inner.issubset(outer):
         raise NotSubsetError("inner subset must lie inside the outer one")
-    outer._check(hg.universe())
     if not hg.is_closed_mask(outer.bits):
         raise NotClosedError("can only restrict to a closed subset")
     return _quotient(hg, outer.bits, inner, f"{hg.name}|{outer.members()}//{inner.members()}")
@@ -173,7 +174,7 @@ def subquotient(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> Q
 def lift_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
     """Union of the cosets named by a closed subset of the quotient: the
     input is checked to be a closed subset of q, then _lift."""
-    subset._check(q.universe())
+    q.universe()._check(subset)
     if not q.is_closed_mask(subset.bits):
         raise NotClosedError("can only lift a closed subset of the quotient")
     return _lift(q, subset.bits)
@@ -194,7 +195,7 @@ def _lift(q: QuotientHypergroup, bits: int) -> ClosedSubset:
 
 def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
     """Image in the quotient of a closed subset between F and the outer subset."""
-    subset._check(q.parent.universe())
+    q.parent.universe()._check(subset)
     if not q.parent.is_closed_mask(subset.bits):
         raise NotClosedError("can only project a closed subset")
     if q.modulus.bits & ~subset.bits:

@@ -19,13 +19,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 from typing import NoReturn
 
 from .arith import is_pi_number, pi_part, prime_factors, validate_pi
 from .errors import (
     IdentityViolationError,
     InternalInconsistencyError,
+    NotAGroupError,
     NotClosedError,
     NotPartitionError,
     ParentMismatchError,
@@ -142,9 +143,9 @@ class AssociationScheme:
 # sorts n pair codes for each of the n * (n + 1) / 2 + n - 1 pairs
 # (y, z) with z = 0 or z >= y inside C builtins, about n**3 log n / 2
 # steps, and keeps one key of n codes per relation while it runs; a
-# thin input (every row a permutation) is keyed without sorting, about
-# n**3 / 2 steps in C.  The cap admits a thin scheme on 96 points
-# (96 * 96**2 = 884,736) and every bundled input.
+# thin input (rank n) costs n**2 steps plus validate_group.  The cap
+# admits a thin scheme on 96 points (96 * 96**2 = 884,736) and every
+# bundled input.
 SCHEME_SIZE_CAP = 1 << 20
 
 
@@ -168,17 +169,16 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     table of (y, z) is that of (z, y) transposed and starred, so the
     pairs of r below the diagonal share the starred table of r*, which
     the column-0 pairs tie to the table of r (the diagonal pairs equate
-    every row's label counts, so column 0 meets every relation).  A
-    thin input (rank == n > 1, every row a permutation) is keyed
-    without sorting, in the order of rel[y][x] = 0, 1, ...  Only when
-    two keys differ is every pair keyed, in row-major order, and the
+    every row's label counts, so column 0 meets every relation).  Only
+    when two keys differ is every pair keyed, in row-major order, and the
     first differing pair's two count tables run, to name the witness
     the pairwise loops would.  Valencies are the label counts of row 0,
     and the relation products come from the distinct codes of each key;
     no intersection number is stored (AssociationScheme.intersection_numbers
     counts them on demand).  Cost: n * (n + 1) / 2 + n - 1 keys, about
-    n**3 log n / 2 steps in C plus n**2 / 2 in Python, or n**3 / 2 steps
-    in C on a thin input.
+    n**3 log n / 2 steps in C plus n**2 / 2 in Python.  An input of rank
+    n is thin: _group_scheme proves it a group's scheme, in n**2 steps
+    plus validate_group, and only a refused one is keyed, row-major.
     """
     n = len(matrix)
     if n == 0:
@@ -214,21 +214,23 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
         if star[star[s]] != s:
             raise StarViolationError(f"star map is not an involution at {s}")
 
-    thin = rank == n > 1 and all(len(set(row)) == n for row in rel)
-    keys = _pair_keys(rel, cols, rank, thin, upper=True)
+    if rank == n:  # every valency is 1
+        scheme = _group_scheme(rel, name)
+        if scheme is not None:
+            return scheme
+    keys = None if rank == n else _pair_keys(rel, cols, rank, upper=True)
     if keys is None:
-        _pair_keys(rel, cols, rank, thin, upper=False)  # names the witness
+        _pair_keys(rel, cols, rank, upper=False)  # names the witness
         raise InternalInconsistencyError("pair keys differ but no count table does")
 
     # row 0 meets every relation, and regularity of relation 0 makes
     # every row's label counts equal: these are the a_{s s* 0}
     valencies = tuple(map(rel[0].count, range(rank)))
 
-    # p q holds r exactly when code rank*p + q occurs in the key of r;
-    # a thin key holds the one q of each p
+    # p q holds r exactly when code rank*p + q occurs in the key of r
     products = [[0] * rank for _ in range(rank)]
     for r, key in enumerate(keys):
-        for p, q in enumerate(key) if thin else (divmod(c, rank) for c in set(key)):
+        for p, q in (divmod(c, rank) for c in set(key)):
             products[p][q] |= 1 << r
     return AssociationScheme(tuple(rel), tuple(star), valencies, products, name=name)
 
@@ -243,28 +245,22 @@ def _check_size(n: int, rank: int) -> None:
 
 
 def _pair_keys(
-    rel: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], rank: int, thin: bool, upper: bool
-) -> list[Sequence[int]] | None:
+    rel: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], rank: int, upper: bool
+) -> list[list[int]] | None:
     """The key of each relation's first pair (y, z), each later pair's
     key compared with it.  With upper, only the pairs with z = 0 or
     z >= y are keyed, and a differing key returns None; otherwise every
     pair is, in row-major order, and a differing key raises the
-    RegularityViolationError its two count tables name.  A thin key
-    lists rel[x][z] for the x with rel[y][x] = 0, 1, ...: the sorted
-    codes rank*rel[y][x] + rel[x][z] less rank * rel[y][x].
+    RegularityViolationError its two count tables name.
     """
     n = len(rel)
-    keys: list[Sequence[int] | None] = [None] * rank
+    keys: list[list[int] | None] = [None] * rank
     first: list[tuple[int, int]] = [(0, 0)] * rank
     for y, row in enumerate(rel):
-        if thin:
-            at = dict(zip(row, range(n)))  # rel[y][at[p]] = p
-            pick = itemgetter(*map(at.__getitem__, range(n)))
-        else:
-            codes = [rank * p for p in row]
+        codes = [rank * p for p in row]
         for z in (0, *range(y, n)) if upper and y else range(n):
             r = row[z]
-            key = pick(cols[z]) if thin else sorted(map(add, codes, cols[z]))
+            key = sorted(map(add, codes, cols[z]))
             known = keys[r]
             if known is None:
                 keys[r] = key
@@ -279,6 +275,29 @@ def _pair_keys(
                         if want[p][q] != got[p][q]:
                             raise RegularityViolationError(p, q, r, y, z)
     return keys
+
+
+def _group_scheme(rel: Sequence[tuple[int, ...]], name: str) -> AssociationScheme | None:
+    """A matrix of rank n as a group's thin scheme, or None when a row
+    repeats a label or the table the rows give is not a group.  Point x
+    stands for g_x = rel[0][x], and row x reads g_x rel[x][z] = g_z; once
+    from_group's validate_group proves that table a group, rel[x][z] =
+    g_x^-1 g_z, so x -> g_x carries the input onto from_group's matrix,
+    and its scheme, given the input's rel, is the input's."""
+    n = len(rel)
+    rel0 = rel[0]
+    table: list[tuple[int, ...]] = [()] * n
+    for x, row in enumerate(rel):
+        at = dict(zip(row, rel0))  # at[rel[x][z]] = rel[0][z]
+        if len(at) != n:
+            return None
+        table[rel0[x]] = tuple(map(at.__getitem__, range(n)))
+    try:
+        scheme = from_group(table, name)
+    except NotAGroupError:
+        return None
+    scheme.rel = tuple(rel)
+    return scheme
 
 
 def _count_table(rel: Sequence[Sequence[int]], y: int, z: int, rank: int) -> list[list[int]]:

@@ -1165,30 +1165,106 @@ def test_thin_keys_name_the_oracle_witness():
     assert len(witnesses) > 1
 
 
-def test_thin_input_is_keyed_without_sorting(monkeypatch):
-    """A thin input, valid or failing regularity, makes no sorted call;
-    a non-thin valid one sorts a key per pair (y, z) with z = 0 or
+def _relabelled(m, rng):
+    """(matrix, lab): m with its points renamed at random and each label
+    s renamed lab[s], 0 kept: the same scheme, or the same failure, with
+    row 0 no longer read off row 0 of m."""
+    n = len(m)
+    rank = max(map(max, m)) + 1
+    pts = rng.sample(range(n), n)
+    lab = [0, *rng.sample(range(1, rank), rank - 1)]
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[pts[x]][pts[y]] = lab[m[x][y]]
+    return out, lab
+
+
+def _carried(outcome, lab):
+    """An ingest outcome, past its rel, with each label s renamed lab[s]."""
+    _, star, numbers, valencies, table = outcome
+    k = len(lab)
+    old = [0] * k
+    for s, new in enumerate(lab):
+        old[new] = s
+    return (
+        tuple(lab[star[s]] for s in old),
+        tuple(tuple(tuple(numbers[r][p][q] for q in old) for p in old) for r in old),
+        tuple(valencies[s] for s in old),
+        tuple(tuple(sum(1 << lab[s] for s in _members(table[p][q])) for q in old) for p in old),
+    )
+
+
+def test_relabelled_thin_inputs_match_the_oracle():
+    """Valid thin inputs whose row 0 is not 0, 1, ..., n - 1, which no
+    catalogue or from_group matrix has: two seeded point-and-label
+    relabellings of the thin scheme of each bundled group match the
+    pairwise loops, and one of S4 x C4 and of D12 x C4 (96 points)
+    matches from_group's scheme with its labels carried along.  Their
+    symmetric-pair corruptions name the pairwise loops' witness."""
+    rng = random.Random(31)
+    valid = []
+    for name in sh.bundled_group_names():
+        m = sh.from_group(sh.bundled_group(name).table).rel
+        for _ in range(2 if len(m) > 2 else 0):  # C2's row 0 cannot move
+            got = m
+            while list(got[0]) == list(range(len(m))):
+                got = _relabelled(m, rng)[0]
+            assert ingest_outcome(sh.validate_scheme, got) == ingest_outcome(ingest_oracle, got)
+            valid.append(got)
+    assert len(valid) >= 70
+    for table in (
+        sh.direct_product(sh.symmetric(4), sh.cyclic(4)),
+        sh.direct_product(sh.dihedral(12), sh.cyclic(4)),
+    ):
+        scheme = sh.from_group(table)
+        m, lab = _relabelled(scheme.rel, rng)
+        assert list(m[0]) != list(range(96))
+        got = ingest_outcome(sh.validate_scheme, m)
+        assert got[0] == tuple(map(tuple, m))
+        assert got[1:] == _carried(ingest_outcome(lambda _: scheme, None), lab)
+        valid.append(m)
+    reached = 0
+    for m in valid:
+        if len(m) < 3:
+            continue
+        bad = _symmetric_pair(rng, m)
+        want = ingest_outcome(ingest_oracle, bad)
+        assert ingest_outcome(sh.validate_scheme, bad) == want
+        reached += want[0] is sh.RegularityViolationError
+    assert reached >= 60
+
+
+def test_valid_thin_input_makes_no_pair_pass(monkeypatch):
+    """A valid thin input is proved by validate_group alone, with no
+    n**3 pass: no _pair_keys, sorted or _count_table call, on S4's
+    scheme, the thin product matrices and a seeded relabelling of each.
+    A non-thin valid input sorts a key per pair (y, z) with z = 0 or
     z >= y: 5 * 6 / 2 + 4 on the pentagon."""
     from schemehall import scheme as scheme_mod
 
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sorted(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(scheme_mod, "sorted", counted, raising=False)
+    monkeypatch.setattr(scheme_mod, "sorted", counting("sorted", sorted), raising=False)
+    for name in ("_pair_keys", "_count_table"):
+        monkeypatch.setattr(scheme_mod, name, counting(name, getattr(scheme_mod, name)))
     thin = [sh.from_group(sh.symmetric(4)).rel]
     thin += [m for _, m in product_matrices() if max(map(max, m)) + 1 == len(m)]
-    assert len(thin) >= 3
+    rng = random.Random(3)
+    thin += [_relabelled(m, rng)[0] for m in thin]
+    assert len(thin) >= 6 and max(map(len, thin)) == 96
     calls.clear()
     for m in thin:
-        sh.validate_scheme(m)
-    with pytest.raises(sh.RegularityViolationError):
-        sh.validate_scheme(steiner_loop_10())
+        assert sh.validate_scheme(m).rel == tuple(map(tuple, m))
     assert calls == []
     sh.validate_scheme(sh.bundled_scheme("pentagon").matrix)
-    assert len(calls) == 5 * 6 // 2 + 4
+    assert calls == ["_pair_keys"] + ["sorted"] * (5 * 6 // 2 + 4)
 
 
 def test_identity_witness_is_the_first_zero_off_the_diagonal():
@@ -1266,11 +1342,11 @@ def test_normality_matches_pairwise_products_and_chain_search(hypergroups8):
 
 
 def test_validate_scheme_builds_one_count_table_per_relation(monkeypatch):
-    """The regularity pass compares pair keys (sorted pair codes, or the
-    permutation-indexed keys of a thin input such as S4's), so a valid
-    scheme builds no Python count table at all, and a failure builds
-    two, the first pair's of its relation and its own, to name the
-    witness."""
+    """A valid scheme builds no Python count table at all: the
+    regularity pass compares pair keys of sorted pair codes, and a thin
+    input such as S4's is proved a group's scheme by validate_group.  A
+    failure builds two, the first pair's of its relation and its own,
+    to name the witness."""
     from schemehall import scheme as scheme_mod
 
     calls = []

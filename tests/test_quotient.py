@@ -280,3 +280,26 @@ def test_quotient_input_checks(c6, call, error, message):
     with pytest.raises(error) as exc:
         call(c6, q)
     assert str(exc.value) == message
+
+
+def test_quotient_doors_check_each_subset_argument_first(c6, c3):
+    """quotient, subquotient (either subset), lift_closed and
+    project_closed check that a subset argument is an ElementSubset of
+    their hypergroup before they read it: a tuple raises TypeError and a
+    subset of another hypergroup ParentMismatchError."""
+    q = sh.quotient(c6, c6.subset([0, 3]))
+    doors = [
+        lambda arg: sh.quotient(c6, arg),
+        lambda arg: sh.subquotient(c6, arg, c6.neutral_subset()),
+        lambda arg: sh.subquotient(c6, c6.universe(), arg),
+        lambda arg: sh.lift_closed(q, arg),
+        lambda arg: sh.project_closed(q, arg),
+    ]
+    for door in doors:
+        with pytest.raises(TypeError) as exc:
+            door((0, 3))
+        assert str(exc.value) == "expected ElementSubset, got tuple"
+        for foreign in (c3.universe(), c3.neutral_subset()):
+            with pytest.raises(sh.ParentMismatchError) as exc:
+                door(foreign)
+            assert str(exc.value) == "subsets belong to different hypergroups"
