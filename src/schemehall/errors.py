@@ -16,7 +16,6 @@ __all__ = [
     "EmptyInputError",
     "NotClosedError",
     "NotSubsetError",
-    "SearchOverflowError",
     "SchemeTooLargeError",
     "SchemeAxiomError",
     "NotPartitionError",
@@ -86,10 +85,6 @@ class NotClosedError(SchemehallError):
 
 class NotSubsetError(SchemehallError):
     pass
-
-
-class SearchOverflowError(SchemehallError):
-    """A bounded exhaustive search was asked to exceed its hard cap."""
 
 
 class SchemeTooLargeError(SchemehallError):

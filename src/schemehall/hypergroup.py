@@ -54,7 +54,6 @@ __all__ = [
     "is_strongly_normal",
     "is_subnormal",
     "theta_core",
-    "thin_elements",
     "is_thin",
     "double_cosets",
     "format_table",
@@ -796,27 +795,6 @@ def theta_core(hg: Hypergroup) -> ClosedSubset:
     if not is_strongly_normal(core, hg.universe()):
         raise InternalInconsistencyError("theta core lost strong normality")
     return core
-
-
-class ThinReport:
-    """Thin element survey: the set of thin elements plus the metathin flag."""
-
-    __slots__ = ("elements", "metathin")
-
-    def __init__(self, elements: ElementSubset, metathin: bool):
-        self.elements = elements
-        self.metathin = metathin
-
-
-def thin_elements(hg: Hypergroup) -> ThinReport:
-    """All thin elements of hg, and whether hg is metathin.
-
-    hg is metathin when its theta core consists of thin elements only.
-    """
-    mask = mask_of(s for s in hg.elements if hg.is_thin_element(s))
-    subset = ElementSubset(hg, mask)
-    metathin = theta_core(hg).bits & ~mask == 0
-    return ThinReport(subset, metathin)
 
 
 def is_thin(hg: Hypergroup) -> bool:

@@ -1,4 +1,4 @@
-"""Quotients of hypergroups and structure preserving maps.
+"""Quotients of hypergroups and the homomorphisms between them.
 
 The quotient T // F, F inside T closed subsets of H, lives on the double
 cosets F h F, h in T, as masks over H; one kernel reads it off H's table
@@ -7,25 +7,24 @@ H // {0}, which is H itself with singleton cosets.  Coset i is
 represented by the smallest element it contains, cosets are numbered in
 order of their representatives, and the coset of the neutral element
 (which is F itself) therefore always lands at index 0.
+
+A homomorphism is its image tuple, checked by validate_homomorphism
+with set images compared for equality.  The isomorphism statements for
+closed subsets need no search: each is witnessed by its natural map,
+which sends a coset to the image of any of its members, and which that
+check accepts.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import (
-    InternalInconsistencyError,
-    NotClosedError,
-    NotSubsetError,
-    SearchOverflowError,
-)
+from .errors import InternalInconsistencyError, NotClosedError, NotSubsetError
 from .hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
     _double_cosets,
     bits_of,
-    is_strongly_normal,
-    is_thin,
     mask_of,
     validate_hypergroup,
 )
@@ -36,12 +35,9 @@ __all__ = [
     "subquotient",
     "lift_closed",
     "project_closed",
-    "is_thin_quotient",
     "HypergroupHomomorphism",
     "validate_homomorphism",
     "kernel",
-    "natural_projection",
-    "find_isomorphism",
 ]
 
 
@@ -208,19 +204,6 @@ def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset
     return ClosedSubset(q, m)
 
 
-def is_thin_quotient(q: QuotientHypergroup) -> bool:
-    """True when every coset of the quotient is thin.
-
-    Equivalent to the modulus being strongly normal in the outer subset;
-    every call checks that, raising InternalInconsistencyError if not.
-    """
-    thin = is_thin(q)
-    strong = is_strongly_normal(q.modulus, lift_closed(q, q.universe()))
-    if thin != strong:
-        raise InternalInconsistencyError("thin quotient must coincide with strong normality")
-    return thin
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -276,106 +259,3 @@ def kernel(phi: HypergroupHomomorphism) -> ClosedSubset:
     if not phi.source.is_closed_mask(m):
         raise InternalInconsistencyError("kernel of a homomorphism must be closed")
     return ClosedSubset(phi.source, m)
-
-
-def natural_projection(hg: Hypergroup, modulus: ElementSubset) -> tuple[
-    HypergroupHomomorphism, QuotientHypergroup
-]:
-    """The map h -> F h F onto the quotient, validated as a homomorphism.
-
-    For a normal modulus this always succeeds; for other closed subsets
-    the homomorphism law can fail, in which case validation raises.
-    """
-    q = quotient(hg, modulus)
-    phi = validate_homomorphism(hg, q, q.coset_of)
-    return phi, q
-
-
-# ---------------------------------------------------------------------------
-# isomorphism search
-
-ISOMORPHISM_ORDER_CAP = 24
-
-
-def _fingerprint(hg: Hypergroup, h: int) -> tuple:
-    row = sorted(hg.table[h][x].bit_count() for x in hg.elements)
-    col = sorted(hg.table[x][h].bit_count() for x in hg.elements)
-    inv = hg.inverse[h]
-    return (
-        inv == h,
-        hg.table[inv][h].bit_count(),
-        hg.table[h][inv].bit_count(),
-        tuple(row),
-        tuple(col),
-    )
-
-
-def find_isomorphism(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | None:
-    """Search for an isomorphism from h1 onto h2.
-
-    Returns the image tuple (element i of h1 maps to mapping[i]) or None.
-    The backtracking fixes neutral to neutral, forces inverse
-    compatibility, and prunes with per-element fingerprints built from
-    product set cardinalities.  Deterministic: candidate images are
-    tried in increasing order, so the first hit is the lexicographically
-    least isomorphism.  Orders above ISOMORPHISM_ORDER_CAP raise
-    SearchOverflowError.
-    """
-    if h1.size != h2.size:
-        return None
-    k = h1.size
-    if k > ISOMORPHISM_ORDER_CAP:
-        raise SearchOverflowError(
-            f"isomorphism search capped at order {ISOMORPHISM_ORDER_CAP}, got {k}"
-        )
-    fp1 = [_fingerprint(h1, h) for h in range(k)]
-    fp2 = [_fingerprint(h2, h) for h in range(k)]
-    if sorted(fp1) != sorted(fp2):
-        return None
-    candidates = [
-        [b for b in range(k) if fp2[b] == fp1[a]] for a in range(k)
-    ]
-
-    mapping = [-1] * k
-    used = [False] * k
-
-    def consistent(a: int) -> bool:
-        # inverse compatibility
-        ia = h1.inverse[a]
-        if mapping[ia] != -1 and mapping[ia] != h2.inverse[mapping[a]]:
-            return False
-        # membership profile against every mapped pair
-        for x in range(k):
-            if mapping[x] == -1:
-                continue
-            for (p, q) in ((a, x), (x, a)):
-                s = h1.table[p][q]
-                t = h2.table[mapping[p]][mapping[q]]
-                if s.bit_count() != t.bit_count():
-                    return False
-                for z in range(k):
-                    if mapping[z] == -1:
-                        continue
-                    if bool(s >> z & 1) != bool(t >> mapping[z] & 1):
-                        return False
-        return True
-
-    def place(a: int) -> bool:
-        if a == k:
-            return True
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            if a == 0 and b != 0:
-                continue
-            mapping[a] = b
-            used[b] = True
-            if consistent(a) and place(a + 1):
-                return True
-            mapping[a] = -1
-            used[b] = False
-        return False
-
-    if place(0):
-        return tuple(mapping)
-    return None

@@ -479,6 +479,7 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Quotien
     qscheme._products = None  # the hypergroup's table holds the same masks
     qscheme.hypergroup = Hypergroup(hq.table, hq.inverse, name=qscheme.name or "scheme relations")
     qscheme.hypergroup.valencies = qscheme.valencies
+    qscheme.hypergroup._thin_table = hq._thin_table
 
     n_t = modulus.valency
     for s in range(scheme.rank):

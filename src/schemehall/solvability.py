@@ -58,8 +58,9 @@ def group_from_thin(hg: Hypergroup) -> Table:
     validate_hypergroup built hg, checking H1-H3 with the neutral put at 0.
     The table of element indices is read once per hypergroup: the builders
     that read it off a thin table keep it on hg (validate_hypergroup,
-    thin_hypergroup, which from_group calls, and quotient, whose H // {0}
-    shares its parent's), and otherwise it is read here and kept."""
+    thin_hypergroup, which from_group calls, quotient, whose H // {0}
+    shares its parent's, and quotient_scheme, which keeps its quotient's),
+    and otherwise it is read here and kept."""
     t = hg._thin_table
     if t is None:
         t = _thin_index_table(hg.table)

@@ -137,7 +137,7 @@ CRITERIA = {
     1: "order-28 catalogue scheme located by its stated properties, Hall {2}-certificate n_T=4 index 7",
     2: "Hall existence, conjugacy, extension on every solvable pi-valenced corpus scheme (order <= 12)",
     3: "group correspondence: find_hall matches brute-force Hall subgroups on bundled groups (order <= 24)",
-    4: "three isomorphism statements witnessed on hypergroups of corpus schemes (order <= 10)",
+    4: "three isomorphism statements witnessed by their natural maps on corpus hypergroups (order <= 24)",
     5: "quotient coincidence and valency law on every corpus scheme and closed subset",
     6: "closure and closed-subset enumeration agree with power-set oracles (rank <= 12)",
     7: "lemma battery exhaustive on the order <= 8 hypergroup corpus",

@@ -38,7 +38,6 @@ from schemehall.errors import (
     InternalInconsistencyError,
     NotClosedError,
     NotSubsetError,
-    SearchOverflowError,
 )
 from schemehall.groups import Table, generated_subgroup, group_inverse
 from schemehall.hall import HallCertificate, _context
@@ -159,9 +158,7 @@ def subnormal_chain_search(f: ElementSubset, g: ElementSubset) -> bool:
 def all_closed_subsets_scan(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     """Every closed subset, found by testing all 2^k element subsets."""
     if hg.size > SCAN_CAP:
-        raise SearchOverflowError(
-            f"power set scan capped at order {SCAN_CAP}, got {hg.size}"
-        )
+        raise ValueError(f"power set scan capped at order {SCAN_CAP}, got {hg.size}")
     out = []
     for mask in range(1, 1 << hg.size):
         if mask & 1 and hg.is_closed_mask(mask):

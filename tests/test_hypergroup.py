@@ -203,8 +203,8 @@ def test_closure_within_a_mask(square):
 
 
 def test_thin_detection(pentagon, square):
-    assert sh.thin_elements(pentagon).elements.members() == (0,)
-    assert sh.thin_elements(square).elements.members() == (0, 2)
+    assert [s for s in pentagon.elements if pentagon.is_thin_element(s)] == [0]
+    assert [s for s in square.elements if square.is_thin_element(s)] == [0, 2]
     assert not sh.is_thin(pentagon)
     assert not sh.is_thin(square)
     assert sh.is_thin(sh.thin_hypergroup(sh.cyclic(4)))
@@ -216,9 +216,10 @@ def test_theta_core(pentagon, square):
 
 
 def test_metathin(square, pentagon):
-    # square: theta core {0,2} equals the thin elements, so metathin
-    assert sh.thin_elements(square).metathin
-    assert not sh.thin_elements(pentagon).metathin
+    # metathin: every element of the theta core is thin; square's
+    # theta core {0,2} equals its thin elements, pentagon's is everything
+    assert all(square.is_thin_element(s) for s in sh.theta_core(square).members())
+    assert not all(pentagon.is_thin_element(s) for s in sh.theta_core(pentagon).members())
 
 
 def test_strong_normality(square):
@@ -269,7 +270,7 @@ def test_format_table_smoke(square):
 def test_thin_hypergroup_from_cyclic(n):
     hg = sh.thin_hypergroup(sh.cyclic(n))
     assert hg.size == n
-    assert sh.thin_elements(hg).elements.bits == hg.full_mask
+    assert all(hg.is_thin_element(s) for s in hg.elements)
 
 
 @settings(max_examples=60, deadline=None)

@@ -119,6 +119,17 @@ def test_from_group_is_thin():
     assert q.scheme.valencies == (1, 1, 1)
 
 
+def test_thin_quotient_scheme_keeps_the_group_table():
+    """S4 modulo A4, its closed subset of 12 relations: the quotient
+    scheme's hypergroup keeps the table of element indices that its
+    hypergroup quotient read, as quotient does."""
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    (a4,) = [t for t in s4.closed_subsets() if t.valency == 12]
+    q = sh.quotient_scheme(s4, a4)
+    assert q.hyper_quotient._thin_table == ((0, 1), (1, 0))
+    assert q.scheme.hypergroup._thin_table is q.hyper_quotient._thin_table
+
+
 def test_from_group_equals_the_validated_rows():
     """from_group builds the thin scheme without validate_scheme's passes:
     on every bundled group and on S4 x C4 (96 points) it equals
