@@ -2,17 +2,21 @@
 
 Tables are tuples of tuples with table[x][g] = xg and the identity at
 index 0.  Subgroups are bitmasks over element indices.  Everything here
-is sized for groups of order at most a few hundred.
+is sized for groups of order at most a few hundred.  Only validation,
+the derived series and the subgroup enumeration read the index table;
+conjugation runs on the group as a thin hypergroup, through the
+conjugation kernel and conjugator search of hypergroup.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from itertools import permutations
 
 from .errors import NotAGroupError
 from .hypergroup import (
     Hypergroup,
     _associativity_witness,
+    _conjugators,
     _right_generators,
     bits_of,
 )
@@ -254,37 +258,7 @@ def all_subgroups(table: Table) -> tuple[int, ...]:
     return tuple(sorted(found, key=lambda m: (m.bit_count(), bits_of(m))))
 
 
-def _conjugates(table: Table, sub: int, gs: Iterable[int]) -> Iterator[int]:
-    """The subgroups g^-1 (sub) g for g in gs, in that order.
-
-    The members of sub are listed once; each g^-1 is found as it is
-    reached, so a caller that stops early pays for no other inverse.
-    """
-    members = bits_of(sub)
-    for g in gs:
-        row = table[table[g].index(0)]
-        conj = 0
-        for x in members:
-            conj |= 1 << table[row[x]][g]
-        yield conj
-
-
-def _right_transversal(table: Table, sub: int) -> list[int]:
-    """The least element of each right coset (sub) g, in ascending order."""
-    members = bits_of(sub)
-    covered = 0
-    reps = []
-    for g in range(len(table)):
-        if not covered >> g & 1:
-            reps.append(g)
-            for h in members:
-                covered |= 1 << table[h][g]
-    return reps
-
-
 def find_subgroup_conjugator(table: Table, sub_a: int, sub_b: int) -> int | None:
-    """Smallest g with g^-1 A g = B, or None."""
-    for g, conj in enumerate(_conjugates(table, sub_a, range(len(table)))):
-        if conj == sub_b:
-            return g
-    return None
+    """Smallest g with g^-1 A g = B, or None; the table is validated."""
+    hg = thin_hypergroup(table)
+    return next(_conjugators(hg, sub_a, sub_b, hg.full_mask), None)

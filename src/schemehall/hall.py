@@ -22,8 +22,12 @@ conjugates the first onto it.  Queries read Hall subsets and their
 subgroups off that family: extend_to_hall answers with the first lifted
 Hall subset that contains its seed.  A query re-checks only its inputs:
 a mask test on each, and conjugating_element's scan, which stops at the
-least relation that conjugates.  That scan, the certificate's coset
-step and scheme.conjugators all read one search, hypergroup._conjugators.
+least relation that conjugates.  That scan, both certificate steps (the
+conjugator in G and its coset) and scheme.conjugators all read one
+search, hypergroup._conjugators.  G is held as the thin hypergroup the
+residue series built, so its Hall subgroups are joined by its own
+closure_mask and conjugated by the kernel S uses; only validation and
+the derived series read its index table.
 """
 from __future__ import annotations
 
@@ -41,16 +45,16 @@ from .errors import (
     NotSolvableError,
     NotSolvableGroupError,
 )
-from .groups import (
-    Table,
+from .groups import Table, is_solvable_group, thin_hypergroup
+from .hypergroup import (
+    ClosedSubset,
+    Hypergroup,
     _conjugates,
-    _right_transversal,
-    find_subgroup_conjugator,
-    generated_subgroup,
-    is_solvable_group,
-    validate_group,
+    _conjugators,
+    _enumerate_closed,
+    bits_of,
+    is_strongly_normal,
 )
-from .hypergroup import ClosedSubset, _conjugators, _enumerate_closed, bits_of, is_strongly_normal
 from .quotient import QuotientHypergroup, _lift
 from .scheme import (
     AssociationScheme,
@@ -148,7 +152,7 @@ def _core_and_halls(
             "with prime valency indices"
         )
     hq, table = series[0]
-    halls = _hall_subgroups(table, ps)
+    halls = _hall_subgroups(hq, ps)
     core = _lift(hq, reduce(and_, halls))
     if not is_strongly_normal(core, scheme.hypergroup.universe()):
         raise InternalInconsistencyError("the pi-core must be strongly normal")
@@ -181,14 +185,16 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     result: see _hall_subgroups.
     """
     ps = validate_pi(pi)
-    t = validate_group(table)
-    if not is_solvable_group(t):
-        raise NotSolvableGroupError(f"group of order {len(t)} is not solvable")
-    return _hall_subgroups(t, ps)
+    hg = thin_hypergroup(table)
+    if not is_solvable_group(group_from_thin(hg)):
+        raise NotSolvableGroupError(f"group of order {hg.size} is not solvable")
+    return _hall_subgroups(hg, ps)
 
 
-def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
-    """hall_subgroups on a solvable table, as checked by hall_subgroups or the residue series.
+def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> tuple[int, ...]:
+    """hall_subgroups on a solvable group held as a thin hypergroup, as
+    checked by hall_subgroups or the residue series.  Joins are closures,
+    right cosets mul_masks products and conjugates hypergroup._conjugates.
 
     The greedy build makes one pass over the elements and joins the same
     ones as restarting at element 1 after each join: a g that failed to
@@ -197,7 +203,7 @@ def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
     the least element of each right coset Hg, |G : H| conjugations, as
     g^-1 H g depends only on the coset: (hg)^-1 H (hg) = g^-1 H g.
     """
-    n = len(t)
+    n = hg.size
     target = pi_part(n, ps)
     hall = 1
     for g in range(1, n):
@@ -205,7 +211,7 @@ def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
             break
         if hall >> g & 1:
             continue
-        ext = generated_subgroup(t, hall | 1 << g)
+        ext = hg.closure_mask(hall | 1 << g)
         if is_pi_number(ext.bit_count(), ps):
             hall = ext
     if hall.bit_count() != target:
@@ -213,7 +219,12 @@ def _hall_subgroups(t: Table, ps: frozenset[int]) -> tuple[int, ...]:
             f"no pi-subgroup of a solvable group of order {n} grows "
             f"past order {hall.bit_count()} towards {target}"
         )
-    return tuple(sorted(set(_conjugates(t, hall, _right_transversal(t, hall))), key=bits_of))
+    reps = covered = 0
+    for g in range(n):
+        if not covered >> g & 1:
+            reps |= 1 << g
+            covered |= hg.mul_masks(hall, 1 << g)
+    return tuple(sorted({conj for _, conj in _conjugates(hg, hall, reps)}, key=bits_of))
 
 
 def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[ClosedSubset, ...]:
@@ -290,7 +301,7 @@ class _HallContext:
             )
 
         for gm, t in zip(self.halls[1:], self.lifted[1:]):
-            g = find_subgroup_conjugator(self.gtable, self.halls[0], gm)
+            g = next(_conjugators(self.hq, self.halls[0], gm, self.hq.full_mask), None)
             if g is None:
                 raise InternalInconsistencyError(
                     "quotient group route found no conjugator although a direct "

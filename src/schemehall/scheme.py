@@ -435,8 +435,8 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Quotien
     inside T) and the block of x is read off row x.  Quotient relations
     are the double cosets T s T, and the valency law
     n_{s^T} * n_T = n_{TsT} is checked exactly.  Its products and star
-    map must be the table and inverse quotient proved H1-H3 for, which
-    become its hypergroup.  Either failure raises InternalInconsistencyError.
+    map must be the table and inverse quotient proved H1-H3 for: that
+    quotient is its hypergroup.  Either failure raises InternalInconsistencyError.
     """
     hg = _own_subset(scheme, modulus, "modulus")
     hq = quotient(hg, modulus)
@@ -477,9 +477,8 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Quotien
             "of the hypergroup"
         )
     qscheme._products = None  # the hypergroup's table holds the same masks
-    qscheme.hypergroup = Hypergroup(hq.table, hq.inverse, name=qscheme.name or "scheme relations")
-    qscheme.hypergroup.valencies = qscheme.valencies
-    qscheme.hypergroup._thin_table = hq._thin_table
+    hq.valencies = qscheme.valencies
+    qscheme.hypergroup = hq
 
     n_t = modulus.valency
     for s in range(scheme.rank):

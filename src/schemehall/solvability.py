@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .arith import is_prime
 from .errors import InternalInconsistencyError
-from .groups import Table, _derived_series, generated_subgroup, is_solvable_group
+from .groups import Table, _derived_series, is_solvable_group
 from .hypergroup import (
     ClosedSubset,
     Hypergroup,
@@ -59,7 +59,7 @@ def group_from_thin(hg: Hypergroup) -> Table:
     The table of element indices is read once per hypergroup: the builders
     that read it off a thin table keep it on hg (validate_hypergroup,
     thin_hypergroup, which from_group calls, quotient, whose H // {0}
-    shares its parent's, and quotient_scheme, which keeps its quotient's),
+    shares its parent's; quotient_scheme's hypergroup is its quotient),
     and otherwise it is read here and kept."""
     t = hg._thin_table
     if t is None:
@@ -102,18 +102,18 @@ def _residue_series(hg: Hypergroup) -> tuple[tuple[QuotientHypergroup, Table], .
     return hg._residue
 
 
-def _prime_series(t: Table) -> list[int]:
-    """Subgroups 1 = H_0 < ... < H_m = G of a solvable group, each normal
-    of prime index in the next.  Each abelian section D' < D of the
-    derived series is climbed from D' by <cur, g> of least order, then
-    least g; it is normal in D, as D / D' is abelian."""
+def _prime_series(q: Hypergroup) -> list[int]:
+    """Subgroups 1 = H_0 < ... < H_m = G of the solvable group the thin
+    hypergroup q is, each normal of prime index in the next.  Each abelian
+    section D' < D of the derived series is climbed from D' by <cur, g> of
+    least order, then least g; it is normal in D, as D / D' is abelian."""
     out = [1]
-    for top in reversed(_derived_series(t)[:-1]):
+    for top in reversed(_derived_series(group_from_thin(q))[:-1]):
         while out[-1] != top:
             cur = out[-1]
             steps = []
             for g in bits_of(top & ~cur):
-                ext = generated_subgroup(t, cur | 1 << g)
+                ext = q.closure_mask(cur | 1 << g)
                 if is_prime(ext.bit_count() // cur.bit_count()):
                     steps.append((ext.bit_count(), g, ext))
             out.append(min(steps)[2])
@@ -133,8 +133,8 @@ def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
     if series is None:
         return None
     chain = [hg.neutral_subset()]
-    for q, table in reversed(series):
-        chain.extend(lift_closed(q, q.subset(h)) for h in _prime_series(table)[1:])
+    for q, _ in reversed(series):
+        chain.extend(lift_closed(q, q.subset(h)) for h in _prime_series(q)[1:])
     primes = tuple(step_quotient_order(hg, lo.bits, hi.bits) for lo, hi in zip(chain, chain[1:]))
     for lo, hi, p in zip(chain, chain[1:], primes):
         if not is_prime(p):

@@ -24,7 +24,9 @@ mask.  On the group side, the derived series from the commutators of
 all pairs, and the Hall subgroups built by restarting the greedy join
 after each success and conjugated by every group element, are the
 references for the library's generator commutators and coset
-transversal.
+transversal; the subgroup conjugator scan over every element, read off
+the index table, is the reference for the one conjugator search the
+library runs on a group as a thin hypergroup.
 """
 from __future__ import annotations
 
@@ -440,3 +442,14 @@ def hall_subgroups_full_orbit(table: Table, ps: frozenset[int]) -> tuple[int, ..
     inv = group_inverse(table)
     orbit = {mask_of(table[table[inv[g]][x]][g] for x in bits_of(hall)) for g in range(n)}
     return tuple(sorted(orbit, key=bits_of))
+
+
+def subgroup_conjugator_scan(table: Table, sub_a: int, sub_b: int) -> int | None:
+    """groups.find_subgroup_conjugator on the index table: the least g
+    with g^-1 A g = B, each conjugate read as (g^-1 x) g off the rows."""
+    inv = group_inverse(table)
+    members = bits_of(sub_a)
+    for g in range(len(table)):
+        if mask_of(table[table[inv[g]][x]][g] for x in members) == sub_b:
+            return g
+    return None

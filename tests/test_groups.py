@@ -1,9 +1,13 @@
 """Cayley-table input checks and the group constructors."""
 
+import itertools
+
 import pytest
 
 import schemehall as sh
-from schemehall.groups import find_subgroup_conjugator, generated_subgroup
+from schemehall.groups import find_subgroup_conjugator, generated_subgroup, is_solvable_group
+
+from oracles import subgroup_conjugator_scan
 
 # a loop of order 5: 2 * 3 = 0 but 3 * 2 = 1, so 2 has a right inverse
 # that is not a left one
@@ -83,3 +87,37 @@ def test_distinct_subgroups_of_an_abelian_group_have_no_conjugator():
     k4 = sh.direct_product(sh.cyclic(2), sh.cyclic(2))
     assert find_subgroup_conjugator(k4, 0b0011, 0b0101) is None
     assert find_subgroup_conjugator(k4, 0b0011, 0b0011) == 0
+
+
+def test_subgroup_conjugator_matches_the_index_table_scan():
+    """find_subgroup_conjugator, the hypergroup conjugator search run on
+    the group as a thin hypergroup, answers what the scan over every g of
+    g^-1 x g read off the table answers: on every ordered pair of Hall
+    pi-subgroups of every bundled solvable group and S4 x C2, for every
+    pi of the primes of its order."""
+    tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
+    tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(2)))
+    pairs = 0
+    for t in tables:
+        if not is_solvable_group(t):
+            continue
+        primes = sh.prime_factors(len(t))
+        for k in range(len(primes) + 1):
+            for pi in itertools.combinations(primes, k):
+                halls = sh.hall_subgroups(t, pi)
+                for a, b in itertools.product(halls, repeat=2):
+                    assert find_subgroup_conjugator(t, a, b) == subgroup_conjugator_scan(t, a, b)
+                    pairs += 1
+    assert pairs == 510
+
+
+def test_group_entry_points_validate_their_table():
+    """A row with a repeated entry is no group table: hall_subgroups and
+    find_subgroup_conjugator each refuse it before any search."""
+    table = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]
+    with pytest.raises(sh.NotAGroupError) as exc:
+        sh.hall_subgroups(table, {3})
+    assert str(exc.value) == "row 1 is not a permutation"
+    with pytest.raises(sh.NotAGroupError) as exc:
+        find_subgroup_conjugator(table, 1, 1)
+    assert str(exc.value) == "row 1 is not a permutation"

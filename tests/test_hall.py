@@ -168,7 +168,8 @@ def test_hall_subgroups_match_the_full_conjugation_orbit():
         for k in range(len(primes) + 1):
             for pi in itertools.combinations(primes, k):
                 ps = frozenset(pi)
-                assert hall_module._hall_subgroups(t, ps) == hall_subgroups_full_orbit(t, ps)
+                got = hall_module._hall_subgroups(sh.thin_hypergroup(t), ps)
+                assert got == hall_subgroups_full_orbit(t, ps)
                 cases += 1
     assert cases > 100
 
@@ -180,14 +181,14 @@ def test_hall_orbit_conjugates_once_per_coset(monkeypatch):
     real = hall_module._conjugates
 
     def counted(*args):
-        for conj in real(*args):
-            conjugations.append(conj)
-            yield conj
+        for h, conj in real(*args):
+            conjugations.append((h, conj))
+            yield h, conj
 
     monkeypatch.setattr(hall_module, "_conjugates", counted)
-    halls = hall_module._hall_subgroups(sh.symmetric(4), frozenset({2}))
+    halls = hall_module._hall_subgroups(sh.thin_hypergroup(sh.symmetric(4)), frozenset({2}))
     assert len(halls) == 3 and len(conjugations) == 3
-    assert set(conjugations) == set(halls)
+    assert {conj for _, conj in conjugations} == set(halls)
 
 
 def test_hall_subgroups_rejects_non_solvable_group():
@@ -453,7 +454,6 @@ def test_context_validates_its_group_table_once(monkeypatch):
     monkeypatch.setattr(hypergroup_module, "_associativity_witness", counted_assoc)
     monkeypatch.setattr(groups_module, "_associativity_witness", counted_assoc)
     monkeypatch.setattr(groups_module, "validate_group", counted)
-    monkeypatch.setattr(hall_module, "validate_group", counted)
     sh.find_hall(s4, {2})
     sh.find_hall(s4, {3})
     # the thin residue of S4 is {0}, and S4 // {0} is S4's own table,
@@ -749,17 +749,25 @@ def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypa
         m.setattr(hall_module, "_conjugators", lambda hg, a, b, within: iter(()))
         with pytest.raises(sh.NoConjugatorFoundError, match="no relation conjugates the first Hall subset"):
             sh.conjugating_element(s4_scheme, t, u, {2})
-    # the quotient-group route is checked once, when the context is built
-    with monkeypatch.context() as m:
-        m.setattr(hall_module, "find_subgroup_conjugator", lambda table, a, b: None)
-        with pytest.raises(sh.InternalInconsistencyError) as info:
-            sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
-        assert str(info.value) == "quotient group route found no conjugator although a direct one exists"
-    with monkeypatch.context() as m:
-        m.setattr(hall_module, "find_subgroup_conjugator", lambda table, a, b: 0)
-        with pytest.raises(sh.InternalInconsistencyError) as info:
-            sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
-        assert str(info.value) == "no member of the lifted conjugator coset conjugates the subsets directly"
+    # the quotient-group route is checked once, when the context is built:
+    # its search runs on the quotient G, the coset step on the scheme
+    real = hall_module._conjugators
+
+    def on_quotient(found):
+        def patched(hg, a, b, within):
+            return real(hg, a, b, within) if hg is fresh.hypergroup else iter(found)
+        return patched
+
+    for found, message in (
+        ((), "quotient group route found no conjugator although a direct one exists"),
+        ((0,), "no member of the lifted conjugator coset conjugates the subsets directly"),
+    ):
+        fresh = sh.from_group(sh.symmetric(4))
+        with monkeypatch.context() as m:
+            m.setattr(hall_module, "_conjugators", on_quotient(found))
+            with pytest.raises(sh.InternalInconsistencyError) as info:
+                sh.find_hall(fresh, {2})
+        assert str(info.value) == message
     assert sh.conjugating_element(s4_scheme, t, u, {2}) == 4
 
 
@@ -772,19 +780,24 @@ def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypa
     ids=["s4-pi2", "s4xc2-pi3"],
 )
 def test_conjugacy_is_certified_once_per_family(table, pi, k, monkeypatch):
-    """A context of k Hall subsets finds k - 1 quotient-group conjugators
-    at build; conjugating_element finds none."""
+    """A context of k Hall subsets searches the quotient group for k - 1
+    conjugators at build, one onto each Hall subgroup after the first;
+    conjugating_element searches it for none."""
     calls = []
-    real = hall_module.find_subgroup_conjugator
+    real = hall_module._conjugators
 
-    def counted(gtable, a, b):
-        calls.append((a, b))
-        return real(gtable, a, b)
+    def counted(hg, a, b, within):
+        calls.append((hg, a, b))
+        return real(hg, a, b, within)
 
-    monkeypatch.setattr(hall_module, "find_subgroup_conjugator", counted)
+    monkeypatch.setattr(hall_module, "_conjugators", counted)
     scheme = sh.from_group(table)
     sh.find_hall(scheme, pi)
-    assert len(calls) == k - 1
+    ctx, = scheme._hall_contexts.values()
+    assert [(a, b) for hg, a, b in calls if hg is ctx.hq] == [
+        (ctx.halls[0], gm) for gm in ctx.halls[1:]
+    ]
+    assert len(ctx.halls) == k
     halls = sh.all_hall_subsets(scheme, pi)
     assert len(halls) == k
     calls.clear()
@@ -792,4 +805,4 @@ def test_conjugacy_is_certified_once_per_family(table, pi, k, monkeypatch):
         for u in halls:
             g = sh.conjugating_element(scheme, t, u, pi)
             assert sh.conjugate_subset(scheme, t, g) == u
-    assert calls == []
+    assert [hg for hg, _, _ in calls if hg is ctx.hq] == []

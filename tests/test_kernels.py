@@ -734,13 +734,16 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     the {2} walk makes fewer closures than a full walk of the same
     lattice (85 and 133 under Close-by-One), the {3} walk fewer again
     (22), and {2, 3} and {} (Hall subsets S4 and {0}) none.  No walk of
-    the whole lattice is made, and none is left cached."""
+    the whole lattice is made, and none is left cached.  Only closures
+    on the scheme's hypergroup count: the Hall subgroups of G are joined
+    on its residue quotient."""
     closures = []
     keeps = []
     original_closure = Hypergroup.closure_mask
 
     def counted_closure(self, mask, within=None):
-        closures.append(mask)
+        if self is s4.hypergroup:
+            closures.append(mask)
         return original_closure(self, mask, within)
 
     def counted_walk(hg, keep):
@@ -764,9 +767,9 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
         made[frozenset(pi)] = len(closures)
     (prep, gens), = once
     assert 0 < prep <= gens.bit_count() < 24
-    hg = sh.from_group(sh.symmetric(4)).hypergroup
+    s4 = sh.from_group(sh.symmetric(4))
     closures.clear()
-    _enumerate_closed(hg, None)
+    _enumerate_closed(s4.hypergroup, None)
     assert made[frozenset({3})] < made[frozenset({2})] < len(closures)
     assert made[frozenset({2, 3})] == made[frozenset()] == 0
     assert len(keeps) == 2 and None not in keeps
@@ -777,14 +780,16 @@ def test_second_pi_closes_no_singleton(monkeypatch):
     and, for its walk, the attributes (16 singleton closures); the {3}
     walk after it closes no singleton and makes fewer closures than on
     a fresh scheme, {2, 3} and {} make none, and the generating set is
-    built once in all."""
+    built once in all.  Only closures on the scheme's hypergroup count,
+    not those joining the Hall subgroups of its residue quotient."""
     closures = []
     builds = []
     original_closure = Hypergroup.closure_mask
     original_generators = _generators
 
     def counted_closure(self, mask, within=None):
-        closures.append(mask)
+        if self is s4.hypergroup:
+            closures.append(mask)
         return original_closure(self, mask, within)
 
     def counted_generators(hg):
@@ -793,9 +798,9 @@ def test_second_pi_closes_no_singleton(monkeypatch):
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
     monkeypatch.setattr(sys.modules["schemehall.hypergroup"], "_generators", counted_generators)
-    fresh3 = sh.from_group(sh.symmetric(4))
-    sh.is_solvable_scheme(fresh3)
-    sh.find_hall(fresh3, {3})
+    s4 = sh.from_group(sh.symmetric(4))  # a fresh scheme for the {3} walk alone
+    sh.is_solvable_scheme(s4)
+    sh.find_hall(s4, {3})
     on_fresh = len(closures)
     s4 = sh.from_group(sh.symmetric(4))
     sh.is_solvable_scheme(s4)
@@ -905,7 +910,9 @@ def test_hall_context_checks_strong_normality_once(monkeypatch):
     that the core is strongly normal, and the quotient side is checked
     by thinness alone, so one is_strongly_normal call in all.  It
     conjugates the core by the generating set and its stars alone, not
-    by all 24 relations."""
+    by all 24 relations; the conjugacy certificate's searches on the
+    residue quotient G run over all of G, one for each Hall subgroup
+    after the first."""
     calls = []
     original = sh.is_strongly_normal
     original_conjugates = _conjugates
@@ -916,7 +923,7 @@ def test_hall_context_checks_strong_normality_once(monkeypatch):
         return original(f, g)
 
     def counted_conjugates(hg, mask, within):
-        withins.append(within)
+        withins.append((hg, within))
         return original_conjugates(hg, mask, within)
 
     s4 = sh.from_group(sh.symmetric(4))
@@ -932,10 +939,12 @@ def test_hall_context_checks_strong_normality_once(monkeypatch):
     s4 = sh.from_group(sh.symmetric(4))
     assert sh.is_solvable_scheme(s4)
     monkeypatch.setattr(sys.modules["schemehall.hypergroup"], "_conjugates", counted_conjugates)
-    sh.find_hall(s4, {2})
-    hg = s4.hypergroup
-    assert withins[0] == _generators(hg) and hg.full_mask not in withins
-    assert withins[0].bit_count() < 24
+    cert = sh.find_hall(s4, {2})
+    hg, hq = s4.hypergroup, cert.hyper_quotient
+    on_hg = [within for h, within in withins if h is hg]
+    assert on_hg[0] == _generators(hg) and hg.full_mask not in on_hg
+    assert on_hg[0].bit_count() < 24
+    assert [within for h, within in withins if h is not hg] == [hq.full_mask] * 2
 
 
 # --- scheme ingest -----------------------------------------------------------

@@ -130,6 +130,20 @@ def test_thin_quotient_scheme_keeps_the_group_table():
     assert q.scheme.hypergroup._thin_table is q.hyper_quotient._thin_table
 
 
+def test_quotient_scheme_has_one_hypergroup():
+    """The quotient scheme's hypergroup is the hypergroup quotient that
+    quotient_scheme checked its products against, carrying the quotient
+    scheme's valencies: on S4 modulo A4 (thin) and on the wreath scheme
+    hm176_28 modulo the closed subset {0, 1, 2, 3}."""
+    s4 = sh.from_group(sh.symmetric(4), name="s4")
+    (a4,) = [t for t in s4.closed_subsets() if t.valency == 12]
+    wreath = sh.bundled_scheme("hm176_28").scheme()
+    for scheme, modulus in ((s4, a4), (wreath, wreath.closed_subset([0, 1, 2, 3]))):
+        q = sh.quotient_scheme(scheme, modulus)
+        assert q.scheme.hypergroup is q.hyper_quotient
+        assert q.hyper_quotient.valencies == q.scheme.valencies
+
+
 def test_from_group_equals_the_validated_rows():
     """from_group builds the thin scheme without validate_scheme's passes:
     on every bundled group and on S4 x C4 (96 points) it equals
