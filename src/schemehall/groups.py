@@ -2,10 +2,11 @@
 
 Tables are tuples of tuples with table[x][g] = xg and the identity at
 index 0.  Subgroups are bitmasks over element indices.  Everything here
-is sized for groups of order at most a few hundred.  Only validation,
-the derived series and the subgroup enumeration read the index table;
-conjugation runs on the group as a thin hypergroup, through the
-conjugation kernel and conjugator search of hypergroup.
+is sized for groups of order at most a few hundred.  Only validation
+reads the index table: past it a group is its thin hypergroup, whose
+closure_mask generates subgroups, whose single-bit cells give the
+commutators of the derived series, and whose conjugation kernel and
+conjugator search in hypergroup conjugate them.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .hypergroup import (
     Hypergroup,
     _associativity_witness,
     _conjugators,
-    _right_generators,
     bits_of,
 )
 
@@ -190,68 +190,59 @@ def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergrou
 # subgroups
 
 
-def generated_subgroup(table: Table, gens: int) -> int:
-    """Mask of the subgroup generated by the masked elements: 1 and gens
-    closed under right multiplication by gens, which in a finite group
-    holds the inverses too.  Each round multiplies only the new elements."""
-    right = bits_of(gens)
-    cur = new = gens | 1
-    while new:
-        nxt = 0
-        for a in bits_of(new):
-            row = table[a]
-            for b in right:
-                nxt |= 1 << row[b]
-        new = nxt & ~cur
-        cur |= new
-    return cur
-
-
-def _derived_series(table: Table) -> list[int]:
-    """The derived series G > G' > G'' > ... as subgroup masks, ending at
-    {1} or at the first step that stops shrinking (a nontrivial perfect
-    subgroup).  Each step D' is closed from the commutators
-    [x, y] = x^-1 y^-1 x y with x in a generating set of D and y in D.
-    That is exact: the subgroup N they generate is normal in D, as
+def _derived_series(hg: Hypergroup) -> list[int]:
+    """The derived series G > G' > G'' > ... of the thin hypergroup hg,
+    as subgroup masks, ending at {1} or at the first step that stops
+    shrinking (a nontrivial perfect subgroup).  Each step D' is closed
+    from the commutators [x, y] = x^-1 y^-1 x y, read off the single-bit
+    cells, with y in D and x in a generating set of D: each element
+    outside the closure of the generators before it.  That is exact:
+    the subgroup N they generate is normal in D, as
     [x, y]^g = [x, g]^-1 [x, yg], so each generator x of D is central
     modulo N, D / N is abelian, and N holds every commutator of D."""
-    inv = group_inverse(table)
-    series = [(1 << len(table)) - 1]
+    rows, inv = hg.table, hg.inverse
+    series = [hg.full_mask]
     while series[-1] != 1:
         members = bits_of(series[-1])
-        commutators = 0
-        for x in _right_generators(table, members):
-            row_ix, row_x = table[inv[x]], table[x]
+        gens = reached = commutators = 0
+        for x in members:
+            if not reached >> x & 1:
+                gens |= 1 << x
+                reached = hg.closure_mask(gens)
+        for x in bits_of(gens):
+            row_ix, row_x = rows[inv[x]], rows[x]
             for y in members:
-                commutators |= 1 << table[row_ix[inv[y]]][row_x[y]]
-        nxt = generated_subgroup(table, commutators)
+                commutators |= rows[row_ix[inv[y]].bit_length() - 1][row_x[y].bit_length() - 1]
+        nxt = hg.closure_mask(commutators)
         if nxt == series[-1]:
             break
         series.append(nxt)
     return series
 
 
-def is_solvable_group(table: Table) -> bool:
-    """Whether the derived series reaches the trivial subgroup."""
-    return _derived_series(table)[-1] == 1
+def is_solvable_group(hg: Hypergroup) -> bool:
+    """Whether the derived series of the thin hypergroup hg reaches the
+    trivial subgroup."""
+    return _derived_series(hg)[-1] == 1
 
 
 def all_subgroups(table: Table) -> tuple[int, ...]:
     """Every subgroup, by closing one added generator at a time.
 
-    Deterministic output sorted by (order, member tuple).  This is the
-    blunt enumeration the tests use as an oracle; it is exhaustive
-    because any subgroup is reached by adding its elements one by one.
+    The table is validated by thin_hypergroup, whose closure_mask closes
+    each join.  Deterministic output sorted by (order, member tuple);
+    exhaustive because any subgroup is reached by adding its elements
+    one by one.
     """
-    n = len(table)
+    hg = thin_hypergroup(table)
     found = {1}
     work = [1]
     while work:
         cur = work.pop()
-        for g in range(1, n):
+        for g in range(1, hg.size):
             if cur >> g & 1:
                 continue
-            ext = generated_subgroup(table, cur | 1 << g)
+            ext = hg.closure_mask(cur | 1 << g)
             if ext not in found:
                 found.add(ext)
                 work.append(ext)
@@ -259,6 +250,9 @@ def all_subgroups(table: Table) -> tuple[int, ...]:
 
 
 def find_subgroup_conjugator(table: Table, sub_a: int, sub_b: int) -> int | None:
-    """Smallest g with g^-1 A g = B, or None; the table is validated."""
+    """Smallest g with g^-1 A g = B, or None; the table is validated and
+    each mask read through Hypergroup.subset, which raises ValueError on
+    one out of range."""
     hg = thin_hypergroup(table)
-    return next(_conjugators(hg, sub_a, sub_b, hg.full_mask), None)
+    a, b = hg.subset(sub_a).bits, hg.subset(sub_b).bits
+    return next(_conjugators(hg, a, b, hg.full_mask), None)

@@ -25,9 +25,10 @@ a mask test on each, and conjugating_element's scan, which stops at the
 least relation that conjugates.  That scan, both certificate steps (the
 conjugator in G and its coset) and scheme.conjugators all read one
 search, hypergroup._conjugators.  G is held as the thin hypergroup the
-residue series built, so its Hall subgroups are joined by its own
-closure_mask and conjugated by the kernel S uses; only validation and
-the derived series read its index table.
+residue series built, so its derived series and its Hall subgroups are
+joined by its own closure_mask and conjugated by the kernel S uses; only
+validation reads a Cayley index table, and the certificates carry the
+one the quotient kept.
 """
 from __future__ import annotations
 
@@ -130,14 +131,14 @@ class HallCertificate:
 
 def _core_and_halls(
     scheme: AssociationScheme, ps: frozenset[int], valenced: int
-) -> tuple[QuotientHypergroup, Table, tuple[int, ...], ClosedSubset]:
+) -> tuple[QuotientHypergroup, tuple[int, ...], ClosedSubset]:
     """The Hall structure of (scheme, ps), built once: the quotient
-    S // O^θ(S), its group table, that group's Hall ps-subgroups and
-    the pi-core lifted from their intersection, O_pi(G).  valenced masks
-    the ps-valenced relations.  Raises NotPiValencedError naming the
-    first relation that fails, then NotSolvableError.  The core is
-    checked closed by _lift and strongly normal by conjugation, rather
-    than trusted."""
+    G = S // O^θ(S), that group's Hall ps-subgroups and the pi-core
+    lifted from their intersection, O_pi(G).  valenced masks the
+    ps-valenced relations.  Raises NotPiValencedError naming the first
+    relation that fails, then NotSolvableError.  The core is checked
+    closed by _lift and strongly normal by conjugation, rather than
+    trusted."""
     missing = ~valenced & ((1 << scheme.rank) - 1)
     if missing:
         s = (missing & -missing).bit_length() - 1  # the first relation that fails
@@ -151,12 +152,12 @@ def _core_and_halls(
             "scheme admits no chain of strongly normal closed subsets "
             "with prime valency indices"
         )
-    hq, table = series[0]
+    hq = series[0]
     halls = _hall_subgroups(hq, ps)
     core = _lift(hq, reduce(and_, halls))
     if not is_strongly_normal(core, scheme.hypergroup.universe()):
         raise InternalInconsistencyError("the pi-core must be strongly normal")
-    return hq, table, halls, core
+    return hq, halls, core
 
 
 def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
@@ -166,27 +167,27 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
     structure afresh through the residue series, walking no lattice;
     Hall queries read the core off their cached context instead."""
     ps = validate_pi(pi)
-    return _core_and_halls(scheme, ps, _pi_valenced_mask(scheme, ps))[3]
+    return _core_and_halls(scheme, ps, _pi_valenced_mask(scheme, ps))[2]
 
 
 def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     """All subgroups whose order is the pi-part of the group order.
 
     Subgroup bitmasks, ordered by member tuple.  The group must be
-    solvable, which is checked on the table itself: its derived series
-    must reach the trivial subgroup.  One Hall subgroup is built
-    greedily from the trivial one: join the first element (in index
-    order) whose generated subgroup is still a pi-group, until the
-    order is the pi-part.  In a solvable group every pi-subgroup lies
-    in a Hall pi-subgroup and all Hall pi-subgroups are conjugate
-    (P. Hall 1928), so the build never stalls and the conjugation orbit
-    of its result is the whole family.  The build is one pass over the
-    elements and the orbit is taken over a right transversal of the
-    result: see _hall_subgroups.
+    solvable, which is checked on the validated table's thin hypergroup:
+    its derived series must reach the trivial subgroup.  One Hall
+    subgroup is built greedily from the trivial one: join the first
+    element (in index order) whose generated subgroup is still a
+    pi-group, until the order is the pi-part.  In a solvable group
+    every pi-subgroup lies in a Hall pi-subgroup and all Hall
+    pi-subgroups are conjugate (P. Hall 1928), so the build never stalls
+    and the conjugation orbit of its result is the whole family.  The
+    build is one pass over the elements and the orbit is taken over a
+    right transversal of the result: see _hall_subgroups.
     """
     ps = validate_pi(pi)
     hg = thin_hypergroup(table)
-    if not is_solvable_group(group_from_thin(hg)):
+    if not is_solvable_group(hg):
         raise NotSolvableGroupError(f"group of order {hg.size} is not solvable")
     return _hall_subgroups(hg, ps)
 
@@ -269,15 +270,16 @@ class _HallContext:
     """The Hall structure of one (scheme, pi), built and checked once.
 
     valenced masks the pi-valenced relations and target is the pi-part
-    of n, for the queries' tests.  core is the pi-core, hq the quotient
-    by the thin residue and gtable that quotient read off as a group,
-    both shared by every pi; halls are the Hall subgroups of gtable in
-    hall_subgroups order and lifted[i] the sum of the cosets halls[i]
-    names, given the valency target.  No lift is checked on its own: the
-    family equals all_hall_subsets, whose members are closed and Hall,
-    which proves each lift closed, Hall and of that valency.  Only then
-    is each certified conjugate to lifted[0] through the coset of a
-    conjugator of halls[0] onto halls[i].  The core alone is checked closed by
+    of n, for the queries' tests.  core is the pi-core and hq the
+    quotient by the thin residue, shared by every pi; gtable is its
+    Cayley table, which the residue series left on it, read once for the
+    certificates.  halls are the Hall subgroups of hq in hall_subgroups
+    order and lifted[i] the sum of the cosets halls[i] names, given the
+    valency target.  No lift is checked on its own: the family equals
+    all_hall_subsets, whose members are closed and Hall, which proves
+    each lift closed, Hall and of that valency.  Only then is each
+    certified conjugate to lifted[0] through the coset of a conjugator
+    of halls[0] onto halls[i].  The core alone is checked closed by
     _lift, in _core_and_halls.  best indexes the least lifted Hall
     subset.  Every pi with the same primes among those of the scheme
     shares the context.
@@ -288,7 +290,8 @@ class _HallContext:
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
         self.valenced, self.target = _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps)
-        self.hq, self.gtable, self.halls, self.core = _core_and_halls(scheme, ps, self.valenced)
+        self.hq, self.halls, self.core = _core_and_halls(scheme, ps, self.valenced)
+        self.gtable = group_from_thin(self.hq)
         hg, cosets = scheme.hypergroup, self.hq.cosets
         self.lifted = tuple(
             ClosedSubset(hg, sum(map(cosets.__getitem__, bits_of(gm))), self.target)

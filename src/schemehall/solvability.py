@@ -6,8 +6,9 @@ each s^s, and for scheme hypergroups O^θ(T) is strongly normal itself
 (Zieschang 2005), so T // O^θ(T) is a group.  H is solvable exactly when
 its residue series H = T_0 > T_1 = O^θ(T_0) > ... reaches {0}, no step
 equal to its whole, with every factor T_i // T_{i+1} a solvable group.
-group_from_thin reads each factor off as a group; its thinness check is
-the strong-normality check of the step.
+group_from_thin checks each factor thin, which is the strong-normality
+check of the step, and the factor's derived series runs on the factor
+itself, a thin hypergroup: the series keeps the factors alone.
 
 A solvable chain {0} = F_0 < F_1 < ... < F_n = H, each F_{i-1} strongly
 normal in F_i with F_i // F_{i-1} of prime order, is a witness built
@@ -35,7 +36,6 @@ __all__ = [
     "group_from_thin",
     "solvable_chain",
     "is_solvable",
-    "step_quotient_order",
 ]
 
 
@@ -60,7 +60,8 @@ def group_from_thin(hg: Hypergroup) -> Table:
     that read it off a thin table keep it on hg (validate_hypergroup,
     thin_hypergroup, which from_group calls, quotient, whose H // {0}
     shares its parent's; quotient_scheme's hypergroup is its quotient),
-    and otherwise it is read here and kept."""
+    and otherwise it is read here and kept.  The residue series calls it
+    for its raise, the Hall certificates for G's table."""
     t = hg._thin_table
     if t is None:
         t = _thin_index_table(hg.table)
@@ -75,10 +76,11 @@ def group_from_thin(hg: Hypergroup) -> Table:
     return t
 
 
-def _residue_series(hg: Hypergroup) -> tuple[tuple[QuotientHypergroup, Table], ...] | None:
+def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
     """The factors T // O^θ(T) of the residue series from the top down,
-    as (quotient, group table), cached; None when hg is not solvable.
-    Each quotient is a subquotient of hg, its cosets masks over hg.  A
+    cached; None when hg is not solvable.  Each quotient is a subquotient
+    of hg, its cosets masks over hg, checked thin by group_from_thin and
+    solvable by its derived series, both read off the quotient.  A
     series that stands still needs no quotient.  The one-element
     hypergroup has the factor {0} // {0}, so a solvable hypergroup
     always has a top factor, and the cache holds () for not solvable."""
@@ -93,11 +95,11 @@ def _residue_series(hg: Hypergroup) -> tuple[tuple[QuotientHypergroup, Table], .
     factors = []
     for outer, inner in zip(masks, masks[1:]):
         q = subquotient(hg, ClosedSubset(hg, outer), ClosedSubset(hg, inner))
-        table = group_from_thin(q)
-        if not is_solvable_group(table):
+        group_from_thin(q)  # the step's thinness check: raises unless q is thin
+        if not is_solvable_group(q):
             hg._residue = ()
             return None
-        factors.append((q, table))
+        factors.append(q)
     hg._residue = tuple(factors)
     return hg._residue
 
@@ -108,7 +110,7 @@ def _prime_series(q: Hypergroup) -> list[int]:
     section D' < D of the derived series is climbed from D' by <cur, g> of
     least order, then least g; it is normal in D, as D / D' is abelian."""
     out = [1]
-    for top in reversed(_derived_series(group_from_thin(q))[:-1]):
+    for top in reversed(_derived_series(q)[:-1]):
         while out[-1] != top:
             cur = out[-1]
             steps = []
@@ -120,11 +122,6 @@ def _prime_series(q: Hypergroup) -> list[int]:
     return out
 
 
-def step_quotient_order(hg: Hypergroup, inner: int, outer: int) -> int:
-    """Number of double cosets of the closed set `inner` inside `outer`."""
-    return len(_double_cosets(hg, inner, outer))
-
-
 def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
     """A solvable chain lifted by lift_closed from the residue series, or
     None; each step is checked strongly normal with a prime number of
@@ -133,9 +130,9 @@ def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
     if series is None:
         return None
     chain = [hg.neutral_subset()]
-    for q, _ in reversed(series):
+    for q in reversed(series):
         chain.extend(lift_closed(q, q.subset(h)) for h in _prime_series(q)[1:])
-    primes = tuple(step_quotient_order(hg, lo.bits, hi.bits) for lo, hi in zip(chain, chain[1:]))
+    primes = tuple(len(_double_cosets(hg, lo.bits, hi.bits)) for lo, hi in zip(chain, chain[1:]))
     for lo, hi, p in zip(chain, chain[1:], primes):
         if not is_prime(p):
             raise InternalInconsistencyError(

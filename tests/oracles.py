@@ -20,13 +20,18 @@ normalizer kernel (two mul_masks products per element, and a chain
 search that tests normality pair by pair) are kept here too, and so is
 the closed subset walk by cyclic extension that the library replaced
 with Close-by-One, as the reference the new walk must match mask for
-mask.  On the group side, the derived series from the commutators of
-all pairs, and the Hall subgroups built by restarting the greedy join
-after each success and conjugated by every group element, are the
-references for the library's generator commutators and coset
-transversal; the subgroup conjugator scan over every element, read off
-the index table, is the reference for the one conjugator search the
-library runs on a group as a thin hypergroup.
+mask.  On the group side the references read the Cayley index table,
+which the library reads only to validate it, and close subgroups with
+generated_subgroup, an index-table kernel the library does not share:
+the derived series from the commutators of all pairs, and the Hall
+subgroups built by restarting the greedy join after each success and
+conjugated by every group element, are the references for the
+library's generator commutators and coset transversal; the subgroup
+enumeration by one added generator at a time is the reference for
+all_subgroups, and the subgroup conjugator scan over every element is
+the reference for the one conjugator search the library runs on a
+group as a thin hypergroup.  Each step of a solvable chain is counted
+by its double cosets, as the library's chain check counts it.
 """
 from __future__ import annotations
 
@@ -41,13 +46,14 @@ from schemehall.errors import (
     NotClosedError,
     NotSubsetError,
 )
-from schemehall.groups import Table, generated_subgroup, group_inverse
+from schemehall.groups import Table, group_inverse
 from schemehall.hall import HallCertificate, _context
 from schemehall.hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
     _as_closed,
+    _double_cosets,
     bits_of,
     enumerate_closed_subsets,
     is_strongly_normal,
@@ -57,7 +63,6 @@ from schemehall.hypergroup import (
 )
 from schemehall.quotient import QuotientHypergroup, quotient
 from schemehall.scheme import pi_predicates
-from schemehall.solvability import step_quotient_order
 
 __all__ = [
     "mul_masks_low_bit",
@@ -77,6 +82,8 @@ __all__ = [
     "restriction_copy",
     "subquotient_of_copy",
     "subquotient_over_parent",
+    "generated_subgroup",
+    "all_subgroups_scan",
     "derived_series_all_pairs",
     "hall_subgroups_full_orbit",
 ]
@@ -262,7 +269,7 @@ def solvable_chain_scan(hg: Hypergroup) -> list[int] | None:
             g = ClosedSubset(hg, nxt.bits)
             if not is_strongly_normal(f, g):
                 continue
-            if not is_prime(step_quotient_order(hg, cur, nxt.bits)):
+            if not is_prime(len(_double_cosets(hg, cur, nxt.bits))):
                 continue
             got = extend(chain + [nxt.bits])
             if got is not None:
@@ -297,7 +304,7 @@ def solvable_chain_dfs(hg: Hypergroup) -> list[int] | None:
         for g in _covers(hg, cur):
             if not is_strongly_normal(f, g):
                 continue
-            order = step_quotient_order(hg, cur, g.bits)
+            order = len(_double_cosets(hg, cur, g.bits))
             if not is_prime(order):
                 raise InternalInconsistencyError(
                     f"strongly normal cover step has {order} double cosets, not a prime"
@@ -403,6 +410,41 @@ def subquotient_over_parent(hg: Hypergroup, outer: ElementSubset, inner: Element
         for x in bits_of(c):
             coset_of[x] = i
     return q.table, q.inverse, cosets, tuple(coset_of)
+
+
+def generated_subgroup(table: Table, gens: int) -> int:
+    """Mask of the subgroup generated by the masked elements: 1 and gens
+    closed under right multiplication by gens, which in a finite group
+    holds the inverses too.  Each round multiplies only the new elements."""
+    right = bits_of(gens)
+    cur = new = gens | 1
+    while new:
+        nxt = 0
+        for a in bits_of(new):
+            row = table[a]
+            for b in right:
+                nxt |= 1 << row[b]
+        new = nxt & ~cur
+        cur |= new
+    return cur
+
+
+def all_subgroups_scan(table: Table) -> tuple[int, ...]:
+    """groups.all_subgroups on the index table, each join closed by
+    generated_subgroup; the table is not validated."""
+    n = len(table)
+    found = {1}
+    work = [1]
+    while work:
+        cur = work.pop()
+        for g in range(1, n):
+            if cur >> g & 1:
+                continue
+            ext = generated_subgroup(table, cur | 1 << g)
+            if ext not in found:
+                found.add(ext)
+                work.append(ext)
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), bits_of(m))))
 
 
 def derived_series_all_pairs(table: Table) -> list[int]:

@@ -12,10 +12,9 @@ from functools import reduce
 import pytest
 
 import schemehall as sh
-from schemehall.groups import all_subgroups
 
 from conftest import ALL_PI, catalogue_schemes, corpus_hypergroups
-from oracles import all_closed_subsets_scan
+from oracles import all_closed_subsets_scan, all_subgroups_scan
 
 
 def test_criterion_1_order28_catalogue_scheme():
@@ -96,7 +95,7 @@ def test_criterion_3_group_correspondence():
     halls = sh.all_hall_subsets(s4, {2})
     assert len(halls) == 3
     brute = sorted(
-        m for m in all_subgroups(sh.bundled_group("s4").table)
+        m for m in all_subgroups_scan(sh.bundled_group("s4").table)
         if bin(m).count("1") == 8
     )
     assert sorted(h.bits for h in halls) == brute

@@ -5,9 +5,9 @@ import itertools
 import pytest
 
 import schemehall as sh
-from schemehall.groups import find_subgroup_conjugator, generated_subgroup, is_solvable_group
+from schemehall.groups import all_subgroups, find_subgroup_conjugator, is_solvable_group
 
-from oracles import subgroup_conjugator_scan
+from oracles import all_subgroups_scan, generated_subgroup, subgroup_conjugator_scan
 
 # a loop of order 5: 2 * 3 = 0 but 3 * 2 = 1, so 2 has a right inverse
 # that is not a left one
@@ -99,7 +99,7 @@ def test_subgroup_conjugator_matches_the_index_table_scan():
     tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(2)))
     pairs = 0
     for t in tables:
-        if not is_solvable_group(t):
+        if not is_solvable_group(sh.thin_hypergroup(t)):
             continue
         primes = sh.prime_factors(len(t))
         for k in range(len(primes) + 1):
@@ -112,8 +112,10 @@ def test_subgroup_conjugator_matches_the_index_table_scan():
 
 
 def test_group_entry_points_validate_their_table():
-    """A row with a repeated entry is no group table: hall_subgroups and
-    find_subgroup_conjugator each refuse it before any search."""
+    """A row with a repeated entry is no group table: hall_subgroups,
+    find_subgroup_conjugator and all_subgroups each refuse it before any
+    search.  find_subgroup_conjugator reads each mask as a subset of the
+    group, so a mask out of range is a ValueError, not an IndexError."""
     table = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]
     with pytest.raises(sh.NotAGroupError) as exc:
         sh.hall_subgroups(table, {3})
@@ -121,3 +123,25 @@ def test_group_entry_points_validate_their_table():
     with pytest.raises(sh.NotAGroupError) as exc:
         find_subgroup_conjugator(table, 1, 1)
     assert str(exc.value) == "row 1 is not a permutation"
+    with pytest.raises(sh.NotAGroupError) as exc:
+        all_subgroups(table)
+    assert str(exc.value) == "row 1 is not a permutation"
+    c4 = sh.cyclic(4)
+    for a, b, message in [
+        (1 << 10, 1, "mask 0x400 is out of range for order 4"),
+        (-1, 1, "mask -0x1 is out of range for order 4"),
+        (1, 1 << 4, "mask 0x10 is out of range for order 4"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            find_subgroup_conjugator(c4, a, b)
+        assert str(exc.value) == message
+
+
+def test_all_subgroups_matches_the_index_table_scan():
+    """all_subgroups, which joins by closure_mask on the thin hypergroup,
+    finds the subgroups the index-table scan finds, in the same order: on
+    every bundled group and S4 x C2."""
+    tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
+    tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(2)))
+    for t in tables:
+        assert all_subgroups(t) == all_subgroups_scan(t), len(t)

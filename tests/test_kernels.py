@@ -346,18 +346,27 @@ def test_light_test_builds_a_row_reader_per_generator(monkeypatch):
 
 
 def test_derived_series_matches_all_pairs():
-    """The commutators of a generating set with the whole step generate
-    the same derived subgroup as those of every pair: on every bundled
-    group, on A5, which is perfect, and on S4 x C4."""
+    """The commutators of a generating set with the whole step, read off
+    the thin hypergroup and closed by closure_mask, generate the same
+    derived subgroup as those of every pair closed on the index table: on
+    every bundled group, on A5, which is perfect, on S4 x C4, and past
+    order 96 on S4 x C2^3 and A5 x C2."""
+    c2 = sh.cyclic(2)
+    s4c2cube = sh.direct_product(sh.direct_product(sh.symmetric(4), c2), sh.direct_product(c2, c2))
+    a5c2 = sh.direct_product(sh.alternating(5), c2)
     tables = [sh.bundled_group(n).table for n in sh.bundled_group_names()]
-    tables += [sh.alternating(5), sh.direct_product(sh.symmetric(4), sh.cyclic(4))]
+    tables += [sh.alternating(5), sh.direct_product(sh.symmetric(4), sh.cyclic(4)), s4c2cube, a5c2]
     lengths = set()
+    orders = {}
     for t in tables:
-        series = _derived_series(t)
+        series = _derived_series(sh.thin_hypergroup(t))
         assert series == derived_series_all_pairs(t), len(t)
         lengths.add(len(series))
-    assert _derived_series(sh.alternating(5)) == [(1 << 60) - 1]
+        orders[len(t)] = [d.bit_count() for d in series]
+    assert _derived_series(sh.thin_hypergroup(sh.alternating(5))) == [(1 << 60) - 1]
     assert {1, 2, 3, 4} <= lengths
+    assert orders[192] == [192, 12, 4, 1]
+    assert orders[120] == [120, 60]
 
 
 def _intercalate_swaps(t):

@@ -62,10 +62,11 @@ def test_a5_not_solvable():
 
 
 def test_step_quotient_order_matches_chain():
+    """Each step's prime is the order of its quotient, outer // inner."""
     c6 = sh.thin_hypergroup(sh.cyclic(6))
     chain = sh.solvable_chain(c6)
     for inner, outer, p in zip(chain.subsets, chain.subsets[1:], chain.step_primes):
-        assert sh.step_quotient_order(c6, inner.bits, outer.bits) == p
+        assert sh.subquotient(c6, outer, inner).size == p
 
 
 def test_chain_steps_are_strongly_normal_and_prime():
@@ -101,7 +102,7 @@ def test_solvable_memoized():
 def test_non_prime_cover_step_is_an_internal_error(monkeypatch):
     """A cover step's quotient has no closed subsets but its two ends, so
     its order is prime; a composite count means the engine broke."""
-    monkeypatch.setattr(solvability, "step_quotient_order", lambda hg, inner, outer: 4)
+    monkeypatch.setattr(solvability, "_double_cosets", lambda hg, f, domain: [f] * 4)
     sq = sh.validate_hypergroup(SQUARE, name="square")
     with pytest.raises(
         sh.InternalInconsistencyError,

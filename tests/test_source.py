@@ -3,8 +3,9 @@
 Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
-does not use, the public API carries no name without a caller, the
-names and methods only tests call are listed, ClosedSubset has no
+does not use, the public API carries no name without a caller, no
+private helper lacks a caller in src/, the names and methods only
+tests call are listed, ClosedSubset has no
 subclass, and every name the bench
 tracer patches exists.  The README's quick tour runs and shows the
 values its comments state.  The package's __all__ is the union of its
@@ -151,6 +152,27 @@ def test_every_public_name_has_a_caller():
         used |= _references(path)
     unused = sorted(set(schemehall.__all__) - used)
     assert not unused, f"public names with no caller: {unused}"
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    """Each module-level private function or class in the package is
+    referenced in src/ outside its own definition, so a kernel the
+    library stopped calling leaves src/ rather than staying on as an
+    uncalled private."""
+    files = sorted(SOURCE.glob("*.py"))
+    used: set[str] = set()
+    private = []
+    for path in files:
+        used |= _references(path)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        private += [
+            f"{path.name}:{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+        ]
+    assert private
+    uncalled = [entry for entry in private if entry.split(":")[1] not in used]
+    assert not uncalled, f"private helpers with no caller in src/: {uncalled}"
 
 
 # public names whose only callers are tests, each with the reason it
