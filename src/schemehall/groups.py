@@ -181,9 +181,7 @@ def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergrou
     """The group as a hypergroup with singleton products; validate_group's
     proof of the group axioms is its proof of H1-H3."""
     t = validate_group(table)
-    hg = Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
-    hg._thin_table = t
-    return hg
+    return Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The route goes through one group per scheme: G = S // O^θ(S), the
 quotient by the thin residue, which the residue series that decides
-solvability builds and reads off as a group once.  For each pi the Hall
+solvability builds and checks thin once.  For each pi the Hall
 pi-subgroups of G are found by the classical route and lifted back
 through the closed-subset correspondence; the pi-core is the lift of
 O_pi(G), their intersection.  That structure is built once per (scheme,
@@ -27,8 +27,8 @@ conjugator in G and its coset) and scheme.conjugators all read one
 search, hypergroup._conjugators.  G is held as the thin hypergroup the
 residue series built, so its derived series and its Hall subgroups are
 joined by its own closure_mask and conjugated by the kernel S uses; only
-validation reads a Cayley index table, and the certificates carry the
-one the quotient kept.
+validation reads a Cayley index table, and none is kept: a certificate
+carries G as that hypergroup.
 """
 from __future__ import annotations
 
@@ -82,9 +82,9 @@ class HallCertificate:
 
     hall is the closed subset of scheme.hypergroup itself and o_pi the
     pi-core inside it; each carries its valency.
-    The other three fields refer to the quotient by the thin residue,
+    The other two fields refer to the quotient by the thin residue,
     S // O^θ(S), not to the quotient by o_pi: hyper_quotient is that
-    quotient hypergroup, thin_quotient_group its Cayley table G, and
+    quotient hypergroup, the group G as a thin hypergroup, and
     lifted_subgroup the Hall subgroup of G (a bitmask over quotient
     elements) whose lift is hall.  The thin quotient by o_pi has order
     n // o_pi.valency.
@@ -95,7 +95,6 @@ class HallCertificate:
         "scheme",
         "hall",
         "o_pi",
-        "thin_quotient_group",
         "lifted_subgroup",
         "hyper_quotient",
     )
@@ -106,7 +105,6 @@ class HallCertificate:
         scheme: AssociationScheme,
         hall: ClosedSubset,
         o_pi: ClosedSubset,
-        thin_quotient_group: Table,
         lifted_subgroup: int,
         hyper_quotient: QuotientHypergroup,
     ):
@@ -114,7 +112,6 @@ class HallCertificate:
         self.scheme = scheme
         self.hall = hall
         self.o_pi = o_pi
-        self.thin_quotient_group = thin_quotient_group
         self.lifted_subgroup = lifted_subgroup
         self.hyper_quotient = hyper_quotient
 
@@ -271,9 +268,8 @@ class _HallContext:
 
     valenced masks the pi-valenced relations and target is the pi-part
     of n, for the queries' tests.  core is the pi-core and hq the
-    quotient by the thin residue, shared by every pi; gtable is its
-    Cayley table, which the residue series left on it, read once for the
-    certificates.  halls are the Hall subgroups of hq in hall_subgroups
+    quotient by the thin residue, shared by every pi, the group G as a
+    thin hypergroup.  halls are the Hall subgroups of hq in hall_subgroups
     order and lifted[i] the sum of the cosets halls[i] names, given the
     valency target.  No lift is checked on its own: the family equals
     all_hall_subsets, whose members are closed and Hall, which proves
@@ -285,13 +281,12 @@ class _HallContext:
     shares the context.
     """
 
-    __slots__ = ("scheme", "valenced", "target", "core", "hq", "gtable", "halls", "lifted", "best")
+    __slots__ = ("scheme", "valenced", "target", "core", "hq", "halls", "lifted", "best")
 
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
         self.valenced, self.target = _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps)
         self.hq, self.halls, self.core = _core_and_halls(scheme, ps, self.valenced)
-        self.gtable = group_from_thin(self.hq)
         hg, cosets = scheme.hypergroup, self.hq.cosets
         self.lifted = tuple(
             ClosedSubset(hg, sum(map(cosets.__getitem__, bits_of(gm))), self.target)
@@ -320,7 +315,7 @@ class _HallContext:
     def certificate(self, i: int, ps: frozenset[int]) -> HallCertificate:
         """A fresh certificate for the i-th Hall subset, asked for pi = ps."""
         return HallCertificate(
-            ps, self.scheme, self.lifted[i], self.core, self.gtable, self.halls[i], self.hq
+            ps, self.scheme, self.lifted[i], self.core, self.halls[i], self.hq
         )
 
 

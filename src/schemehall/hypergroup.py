@@ -107,7 +107,7 @@ class Hypergroup:
 
     __slots__ = (
         "size", "table", "inverse", "name", "valencies",
-        "_closed", "_attrs", "_gens", "_residue", "_thin_table",
+        "_closed", "_attrs", "_gens", "_residue",
     )
 
     def __init__(
@@ -127,9 +127,6 @@ class Hypergroup:
         self._gens: int | None = None
         # residue-series factors, () when not solvable: see solvability._residue_series
         self._residue: tuple | None = None
-        # the table of element indices, set by the builders that read a thin table
-        # off their input: see solvability.group_from_thin
-        self._thin_table: tuple[tuple[int, ...], ...] | None = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -149,6 +146,8 @@ class Hypergroup:
         """The sum of the valencies of the elements of mask."""
         if self.valencies is None:
             raise ValueError(f"{self!r} carries no valencies: it is not a scheme's hypergroup")
+        if mask >> self.size:
+            raise self._out_of_range(mask)
         return sum(map(self.valencies.__getitem__, bits_of(mask)))
 
     def is_thin_element(self, s: int) -> bool:
@@ -158,9 +157,18 @@ class Hypergroup:
     # -- mask level (internal workhorses) -----------------------------
 
     # the product and star kernels, and closure_mask's rounds, read each
-    # mask's members as one tuple that bits_of takes from its chunk tables
+    # mask's members as one tuple that bits_of takes from its chunk tables;
+    # a mask is in range when it has no bit at or past size, so a negative
+    # one, whose sign extends, is out of range too
+
+    def _out_of_range(self, *masks: int) -> ValueError:
+        """The error naming the first of masks that is out of range."""
+        mask = next(m for m in masks if m >> self.size)
+        return ValueError(f"mask {mask:#x} is out of range for order {self.size}")
 
     def mul_masks(self, left: int, right: int) -> int:
+        if (left | right) >> self.size:
+            raise self._out_of_range(left, right)
         table = self.table
         rights = bits_of(right)
         out = 0
@@ -171,6 +179,8 @@ class Hypergroup:
         return out
 
     def star_mask(self, mask: int) -> int:
+        if mask >> self.size:
+            raise self._out_of_range(mask)
         inv = self.inverse
         out = 0
         for s in bits_of(mask):
@@ -194,7 +204,7 @@ class Hypergroup:
             raise EmptyInputError("cannot close the empty set")
         outside = 0 if within is None else ~within
         table = self.table
-        gens = mask | self.star_mask(mask) | 1
+        gens = mask | self.star_mask(mask) | 1  # star_mask checks mask in range
         steps = bits_of(gens & ~1)
         cur = frontier = gens
         while True:
@@ -213,7 +223,7 @@ class Hypergroup:
     def is_closed_mask(self, mask: int) -> bool:
         if mask == 0:
             return False
-        st = self.star_mask(mask)
+        st = self.star_mask(mask)  # checks mask in range
         prod = self.mul_masks(st, mask)
         by_def = prod | mask == mask
         # the three-way characterization must agree with the definition;
@@ -230,8 +240,8 @@ class Hypergroup:
             mask = elements
             if type(mask) is not int:  # bool is an int subclass
                 raise ValueError(f"mask {mask!r} is not an int")
-            if mask < 0 or mask > self.full_mask:
-                raise ValueError(f"mask {mask:#x} is out of range for order {self.size}")
+            if mask >> self.size:
+                raise self._out_of_range(mask)
         else:
             mask = 0
             for s in elements:

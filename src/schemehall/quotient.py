@@ -83,7 +83,7 @@ def _quotient(
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
     if f == 1 and outer == hg.full_mask:
-        q = QuotientHypergroup(
+        return QuotientHypergroup(
             hg.table,
             hg.inverse,
             parent=hg,
@@ -92,8 +92,6 @@ def _quotient(
             coset_of=tuple(hg.elements),
             name=name,
         )
-        q._thin_table = hg._thin_table
-        return q
 
     cosets = _double_cosets(hg, f, outer)
     coset_of = [-1] * hg.size
@@ -136,7 +134,7 @@ def _quotient(
     if checked.table != tuple(tuple(row) for row in raw):
         raise InternalInconsistencyError("quotient neutral coset was not at index 0")
 
-    q = QuotientHypergroup(
+    return QuotientHypergroup(
         checked.table,
         checked.inverse,
         parent=hg,
@@ -145,8 +143,6 @@ def _quotient(
         coset_of=tuple(coset_of),
         name=checked.name,
     )
-    q._thin_table = checked._thin_table
-    return q
 
 
 def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:

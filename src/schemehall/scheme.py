@@ -344,12 +344,13 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     of H1-H3, with relation 0 as its neutral and the star map as its
     inverse.  Once the table is a group the scheme axioms hold by
     construction: relation g has valency 1 and partner g^-1, and relation
-    p then q is relation pq."""
+    p then q is relation pq.  The relation matrix is read off the input
+    rows that thin_hypergroup has just validated."""
     _check_size(len(table), len(table))
     hg = thin_hypergroup(table, name=name or "scheme relations")
-    t, inv = hg._thin_table, hg.inverse
-    rel = tuple(t[i] for i in inv)  # row x is row x^-1 of the table
-    hg.valencies = (1,) * len(t)
+    inv = hg.inverse
+    rel = tuple(tuple(table[i]) for i in inv)  # row x is row x^-1 of the table
+    hg.valencies = (1,) * len(inv)
     scheme = AssociationScheme(rel, inv, hg.valencies, hg.table, name=name)
     scheme.hypergroup = hg  # the cached_property's value
     return scheme

@@ -6,9 +6,10 @@ each s^s, and for scheme hypergroups O^θ(T) is strongly normal itself
 (Zieschang 2005), so T // O^θ(T) is a group.  H is solvable exactly when
 its residue series H = T_0 > T_1 = O^θ(T_0) > ... reaches {0}, no step
 equal to its whole, with every factor T_i // T_{i+1} a solvable group.
-group_from_thin checks each factor thin, which is the strong-normality
+Each factor is checked thin by is_thin, which is the strong-normality
 check of the step, and the factor's derived series runs on the factor
-itself, a thin hypergroup: the series keeps the factors alone.
+itself, a thin hypergroup: the series keeps the factors alone, and no
+index table is read.
 
 A solvable chain {0} = F_0 < F_1 < ... < F_n = H, each F_{i-1} strongly
 normal in F_i with F_i // F_{i-1} of prime order, is a witness built
@@ -28,6 +29,7 @@ from .hypergroup import (
     _thin_residue,
     bits_of,
     is_strongly_normal,
+    is_thin,
 )
 from .quotient import QuotientHypergroup, lift_closed, subquotient
 
@@ -56,34 +58,31 @@ class SolvableChain:
 def group_from_thin(hg: Hypergroup) -> Table:
     """Read a thin hypergroup off as a Cayley table, checking only thinness:
     validate_hypergroup built hg, checking H1-H3 with the neutral put at 0.
-    The table of element indices is read once per hypergroup: the builders
-    that read it off a thin table keep it on hg (validate_hypergroup,
-    thin_hypergroup, which from_group calls, quotient, whose H // {0}
-    shares its parent's; quotient_scheme's hypergroup is its quotient),
-    and otherwise it is read here and kept.  The residue series calls it
-    for its raise, the Hall certificates for G's table."""
-    t = hg._thin_table
+    The table of element indices is read afresh on each call, as no
+    hypergroup keeps one.  No library code calls this: the library
+    computes on the thin hypergroup itself."""
+    t = _thin_index_table(hg.table)
     if t is None:
-        t = _thin_index_table(hg.table)
-        if t is None:
-            p, q = next(
-                (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
-            )
-            raise InternalInconsistencyError(
-                f"product {p} * {q} is not a single element; hypergroup is not thin"
-            )
-        hg._thin_table = t
+        p, q = next(
+            (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
+        )
+        raise InternalInconsistencyError(
+            f"product {p} * {q} is not a single element; hypergroup is not thin"
+        )
     return t
 
 
 def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
     """The factors T // O^θ(T) of the residue series from the top down,
     cached; None when hg is not solvable.  Each quotient is a subquotient
-    of hg, its cosets masks over hg, checked thin by group_from_thin and
-    solvable by its derived series, both read off the quotient.  A
-    series that stands still needs no quotient.  The one-element
-    hypergroup has the factor {0} // {0}, so a solvable hypergroup
-    always has a top factor, and the cache holds () for not solvable."""
+    of hg, its cosets masks over hg, checked thin by is_thin and solvable
+    by its derived series, both read off the quotient.  is_thin reads
+    only each s^s, which is enough: validation proved H1-H3, and once
+    every s^s is {0}, any x in pq has p^x inside p^(pq) = (p^p)q = {q},
+    so pq = p(p^x) = (pp^)x = {x}.  A series that stands still needs no
+    quotient.  The one-element hypergroup has the factor {0} // {0}, so
+    a solvable hypergroup always has a top factor, and the cache holds
+    () for not solvable."""
     if hg._residue is not None:
         return hg._residue or None
     masks = [hg.full_mask]
@@ -95,7 +94,8 @@ def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
     factors = []
     for outer, inner in zip(masks, masks[1:]):
         q = subquotient(hg, ClosedSubset(hg, outer), ClosedSubset(hg, inner))
-        group_from_thin(q)  # the step's thinness check: raises unless q is thin
+        if not is_thin(q):  # the step's strong-normality check
+            raise InternalInconsistencyError(f"residue factor {q.name} is not thin")
         if not is_solvable_group(q):
             hg._residue = ()
             return None

@@ -124,7 +124,7 @@ def test_wreath28_certificate(wreath28):
     assert wreath28.hypergroup.valency_of_mask(cert.hall.bits) == 4
     assert cert.index == 7
     assert wreath28.hypergroup.valency_of_mask(cert.o_pi.bits) == 4
-    assert len(cert.thin_quotient_group) == 7
+    assert cert.hyper_quotient.size == 7
     assert cert.lifted_subgroup == 1  # only the neutral coset upstairs
 
 
@@ -229,7 +229,7 @@ def _hall_answers(make, pi):
 
     cert = ask(lambda s: sh.find_hall(s, pi))
     out = [("find_hall", cert.hall.bits, cert.o_pi.bits, cert.lifted_subgroup,
-            cert.thin_quotient_group, cert.index)]
+            sh.group_from_thin(cert.hyper_quotient), cert.index)]
     halls = [t.bits for t in ask(lambda s: sh.all_hall_subsets(s, pi))]
     for t in halls:
         for u in halls:
@@ -527,10 +527,9 @@ def test_group_from_thin_reads_the_validated_group():
 
 
 def test_group_from_thin_reads_no_table_for_a_group_scheme(monkeypatch):
-    """from_group keeps the validated table on the hypergroup and S4 // {0}
-    shares it, so solvability and the Hall contexts read no index table;
-    a residue factor validate_hypergroup built keeps the one it read.  A
-    thin hypergroup that holds no table has it read once, and kept."""
+    """Solvability and the Hall contexts compute on the thin hypergroups
+    themselves, so neither reads an index table, on a group's scheme or
+    on a wreath product whose residue factors validate_hypergroup built."""
     reads = []
     real = solvability_module._thin_index_table
 
@@ -547,12 +546,6 @@ def test_group_from_thin_reads_no_table_for_a_group_scheme(monkeypatch):
     assert sh.is_solvable_scheme(wreath)
     sh.find_hall(wreath, {2})
     assert reads == []
-    for name in sh.bundled_group_names():
-        t = sh.bundled_group(name).table
-        bare = sh.thin_hypergroup(t)
-        bare._thin_table = None  # as a builder that keeps no index table leaves it
-        assert sh.group_from_thin(bare) == sh.group_from_thin(bare) == sh.validate_group(t), name
-    assert len(reads) == len(sh.bundled_group_names())
 
 
 def test_hall_valency_is_the_pi_part_of_n_on_products():

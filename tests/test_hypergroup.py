@@ -305,3 +305,26 @@ def test_hypergroup_input_checks(pentagon, square, call, error, message):
     with pytest.raises(error) as exc:
         call(pentagon, square)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    lambda hg: 1 << 40, lambda hg: -1, lambda hg: hg.full_mask + 1,
+], ids=["far", "negative", "one_past"])
+def test_raw_mask_methods_refuse_a_mask_out_of_range(make):
+    """The mask-level methods and valency_of_mask raise the error subset
+    raises for a mask with a bit at or past the order, a negative one
+    among them."""
+    hg = sh.from_group(sh.symmetric(4)).hypergroup
+    mask = make(hg)
+    for call in (
+        lambda: hg.closure_mask(mask),
+        lambda: hg.is_closed_mask(mask),
+        lambda: hg.mul_masks(mask, 1),
+        lambda: hg.mul_masks(1, mask),
+        lambda: hg.star_mask(mask),
+        lambda: hg.subset(mask),
+        lambda: hg.valency_of_mask(mask),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"mask {mask:#x} is out of range for order 24"

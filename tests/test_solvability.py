@@ -111,6 +111,18 @@ def test_non_prime_cover_step_is_an_internal_error(monkeypatch):
         sh.solvable_chain(sq)
 
 
+def test_non_thin_residue_factor_is_an_internal_error(monkeypatch):
+    """Each residue factor is checked thin, the strong-normality check of
+    its step: a factor that is not, here the pentagon in place of S4's
+    factor S4 // {0}, means the engine broke, and the error names it."""
+    pentagon = sh.validate_hypergroup(PENTAGON, name="pentagon")
+    monkeypatch.setattr(solvability, "subquotient", lambda hg, outer, inner: pentagon)
+    s4 = sh.from_group(sh.symmetric(4))
+    with pytest.raises(sh.InternalInconsistencyError) as exc:
+        sh.is_solvable_scheme(s4)
+    assert str(exc.value) == "residue factor pentagon is not thin"
+
+
 def test_scheme_chain_valency_check_runs_once(monkeypatch):
     """Once per call: no chain is cached on the scheme, so each call
     refines the series afresh to the same chain and reads the valency

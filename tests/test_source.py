@@ -175,6 +175,68 @@ def test_every_private_helper_has_a_caller_in_src():
     assert not uncalled, f"private helpers with no caller in src/: {uncalled}"
 
 
+def test_hypergroup_caches_are_written_in_one_module_each():
+    """Each private cache slot of Hypergroup is assigned, outside
+    Hypergroup.__init__, in exactly one module of src/, the one that owns
+    the cache, so a cache cannot spread across modules unnoticed."""
+    slots = [name for name in schemehall.Hypergroup.__slots__ if name.startswith("_")]
+    writers: dict[str, set[str]] = {name: set() for name in slots}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        init = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "Hypergroup"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and node.attr in writers and id(node) not in init
+            ):
+                writers[node.attr].add(path.name)
+    spread = {slot: sorted(mods) for slot, mods in writers.items() if len(mods) != 1}
+    assert not spread, f"Hypergroup caches not written in exactly one module: {spread}"
+
+
+def test_src_lines_counts_code_lines_only():
+    """tools/src_lines.py leaves out blank lines, comment-only lines and
+    module, class and function docstrings, and counts a code line that
+    carries a trailing comment."""
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment-only line\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n'
+        "        docstring.\n"
+        '        """\n'
+        "        # an indented comment\n"
+        '        x = "a string, not a docstring"\n'
+        '        "a bare string after the first statement"\n'
+        "        return x\n"
+        "\n"
+        "\n"
+        "async def g():\n"
+        "    'Async docstring.'\n"
+        "    return os\n"
+    )
+    # code: import, class, def f, x =, the bare string, return x, async def, return os
+    assert src_lines.line_counts(source) == (23, 8)
+
+
 # public names whose only callers are tests, each with the reason it
 # stays public; __version__ is metadata
 TEST_ONLY_NAMES = {
@@ -183,8 +245,6 @@ TEST_ONLY_NAMES = {
     "closure": "the user's way to a closed subset from generators; README's quick tour calls it",
     "fetch_catalogue": "downloads the full catalogue beyond the bundled orders; README names it",
     "is_normal_in": "the paper's normality of closed subsets, which the lemma battery states laws in",
-    "is_thin": "the paper's thin hypergroups, next to is_thin_element; tests state thin "
-    "quotients and strong normality with it",
     "kernel": "the kernel ker phi of a homomorphism, the paper's first isomorphism statement; "
     "criterion 4 builds ker phi with it",
     "theta_core": "the thin residue O^theta, the first step of the paper's residue series; "
