@@ -125,8 +125,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_quotient(args: argparse.Namespace) -> int:
     scheme = _load(args.file)
     t = scheme.closed_subset(_ids(args.t))
-    q = quotient_scheme(scheme, t)
-    text = render_scheme(q.scheme)
+    text = render_scheme(quotient_scheme(scheme, t))
     if args.output:
         Path(args.output).write_text(text, "utf-8")
     else:

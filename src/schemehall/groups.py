@@ -4,9 +4,10 @@ Tables are tuples of tuples with table[x][g] = xg and the identity at
 index 0.  Subgroups are bitmasks over element indices.  Everything here
 is sized for groups of order at most a few hundred.  Only validation
 reads the index table: past it a group is its thin hypergroup, whose
-closure_mask generates subgroups, whose single-bit cells give the
-commutators of the derived series, and whose conjugation kernel and
-conjugator search in hypergroup conjugate them.
+closure_mask generates subgroups, whose closed subsets are its
+subgroups, whose single-bit cells give the commutators of the derived
+series, and whose conjugation kernel and conjugator search in
+hypergroup conjugate them.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .hypergroup import (
     _associativity_witness,
     _conjugators,
     bits_of,
+    enumerate_closed_subsets,
 )
 
 __all__ = [
@@ -225,26 +227,10 @@ def is_solvable_group(hg: Hypergroup) -> bool:
 
 
 def all_subgroups(table: Table) -> tuple[int, ...]:
-    """Every subgroup, by closing one added generator at a time.
-
-    The table is validated by thin_hypergroup, whose closure_mask closes
-    each join.  Deterministic output sorted by (order, member tuple);
-    exhaustive because any subgroup is reached by adding its elements
-    one by one.
-    """
-    hg = thin_hypergroup(table)
-    found = {1}
-    work = [1]
-    while work:
-        cur = work.pop()
-        for g in range(1, hg.size):
-            if cur >> g & 1:
-                continue
-            ext = hg.closure_mask(cur | 1 << g)
-            if ext not in found:
-                found.add(ext)
-                work.append(ext)
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), bits_of(m))))
+    """Every subgroup, as masks sorted by (order, member tuple): the
+    closed subsets of the thin hypergroup, which validates the table,
+    from enumerate_closed_subsets' lattice walk."""
+    return tuple(c.bits for c in enumerate_closed_subsets(thin_hypergroup(table)))
 
 
 def find_subgroup_conjugator(table: Table, sub_a: int, sub_b: int) -> int | None:

@@ -151,8 +151,16 @@ class Hypergroup:
         return sum(map(self.valencies.__getitem__, bits_of(mask)))
 
     def is_thin_element(self, s: int) -> bool:
-        """An element h is thin when h^h = {0}."""
+        """An element h is thin when h^h = {0}; s is checked as subset([s]) checks it."""
+        self._check_element(s)
         return self.table[self.inverse[s]][s] == 1
+
+    def _check_element(self, s: object) -> None:
+        """Raise ValueError unless s is an int in 0..size-1."""
+        if type(s) is not int:  # bool is an int subclass
+            raise ValueError(f"element {s!r} is not an int")
+        if not 0 <= s < self.size:
+            raise ValueError(f"element {s} is out of range for order {self.size}")
 
     # -- mask level (internal workhorses) -----------------------------
 
@@ -245,10 +253,7 @@ class Hypergroup:
         else:
             mask = 0
             for s in elements:
-                if type(s) is not int:  # bool is an int subclass
-                    raise ValueError(f"element {s!r} is not an int")
-                if not 0 <= s < self.size:
-                    raise ValueError(f"element {s} is out of range for order {self.size}")
+                self._check_element(s)
                 mask |= 1 << s
         return ElementSubset(self, mask)
 
@@ -808,7 +813,9 @@ def theta_core(hg: Hypergroup) -> ClosedSubset:
 
 
 def is_thin(hg: Hypergroup) -> bool:
-    return all(hg.is_thin_element(s) for s in hg.elements)
+    """Whether every element is thin, read off the cells h^h directly."""
+    table = hg.table
+    return all(table[t][s] == 1 for s, t in enumerate(hg.inverse))
 
 
 def double_cosets(hg: Hypergroup, f: ElementSubset) -> list[int]:

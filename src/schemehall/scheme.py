@@ -11,8 +11,9 @@ z = 0 or z >= y are compared, which settles every pair; none is sampled.
 
 Relations multiply through the induced hypergroup: p q is the set of
 relations r with a[p][q][r] != 0; it carries the valencies, so a closed
-set of relations is a ClosedSubset of it.  The quotient scheme on blocks
-lives here as well.
+set of relations is a ClosedSubset of it.  quotient_scheme returns the
+quotient scheme S//T on the blocks of a closed subset T, an
+AssociationScheme whose hypergroup is the QuotientHypergroup of T.
 """
 from __future__ import annotations
 
@@ -46,12 +47,11 @@ from .hypergroup import (
     mask_of,
     validate_hypergroup,
 )
-from .quotient import QuotientHypergroup, quotient
+from .quotient import quotient
 from .solvability import SolvableChain, is_solvable, solvable_chain
 
 __all__ = [
     "AssociationScheme",
-    "QuotientScheme",
     "validate_scheme",
     "from_group",
     "wreath_matrix",
@@ -397,45 +397,19 @@ def tensor_matrix(s1: AssociationScheme, s2: AssociationScheme) -> Matrix:
 # quotient schemes
 
 
-class QuotientScheme:
-    """Scheme on the blocks x T, plus the bookkeeping of the projection."""
-
-    __slots__ = (
-        "scheme",
-        "modulus",
-        "blocks",
-        "hyper_quotient",
-    )
-
-    def __init__(
-        self,
-        scheme: AssociationScheme,
-        modulus: ClosedSubset,
-        blocks: tuple[tuple[int, ...], ...],
-        hyper_quotient: QuotientHypergroup,
-    ):
-        self.scheme = scheme
-        self.modulus = modulus
-        self.blocks = blocks
-        self.hyper_quotient = hyper_quotient
-
-    def __repr__(self) -> str:
-        return (
-            f"<QuotientScheme on {self.scheme.n_points} blocks, "
-            f"rank {self.scheme.rank}>"
-        )
-
-
-def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> QuotientScheme:
-    """Quotient by a closed relation set T.
+def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> AssociationScheme:
+    """The quotient scheme S//T by a closed relation set T.
 
     T is closed, so "rel(x, y) lies in T" is an equivalence relation
     (reflexive as 0 is in T, symmetric as T* = T, transitive as TT is
-    inside T) and the block of x is read off row x.  Quotient relations
-    are the double cosets T s T, and the valency law
-    n_{s^T} * n_T = n_{TsT} is checked exactly.  Its products and star
-    map must be the table and inverse quotient proved H1-H3 for: that
-    quotient is its hypergroup.  Either failure raises InternalInconsistencyError.
+    inside T) and the block of x is read off row x.  Point i of S//T is
+    the i-th block in order of least point, and its relation i is the
+    i-th double coset T s T of quotient(scheme.hypergroup, T).  Its
+    products and star map must be the table and inverse quotient proved
+    H1-H3 for: that QuotientHypergroup, with its parent, modulus, cosets
+    and coset_of, is the returned scheme's hypergroup.  The valency law
+    n_{s^T} * n_T = n_{TsT} is checked exactly.  Any failure raises
+    InternalInconsistencyError.
     """
     hg = _own_subset(scheme, modulus, "modulus")
     hq = quotient(hg, modulus)
@@ -443,7 +417,7 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Quotien
     n = scheme.n_points
     t_bits = modulus.bits
     block_of = [-1] * n
-    members: list[list[int]] = []
+    k = 0  # blocks so far
     for x in range(n):
         if block_of[x] != -1:
             continue
@@ -453,10 +427,9 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Quotien
         for y in block:
             if block_of[y] != -1:
                 raise InternalInconsistencyError("blocks of a closed subset overlap")
-            block_of[y] = len(members)
-        members.append(block)
+            block_of[y] = k
+        k += 1
 
-    k = len(members)
     qrel = [[-1] * k for _ in range(k)]
     for x in range(n):
         bx = block_of[x]
@@ -489,12 +462,7 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Quotien
                 f"{qscheme.valencies[c]} * {n_t} != {coset_valency}"
             )
 
-    return QuotientScheme(
-        qscheme,
-        modulus,
-        tuple(tuple(m) for m in members),
-        hq,
-    )
+    return qscheme
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,10 @@ def generated_subgroup(table: Table, gens: int) -> int:
 
 
 def all_subgroups_scan(table: Table) -> tuple[int, ...]:
-    """groups.all_subgroups on the index table, each join closed by
-    generated_subgroup; the table is not validated."""
+    """Every subgroup, by closing one added generator at a time on the
+    index table, each join closed by generated_subgroup; exhaustive as
+    any subgroup is reached by adding its elements one by one.  The
+    reference for groups.all_subgroups; the table is not validated."""
     n = len(table)
     found = {1}
     work = [1]

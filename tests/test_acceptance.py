@@ -193,13 +193,13 @@ def test_criterion_5_quotient_coincidence_and_valency_law():
         for t in scheme.closed_subsets():
             q = sh.quotient_scheme(scheme, t)
             hq = sh.quotient(hg, t)
-            assert q.hyper_quotient.table == hq.table, (
+            assert q.hypergroup.table == hq.table, (
                 f"{scheme.name}: T={t.bits:#x}"
             )
             n_t = scheme.hypergroup.valency_of_mask(t.bits)
             for s in range(rank):
                 tst = hg.mul_masks(hg.mul_masks(t.bits, 1 << s), t.bits)
-                image_valency = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
+                image_valency = q.valencies[q.hypergroup.coset_of[s]]
                 assert image_valency * n_t == scheme.hypergroup.valency_of_mask(tst), (
                     f"{scheme.name}: T={t.bits:#x} s={s}"
                 )

@@ -138,9 +138,9 @@ def test_group_entry_points_validate_their_table():
 
 
 def test_all_subgroups_matches_the_index_table_scan():
-    """all_subgroups, which joins by closure_mask on the thin hypergroup,
-    finds the subgroups the index-table scan finds, in the same order: on
-    every bundled group and S4 x C2."""
+    """all_subgroups, the closed subsets of the thin hypergroup from its
+    lattice walk, finds the subgroups the index-table scan finds, in the
+    same order: on every bundled group and S4 x C2."""
     tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
     tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(2)))
     for t in tables:

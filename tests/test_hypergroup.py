@@ -170,7 +170,7 @@ def test_valency_needs_a_schemes_hypergroup(pentagon):
     c6 = sh.from_group(sh.cyclic(6), name="c6")
     t = c6.closed_subset([0, 3])
     assert (t.valency, c6.hypergroup.universe().valency) == (2, 6)
-    assert sh.quotient_scheme(c6, t).scheme.hypergroup.universe().valency == 3
+    assert sh.quotient_scheme(c6, t).hypergroup.universe().valency == 3
     for hg in (pentagon, sh.quotient(c6.hypergroup, t)):
         with pytest.raises(ValueError) as exc:
             hg.universe().valency
@@ -305,6 +305,24 @@ def test_hypergroup_input_checks(pentagon, square, call, error, message):
     with pytest.raises(error) as exc:
         call(pentagon, square)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("s, message", [
+    (-1, "element -1 is out of range for order 24"),
+    (24, "element 24 is out of range for order 24"),
+    (99, "element 99 is out of range for order 24"),
+    (True, "element True is not an int"),
+])
+def test_is_thin_element_checks_its_element_as_subset_does(s, message):
+    """is_thin_element raises the ValueError subset([s]) raises for an
+    index that is negative, past the order or not an int, on S4's
+    hypergroup; a negative index does not read an element from the end."""
+    hg = sh.from_group(sh.symmetric(4)).hypergroup
+    for call in (lambda: hg.is_thin_element(s), lambda: hg.subset([s])):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert hg.is_thin_element(23)
 
 
 @pytest.mark.parametrize("make", [

@@ -472,7 +472,7 @@ def test_pi_valency_transfer_to_quotients(corpus12):
             q = sh.quotient_scheme(scheme, t)
             for s in range(len(scheme.valencies)):
                 n_s = scheme.valencies[s]
-                n_image = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
+                n_image = q.valencies[q.hypergroup.coset_of[s]]
                 for pi in pi_sets:
                     if sh.is_pi_number(n_s, pi) and sh.is_pi_number(n_t, pi):
                         assert sh.is_pi_number(n_image, pi), (
@@ -490,13 +490,13 @@ def test_valency_transfer_to_quotients(corpus12):
         for t in scheme.closed_subsets():
             n_t = scheme.hypergroup.valency_of_mask(t.bits)
             q = sh.quotient_scheme(scheme, t)
-            assert sum(q.scheme.valencies) * n_t == n_full, (
+            assert sum(q.valencies) * n_t == n_full, (
                 f"valency transfer law: {scheme.name}: T={t.bits:#x}"
             )
             for s in range(len(scheme.valencies)):
                 tst = hg.mul_masks(hg.mul_masks(t.bits, 1 << s), t.bits)
                 n_tst = scheme.hypergroup.valency_of_mask(tst)
-                n_image = q.scheme.valencies[q.hyper_quotient.coset_of[s]]
+                n_image = q.valencies[q.hypergroup.coset_of[s]]
                 assert n_image * n_t == n_tst, (
                     f"double-coset valency law: {scheme.name}: "
                     f"T={t.bits:#x} s={s}"
@@ -551,15 +551,15 @@ def test_quotient_scheme_solvability_and_subnormal_lift(corpus12):
                 continue
             q = sh.quotient_scheme(scheme, t)
             ctx = f"{scheme.name}: T={t.bits:#x}"
-            assert sh.is_solvable_scheme(q.scheme), (
+            assert sh.is_solvable_scheme(q), (
                 f"subnormal-quotient scheme solvability: {ctx}"
             )
-            qhg = q.scheme.hypergroup
+            qhg = q.hypergroup
             qfull = qhg.universe()
             for u in closed:
                 if t.bits & ~u.bits:
                     continue
-                down = frozenset(q.hyper_quotient.coset_of[s] for s in u.members())
+                down = frozenset(qhg.coset_of[s] for s in u.members())
                 down_sub = sh.ClosedSubset(qhg, sum(1 << s for s in down))
                 if sh.is_subnormal(down_sub, qfull):
                     assert sh.is_subnormal(u, universe), (

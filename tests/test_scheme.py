@@ -115,8 +115,8 @@ def test_from_group_is_thin():
     assert tuple(t.members()) == (0, 3)
     assert c6s.hypergroup.valency_of_mask(t.bits) == 2
     q = sh.quotient_scheme(c6s, t)
-    assert len(q.blocks) == 3
-    assert q.scheme.valencies == (1, 1, 1)
+    assert q.n_points == 3
+    assert q.valencies == (1, 1, 1)
 
 
 def test_thin_quotient_scheme_keeps_the_group_table():
@@ -125,21 +125,26 @@ def test_thin_quotient_scheme_keeps_the_group_table():
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     (a4,) = [t for t in s4.closed_subsets() if t.valency == 12]
     q = sh.quotient_scheme(s4, a4)
-    assert sh.group_from_thin(q.scheme.hypergroup) == ((0, 1), (1, 0))
+    assert sh.group_from_thin(q.hypergroup) == ((0, 1), (1, 0))
 
 
 def test_quotient_scheme_has_one_hypergroup():
-    """The quotient scheme's hypergroup is the hypergroup quotient that
-    quotient_scheme checked its products against, carrying the quotient
-    scheme's valencies: on S4 modulo A4 (thin) and on the wreath scheme
-    hm176_28 modulo the closed subset {0, 1, 2, 3}."""
+    """quotient_scheme returns the quotient scheme, whose hypergroup is
+    the hypergroup quotient it checked its products against: a
+    QuotientHypergroup of the scheme's hypergroup modulo T, carrying the
+    quotient scheme's valencies: on S4 modulo A4 (thin) and on the wreath
+    scheme hm176_28 modulo the closed subset {0, 1, 2, 3}."""
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     (a4,) = [t for t in s4.closed_subsets() if t.valency == 12]
     wreath = sh.bundled_scheme("hm176_28").scheme()
     for scheme, modulus in ((s4, a4), (wreath, wreath.closed_subset([0, 1, 2, 3]))):
         q = sh.quotient_scheme(scheme, modulus)
-        assert q.scheme.hypergroup is q.hyper_quotient
-        assert q.hyper_quotient.valencies == q.scheme.valencies
+        assert type(q) is sh.AssociationScheme
+        assert isinstance(q.hypergroup, sh.QuotientHypergroup)
+        assert q.hypergroup.parent is scheme.hypergroup
+        assert q.hypergroup.modulus == modulus
+        assert q.hypergroup.table == sh.quotient(scheme.hypergroup, modulus).table
+        assert q.hypergroup.valencies == q.valencies
 
 
 def test_from_group_equals_the_validated_rows():
@@ -210,11 +215,11 @@ def test_wreath28_thin_radical_quotient(wreath28):
     pp = sh.pi_predicates(wreath28, t4, {2})
     assert pp.is_pi_valenced and pp.is_closed_pi_subset and pp.is_hall_pi_subset
     q = sh.quotient_scheme(wreath28, t4)
-    assert len(q.blocks) == 7
-    assert q.scheme.valencies == (1,) * 7
+    assert q.n_points == 7
+    assert q.valencies == (1,) * 7
     # the induced hypergroup of the quotient agrees with quotienting
     # the induced hypergroup directly
-    assert q.hyper_quotient.table == sh.quotient(wreath28.hypergroup, t4).table
+    assert q.hypergroup.table == sh.quotient(wreath28.hypergroup, t4).table
 
 
 def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
@@ -236,12 +241,12 @@ def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
             monkeypatch.setattr(module, "validate_hypergroup", counted)
     q = sh.quotient_scheme(s, s.closed_subset([0, 1, 2, 3]))
     assert calls == [7]
-    assert q.scheme.hypergroup.table == q.hyper_quotient.table
-    assert q.scheme.hypergroup.inverse == q.hyper_quotient.inverse == q.scheme.star_map
+    assert q.hypergroup.table == sh.quotient(s.hypergroup, q.hypergroup.modulus).table
+    assert q.hypergroup.inverse == q.star_map
     calls.clear()
     q = sh.quotient_scheme(s, s.hypergroup.neutral_subset())
     assert calls == []
-    assert q.scheme.hypergroup.table == s.hypergroup.table
+    assert q.hypergroup.table == s.hypergroup.table
     # the one comparison left still catches a hypergroup quotient whose
     # table or inverse disagrees with the quotient scheme
     real = scheme_module.quotient
@@ -579,7 +584,7 @@ SUBSET_DOORS = (
         "quotient_scheme",
         sh.quotient_scheme,
         "modulus belongs to a different scheme",
-        lambda q: (q.scheme.rel, q.blocks),
+        lambda q: q.rel,
     ),
     (
         "conjugating_element",

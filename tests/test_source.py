@@ -5,9 +5,9 @@ assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
 does not use, the public API carries no name without a caller, no
 private helper lacks a caller in src/, the names and methods only
-tests call are listed, ClosedSubset has no
-subclass, and every name the bench
-tracer patches exists.  The README's quick tour runs and shows the
+tests call are listed, the public data slots only tests read are
+listed, ClosedSubset has no subclass, and every name the bench tracer
+patches exists.  The README's quick tour runs and shows the
 values its comments state.  The package's __all__ is the union of its
 submodules' lists and nothing else.  Importing the package
 and its CLI loads none of the stdlib stacks that only the download,
@@ -270,8 +270,12 @@ def test_public_names_only_tests_call_are_listed():
     assert all(reason.strip() for reason in TEST_ONLY_NAMES.values())
 
 
-# public methods of __all__ classes whose only callers are tests
-TEST_ONLY_MEMBERS: list[str] = []
+# public methods of __all__ classes whose only callers are tests, each
+# with the reason it stays public
+TEST_ONLY_MEMBERS = {
+    "Hypergroup.is_thin_element": "the paper's thin element, h^h = {0}, asked of one element; "
+    "is_thin reads the same cells for every element at once",
+}
 METHOD_TYPES = (
     types.FunctionType, property, functools.cached_property, staticmethod, classmethod,
 )
@@ -280,8 +284,9 @@ METHOD_TYPES = (
 def test_public_methods_only_tests_call_are_listed():
     """The public methods and properties of the classes in
     schemehall.__all__ whose name no file in src/, tools/ or bench/
-    loads are exactly TEST_ONLY_MEMBERS, so a method only tests reach
-    fails here until it is listed on purpose."""
+    loads are exactly the keys of TEST_ONLY_MEMBERS, so a method only
+    tests reach fails here until it is listed on purpose, with the reason
+    it stays public."""
     files = [
         path
         for top in ("src", "tools", "bench")
@@ -300,7 +305,49 @@ def test_public_methods_only_tests_call_are_listed():
         for attr, value in vars(cls).items()
         if not attr.startswith("_") and isinstance(value, METHOD_TYPES) and attr not in used
     ]
-    assert sorted(unused) == TEST_ONLY_MEMBERS
+    assert sorted(unused) == sorted(TEST_ONLY_MEMBERS)
+    assert all(reason.strip() for reason in TEST_ONLY_MEMBERS.values())
+
+
+# public data slots of __all__ classes that no file in src/, tools/ or
+# bench/ reads, each with the reason it stays
+TEST_ONLY_SLOTS = {
+    "HallCertificate.hyper_quotient": "G = S // O^theta(S), the thin quotient the certificate "
+    "is computed in; lifted_subgroup, which bench/run.py reads, is a mask over its elements",
+}
+
+
+def _attribute_loads(path: Path) -> set[str]:
+    """The attribute names a file reads as obj.name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_public_slots_only_tests_read_are_listed():
+    """The public __slots__ names of the classes in schemehall.__all__
+    that no file in src/, tools/ or bench/ reads as an attribute are
+    exactly the keys of TEST_ONLY_SLOTS, so a data field only tests read
+    fails here until it is listed on purpose, with the reason it stays.
+    Only attribute loads count: a parameter of the same name or the
+    __slots__ string itself is no reader."""
+    read: set[str] = set()
+    for top in ("src", "tools", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            read |= _attribute_loads(path)
+    unread = []
+    for name in schemehall.__all__:
+        cls = getattr(schemehall, name)
+        if not isinstance(cls, type):
+            continue
+        slots = vars(cls).get("__slots__", ())
+        for slot in (slots,) if isinstance(slots, str) else slots:
+            if not slot.startswith("_") and slot not in read:
+                unread.append(f"{name}.{slot}")
+    assert sorted(unread) == sorted(TEST_ONLY_SLOTS)
+    assert all(reason.strip() for reason in TEST_ONLY_SLOTS.values())
 
 
 def test_closed_subset_has_no_subclass():
