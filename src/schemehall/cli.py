@@ -149,7 +149,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         pi_sets = tuple((p,) for p in sorted(_pi(args.pi)))
     else:
         pi_sets = DEFAULT_PI_SETS
-    inputs = [(f.stem, f.read_text("utf-8")) for f in files]
+    inputs = [(f.stem, f.read_bytes()) for f in files]  # so one undecodable file is one record
     records = report_records(inputs, pi_sets, timings=args.timings, jobs=args.jobs)
     if args.json:
         sys.stdout.write(render_jsonl(records))

@@ -19,6 +19,7 @@ from .hypergroup import (
     Hypergroup,
     _associativity_witness,
     _conjugators,
+    _generators,
     bits_of,
     enumerate_closed_subsets,
 )
@@ -45,6 +46,12 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
     permutations, an identity at index 0, two-sided inverses and full
     associativity.  Raises NotAGroupError naming the failed axiom.
     """
+    return _proved_group(table, "")[0]
+
+
+def _proved_group(table: Sequence[Sequence[int]], name: str) -> tuple[Table, Hypergroup]:
+    """validate_group's proof, and the thin hypergroup it builds before
+    associativity: Light's test runs over that hypergroup's _generators."""
     n = len(table)
     if n == 0:
         raise NotAGroupError("empty table")
@@ -71,10 +78,11 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
     for x in range(n):
         if t[inv[x]][x] != 0:
             raise NotAGroupError(f"element {x} has no two-sided inverse")
-    witness = _associativity_witness(t)
+    hg = Hypergroup(tuple(tuple(1 << v for v in row) for row in t), inv, name=name)
+    witness = _associativity_witness(t, bits_of(_generators(hg, hg.full_mask)))
     if witness is not None:
         raise NotAGroupError("associativity fails at ({}, {}, {})".format(*witness))
-    return t
+    return t, hg
 
 
 def group_inverse(table: Table) -> tuple[int, ...]:
@@ -181,9 +189,9 @@ def direct_product(g1: Table, g2: Table) -> Table:
 
 def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergroup:
     """The group as a hypergroup with singleton products; validate_group's
-    proof of the group axioms is its proof of H1-H3."""
-    t = validate_group(table)
-    return Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
+    proof of the group axioms, which builds it before Light's test reads
+    its _generators, is its proof of H1-H3."""
+    return _proved_group(table, name)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +203,16 @@ def _derived_series(hg: Hypergroup) -> list[int]:
     as subgroup masks, ending at {1} or at the first step that stops
     shrinking (a nontrivial perfect subgroup).  Each step D' is closed
     from the commutators [x, y] = x^-1 y^-1 x y, read off the single-bit
-    cells, with y in D and x in a generating set of D: each element
-    outside the closure of the generators before it.  That is exact:
-    the subgroup N they generate is normal in D, as
-    [x, y]^g = [x, g]^-1 [x, yg], so each generator x of D is central
-    modulo N, D / N is abelian, and N holds every commutator of D."""
+    cells, with y in D and x in D's _generators.  That is exact: the
+    subgroup N they generate is normal in D, as [x, y]^g =
+    [x, g]^-1 [x, yg], so each generator x of D is central modulo N,
+    D / N is abelian, and N holds every commutator of D."""
     rows, inv = hg.table, hg.inverse
     series = [hg.full_mask]
     while series[-1] != 1:
         members = bits_of(series[-1])
-        gens = reached = commutators = 0
-        for x in members:
-            if not reached >> x & 1:
-                gens |= 1 << x
-                reached = hg.closure_mask(gens)
-        for x in bits_of(gens):
+        commutators = 0
+        for x in bits_of(_generators(hg, series[-1])):
             row_ix, row_x = rows[inv[x]], rows[x]
             for y in members:
                 commutators |= rows[row_ix[inv[y]].bit_length() - 1][row_x[y].bit_length() - 1]

@@ -53,6 +53,7 @@ from .hypergroup import (
     _conjugates,
     _conjugators,
     _enumerate_closed,
+    _thin_index_table,
     bits_of,
     is_strongly_normal,
 )
@@ -63,7 +64,7 @@ from .scheme import (
     _pi_tests,
     _pi_valenced_mask,
 )
-from .solvability import _residue_series, group_from_thin
+from .solvability import _residue_series
 
 __all__ = [
     "HallCertificate",
@@ -165,6 +166,23 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
     Hall queries read the core off their cached context instead."""
     ps = validate_pi(pi)
     return _core_and_halls(scheme, ps, _pi_valenced_mask(scheme, ps))[2]
+
+
+def group_from_thin(hg: Hypergroup) -> Table:
+    """Read a thin hypergroup off as a Cayley table, checking only thinness:
+    validate_hypergroup built hg, checking H1-H3 with the neutral put at 0.
+    The table of element indices is read afresh on each call, as no
+    hypergroup keeps one.  No library code calls this: the library
+    computes on the thin hypergroup itself."""
+    t = _thin_index_table(hg.table)
+    if t is None:
+        p, q = next(
+            (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
+        )
+        raise InternalInconsistencyError(
+            f"product {p} * {q} is not a single element; hypergroup is not thin"
+        )
+    return t
 
 
 def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:

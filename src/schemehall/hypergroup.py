@@ -122,7 +122,8 @@ class Hypergroup:
         self.name = name
         self.valencies: tuple[int, ...] | None = None
         self._closed: tuple[ClosedSubset, ...] | None = None
-        # Close-by-One's attributes and a generating set: see _attributes, _generators
+        # Close-by-One's attributes, and _generators with stars: see _attributes,
+        # is_strongly_normal
         self._attrs: tuple[tuple[int, int], ...] | None = None
         self._gens: int | None = None
         # residue-series factors, () when not solvable: see solvability._residue_series
@@ -482,60 +483,34 @@ def _h3_literal(masks: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
                     )
 
 
-def _right_generators(t: Sequence[Sequence[int]], elements: Iterable[int]) -> list[int]:
-    """A generating set of elements, a set closed under the products of the
-    index table t, greedily: each element, in the order given, that the
-    right products of the elements reached so far do not yet reach.
-
-    An element is reached when it is a generator, or a reached element
-    times a generator, so every reached element is a product of
-    generators; each one left over becomes a generator, so every element
-    is reached.  Each reached element is multiplied by each generator
-    once.
-    """
-    seen = bytearray(len(t))
-    reached: list[int] = []
-    gens: list[int] = []
-    for x in elements:
-        if seen[x]:
-            continue
-        gens.append(x)
-        seen[x] = 1
-        todo = [x]
-        for r in reached:  # the earlier elements times the new generator
-            y = t[r][x]
-            if not seen[y]:
-                seen[y] = 1
-                todo.append(y)
-        while todo:
-            r = todo.pop()
-            reached.append(r)
-            row = t[r]
-            for g in gens:
-                y = row[g]
-                if not seen[y]:
-                    seen[y] = 1
-                    todo.append(y)
-    return gens
-
-
-def _associativity_witness(t: Sequence[tuple[int, ...]]) -> tuple[int, int, int] | None:
+def _associativity_witness(
+    t: Sequence[tuple[int, ...]], gens: Iterable[int]
+) -> tuple[int, int, int] | None:
     """The first (a, b, c) in index order with (ab)c != a(bc), or None.
 
     t is a table of element indices in range, with tuple rows.  Light's
     test (Clifford and Preston, The Algebraic Theory of Semigroups,
     vol. 1, 1961): the b with (ab)c = a(bc) for every a and c are closed
     under products, since then (a(bb'))c = ((ab)b')c = (ab)(b'c) =
-    a(b(b'c)) = a((bb')c).  So it is enough to test b over a generating
-    set, _right_generators: row ab against row b read through row a,
-    which itemgetter(*row b) reads in one call, for every a.  Only when
-    that test fails does the scan over every b name the first witness.
-    On a thin table this is the first (p, q, r) of _h1_witness.
+    a(b(b'c)) = a((bb')c).  So it is enough to test b over gens: row ab
+    against row b read through row a, which itemgetter(*row b) reads in
+    one call, for every a.  Only when that test fails does the scan over
+    every b name the first witness.  On a thin table this is the first
+    (p, q, r) of _h1_witness.
+
+    Precondition: t is Latin, with identity 0 and two-sided inverses,
+    and the products of gens, their stars and 0 reach every element, as
+    closure_mask finds for _generators of t's thin hypergroup.  The b
+    that pass then hold every element, with no star or 0 tested: 0
+    passes, and so does each g^, as right multiplication by g permutes
+    the elements, so g, gg, (gg)g, ..., each a product of g's, returns
+    to g through 0, and the element just before 0 is g^.  With gens =
+    range(len(t)) every b is tested, on any table.
     """
     n = len(t)
     if n == 1:
         return None  # t is ((0,),); itemgetter of one index returns a bare value
-    for b in _right_generators(t, range(n)):
+    for b in gens:
         read = itemgetter(*t[b])
         if any(t[ta[b]] != read(ta) for ta in t):
             break
@@ -622,19 +597,18 @@ def _attributes(hg: Hypergroup) -> tuple[tuple[int, int], ...]:
     return hg._attrs
 
 
-def _generators(hg: Hypergroup) -> int:
-    """Mask of a generating set of hg and its stars, built once per
-    hypergroup: each element outside the closure of those before it.
-    Each is an attribute, the smaller of its pair, picked in attribute
-    order without closing every singleton."""
-    if hg._gens is None:
-        gens, reached = 0, 1
-        for s in range(1, hg.size):
-            if not reached >> s & 1:
-                gens |= 1 << s
-                reached = hg.closure_mask(gens)
-        hg._gens = gens | hg.star_mask(gens)
-    return hg._gens
+def _generators(hg: Hypergroup, mask: int) -> int:
+    """Mask of a generating set of the closed mask, greedily: each
+    member, lowest first, outside the closure of those before it.  The
+    neutral is never picked, and no stars are added.  It is the one
+    picker: the group proof's Light's test, the derived series and
+    is_strongly_normal all read it."""
+    gens, reached = 0, 1
+    for s in bits_of(mask):
+        if not reached >> s & 1:
+            gens |= 1 << s
+            reached = hg.closure_mask(gens)
+    return gens
 
 
 def _enumerate_closed(
@@ -745,11 +719,12 @@ def is_normal_in(f: ElementSubset, g: ElementSubset) -> bool:
 def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
     """F strongly normal in G: h^ F h inside F for every h in G.
 
-    When G is the whole hypergroup, only the h of _generators are tried.
-    The h with h^ F h inside F hold the neutral element and are closed
-    under products: for k in h1 h2, H3 puts k^ in h2^ h1^, so k^ F k
-    lies in h2^ (h1^ F h1) h2, inside h2^ F h2, inside F.  So they hold
-    the closure of the generators and their stars, which is every element.
+    When G is the whole hypergroup, only the h of its _generators and
+    their stars are tried, a mask built once per hypergroup.  The h with
+    h^ F h inside F hold the neutral element and are closed under
+    products: for k in h1 h2, H3 puts k^ in h2^ h1^, so k^ F k lies in
+    h2^ (h1^ F h1) h2, inside h2^ F h2, inside F.  So they hold the
+    closure of the generators and their stars, which is every element.
 
     Raises NotSubsetError when F is not contained in G.
     """
@@ -757,7 +732,12 @@ def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
     if not f.issubset(g):
         raise NotSubsetError("strong normality is only defined for F inside G")
     hg = f.parent
-    within = _generators(hg) if g.bits == hg.full_mask else g.bits
+    within = g.bits
+    if within == hg.full_mask:
+        if hg._gens is None:
+            gens = _generators(hg, within)
+            hg._gens = gens | hg.star_mask(gens)
+        within = hg._gens
     return all(not conj & ~f.bits for _, conj in _conjugates(hg, f.bits, within))
 
 

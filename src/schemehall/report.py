@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import repeat
 
 from .arith import format_pi, validate_pi
 from .errors import (
@@ -30,11 +31,14 @@ DEFAULT_PI_SETS: tuple[tuple[int, ...], ...] = ((2,), (3,), (5,), (7,), (2, 3))
 
 def scheme_record(
     name: str,
-    text: str,
+    text: str | bytes,
     pi_sets: tuple[tuple[int, ...], ...] = DEFAULT_PI_SETS,
     timings: bool = False,
 ) -> dict:
-    """Build the report record for one scheme file body.
+    """Build the report record for one scheme file body, given as text or
+    as the file's bytes.  Bytes that are not UTF-8 make an invalid record
+    whose error names the first undecodable byte, as a body the parser
+    or validation refuses does.
 
     A pi whose Hall check finds an internal inconsistency gets an
     "error" entry instead of an answer; the other pi go on.  One found
@@ -45,8 +49,10 @@ def scheme_record(
     t0 = time.perf_counter()
     record: dict = {"schema": SCHEMA_VERSION, "input": name}
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         scheme = parse_scheme(text, name=name).scheme()
-    except SchemehallError as exc:
+    except (SchemehallError, UnicodeDecodeError) as exc:
         record["valid"] = False
         record["error"] = f"{type(exc).__name__}: {exc}"
     else:
@@ -100,17 +106,13 @@ def _analysis(scheme: AssociationScheme, pi_sets: tuple[tuple[int, ...], ...]) -
     return out
 
 
-def _worker(task: tuple[str, str, tuple[tuple[int, ...], ...], bool]) -> dict:
-    return scheme_record(*task)
-
-
 def report_records(
-    inputs: list[tuple[str, str]],
+    inputs: list[tuple[str, str | bytes]],
     pi_sets: tuple[tuple[int, ...], ...] = DEFAULT_PI_SETS,
     timings: bool = False,
     jobs: int = 1,
 ) -> list[dict]:
-    """Records for (name, text) pairs, ordered by input name.
+    """Records for (name, text or bytes) pairs, ordered by input name.
 
     jobs > 1 fans the per-scheme work out over at most that many
     processes, and never more than there are inputs; the output order
@@ -120,16 +122,14 @@ def report_records(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        (name, text, pi_sets, timings)
-        for name, text in sorted(inputs, key=lambda p: p[0])
-    ]
-    if jobs == 1 or len(tasks) <= 1:
-        return [_worker(t) for t in tasks]
+    ordered = sorted(inputs, key=lambda p: p[0])
+    if jobs == 1 or len(ordered) <= 1:
+        return [scheme_record(name, text, pi_sets, timings) for name, text in ordered]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_worker, tasks))
+    names, texts = zip(*ordered)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
+        return list(pool.map(scheme_record, names, texts, repeat(pi_sets), repeat(timings)))
 
 
 def render_jsonl(records: list[dict]) -> str:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from .arith import is_prime
 from .errors import InternalInconsistencyError
-from .groups import Table, _derived_series, is_solvable_group
+from .groups import _derived_series, is_solvable_group
 from .hypergroup import (
     ClosedSubset,
     Hypergroup,
     _double_cosets,
-    _thin_index_table,
     _thin_residue,
     bits_of,
     is_strongly_normal,
@@ -35,7 +34,6 @@ from .quotient import QuotientHypergroup, lift_closed, subquotient
 
 __all__ = [
     "SolvableChain",
-    "group_from_thin",
     "solvable_chain",
     "is_solvable",
 ]
@@ -53,23 +51,6 @@ class SolvableChain:
     def __repr__(self) -> str:
         path = " < ".join(str(list(c.members())) for c in self.subsets)
         return f"<SolvableChain {path} primes {list(self.step_primes)}>"
-
-
-def group_from_thin(hg: Hypergroup) -> Table:
-    """Read a thin hypergroup off as a Cayley table, checking only thinness:
-    validate_hypergroup built hg, checking H1-H3 with the neutral put at 0.
-    The table of element indices is read afresh on each call, as no
-    hypergroup keeps one.  No library code calls this: the library
-    computes on the thin hypergroup itself."""
-    t = _thin_index_table(hg.table)
-    if t is None:
-        p, q = next(
-            (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
-        )
-        raise InternalInconsistencyError(
-            f"product {p} * {q} is not a single element; hypergroup is not thin"
-        )
-    return t
 
 
 def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:

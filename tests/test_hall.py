@@ -445,21 +445,21 @@ def test_context_validates_its_group_table_once(monkeypatch):
     assoc = []
     calls = []
     original_assoc = hypergroup_module._associativity_witness
-    original = groups_module.validate_group
+    original = groups_module._proved_group
 
-    def counted_assoc(t):
+    def counted_assoc(t, gens):
         assoc.append(len(t))
-        return original_assoc(t)
+        return original_assoc(t, gens)
 
-    def counted(table):
+    def counted(table, name):
         calls.append(len(table))
-        return original(table)
+        return original(table, name)
 
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     assert s4.hypergroup.size == 24
     monkeypatch.setattr(hypergroup_module, "_associativity_witness", counted_assoc)
     monkeypatch.setattr(groups_module, "_associativity_witness", counted_assoc)
-    monkeypatch.setattr(groups_module, "validate_group", counted)
+    monkeypatch.setattr(groups_module, "_proved_group", counted)
     sh.find_hall(s4, {2})
     sh.find_hall(s4, {3})
     # the thin residue of S4 is {0}, and S4 // {0} is S4's own table,
@@ -531,13 +531,13 @@ def test_group_from_thin_reads_no_table_for_a_group_scheme(monkeypatch):
     themselves, so neither reads an index table, on a group's scheme or
     on a wreath product whose residue factors validate_hypergroup built."""
     reads = []
-    real = solvability_module._thin_index_table
+    real = hall_module._thin_index_table
 
     def counted(masks):
         reads.append(len(masks))
         return real(masks)
 
-    monkeypatch.setattr(solvability_module, "_thin_index_table", counted)
+    monkeypatch.setattr(hall_module, "_thin_index_table", counted)
     s4 = sh.from_group(sh.symmetric(4))
     assert sh.is_solvable_scheme(s4)
     for pi in ({2}, {3}):

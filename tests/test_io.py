@@ -520,8 +520,8 @@ def test_report_starts_no_more_workers_than_inputs(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     # report_records imports the pool inside its jobs > 1 branch, so the
     # patch goes on the module it is imported from
@@ -563,6 +563,27 @@ def test_cli_report_pi_and_an_invalid_record(tmp_path, capsys):
     }
     assert list(c6["pi"]) == ["{2}", "{3}"]
     assert c6["pi"]["{3}"]["hall"] == {"core": [0, 2, 4], "index": 2, "relations": [0, 2, 4], "valency": 3}
+
+
+def test_cli_report_makes_an_undecodable_file_one_invalid_record(tmp_path, capsys):
+    """A file that is not UTF-8 is one invalid record naming the byte,
+    and the other files are still reported; the exit code is the one
+    any invalid record gives."""
+    (tmp_path / "garbage.scm").write_bytes(b"\xff\xfe garbage")
+    (tmp_path / "pentagon.scm").write_text((SCHEMES / "pentagon.scm").read_text("utf-8"), "utf-8")
+    error = "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert main(["report", str(tmp_path), "--json"]) == 0
+    garbage, pentagon = map(json.loads, capsys.readouterr().out.splitlines())
+    assert garbage == {"error": error, "input": "garbage", "schema": 1, "valid": False}
+    assert pentagon["valid"] and pentagon["n_points"] == 5 and "error" not in pentagon
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"garbage: INVALID ({error})",
+        "pentagon: n=5 rank=3 solvable=False closed=2",
+    ]
+    # bytes that decode give the record their text gives
+    text = (SCHEMES / "pentagon.scm").read_text("utf-8")
+    assert report.scheme_record("pentagon", text.encode()) == report.scheme_record("pentagon", text)
 
 
 def test_scheme_record_on_a_malformed_body_and_with_timings():

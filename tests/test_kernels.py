@@ -23,7 +23,7 @@ Conjugation, normality and subnormality, each read off one kernel, are
 checked against their two-product spellings and a pairwise chain
 search in oracles.py.  Light's associativity test, which tests only a
 generating set, is checked against the (a, b, c) triple loop on the
-bundled groups, relabelled copies and copies with two cells of a row
+bundled groups, relabelled copies and copies with an intercalate
 swapped; the derived series, closed from the commutators of a
 generating set, against the all-pairs series in oracles.py; strong
 normality in the whole hypergroup, tested on a generating set and its
@@ -283,66 +283,105 @@ def test_h1_witness_matches_triple_loop_on_corrupted_tables():
 
 
 def test_group_associativity_witness_matches_triple_loop():
+    """On the bundled groups Light's test passes on the thin hypergroup's
+    generators; copies with one cell changed are not Latin, outside the
+    test's precondition, so every b is tested, and the first witness is
+    the triple loop's."""
     rng = random.Random(5)
     tables = [sh.bundled_group(n).table for n in sh.bundled_group_names()]
     for t in tables:
-        assert _associativity_witness(t) is None
+        hg = sh.thin_hypergroup(t)
+        assert _associativity_witness(t, bits_of(_generators(hg, hg.full_mask))) is None
         n = len(t)
         if n == 1:
             continue
         for _ in range(8):
             bad = _corrupt_cell(rng, t, lambda rng, old: rng.randrange(n))
             bad = tuple(tuple(row) for row in bad)
-            assert _associativity_witness(bad) == group_assoc_oracle(bad), n
+            assert _associativity_witness(bad, range(n)) == group_assoc_oracle(bad), n
+
+
+def _intercalates(t):
+    """The 2 x 2 Latin subsquares of t off row and column 0 and off the
+    value 0, as (a, a2, b, c) with t[a][b] = t[a2][c] and t[a][c] = t[a2][b]."""
+    n = len(t)
+    row_of = [{t[y][x]: y for y in range(n)} for x in range(n)]  # by column, value
+    out = []
+    for a in range(1, n):
+        for b, c in itertools.combinations(range(1, n), 2):
+            x, y = t[a][b], t[a][c]
+            a2 = row_of[b][y]
+            if x and y and a2 > a and t[a2][c] == x:
+                out.append((a, a2, b, c))
+    return out
 
 
 def test_light_associativity_witness_matches_triple_loop():
     """Light's test, which checks associativity on a generating set only,
-    names the triple loop's first witness: on every bundled group, on
-    relabelled copies (whose generating sets differ) and on copies with
-    two cells of one row swapped, which stays a Latin row."""
+    names the triple loop's first witness through validate_group: on
+    every bundled group and C2 x C4, on relabelled copies that fix 0
+    (whose generating sets differ) and on copies with one intercalate
+    swapped, which stay Latin loops with identity 0 and the same
+    inverses, so within the test's precondition."""
     rng = random.Random(26)
+    tables = [(n, sh.bundled_group(n).table) for n in sh.bundled_group_names()]
+    tables.append(("c2xc4", sh.direct_product(sh.cyclic(2), sh.cyclic(4))))
     failing = 0
-    for name in sh.bundled_group_names():
-        t = sh.bundled_group(name).table
+    for name, t in tables:
         n = len(t)
         relabelled = [
-            tuple(map(tuple, _relabel(t, rng.sample(range(n), n)))) for _ in range(2)
+            tuple(map(tuple, _relabel(t, [0, *rng.sample(range(1, n), n - 1)])))
+            for _ in range(2)
         ]
         for copy in (t, *relabelled):
-            assert _associativity_witness(copy) is None, name
-            if n < 3:
-                continue
-            for _ in range(12):
+            assert sh.validate_group(copy) == copy, name
+            squares = _intercalates(copy)
+            for a, a2, b, c in rng.sample(squares, min(20, len(squares))):
                 rows = [list(row) for row in copy]
-                a = rng.randrange(n)
-                b, c = rng.sample(range(n), 2)
                 rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
+                rows[a2][b], rows[a2][c] = rows[a2][c], rows[a2][b]
                 bad = tuple(map(tuple, rows))
                 want = group_assoc_oracle(bad)
-                assert _associativity_witness(bad) == want, name
+                try:
+                    sh.validate_group(bad)
+                except sh.NotAGroupError as exc:
+                    assert str(exc) == "associativity fails at ({}, {}, {})".format(*want), name
+                else:
+                    assert want is None, name
                 failing += want is not None
     assert failing > 1000, failing
 
 
 def test_light_test_builds_a_row_reader_per_generator(monkeypatch):
     """from_group on C2^6 tests associativity on its greedy generating
-    set, the identity and six involutions: 7 row readers and 7 * 64 row
-    comparisons, where testing every b builds 64 readers."""
+    set, six involutions with no identity: 6 row readers and 6 * 64 row
+    comparisons, where testing every b builds 64 readers.  On D32 x C16,
+    of order 1,024, it reads 3 rows."""
     hypergroup_module = sys.modules["schemehall.hypergroup"]
     readers = []
+    reads = []
     real = hypergroup_module.itemgetter
 
     def counted(*items):
         readers.append(items)
-        return real(*items)
+        read = real(*items)
+
+        def counted_read(row):
+            reads.append(items)
+            return read(row)
+
+        return counted_read
 
     table = sh.cyclic(2)
     for _ in range(5):
         table = sh.direct_product(table, sh.cyclic(2))
     monkeypatch.setattr(hypergroup_module, "itemgetter", counted)
     assert sh.from_group(table).n_points == 64
-    assert len(readers) <= 7
+    assert len(readers) == 6
+    assert len(reads) == 6 * 64
+    readers.clear()
+    assert sh.thin_hypergroup(sh.direct_product(sh.dihedral(32), sh.cyclic(16))).size == 1024
+    assert len(readers) == 3
 
 
 def test_derived_series_matches_all_pairs():
@@ -677,7 +716,7 @@ def test_strong_normality_on_generators_matches_the_full_scan():
                 strong += want
         counts.append((len(hgs), checked, strong))
     assert counts == [(174, 937, 508), (3, 98 + 125 + 1, 47)]
-    assert _generators(larger[-1]) == 0
+    assert _generators(larger[-1], larger[-1].full_mask) == 0
 
 
 # --- operation-count guards -------------------------------------------------
@@ -714,8 +753,10 @@ def counted_closures(monkeypatch):
 def test_enumeration_closes_less_often(counted_closures):
     """Closed subsets of S4 (30 of them): Close-by-One makes 133
     closure_mask calls, 16 for the singleton closures of the inverse
-    pairs and the rest for extensions that pass the FCbO rule."""
+    pairs and the rest for extensions that pass the FCbO rule.  The
+    closures of the group proof, made before the walk, are not counted."""
     hg = sh.thin_hypergroup(sh.symmetric(4))
+    counted_closures.clear()
     assert len(sh.enumerate_closed_subsets(hg)) == 30
     assert len(counted_closures) <= 133
 
@@ -751,7 +792,7 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     original_closure = Hypergroup.closure_mask
 
     def counted_closure(self, mask, within=None):
-        if self is s4.hypergroup:
+        if s4 is not None and self is s4.hypergroup:
             closures.append(mask)
         return original_closure(self, mask, within)
 
@@ -764,12 +805,14 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
         monkeypatch.setattr(sys.modules[name], "_enumerate_closed", counted_walk)
     made = {}
     once = set()
+    s4 = None  # counted_closure reads s4; from_group's group proof closes before it is bound
     for pi in ({2}, {3}, {2, 3}, set()):
         s4 = sh.from_group(sh.symmetric(4))
         assert sh.is_solvable_scheme(s4)
         closures.clear()
-        gens = _generators(s4.hypergroup)
-        once.add((len(closures), gens))
+        hg = s4.hypergroup
+        sh.is_strongly_normal(hg.subset(1), hg.universe())  # builds the cached generating set
+        once.add((len(closures), hg._gens))
         closures.clear()
         assert sh.find_hall(s4, pi).hall.valency == sh.pi_part(24, frozenset(pi))
         assert s4.hypergroup._closed is None
@@ -797,20 +840,22 @@ def test_second_pi_closes_no_singleton(monkeypatch):
     original_generators = _generators
 
     def counted_closure(self, mask, within=None):
-        if self is s4.hypergroup:
+        if s4 is not None and self is s4.hypergroup:
             closures.append(mask)
         return original_closure(self, mask, within)
 
-    def counted_generators(hg):
-        builds.append(hg._gens is None)
-        return original_generators(hg)
+    def counted_generators(hg, mask):
+        builds.append(hg)
+        return original_generators(hg, mask)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
     monkeypatch.setattr(sys.modules["schemehall.hypergroup"], "_generators", counted_generators)
+    s4 = None  # counted_closure reads s4; from_group's group proof closes before it is bound
     s4 = sh.from_group(sh.symmetric(4))  # a fresh scheme for the {3} walk alone
     sh.is_solvable_scheme(s4)
     sh.find_hall(s4, {3})
     on_fresh = len(closures)
+    fresh = s4.hypergroup
     s4 = sh.from_group(sh.symmetric(4))
     sh.is_solvable_scheme(s4)
     closures.clear()
@@ -823,7 +868,7 @@ def test_second_pi_closes_no_singleton(monkeypatch):
         sh.find_hall(s4, pi)
         assert not any(m.bit_count() == 1 for m in closures), pi
         assert len(closures) < on_fresh if pi == {3} else closures == []
-    assert builds == [True, True, False, False, False]
+    assert builds == [fresh, s4.hypergroup]
 
 
 def test_keep_walk_is_the_filtered_full_walk():
@@ -951,7 +996,8 @@ def test_hall_context_checks_strong_normality_once(monkeypatch):
     cert = sh.find_hall(s4, {2})
     hg, hq = s4.hypergroup, cert.hyper_quotient
     on_hg = [within for h, within in withins if h is hg]
-    assert on_hg[0] == _generators(hg) and hg.full_mask not in on_hg
+    gens = _generators(hg, hg.full_mask)
+    assert on_hg[0] == gens | hg.star_mask(gens) and hg.full_mask not in on_hg
     assert on_hg[0].bit_count() < 24
     assert [within for h, within in withins if h is not hg] == [hq.full_mask] * 2
 

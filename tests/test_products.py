@@ -6,7 +6,8 @@ follow from the answers for its factors, which are cheap to compute, so
 each law below is checked on every ordered pair of a pool of eight
 factors (64 pairs) and once at scale.  The pool is C2, C3, C4, S3 and
 D8, whose thin schemes are solvable, and the rank-2 schemes K3, K4 and
-K5, which are not.  A law that fails on some input is a finding about
+K5, which are not.  The elementary abelian groups C_p^k, up to 64
+points, check the closed-subset count against the subspaces of F_p^k.  A law that fails on some input is a finding about
 the library, not a test to weaken.
 """
 from __future__ import annotations
@@ -108,6 +109,32 @@ def test_tensor_hall_counts_multiply(left, right):
     x = sh.validate_scheme(sh.tensor_matrix(s, t))
     for p in prime_factors(x.n_points):
         assert len(sh.all_hall_subsets(x, {p})) == hall_count(left, p) * hall_count(right, p)
+
+
+def _subspaces(p: int, k: int) -> int:
+    """The number of subspaces of F_p^k: the sum over d of the Gaussian
+    binomials [k, d]_p = prod_{i<d} (p^(k-i) - 1) / (p^(i+1) - 1)."""
+    total = 0
+    for d in range(k + 1):
+        num = den = 1
+        for i in range(d):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize(
+    "p, k, count",
+    [(2, 4, 67), (2, 5, 374), (2, 6, 2825), (3, 2, 6), (3, 3, 28), (5, 2, 8), (7, 2, 10)],
+)
+def test_elementary_abelian_closed_subsets_are_the_subspaces(p, k, count):
+    """The closed subsets of the thin scheme of C_p^k are the subgroups
+    of C_p^k, which are the F_p-subspaces of F_p^k: as many as the
+    Gaussian binomials add up to."""
+    assert _subspaces(p, k) == count
+    table = functools.reduce(sh.direct_product, [sh.cyclic(p)] * k)
+    assert len(sh.from_group(table).closed_subsets()) == count
 
 
 def test_wreath_c4_by_s4_at_scale():

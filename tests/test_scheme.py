@@ -171,10 +171,17 @@ def test_from_group_equals_the_validated_rows():
 
 
 def test_a_group_table_is_proved_associative_once(monkeypatch):
-    """from_group(S4).hypergroup and thin_hypergroup(S4) each build the
-    hypergroup from the table validate_group returned: associativity is
-    proved once, and validate_hypergroup does not run."""
+    """from_group(S4).hypergroup and thin_hypergroup(S4) each build one
+    hypergroup, which the group proof builds before associativity:
+    associativity is proved once, and validate_hypergroup does not run."""
     calls = []
+    real_init = sh.Hypergroup.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("Hypergroup")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sh.Hypergroup, "__init__", counted_init)
     for name in ("_associativity_witness", "validate_hypergroup"):
         original = getattr(importlib.import_module("schemehall.hypergroup"), name)
 
@@ -191,7 +198,7 @@ def test_a_group_table_is_proved_associative_once(monkeypatch):
     ):
         calls.clear()
         assert build().size == 24
-        assert calls == ["_associativity_witness"]
+        assert calls == ["Hypergroup", "_associativity_witness"]
 
 
 def test_wreath28_structure(wreath28):
@@ -343,13 +350,13 @@ def test_validate_scheme_size_cap(monkeypatch):
 
 def test_from_group_applies_the_size_cap_before_the_group_checks(monkeypatch):
     calls = []
-    real = groups_module.validate_group
+    real = groups_module._proved_group
 
-    def counted(table):
+    def counted(table, name):
         calls.append(1)
-        return real(table)
+        return real(table, name)
 
-    monkeypatch.setattr(groups_module, "validate_group", counted)
+    monkeypatch.setattr(groups_module, "_proved_group", counted)
     # S3 is thin on 6 points: n * rank**2 = 6**3 = 216
     monkeypatch.setattr(scheme_module, "SCHEME_SIZE_CAP", 6**3 - 1)
     with pytest.raises(sh.SchemeTooLargeError, match="n \\* rank\\*\\*2 = 216"):

@@ -378,6 +378,23 @@ def test_package_surface_is_the_submodule_lists():
             assert getattr(schemehall, name) is getattr(module, name), (module.__name__, name)
 
 
+def test_each_public_name_has_one_declaring_module():
+    """Each name in schemehall.__all__ but __version__ is in exactly one
+    submodule's __all__: the one module that defines it, and the one the
+    bench tracer looks it up in."""
+    homes: dict[str, list[str]] = {}
+    for info in pkgutil.iter_modules(schemehall.__path__):
+        module = importlib.import_module(f"schemehall.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            homes.setdefault(name, []).append(info.name)
+    wrong = {
+        name: homes.get(name, [])
+        for name in schemehall.__all__
+        if name != "__version__" and len(homes.get(name, [])) != 1
+    }
+    assert not wrong, f"public names not declared in exactly one submodule: {wrong}"
+
+
 def test_version_matches_pyproject():
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert f'\nversion = "{schemehall.__version__}"\n' in pyproject
