@@ -122,8 +122,8 @@ class Hypergroup:
         self.name = name
         self.valencies: tuple[int, ...] | None = None
         self._closed: tuple[ClosedSubset, ...] | None = None
-        # Close-by-One's attributes, and _generators with stars: see _attributes,
-        # is_strongly_normal
+        # Close-by-One's attributes, and the whole hypergroup's _generators:
+        # see _attributes, _generators
         self._attrs: tuple[tuple[int, int], ...] | None = None
         self._gens: int | None = None
         # residue-series factors, () when not solvable: see solvability._residue_series
@@ -196,8 +196,9 @@ class Hypergroup:
             out |= 1 << inv[s]
         return out
 
-    def closure_mask(self, mask: int, within: int | None = None) -> int:
-        """Smallest closed subset containing mask, semi-naively.
+    def closure_mask(self, mask: int, stop: int = 0) -> int:
+        """Smallest closed subset containing mask, semi-naively, or the
+        part of it found by the time the closing meets stop.
 
         With gens = mask, its star and the neutral element, the closure
         is the union of the powers of gens (H1, and star reverses
@@ -205,29 +206,27 @@ class Hypergroup:
         last round by gens; the neutral is left out of the right factor
         because it is a right identity.
 
-        With a within mask, the closure is wanted only if it lies inside
-        within: 0 is returned as soon as gens or a round's new elements
-        leave it, without finishing the closure.
+        The rounds only add elements, so once gens or a round's new
+        elements meet stop, the closure meets stop too, and the elements
+        found so far are returned without finishing it.  So the result
+        is the closure when that misses stop (always, with stop = 0);
+        otherwise it meets stop and lies inside the closure.
         """
         if mask == 0:
             raise EmptyInputError("cannot close the empty set")
-        outside = 0 if within is None else ~within
         table = self.table
         gens = mask | self.star_mask(mask) | 1  # star_mask checks mask in range
         steps = bits_of(gens & ~1)
         cur = frontier = gens
-        while True:
-            if frontier & outside:
-                return 0
+        while frontier and not frontier & stop:
             new = 0
             for a in bits_of(frontier):
                 row = table[a]
                 for b in steps:
                     new |= row[b]
             frontier = new & ~cur
-            if not frontier:
-                return cur
             cur |= frontier
+        return cur
 
     def is_closed_mask(self, mask: int) -> bool:
         if mask == 0:
@@ -577,10 +576,14 @@ def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
     extended by each attribute j > y not in C, closing C's generator
     mask plus j, and the closure D is kept only when it adds nothing
     below j, so each closed subset is reached once, with no record of
-    those reached.  By the FCbO rule (Outrata and Vychodil, Information
-    Sciences 185, 2012) j is skipped without closing when a closure of
-    j that failed the test above C, or j's singleton closure, holds an
-    element below j that C lacks.  The result is cached on the hypergroup.
+    those reached.  The elements below j that C lacks are one stop
+    mask: the closure stops at the first round that meets it, as
+    In-Close's canonicity test does (Andrews, ICCS 2009).  By the FCbO
+    rule (Outrata and Vychodil, Information Sciences 185, 2012) j is
+    skipped without closing when a closure of j that failed the test
+    above C, partial or whole, or j's singleton closure, meets the stop
+    mask.
+    The result is cached on the hypergroup.
     """
     if hg._closed is None:
         hg._closed = _enumerate_closed(hg, None)
@@ -602,12 +605,17 @@ def _generators(hg: Hypergroup, mask: int) -> int:
     member, lowest first, outside the closure of those before it.  The
     neutral is never picked, and no stars are added.  It is the one
     picker: the group proof's Light's test, the derived series and
-    is_strongly_normal all read it."""
+    is_strongly_normal all read it.  The whole hypergroup's set is
+    picked once and kept on the hypergroup."""
+    if mask == hg.full_mask and hg._gens is not None:
+        return hg._gens
     gens, reached = 0, 1
     for s in bits_of(mask):
         if not reached >> s & 1:
             gens |= 1 << s
             reached = hg.closure_mask(gens)
+    if mask == hg.full_mask:
+        hg._gens = gens
     return gens
 
 
@@ -621,17 +629,25 @@ def _enumerate_closed(
     closed subset of a closed mask it holds on; nothing checks that.
     Then each closed subset it accepts is reached through accepted
     ones, by attributes whose singleton closure it accepts, so only
-    those are tried, a closure is taken only inside the union of their
-    closures, and keep is asked once per closed subset, after the test.
+    those are tried, and keep is asked once per closed subset, after
+    the test.  Everything outside the union of their closures joins
+    the stop mask, as keep accepts no closed subset that leaves it.
+
+    So one stop mask per attribute, the elements below j that C lacks
+    and those outside, rejects j before closing, stops the closure and
+    rejects its result.  A rejected closure, partial or whole, bounds
+    the children: each child's closure with j holds it, as the child
+    and its generators hold C's, so it meets the child's stop mask
+    whenever the bound does.
     """
     attrs = _attributes(hg)
-    within = None
+    outside = 0
     if keep is not None:
         if not keep(1):
             return ()
         verdict = {c: keep(c) for c in dict.fromkeys(c for _, c in attrs)}
         attrs = [(s, c) for s, c in attrs if verdict[c]]
-        within = reduce(or_, (c for _, c in attrs), 1)
+        outside = ~reduce(or_, (c for _, c in attrs), 1)
     found = [1]
     # a node is (closed mask, generators, next attribute slot, bounds):
     # bounds[i] lies inside the node's closure with attrs[i]
@@ -641,24 +657,18 @@ def _enumerate_closed(
         passed = bounds[:]  # shared by the children, filled in below
         for i in range(first, len(attrs)):
             j, single = attrs[i]
-            below = (1 << j) - 1
-            if cur >> j & 1 or bounds[i] & ~cur & below:
+            stop = ~cur & ((1 << j) - 1) | outside
+            if cur >> j & 1 or bounds[i] & stop:
                 continue
             ext = gens | 1 << j
-            joined = hg.closure_mask(ext, within) if gens else single
-            if joined & ~cur & below:
+            joined = hg.closure_mask(ext, stop) if gens else single
+            if joined & stop:
                 passed[i] = joined  # fails the test here, so in every child
-            elif joined and (
-                keep is None or (verdict[joined] if joined in verdict else keep(joined))
-            ):
+            elif keep is None or (verdict[joined] if joined in verdict else keep(joined)):
                 found.append(joined)
                 stack.append((joined, ext, i + 1, passed))
-    return tuple(
-        sorted(
-            (_as_closed(hg, m) for m in found),
-            key=ElementSubset.sort_key,
-        )
-    )
+    closed = (_as_closed(hg, m) for m in found)
+    return tuple(sorted(closed, key=ElementSubset.sort_key))
 
 
 def _normalizer(hg: Hypergroup, c: int, within: int) -> int:
@@ -720,11 +730,12 @@ def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
     """F strongly normal in G: h^ F h inside F for every h in G.
 
     When G is the whole hypergroup, only the h of its _generators and
-    their stars are tried, a mask built once per hypergroup.  The h with
-    h^ F h inside F hold the neutral element and are closed under
-    products: for k in h1 h2, H3 puts k^ in h2^ h1^, so k^ F k lies in
-    h2^ (h1^ F h1) h2, inside h2^ F h2, inside F.  So they hold the
-    closure of the generators and their stars, which is every element.
+    their stars are tried; the set is picked once per hypergroup, and
+    the stars are added on each read.  The h with h^ F h inside F hold
+    the neutral element and are closed under products: for k in h1 h2,
+    H3 puts k^ in h2^ h1^, so k^ F k lies in h2^ (h1^ F h1) h2, inside
+    h2^ F h2, inside F.  So they hold the closure of the generators and
+    their stars, which is every element.
 
     Raises NotSubsetError when F is not contained in G.
     """
@@ -734,10 +745,8 @@ def is_strongly_normal(f: ElementSubset, g: ElementSubset) -> bool:
     hg = f.parent
     within = g.bits
     if within == hg.full_mask:
-        if hg._gens is None:
-            gens = _generators(hg, within)
-            hg._gens = gens | hg.star_mask(gens)
-        within = hg._gens
+        gens = _generators(hg, within)
+        within = gens | hg.star_mask(gens)
     return all(not conj & ~f.bits for _, conj in _conjugates(hg, f.bits, within))
 
 

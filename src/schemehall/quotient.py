@@ -166,6 +166,8 @@ def subquotient(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> Q
 def lift_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
     """Union of the cosets named by a closed subset of the quotient: the
     input is checked to be a closed subset of q, then _lift."""
+    if not isinstance(q, QuotientHypergroup):
+        raise TypeError(f"expected QuotientHypergroup, got {type(q).__name__}")
     q.universe()._check(subset)
     if not q.is_closed_mask(subset.bits):
         raise NotClosedError("can only lift a closed subset of the quotient")
@@ -187,6 +189,8 @@ def _lift(q: QuotientHypergroup, bits: int) -> ClosedSubset:
 
 def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
     """Image in the quotient of a closed subset between F and the outer subset."""
+    if not isinstance(q, QuotientHypergroup):
+        raise TypeError(f"expected QuotientHypergroup, got {type(q).__name__}")
     q.parent.universe()._check(subset)
     if not q.parent.is_closed_mask(subset.bits):
         raise NotClosedError("can only project a closed subset")

@@ -231,7 +231,9 @@ def closed_subsets_cyclic_extension(
             union = cur | c
             if union not in found and union not in dropped:
                 ext = gens | 1 << s
-                joined = hg.closure_mask(ext, within)
+                joined = hg.closure_mask(ext, 0 if within is None else ~within)
+                if within is not None and joined & ~within:
+                    joined = 0  # the closing left within
                 if joined in found:
                     continue  # keep accepted it when it was found
                 if joined == 0 or keep is not None and not keep(joined):

@@ -184,22 +184,26 @@ def test_closure_against_scan(square):
         assert fast.bits == slow.bits
 
 
-def test_closure_within_a_mask(square):
-    """closure_mask with a within mask is the closure when that lies
-    inside within, else 0, which it returns as soon as a round leaves
-    within: on C8, closing {1} inside {0, 1, 2, 6, 7} multiplies two
-    frontiers, {0, 1, 7} and {2, 6}, reading their rows, where the whole
-    closure multiplies four, down to {3, 5} and {4}."""
+def test_closure_stops_at_a_mask(square):
+    """closure_mask with a stop mask is the closure when that misses
+    stop; otherwise it is the part found by the round that met stop,
+    which holds the mask, meets stop and lies inside the closure: on C8,
+    closing {1} with stop {3, 4, 5} multiplies two frontiers, {0, 1, 7}
+    and {2, 6}, reading their rows, where the whole closure multiplies
+    four, down to {3, 5} and {4}."""
     for hg in (square, sh.thin_hypergroup(sh.symmetric(3))):
         for bits in range(1, 1 << hg.size):
             whole = hg.closure_mask(bits)
-            for within in range(1 << hg.size):
-                want = whole if whole & ~within == 0 else 0
-                assert hg.closure_mask(bits, within) == want
+            for stop in range(1 << hg.size):
+                got = hg.closure_mask(bits, stop)
+                if whole & stop:
+                    assert got & stop and bits & ~got == 0 and got & ~whole == 0
+                else:
+                    assert got == whole
     c8, reads = row_reading_copy(sh.thin_hypergroup(sh.cyclic(8)))
     assert c8.closure_mask(0b10) == 0xFF and reads == [0, 1, 7, 2, 6, 3, 5, 4]
     reads.clear()
-    assert c8.closure_mask(0b10, 0b11000111) == 0 and reads == [0, 1, 7, 2, 6]
+    assert c8.closure_mask(0b10, 0b111000) == 0b11101111 and reads == [0, 1, 7, 2, 6]
 
 
 def test_thin_detection(pentagon, square):

@@ -742,23 +742,34 @@ def counted_closures(monkeypatch):
     calls = []
     original = Hypergroup.closure_mask
 
-    def counted(self, mask, within=None):
+    def counted(self, mask, stop=0):
         calls.append(mask)
-        return original(self, mask, within)
+        return original(self, mask, stop)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted)
     return calls
 
 
 def test_enumeration_closes_less_often(counted_closures):
-    """Closed subsets of S4 (30 of them): Close-by-One makes 133
-    closure_mask calls, 16 for the singleton closures of the inverse
-    pairs and the rest for extensions that pass the FCbO rule.  The
-    closures of the group proof, made before the walk, are not counted."""
-    hg = sh.thin_hypergroup(sh.symmetric(4))
-    counted_closures.clear()
-    assert len(sh.enumerate_closed_subsets(hg)) == 30
-    assert len(counted_closures) <= 133
+    """The full walk on a fresh thin S4 (30 closed subsets) and S4 x C2^3
+    (192 elements, 2,398 closed subsets): Close-by-One makes 134 and
+    23,726 closure_mask calls, 16 and 135 of them for the singleton
+    closures of the inverse pairs and the rest for extensions that pass
+    the FCbO rule, and reads 734 and 172,925 table rows, counting the
+    closedness check of each subset it returns.  A rejected closure
+    stops at the first round that meets its stop mask, and the partial
+    closure it leaves is a weaker bound for the children than the whole
+    one, so a few more extensions are closed than when every closure ran
+    to the end (133 and 23,675 calls), in far fewer rows (1,717 and
+    773,433).  The closures of the group proof, made before the walk,
+    are not counted."""
+    c2_3 = functools.reduce(sh.direct_product, [sh.cyclic(2)] * 3)
+    counts = []
+    for table in (sh.symmetric(4), sh.direct_product(sh.symmetric(4), c2_3)):
+        hg, reads = row_reading_copy(sh.thin_hypergroup(table))
+        counted_closures.clear()
+        counts.append((len(sh.enumerate_closed_subsets(hg)), len(counted_closures), len(reads)))
+    assert counts == [(30, 134, 734), (2398, 23726, 172925)]
 
 
 def test_enumeration_closes_at_most_ten_times_per_closed_subset(counted_closures):
@@ -780,21 +791,22 @@ def test_enumeration_closes_at_most_ten_times_per_closed_subset(counted_closures
 
 def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     """find_hall on a fresh S4 scheme, its residue series built first,
-    and its generating set, one closure per generator, counted apart:
-    the {2} walk makes fewer closures than a full walk of the same
-    lattice (85 and 133 under Close-by-One), the {3} walk fewer again
-    (22), and {2, 3} and {} (Hall subsets S4 and {0}) none.  No walk of
-    the whole lattice is made, and none is left cached.  Only closures
-    on the scheme's hypergroup count: the Hall subgroups of G are joined
-    on its residue quotient."""
+    and its generating set, which the group proof picked, read by
+    strong normality with no closure: the {2} walk makes fewer closures
+    than a full walk of the same lattice (75 and 134 under
+    Close-by-One), the {3} walk fewer again (22), and {2, 3} and {}
+    (Hall subsets S4 and {0}) none.  No walk of the whole lattice is
+    made, and none is left cached.  Only closures on the scheme's
+    hypergroup count: the Hall subgroups of G are joined on its residue
+    quotient."""
     closures = []
     keeps = []
     original_closure = Hypergroup.closure_mask
 
-    def counted_closure(self, mask, within=None):
+    def counted_closure(self, mask, stop=0):
         if s4 is not None and self is s4.hypergroup:
             closures.append(mask)
-        return original_closure(self, mask, within)
+        return original_closure(self, mask, stop)
 
     def counted_walk(hg, keep):
         keeps.append(keep)
@@ -811,14 +823,14 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
         assert sh.is_solvable_scheme(s4)
         closures.clear()
         hg = s4.hypergroup
-        sh.is_strongly_normal(hg.subset(1), hg.universe())  # builds the cached generating set
+        sh.is_strongly_normal(hg.subset(1), hg.universe())  # reads the cached generating set
         once.add((len(closures), hg._gens))
         closures.clear()
         assert sh.find_hall(s4, pi).hall.valency == sh.pi_part(24, frozenset(pi))
         assert s4.hypergroup._closed is None
         made[frozenset(pi)] = len(closures)
     (prep, gens), = once
-    assert 0 < prep <= gens.bit_count() < 24
+    assert prep == 0 and 0 < gens.bit_count() < 24
     s4 = sh.from_group(sh.symmetric(4))
     closures.clear()
     _enumerate_closed(s4.hypergroup, None)
@@ -828,28 +840,33 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
 
 
 def test_second_pi_closes_no_singleton(monkeypatch):
-    """On one fresh S4 scheme the {2} query builds the generating set
-    and, for its walk, the attributes (16 singleton closures); the {3}
-    walk after it closes no singleton and makes fewer closures than on
-    a fresh scheme, {2, 3} and {} make none, and the generating set is
-    built once in all.  Only closures on the scheme's hypergroup count,
-    not those joining the Hall subgroups of its residue quotient."""
+    """On one fresh S4 scheme the {2} query builds, for its walk, the
+    attributes (16 singleton closures); the {3} walk after it closes no
+    singleton and makes fewer closures than on a fresh scheme, and
+    {2, 3} and {} make none.  Only closures on the scheme's hypergroup
+    count, not those joining the Hall subgroups of its residue quotient.
+    The whole hypergroup's generating set is picked once per hypergroup:
+    by the group proof on each scheme's hypergroup, and by the derived
+    series on its residue factor S // {0}, a hypergroup of its own; the
+    queries pick none."""
     closures = []
-    builds = []
+    picks = []
     original_closure = Hypergroup.closure_mask
     original_generators = _generators
 
-    def counted_closure(self, mask, within=None):
+    def counted_closure(self, mask, stop=0):
         if s4 is not None and self is s4.hypergroup:
             closures.append(mask)
-        return original_closure(self, mask, within)
+        return original_closure(self, mask, stop)
 
     def counted_generators(hg, mask):
-        builds.append(hg)
+        if mask == hg.full_mask and hg._gens is None:
+            picks.append(hg)
         return original_generators(hg, mask)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
-    monkeypatch.setattr(sys.modules["schemehall.hypergroup"], "_generators", counted_generators)
+    for name in ("schemehall.hypergroup", "schemehall.groups"):
+        monkeypatch.setattr(sys.modules[name], "_generators", counted_generators)
     s4 = None  # counted_closure reads s4; from_group's group proof closes before it is bound
     s4 = sh.from_group(sh.symmetric(4))  # a fresh scheme for the {3} walk alone
     sh.is_solvable_scheme(s4)
@@ -868,7 +885,8 @@ def test_second_pi_closes_no_singleton(monkeypatch):
         sh.find_hall(s4, pi)
         assert not any(m.bit_count() == 1 for m in closures), pi
         assert len(closures) < on_fresh if pi == {3} else closures == []
-    assert builds == [fresh, s4.hypergroup]
+    factors = [hg._residue[0] for hg in (fresh, s4.hypergroup)]
+    assert picks == [fresh, factors[0], s4.hypergroup, factors[1]]
 
 
 def test_keep_walk_is_the_filtered_full_walk():
@@ -906,10 +924,11 @@ def closed_pi_keep(scheme, pi):
 def test_close_by_one_matches_cyclic_extension():
     """The Close-by-One walk equals the cyclic-extension walk it
     replaced (oracles.py), mask for mask and in order, full and with
-    seeded keeps, on every pool hypergroup.  Past order 12, on the thin
-    schemes of S4 x C2 (48 points) and D8 x C4 (64 points), it does so
-    full and with the closed pi-subset keep of all_hall_subsets for
-    pi = {2} and {3}."""
+    seeded keeps, on every pool hypergroup.  On the residue corpus it
+    does so full and with the closed pi-subset keep of all_hall_subsets
+    for each nonempty pi over the primes of n, 612 walks.  Past order
+    12, on the thin schemes of S4 x C2 (48 points) and D8 x C4 (64
+    points), it does so full and with that keep for pi = {2} and {3}."""
     def same(hg, keep):
         got = [c.bits for c in _enumerate_closed(fresh(hg), keep)]
         assert got == [c.bits for c in closed_subsets_cyclic_extension(fresh(hg), keep)]
@@ -924,6 +943,15 @@ def test_close_by_one_matches_cyclic_extension():
             same(hg, lambda m: m & ~allowed == 0)
             same(hg, lambda m: m.bit_count() <= largest)
             same(hg, lambda m: m & ~allowed == 0 and m.bit_count() <= largest)
+    walks = 0
+    for scheme in residue_corpus():
+        same(scheme.hypergroup, None)
+        primes = sh.prime_factors(scheme.n_points)
+        for k in range(1, len(primes) + 1):
+            for pi in itertools.combinations(primes, k):
+                same(scheme.hypergroup, closed_pi_keep(scheme, pi))
+        walks += 2 ** len(primes)
+    assert walks == 612
     for table, count in (
         (sh.direct_product(sh.symmetric(4), sh.cyclic(2)), 98),
         (sh.direct_product(sh.dihedral(8), sh.cyclic(4)), 125),

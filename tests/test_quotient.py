@@ -227,6 +227,16 @@ def test_second_isomorphism_instances_on_c6(c6):
 
 @pytest.mark.parametrize("call, error, message", [
     (
+        lambda c6, q: sh.lift_closed(c6, c6.universe()),
+        TypeError,
+        "expected QuotientHypergroup, got Hypergroup",
+    ),
+    (
+        lambda c6, q: sh.project_closed(c6, c6.universe()),
+        TypeError,
+        "expected QuotientHypergroup, got Hypergroup",
+    ),
+    (
         lambda c6, q: sh.lift_closed(q, q.subset([0, 1])),
         sh.NotClosedError,
         "can only lift a closed subset of the quotient",
