@@ -6,15 +6,17 @@ solvability builds and checks thin once.  For each pi the Hall
 pi-subgroups of G are found by the classical route and lifted back
 through the closed-subset correspondence; the pi-core is the lift of
 O_pi(G), their intersection.  That structure is built once per (scheme,
-pi) and cached on the scheme, and each of its facts has one check.  The
-core is lifted by quotient._lift, which checks the lift closed, as no
-filter stands behind it; it is checked strongly normal by conjugating
-it with a generating set alone, which each hypergroup builds once, with
-the attributes every pi's walk shares.  G is solvable by the residue
-series.  Each lifted Hall subset is the plain sum of the cosets its
-subgroup names, and the family must equal an exhaustive filter over
-every closed pi-subset, read off the cached lattice when the hypergroup
-has one; as the filter keeps only closed subsets passing the Hall
+pi) and cached on the scheme, and each of its facts has one check.  A
+core from O_pi(G) = 1 is the residue modulus, checked closed by
+quotient._quotient and strongly normal by is_thin once per scheme in
+the residue series; one from O_pi(G) = G is the whole scheme.  Any
+other core is lifted by quotient._lift, which checks the lift closed,
+as no filter stands behind it, and is checked strongly normal by
+conjugating it with a generating set alone, which each hypergroup
+builds once.  G is solvable by the residue series.  Each lifted Hall
+subset is the plain sum of the cosets its subgroup names, and the
+family must equal an exhaustive filter over every closed pi-subset,
+read off the cached lattice when the hypergroup has one; as the filter keeps only closed subsets passing the Hall
 predicate, that equality proves each lift closed and Hall.  After it,
 the family is certified conjugate: for each lifted Hall subset after the first, the
 quotient group's conjugator must have a relation in its coset that
@@ -134,9 +136,11 @@ def _core_and_halls(
     G = S // O^θ(S), that group's Hall ps-subgroups and the pi-core
     lifted from their intersection, O_pi(G).  valenced masks the
     ps-valenced relations.  Raises NotPiValencedError naming the first
-    relation that fails, then NotSolvableError.  The core is checked
-    closed by _lift and strongly normal by conjugation, rather than
-    trusted."""
+    relation that fails, then NotSolvableError.  A core from a trivial
+    O_pi(G) is the residue modulus, which the residue series checked
+    closed and strongly normal once per scheme, and one from O_pi(G) = G
+    the whole scheme; any other is checked closed by _lift and strongly
+    normal by conjugation, rather than trusted."""
     missing = ~valenced & ((1 << scheme.rank) - 1)
     if missing:
         s = (missing & -missing).bit_length() - 1  # the first relation that fails
@@ -152,9 +156,15 @@ def _core_and_halls(
         )
     hq = series[0]
     halls = _hall_subgroups(hq, ps)
-    core = _lift(hq, reduce(and_, halls))
-    if not is_strongly_normal(core, scheme.hypergroup.universe()):
-        raise InternalInconsistencyError("the pi-core must be strongly normal")
+    meet = reduce(and_, halls)
+    if meet == 1:
+        core = ClosedSubset(scheme.hypergroup, hq.modulus.bits)
+    elif meet == hq.full_mask:
+        core = scheme.hypergroup.universe()
+    else:
+        core = _lift(hq, meet)
+        if not is_strongly_normal(core, scheme.hypergroup.universe()):
+            raise InternalInconsistencyError("the pi-core must be strongly normal")
     return hq, halls, core
 
 
@@ -211,6 +221,8 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> tuple[int, ...]:
     """hall_subgroups on a solvable group held as a thin hypergroup, as
     checked by hall_subgroups or the residue series.  Joins are closures,
     right cosets mul_masks products and conjugates hypergroup._conjugates.
+    A pi-part of 1 or n leaves the trivial subgroup or G the one Hall
+    subgroup, returned with no search.
 
     The greedy build makes one pass over the elements and joins the same
     ones as restarting at element 1 after each join: a g that failed to
@@ -221,6 +233,8 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> tuple[int, ...]:
     """
     n = hg.size
     target = pi_part(n, ps)
+    if target in (1, n):
+        return (hg.full_mask if target == n else 1,)
     hall = 1
     for g in range(1, n):
         if hall.bit_count() == target:
@@ -293,8 +307,9 @@ class _HallContext:
     all_hall_subsets, whose members are closed and Hall, which proves
     each lift closed, Hall and of that valency.  Only then is each
     certified conjugate to lifted[0] through the coset of a conjugator
-    of halls[0] onto halls[i].  The core alone is checked closed by
-    _lift, in _core_and_halls.  best indexes the least lifted Hall
+    of halls[0] onto halls[i].  Only a core that is neither the residue
+    modulus nor the whole scheme is checked closed by _lift, in
+    _core_and_halls.  best indexes the least lifted Hall
     subset.  Every pi with the same primes among those of the scheme
     shares the context.
     """

@@ -358,9 +358,11 @@ def test_only_the_core_is_lifted_with_a_closedness_check(monkeypatch):
     """_lift, which checks its lift closed, runs for the pi-core alone,
     as no filter stands behind the core; each lifted Hall subset is a
     plain coset sum, proved closed by the family's equality with the
-    exhaustive filter.  So S4 makes one _lift call for pi = {2, 3},
-    whose Hall subset is the whole scheme, and one for pi = {2}, with
-    its three Sylow 2-subsets."""
+    exhaustive filter.  A core that is the residue modulus or the whole
+    scheme is not lifted, as the residue series proved the one closed
+    and strongly normal once per scheme.  So S4 makes no _lift call for
+    pi = {2, 3}, whose core is the whole scheme, and one for pi = {2},
+    with its three Sylow 2-subsets, for O_2 = V4."""
     calls = []
     original = hall_module._lift
 
@@ -371,10 +373,78 @@ def test_only_the_core_is_lifted_with_a_closedness_check(monkeypatch):
     monkeypatch.setattr(hall_module, "_lift", counted)
     cert = sh.find_hall(sh.from_group(sh.symmetric(4), name="s4"), {2, 3})
     assert cert.hall.bits == cert.o_pi.bits == cert.scheme.hypergroup.full_mask
-    assert cert.hall.valency == 24 and len(calls) == 1
-    calls.clear()
+    assert cert.hall.valency == 24 and calls == []
     cert = sh.find_hall(sh.from_group(sh.symmetric(4), name="s4"), {2})
     assert cert.hall.valency == 8 and calls == [cert.o_pi.bits]
+
+
+def test_trivial_pi_parts_build_the_context_with_no_search(monkeypatch):
+    """When the pi-part of |G| is 1 or |G|, the one Hall subgroup is the
+    trivial one or G, and so is the core: a warm scheme's find_hall
+    then makes no closure, conjugation, lift or strong-normality check.
+    Run on a fresh scheme of each bundled group for each such pi."""
+    calls = []
+    original_closure = hypergroup_module.Hypergroup.closure_mask
+
+    def counted_closure(self, mask, stop=0):
+        calls.append("closure_mask")
+        return original_closure(self, mask, stop)
+
+    def counting(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(hypergroup_module.Hypergroup, "closure_mask", counted_closure)
+    for module in (hall_module, hypergroup_module):
+        monkeypatch.setattr(module, "_conjugates", counting("_conjugates", module._conjugates))
+    for name in ("_lift", "is_strongly_normal"):
+        monkeypatch.setattr(hall_module, name, counting(name, getattr(hall_module, name)))
+    cases = 0
+    for name in sh.bundled_group_names():
+        table = sh.bundled_group(name).table
+        n = len(table)
+        for pi in ALL_PI:
+            target = sh.pi_part(n, pi)
+            if target not in (1, n):
+                continue
+            scheme = sh.from_group(table, name=name)
+            assert sh.is_solvable_scheme(scheme)
+            calls.clear()
+            cert = sh.find_hall(scheme, pi)
+            assert calls == [], (name, pi)
+            full = scheme.hypergroup.full_mask if target == n else 1
+            assert cert.hall.bits == cert.o_pi.bits == cert.lifted_subgroup == full, (name, pi)
+            cases += 1
+    assert cases == 440
+
+
+def test_hall_subsets_of_thin_schemes_beyond_order_12():
+    """On thin schemes of 64 and 96 points, for every pi over 2, 3 and
+    5: the Hall subset's valency is the pi-part of n, its index a
+    pi'-number, and the pi-core the intersection of all Hall subsets,
+    as O_pi(G) is the intersection of the Hall pi-subgroups of a
+    solvable group."""
+    c2 = sh.cyclic(2)
+    pis = [frozenset(p) for k in range(4) for p in itertools.combinations((2, 3, 5), k)]
+    tables = {
+        "s4xc4": sh.direct_product(sh.symmetric(4), sh.cyclic(4)),
+        "d12xc4": sh.direct_product(sh.dihedral(12), sh.cyclic(4)),
+        "a4xc8": sh.direct_product(sh.alternating(4), sh.cyclic(8)),
+        "s3xc16": sh.direct_product(sh.symmetric(3), sh.cyclic(16)),
+        "c2^6": functools.reduce(sh.direct_product, [c2] * 6),
+    }
+    for name, table in tables.items():
+        s = sh.from_group(table, name=name)
+        assert s.n_points == (64 if name == "c2^6" else 96)
+        for pi in pis:
+            cert = sh.find_hall(s, pi)
+            assert cert.hall.valency == sh.pi_part(s.n_points, pi), (name, pi)
+            assert sh.pi_part(cert.index, pi) == 1, (name, pi)
+            meet = functools.reduce(operator.and_, (t.bits for t in sh.all_hall_subsets(s, pi)))
+            assert cert.o_pi.bits == meet, (name, pi)
 
 
 def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
