@@ -54,8 +54,7 @@ def split_catalogue(text: str, order: int) -> list[SchemeFile]:
     matrices.  Schemes are named scheme{order}_{i}, i the 1-based
     position, matching the catalogue numbering.
     """
-    if order < 1:
-        raise ValueError(f"scheme order must be at least 1, got {order}")
+    _check_order(order)
     tokens: list[int] = []
     for raw in text.splitlines():
         body = raw.split("#", 1)[0]
@@ -79,6 +78,12 @@ def split_catalogue(text: str, order: int) -> list[SchemeFile]:
         rank = len({v for row in matrix for v in row})
         out.append(SchemeFile(f"scheme{order}_{i + 1}", order, rank, matrix))
     return out
+
+
+def _check_order(order: int) -> None:
+    """Refuse an order that is not an int of at least 1; bool is an int subclass."""
+    if type(order) is not int or order < 1:
+        raise ValueError(f"scheme order must be at least 1, got {order}")
 
 
 def _cache_dir(explicit: str | os.PathLike[str] | None) -> Path:
@@ -108,8 +113,9 @@ def fetch_catalogue(
     temporary file and renamed into place, sidecar first.  Later reads
     verify the sidecar and raise ChecksumMismatchError when the cache was
     tampered with or the sidecar is missing.  offline=True never touches
-    the network.
+    the network.  The order is checked before any of them is read.
     """
+    _check_order(order)
     fname = f"as{order}.txt"
     cache = _cache_dir(cache_dir)
     cached = cache / fname

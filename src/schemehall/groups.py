@@ -17,9 +17,9 @@ from itertools import permutations
 from .errors import NotAGroupError
 from .hypergroup import (
     Hypergroup,
-    _associativity_witness,
     _conjugators,
     _generators,
+    _prove_group,
     bits_of,
     enumerate_closed_subsets,
 )
@@ -50,8 +50,8 @@ def validate_group(table: Sequence[Sequence[int]]) -> Table:
 
 
 def _proved_group(table: Sequence[Sequence[int]], name: str) -> tuple[Table, Hypergroup]:
-    """validate_group's proof, and the thin hypergroup it builds before
-    associativity: Light's test runs over that hypergroup's _generators."""
+    """validate_group's input checks, then the group proof,
+    hypergroup._prove_group, on the thin hypergroup they build."""
     n = len(table)
     if n == 0:
         raise NotAGroupError("empty table")
@@ -66,28 +66,16 @@ def _proved_group(table: Sequence[Sequence[int]], name: str) -> tuple[Table, Hyp
                 raise NotAGroupError(f"entry {v} in row {x} outside 0..{n - 1}")
         rows.append(tuple(row))
     t = tuple(rows)
-    for x in range(n):
-        if len(set(t[x])) != n:
-            raise NotAGroupError(f"row {x} is not a permutation")
-        if len({t[y][x] for y in range(n)}) != n:
-            raise NotAGroupError(f"column {x} is not a permutation")
-    for x in range(n):
-        if t[x][0] != x or t[0][x] != x:
-            raise NotAGroupError("index 0 is not a two-sided identity")
-    inv = group_inverse(t)
-    for x in range(n):
-        if t[inv[x]][x] != 0:
-            raise NotAGroupError(f"element {x} has no two-sided inverse")
-    hg = Hypergroup(tuple(tuple(1 << v for v in row) for row in t), inv, name=name)
-    witness = _associativity_witness(t, bits_of(_generators(hg, hg.full_mask)))
-    if witness is not None:
-        raise NotAGroupError("associativity fails at ({}, {}, {})".format(*witness))
+    hg = Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
+    _prove_group(hg, t)
     return t, hg
 
 
 def group_inverse(table: Table) -> tuple[int, ...]:
-    """inv[x] is the right inverse of x: the first y with xy = 0."""
-    return tuple(row.index(0) for row in table)
+    """inv[x] is the right inverse of x: the first y with xy = 0, or -1
+    when row x holds no 0, which the group proof refuses as not a
+    permutation before it reads the inverse."""
+    return tuple(row.index(0) if 0 in row else -1 for row in table)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +177,8 @@ def direct_product(g1: Table, g2: Table) -> Table:
 
 def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergroup:
     """The group as a hypergroup with singleton products; validate_group's
-    proof of the group axioms, which builds it before Light's test reads
-    its _generators, is its proof of H1-H3."""
+    proof of the group axioms, run on this hypergroup, is its proof of
+    H1-H3."""
     return _proved_group(table, name)[1]
 
 

@@ -29,7 +29,7 @@ conjugator in G and its coset) and scheme.conjugators all read one
 search, hypergroup._conjugators.  G is held as the thin hypergroup the
 residue series built, so its derived series and its Hall subgroups are
 joined by its own closure_mask and conjugated by the kernel S uses; only
-validation reads a Cayley index table, and none is kept: a certificate
+the group proof reads a Cayley index table, and none is kept: a certificate
 carries G as that hypergroup.
 """
 from __future__ import annotations
@@ -180,10 +180,11 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
 
 def group_from_thin(hg: Hypergroup) -> Table:
     """Read a thin hypergroup off as a Cayley table, checking only thinness:
-    validate_hypergroup built hg, checking H1-H3 with the neutral put at 0.
-    The table of element indices is read afresh on each call, as no
-    hypergroup keeps one.  No library code calls this: the library
-    computes on the thin hypergroup itself."""
+    whichever door built hg proved H1-H3 on it with the neutral at 0, by
+    the one group proof when its table is thin.  The table of element
+    indices is read afresh on each call, as no hypergroup keeps one.  No
+    library code calls this: the library computes on the thin hypergroup
+    itself."""
     t = _thin_index_table(hg.table)
     if t is None:
         p, q = next(

@@ -15,13 +15,16 @@ The axioms checked by validate_hypergroup:
       q lies in p^r and p lies in r q^.
 
 The inverse map, when it exists, is pinned down by H2/H3: t is the
-inverse of s exactly when the neutral element lies in ts.  Validation
-exploits that to locate the unique candidate and then checks H3 over
-all triples.  When every product is a single element (a thin table,
-such as a group or a quotient by a strongly normal closed subset), H1-H3
-hold exactly when it is a group's table: groups.thin_hypergroup builds
-it, and its validate_group is the proof.  Other tables, and any it
-refuses, take the set-valued loops.
+inverse of s exactly when the neutral element lies in ts.
+validate_hypergroup exploits that to locate the unique candidate; a
+quotient and a scheme's relations know theirs.  Each builds the
+Hypergroup it returns, and _prove checks H1-H3 on that very object.
+When every product is a single element (a thin table, such as a group
+or a quotient by a strongly normal closed subset), H1-H3 hold exactly
+when it is a group's table, and the one group proof, _prove_group, run
+on the thin hypergroup being built, is the proof, whichever door builds
+it: validate_group and thin_hypergroup run it too.  Other tables, and
+any it refuses, take the set-valued loops.
 """
 from __future__ import annotations
 
@@ -424,34 +427,56 @@ def validate_hypergroup(
 
     rows, hinv = masks, inv
     if e != 0:
-        # swap labels 0 and e so the neutral element lands at index 0
+        # swap labels 0 and e so the neutral element lands at index 0;
+        # the swap is its own inverse, so new label a reads old label perm[a]
         perm = list(range(k))
         perm[0], perm[e] = e, 0
+        rows = [[mask_of(perm[s] for s in bits_of(masks[a][b])) for b in perm] for a in perm]
+        hinv = [perm[inv[a]] for a in perm]
 
-        rows = [[0] * k for _ in range(k)]
-        for a in range(k):
-            for b in range(k):
-                rows[perm[a]][perm[b]] = mask_of(perm[s] for s in bits_of(masks[a][b]))
-        hinv = [0] * k
-        for s in range(k):
-            hinv[perm[s]] = perm[inv[s]]
+    hg = Hypergroup(tuple(map(tuple, rows)), tuple(hinv), name=name)
+    return _prove(hg, masks, inv)  # witnesses in the input's labels
 
-    t = _thin_index_table(rows)
+
+def _prove(hg: Hypergroup, masks: Sequence[Sequence[int]], inv: Sequence[int]) -> Hypergroup:
+    """Prove H1-H3 on hg, the hypergroup the caller returns, with 0 as
+    its neutral and hg.inverse as its inverse map; returns hg.
+
+    masks and inv are hg's table and inverse in the labels the caller
+    names witnesses in.  Every cell must be nonempty and in range, and
+    0 a right neutral.  A thin table then passes the group proof, and
+    any other table, or a thin one that proof refuses, passes H3 over
+    all triples under inv and then H1.
+
+    The given inverse needs no search.  Once 0 is a right neutral, s in
+    s0 makes H3 put 0 in s^s, and 0 in ts puts s in t^0 = {t^}.  The
+    second, applied to 0 in s^s, gives s^^ = s; so 0 in ts gives
+    t^ = s^^, and t = s^.  So a map that passes H3 is the unique
+    inverse, the one validate_hypergroup's search finds.
+    """
+    k = hg.size
+    for a, row in enumerate(hg.table):
+        if 0 in row:
+            raise EmptyProductError(a, row.index(0))
+        if min(row) < 0 or max(row) >> k:
+            raise ValueError(f"row {a} holds a mask out of range for order {k}")
+    if any(row[0] != 1 << s for s, row in enumerate(hg.table)):
+        raise NoNeutralError("element 0 is not a right neutral")
+    t = _thin_index_table(hg.table)
     if t is not None:  # H1-H3 hold exactly when t is a group's table
-        from .groups import thin_hypergroup  # groups builds on this module
-
         try:
-            return thin_hypergroup(t, name=name)
+            _prove_group(hg, t)
+            return hg
         except NotAGroupError:
             pass
-    # the literal loops name the first witness, in the input's labels
+    # the literal loops name the first witness, in the caller's labels
     _h3_literal(masks, inv)
     witness = _h1_witness(masks)
     if witness is not None:
         raise AssocViolationError(*witness)
     if t is not None:
         raise InternalInconsistencyError("validate_group refused a table that passed H1-H3")
-    return Hypergroup(tuple(tuple(row) for row in rows), tuple(hinv), name=name)
+    return hg
 
 
 def _thin_index_table(masks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...] | None:
@@ -482,6 +507,31 @@ def _h3_literal(masks: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
                     )
 
 
+def _prove_group(hg: Hypergroup, t: Sequence[tuple[int, ...]]) -> None:
+    """The group proof: raise NotAGroupError unless t, the thin
+    hypergroup hg's table of element indices in range, is a group's
+    table with identity 0 and inverse map hg.inverse.  Its rows and
+    columns must be permutations, 0 a two-sided identity and each
+    hg.inverse[x] x equal to 0, all before Light's test reads hg's
+    _generators, whose precondition these are."""
+    n = len(t)
+    for x in range(n):
+        if len(set(t[x])) != n:
+            raise NotAGroupError(f"row {x} is not a permutation")
+        if len({t[y][x] for y in range(n)}) != n:
+            raise NotAGroupError(f"column {x} is not a permutation")
+    for x in range(n):
+        if t[x][0] != x or t[0][x] != x:
+            raise NotAGroupError("index 0 is not a two-sided identity")
+    inv = hg.inverse
+    for x in range(n):
+        if t[inv[x]][x] != 0:
+            raise NotAGroupError(f"element {x} has no two-sided inverse")
+    witness = _associativity_witness(t, bits_of(_generators(hg, hg.full_mask)))
+    if witness is not None:
+        raise NotAGroupError("associativity fails at ({}, {}, {})".format(*witness))
+
+
 def _associativity_witness(
     t: Sequence[tuple[int, ...]], gens: Iterable[int]
 ) -> tuple[int, int, int] | None:
@@ -497,9 +547,10 @@ def _associativity_witness(
     every b name the first witness.  On a thin table this is the first
     (p, q, r) of _h1_witness.
 
-    Precondition: t is Latin, with identity 0 and two-sided inverses,
+    Precondition: t is Latin, with identity 0 and g^ g = 0 for every g,
     and the products of gens, their stars and 0 reach every element, as
-    closure_mask finds for _generators of t's thin hypergroup.  The b
+    closure_mask finds for _generators of t's thin hypergroup; that is
+    what _prove_group checks before it calls this.  The b
     that pass then hold every element, with no star or 0 tested: 0
     passes, and so does each g^, as right multiplication by g permutes
     the elements, so g, gg, (gg)g, ..., each a product of g's, returns

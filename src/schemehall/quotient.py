@@ -24,9 +24,9 @@ from .hypergroup import (
     ElementSubset,
     Hypergroup,
     _double_cosets,
+    _prove,
     bits_of,
     mask_of,
-    validate_hypergroup,
 )
 
 __all__ = [
@@ -74,75 +74,57 @@ def _quotient(
 ) -> QuotientHypergroup:
     """outer // F for a closed mask outer holding F, read off hg's own rows
     and columns.  The product of cosets with representatives a and b is
-    the set of cosets meeting a F b; the table is validated once against
-    the hypergroup axioms before being returned.  H // {0} is H itself,
-    its cosets the singletons: it shares hg's table, which
-    validate_hypergroup checked when it built hg.  Callers check that
-    modulus is a subset of hg."""
+    the set of cosets meeting a F b, and the inverse of F r F is
+    F r^ F; _prove checks H1-H3 on the QuotientHypergroup returned.
+    H // {0} is H itself, its cosets the singletons: it shares hg's
+    table, proved when hg was built, and takes no double-coset work.
+    Callers check that modulus is a subset of hg."""
     if not hg.is_closed_mask(modulus.bits):
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
     if f == 1 and outer == hg.full_mask:
-        return QuotientHypergroup(
-            hg.table,
-            hg.inverse,
-            parent=hg,
-            modulus=ClosedSubset(hg, 1),
-            cosets=tuple(1 << s for s in hg.elements),
-            coset_of=tuple(hg.elements),
-            name=name,
-        )
-
-    cosets = _double_cosets(hg, f, outer)
-    coset_of = [-1] * hg.size
-    for idx, coset in enumerate(cosets):
-        for x in bits_of(coset):
-            if coset_of[x] != -1:
-                raise InternalInconsistencyError(
-                    "double cosets failed to partition the element set"
-                )
-            coset_of[x] = idx
-
-    k = len(cosets)
-    rows = hg.table
-    f_members = bits_of(f)
-    reps = [(c & -c).bit_length() - 1 for c in cosets]
-    raw: list[list[int]] = []
-    for i in range(k):
-        # (rep_i F) rep_j is column rep_j over the members of rep_i F,
-        # read off their rows
-        row_i = rows[reps[i]]
-        rep_f = 0
-        for x in f_members:
-            rep_f |= row_i[x]
-        rep_f_rows = [rows[y] for y in bits_of(rep_f)]
-        row = []
-        for r in reps:
-            prod = 0
-            for y_row in rep_f_rows:
-                prod |= y_row[r]
-            m = 0
-            while prod:  # one coset per step: the lowest member names it
-                c = coset_of[(prod & -prod).bit_length() - 1]
-                m |= 1 << c
-                prod &= ~cosets[c]
-            row.append(m)
-        raw.append(row)
-
-    checked = validate_hypergroup(raw, name=name)
-    # coset 0 contains the parent neutral, so validation must not permute
-    if checked.table != tuple(tuple(row) for row in raw):
-        raise InternalInconsistencyError("quotient neutral coset was not at index 0")
-
-    return QuotientHypergroup(
-        checked.table,
-        checked.inverse,
-        parent=hg,
-        modulus=ClosedSubset(hg, f),
-        cosets=tuple(cosets),
-        coset_of=tuple(coset_of),
-        name=checked.name,
-    )
+        table, inverse = hg.table, hg.inverse
+        cosets = tuple(1 << s for s in hg.elements)
+        coset_of = hg.elements
+    else:
+        cosets = tuple(_double_cosets(hg, f, outer))
+        coset_of = [-1] * hg.size
+        for idx, coset in enumerate(cosets):
+            for x in bits_of(coset):
+                if coset_of[x] != -1:
+                    raise InternalInconsistencyError(
+                        "double cosets failed to partition the element set"
+                    )
+                coset_of[x] = idx
+        rows = hg.table
+        f_members = bits_of(f)
+        reps = [(c & -c).bit_length() - 1 for c in cosets]
+        raw: list[list[int]] = []
+        for rep in reps:
+            # (rep F) r is column r over the members of rep F, read off their rows
+            rep_row = rows[rep]
+            rep_f = 0
+            for x in f_members:
+                rep_f |= rep_row[x]
+            rep_f_rows = [rows[y] for y in bits_of(rep_f)]
+            row = []
+            for r in reps:
+                prod = 0
+                for y_row in rep_f_rows:
+                    prod |= y_row[r]
+                m = 0
+                while prod:  # one coset per step: the lowest member names it
+                    c = coset_of[(prod & -prod).bit_length() - 1]
+                    m |= 1 << c
+                    prod &= ~cosets[c]
+                row.append(m)
+            raw.append(row)
+        table = tuple(map(tuple, raw))
+        inverse = tuple(coset_of[hg.inverse[r]] for r in reps)
+    hq = QuotientHypergroup(table, inverse, hg, ClosedSubset(hg, f), cosets, tuple(coset_of), name)
+    if table is not hg.table:
+        _prove(hq, table, inverse)
+    return hq
 
 
 def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:

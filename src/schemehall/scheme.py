@@ -43,9 +43,9 @@ from .hypergroup import (
     Hypergroup,
     _conjugates,
     _conjugators,
+    _prove,
     enumerate_closed_subsets,
     mask_of,
-    validate_hypergroup,
 )
 from .quotient import quotient
 from .solvability import SolvableChain, is_solvable, solvable_chain
@@ -100,19 +100,18 @@ class AssociationScheme:
 
     @cached_property
     def hypergroup(self) -> Hypergroup:
-        """Relations under complex multiplication, carrying the valencies;
-        their inverses must be star_map."""
-        raw = self._products
+        """Relations under complex multiplication, carrying the valencies,
+        with relation 0 as the neutral and star_map as the inverse map:
+        _prove checks H1-H3 on this hypergroup, and its H2 and H3 checks
+        confirm both, the inverse being unique once H3 holds."""
+        table = tuple(map(tuple, self._products))
+        hg = Hypergroup(table, self.star_map, name=self.name or "scheme relations")
         try:
-            hg = validate_hypergroup(raw, name=self.name or "scheme relations")
+            _prove(hg, table, self.star_map)
         except Exception as exc:
             raise InternalInconsistencyError(
                 f"relations of a valid scheme must form a hypergroup: {exc}"
             ) from exc
-        if hg.table != tuple(tuple(row) for row in raw):
-            raise InternalInconsistencyError("identity relation was not the hypergroup neutral")
-        if hg.inverse != self.star_map:
-            raise InternalInconsistencyError("hypergroup inverses differ from the star map")
         self._products = None  # hg.table holds the same masks now
         hg.valencies = self.valencies
         return hg

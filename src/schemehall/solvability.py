@@ -58,7 +58,7 @@ def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
     cached; None when hg is not solvable.  Each quotient is a subquotient
     of hg, its cosets masks over hg, checked thin by is_thin and solvable
     by its derived series, both read off the quotient.  is_thin reads
-    only each s^s, which is enough: validation proved H1-H3, and once
+    only each s^s, which is enough: _prove checked H1-H3 on q, and once
     every s^s is {0}, any x in pq has p^x inside p^(pq) = (p^p)q = {q},
     so pq = p(p^x) = (pp^)x = {x}.  A series that stands still needs no
     quotient.  The one-element hypergroup has the factor {0} // {0}, so

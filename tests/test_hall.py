@@ -527,8 +527,8 @@ def test_context_validates_its_group_table_once(monkeypatch):
 
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     assert s4.hypergroup.size == 24
+    # the group proof, hypergroup._prove_group, reads it from its own module
     monkeypatch.setattr(hypergroup_module, "_associativity_witness", counted_assoc)
-    monkeypatch.setattr(groups_module, "_associativity_witness", counted_assoc)
     monkeypatch.setattr(groups_module, "_proved_group", counted)
     sh.find_hall(s4, {2})
     sh.find_hall(s4, {3})
@@ -543,18 +543,18 @@ def test_context_validates_its_group_table_once(monkeypatch):
 
 
 def test_find_hall_on_a_group_scheme_validates_no_hypergroup(monkeypatch):
-    """Once a group scheme's hypergroup is built, find_hall validates no
+    """Once a group scheme's hypergroup is built, find_hall proves no
     hypergroup: its residue factor H // {0} is H itself."""
     calls = []
-    original = hypergroup_module.validate_hypergroup
+    original = hypergroup_module._prove
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counted(hg, masks, inv):
+        calls.append(hg.size)
+        return original(hg, masks, inv)
 
     for key, module in list(sys.modules.items()):
-        if key.startswith("schemehall.") and hasattr(module, "validate_hypergroup"):
-            monkeypatch.setattr(module, "validate_hypergroup", counted)
+        if key.startswith("schemehall.") and hasattr(module, "_prove"):
+            monkeypatch.setattr(module, "_prove", counted)
     queries = 0
     for name in sh.bundled_group_names():
         s = sh.from_group(sh.bundled_group(name).table, name=name)
@@ -599,7 +599,7 @@ def test_group_from_thin_reads_the_validated_group():
 def test_group_from_thin_reads_no_table_for_a_group_scheme(monkeypatch):
     """Solvability and the Hall contexts compute on the thin hypergroups
     themselves, so neither reads an index table, on a group's scheme or
-    on a wreath product whose residue factors validate_hypergroup built."""
+    on a wreath product whose residue factors _quotient proved."""
     reads = []
     real = hall_module._thin_index_table
 

@@ -24,6 +24,8 @@ from schemehall import (
     NoNeutralError,
     ParentMismatchError,
 )
+from schemehall import hypergroup as hypergroup_module
+from schemehall.hypergroup import Hypergroup, _prove, mask_of
 
 from conftest import row_reading_copy
 from oracles import all_closed_subsets_scan, closure_scan
@@ -115,18 +117,52 @@ def test_missing_inverse_rejected():
         sh.validate_hypergroup(bad)
 
 
+# Klein-like table with 1*1 fattened to {0,1}: every exchange condition
+# still holds, but (1*1)*2 = {2,3} while 1*(1*2) = {2}
+KLEIN_FAT = [
+    [{0}, {1}, {2}, {3}],
+    [{1}, {0, 1}, {3}, {2}],
+    [{2}, {3}, {0}, {1}],
+    [{3}, {2}, {1}, {0}],
+]
+
+
 def test_associativity_violation_rejected():
-    # Klein-like table with 1*1 fattened to {0,1}: every exchange
-    # condition still holds, but (1*1)*2 = {2,3} while 1*(1*2) = {2}
-    bad = [
-        [{0}, {1}, {2}, {3}],
-        [{1}, {0, 1}, {3}, {2}],
-        [{2}, {3}, {0}, {1}],
-        [{3}, {2}, {1}, {0}],
-    ]
     with pytest.raises(AssocViolationError) as exc:
-        sh.validate_hypergroup(bad)
+        sh.validate_hypergroup(KLEIN_FAT)
     assert "(1, 1, 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize("table, inv, error, message", [
+    ([[{0}, {1}], [{1}, set()]], (0, 1), EmptyProductError, "product of 1 and 1 is empty"),
+    ([[{0}, {1}], [{1}, {2}]], (0, 1), ValueError, "row 1 holds a mask out of range for order 2"),
+    ([[{1}, {0, 1}], [{0, 1}, {0}]], (0, 1), NoNeutralError, "element 0 is not a right neutral"),
+    (PENTAGON, (0, 2, 1), NoInverseError, "H3 fails: 1 in 0*1 but 0 not in 1*inv(1)"),
+    (KLEIN_FAT, (0, 1, 2, 3), AssocViolationError, "(1, 1, 2)"),
+])
+def test_prove_names_each_failed_check(table, inv, error, message):
+    """_prove takes 0 as the neutral and the given inverse map, and each
+    of its checks fires on a table made to fail it."""
+    masks = tuple(tuple(mask_of(cell) for cell in row) for row in table)
+    with pytest.raises(error) as exc:
+        _prove(Hypergroup(masks, inv), masks, inv)
+    assert message in str(exc.value)
+
+
+def test_prove_guards_a_group_proof_that_refuses_a_group(monkeypatch):
+    """_prove returns the hypergroup it proved; when the group proof
+    refuses a thin table that then passes H1-H3, the guard fires."""
+    s4 = sh.thin_hypergroup(sh.symmetric(4))
+    hg = Hypergroup(s4.table, s4.inverse)
+    assert _prove(hg, hg.table, hg.inverse) is hg
+
+    def refuse(hg, t):
+        raise sh.NotAGroupError("refused")
+
+    monkeypatch.setattr(hypergroup_module, "_prove_group", refuse)
+    guard = "^validate_group refused a table that passed H1-H3$"
+    with pytest.raises(sh.InternalInconsistencyError, match=guard):
+        _prove(Hypergroup(s4.table, s4.inverse), s4.table, s4.inverse)
 
 
 def test_subset_algebra(pentagon):

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,20 @@ def test_split_catalogue_rejects_ragged_stream():
 def test_split_catalogue_rejects_an_order_below_one(order):
     with pytest.raises(ValueError, match=f"at least 1, got {order}"):
         catalogue.split_catalogue("0 1\n1 0\n", order)
+
+
+@pytest.mark.parametrize("order", [0, -3, True, 2.5, 2.0])
+def test_catalogue_doors_check_the_order_before_any_read(order, tmp_path, served):
+    """An order that is not an int of at least 1 is refused by both
+    doors, by fetch_catalogue before any cache, mirror or network read:
+    no URL is requested and nothing is cached."""
+    _, urls = served
+    message = "^" + re.escape(f"scheme order must be at least 1, got {order}") + "$"
+    with pytest.raises(ValueError, match=message):
+        catalogue.split_catalogue("0 1\n1 0\n", order)
+    with pytest.raises(ValueError, match=message):
+        catalogue.fetch_catalogue(order, source="http://mirror.invalid/as", cache_dir=tmp_path)
+    assert urls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_fetch_from_mirror_directory(tmp_path):

@@ -118,8 +118,9 @@ def test_solvability_and_core_walk_no_lattice(monkeypatch):
 
 def test_each_residue_factor_is_validated_once(monkeypatch):
     """On a fresh scheme with its hypergroup built, is_solvable_scheme
-    validates each residue factor once, never on the set-valued path;
-    the wreath products have five and four factors."""
+    proves each residue factor once, in the QuotientHypergroup it
+    returns, never on the set-valued path; the wreath products have five
+    and four factors."""
     calls = []
 
     def counting(module_name, name):
@@ -133,7 +134,7 @@ def test_each_residue_factor_is_validated_once(monkeypatch):
             if key.startswith("schemehall.") and hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
 
-    counting("schemehall.hypergroup", "validate_hypergroup")
+    counting("schemehall.hypergroup", "_prove")
     counting("schemehall.hypergroup", "_h1_witness")
     cases = [
         (sh.bundled_scheme("hm176_28").scheme(), 2),
@@ -144,4 +145,32 @@ def test_each_residue_factor_is_validated_once(monkeypatch):
         assert s.hypergroup.size > 1
         calls.clear()
         assert sh.is_solvable_scheme(s)
-        assert calls == ["validate_hypergroup"] * factors, s.name
+        assert calls == ["_prove"] * factors, s.name
+
+
+def test_each_thin_factor_picks_its_generating_set_once(monkeypatch):
+    """_quotient proves the QuotientHypergroup it returns, so the group
+    proof's Light's test and the derived series read one whole-hypergroup
+    generating set per residue factor: on hm176_28, one pick per factor
+    of order 7 and 4.  A group scheme's factor S // {0} is a hypergroup
+    of its own, apart from the one from_group proved, so it picks once."""
+    hypergroup_module = importlib.import_module("schemehall.hypergroup")
+    original = hypergroup_module._generators
+    picks = []
+
+    def counted(hg, mask):
+        if mask == hg.full_mask and hg._gens is None:
+            picks.append(hg.size)
+        return original(hg, mask)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("schemehall.") and hasattr(module, "_generators"):
+            monkeypatch.setattr(module, "_generators", counted)
+    for s, want in (
+        (sh.bundled_scheme("hm176_28").scheme(), [7, 4]),
+        (sh.from_group(sh.symmetric(4)), [24]),
+    ):
+        assert s.hypergroup.size > 1
+        picks.clear()
+        assert sh.is_solvable_scheme(s)
+        assert picks == want, s.name

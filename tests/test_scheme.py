@@ -21,6 +21,7 @@ import pytest
 
 import schemehall as sh
 from schemehall import arith, groups as groups_module, scheme as scheme_module
+from schemehall import hypergroup as hypergroup_module
 
 from conftest import ALL_PI, catalogue_schemes
 
@@ -76,10 +77,16 @@ def test_validator_checks_the_type_of_every_entry(matrix):
 
 
 def test_hypergroup_inverses_must_match_the_star_map():
+    """The star map is the inverse map the relations are proved under,
+    so a skewed one fails H3."""
     pent = sh.bundled_scheme("pentagon").scheme()
     pent.star_map = (0, 2, 1)
-    with pytest.raises(sh.InternalInconsistencyError, match="inverses differ from the star map"):
+    with pytest.raises(sh.InternalInconsistencyError) as info:
         pent.hypergroup
+    assert str(info.value) == (
+        "relations of a valid scheme must form a hypergroup: "
+        "H3 fails: 1 in 0*1 but 0 not in 1*inv(1)"
+    )
 
 
 def test_pentagon_basics(pentagon):
@@ -173,7 +180,8 @@ def test_from_group_equals_the_validated_rows():
 def test_a_group_table_is_proved_associative_once(monkeypatch):
     """from_group(S4).hypergroup and thin_hypergroup(S4) each build one
     hypergroup, which the group proof builds before associativity:
-    associativity is proved once, and validate_hypergroup does not run."""
+    associativity is proved once, and neither validate_hypergroup nor the
+    proof kernel _prove runs."""
     calls = []
     real_init = sh.Hypergroup.__init__
 
@@ -182,7 +190,7 @@ def test_a_group_table_is_proved_associative_once(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(sh.Hypergroup, "__init__", counted_init)
-    for name in ("_associativity_witness", "validate_hypergroup"):
+    for name in ("_associativity_witness", "validate_hypergroup", "_prove"):
         original = getattr(importlib.import_module("schemehall.hypergroup"), name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -230,24 +238,27 @@ def test_wreath28_thin_radical_quotient(wreath28):
 
 
 def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
-    """quotient proves H1-H3 on the quotient table, and that table is the
-    quotient scheme's hypergroup: one validate_hypergroup call for a
-    non-trivial modulus, none for {0}, whose quotient is the hypergroup
-    itself."""
+    """quotient proves H1-H3 on the QuotientHypergroup it returns, and
+    that object is the quotient scheme's hypergroup: one _prove call for
+    a non-trivial modulus, none for {0}, whose quotient shares the
+    hypergroup's own table."""
     calls = []
-    original = sh.validate_hypergroup
+    original = hypergroup_module._prove
+    proved = []
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return original(*args, **kwargs)
+    def counted(hg, masks, inv):
+        calls.append(hg.size)
+        proved.append(hg)
+        return original(hg, masks, inv)
 
     s = sh.bundled_scheme("hm176_28").scheme()
     assert s.hypergroup.size == 10
     for key, module in list(sys.modules.items()):
-        if key.startswith("schemehall.") and hasattr(module, "validate_hypergroup"):
-            monkeypatch.setattr(module, "validate_hypergroup", counted)
+        if key.startswith("schemehall.") and hasattr(module, "_prove"):
+            monkeypatch.setattr(module, "_prove", counted)
     q = sh.quotient_scheme(s, s.closed_subset([0, 1, 2, 3]))
     assert calls == [7]
+    assert proved[0] is q.hypergroup  # the object proved is the one returned
     assert q.hypergroup.table == sh.quotient(s.hypergroup, q.hypergroup.modulus).table
     assert q.hypergroup.inverse == q.star_map
     calls.clear()

@@ -3,7 +3,7 @@
 Invariants the code enforces must survive `python -O`, which strips
 assert statements, so the package raises InternalInconsistencyError
 instead and this test keeps it that way.  No module imports a name it
-does not use, the public API carries no name without a caller, no
+does not use, no chain of imports between modules is a cycle, the public API carries no name without a caller, no
 private helper lacks a caller in src/, the names and methods only
 tests call are listed, the public data slots only tests read are
 listed, ClosedSubset has no subclass, and every name the bench tracer
@@ -73,6 +73,39 @@ def test_no_unused_imports_in_package():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, f"unused imports in the package: {unused}"
+
+
+def _package_imports(path: Path) -> dict[str, int]:
+    """The sibling modules a module imports, at module level or inside
+    a function, each with the line of its first such import."""
+    out: dict[str, int] = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                name = name.split(".")[0]
+                out[name] = min(out.get(name, node.lineno), node.lineno)
+    return out
+
+
+def test_package_has_no_import_cycle():
+    """No chain of imports between the package's modules returns to the
+    module it starts from.  Imports inside functions count too: a lazy
+    import only defers the cycle to the first call."""
+    graph = {path.stem: _package_imports(path) for path in sorted(SOURCE.glob("*.py"))}
+    assert graph["groups"]["hypergroup"]
+    cycles = []
+    for start in graph:
+        stack, seen = [(start, [])], set()
+        while stack:
+            module, trail = stack.pop()
+            for target, line in sorted(graph.get(module, {}).items()):
+                step = trail + [f"{module}.py:{line}"]
+                if target == start:
+                    cycles.append(" -> ".join(step + [start]))
+                elif target not in seen:
+                    seen.add(target)
+                    stack.append((target, step))
+    assert not cycles, f"import cycles in the package: {cycles}"
 
 
 def test_bench_tracer_names_resolve():
