@@ -196,6 +196,8 @@ def bundled_orders() -> tuple[int, ...]:
 
 
 def bundled_catalogue(order: int) -> list[SchemeFile]:
+    """The bundled catalogue of one order, its order checked before any file is read."""
+    _check_order(order)
     path = _data_root() / "catalogue" / f"order{order:02d}.txt"
     return split_catalogue(path.read_text("utf-8"), order)
 

@@ -126,7 +126,9 @@ class NotAGroupError(SchemehallError):
 
 
 class InternalInconsistencyError(SchemehallError):
-    """A property that is guaranteed by theory failed on concrete data."""
+    """A property that is guaranteed by theory failed on concrete data.
+    Each check that raises it fires in some test, and none repeats a
+    proof already made on the same object."""
 
 
 # ---------------------------------------------------------------------------

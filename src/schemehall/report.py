@@ -118,9 +118,10 @@ def report_records(
     processes, and never more than there are inputs; the output order
     stays the sorted-name order either way.  The process pool is only
     imported then, so a serial report never loads concurrent.futures or
-    multiprocessing.  jobs < 1 raises ValueError.
+    multiprocessing.  A jobs that is not an int of at least 1, a bool
+    included, raises ValueError.
     """
-    if jobs < 1:
+    if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     ordered = sorted(inputs, key=lambda p: p[0])
     if jobs == 1 or len(ordered) <= 1:

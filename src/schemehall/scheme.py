@@ -207,7 +207,7 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     # partner exactly when there are rank distinct pairs
     pairs = set(zip(chain.from_iterable(rel), chain.from_iterable(cols)))
     if len(pairs) != rank:
-        _raise_star_witness(rel, rank)
+        _raise_star_witness(rel)
     # one pair per label, and (t, s) is a pair with (s, t): star is an involution
     star = list(map(dict(pairs).__getitem__, range(rank)))
 
@@ -217,8 +217,9 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
             return scheme
     keys = None if rank == n else _pair_keys(rel, cols, rank, upper=True)
     if keys is None:
-        _pair_keys(rel, cols, rank, upper=False)  # names the witness
-        raise InternalInconsistencyError("pair keys differ but no count table does")
+        # every pair, row-major; a key lists the codes rank*p + q, so it fixes
+        # its count table, and two keys of r that differ name the witness
+        keys = _pair_keys(rel, cols, rank, upper=False)
 
     # row 0 meets every relation, and regularity of relation 0 makes
     # every row's label counts equal: these are the a_{s s* 0}
@@ -308,31 +309,25 @@ def _count_table(rel: Sequence[Sequence[int]], y: int, z: int, rank: int) -> lis
 
 def _raise_identity_witness(rel: Sequence[Sequence[int]], x: int) -> NoReturn:
     """Row x holds 0 off the diagonal or not on it: name the diagonal
-    first, then the first y != x with rel[x][y] = 0."""
+    first, then the first y != x with rel[x][y] = 0, which a row with 0
+    on the diagonal but not once has."""
     if rel[x][x] != 0:
         raise IdentityViolationError(x, x, f"diagonal entry ({x}, {x}) is not 0")
-    for y in range(len(rel)):
-        if x != y and rel[x][y] == 0:
-            raise IdentityViolationError(x, y)
-    raise InternalInconsistencyError(f"row {x} passed the identity check")
+    raise IdentityViolationError(x, next(y for y, r in enumerate(rel[x]) if r == 0 and y != x))
 
 
-def _raise_star_witness(rel: Sequence[Sequence[int]], rank: int) -> NoReturn:
-    """Some relation meets two partners: name the first pair, in row-major
-    order, that contradicts the partner seen before it."""
-    star = [-1] * rank
-    n = len(rel)
-    for x in range(n):
-        for y in range(n):
-            s, t = rel[x][y], rel[y][x]
-            if star[s] == -1:
-                star[s] = t
-            elif star[s] != t:
-                raise StarViolationError(
-                    f"relation {s} pairs with both {star[s]} and {t}, "
-                    f"seen at ({x}, {y})"
-                )
-    raise InternalInconsistencyError("every relation met a single partner")
+def _raise_star_witness(rel: Sequence[Sequence[int]]) -> NoReturn:
+    """Some relation meets two partners, as there are more pairs than
+    relations: name the first pair, in row-major order, that contradicts
+    the partner seen before it."""
+    star: dict[int, int] = {}
+    s, t, x, y = next(
+        (s, rel[y][x], x, y)
+        for x, row in enumerate(rel)
+        for y, s in enumerate(row)
+        if star.setdefault(s, rel[y][x]) != rel[y][x]
+    )
+    raise StarViolationError(f"relation {s} pairs with both {star[s]} and {t}, seen at ({x}, {y})")
 
 
 def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationScheme:

@@ -52,7 +52,6 @@ from schemehall.hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
-    _as_closed,
     _double_cosets,
     bits_of,
     enumerate_closed_subsets,
@@ -241,12 +240,10 @@ def closed_subsets_cyclic_extension(
                 else:
                     found[joined] = ext
                     work.append(joined)
-    return tuple(
-        sorted(
-            (_as_closed(hg, m) for m in found),
-            key=ElementSubset.sort_key,
-        )
-    )
+    for m in found:
+        if not hg.is_closed_mask(m):
+            raise InternalInconsistencyError(f"subset {m:#x} is not closed")
+    return tuple(sorted((ClosedSubset(hg, m) for m in found), key=ElementSubset.sort_key))
 
 
 def solvable_chain_scan(hg: Hypergroup) -> list[int] | None:

@@ -511,6 +511,48 @@ def test_a_lift_that_is_not_closed_fails_the_filter_equality(monkeypatch):
     assert not s4.hypergroup.is_closed_mask(injected[0])
 
 
+def test_a_core_that_is_not_strongly_normal_is_an_internal_error(monkeypatch):
+    """A core lifted from neither 1 nor G is checked strongly normal:
+    here S4's {2}-core, lifted from O_2 = V4, is swapped for the lift of
+    a Sylow 2-subgroup, which is closed but not normal."""
+    real = hall_module._lift
+
+    def sylow_lift(q, bits):
+        return real(q, hall_module._hall_subgroups(q, frozenset({2}))[0])
+
+    monkeypatch.setattr(hall_module, "_lift", sylow_lift)
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
+    assert str(info.value) == "the pi-core must be strongly normal"
+
+
+def test_the_greedy_hall_build_stalls_on_a_group_that_is_not_solvable():
+    """The greedy build never stalls on a solvable group (P. Hall); A5,
+    which the callers refuse as not solvable, has no Hall {3, 5}-subgroup,
+    and the build stalls at a Sylow 3-subgroup."""
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        hall_module._hall_subgroups(sh.thin_hypergroup(sh.alternating(5)), frozenset({3, 5}))
+    assert str(info.value) == (
+        "no pi-subgroup of a solvable group of order 60 grows past order 3 towards 15"
+    )
+
+
+def test_extend_to_hall_needs_a_lifted_hall_subset_that_contains_the_seed():
+    """Every closed pi-subset lies in some lifted Hall subset; a context
+    that lost all but the first is an internal error on a seed that
+    only a lost one contains."""
+    s4 = sh.from_group(sh.symmetric(4))
+    ctx = hall_module._context(s4, frozenset({2}))
+    ctx.lifted = ctx.lifted[:1]
+    seed = next(t for t in sh.all_hall_subsets(s4, {2}) if t.bits != ctx.lifted[0].bits)
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.extend_to_hall(s4, seed, {2})
+    assert str(info.value) == (
+        "no lifted Hall subset contains the closed subset with relations "
+        "[0, 2, 7, 10, 13, 16, 21, 23]"
+    )
+
+
 def test_context_validates_its_group_table_once(monkeypatch):
     assoc = []
     calls = []

@@ -255,6 +255,17 @@ def test_theta_core(pentagon, square):
     assert sh.theta_core(square).members() == (0, 2)
 
 
+def test_theta_core_is_checked_strongly_normal(monkeypatch):
+    """A thin residue that is not strongly normal, here a transposition's
+    subgroup of S3 in place of {0}, is an internal error."""
+    s3 = sh.thin_hypergroup(sh.symmetric(3))
+    assert s3.table[1][1] == 1  # 1 is an involution, so {0, 1} is closed
+    monkeypatch.setattr(hypergroup_module, "_thin_residue", lambda hg, mask: 0b11)
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.theta_core(s3)
+    assert str(info.value) == "theta core lost strong normality"
+
+
 def test_metathin(square, pentagon):
     # metathin: every element of the theta core is thin; square's
     # theta core {0,2} equals its thin elements, pentagon's is everything

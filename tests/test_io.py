@@ -144,10 +144,11 @@ def test_split_catalogue_rejects_an_order_below_one(order):
 
 
 @pytest.mark.parametrize("order", [0, -3, True, 2.5, 2.0])
-def test_catalogue_doors_check_the_order_before_any_read(order, tmp_path, served):
-    """An order that is not an int of at least 1 is refused by both
+def test_catalogue_doors_check_the_order_before_any_read(order, tmp_path, served, monkeypatch):
+    """An order that is not an int of at least 1 is refused by all three
     doors, by fetch_catalogue before any cache, mirror or network read:
-    no URL is requested and nothing is cached."""
+    no URL is requested and nothing is cached; by bundled_catalogue
+    before it looks for a bundled file."""
     _, urls = served
     message = "^" + re.escape(f"scheme order must be at least 1, got {order}") + "$"
     with pytest.raises(ValueError, match=message):
@@ -155,6 +156,15 @@ def test_catalogue_doors_check_the_order_before_any_read(order, tmp_path, served
     with pytest.raises(ValueError, match=message):
         catalogue.fetch_catalogue(order, source="http://mirror.invalid/as", cache_dir=tmp_path)
     assert urls == [] and list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(catalogue, "_data_root", lambda: pytest.fail("bundled data was read"))
+    with pytest.raises(ValueError, match=message):
+        catalogue.bundled_catalogue(order)
+
+
+def test_bundled_catalogue_of_an_order_not_bundled_is_not_found():
+    assert 99 not in catalogue.bundled_orders()
+    with pytest.raises(FileNotFoundError, match="order99.txt"):
+        catalogue.bundled_catalogue(99)
 
 
 def test_fetch_from_mirror_directory(tmp_path):
@@ -518,6 +528,14 @@ def test_report_jobs_must_be_at_least_one(capsys):
         assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
     with pytest.raises(ValueError):
         report_records([], jobs=0)
+    # a jobs that is not an int is refused before any record is made or
+    # any pool started, whatever the number of inputs
+    text = (SCHEMES / "pentagon.scm").read_text()
+    for jobs in (2.5, True):
+        for count in (2, 3):
+            inputs = [(f"s{i}", text) for i in range(count)]
+            with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+                report_records(inputs, jobs=jobs)
 
 
 def test_report_starts_no_more_workers_than_inputs(monkeypatch, capsys):

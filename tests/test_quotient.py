@@ -12,6 +12,8 @@ Frozen values, worked out by hand before being written down here:
 * Square (4-cycle distance hypergroup) mod {0, 2} gives the thin C2.
 """
 
+import importlib
+
 import pytest
 
 import schemehall as sh
@@ -21,6 +23,7 @@ from conftest import catalogue_schemes
 from oracles import subquotient_of_copy, subquotient_over_parent
 
 SQUARE = [[{0}, {1}, {2}], [{1}, {0, 2}, {1}], [{2}, {1}, {0}]]
+quotient_module = importlib.import_module("schemehall.quotient")
 
 
 @pytest.fixture
@@ -177,6 +180,46 @@ def test_natural_projection_and_kernel(c6):
     assert phi.mapping == (0, 1, 2, 0, 1, 2)
     assert phi.target is q
     assert tuple(sh.kernel(phi).members()) == (0, 3)
+
+
+def test_double_cosets_that_overlap_are_an_internal_error(c6, monkeypatch):
+    real = quotient_module._double_cosets
+    monkeypatch.setattr(
+        quotient_module, "_double_cosets", lambda hg, f, domain: real(hg, f, domain) + [f]
+    )
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.quotient(c6, c6.subset([0, 3]))
+    assert str(info.value) == "double cosets failed to partition the element set"
+
+
+def test_lift_and_projection_are_checked_closed(c6):
+    """C6 // {0, 3} with the neutral coset skewed to {0, 1} lifts {0} to
+    a subset that is not closed; with 3 sent to coset 1, it projects
+    {0, 3} to {0, 1}, which is not closed in C3."""
+    q = sh.quotient(c6, c6.subset([0, 3]))
+    assert q.cosets == (0b1001, 0b10010, 0b100100)
+    lifting = sh.QuotientHypergroup(
+        q.table, q.inverse, c6, q.modulus, (0b11,) + q.cosets[1:], q.coset_of
+    )
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.lift_closed(lifting, lifting.neutral_subset())
+    assert str(info.value) == "lift of a closed subset is not closed"
+    projecting = sh.QuotientHypergroup(
+        q.table, q.inverse, c6, q.modulus, q.cosets, (0, 1, 2, 1, 1, 2)
+    )
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.project_closed(projecting, c6.subset([0, 3]))
+    assert str(info.value) == "projection of a closed subset is not closed"
+
+
+def test_kernel_of_a_map_that_is_not_a_homomorphism():
+    """The kernel of a homomorphism is closed; an unvalidated map, C4 onto
+    C2 sending 1 and 3 to 0, has the preimage {0, 1, 3}, which is not."""
+    c4 = sh.thin_hypergroup(sh.cyclic(4))
+    phi = sh.HypergroupHomomorphism(c4, sh.thin_hypergroup(sh.cyclic(2)), (0, 0, 1, 0))
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.kernel(phi)
+    assert str(info.value) == "kernel of a homomorphism must be closed"
 
 
 def test_validate_homomorphism_accepts_coset_map(c6, c3):

@@ -281,6 +281,54 @@ def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
             sh.quotient_scheme(s, s.closed_subset([0, 1, 2, 3]))
 
 
+@pytest.mark.parametrize("x, row, message", [
+    # 0 meets point 1 in T's label 3: its block is {0, 1, 3}
+    (0, (0, 3, 2, 3, 4, 5), "blocks of a closed subset must all have size n_T"),
+    # 1 swaps its labels at points 0 and 4, T's 3 and 5: its block is {0, 1}
+    (1, (3, 0, 1, 2, 5, 4), "blocks of a closed subset overlap"),
+    # 0 meets point 1 in relation 2, outside T but in the coset {2, 5}
+    (0, (0, 2, 2, 3, 4, 5), "block pair met two different relation cosets"),
+])
+def test_quotient_scheme_checks_the_blocks(x, row, message):
+    """The blocks of a closed subset T are read off the relation matrix:
+    on C6 with T = {0, 3} they are {0, 3}, {1, 4} and {2, 5}, and each
+    block check fires once one row of the matrix is altered after
+    validation."""
+    s = sh.from_group(sh.cyclic(6))
+    t = s.closed_subset([0, 3])
+    assert s.rel[x] != row
+    s.rel = s.rel[:x] + (row,) + s.rel[x + 1:]
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.quotient_scheme(s, t)
+    assert str(info.value) == message
+
+
+def test_quotient_scheme_checks_the_valency_law():
+    """n_{s^T} n_T = n_{TsT}: on C6 with T = {0, 3}, relation 1 given
+    valency 2 after validation makes its coset {1, 4} weigh 3."""
+    s = sh.from_group(sh.cyclic(6))
+    t = s.closed_subset([0, 3])
+    s.hypergroup.valencies = (1, 2, 1, 1, 1, 1)
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.quotient_scheme(s, t)
+    assert str(info.value) == "valency law fails at relation 1: 1 * 2 != 3"
+
+
+def test_scheme_chain_is_checked_against_its_step_primes(monkeypatch):
+    """C6's chain {0} < {0, 3} < C6 has step primes (2, 3); given them
+    reversed, its first valency index is not its prime."""
+    real = scheme_module.solvable_chain
+
+    def reversed_primes(hg):
+        chain = real(hg)
+        return sh.SolvableChain(chain.subsets, chain.step_primes[::-1])
+
+    monkeypatch.setattr(scheme_module, "solvable_chain", reversed_primes)
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.solvable_chain_scheme(sh.from_group(sh.cyclic(6)))
+    assert str(info.value) == "valency index 2/1 of a solvable step is not its prime 3"
+
+
 def test_quotient_scheme_rejects_foreign_subset(pentagon, wreath28):
     with pytest.raises(sh.ParentMismatchError):
         sh.quotient_scheme(pentagon, wreath28.hypergroup.neutral_subset())

@@ -123,6 +123,18 @@ def test_non_thin_residue_factor_is_an_internal_error(monkeypatch):
     assert str(exc.value) == "residue factor pentagon is not thin"
 
 
+def test_a_chain_step_that_is_not_strongly_normal_is_an_internal_error(monkeypatch):
+    """Each chain step is checked strongly normal: S3 refined through a
+    transposition's subgroup, {0} < {0, 1} < S3, has prime indices 2
+    and 3, but {0, 1} is not normal in S3."""
+    s3 = sh.thin_hypergroup(sh.symmetric(3))
+    assert s3.table[1][1] == 1  # 1 is an involution
+    monkeypatch.setattr(solvability, "_prime_series", lambda q: [1, 0b11, q.full_mask])
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.solvable_chain(s3)
+    assert str(info.value) == "chain step {0, 1} is not strongly normal in {0, 1, 2, 3, 4, 5}"
+
+
 def test_scheme_chain_valency_check_runs_once(monkeypatch):
     """Once per call: no chain is cached on the scheme, so each call
     refines the series afresh to the same chain and reads the valency

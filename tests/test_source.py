@@ -7,7 +7,8 @@ does not use, no chain of imports between modules is a cycle, the public API car
 private helper lacks a caller in src/, the names and methods only
 tests call are listed, the public data slots only tests read are
 listed, ClosedSubset has no subclass, and every name the bench tracer
-patches exists.  The README's quick tour runs and shows the
+patches exists.  Each internal check's message is named by a test, the
+one that makes it fire.  The README's quick tour runs and shows the
 values its comments state.  The package's __all__ is the union of its
 submodules' lists and nothing else.  Importing the package
 and its CLI loads none of the stdlib stacks that only the download,
@@ -21,6 +22,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -42,6 +44,50 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+# the errors that mark a check theory says cannot fail
+ENGINE_ERRORS = ("InternalInconsistencyError", "NoConjugatorFoundError")
+
+
+def _message_pattern(message: ast.expr) -> str:
+    """A regex for a message's leading text: its literal text, a
+    placeholder of an f-string standing for any text, cut after 40
+    literal characters, enough to name it."""
+    pattern, left = "", 40
+    for part in message.values if isinstance(message, ast.JoinedStr) else [message]:
+        if left <= 0:
+            break
+        if isinstance(part, ast.Constant):
+            pattern += re.escape(part.value[:left])
+            left -= len(part.value)
+        else:
+            pattern += ".+"
+    return pattern
+
+
+def test_every_internal_check_fires_in_a_test():
+    """Each InternalInconsistencyError and NoConjugatorFoundError raised
+    in src/ is named in tests/: some string there, less a leading ^,
+    begins with the leading text of its message, as _message_pattern
+    reads it.  A check that no test makes fire may be unreachable, test
+    the wrong thing or carry a wrong message; it fires in a test, through
+    a seeded fault or a natural bad input, or it goes."""
+    named = [
+        node.value.removeprefix("^")
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    sites = [
+        (f"{path.name}:{node.lineno}", _message_pattern(node.args[0]))
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ENGINE_ERRORS
+    ]
+    assert len(sites) > 20 and not any(p.startswith(".+") for _, p in sites), sites
+    silent = [site for site, pattern in sites if not any(re.match(pattern, s) for s in named)]
+    assert not silent, f"internal checks that no test makes fire: {silent}"
 
 
 def _unused_imports(path: Path) -> list[str]:
