@@ -15,11 +15,13 @@ as no filter stands behind it, and is checked strongly normal by
 conjugating it with a generating set alone, which each hypergroup
 builds once.  G is solvable by the residue series.  Each lifted Hall
 subset is the plain sum of the cosets its subgroup names, and the
-family must equal an exhaustive filter over every closed pi-subset,
-read off the cached lattice when the hypergroup has one; as the filter keeps only closed subsets passing the Hall
-predicate, that equality proves each lift closed and Hall.  After it,
-the family is certified conjugate: for each lifted Hall subset after the first, the
-quotient group's conjugator must have a relation in its coset that
+family must equal a filter over the closed pi-subsets that contain the
+pi-core, which every Hall pi-subset contains by the lemma proved at
+_HallContext, or over the cached lattice when the hypergroup has one;
+as the filter keeps only closed subsets passing the Hall predicate,
+that equality proves each lift closed and Hall.  After it, the family
+is certified conjugate: for each lifted Hall subset after the first,
+the quotient group's conjugator must have a relation in its coset that
 conjugates the first onto it.  Queries read Hall subsets and their
 subgroups off that family: extend_to_hall answers with the first lifted
 Hall subset that contains its seed.  A query re-checks only its inputs:
@@ -260,21 +262,33 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> tuple[int, ...]:
 
 def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[ClosedSubset, ...]:
     """Exhaustive filter: every closed pi-subset passing the Hall
-    predicate, in closed_subsets order.
+    predicate, in closed_subsets order."""
+    ps = validate_pi(pi)
+    return _hall_family(scheme, ps, _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps), 1)
 
-    A Hall subset is pi-valenced with the pi-part of n as its valency
+
+def _hall_family(
+    scheme: AssociationScheme, ps: frozenset[int], valenced: int, target: int, bottom: int
+) -> tuple[ClosedSubset, ...]:
+    """The Hall pi-subsets in closed_subsets order, for valenced, the
+    mask of the pi-valenced relations, and target, the pi-part of n.
+    With no lattice cached, only the closed subsets that contain the
+    closed mask bottom are walked, so a Hall pi-subset that misses it is
+    not found: all_hall_subsets passes {0}, and _HallContext the
+    pi-core, which every Hall pi-subset contains.
+
+    A Hall subset is pi-valenced with target as its valency
     (scheme._pi_tests), so when that is n or 1 the one candidate is the
     full set or {0}, given its valency.  Otherwise the candidates are
-    the hypergroup's cached lattice if it has one, else the closed
-    pi-subsets alone: a closed subset of a closed pi-subset is one too
-    (for closed C inside D, n_C divides n_D), so the closed subset walk
-    narrowed to them finds them without the rest of the lattice, and
-    each kept subset is handed the valency the walk summed.
+    the hypergroup's cached lattice, whole, if it has one, else the
+    closed pi-subsets above bottom alone: a closed subset of a closed
+    pi-subset is one too (for closed C inside D, n_C divides n_D), so
+    the closed subset walk narrowed to them finds them without the rest
+    of the lattice, and each kept subset is handed the valency the walk
+    summed.  A bottom that is no pi-subset leaves no candidate.
     """
-    ps = validate_pi(pi)
     hg = scheme.hypergroup
     n = scheme.n_points
-    valenced, target = _pi_valenced_mask(scheme, ps), pi_part(n, ps)
     if target == n:
         candidates = (ClosedSubset(hg, hg.full_mask, n),)
     elif target == 1:
@@ -290,7 +304,7 @@ def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[Clos
             v = valency[mask] = hg.valency_of_mask(mask)
             return is_pi_number(v, ps)
 
-        candidates = _enumerate_closed(hg, closed_pi)
+        candidates = _enumerate_closed(hg, closed_pi, bottom)
         for c in candidates:
             c.valency = valency[c.bits]
     return tuple(t for t in candidates if _pi_tests(scheme, t, valenced, target)[1])
@@ -305,14 +319,37 @@ class _HallContext:
     thin hypergroup.  halls are the Hall subgroups of hq in hall_subgroups
     order and lifted[i] the sum of the cosets halls[i] names, given the
     valency target.  No lift is checked on its own: the family equals
-    all_hall_subsets, whose members are closed and Hall, which proves
-    each lift closed, Hall and of that valency.  Only then is each
-    certified conjugate to lifted[0] through the coset of a conjugator
-    of halls[0] onto halls[i].  Only a core that is neither the residue
-    modulus nor the whole scheme is checked closed by _lift, in
-    _core_and_halls.  best indexes the least lifted Hall
-    subset.  Every pi with the same primes among those of the scheme
-    shares the context.
+    _hall_family's filter, whose members are closed and Hall, which
+    proves each lift closed, Hall and of that valency.  Only then is
+    each certified conjugate to lifted[0] through the coset of a
+    conjugator of halls[0] onto halls[i].  Only a core that is neither
+    the residue modulus nor the whole scheme is checked closed by _lift,
+    in _core_and_halls.  best indexes the least lifted Hall subset.
+    Every pi with the same primes among those of the scheme shares the
+    context.
+
+    The filter, when no lattice is cached, walks only the closed
+    pi-subsets that contain the core, as every Hall pi-subset does.
+
+    Lemma.  Let S be solvable and pi-valenced, N a closed pi-subset
+    normal in S that contains O^θ(S), and H a Hall pi-subset.  Then N
+    lies in H.  Proof: NH is closed, as N is normal.  S // N is thin,
+    as N contains O^θ(S), so n_NH is n_N times the order of NH // N,
+    which by the second isomorphism statement is H // (H ∩ N), of order
+    n_H / n_(H ∩ N).  So n_NH is a pi-number.  It divides n, as the
+    points fall into NH-classes of size n_NH, so it is at most the
+    pi-part of n, which is n_H.  As H lies in NH, NH = H, and N lies
+    in H.
+
+    The core is such an N: it is closed and strongly normal, so normal,
+    as _core_and_halls checks, or as the residue series proved once per
+    scheme for the residue modulus, and the whole scheme is both; it
+    contains O^θ(S), being the lift of a subgroup of S // O^θ(S); and
+    the walk asks keep(bottom), which holds when the core is a
+    pi-subset: pi-valenced, with a pi-number valency.  A core that
+    fails it leaves the filter empty, and the check fires.  With a
+    cached lattice the filter reads every closed subset, which
+    checks the same equality without the lemma.
     """
 
     __slots__ = ("scheme", "valenced", "target", "core", "hq", "halls", "lifted", "best")
@@ -326,7 +363,7 @@ class _HallContext:
             ClosedSubset(hg, sum(map(cosets.__getitem__, bits_of(gm))), self.target)
             for gm in self.halls
         )
-        filtered = all_hall_subsets(scheme, ps)
+        filtered = _hall_family(scheme, ps, self.valenced, self.target, self.core.bits)
         if {t.bits for t in self.lifted} != {t.bits for t in filtered}:
             raise InternalInconsistencyError(
                 "constructive Hall family differs from the exhaustive filter"
@@ -371,7 +408,7 @@ def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
     """A Hall subset for pi, with its construction trail.
 
     Constructive route through the thin quotient group, verified once
-    per (scheme, pi) against the exhaustive filter; the
+    per (scheme, pi) against the Hall filter above the pi-core; the
     lexicographically least Hall subset is the one certified.  Each
     call returns a new certificate.
     """

@@ -663,18 +663,26 @@ def _generators(hg: Hypergroup, mask: int) -> int:
 
 
 def _enumerate_closed(
-    hg: Hypergroup, keep: Callable[[int], bool] | None
+    hg: Hypergroup, keep: Callable[[int], bool] | None, bottom: int = 1
 ) -> tuple[ClosedSubset, ...]:
-    """enumerate_closed_subsets' walk, uncached, narrowed by keep.
+    """enumerate_closed_subsets' walk, uncached, narrowed by keep to the
+    closed subsets that contain bottom.
+
+    bottom, a closed mask, is the root: Close-by-One runs on the
+    closure system of the closed subsets containing it, closing
+    bottom's _generators plus each attribute outside it, and the
+    canonicity test is unchanged, as every node holds bottom.  The
+    default {0} is the whole lattice.
 
     keep, a predicate on masks, narrows the answer to the closed
-    subsets it accepts, in the same order.  It must hold on every
-    closed subset of a closed mask it holds on; nothing checks that.
-    Then each closed subset it accepts is reached through accepted
-    ones, by attributes whose singleton closure it accepts, so only
-    those are tried, and keep is asked once per closed subset, after
-    the test.  Everything outside the union of their closures joins
-    the stop mask, as keep accepts no closed subset that leaves it.
+    subsets it accepts, in the same order, and must accept bottom.  It
+    must hold on every closed subset of a closed mask it holds on;
+    nothing checks that.  Then each closed subset it accepts is reached
+    through accepted ones, by attributes whose singleton closure it
+    accepts, so only those are tried, and keep is asked once per closed
+    subset, after the test.  Everything outside bottom and the union of
+    their closures joins the stop mask, as keep accepts no closed
+    subset that leaves it.
 
     So one stop mask per attribute, the elements below j that C lacks
     and those outside, rejects j before closing, stops the closure and
@@ -683,18 +691,18 @@ def _enumerate_closed(
     and its generators hold C's, so it meets the child's stop mask
     whenever the bound does.
     """
-    attrs = _attributes(hg)
+    attrs = [(s, c) for s, c in _attributes(hg) if not bottom >> s & 1]
     outside = 0
     if keep is not None:
-        if not keep(1):
+        if not keep(bottom):
             return ()
         verdict = {c: keep(c) for c in dict.fromkeys(c for _, c in attrs)}
         attrs = [(s, c) for s, c in attrs if verdict[c]]
-        outside = ~reduce(or_, (c for _, c in attrs), 1)
-    found = [1]
+        outside = ~reduce(or_, (c for _, c in attrs), bottom)
+    found = [bottom]
     # a node is (closed mask, generators, next attribute slot, bounds):
     # bounds[i] lies inside the node's closure with attrs[i]
-    stack = [(1, 0, 0, [c for _, c in attrs])]
+    stack = [(bottom, _generators(hg, bottom), 0, [c for _, c in attrs])]
     while stack:
         cur, gens, first, bounds = stack.pop()
         passed = bounds[:]  # shared by the children, filled in below

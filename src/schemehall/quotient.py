@@ -162,7 +162,7 @@ def _lift(q: QuotientHypergroup, bits: int) -> ClosedSubset:
     such as the pi-core, lifted from the intersection of the Hall
     subgroups of q read off as a group, skip lift_closed's input check.
     The Hall subsets themselves are summed without this check, as their
-    equality with the exhaustive Hall filter proves them closed."""
+    equality with the Hall filter proves them closed."""
     m = sum(map(q.cosets.__getitem__, bits_of(bits)))  # the cosets are disjoint
     if not q.parent.is_closed_mask(m):
         raise InternalInconsistencyError("lift of a closed subset is not closed")
@@ -236,8 +236,13 @@ def validate_homomorphism(
 
 
 def kernel(phi: HypergroupHomomorphism) -> ClosedSubset:
-    """Preimage of the neutral element; always a closed subset."""
+    """Preimage of the neutral element, closed when phi is a homomorphism.
+    A map built without validate_homomorphism may have a preimage that
+    is not closed, which raises NotClosedError naming it."""
     m = mask_of(s for s in phi.source.elements if phi.mapping[s] == 0)
     if not phi.source.is_closed_mask(m):
-        raise InternalInconsistencyError("kernel of a homomorphism must be closed")
+        raise NotClosedError(
+            f"preimage {list(bits_of(m))} of the neutral element is not closed, "
+            "so the map is not a homomorphism: build it with validate_homomorphism"
+        )
     return ClosedSubset(phi.source, m)

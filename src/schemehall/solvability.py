@@ -30,7 +30,7 @@ from .hypergroup import (
     is_strongly_normal,
     is_thin,
 )
-from .quotient import QuotientHypergroup, lift_closed, subquotient
+from .quotient import QuotientHypergroup, _quotient, lift_closed
 
 __all__ = [
     "SolvableChain",
@@ -55,9 +55,12 @@ class SolvableChain:
 
 def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
     """The factors T // O^θ(T) of the residue series from the top down,
-    cached; None when hg is not solvable.  Each quotient is a subquotient
-    of hg, its cosets masks over hg, checked thin by is_thin and solvable
-    by its derived series, both read off the quotient.  is_thin reads
+    cached; None when hg is not solvable.  Each quotient is built by
+    quotient._quotient over hg, its cosets masks over hg, with no check
+    that T is closed: T is the whole set or a closure_mask result, which
+    its exit test proved closed, and _quotient checks the modulus.  Each
+    is checked thin by is_thin and solvable by its derived series, both
+    read off the quotient.  is_thin reads
     only each s^s, which is enough: _prove checked H1-H3 on q, and once
     every s^s is {0}, any x in pq has p^x inside p^(pq) = (p^p)q = {q},
     so pq = p(p^x) = (pp^)x = {x}.  A series that stands still needs no
@@ -74,7 +77,8 @@ def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
             return None
     factors = []
     for outer, inner in zip(masks, masks[1:]):
-        q = subquotient(hg, ClosedSubset(hg, outer), ClosedSubset(hg, inner))
+        name = f"{hg.name}|{bits_of(outer)}//{bits_of(inner)}"
+        q = _quotient(hg, outer, ClosedSubset(hg, inner), name)
         if not is_thin(q):  # the step's strong-normality check
             raise InternalInconsistencyError(f"residue factor {q.name} is not thin")
         if not is_solvable_group(q):

@@ -20,7 +20,7 @@ from schemehall import hall as hall_module
 from schemehall import groups as groups_module
 from schemehall.groups import all_subgroups, is_solvable_group
 
-from conftest import ALL_PI, catalogue_schemes, product_matrices
+from conftest import ALL_PI, catalogue_schemes, product_matrices, residue_corpus
 from oracles import (
     all_subgroups_scan,
     extend_via_core_product,
@@ -308,11 +308,12 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
     assert len(calls) == 4
 
 
-def test_context_build_masks_the_pi_valenced_relations_twice(monkeypatch):
-    """A Hall context computes the pi-valenced mask once for itself and
-    its core and Hall build, and all_hall_subsets once more for the
-    exhaustive filter, which computes its own inputs: 2 calls for S4
-    with pi = {2}, and none for a query on the cached context."""
+def test_context_build_masks_the_pi_valenced_relations_once(monkeypatch):
+    """A Hall context computes the pi-valenced mask once, for itself, its
+    core and Hall build and its check, which takes the mask and the
+    pi-part of n from the context rather than computing them again: 1
+    call for S4 with pi = {2}, and none for a query on the cached
+    context."""
     calls = []
     original = hall_module._pi_valenced_mask
 
@@ -323,9 +324,9 @@ def test_context_build_masks_the_pi_valenced_relations_twice(monkeypatch):
     monkeypatch.setattr(hall_module, "_pi_valenced_mask", counted)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     assert sh.find_hall(s4, {2}).hall.valency == 8
-    assert calls == [frozenset({2})] * 2
+    assert calls == [frozenset({2})]
     sh.find_hall(s4, {2})
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
@@ -333,18 +334,18 @@ def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
     Hall structure off that one quotient."""
     quotients = []
     thin = []
-    original_quotient = solvability_module.subquotient
+    original_quotient = solvability_module._quotient
     original_thin = groups_module.thin_hypergroup
 
-    def counted_quotient(hg, outer, inner):
-        quotients.append(inner.bits)
-        return original_quotient(hg, outer, inner)
+    def counted_quotient(hg, outer, modulus, name):
+        quotients.append(modulus.bits)
+        return original_quotient(hg, outer, modulus, name)
 
     def counted_thin(*args, **kwargs):
         thin.append(args)
         return original_thin(*args, **kwargs)
 
-    monkeypatch.setattr(solvability_module, "subquotient", counted_quotient)
+    monkeypatch.setattr(solvability_module, "_quotient", counted_quotient)
     monkeypatch.setattr(groups_module, "thin_hypergroup", counted_thin)
     monkeypatch.setattr(hall_module, "thin_hypergroup", counted_thin, raising=False)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
@@ -445,6 +446,58 @@ def test_hall_subsets_of_thin_schemes_beyond_order_12():
             assert sh.pi_part(cert.index, pi) == 1, (name, pi)
             meet = functools.reduce(operator.and_, (t.bits for t in sh.all_hall_subsets(s, pi)))
             assert cert.o_pi.bits == meet, (name, pi)
+
+
+def test_context_family_is_the_full_filter_on_fresh_schemes():
+    """A context with no lattice cached checks its family against the
+    closed pi-subsets that contain the pi-core alone; the family is
+    still every Hall pi-subset that all_hall_subsets finds by walking
+    every closed pi-subset.  Fresh copies of the residue corpus (the
+    catalogue to order 28, the product matrices and the group schemes)
+    and the thin schemes of S4 x C4 and D12 x C4 (96 points), for every
+    pi over the primes of n and the valencies that has a context: 215
+    (scheme, pi) pairs, 88 of them with a core other than {0} and S."""
+    schemes = [sh.validate_scheme(s.rel, name=s.name) for s in residue_corpus()]
+    schemes += [
+        sh.from_group(sh.direct_product(sh.symmetric(4), sh.cyclic(4)), name="s4xc4"),
+        sh.from_group(sh.direct_product(sh.dihedral(12), sh.cyclic(4)), name="d12xc4"),
+    ]
+    pairs = narrowed = 0
+    for s in schemes:
+        primes = sorted(s.primes)
+        for k in range(1, len(primes) + 1):
+            for pi in map(frozenset, itertools.combinations(primes, k)):
+                try:
+                    ctx = hall_module._context(s, pi)
+                except (sh.NotSolvableError, sh.NotPiValencedError):
+                    continue
+                assert s.hypergroup._closed is None
+                want = {t.bits for t in sh.all_hall_subsets(s, pi)}
+                assert {t.bits for t in ctx.lifted} == want, (s.name, pi)
+                pairs += 1
+                narrowed += ctx.core.bits not in (1, s.hypergroup.full_mask)
+    assert (pairs, narrowed) == (215, 88)
+
+
+def test_a_core_that_is_no_pi_subset_fails_the_family_check(monkeypatch):
+    """The check's walk starts at the core and first asks that it be a
+    closed pi-subset, which the lemma at _HallContext needs.  A core
+    that is not, here S4's {2}-core V4 swapped for A4, of valency 12,
+    leaves the walk empty, and the family check fires."""
+    a4 = next(c.bits for c in sh.from_group(sh.symmetric(4)).closed_subsets() if c.valency == 12)
+    real_build = hall_module._core_and_halls
+
+    def a4_core(scheme, ps, valenced):
+        hq, halls, core = real_build(scheme, ps, valenced)
+        assert core.valency == 4
+        return hq, halls, sh.ClosedSubset(scheme.hypergroup, a4)
+
+    monkeypatch.setattr(hall_module, "_core_and_halls", a4_core)
+    s4 = sh.from_group(sh.symmetric(4))
+    with pytest.raises(sh.InternalInconsistencyError) as info:
+        sh.find_hall(s4, {2})
+    assert str(info.value) == "constructive Hall family differs from the exhaustive filter"
+    assert s4.hypergroup._closed is None
 
 
 def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):

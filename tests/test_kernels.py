@@ -798,13 +798,14 @@ def test_enumeration_closes_at_most_ten_times_per_closed_subset(counted_closures
 def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     """find_hall on a fresh S4 scheme, its residue series built first,
     and its generating set, which the group proof picked, read by
-    strong normality with no closure: the {2} walk makes fewer closures
-    than a full walk of the same lattice (75 and 134 under
-    Close-by-One), the {3} walk fewer again (22), and {2, 3} and {}
-    (Hall subsets S4 and {0}) none.  No walk of the whole lattice is
-    made, and none is left cached.  Only closures on the scheme's
-    hypergroup count: the Hall subgroups of G are joined on its residue
-    quotient."""
+    strong normality with no closure: the {2} walk starts at the
+    2-core V4 and makes fewer closures than a full walk of the same
+    lattice (30 and 134 under Close-by-One; 75 when it walked every
+    closed 2-subset), the {3} walk, from the 3-core {0}, fewer again
+    (22), and {2, 3} and {} (Hall subsets S4 and {0}) none.  No walk of
+    the whole lattice is made, and none is left cached.  Only closures
+    on the scheme's hypergroup count: the Hall subgroups of G are
+    joined on its residue quotient."""
     closures = []
     keeps = []
     original_closure = Hypergroup.closure_mask
@@ -814,14 +815,15 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
             closures.append(mask)
         return original_closure(self, mask, stop)
 
-    def counted_walk(hg, keep):
-        keeps.append(keep)
-        return _enumerate_closed(hg, keep)
+    def counted_walk(hg, keep, bottom=1):
+        keeps.append((keep, bottom))
+        return _enumerate_closed(hg, keep, bottom)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
     for name in ("schemehall.hypergroup", "schemehall.hall"):
         monkeypatch.setattr(sys.modules[name], "_enumerate_closed", counted_walk)
     made = {}
+    cores = {}
     once = set()
     s4 = None  # counted_closure reads s4; from_group's group proof closes before it is bound
     for pi in ({2}, {3}, {2, 3}, set()):
@@ -832,17 +834,23 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
         sh.is_strongly_normal(hg.subset(1), hg.universe())  # reads the cached generating set
         once.add((len(closures), hg._gens))
         closures.clear()
-        assert sh.find_hall(s4, pi).hall.valency == sh.pi_part(24, frozenset(pi))
+        cert = sh.find_hall(s4, pi)
+        assert cert.hall.valency == sh.pi_part(24, frozenset(pi))
         assert s4.hypergroup._closed is None
         made[frozenset(pi)] = len(closures)
+        cores[frozenset(pi)] = cert.o_pi
     (prep, gens), = once
     assert prep == 0 and 0 < gens.bit_count() < 24
     s4 = sh.from_group(sh.symmetric(4))
     closures.clear()
     _enumerate_closed(s4.hypergroup, None)
-    assert made[frozenset({3})] < made[frozenset({2})] < len(closures)
-    assert made[frozenset({2, 3})] == made[frozenset()] == 0
-    assert len(keeps) == 2 and None not in keeps
+    assert len(closures) == 134
+    assert made == {
+        frozenset({2}): 30, frozenset({3}): 22, frozenset({2, 3}): 0, frozenset(): 0
+    }
+    assert [c.valency for c in cores.values()] == [4, 1, 24, 1]
+    assert [bottom for _, bottom in keeps] == [cores[frozenset({2})].bits, 1]
+    assert None not in [keep for keep, _ in keeps]
 
 
 def test_second_pi_closes_no_singleton(monkeypatch):
@@ -919,6 +927,33 @@ def test_keep_walk_is_the_filtered_full_walk():
             assert cold._closed is None
 
 
+def test_walk_from_bottom_is_the_filtered_full_walk():
+    """The walk from a closed bottom lists the closed subsets that
+    contain it, filtered by keep, in the full walk's order; a keep that
+    refuses bottom leaves nothing.  Seeded keeps over three closed
+    subsets of each pool hypergroup, on fresh hypergroups left with no
+    lattice cached."""
+    rng = random.Random(11)
+    bottoms = 0
+    for hg in kernel_pool():
+        full = [c.bits for c in sh.enumerate_closed_subsets(hg)]
+        allowed = rng.randrange(1 << hg.size) | 1
+        largest = rng.randrange(1, hg.size + 1)
+        keeps = (
+            None,
+            lambda m: m & ~allowed == 0,
+            lambda m: m & ~allowed == 0 and m.bit_count() <= largest,
+        )
+        for bottom in {full[0], full[-1], rng.choice(full)}:
+            bottoms += bottom != 1
+            for keep in keeps:
+                want = [m for m in full if not bottom & ~m and (keep is None or keep(m))]
+                cold = fresh(hg)
+                assert [c.bits for c in _enumerate_closed(cold, keep, bottom)] == want
+                assert cold._closed is None
+    assert bottoms > len(kernel_pool())
+
+
 def closed_pi_keep(scheme, pi):
     """all_hall_subsets' keep: a mask of pi-valenced relations whose
     valency is a pi-number."""
@@ -968,6 +1003,69 @@ def test_close_by_one_matches_cyclic_extension():
             kept = same(scheme.hypergroup, closed_pi_keep(scheme, pi))
             assert kept
             assert max(map(scheme.hypergroup.valency_of_mask, kept)) == sh.pi_part(len(table), pi)
+
+
+def test_hall_check_walks_only_above_the_core(monkeypatch):
+    """find_hall(S, {2}) on fresh thin schemes whose residue series is
+    built first: its check walks the closed 2-subsets that contain the
+    2-core, valency 16, 16 and 4, and makes 93, 102 and 30 closure_mask
+    calls on S4 x C4, D12 x C4 and S4 (96, 96 and 24 points), singleton
+    closures of the attributes included.  Walking every closed 2-subset
+    made 865, 1,386 and 75."""
+    closures = []
+    original_closure = Hypergroup.closure_mask
+
+    def counted_closure(self, mask, stop=0):
+        if self is hg:
+            closures.append(mask)
+        return original_closure(self, mask, stop)
+
+    monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
+    hg = None
+    made = []
+    for table in (
+        sh.direct_product(sh.symmetric(4), sh.cyclic(4)),
+        sh.direct_product(sh.dihedral(12), sh.cyclic(4)),
+        sh.symmetric(4),
+    ):
+        s = sh.from_group(table)
+        assert sh.is_solvable_scheme(s)
+        hg = s.hypergroup
+        closures.clear()
+        cert = sh.find_hall(s, {2})
+        assert hg._closed is None
+        made.append((cert.o_pi.valency, cert.hall.valency, len(closures)))
+    assert made == [(16, 32, 93), (16, 32, 102), (4, 8, 30)]
+
+
+def test_residue_series_checks_only_the_moduli_closed(monkeypatch):
+    """The residue series quotients by each residue without checking the
+    set above it closed, as that set is the whole set or a closure: on a
+    fresh thin S4 the one is_closed_mask call is _quotient's check of
+    the modulus {0}, not the whole set's n^2 cells.  On the fresh wreath
+    product of an order-4 and an order-6 scheme (24 points), whose
+    series has four factors, the calls are the four moduli alone."""
+    calls = []
+    original = Hypergroup.is_closed_mask
+
+    def counted(self, mask):
+        if self is hg:
+            calls.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(Hypergroup, "is_closed_mask", counted)
+    hg = None
+    s = sh.from_group(sh.symmetric(4))
+    hg = s.hypergroup
+    assert sh.is_solvable_scheme(s)
+    assert calls == [1]
+    s = next(s for s in residue_corpus() if s.name.startswith("wreath 4:1"))
+    s = sh.validate_scheme(s.rel, name=s.name)
+    hg = s.hypergroup
+    calls.clear()
+    assert sh.is_solvable_scheme(s)
+    assert len(hg._residue) == 4
+    assert calls == [q.modulus.bits for q in hg._residue] and hg.full_mask not in calls
 
 
 def test_keep_walk_sums_each_valency_once(monkeypatch):

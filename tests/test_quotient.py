@@ -214,12 +214,20 @@ def test_lift_and_projection_are_checked_closed(c6):
 
 def test_kernel_of_a_map_that_is_not_a_homomorphism():
     """The kernel of a homomorphism is closed; an unvalidated map, C4 onto
-    C2 sending 1 and 3 to 0, has the preimage {0, 1, 3}, which is not."""
+    C2 sending 1 and 3 to 0, has the preimage {0, 1, 3}, which is not.
+    That is a bad input, not an engine bug, so the error is NotClosedError,
+    naming the preimage and the check that refuses such a map."""
     c4 = sh.thin_hypergroup(sh.cyclic(4))
-    phi = sh.HypergroupHomomorphism(c4, sh.thin_hypergroup(sh.cyclic(2)), (0, 0, 1, 0))
-    with pytest.raises(sh.InternalInconsistencyError) as info:
+    c2 = sh.thin_hypergroup(sh.cyclic(2))
+    phi = sh.HypergroupHomomorphism(c4, c2, (0, 0, 1, 0))
+    with pytest.raises(sh.NotClosedError) as info:
         sh.kernel(phi)
-    assert str(info.value) == "kernel of a homomorphism must be closed"
+    assert str(info.value) == (
+        "preimage [0, 1, 3] of the neutral element is not closed, so the map "
+        "is not a homomorphism: build it with validate_homomorphism"
+    )
+    with pytest.raises(ValueError, match="homomorphism law fails"):
+        sh.validate_homomorphism(c4, c2, phi.mapping)
 
 
 def test_validate_homomorphism_accepts_coset_map(c6, c3):

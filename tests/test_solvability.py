@@ -116,7 +116,7 @@ def test_non_thin_residue_factor_is_an_internal_error(monkeypatch):
     its step: a factor that is not, here the pentagon in place of S4's
     factor S4 // {0}, means the engine broke, and the error names it."""
     pentagon = sh.validate_hypergroup(PENTAGON, name="pentagon")
-    monkeypatch.setattr(solvability, "subquotient", lambda hg, outer, inner: pentagon)
+    monkeypatch.setattr(solvability, "_quotient", lambda hg, outer, modulus, name: pentagon)
     s4 = sh.from_group(sh.symmetric(4))
     with pytest.raises(sh.InternalInconsistencyError) as exc:
         sh.is_solvable_scheme(s4)

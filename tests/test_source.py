@@ -326,6 +326,8 @@ TEST_ONLY_NAMES = {
     "is_normal_in": "the paper's normality of closed subsets, which the lemma battery states laws in",
     "kernel": "the kernel ker phi of a homomorphism, the paper's first isomorphism statement; "
     "criterion 4 builds ker phi with it",
+    "subquotient": "the paper's T // F for closed F inside T; test_quotient.py checks it "
+    "against the restriction-copy oracle",
     "theta_core": "the thin residue O^theta, the first step of the paper's residue series; "
     "README's quick tour calls it",
     "validate_homomorphism": "the user's check of a map between hypergroups; criterion 4 "
