@@ -16,23 +16,27 @@ conjugating it with a generating set alone, which each hypergroup
 builds once.  G is solvable by the residue series.  Each lifted Hall
 subset is the plain sum of the cosets its subgroup names, and the
 family must equal a filter over the closed pi-subsets that contain the
-pi-core, which every Hall pi-subset contains by the lemma proved at
-_HallContext, or over the cached lattice when the hypergroup has one;
-as the filter keeps only closed subsets passing the Hall predicate,
-that equality proves each lift closed and Hall.  After it, the family
-is certified conjugate: for each lifted Hall subset after the first,
-the quotient group's conjugator must have a relation in its coset that
-conjugates the first onto it.  Queries read Hall subsets and their
-subgroups off that family: extend_to_hall answers with the first lifted
-Hall subset that contains its seed.  A query re-checks only its inputs:
-a mask test on each, and conjugating_element's scan, which stops at the
-least relation that conjugates.  That scan, both certificate steps (the
-conjugator in G and its coset) and scheme.conjugators all read one
-search, hypergroup._conjugators.  G is held as the thin hypergroup the
-residue series built, so its derived series and its Hall subgroups are
-joined by its own closure_mask and conjugated by the kernel S uses; only
-the group proof reads a Cayley index table, and none is kept: a certificate
-carries G as that hypergroup.
+pi-core, read off the cached lattice when the hypergroup has one and
+walked above the core otherwise; every Hall pi-subset contains the
+core, by the lemma proved at _HallContext.  As the filter keeps only
+closed subsets passing the Hall predicate, that equality proves each
+lift closed and Hall.  After it, the family is certified conjugate:
+the orbit that built the Hall subgroups of G kept, for each, an
+element conjugating the greedy build onto it, so a conjugator of the
+first Hall subgroup onto each later one is one product in G, and its
+coset must hold a relation that conjugates the first lifted Hall
+subset onto the later one.  compute_o_pi and the queries read the core,
+the Hall subsets and their subgroups off that family: extend_to_hall
+answers with the first lifted Hall subset that contains its seed.  A
+query re-checks only its inputs: a mask test on each, and
+conjugating_element's scan, which stops at the least relation that
+conjugates.  That scan, the certificate's coset step and
+scheme.conjugators all read one search, hypergroup._conjugators.  G is
+held as the thin hypergroup the residue series built, so its derived
+series and its Hall subgroups are joined by its own closure_mask and
+conjugated by the kernel S uses; only the group proof reads a Cayley
+index table, and none is kept: a certificate carries G as that
+hypergroup.
 """
 from __future__ import annotations
 
@@ -133,10 +137,11 @@ class HallCertificate:
 
 def _core_and_halls(
     scheme: AssociationScheme, ps: frozenset[int], valenced: int
-) -> tuple[QuotientHypergroup, tuple[int, ...], ClosedSubset]:
+) -> tuple[QuotientHypergroup, dict[int, int], ClosedSubset]:
     """The Hall structure of (scheme, ps), built once: the quotient
-    G = S // O^θ(S), that group's Hall ps-subgroups and the pi-core
-    lifted from their intersection, O_pi(G).  valenced masks the
+    G = S // O^θ(S), that group's Hall ps-subgroups, each with its
+    orbit step as _hall_subgroups gives them, and the pi-core lifted
+    from their intersection, O_pi(G).  valenced masks the
     ps-valenced relations.  Raises NotPiValencedError naming the first
     relation that fails, then NotSolvableError.  A core from a trivial
     O_pi(G) is the residue modulus, which the residue series checked
@@ -173,11 +178,11 @@ def _core_and_halls(
 def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
     """The pi-core, the largest subnormal closed pi-subset: being strongly
     normal, it is the lift of O_pi(G) for G = S // O^θ(S), the
-    intersection of the Hall pi-subgroups of G.  Each call builds that
-    structure afresh through the residue series, walking no lattice;
-    Hall queries read the core off their cached context instead."""
-    ps = validate_pi(pi)
-    return _core_and_halls(scheme, ps, _pi_valenced_mask(scheme, ps))[2]
+    intersection of the Hall pi-subgroups of G.  Read off the cached
+    Hall context of (scheme, pi), built on first use, so it is the core
+    every certificate of that context carries, checked as _HallContext
+    checks it, with the errors find_hall raises."""
+    return _context(scheme, validate_pi(pi)).core
 
 
 def group_from_thin(hg: Hypergroup) -> Table:
@@ -217,15 +222,18 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     hg = thin_hypergroup(table)
     if not is_solvable_group(hg):
         raise NotSolvableGroupError(f"group of order {hg.size} is not solvable")
-    return _hall_subgroups(hg, ps)
+    return tuple(_hall_subgroups(hg, ps))
 
 
-def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> tuple[int, ...]:
+def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> dict[int, int]:
     """hall_subgroups on a solvable group held as a thin hypergroup, as
-    checked by hall_subgroups or the residue series.  Joins are closures,
-    right cosets mul_masks products and conjugates hypergroup._conjugates.
-    A pi-part of 1 or n leaves the trivial subgroup or G the one Hall
-    subgroup, returned with no search.
+    checked by hall_subgroups or the residue series, each Hall subgroup
+    mapped to its orbit step: an h with h^-1 H h equal to it, for H the
+    greedy build.  Keys are in hall_subgroups order.  Joins are
+    closures, right cosets mul_masks products and conjugates
+    hypergroup._conjugates.  A pi-part of 1 or n leaves the trivial
+    subgroup or G the one Hall subgroup, returned with no search, with
+    the neutral element as its step.
 
     The greedy build makes one pass over the elements and joins the same
     ones as restarting at element 1 after each join: a g that failed to
@@ -237,7 +245,7 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> tuple[int, ...]:
     n = hg.size
     target = pi_part(n, ps)
     if target in (1, n):
-        return (hg.full_mask if target == n else 1,)
+        return {hg.full_mask if target == n else 1: 0}
     hall = 1
     for g in range(1, n):
         if hall.bit_count() == target:
@@ -257,7 +265,8 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> tuple[int, ...]:
         if not covered >> g & 1:
             reps |= 1 << g
             covered |= hg.mul_masks(hall, 1 << g)
-    return tuple(sorted({conj for _, conj in _conjugates(hg, hall, reps)}, key=bits_of))
+    orbit = {conj: h for h, conj in _conjugates(hg, hall, reps)}
+    return orbit if len(orbit) == 1 else {c: orbit[c] for c in sorted(orbit, key=bits_of)}
 
 
 def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[ClosedSubset, ...]:
@@ -270,22 +279,22 @@ def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[Clos
 def _hall_family(
     scheme: AssociationScheme, ps: frozenset[int], valenced: int, target: int, bottom: int
 ) -> tuple[ClosedSubset, ...]:
-    """The Hall pi-subsets in closed_subsets order, for valenced, the
-    mask of the pi-valenced relations, and target, the pi-part of n.
-    With no lattice cached, only the closed subsets that contain the
-    closed mask bottom are walked, so a Hall pi-subset that misses it is
-    not found: all_hall_subsets passes {0}, and _HallContext the
-    pi-core, which every Hall pi-subset contains.
+    """The Hall pi-subsets that contain the closed mask bottom, in
+    closed_subsets order, for valenced, the mask of the pi-valenced
+    relations, and target, the pi-part of n: all_hall_subsets passes
+    {0}, and _HallContext the pi-core, which every Hall pi-subset
+    contains.
 
     A Hall subset is pi-valenced with target as its valency
     (scheme._pi_tests), so when that is n or 1 the one candidate is the
     full set or {0}, given its valency.  Otherwise the candidates are
-    the hypergroup's cached lattice, whole, if it has one, else the
-    closed pi-subsets above bottom alone: a closed subset of a closed
+    the closed subsets that contain bottom: the members of the
+    hypergroup's cached lattice that do, if it has one, else the closed
+    pi-subsets above bottom alone, as a closed subset of a closed
     pi-subset is one too (for closed C inside D, n_C divides n_D), so
     the closed subset walk narrowed to them finds them without the rest
     of the lattice, and each kept subset is handed the valency the walk
-    summed.  A bottom that is no pi-subset leaves no candidate.
+    summed.  A bottom that is no pi-subset leaves no Hall subset.
     """
     hg = scheme.hypergroup
     n = scheme.n_points
@@ -293,8 +302,8 @@ def _hall_family(
         candidates = (ClosedSubset(hg, hg.full_mask, n),)
     elif target == 1:
         candidates = (ClosedSubset(hg, 1, 1),)
-    elif hg._closed is not None:
-        candidates = hg._closed
+    elif hg._closed is not None:  # {0} lies in every closed subset
+        candidates = hg._closed if bottom == 1 else [c for c in hg._closed if not bottom & ~c.bits]
     else:
         valency: dict[int, int] = {}  # by mask, for each mask closed_pi summed
 
@@ -322,14 +331,18 @@ class _HallContext:
     _hall_family's filter, whose members are closed and Hall, which
     proves each lift closed, Hall and of that valency.  Only then is
     each certified conjugate to lifted[0] through the coset of a
-    conjugator of halls[0] onto halls[i].  Only a core that is neither
-    the residue modulus nor the whole scheme is checked closed by _lift,
-    in _core_and_halls.  best indexes the least lifted Hall subset.
-    Every pi with the same primes among those of the scheme shares the
-    context.
+    conjugator of halls[0] onto halls[i], read off the orbit that built
+    them on hq rather than searched for: with halls[0] = a^ H a and
+    halls[i] = b^ H b, H = a halls[0] a^, so g = a^ b, one product in
+    the thin hq, has g^ halls[0] g = halls[i].  Only a core that is
+    neither the residue modulus nor the whole scheme is checked closed
+    by _lift, in _core_and_halls.  best indexes the least lifted Hall
+    subset.  Every pi with the same primes among those of the scheme
+    shares the context.
 
-    The filter, when no lattice is cached, walks only the closed
-    pi-subsets that contain the core, as every Hall pi-subset does.
+    The filter reads only the closed pi-subsets that contain the core,
+    off the cached lattice if there is one and by a walk above the core
+    otherwise, as every Hall pi-subset contains it.
 
     Lemma.  Let S be solvable and pi-valenced, N a closed pi-subset
     normal in S that contains O^θ(S), and H a Hall pi-subset.  Then N
@@ -345,11 +358,10 @@ class _HallContext:
     as _core_and_halls checks, or as the residue series proved once per
     scheme for the residue modulus, and the whole scheme is both; it
     contains O^θ(S), being the lift of a subgroup of S // O^θ(S); and
-    the walk asks keep(bottom), which holds when the core is a
-    pi-subset: pi-valenced, with a pi-number valency.  A core that
-    fails it leaves the filter empty, and the check fires.  With a
-    cached lattice the filter reads every closed subset, which
-    checks the same equality without the lemma.
+    it is a pi-subset, pi-valenced with a pi-number valency, which the
+    filter needs of it: the walk asks keep(bottom), and no closed subset
+    that contains a core that is not passes the Hall test.  A core that
+    fails it leaves the filter empty, and the check fires.
     """
 
     __slots__ = ("scheme", "valenced", "target", "core", "hq", "halls", "lifted", "best")
@@ -357,8 +369,9 @@ class _HallContext:
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
         self.valenced, self.target = _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps)
-        self.hq, self.halls, self.core = _core_and_halls(scheme, ps, self.valenced)
-        hg, cosets = scheme.hypergroup, self.hq.cosets
+        hq, steps, self.core = _core_and_halls(scheme, ps, self.valenced)
+        self.hq, self.halls = hq, tuple(steps)
+        hg, cosets = scheme.hypergroup, hq.cosets
         self.lifted = tuple(
             ClosedSubset(hg, sum(map(cosets.__getitem__, bits_of(gm))), self.target)
             for gm in self.halls
@@ -369,13 +382,9 @@ class _HallContext:
                 "constructive Hall family differs from the exhaustive filter"
             )
 
+        to_first = hq.table[hq.inverse[steps[self.halls[0]]]]  # row a^
         for gm, t in zip(self.halls[1:], self.lifted[1:]):
-            g = next(_conjugators(self.hq, self.halls[0], gm, self.hq.full_mask), None)
-            if g is None:
-                raise InternalInconsistencyError(
-                    "quotient group route found no conjugator although a direct "
-                    "one exists"
-                )
+            g = to_first[steps[gm]].bit_length() - 1  # a^ b, with gm = b^ H b
             if next(_conjugators(hg, self.lifted[0].bits, t.bits, cosets[g]), None) is None:
                 raise InternalInconsistencyError(
                     "no member of the lifted conjugator coset conjugates the "

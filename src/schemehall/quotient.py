@@ -160,7 +160,8 @@ def _lift(q: QuotientHypergroup, bits: int) -> ClosedSubset:
     """The union of the cosets named by bits, which must be a closed mask
     of q, checked closed in q's parent.  Callers that built bits closed,
     such as the pi-core, lifted from the intersection of the Hall
-    subgroups of q read off as a group, skip lift_closed's input check.
+    subgroups of q read off as a group, and the subgroups of a residue
+    factor that solvable_chain lifts, skip lift_closed's input check.
     The Hall subsets themselves are summed without this check, as their
     equality with the Hall filter proves them closed."""
     m = sum(map(q.cosets.__getitem__, bits_of(bits)))  # the cosets are disjoint

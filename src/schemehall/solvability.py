@@ -30,7 +30,7 @@ from .hypergroup import (
     is_strongly_normal,
     is_thin,
 )
-from .quotient import QuotientHypergroup, _quotient, lift_closed
+from .quotient import QuotientHypergroup, _lift, _quotient
 
 __all__ = [
     "SolvableChain",
@@ -108,15 +108,18 @@ def _prime_series(q: Hypergroup) -> list[int]:
 
 
 def solvable_chain(hg: Hypergroup) -> SolvableChain | None:
-    """A solvable chain lifted by lift_closed from the residue series, or
-    None; each step is checked strongly normal with a prime number of
-    double cosets.  Each call refines the cached series afresh."""
+    """A solvable chain lifted by quotient._lift from the residue series,
+    or None; each step is checked strongly normal with a prime number of
+    double cosets.  Each call refines the cached series afresh.  The
+    subgroups _prime_series gives are 1, the factor itself or
+    closure_mask results, which its exit test proved closed, so they
+    skip lift_closed's input check; _lift checks each lift closed in hg."""
     series = _residue_series(hg)
     if series is None:
         return None
     chain = [hg.neutral_subset()]
     for q in reversed(series):
-        chain.extend(lift_closed(q, q.subset(h)) for h in _prime_series(q)[1:])
+        chain.extend(_lift(q, h) for h in _prime_series(q)[1:])
     primes = tuple(len(_double_cosets(hg, lo.bits, hi.bits)) for lo, hi in zip(chain, chain[1:]))
     for lo, hi, p in zip(chain, chain[1:], primes):
         if not is_prime(p):

@@ -466,10 +466,9 @@ def derived_series_all_pairs(table: Table) -> list[int]:
     return series
 
 
-def hall_subgroups_full_orbit(table: Table, ps: frozenset[int]) -> tuple[int, ...]:
-    """hall._hall_subgroups with the greedy join restarted at element 1
-    after each success and the orbit taken under conjugation by every
-    element g, as g^-1 H g."""
+def greedy_hall_subgroup(table: Table, ps: frozenset[int]) -> int:
+    """The Hall subgroup hall._hall_subgroups builds, with the greedy
+    join restarted at element 1 after each success."""
     n = len(table)
     target = pi_part(n, ps)
     hall = 1
@@ -482,8 +481,16 @@ def hall_subgroups_full_orbit(table: Table, ps: frozenset[int]) -> tuple[int, ..
                     break
         else:
             raise InternalInconsistencyError("the greedy join stalled")
+    return hall
+
+
+def hall_subgroups_full_orbit(table: Table, ps: frozenset[int]) -> tuple[int, ...]:
+    """hall._hall_subgroups with the greedy join of greedy_hall_subgroup
+    and the orbit taken under conjugation by every element g, as
+    g^-1 H g."""
+    hall = greedy_hall_subgroup(table, ps)
     inv = group_inverse(table)
-    orbit = {mask_of(table[table[inv[g]][x]][g] for x in bits_of(hall)) for g in range(n)}
+    orbit = {mask_of(table[table[inv[g]][x]][g] for x in bits_of(hall)) for g in range(len(table))}
     return tuple(sorted(orbit, key=bits_of))
 
 

@@ -18,12 +18,14 @@ import pytest
 import schemehall as sh
 from schemehall import hall as hall_module
 from schemehall import groups as groups_module
-from schemehall.groups import all_subgroups, is_solvable_group
+from schemehall.groups import all_subgroups, group_inverse, is_solvable_group
+from schemehall.hypergroup import bits_of, mask_of
 
 from conftest import ALL_PI, catalogue_schemes, product_matrices, residue_corpus
 from oracles import (
     all_subgroups_scan,
     extend_via_core_product,
+    greedy_hall_subgroup,
     hall_filter_lattice,
     hall_subgroups_full_orbit,
 )
@@ -162,7 +164,9 @@ def test_hall_subgroups_match_the_full_conjugation_orbit():
     """One greedy pass and one conjugation per right coset of the Hall
     subgroup give the family that restarting the join after each success
     and conjugating by every element gives: on every bundled solvable
-    group and S4 x C2, for every pi of the primes of its order."""
+    group and S4 x C2, for every pi of the primes of its order.  Each
+    member keeps an h of its orbit step, and h^-1 H h is that member for
+    the greedy Hall subgroup H."""
     tables = [sh.bundled_group(name).table for name in sh.bundled_group_names()]
     tables.append(sh.direct_product(sh.symmetric(4), sh.cyclic(2)))
     cases = 0
@@ -174,7 +178,11 @@ def test_hall_subgroups_match_the_full_conjugation_orbit():
             for pi in itertools.combinations(primes, k):
                 ps = frozenset(pi)
                 got = hall_module._hall_subgroups(sh.thin_hypergroup(t), ps)
-                assert got == hall_subgroups_full_orbit(t, ps)
+                assert tuple(got) == hall_subgroups_full_orbit(t, ps)
+                greedy = bits_of(greedy_hall_subgroup(t, ps))
+                inv = group_inverse(t)
+                for mask, h in got.items():
+                    assert mask_of(t[t[inv[h]][x]][h] for x in greedy) == mask
                 cases += 1
     assert cases > 100
 
@@ -279,7 +287,9 @@ def test_certificates_are_not_shared(s4_scheme):
 
 def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
     """The Hall structure (core, quotient and its Hall subgroups) is
-    built once per (scheme, pi & primes); a failed build is not cached."""
+    built once per (scheme, pi & primes), for every query and for
+    compute_o_pi, which returns the cached core itself; a failed build
+    is not cached."""
     calls = []
     original = hall_module._core_and_halls
 
@@ -290,7 +300,7 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
     monkeypatch.setattr(hall_module, "_core_and_halls", counted)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     for pi in ({2}, {3}, {2}, {3}, {2, 11}, {2, 7}):
-        sh.find_hall(s4, pi)
+        assert sh.compute_o_pi(s4, pi) is sh.find_hall(s4, pi).o_pi
         halls = sh.all_hall_subsets(s4, pi)
         sh.conjugating_element(s4, halls[0], halls[-1], pi)
         sh.extend_to_hall(s4, s4.hypergroup.neutral_subset(), pi)
@@ -480,10 +490,12 @@ def test_context_family_is_the_full_filter_on_fresh_schemes():
 
 
 def test_a_core_that_is_no_pi_subset_fails_the_family_check(monkeypatch):
-    """The check's walk starts at the core and first asks that it be a
-    closed pi-subset, which the lemma at _HallContext needs.  A core
-    that is not, here S4's {2}-core V4 swapped for A4, of valency 12,
-    leaves the walk empty, and the family check fires."""
+    """The check's candidates are the closed pi-subsets that contain
+    the core, which the lemma at _HallContext needs to be a closed
+    pi-subset.  A core that is not, here S4's {2}-core V4 swapped for
+    A4, of valency 12, leaves no candidate, and the family check fires:
+    with no lattice cached, as the walk first asks keep(core), and with
+    the lattice cached, as no Hall subset of it contains A4."""
     a4 = next(c.bits for c in sh.from_group(sh.symmetric(4)).closed_subsets() if c.valency == 12)
     real_build = hall_module._core_and_halls
 
@@ -493,20 +505,24 @@ def test_a_core_that_is_no_pi_subset_fails_the_family_check(monkeypatch):
         return hq, halls, sh.ClosedSubset(scheme.hypergroup, a4)
 
     monkeypatch.setattr(hall_module, "_core_and_halls", a4_core)
-    s4 = sh.from_group(sh.symmetric(4))
-    with pytest.raises(sh.InternalInconsistencyError) as info:
-        sh.find_hall(s4, {2})
-    assert str(info.value) == "constructive Hall family differs from the exhaustive filter"
-    assert s4.hypergroup._closed is None
+    for cached in (False, True):
+        s4 = sh.from_group(sh.symmetric(4))
+        if cached:
+            s4.closed_subsets()
+        with pytest.raises(sh.InternalInconsistencyError) as info:
+            sh.find_hall(s4, {2})
+        assert str(info.value) == "constructive Hall family differs from the exhaustive filter"
+        assert (s4.hypergroup._closed is not None) == cached
 
 
 def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
     """The context runs the Hall test only inside the exhaustive
-    filter: with S4's lattice cached, once on each of its 30 closed
-    subsets for pi = {2}.  A lift that is closed but not Hall (here
-    every Hall subgroup of the quotient group is replaced by the core
-    subgroup, O_2 = V4) is caught by the family's equality with that
-    filter."""
+    filter: with S4's lattice cached, once on each of the 6 of its 30
+    closed subsets that contain the {2}-core V4, for pi = {2}, as the
+    filter reads the cached lattice above the core alone.  A lift that
+    is closed but not Hall (here every Hall subgroup of the quotient
+    group is replaced by the core subgroup, O_2 = V4) is caught by the
+    family's equality with that filter."""
     s4 = sh.from_group(sh.symmetric(4))
     lattice = s4.closed_subsets()
     calls = []
@@ -519,9 +535,11 @@ def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(hall_module, "_pi_tests", counted)
         cert = sh.find_hall(s4, {2})
-    assert cert.hall.valency == 8
+    assert cert.hall.valency == 8 and cert.o_pi.valency == 4
     assert len(lattice) == 30
-    assert sorted(calls) == sorted(t.bits for t in lattice)
+    above = [t.bits for t in lattice if not cert.o_pi.bits & ~t.bits]
+    assert len(above) == 6
+    assert sorted(calls) == sorted(above)
 
     real_build = hall_module._core_and_halls
     injected = []
@@ -550,10 +568,11 @@ def test_a_lift_that_is_not_closed_fails_the_filter_equality(monkeypatch):
 
     def one_non_subgroup(scheme, ps, valenced):
         hq, halls, core = real_build(scheme, ps, valenced)
-        top = 1 << (halls[1].bit_length() - 1)
-        outside = ~halls[1] & (halls[1] + 1)  # the least element outside it
-        injected.append(halls[1] & ~top | outside)
-        return hq, (halls[0], injected[0]) + halls[2:], core
+        (first, h0), (second, h1), *rest = halls.items()
+        top = 1 << (second.bit_length() - 1)
+        outside = ~second & (second + 1)  # the least element outside it
+        injected.append(second & ~top | outside)
+        return hq, dict([(first, h0), (injected[0], h1), *rest]), core
 
     s4 = sh.from_group(sh.symmetric(4))
     monkeypatch.setattr(hall_module, "_core_and_halls", one_non_subgroup)
@@ -571,7 +590,7 @@ def test_a_core_that_is_not_strongly_normal_is_an_internal_error(monkeypatch):
     real = hall_module._lift
 
     def sylow_lift(q, bits):
-        return real(q, hall_module._hall_subgroups(q, frozenset({2}))[0])
+        return real(q, next(iter(hall_module._hall_subgroups(q, frozenset({2})))))
 
     monkeypatch.setattr(hall_module, "_lift", sylow_lift)
     with pytest.raises(sh.InternalInconsistencyError) as info:
@@ -913,25 +932,23 @@ def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypa
         m.setattr(hall_module, "_conjugators", lambda hg, a, b, within: iter(()))
         with pytest.raises(sh.NoConjugatorFoundError, match="no relation conjugates the first Hall subset"):
             sh.conjugating_element(s4_scheme, t, u, {2})
-    # the quotient-group route is checked once, when the context is built:
-    # its search runs on the quotient G, the coset step on the scheme
-    real = hall_module._conjugators
+    # the conjugacy certificate is checked once, when the context is built:
+    # the orbit's conjugator in G names a coset that must hold a relation
+    # conjugating the first lifted Hall subset onto each later one; here
+    # every orbit step is recorded as the neutral element, whose coset is {0}
+    real_build = hall_module._core_and_halls
 
-    def on_quotient(found):
-        def patched(hg, a, b, within):
-            return real(hg, a, b, within) if hg is fresh.hypergroup else iter(found)
-        return patched
+    def neutral_steps(scheme, ps, valenced):
+        hq, halls, core = real_build(scheme, ps, valenced)
+        return hq, dict.fromkeys(halls, 0), core
 
-    for found, message in (
-        ((), "quotient group route found no conjugator although a direct one exists"),
-        ((0,), "no member of the lifted conjugator coset conjugates the subsets directly"),
-    ):
-        fresh = sh.from_group(sh.symmetric(4))
-        with monkeypatch.context() as m:
-            m.setattr(hall_module, "_conjugators", on_quotient(found))
-            with pytest.raises(sh.InternalInconsistencyError) as info:
-                sh.find_hall(fresh, {2})
-        assert str(info.value) == message
+    with monkeypatch.context() as m:
+        m.setattr(hall_module, "_core_and_halls", neutral_steps)
+        with pytest.raises(sh.InternalInconsistencyError) as info:
+            sh.find_hall(sh.from_group(sh.symmetric(4)), {2})
+    assert str(info.value) == (
+        "no member of the lifted conjugator coset conjugates the subsets directly"
+    )
     assert sh.conjugating_element(s4_scheme, t, u, {2}) == 4
 
 
@@ -944,23 +961,29 @@ def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypa
     ids=["s4-pi2", "s4xc2-pi3"],
 )
 def test_conjugacy_is_certified_once_per_family(table, pi, k, monkeypatch):
-    """A context of k Hall subsets searches the quotient group for k - 1
-    conjugators at build, one onto each Hall subgroup after the first;
-    conjugating_element searches it for none."""
+    """A context of k Hall subsets searches the quotient group for no
+    conjugator at build, as the orbit that built each Hall subgroup kept
+    its conjugator, and searches the scheme k - 1 times, over one coset
+    each, for a relation conjugating the first lifted Hall subset onto
+    each later one; conjugating_element searches the quotient group for
+    none either."""
     calls = []
     real = hall_module._conjugators
 
     def counted(hg, a, b, within):
-        calls.append((hg, a, b))
+        calls.append((hg, a, b, within))
         return real(hg, a, b, within)
 
     monkeypatch.setattr(hall_module, "_conjugators", counted)
     scheme = sh.from_group(table)
     sh.find_hall(scheme, pi)
     ctx, = scheme._hall_contexts.values()
-    assert [(a, b) for hg, a, b in calls if hg is ctx.hq] == [
-        (ctx.halls[0], gm) for gm in ctx.halls[1:]
+    assert [hg for hg, _, _, _ in calls if hg is ctx.hq] == []
+    first = ctx.lifted[0].bits
+    assert [(hg, a, b) for hg, a, b, _ in calls] == [
+        (scheme.hypergroup, first, t.bits) for t in ctx.lifted[1:]
     ]
+    assert all(within in ctx.hq.cosets for _, _, _, within in calls)
     assert len(ctx.halls) == k
     halls = sh.all_hall_subsets(scheme, pi)
     assert len(halls) == k
@@ -969,4 +992,4 @@ def test_conjugacy_is_certified_once_per_family(table, pi, k, monkeypatch):
         for u in halls:
             g = sh.conjugating_element(scheme, t, u, pi)
             assert sh.conjugate_subset(scheme, t, g) == u
-    assert [hg for hg, _, _ in calls if hg is ctx.hq] == []
+    assert [hg for hg, _, _, _ in calls if hg is ctx.hq] == []

@@ -1096,9 +1096,9 @@ def test_hall_context_checks_strong_normality_once(monkeypatch):
     that the core is strongly normal, and the quotient side is checked
     by thinness alone, so one is_strongly_normal call in all.  It
     conjugates the core by the generating set and its stars alone, not
-    by all 24 relations; the conjugacy certificate's searches on the
-    residue quotient G run over all of G, one for each Hall subgroup
-    after the first."""
+    by all 24 relations.  The conjugacy certificate makes no search on
+    the residue quotient G: the orbit that built the Hall subgroups of G
+    kept a conjugator of each."""
     calls = []
     original = sh.is_strongly_normal
     original_conjugates = _conjugates
@@ -1125,13 +1125,13 @@ def test_hall_context_checks_strong_normality_once(monkeypatch):
     s4 = sh.from_group(sh.symmetric(4))
     assert sh.is_solvable_scheme(s4)
     monkeypatch.setattr(sys.modules["schemehall.hypergroup"], "_conjugates", counted_conjugates)
-    cert = sh.find_hall(s4, {2})
-    hg, hq = s4.hypergroup, cert.hyper_quotient
+    sh.find_hall(s4, {2})
+    hg = s4.hypergroup
     on_hg = [within for h, within in withins if h is hg]
     gens = _generators(hg, hg.full_mask)
     assert on_hg[0] == gens | hg.star_mask(gens) and hg.full_mask not in on_hg
     assert on_hg[0].bit_count() < 24
-    assert [within for h, within in withins if h is not hg] == [hq.full_mask] * 2
+    assert [within for h, within in withins if h is not hg] == []
 
 
 # --- scheme ingest -----------------------------------------------------------

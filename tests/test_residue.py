@@ -87,8 +87,11 @@ def test_p_hall_criterion_on_group_schemes():
 
 def test_solvability_and_core_walk_no_lattice(monkeypatch):
     """On a fresh scheme neither is_solvable_scheme nor compute_o_pi
-    enumerates closed subsets or asks for subnormality; the two product
-    schemes have residue series of four and five factors."""
+    enumerates closed subsets or asks for subnormality: compute_o_pi
+    reads the core off the cached Hall context, whose family check walks
+    only the closed pi-subsets above the core, through the private walk.
+    The two product schemes have residue series of four and five
+    factors."""
     calls = []
 
     def counting(name, original):

@@ -160,20 +160,33 @@ def test_scheme_chain_valency_check_runs_once(monkeypatch):
         assert chain.step_primes == first.step_primes == (2, 2, 3, 2)
 
 
-def test_chain_subsets_are_lifted_by_lift_closed(monkeypatch):
-    """Each subset above {0} is the lift_closed image of a subgroup of a
-    residue factor, which checks it closed: one call per chain step."""
+def test_chain_subsets_are_lifted_with_no_input_check(monkeypatch):
+    """Each subset above {0} is the _lift image of a subgroup of a
+    residue factor, which checks it closed in the scheme's hypergroup:
+    one call per chain step.  The subgroups are closure_mask results,
+    proved closed by its exit test, so no is_closed_mask call lands on a
+    residue factor, as lift_closed's input check would make."""
     hg = sh.bundled_scheme("hm176_28").scheme().hypergroup
+    factors = solvability._residue_series(hg)
     calls = []
-    original = solvability.lift_closed
+    checked = []
+    original = solvability._lift
+    original_closed = sh.Hypergroup.is_closed_mask
 
-    def counted(q, sub):
-        lifted = original(q, sub)
+    def counted(q, bits):
+        lifted = original(q, bits)
         calls.append(lifted.bits)
         return lifted
 
-    monkeypatch.setattr(solvability, "lift_closed", counted)
+    def counted_closed(self, mask):
+        checked.append(self)
+        return original_closed(self, mask)
+
+    monkeypatch.setattr(solvability, "_lift", counted)
+    monkeypatch.setattr(sh.Hypergroup, "is_closed_mask", counted_closed)
     chain = sh.solvable_chain(hg)
     assert chain.step_primes == (2, 2, 7)
     assert calls == [c.bits for c in chain.subsets[1:]]
+    assert len(checked) == len(calls) and all(h is hg for h in checked)
+    assert not any(h is q for h in checked for q in factors)
     assert chain.subsets[0] == hg.neutral_subset()

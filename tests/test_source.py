@@ -283,7 +283,9 @@ def test_hypergroup_caches_are_written_in_one_module_each():
 def test_src_lines_counts_code_lines_only():
     """tools/src_lines.py leaves out blank lines, comment-only lines and
     module, class and function docstrings, and counts a code line that
-    carries a trailing comment."""
+    carries a trailing comment.  Its check sites are the raise statements
+    of InternalInconsistencyError, called or bare, by name or through its
+    module."""
     spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
     src_lines = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(src_lines)
@@ -314,6 +316,29 @@ def test_src_lines_counts_code_lines_only():
     )
     # code: import, class, def f, x =, the bare string, return x, async def, return os
     assert src_lines.line_counts(source) == (23, 8)
+    # check sites: the three raises of InternalInconsistencyError, not the
+    # other raise, the bare re-raise, nor the name in a docstring or comment
+    source = (
+        "from . import errors\n"
+        "from .errors import InternalInconsistencyError, NotClosedError\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """raise InternalInconsistencyError("in a docstring")"""\n'
+        "    if x == 1:\n"
+        '        raise InternalInconsistencyError("called")\n'
+        "    if x == 2:\n"
+        "        raise InternalInconsistencyError\n"
+        "    if x == 3:\n"
+        '        raise errors.InternalInconsistencyError("through the module")\n'
+        "    if x == 4:\n"
+        '        raise NotClosedError("another error")  # InternalInconsistencyError\n'
+        "    try:\n"
+        "        return InternalInconsistencyError\n"
+        "    except ValueError:\n"
+        "        raise\n"
+    )
+    assert src_lines.check_sites(source) == 3
 
 
 # public names whose only callers are tests, each with the reason it

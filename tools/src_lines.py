@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print the line count of each module of src/schemehall, and the total.
 
-Two figures per module: every line of the file ("all"), and its code
+Three figures per module: every line of the file ("all"), its code
 lines ("code"), which leave out blank lines, comment-only lines and the
-lines of module, class and function docstrings.  Run from the root of
-the repository:
+lines of module, class and function docstrings, and its internal check
+sites ("checks"), the raise statements of InternalInconsistencyError,
+read from the syntax tree.  Run from the root of the repository:
 
     python3 tools/src_lines.py [directory]
 
@@ -34,16 +35,28 @@ def line_counts(source: str) -> tuple[int, int]:
     return len(lines), len(lines) - len(skip)
 
 
+def check_sites(source: str) -> int:
+    """The raise statements of one module's source whose exception is
+    InternalInconsistencyError, called or bare, by name or attribute."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            count += name == "InternalInconsistencyError"
+    return count
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/schemehall")
-    total_all = total_code = 0
-    print(f"{'module':<20} {'all':>6} {'code':>6}")
+    totals = [0, 0, 0]
+    print(f"{'module':<20} {'all':>6} {'code':>6} {'checks':>6}")
     for path in sorted(root.glob("*.py")):
-        n_all, n_code = line_counts(path.read_text(encoding="utf-8"))
-        total_all += n_all
-        total_code += n_code
-        print(f"{path.name:<20} {n_all:>6} {n_code:>6}")
-    print(f"{'total':<20} {total_all:>6} {total_code:>6}")
+        source = path.read_text(encoding="utf-8")
+        row = (*line_counts(source), check_sites(source))
+        totals = [t + r for t, r in zip(totals, row)]
+        print(f"{path.name:<20} {row[0]:>6} {row[1]:>6} {row[2]:>6}")
+    print(f"{'total':<20} {totals[0]:>6} {totals[1]:>6} {totals[2]:>6}")
     return 0
 
 
