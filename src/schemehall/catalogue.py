@@ -207,7 +207,17 @@ def bundled_scheme_names() -> tuple[str, ...]:
     return tuple(sorted(e.name[:-4] for e in entries if e.name.endswith(".scm")))
 
 
+def _check_name(name: str) -> None:
+    """Refuse a bundled file name that is not a non-empty str free of
+    path separators and leading dots, so no name reaches outside its
+    data directory."""
+    if not isinstance(name, str) or not name or name[0] == "." or "/" in name or "\\" in name:
+        raise ValueError(f"bundled name must be a plain file name, got {name!r}")
+
+
 def bundled_scheme(name: str) -> SchemeFile:
+    """A bundled scheme file, its name checked before any file is read."""
+    _check_name(name)
     path = _data_root() / "schemes" / f"{name}.scm"
     return parse_scheme(path.read_text("utf-8"), name=name)
 
@@ -218,5 +228,7 @@ def bundled_group_names() -> tuple[str, ...]:
 
 
 def bundled_group(name: str) -> GroupFile:
+    """A bundled Cayley table, its name checked before any file is read."""
+    _check_name(name)
     path = _data_root() / "groups" / f"{name}.grp"
     return parse_group(path.read_text("utf-8"), name=name)

@@ -18,7 +18,10 @@ subset is the plain sum of the cosets its subgroup names, and the
 family must equal a filter over the closed pi-subsets that contain the
 pi-core, read off the cached lattice when the hypergroup has one and
 walked above the core otherwise; every Hall pi-subset contains the
-core, by the lemma proved at _HallContext.  As the filter keeps only
+core, by the lemma proved at _HallContext.  The walk stops at the Hall
+valency, the pi-part of n, the largest valency of a closed pi-subset,
+as each is a pi-number dividing n; a core of that valency is the whole
+family, and nothing is walked.  As the filter keeps only
 closed subsets passing the Hall predicate, that equality proves each
 lift closed and Hall.  After it, the family is certified conjugate:
 the orbit that built the Hall subgroups of G kept, for each, an
@@ -295,6 +298,14 @@ def _hall_family(
     the closed subset walk narrowed to them finds them without the rest
     of the lattice, and each kept subset is handed the valency the walk
     summed.  A bottom that is no pi-subset leaves no Hall subset.
+
+    target is also the largest valency of a closed pi-subset: each
+    valency is a pi-number dividing n, so it divides the pi-part.  A
+    closed subset strictly above K has a valency strictly larger than
+    n_K, so none lies above a closed pi-subset of valency target, and
+    the walk takes those as leaves: reported, not extended, and a
+    bottom of that valency is the one candidate, with no attribute
+    built.  The candidates are the same, in the same order.
     """
     hg = scheme.hypergroup
     n = scheme.n_points
@@ -313,7 +324,7 @@ def _hall_family(
             v = valency[mask] = hg.valency_of_mask(mask)
             return is_pi_number(v, ps)
 
-        candidates = _enumerate_closed(hg, closed_pi, bottom)
+        candidates = _enumerate_closed(hg, closed_pi, bottom, lambda m: valency[m] == target)
         for c in candidates:
             c.valency = valency[c.bits]
     return tuple(t for t in candidates if _pi_tests(scheme, t, valenced, target)[1])
@@ -342,7 +353,11 @@ class _HallContext:
 
     The filter reads only the closed pi-subsets that contain the core,
     off the cached lattice if there is one and by a walk above the core
-    otherwise, as every Hall pi-subset contains it.
+    otherwise, as every Hall pi-subset contains it.  The walk stops at
+    the valency target, which no closed pi-subset exceeds, as its
+    valency is a pi-number dividing n; so a core of valency target, as
+    in a cyclic group or for a normal Hall subgroup, is the family's one
+    candidate, and nothing is walked.
 
     Lemma.  Let S be solvable and pi-valenced, N a closed pi-subset
     normal in S that contains O^θ(S), and H a Hall pi-subset.  Then N

@@ -663,7 +663,10 @@ def _generators(hg: Hypergroup, mask: int) -> int:
 
 
 def _enumerate_closed(
-    hg: Hypergroup, keep: Callable[[int], bool] | None, bottom: int = 1
+    hg: Hypergroup,
+    keep: Callable[[int], bool] | None,
+    bottom: int = 1,
+    leaf: Callable[[int], bool] | None = None,
 ) -> tuple[ClosedSubset, ...]:
     """enumerate_closed_subsets' walk, uncached, narrowed by keep to the
     closed subsets that contain bottom.
@@ -675,14 +678,19 @@ def _enumerate_closed(
     default {0} is the whole lattice.
 
     keep, a predicate on masks, narrows the answer to the closed
-    subsets it accepts, in the same order, and must accept bottom.  It
-    must hold on every closed subset of a closed mask it holds on;
-    nothing checks that.  Then each closed subset it accepts is reached
-    through accepted ones, by attributes whose singleton closure it
-    accepts, so only those are tried, and keep is asked once per closed
-    subset, after the test.  Everything outside bottom and the union of
-    their closures joins the stop mask, as keep accepts no closed
-    subset that leaves it.
+    subsets it accepts, in the same order; when it refuses bottom, the
+    answer is empty.  It must hold on every closed subset of a closed
+    mask it holds on; nothing checks that.  Then each closed subset it
+    accepts is reached through accepted ones, by attributes whose
+    singleton closure it accepts, so only those are tried, and keep is
+    asked once per closed subset, after the test.  Everything outside
+    bottom and the union of their closures joins the stop mask, as keep
+    accepts no closed subset that leaves it.
+
+    leaf, a predicate on kept masks, marks closed subsets strictly above
+    which keep accepts no closed subset; nothing checks that either.  A
+    kept leaf is reported and not extended, and a bottom that is a leaf
+    is the whole answer, given before the attributes are read.
 
     So one stop mask per attribute, the elements below j that C lacks
     and those outside, rejects j before closing, stops the closure and
@@ -691,11 +699,13 @@ def _enumerate_closed(
     and its generators hold C's, so it meets the child's stop mask
     whenever the bound does.
     """
+    if keep is not None and not keep(bottom):
+        return ()
+    if leaf is not None and leaf(bottom):
+        return (ClosedSubset(hg, bottom),)
     attrs = [(s, c) for s, c in _attributes(hg) if not bottom >> s & 1]
     outside = 0
     if keep is not None:
-        if not keep(bottom):
-            return ()
         verdict = {c: keep(c) for c in dict.fromkeys(c for _, c in attrs)}
         attrs = [(s, c) for s, c in attrs if verdict[c]]
         outside = ~reduce(or_, (c for _, c in attrs), bottom)
@@ -717,7 +727,8 @@ def _enumerate_closed(
                 passed[i] = joined  # fails the test here, so in every child
             elif keep is None or (verdict[joined] if joined in verdict else keep(joined)):
                 found.append(joined)
-                stack.append((joined, ext, i + 1, passed))
+                if leaf is None or not leaf(joined):
+                    stack.append((joined, ext, i + 1, passed))
     return tuple(sorted((ClosedSubset(hg, m) for m in found), key=ElementSubset.sort_key))
 
 

@@ -460,20 +460,29 @@ def test_hall_subsets_of_thin_schemes_beyond_order_12():
 
 def test_context_family_is_the_full_filter_on_fresh_schemes():
     """A context with no lattice cached checks its family against the
-    closed pi-subsets that contain the pi-core alone; the family is
-    still every Hall pi-subset that all_hall_subsets finds by walking
-    every closed pi-subset.  Fresh copies of the residue corpus (the
-    catalogue to order 28, the product matrices and the group schemes)
-    and the thin schemes of S4 x C4 and D12 x C4 (96 points), for every
-    pi over the primes of n and the valencies that has a context: 215
-    (scheme, pi) pairs, 88 of them with a core other than {0} and S."""
-    schemes = [sh.validate_scheme(s.rel, name=s.name) for s in residue_corpus()]
-    schemes += [
-        sh.from_group(sh.direct_product(sh.symmetric(4), sh.cyclic(4)), name="s4xc4"),
-        sh.from_group(sh.direct_product(sh.dihedral(12), sh.cyclic(4)), name="d12xc4"),
+    closed pi-subsets that contain the pi-core alone, walked up to the
+    Hall valency; the family is still every Hall pi-subset that
+    all_hall_subsets reads off the whole lattice, cached first on a
+    second fresh copy, so no keep and no leaf narrow the oracle's walk.
+    Fresh copies of the residue corpus (the catalogue to order 28, the
+    product matrices and the group schemes, all through validate_scheme),
+    the thin schemes of S4 x C4 and D12 x C4 (96 points) and the 38
+    bundled group schemes through from_group, for every pi over the
+    primes of n and the valencies that has a context: 294 (scheme, pi)
+    pairs, 122 of them with a core other than {0} and S.  The bundled
+    groups add 79 pairs; in 42 of them the pi-part is neither 1 nor n,
+    and in 30 of those the pi-core already has the Hall valency."""
+    builds = [functools.partial(sh.validate_scheme, s.rel, name=s.name) for s in residue_corpus()]
+    tables = [
+        ("s4xc4", sh.direct_product(sh.symmetric(4), sh.cyclic(4))),
+        ("d12xc4", sh.direct_product(sh.dihedral(12), sh.cyclic(4))),
     ]
+    tables += [(name, sh.bundled_group(name).table) for name in sh.bundled_group_names()]
+    builds += [functools.partial(sh.from_group, table, name=name) for name, table in tables]
     pairs = narrowed = 0
-    for s in schemes:
+    for build in builds:
+        s, whole = build(), build()
+        whole.closed_subsets()
         primes = sorted(s.primes)
         for k in range(1, len(primes) + 1):
             for pi in map(frozenset, itertools.combinations(primes, k)):
@@ -482,11 +491,11 @@ def test_context_family_is_the_full_filter_on_fresh_schemes():
                 except (sh.NotSolvableError, sh.NotPiValencedError):
                     continue
                 assert s.hypergroup._closed is None
-                want = {t.bits for t in sh.all_hall_subsets(s, pi)}
+                want = {t.bits for t in sh.all_hall_subsets(whole, pi)}
                 assert {t.bits for t in ctx.lifted} == want, (s.name, pi)
                 pairs += 1
                 narrowed += ctx.core.bits not in (1, s.hypergroup.full_mask)
-    assert (pairs, narrowed) == (215, 88)
+    assert (pairs, narrowed) == (294, 122)
 
 
 def test_a_core_that_is_no_pi_subset_fails_the_family_check(monkeypatch):

@@ -161,6 +161,25 @@ def test_catalogue_doors_check_the_order_before_any_read(order, tmp_path, served
         catalogue.bundled_catalogue(order)
 
 
+@pytest.mark.parametrize("name", [None, 5, b"s4", "", ".", "..", ".s4", "../groups/s4", "a/b", "a\\b"])
+def test_bundled_files_check_the_name_before_any_read(name, monkeypatch):
+    """A name that is not a non-empty str free of path separators and
+    leading dots is refused by bundled_scheme and bundled_group before
+    they look for a bundled file, so none builds a path outside its
+    data directory."""
+    monkeypatch.setattr(catalogue, "_data_root", lambda: pytest.fail("bundled data was read"))
+    message = "^" + re.escape(f"bundled name must be a plain file name, got {name!r}") + "$"
+    for door in (catalogue.bundled_scheme, catalogue.bundled_group):
+        with pytest.raises(ValueError, match=message):
+            door(name)
+
+
+def test_bundled_files_of_an_unknown_name_are_not_found():
+    for door, suffix in ((catalogue.bundled_scheme, ".scm"), (catalogue.bundled_group, ".grp")):
+        with pytest.raises(FileNotFoundError, match=re.escape("nosuchname" + suffix)):
+            door("nosuchname")
+
+
 def test_bundled_catalogue_of_an_order_not_bundled_is_not_found():
     assert 99 not in catalogue.bundled_orders()
     with pytest.raises(FileNotFoundError, match="order99.txt"):

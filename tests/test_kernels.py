@@ -799,10 +799,12 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     """find_hall on a fresh S4 scheme, its residue series built first,
     and its generating set, which the group proof picked, read by
     strong normality with no closure: the {2} walk starts at the
-    2-core V4 and makes fewer closures than a full walk of the same
-    lattice (30 and 134 under Close-by-One; 75 when it walked every
+    2-core V4, stops at the Hall valency 8 and makes fewer closures
+    than a full walk of the same lattice (27 and 134 under Close-by-One;
+    30 when it extended the Hall subsets too, 75 when it walked every
     closed 2-subset), the {3} walk, from the 3-core {0}, fewer again
-    (22), and {2, 3} and {} (Hall subsets S4 and {0}) none.  No walk of
+    (16; 22 when it extended the Hall subsets), and {2, 3} and {} (Hall
+    subsets S4 and {0}) none.  Each walk is given a leaf.  No walk of
     the whole lattice is made, and none is left cached.  Only closures
     on the scheme's hypergroup count: the Hall subgroups of G are
     joined on its residue quotient."""
@@ -815,9 +817,9 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
             closures.append(mask)
         return original_closure(self, mask, stop)
 
-    def counted_walk(hg, keep, bottom=1):
-        keeps.append((keep, bottom))
-        return _enumerate_closed(hg, keep, bottom)
+    def counted_walk(hg, keep, bottom=1, leaf=None):
+        keeps.append((keep, bottom, leaf))
+        return _enumerate_closed(hg, keep, bottom, leaf)
 
     monkeypatch.setattr(Hypergroup, "closure_mask", counted_closure)
     for name in ("schemehall.hypergroup", "schemehall.hall"):
@@ -846,11 +848,11 @@ def test_hall_queries_walk_only_closed_pi_subsets(monkeypatch):
     _enumerate_closed(s4.hypergroup, None)
     assert len(closures) == 134
     assert made == {
-        frozenset({2}): 30, frozenset({3}): 22, frozenset({2, 3}): 0, frozenset(): 0
+        frozenset({2}): 27, frozenset({3}): 16, frozenset({2, 3}): 0, frozenset(): 0
     }
     assert [c.valency for c in cores.values()] == [4, 1, 24, 1]
-    assert [bottom for _, bottom in keeps] == [cores[frozenset({2})].bits, 1]
-    assert None not in [keep for keep, _ in keeps]
+    assert [bottom for _, bottom, _ in keeps] == [cores[frozenset({2})].bits, 1]
+    assert None not in [keep for keep, _, _ in keeps] + [leaf for _, _, leaf in keeps]
 
 
 def test_second_pi_closes_no_singleton(monkeypatch):
@@ -930,27 +932,39 @@ def test_keep_walk_is_the_filtered_full_walk():
 def test_walk_from_bottom_is_the_filtered_full_walk():
     """The walk from a closed bottom lists the closed subsets that
     contain it, filtered by keep, in the full walk's order; a keep that
-    refuses bottom leaves nothing.  Seeded keeps over three closed
-    subsets of each pool hypergroup, on fresh hypergroups left with no
-    lattice cached."""
+    refuses bottom leaves nothing.  A leaf that no kept subset lies
+    strictly above, here a mask of the largest size keep accepts,
+    changes nothing, and a bottom that is a leaf is returned alone with
+    no attribute built.  Seeded keeps over three closed subsets of each
+    pool hypergroup, on fresh hypergroups left with no lattice cached."""
     rng = random.Random(11)
     bottoms = 0
     for hg in kernel_pool():
         full = [c.bits for c in sh.enumerate_closed_subsets(hg)]
         allowed = rng.randrange(1 << hg.size) | 1
         largest = rng.randrange(1, hg.size + 1)
-        keeps = (
-            None,
-            lambda m: m & ~allowed == 0,
-            lambda m: m & ~allowed == 0 and m.bit_count() <= largest,
+        at_largest = lambda m: m.bit_count() == largest
+        walks = (
+            (None, None),
+            (lambda m: m & ~allowed == 0, None),
+            (lambda m: m & ~allowed == 0 and m.bit_count() <= largest, None),
+            (lambda m: m & ~allowed == 0 and m.bit_count() <= largest, at_largest),
+            (lambda m: m.bit_count() <= largest, at_largest),
         )
         for bottom in {full[0], full[-1], rng.choice(full)}:
             bottoms += bottom != 1
-            for keep in keeps:
+            for keep, leaf in walks:
                 want = [m for m in full if not bottom & ~m and (keep is None or keep(m))]
                 cold = fresh(hg)
-                assert [c.bits for c in _enumerate_closed(cold, keep, bottom)] == want
+                assert [c.bits for c in _enumerate_closed(cold, keep, bottom, leaf)] == want
                 assert cold._closed is None
+            size = bottom.bit_count()
+            cold = fresh(hg)
+            walk = _enumerate_closed(
+                cold, lambda m: m.bit_count() <= size, bottom, lambda m: m.bit_count() == size
+            )
+            assert [c.bits for c in walk] == [bottom]
+            assert cold._attrs is None and cold._closed is None
     assert bottoms > len(kernel_pool())
 
 
@@ -1008,10 +1022,15 @@ def test_close_by_one_matches_cyclic_extension():
 def test_hall_check_walks_only_above_the_core(monkeypatch):
     """find_hall(S, {2}) on fresh thin schemes whose residue series is
     built first: its check walks the closed 2-subsets that contain the
-    2-core, valency 16, 16 and 4, and makes 93, 102 and 30 closure_mask
-    calls on S4 x C4, D12 x C4 and S4 (96, 96 and 24 points), singleton
-    closures of the attributes included.  Walking every closed 2-subset
-    made 865, 1,386 and 75."""
+    2-core, valency 16, 16 and 4, up to the Hall valency 32, 32 and 8,
+    and makes 90, 99 and 27 closure_mask calls on S4 x C4, D12 x C4 and
+    S4 (96, 96 and 24 points), singleton closures of the attributes
+    included.  Extending the Hall subsets too made 93, 102 and 30, and
+    walking every closed 2-subset 865, 1,386 and 75.  On D11 the walk
+    starts at the 2-core {0} and stops at valency 2: 16 closures, where
+    extending the Hall subsets made 71.  On C12 the 2-core C4 has the
+    Hall valency 4, so it is the whole family: no closure, and no
+    attribute built, where the walk from it made 7."""
     closures = []
     original_closure = Hypergroup.closure_mask
 
@@ -1027,6 +1046,8 @@ def test_hall_check_walks_only_above_the_core(monkeypatch):
         sh.direct_product(sh.symmetric(4), sh.cyclic(4)),
         sh.direct_product(sh.dihedral(12), sh.cyclic(4)),
         sh.symmetric(4),
+        sh.dihedral(11),
+        sh.cyclic(12),
     ):
         s = sh.from_group(table)
         assert sh.is_solvable_scheme(s)
@@ -1035,7 +1056,8 @@ def test_hall_check_walks_only_above_the_core(monkeypatch):
         cert = sh.find_hall(s, {2})
         assert hg._closed is None
         made.append((cert.o_pi.valency, cert.hall.valency, len(closures)))
-    assert made == [(16, 32, 93), (16, 32, 102), (4, 8, 30)]
+    assert made == [(16, 32, 90), (16, 32, 99), (4, 8, 27), (1, 2, 16), (4, 4, 0)]
+    assert hg._attrs is None
 
 
 def test_residue_series_checks_only_the_moduli_closed(monkeypatch):

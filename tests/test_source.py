@@ -341,6 +341,45 @@ def test_src_lines_counts_code_lines_only():
     assert src_lines.check_sites(source) == 3
 
 
+def test_ab_bench_summary_applies_both_rules():
+    """tools/ab_bench.py's summary, on fixed numbers and with no bench
+    run: per metric, each side's median and quartiles, the
+    pairs the change read better in, by the direction BENCHMARK.json
+    gives, and whether it read better in nine of ten pairs and by more
+    than the parent's spread between quartiles.  A tie is no win."""
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+    ab_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_bench)
+    metrics = [
+        {"name": "items_per_s", "better": "higher"},
+        {"name": "item_p90_ms", "better": "lower"},
+        {"name": "setup_s", "better": "lower"},
+    ]
+    columns = {
+        "items_per_s": ([100, 102, 98, 101, 99, 100, 103, 97, 100, 101],
+                        [110, 111, 109, 112, 108, 110, 113, 107, 110, 99]),
+        "item_p90_ms": ([20, 21, 22, 23, 24, 20, 21, 22, 23, 24],
+                        [21, 20, 23, 22, 25, 21, 22, 21, 24, 23]),
+        "setup_s": ([1.0, 2.0, 1.5, 1.2, 1.8, 1.1, 1.9, 1.3, 1.7, 1.6],
+                    [0.99, 1.99, 1.49, 1.19, 1.79, 1.09, 1.89, 1.29, 1.69, 1.6]),
+    }
+    parent, change = (
+        [{name: col[side][i] for name, col in columns.items()} for i in range(10)]
+        for side in (0, 1)
+    )
+    assert ab_bench.summarize(parent, change, metrics) == [
+        "metric                     parent median [q1, q3]             change median [q1, q3]"
+        "     won  9/10  spread",
+        "items_per_s                   100 [98.75, 101.25]               110 [107.75, 111.25]"
+        "    9/10  yes   yes",
+        "item_p90_ms                     22 [20.75, 23.25]                     22 [21, 23.25]"
+        "    4/10  no    no",
+        "setup_s                       1.55 [1.175, 1.825]               1.545 [1.165, 1.815]"
+        "    9/10  yes   no",
+    ]
+    assert ab_bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
 # public names whose only callers are tests, each with the reason it
 # stays public; __version__ is metadata
 TEST_ONLY_NAMES = {
