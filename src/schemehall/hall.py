@@ -33,8 +33,10 @@ the Hall subsets and their subgroups off that family: extend_to_hall
 answers with the first lifted Hall subset that contains its seed.  A
 query re-checks only its inputs: a mask test on each, and
 conjugating_element's scan, which stops at the least relation that
-conjugates.  That scan, the certificate's coset step and
-scheme.conjugators all read one search, hypergroup._conjugators.  G is
+conjugates; an input is tested closed only when a query finds no
+answer, to tell a subset that is not closed from an engine bug.  That
+scan, the certificate's coset step and scheme.conjugators all read one
+search, hypergroup._conjugators.  G is
 held as the thin hypergroup the residue series built, so its derived
 series and its Hall subgroups are joined by its own closure_mask and
 conjugated by the kernel S uses; only the group proof reads a Cayley
@@ -296,8 +298,11 @@ def _hall_family(
     pi-subsets above bottom alone, as a closed subset of a closed
     pi-subset is one too (for closed C inside D, n_C divides n_D), so
     the closed subset walk narrowed to them finds them without the rest
-    of the lattice, and each kept subset is handed the valency the walk
-    summed.  A bottom that is no pi-subset leaves no Hall subset.
+    of the lattice.  The walk's results are filtered on the valencies it
+    summed, by mask, and are returned with their valency unset, to be
+    summed on first read; the other candidates pass the Hall test,
+    which reads each valency.  A bottom that is no pi-subset leaves no
+    Hall subset.
 
     target is also the largest valency of a closed pi-subset: each
     valency is a pi-number dividing n, so it divides the pi-part.  A
@@ -324,9 +329,8 @@ def _hall_family(
             v = valency[mask] = hg.valency_of_mask(mask)
             return is_pi_number(v, ps)
 
-        candidates = _enumerate_closed(hg, closed_pi, bottom, lambda m: valency[m] == target)
-        for c in candidates:
-            c.valency = valency[c.bits]
+        walked = _enumerate_closed(hg, closed_pi, bottom, lambda m: valency[m] == target)
+        return tuple(t for t in walked if valency[t.bits] == target)
     return tuple(t for t in candidates if _pi_tests(scheme, t, valenced, target)[1])
 
 
@@ -452,25 +456,39 @@ def conjugating_element(
     Inputs are re-verified as Hall subsets and the conjugator is the
     first that _conjugators yields over every relation, the least valid
     relation index; the context certified at build that its Hall family
-    is conjugate through the quotient group.
+    is conjugate through the quotient group.  The Hall test reads a
+    subset's relations and valency only, so when no relation conjugates,
+    each input is tested closed first: one that is not raises
+    NotHallError naming it, and only two closed Hall subsets with no
+    conjugator raise NoConjugatorFoundError.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
-    for label, x in (("first", t), ("second", u)):
+    inputs = (("first", t), ("second", u))
+    for label, x in inputs:
         _own_subset(scheme, x)
         if not _pi_tests(scheme, x, ctx.valenced, ctx.target)[1]:
-            raise NotHallError(
-                f"{label} subset (relations {list(x.members())}, valency "
-                f"{x.valency}) is not a Hall {format_pi(ps)}-subset"
-            )
+            raise _not_hall(label, x, ps)
 
     s = next(_conjugators(scheme.hypergroup, t.bits, u.bits, scheme.hypergroup.full_mask), None)
     if s is None:
+        for label, x in inputs:  # a ClosedSubset built by hand may not be closed
+            if not scheme.hypergroup.is_closed_mask(x.bits):
+                raise _not_hall(label, x, ps, "is not closed, so it ")
         raise NoConjugatorFoundError(
             "no relation conjugates the first Hall subset onto the second; "
             "conjugacy is guaranteed here, so this is an engine bug"
         )
     return s
+
+
+def _not_hall(label: str, x: ClosedSubset, ps: frozenset[int], why: str = "") -> NotHallError:
+    """The error naming conjugating_element's label input x, with why
+    before its verdict."""
+    return NotHallError(
+        f"{label} subset (relations {list(x.members())}, valency "
+        f"{x.valency}) {why}is not a Hall {format_pi(ps)}-subset"
+    )
 
 
 def extend_to_hall(
@@ -484,20 +502,25 @@ def extend_to_hall(
     that contains the subset.  Each is closed and contains the core, the
     lift of the Hall subgroups' intersection, so this is the first one
     containing core * subset: the first Hall subgroup of the quotient
-    group containing its image.
+    group containing its image.  The closed pi-subset test reads the
+    subset's relations and valency only, so when no Hall subset contains
+    it, it is tested closed: one that is not raises
+    NotClosedPiSubsetError, and only a closed one InternalInconsistencyError.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
     _own_subset(scheme, subset)
-    if not _pi_tests(scheme, subset, ctx.valenced, ctx.target)[0]:
-        raise NotClosedPiSubsetError(
-            f"subset of valency {subset.valency} with relations "
-            f"{list(subset.members())} is not a closed {format_pi(ps)}-subset"
-        )
-    chosen = next((i for i, h in enumerate(ctx.lifted) if subset.bits & ~h.bits == 0), None)
-    if chosen is None:
-        raise InternalInconsistencyError(
-            f"no lifted Hall subset contains the closed subset with relations "
-            f"{list(subset.members())}"
-        )
-    return ctx.certificate(chosen, ps)
+    if _pi_tests(scheme, subset, ctx.valenced, ctx.target)[0]:
+        for i, h in enumerate(ctx.lifted):
+            if subset.bits & ~h.bits == 0:
+                return ctx.certificate(i, ps)
+        # a ClosedSubset built by hand may not be closed
+        if scheme.hypergroup.is_closed_mask(subset.bits):
+            raise InternalInconsistencyError(
+                f"no lifted Hall subset contains the closed subset with relations "
+                f"{list(subset.members())}"
+            )
+    raise NotClosedPiSubsetError(
+        f"subset of valency {subset.valency} with relations "
+        f"{list(subset.members())} is not a closed {format_pi(ps)}-subset"
+    )

@@ -330,8 +330,9 @@ class ElementSubset:
 
 class ClosedSubset(ElementSubset):
     """An ElementSubset that has been checked to be closed.  On a scheme's
-    hypergroup its valency sums its relations' valencies: given by a caller
-    that has summed them, else summed on first read and kept."""
+    hypergroup its valency sums its relations' valencies: given to the
+    constructor by a caller that has summed them, else summed on first
+    read and kept.  It is set once, either way, and never reassigned."""
 
     __slots__ = ("_valency",)
 
@@ -346,10 +347,6 @@ class ClosedSubset(ElementSubset):
         if v is None:
             v = self._valency = self.parent.valency_of_mask(self.bits)
         return v
-
-    @valency.setter
-    def valency(self, v: int) -> None:
-        self._valency = v
 
 
 # ---------------------------------------------------------------------------
@@ -877,15 +874,15 @@ def double_cosets(hg: Hypergroup, f: ElementSubset) -> list[int]:
 
 
 def _double_cosets(hg: Hypergroup, f: int, domain: int) -> list[int]:
-    """double_cosets for a modulus mask f already known to be closed."""
+    """The double cosets F h F, h in domain, for a closed mask f inside
+    a closed mask domain, which every caller passes: each lies in domain,
+    as domain holds its own products."""
     out: list[int] = []
     remaining = domain
     while remaining:
         h = remaining & -remaining
         coset = hg.mul_masks(hg.mul_masks(f, h), f)
         out.append(coset)
-        if coset & ~domain:
-            raise NotSubsetError("double coset escaped the ambient subset")
         remaining &= ~coset
     return out
 

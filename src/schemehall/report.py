@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable
 from itertools import repeat
 
 from .arith import format_pi, validate_pi
@@ -18,7 +19,7 @@ from .errors import (
     NotSolvableError,
     SchemehallError,
 )
-from .formats import parse_scheme
+from .formats import SchemeFile, parse_scheme
 from .hall import find_hall
 from .scheme import AssociationScheme, is_solvable_scheme
 
@@ -42,24 +43,27 @@ def scheme_record(
 
     A pi whose Hall check finds an internal inconsistency gets an
     "error" entry instead of an answer; the other pi go on.  One found
-    outside the per-pi checks, by the hypergroup build, the solvability
-    test or the closed-subset census, leaves a valid record with its
-    size fields and a top-level "error" in place of the analysis.
+    outside the per-pi checks, by validation's proof of the relation
+    hypergroup, the solvability test or the closed-subset census, leaves
+    a valid record with its size fields, read off the parsed file, and
+    a top-level "error" in place of the analysis: the proof runs once
+    the scheme axioms hold.
     """
     t0 = time.perf_counter()
     record: dict = {"schema": SCHEMA_VERSION, "input": name}
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        scheme = parse_scheme(text, name=name).scheme()
+        parsed = parse_scheme(text, name=name)
+        scheme = parsed.scheme()
+    except InternalInconsistencyError as exc:  # the axioms held, the proof failed
+        valencies = map(parsed.matrix[0].count, range(parsed.rank))
+        record.update(_sizes(parsed, valencies), error=f"{type(exc).__name__}: {exc}")
     except (SchemehallError, UnicodeDecodeError) as exc:
         record["valid"] = False
         record["error"] = f"{type(exc).__name__}: {exc}"
     else:
-        record["valid"] = True
-        record["n_points"] = scheme.n_points
-        record["rank"] = scheme.rank
-        record["valencies"] = list(scheme.valencies)
+        record.update(_sizes(parsed, scheme.valencies))
         try:
             record.update(_analysis(scheme, pi_sets))
         except InternalInconsistencyError as exc:
@@ -68,6 +72,17 @@ def scheme_record(
     if timings:
         record["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
     return record
+
+
+def _sizes(parsed: SchemeFile, valencies: Iterable[int]) -> dict:
+    """A valid record's size fields, read off a file that passed the
+    scheme axioms, which make the valencies row 0's label counts."""
+    return {
+        "valid": True,
+        "n_points": parsed.n_points,
+        "rank": parsed.rank,
+        "valencies": list(valencies),
+    }
 
 
 def _analysis(scheme: AssociationScheme, pi_sets: tuple[tuple[int, ...], ...]) -> dict:

@@ -11,9 +11,12 @@ z = 0 or z >= y are compared, which settles every pair; none is sampled.
 
 Relations multiply through the induced hypergroup: p q is the set of
 relations r with a[p][q][r] != 0; it carries the valencies, so a closed
-set of relations is a ClosedSubset of it.  quotient_scheme returns the
-quotient scheme S//T on the blocks of a closed subset T, an
-AssociationScheme whose hypergroup is the QuotientHypergroup of T.
+set of relations is a ClosedSubset of it.  Each door that builds a
+scheme proves that hypergroup, or takes it proved, and hands it to
+AssociationScheme with the matrix: validate_scheme, from_group and
+quotient_scheme, which returns the quotient scheme S//T on the blocks
+of a closed subset T, an AssociationScheme whose hypergroup is the
+QuotientHypergroup of T.  Nothing is set on a scheme after it is built.
 """
 from __future__ import annotations
 
@@ -65,25 +68,25 @@ __all__ = [
     "is_solvable_scheme",
 ]
 
+Matrix = tuple[tuple[int, ...], ...]
+
 
 class AssociationScheme:
-    """A validated association scheme.  Build via validate_scheme."""
+    """A validated association scheme, built whole by the door that
+    proved it: validate_scheme, from_group or quotient_scheme.  It holds
+    the relation matrix rel, which the matrix doors read, beside the
+    relation hypergroup, which the engine reads; rank, star_map and
+    valencies are read off that hypergroup, which carries the valencies
+    and was proved to satisfy H1-H3 before it was handed over."""
 
-    def __init__(
-        self,
-        rel: tuple[tuple[int, ...], ...],
-        star_map: tuple[int, ...],
-        valencies: tuple[int, ...],
-        products: Sequence[Sequence[int]],
-        name: str = "",
-    ):
+    def __init__(self, rel: Matrix, hypergroup: Hypergroup, name: str = ""):
         self.rel = rel
         self.n_points = len(rel)
-        self.rank = len(valencies)
-        self.star_map = star_map
-        self.valencies = valencies
+        self.hypergroup = hypergroup
+        self.rank = hypergroup.size
+        self.star_map = hypergroup.inverse
+        self.valencies = hypergroup.valencies
         self.name = name
-        self._products = products  # products[p][q]: mask of r with a_{pqr} != 0
         # Hall contexts by pi & primes, filled by schemehall.hall
         self._hall_contexts: dict = {}
         # masks of the pi-valenced relations, by pi & primes
@@ -97,24 +100,6 @@ class AssociationScheme:
     def primes(self) -> frozenset[int]:
         """Primes dividing n or some valency; no other prime matters to pi."""
         return frozenset(p for k in (self.n_points, *self.valencies) for p in prime_factors(k))
-
-    @cached_property
-    def hypergroup(self) -> Hypergroup:
-        """Relations under complex multiplication, carrying the valencies,
-        with relation 0 as the neutral and star_map as the inverse map:
-        _prove checks H1-H3 on this hypergroup, and its H2 and H3 checks
-        confirm both, the inverse being unique once H3 holds."""
-        table = tuple(map(tuple, self._products))
-        hg = Hypergroup(table, self.star_map, name=self.name or "scheme relations")
-        try:
-            _prove(hg, table, self.star_map)
-        except Exception as exc:
-            raise InternalInconsistencyError(
-                f"relations of a valid scheme must form a hypergroup: {exc}"
-            ) from exc
-        self._products = None  # hg.table holds the same masks now
-        hg.valencies = self.valencies
-        return hg
 
     def intersection_numbers(self, r: int) -> tuple[tuple[int, ...], ...]:
         """table[p][q] = a_{pqr}, counted over the pair (0, z) of relation
@@ -149,14 +134,20 @@ SCHEME_SIZE_CAP = 1 << 20
 
 
 def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> AssociationScheme:
-    """Check the scheme axioms on a relation matrix.
+    """Check the scheme axioms on a relation matrix, then prove its
+    relation hypergroup, and build the scheme on both.
 
     Errors, in the order the axioms are tested: NotSquareError,
     NotPartitionError (labels not a contiguous 0-based range),
     SchemeTooLargeError (n * rank**2 above SCHEME_SIZE_CAP, raised
     before the per-pair passes start), IdentityViolationError,
     StarViolationError and RegularityViolationError with a five-index
-    witness.
+    witness.  The axioms give the relation hypergroup: relation 0 its
+    neutral, the star map its inverse, and p q the relations r with
+    a_{pqr} != 0.  _prove checks H1-H3 on it, whose H2 and H3 checks
+    confirm the neutral and the inverse, the inverse being unique once
+    H3 holds; a failure raises InternalInconsistencyError, as the axioms
+    imply them.
 
     Every point pair is covered, with the per-pair work in C builtins.
     Each row must hold its one 0 on the diagonal; the set of pairs
@@ -177,16 +168,39 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     counts them on demand).  Cost: n * (n + 1) / 2 + n - 1 keys, about
     n**3 log n / 2 steps in C plus n**2 / 2 in Python.  An input of rank
     n is thin: _group_scheme proves it a group's scheme, in n**2 steps
-    plus validate_group, and only a refused one is keyed, row-major.
+    plus the group proof, which is its hypergroup's proof, and only a
+    refused one is keyed, row-major.
     """
+    rel, cols, star = _scheme_rows(matrix)
+    rank = len(star)
+    if rank == len(rel):  # every valency is 1
+        scheme = _group_scheme(rel, name)
+        if scheme is not None:
+            return scheme
+    # a thin input the group proof refused is keyed row-major at once
+    valencies, table = _relation_products(rel, cols, rank, upper=rank != len(rel))
+    hg = Hypergroup(table, star, name=name or "scheme relations")
+    hg.valencies = valencies
+    try:
+        _prove(hg, table, star)
+    except Exception as exc:
+        raise InternalInconsistencyError(
+            f"relations of a valid scheme must form a hypergroup: {exc}"
+        ) from exc
+    return AssociationScheme(rel, hg, name)
+
+
+def _scheme_rows(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, tuple[int, ...]]:
+    """The rows, the columns and the star map of a matrix that passes
+    every axiom validate_scheme tests before regularity, raising its
+    errors in its order."""
     n = len(matrix)
     if n == 0:
         raise NotPartitionError("empty matrix")
-    rel: list[tuple[int, ...]] = []
     for x, row in enumerate(matrix):
         if len(row) != n:
             raise NotSquareError(f"row {x} has length {len(row)}, expected {n}")
-        rel.append(tuple(row))
+    rel = tuple(map(tuple, matrix))
 
     labels = set(chain.from_iterable(rel))
     # the type of every entry: the set keeps one of the equal 1, 1.0 and True
@@ -198,7 +212,7 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
         raise NotPartitionError(f"labels must form a contiguous range; missing {sorted(missing)}")
     _check_size(n, rank)
 
-    cols = list(zip(*rel))
+    cols = tuple(zip(*rel))
     for x, row in enumerate(rel):
         if row[x] != 0 or row.count(0) != 1:
             _raise_identity_witness(rel, x)
@@ -209,17 +223,16 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     if len(pairs) != rank:
         _raise_star_witness(rel)
     # one pair per label, and (t, s) is a pair with (s, t): star is an involution
-    star = list(map(dict(pairs).__getitem__, range(rank)))
+    return rel, cols, tuple(map(dict(pairs).__getitem__, range(rank)))
 
-    if rank == n:  # every valency is 1
-        scheme = _group_scheme(rel, name)
-        if scheme is not None:
-            return scheme
-    keys = None if rank == n else _pair_keys(rel, cols, rank, upper=True)
-    if keys is None:
-        # every pair, row-major; a key lists the codes rank*p + q, so it fixes
-        # its count table, and two keys of r that differ name the witness
-        keys = _pair_keys(rel, cols, rank, upper=False)
+
+def _relation_products(
+    rel: Matrix, cols: Matrix, rank: int, upper: bool
+) -> tuple[tuple[int, ...], Matrix]:
+    """The valencies and the product table of a matrix whose other
+    axioms hold, read off _pair_keys, which raises
+    RegularityViolationError when it is not regular."""
+    keys = _pair_keys(rel, cols, rank, upper)
 
     # row 0 meets every relation, and regularity of relation 0 makes
     # every row's label counts equal: these are the a_{s s* 0}
@@ -230,7 +243,7 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
     for r, key in enumerate(keys):
         for p, q in (divmod(c, rank) for c in set(key)):
             products[p][q] |= 1 << r
-    return AssociationScheme(tuple(rel), tuple(star), valencies, products, name=name)
+    return valencies, tuple(map(tuple, products))
 
 
 def _check_size(n: int, rank: int) -> None:
@@ -242,14 +255,13 @@ def _check_size(n: int, rank: int) -> None:
         )
 
 
-def _pair_keys(
-    rel: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], rank: int, upper: bool
-) -> list[list[int]] | None:
+def _pair_keys(rel: Matrix, cols: Matrix, rank: int, upper: bool) -> list[list[int]]:
     """The key of each relation's first pair (y, z), each later pair's
     key compared with it.  With upper, only the pairs with z = 0 or
-    z >= y are keyed, and a differing key returns None; otherwise every
-    pair is, in row-major order, and a differing key raises the
-    RegularityViolationError its two count tables name.
+    z >= y are keyed, and a differing key starts the keys over without
+    upper; otherwise every pair is, in row-major order, and as a key
+    lists the codes rank*p + q, so fixes its count table, a differing
+    key raises the RegularityViolationError its two count tables name.
     """
     n = len(rel)
     keys: list[list[int] | None] = [None] * rank
@@ -265,7 +277,7 @@ def _pair_keys(
                 first[r] = (y, z)
             elif known != key:
                 if upper:
-                    return None
+                    return _pair_keys(rel, cols, rank, upper=False)
                 want = _count_table(rel, *first[r], rank)
                 got = _count_table(rel, y, z, rank)
                 for p in range(rank):
@@ -275,13 +287,14 @@ def _pair_keys(
     return keys
 
 
-def _group_scheme(rel: Sequence[tuple[int, ...]], name: str) -> AssociationScheme | None:
+def _group_scheme(rel: Matrix, name: str) -> AssociationScheme | None:
     """A matrix of rank n as a group's thin scheme, or None when a row
     repeats a label or the table the rows give is not a group.  Point x
     stands for g_x = rel[0][x], and row x reads g_x rel[x][z] = g_z; once
-    from_group's validate_group proves that table a group, rel[x][z] =
-    g_x^-1 g_z, so x -> g_x carries the input onto from_group's matrix,
-    and its scheme, given the input's rel, is the input's."""
+    thin_hypergroup's group proof accepts that table, rel[x][z] =
+    g_x^-1 g_z, so relation g is the pairs (x, y) with y = xg, and the
+    group's thin hypergroup, proved by that proof, is the input's
+    relation hypergroup."""
     n = len(rel)
     rel0 = rel[0]
     table: list[tuple[int, ...]] = [()] * n
@@ -291,11 +304,11 @@ def _group_scheme(rel: Sequence[tuple[int, ...]], name: str) -> AssociationSchem
             return None
         table[rel0[x]] = tuple(map(at.__getitem__, range(n)))
     try:
-        scheme = from_group(table, name)
+        hg = thin_hypergroup(table, name=name or "scheme relations")
     except NotAGroupError:
         return None
-    scheme.rel = tuple(rel)
-    return scheme
+    hg.valencies = (1,) * n
+    return AssociationScheme(rel, hg, name)
 
 
 def _count_table(rel: Sequence[Sequence[int]], y: int, z: int, rank: int) -> list[list[int]]:
@@ -336,24 +349,20 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     Its hypergroup comes from groups.thin_hypergroup, the one builder of a
     group's thin hypergroup, whose proof of the group axioms is its proof
     of H1-H3, with relation 0 as its neutral and the star map as its
-    inverse.  Once the table is a group the scheme axioms hold by
-    construction: relation g has valency 1 and partner g^-1, and relation
-    p then q is relation pq.  The relation matrix is read off the input
-    rows that thin_hypergroup has just validated."""
+    inverse; it carries valency 1 on every relation.  Once the table is a
+    group the scheme axioms hold by construction: relation g has valency
+    1 and partner g^-1, and relation p then q is relation pq.  The
+    relation matrix is read off the input rows that thin_hypergroup has
+    just validated."""
     _check_size(len(table), len(table))
     hg = thin_hypergroup(table, name=name or "scheme relations")
-    inv = hg.inverse
-    rel = tuple(tuple(table[i]) for i in inv)  # row x is row x^-1 of the table
-    hg.valencies = (1,) * len(inv)
-    scheme = AssociationScheme(rel, inv, hg.valencies, hg.table, name=name)
-    scheme.hypergroup = hg  # the cached_property's value
-    return scheme
+    hg.valencies = (1,) * hg.size
+    rel = tuple(tuple(table[i]) for i in hg.inverse)  # row x is row x^-1 of the table
+    return AssociationScheme(rel, hg, name)
 
 
 # ---------------------------------------------------------------------------
 # products of schemes
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 def wreath_matrix(inner: AssociationScheme, outer: AssociationScheme) -> Matrix:
@@ -398,12 +407,14 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
     (reflexive as 0 is in T, symmetric as T* = T, transitive as TT is
     inside T) and the block of x is read off row x.  Point i of S//T is
     the i-th block in order of least point, and its relation i is the
-    i-th double coset T s T of quotient(scheme.hypergroup, T).  Its
-    products and star map must be the table and inverse quotient proved
-    H1-H3 for: that QuotientHypergroup, with its parent, modulus, cosets
-    and coset_of, is the returned scheme's hypergroup.  The valency law
-    n_{s^T} * n_T = n_{TsT} is checked exactly.  Any failure raises
-    InternalInconsistencyError.
+    i-th double coset T s T of quotient(scheme.hypergroup, T).  The block
+    matrix passes validate_scheme's axiom checks, and its products and
+    star map must be the table and inverse quotient proved H1-H3 for,
+    so they are compared, not proved again: that QuotientHypergroup,
+    with its parent, modulus, cosets and coset_of, and given the
+    valencies of the block matrix, is the returned scheme's hypergroup.
+    The valency law n_{s^T} * n_T = n_{TsT} is checked exactly.  Any
+    failure past the axiom checks raises InternalInconsistencyError.
     """
     hg = _own_subset(scheme, modulus, "modulus")
     hq = quotient(hg, modulus)
@@ -436,15 +447,15 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
             elif cur != c:
                 raise InternalInconsistencyError("block pair met two different relation cosets")
 
-    qscheme = validate_scheme(qrel, name=f"{scheme.name}//T" if scheme.name else "")
-    if tuple(map(tuple, qscheme._products)) != hq.table or qscheme.star_map != hq.inverse:
+    rows, cols, star = _scheme_rows(qrel)
+    valencies, table = _relation_products(rows, cols, len(star), upper=True)
+    if table != hq.table or star != hq.inverse:
         raise InternalInconsistencyError(
             "hypergroup of the quotient scheme differs from the quotient "
             "of the hypergroup"
         )
-    qscheme._products = None  # the hypergroup's table holds the same masks
-    hq.valencies = qscheme.valencies
-    qscheme.hypergroup = hq
+    hq.valencies = valencies
+    qscheme = AssociationScheme(rows, hq, f"{scheme.name}//T" if scheme.name else "")
 
     n_t = modulus.valency
     for s in range(scheme.rank):
@@ -510,6 +521,11 @@ def _own_subset(scheme: AssociationScheme, subset: object, what: str = "subset")
 def pi_predicates(
     scheme: AssociationScheme, subset: ClosedSubset, pi: Iterable[int]
 ) -> PiPredicates:
+    """Whether subset is pi-valenced, a closed pi-subset and a Hall
+    pi-subset.  The tests read only its relations and its valency, which
+    must divide n, and trust that it is closed, as a ClosedSubset of
+    scheme.hypergroup is: one built by hand on a mask that is not closed
+    gets the answers its relations and valency give."""
     _own_subset(scheme, subset)
     ps = validate_pi(pi)
     valenced = _pi_valenced_mask(scheme, ps)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import schemehall as sh
-from schemehall import catalogue, cli, formats, report
+from schemehall import catalogue, cli, formats, report, scheme as scheme_module
 from schemehall.cli import main
 from schemehall.report import DEFAULT_PI_SETS, render_jsonl, report_records
 
@@ -678,12 +678,21 @@ def test_report_records_an_internal_error_and_goes_on(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == n_files
 
 
-def test_report_records_a_scheme_level_internal_error_and_goes_on(monkeypatch, capsys):
-    """An inconsistency outside the per-pi checks leaves the record's size
-    fields and a top-level error; every other record is unchanged."""
-    n_files = len(list(SCHEMES.glob("*.scm")))
-    assert main(["report", str(SCHEMES), "--json"]) == 0
-    clean = capsys.readouterr().out.splitlines()
+def _plant_in_the_proof(monkeypatch):
+    """Fail validate_scheme's proof of hm176_28's relation hypergroup."""
+    real = scheme_module._prove
+
+    def flaky(hg, masks, inv):
+        if hg.name == "hm176_28":
+            raise sh.InternalInconsistencyError("planted")
+        return real(hg, masks, inv)
+
+    monkeypatch.setattr(scheme_module, "_prove", flaky)
+    return "relations of a valid scheme must form a hypergroup: planted"
+
+
+def _plant_in_the_analysis(monkeypatch):
+    """Fail the solvability test on the scheme on 28 points."""
     real = report.is_solvable_scheme
 
     def flaky(scheme):
@@ -692,22 +701,36 @@ def test_report_records_a_scheme_level_internal_error_and_goes_on(monkeypatch, c
         return real(scheme)
 
     monkeypatch.setattr(report, "is_solvable_scheme", flaky)
-    rec = report.scheme_record("hm176_28", (SCHEMES / "hm176_28.scm").read_text("utf-8"))
-    assert rec == {
-        "schema": 1, "input": "hm176_28", "valid": True, "n_points": 28, "rank": 10,
-        "valencies": [1, 1, 1, 1, 4, 4, 4, 4, 4, 4],
-        "error": "InternalInconsistencyError: planted",
-    }
+    return "planted"
 
-    assert main(["report", str(SCHEMES), "--json"]) == 3
-    captured = capsys.readouterr()
-    lines = captured.out.splitlines()
-    assert len(lines) == n_files
-    changed = [i for i, (a, b) in enumerate(zip(clean, lines)) if a != b]
-    assert [json.loads(lines[i]) for i in changed] == [rec]
-    assert captured.err == "internal error: hm176_28: InternalInconsistencyError: planted\n"
 
-    assert main(["report", str(SCHEMES)]) == 3
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == n_files
-    assert "hm176_28: n=28 rank=10 ERROR (InternalInconsistencyError: planted)" in out
+def test_report_records_a_scheme_level_internal_error_and_goes_on(monkeypatch, capsys):
+    """An inconsistency outside the per-pi checks leaves the record's size
+    fields and a top-level error; every other record is unchanged.  That
+    holds for one in validate_scheme's proof of the relation hypergroup
+    too, which runs once the scheme axioms hold: the size fields are then
+    read off the parsed file."""
+    n_files = len(list(SCHEMES.glob("*.scm")))
+    assert main(["report", str(SCHEMES), "--json"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    for plant in (_plant_in_the_analysis, _plant_in_the_proof):
+        error = f"InternalInconsistencyError: {plant(monkeypatch)}"
+        rec = report.scheme_record("hm176_28", (SCHEMES / "hm176_28.scm").read_text("utf-8"))
+        assert rec == {
+            "schema": 1, "input": "hm176_28", "valid": True, "n_points": 28, "rank": 10,
+            "valencies": [1, 1, 1, 1, 4, 4, 4, 4, 4, 4], "error": error,
+        }
+
+        assert main(["report", str(SCHEMES), "--json"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == n_files
+        changed = [i for i, (a, b) in enumerate(zip(clean, lines)) if a != b]
+        assert [json.loads(lines[i]) for i in changed] == [rec]
+        assert captured.err == f"internal error: hm176_28: {error}\n"
+
+        assert main(["report", str(SCHEMES)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == n_files
+        assert f"hm176_28: n=28 rank=10 ERROR ({error})" in out
+        monkeypatch.undo()

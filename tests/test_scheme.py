@@ -76,13 +76,13 @@ def test_validator_checks_the_type_of_every_entry(matrix):
         sh.validate_scheme(matrix)
 
 
-def test_hypergroup_inverses_must_match_the_star_map():
+def test_hypergroup_inverses_must_match_the_star_map(monkeypatch):
     """The star map is the inverse map the relations are proved under,
-    so a skewed one fails H3."""
-    pent = sh.bundled_scheme("pentagon").scheme()
-    pent.star_map = (0, 2, 1)
+    so a skewed one, planted before validate_scheme's proof, fails H3."""
+    real = scheme_module._scheme_rows
+    monkeypatch.setattr(scheme_module, "_scheme_rows", lambda m: (*real(m)[:2], (0, 2, 1)))
     with pytest.raises(sh.InternalInconsistencyError) as info:
-        pent.hypergroup
+        sh.bundled_scheme("pentagon").scheme()
     assert str(info.value) == (
         "relations of a valid scheme must form a hypergroup: "
         "H3 fails: 1 in 0*1 but 0 not in 1*inv(1)"
@@ -564,7 +564,8 @@ def test_valency_must_divide_n_on_every_path():
     for call in calls:
         with pytest.raises(sh.InternalInconsistencyError, match=message):
             call()
-    s4.closed_subsets()[3].valency = 5  # the cached lattice the filter reads
+    lattice = s4.closed_subsets()  # the cached lattice the filter reads
+    hg._closed = (*lattice[:3], sh.ClosedSubset(hg, lattice[3].bits, 5), *lattice[4:])
     with pytest.raises(sh.InternalInconsistencyError, match=message):
         sh.all_hall_subsets(s4, {2})
 
@@ -779,3 +780,91 @@ def test_scheme_doors_take_their_hypergroups_closed_subsets(pentagon, door, ask,
     got = ask(s, s.hypergroup.universe())
     want = ask(s, s.closed_subset(range(s.rank)))
     assert answer(got) == answer(want)
+
+
+def _hm28():
+    return sh.bundled_scheme("hm176_28").scheme()
+
+
+def _c6_modulo_3():
+    """The natural map of C6 onto its quotient by {0, 3}."""
+    hg = sh.from_group(sh.cyclic(6)).hypergroup
+    q = sh.quotient(hg, sh.closure(hg.subset([3])))
+    return sh.validate_homomorphism(hg, q, q.coset_of)
+
+
+def _subset_against_an_int():
+    """ElementSubset.__eq__ leaves a non-subset to Python, which falls
+    back to identity: a subset never equals its mask."""
+    t = sh.from_group(sh.cyclic(6)).hypergroup.subset([0, 3])
+    return t.__eq__(5), t == 5, t != 5, t == t.bits
+
+
+@pytest.mark.parametrize("make, want", [
+    pytest.param(
+        lambda: repr(_hm28()), "<AssociationScheme 'hm176_28' on 28 points, rank 10>", id="scheme",
+    ),
+    pytest.param(
+        lambda: repr(sh.from_group(sh.cyclic(6))), "<AssociationScheme on 6 points, rank 6>",
+        id="scheme-unnamed",
+    ),
+    pytest.param(
+        lambda: repr(sh.bundled_scheme("hm176_28")), "<SchemeFile 'hm176_28' 28 points, rank 10>",
+        id="scheme-file",
+    ),
+    pytest.param(
+        lambda: repr(sh.parse_scheme("2 2\n0 1\n1 0\n")), "<SchemeFile 2 points, rank 2>",
+        id="scheme-file-unnamed",
+    ),
+    pytest.param(
+        lambda: repr(sh.GroupFile("c3", 3, sh.cyclic(3))), "<GroupFile 'c3' order 3>",
+        id="group-file",
+    ),
+    pytest.param(
+        lambda: repr(sh.GroupFile("", 3, sh.cyclic(3))), "<GroupFile order 3>",
+        id="group-file-unnamed",
+    ),
+    pytest.param(
+        lambda: repr(sh.find_hall(_hm28(), {2})), "<HallCertificate pi={2} n_T=4 index=7>",
+        id="certificate",
+    ),
+    pytest.param(
+        lambda: repr(sh.solvable_chain_scheme(_hm28())),
+        "<SolvableChain [0] < [0, 2] < [0, 1, 2, 3] < [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] "
+        "primes [2, 2, 7]>",
+        id="chain",
+    ),
+    pytest.param(
+        lambda: repr(_c6_modulo_3()), "<HypergroupHomomorphism (0, 1, 2, 0, 1, 2)>",
+        id="homomorphism",
+    ),
+    pytest.param(
+        _subset_against_an_int, (NotImplemented, False, True, False), id="subset-eq-int",
+    ),
+])
+def test_reprs_and_foreign_equality(make, want):
+    """Each repr a user sees, and a subset compared with an int."""
+    assert make() == want
+
+
+def test_validate_scheme_proves_the_hypergroup_once(monkeypatch):
+    """validate_scheme proves the relation hypergroup it hands the scheme:
+    a thin matrix by the group proof alone, once, and no _prove; any
+    other by one _prove of that very hypergroup."""
+    thin_matrix = sh.from_group(sh.symmetric(3)).rel
+    proofs = []
+    for name in ("_prove", "_prove_group"):
+        real = getattr(hypergroup_module, name)
+
+        def counted(hg, *args, name=name, real=real):
+            proofs.append((name, hg))
+            return real(hg, *args)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("schemehall.") and hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    thin = sh.validate_scheme(thin_matrix)
+    assert proofs == [("_prove_group", thin.hypergroup)]
+    proofs.clear()
+    wreath = sh.validate_scheme(sh.bundled_scheme("hm176_28").matrix)
+    assert proofs == [("_prove", wreath.hypergroup)]

@@ -341,6 +341,50 @@ def test_src_lines_counts_code_lines_only():
     assert src_lines.check_sites(source) == 3
 
 
+def test_src_coverage_lists_statements_only():
+    """tools/src_coverage.py counts statements, each shown to have run by
+    a line of its own or of its compound header, and leaves out
+    docstrings, other bare strings, def, class and import lines, try and
+    bare annotations.  A statement is unexecuted when none of those lines
+    ran.  It runs no pytest."""
+    spec = importlib.util.spec_from_file_location("src_coverage", ROOT / "tools" / "src_coverage.py")
+    src_coverage = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_coverage)
+    source = (
+        '"""Module docstring."""\n'           # 1
+        "import os\n"                          # 2
+        "from sys import path\n"               # 3
+        "LIMIT: int\n"                         # 4: bare annotation
+        "COUNT: int = 2\n"                     # 5
+        "\n"
+        "\n"
+        "class A:\n"                           # 8
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self, x):\n"                # 11
+        "        'Function docstring.'\n"
+        "        if (x\n"                      # 13: a two-line header
+        "                and path):\n"
+        "            return os.sep\n"          # 15
+        "        try:\n"                       # 16
+        "            y = [\n"                  # 17: a three-line statement
+        "                x,\n"
+        "            ]\n"
+        "        except ValueError:\n"
+        "            raise\n"                  # 21
+        "        for z in y:\n"                # 22
+        "            pass\n"                   # 23
+        '        "a bare string"\n'
+        "        return y\n"                   # 25
+    )
+    assert {k: (r.start, r.stop) for k, r in src_coverage.statement_lines(source).items()} == {
+        5: (5, 6), 13: (13, 15), 15: (15, 16), 17: (17, 20), 21: (21, 22),
+        22: (22, 23), 23: (23, 24), 25: (25, 26),
+    }
+    assert src_coverage.unexecuted(source, {5, 14, 18, 22, 23, 25}) == [15, 21]
+    assert src_coverage.unexecuted(source, set()) == [5, 13, 15, 17, 21, 22, 23, 25]
+
+
 def test_ab_bench_summary_applies_both_rules():
     """tools/ab_bench.py's summary, on fixed numbers and with no bench
     run: per metric, each side's median and quartiles, the
