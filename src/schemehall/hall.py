@@ -6,8 +6,14 @@ solvability builds and checks thin once.  For each pi the Hall
 pi-subgroups of G are found by the classical route and lifted back
 through the closed-subset correspondence; the pi-core is the lift of
 O_pi(G), their intersection.  That structure is built once per (scheme,
-pi) and cached on the scheme, and each of its facts has one check.  A
-core from O_pi(G) = 1 is the residue modulus, checked closed by
+pi) and cached on the scheme, and each of its facts has one check.  It
+costs what its pi needs: a pi-part of 1 or |G| leaves one Hall
+subgroup, found with no search, and the lift of all of G is the whole
+scheme, with no coset summed; otherwise the greedy build refuses each
+element of G whose order is no pi-number before closing anything, by
+Lagrange, closes each join from the generators that joined, and stops
+a closure at the first such element it meets.  A core from
+O_pi(G) = 1 is the residue modulus, checked closed by
 quotient._quotient and strongly normal by is_thin once per scheme in
 the residue series; one from O_pi(G) = G is the whole scheme.  Any
 other core is lifted by quotient._lift, which checks the lift closed,
@@ -220,8 +226,10 @@ def hall_subgroups(table: Table, pi: Iterable[int]) -> tuple[int, ...]:
     every pi-subgroup lies in a Hall pi-subgroup and all Hall
     pi-subgroups are conjugate (P. Hall 1928), so the build never stalls
     and the conjugation orbit of its result is the whole family.  The
-    build is one pass over the elements and the orbit is taken over a
-    right transversal of the result: see _hall_subgroups.
+    build is one pass over the elements, which refuses an element whose
+    order is no pi-number before closing anything, by Lagrange, and
+    closes each join from the generators that joined; the orbit is
+    taken over a right transversal of the result: see _hall_subgroups.
     """
     ps = validate_pi(pi)
     hg = thin_hypergroup(table)
@@ -243,7 +251,16 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> dict[int, int]:
     The greedy build makes one pass over the elements and joins the same
     ones as restarting at element 1 after each join: a g that failed to
     join H fails to join every later H' containing H, as <H', g> holds
-    <H, g>, whose order has a prime outside pi.  The orbit conjugates by
+    <H, g>, whose order has a prime outside pi.  Three measures cut what
+    each try costs, and none changes which g join.  By Lagrange, a g
+    whose order, read off its powers in the thin table, is no pi-number
+    makes <H, g> no pi-group, so it is refused with no closure, and so
+    is its inverse, of the same order.  Such elements are bad, and a
+    closure that meets one is no pi-group either, so bad is the closure's
+    stop mask: a result that meets it is refused, and one that misses it
+    is the whole closure, accepted when its order is a pi-number.  And
+    <H, g> is closed from the generators that joined H and g alone, as
+    H = <gens>, not from every element of H.  The orbit conjugates by
     the least element of each right coset Hg, |G : H| conjugations, as
     g^-1 H g depends only on the coset: (hg)^-1 H (hg) = g^-1 H g.
     """
@@ -251,15 +268,22 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> dict[int, int]:
     target = pi_part(n, ps)
     if target in (1, n):
         return {hg.full_mask if target == n else 1: 0}
-    hall = 1
+    table, inv = hg.table, hg.inverse
+    hall, gens, bad = 1, 0, 0  # the trivial subgroup, with no generator
     for g in range(1, n):
         if hall.bit_count() == target:
             break
-        if hall >> g & 1:
+        if (hall | bad) >> g & 1:
             continue
-        ext = hg.closure_mask(hall | 1 << g)
-        if is_pi_number(ext.bit_count(), ps):
-            hall = ext
+        x, order = g, 1
+        while x:  # x = g^order
+            x, order = table[x][g].bit_length() - 1, order + 1
+        if not is_pi_number(order, ps):
+            bad |= 1 << g | 1 << inv[g]
+            continue
+        ext = hg.closure_mask(gens | 1 << g, bad)
+        if not ext & bad and is_pi_number(ext.bit_count(), ps):
+            hall, gens = ext, gens | 1 << g
     if hall.bit_count() != target:
         raise InternalInconsistencyError(
             f"no pi-subgroup of a solvable group of order {n} grows "
@@ -352,8 +376,10 @@ class _HallContext:
     the thin hq, has g^ halls[0] g = halls[i].  Only a core that is
     neither the residue modulus nor the whole scheme is checked closed
     by _lift, in _core_and_halls.  best indexes the least lifted Hall
-    subset.  Every pi with the same primes among those of the scheme
-    shares the context.
+    subset.  A family of one member needs no search for it, and the
+    lift of all of G is the whole scheme, as the cosets partition it;
+    the family check runs on it all the same.  Every pi with the same
+    primes among those of the scheme shares the context.
 
     The filter reads only the closed pi-subsets that contain the core,
     off the cached lattice if there is one and by a walk above the core
@@ -392,7 +418,11 @@ class _HallContext:
         self.hq, self.halls = hq, tuple(steps)
         hg, cosets = scheme.hypergroup, hq.cosets
         self.lifted = tuple(
-            ClosedSubset(hg, sum(map(cosets.__getitem__, bits_of(gm))), self.target)
+            ClosedSubset(
+                hg,
+                hg.full_mask if gm == hq.full_mask else sum(map(cosets.__getitem__, bits_of(gm))),
+                self.target,
+            )
             for gm in self.halls
         )
         filtered = _hall_family(scheme, ps, self.valenced, self.target, self.core.bits)
@@ -409,7 +439,9 @@ class _HallContext:
                     "no member of the lifted conjugator coset conjugates the "
                     "subsets directly"
                 )
-        self.best = min(range(len(self.lifted)), key=lambda i: self.lifted[i].members())
+        self.best = 0
+        if len(self.lifted) > 1:
+            self.best = min(range(len(self.lifted)), key=lambda i: self.lifted[i].members())
 
     def certificate(self, i: int, ps: frozenset[int]) -> HallCertificate:
         """A fresh certificate for the i-th Hall subset, asked for pi = ps."""

@@ -71,14 +71,24 @@ def _chunk_table(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t)
 
 
-# by chunk index, built as masks reach them (a racing build stores the same table)
-_CHUNKS = {0: _chunk_table(0)}
+# by chunk index, built as masks reach them (a racing build stores the same table);
+# the first three are built here, for bits_of's unrolled reads
+_CHUNKS = {k: _chunk_table(k) for k in range(3)}
+_C0, _C1, _C2 = _CHUNKS[0], _CHUNKS[1], _CHUNKS[2]
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of mask, lowest first, read off _CHUNKS."""
+    """The positions of the set bits of mask, lowest first, read off _CHUNKS.
+
+    A mask below 2**24, as every hypergroup of a few dozen elements
+    gives, is read with at most three chunk lookups and no loop; a
+    larger one chunk by chunk, building the tables it reaches."""
     if mask < 256:
-        return _CHUNKS[0][mask]
+        return _C0[mask]
+    if mask < 65536:
+        return _C0[mask & 255] + _C1[mask >> 8]
+    if mask < 16777216:
+        return _C0[mask & 255] + _C1[mask >> 8 & 255] + _C2[mask >> 16]
     out: tuple[int, ...] = ()
     k = 0
     while mask:
@@ -657,6 +667,13 @@ def _generators(hg: Hypergroup, mask: int) -> int:
     if mask == hg.full_mask:
         hg._gens = gens
     return gens
+
+
+def _share_table_caches(src: Hypergroup, dst: Hypergroup) -> None:
+    """Give dst, built on src's very table, the whole-hypergroup
+    generating set and Close-by-One attributes src has found, if any:
+    both are read off the table alone, so they hold for dst as they are."""
+    dst._gens, dst._attrs = src._gens, src._attrs
 
 
 def _enumerate_closed(

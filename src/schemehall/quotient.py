@@ -25,6 +25,7 @@ from .hypergroup import (
     Hypergroup,
     _double_cosets,
     _prove,
+    _share_table_caches,
     bits_of,
     mask_of,
 )
@@ -77,7 +78,9 @@ def _quotient(
     the set of cosets meeting a F b, and the inverse of F r F is
     F r^ F; _prove checks H1-H3 on the QuotientHypergroup returned.
     H // {0} is H itself, its cosets the singletons: it shares hg's
-    table, proved when hg was built, and takes no double-coset work.
+    table, proved when hg was built, and takes no double-coset work,
+    and it is given hg's generating set and attributes, which the table
+    alone decides, so its derived series picks no set of its own.
     Callers check that modulus is a subset of hg."""
     if not hg.is_closed_mask(modulus.bits):
         raise NotClosedError("quotient modulus must be a closed subset")
@@ -122,7 +125,9 @@ def _quotient(
         table = tuple(map(tuple, raw))
         inverse = tuple(coset_of[hg.inverse[r]] for r in reps)
     hq = QuotientHypergroup(table, inverse, hg, ClosedSubset(hg, f), cosets, tuple(coset_of), name)
-    if table is not hg.table:
+    if table is hg.table:
+        _share_table_caches(hg, hq)
+    else:
         _prove(hq, table, inverse)
     return hq
 

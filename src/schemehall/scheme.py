@@ -48,7 +48,6 @@ from .hypergroup import (
     _conjugators,
     _prove,
     enumerate_closed_subsets,
-    mask_of,
 )
 from .quotient import quotient
 from .solvability import SolvableChain, is_solvable, solvable_chain
@@ -98,8 +97,18 @@ class AssociationScheme:
 
     @cached_property
     def primes(self) -> frozenset[int]:
-        """Primes dividing n or some valency; no other prime matters to pi."""
-        return frozenset(p for k in (self.n_points, *self.valencies) for p in prime_factors(k))
+        """Primes dividing n or some valency; no other prime matters to pi.
+        Each distinct value is factored once."""
+        return frozenset(p for k in {self.n_points, *self._valency_masks} for p in prime_factors(k))
+
+    @cached_property
+    def _valency_masks(self) -> dict[int, int]:
+        """The mask of the relations of each valency, by valency: one
+        entry for a group scheme, whose valencies are all 1."""
+        masks: dict[int, int] = {}
+        for s, v in enumerate(self.valencies):
+            masks[v] = masks.get(v, 0) | 1 << s
+        return masks
 
     def intersection_numbers(self, r: int) -> tuple[tuple[int, ...], ...]:
         """table[p][q] = a_{pqr}, counted over the pair (0, z) of relation
@@ -493,14 +502,16 @@ class PiPredicates:
 
 def _pi_valenced_mask(scheme: AssociationScheme, ps: frozenset[int]) -> int:
     """Mask of the relations whose valency is a ps-number, for a validated
-    ps, testing each distinct valency once; cached per scheme by
-    ps & primes, as no other prime decides it."""
+    ps: the union of the scheme's masks by valency over the valencies
+    that are ps-numbers, so each distinct valency is tested once and no
+    relation is read.  Cached per scheme by ps & primes, as no other
+    prime decides it."""
     key = ps & scheme.primes
     mask = scheme._pi_valenced.get(key)
     if mask is None:
-        vals = scheme.valencies
-        ok = {v: is_pi_number(v, key) for v in set(vals)}
-        mask = scheme._pi_valenced[key] = mask_of(s for s, v in enumerate(vals) if ok[v])
+        mask = scheme._pi_valenced[key] = sum(
+            m for v, m in scheme._valency_masks.items() if is_pi_number(v, key)
+        )
     return mask
 
 

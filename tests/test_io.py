@@ -236,6 +236,24 @@ def test_fetch_reads_the_cache_dir_from_the_environment(tmp_path, monkeypatch):
         catalogue.fetch_catalogue(5, offline=True)
 
 
+def test_fetch_defaults_to_the_cache_under_home(tmp_path, monkeypatch):
+    """With no explicit directory and the environment variable unset,
+    the cache is ~/.cache/schemehall, and an offline fetch reads it."""
+    import hashlib
+
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv(catalogue.CACHE_ENV, raising=False)
+    cache = tmp_path / ".cache" / "schemehall"
+    assert catalogue._cache_dir(None) == cache
+    with pytest.raises(sh.NetworkUnavailableError):
+        catalogue.fetch_catalogue(5, offline=True)
+    data = (DATA / "catalogue" / "order05.txt").read_bytes()
+    cache.mkdir(parents=True)
+    (cache / "as5.txt").write_bytes(data)
+    (cache / "as5.txt.sha256").write_text(hashlib.sha256(data).hexdigest() + "\n")
+    assert len(catalogue.fetch_catalogue(5, offline=True)) == 3
+
+
 class _FakeResponse:
     def __init__(self, data):
         self.data = data

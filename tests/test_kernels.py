@@ -196,6 +196,16 @@ def test_bits_of_lists_the_set_bits():
             assert bits_of(m) == tuple(_members(m)), m
 
 
+def test_bits_of_at_its_chunk_edges():
+    """bits_of against the literal scan on each side of the one-, two-
+    and three-chunk reads and the general loop past them, and on a
+    fixed 100-bit mask."""
+    wide = int("c3" * 12 + "a", 16)  # bits 1 and 3 and 98 and 99 among others
+    assert wide.bit_length() == 100
+    for m in (0, 1, 255, 256, 65535, 65536, (1 << 24) - 1, 1 << 24, wide):
+        assert bits_of(m) == tuple(_members(m)), m
+
+
 def test_table_kernels_match_the_low_bit_loops():
     """On the hypergroup of every scheme of the residue corpus, mul_masks
     and star_mask equal their low-bit loops on seeded random masks,
@@ -861,10 +871,10 @@ def test_second_pi_closes_no_singleton(monkeypatch):
     singleton and makes fewer closures than on a fresh scheme, and
     {2, 3} and {} make none.  Only closures on the scheme's hypergroup
     count, not those joining the Hall subgroups of its residue quotient.
-    The whole hypergroup's generating set is picked once per hypergroup:
-    by the group proof on each scheme's hypergroup, and by the derived
-    series on its residue factor S // {0}, a hypergroup of its own; the
-    queries pick none."""
+    The whole hypergroup's generating set is picked once per table: by
+    the group proof on each scheme's hypergroup, whose residue factor
+    S // {0}, a hypergroup of its own on that table, is given the set
+    rather than picking it again; the queries pick none."""
     closures = []
     picks = []
     original_closure = Hypergroup.closure_mask
@@ -902,7 +912,8 @@ def test_second_pi_closes_no_singleton(monkeypatch):
         assert not any(m.bit_count() == 1 for m in closures), pi
         assert len(closures) < on_fresh if pi == {3} else closures == []
     factors = [hg._residue[0] for hg in (fresh, s4.hypergroup)]
-    assert picks == [fresh, factors[0], s4.hypergroup, factors[1]]
+    assert picks == [fresh, s4.hypergroup]
+    assert [f._gens for f in factors] == [fresh._gens, s4.hypergroup._gens]
 
 
 def test_keep_walk_is_the_filtered_full_walk():

@@ -390,14 +390,20 @@ def test_ab_bench_summary_applies_both_rules():
     run: per metric, each side's median and quartiles, the
     pairs the change read better in, by the direction BENCHMARK.json
     gives, and whether it read better in nine of ten pairs and by more
-    than the parent's spread between quartiles.  A tie is no win."""
+    than the parent's spread between quartiles.  A tie is no win.  The
+    bound column reads "within" or "outside" the metric's bound, as a
+    fraction of the parent's median, and "unresolved" when the parent's
+    spread between quartiles is wider than that fraction, unless every
+    change run reads better than every parent run."""
     spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
     ab_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab_bench)
     metrics = [
-        {"name": "items_per_s", "better": "higher"},
-        {"name": "item_p90_ms", "better": "lower"},
-        {"name": "setup_s", "better": "lower"},
+        {"name": "items_per_s", "better": "higher", "bound": 0.25},
+        {"name": "item_p90_ms", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "item_p50_ms", "better": "lower", "bound": 0.25},
     ]
     columns = {
         "items_per_s": ([100, 102, 98, 101, 99, 100, 103, 97, 100, 101],
@@ -406,6 +412,8 @@ def test_ab_bench_summary_applies_both_rules():
                         [21, 20, 23, 22, 25, 21, 22, 21, 24, 23]),
         "setup_s": ([1.0, 2.0, 1.5, 1.2, 1.8, 1.1, 1.9, 1.3, 1.7, 1.6],
                     [0.99, 1.99, 1.49, 1.19, 1.79, 1.09, 1.89, 1.29, 1.69, 1.6]),
+        "peak_rss_mb": ([20] * 10, [23] * 9 + [21]),
+        "item_p50_ms": ([10, 20] * 5, [5] * 10),
     }
     parent, change = (
         [{name: col[side][i] for name, col in columns.items()} for i in range(10)]
@@ -413,13 +421,17 @@ def test_ab_bench_summary_applies_both_rules():
     )
     assert ab_bench.summarize(parent, change, metrics) == [
         "metric                     parent median [q1, q3]             change median [q1, q3]"
-        "     won  9/10  spread",
+        "     won  9/10  spread  bound",
         "items_per_s                   100 [98.75, 101.25]               110 [107.75, 111.25]"
-        "    9/10  yes   yes",
+        "    9/10  yes   yes     within",
         "item_p90_ms                     22 [20.75, 23.25]                     22 [21, 23.25]"
-        "    4/10  no    no",
+        "    4/10  no    no      within",
         "setup_s                       1.55 [1.175, 1.825]               1.545 [1.165, 1.815]"
-        "    9/10  yes   no",
+        "    9/10  yes   no      unresolved",
+        "peak_rss_mb                           20 [20, 20]                        23 [23, 23]"
+        "    0/10  no    no      outside",
+        "item_p50_ms                           15 [10, 20]                           5 [5, 5]"
+        "   10/10  yes   no      within",
     ]
     assert ab_bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
 

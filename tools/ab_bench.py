@@ -12,7 +12,12 @@ Then, for each end-to-end metric of BENCHMARK.json, the summary gives
 each side's median and quartiles, the pairs the change read better in,
 and whether two rules hold: the change reads better in at least nine of
 ten pairs, and its median is better than the parent's by more than the
-parent's spread between quartiles.
+parent's spread between quartiles.  Its last column checks the metric's
+bound: "within" when the change's median is worse than the parent's by
+no more than that fraction of the parent's median, "outside" when it is
+worse by more, and "unresolved" when the parent's own spread between
+quartiles is wider than that fraction, so the runs cannot tell, unless
+every run of the change reads better than every run of the parent.
 
 Runs are sequential, one bench process at a time.  BENCHMARK.json is read
 from CHANGE_DIR.
@@ -42,7 +47,7 @@ def summarize(
     """One line per metric, pair i being (parent[i], change[i])."""
     lines = [
         f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
-        f" {'won':>7}  9/10  spread"
+        f" {'won':>7}  9/10  spread  bound"
     ]
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -52,10 +57,16 @@ def summarize(
         (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
         gain = pm - cm if lower else cm - pm
         nine = 10 * wins >= 9 * len(p)
+        allowed = spec["bound"] * pm
+        better_in_every_run = max(c) < min(p) if lower else min(c) > max(p)
+        if p3 - p1 > allowed and not better_in_every_run:
+            bound = "unresolved"
+        else:
+            bound = "within" if -gain <= allowed else "outside"
         lines.append(
             f"{name:<14} {f'{pm:.6g} [{p1:.6g}, {p3:.6g}]':>34}"
             f" {f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>34} {f'{wins}/{len(p)}':>7}"
-            f"  {'yes' if nine else 'no':<4}  {'yes' if gain > p3 - p1 else 'no'}"
+            f"  {'yes' if nine else 'no':<4}  {'yes' if gain > p3 - p1 else 'no':<6}  {bound}"
         )
     return lines
 
