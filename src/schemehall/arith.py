@@ -73,17 +73,31 @@ def pi_part(n: int, pi: frozenset[int]) -> int:
     return out
 
 
+# primes validate_pi has accepted, which it takes again with no trial
+# division; filled on use, none at import, and bounded, as pi may come
+# from a caller
+_ACCEPTED_PRIMES: set[int] = set()
+_ACCEPTED_PRIMES_CAP = 1024
+
+
 def validate_pi(pi: Iterable[int]) -> frozenset[int]:
     """Normalize a collection of primes to a frozenset, rejecting non-primes
-    and, before any trial division, ints above 2**20."""
+    and, before any trial division, ints above 2**20.  A plain int it
+    has accepted before is taken with no test; anything else, a float
+    or a bool equal to an accepted prime included, is tested afresh, so
+    it raises as it did the first time."""
     out = frozenset(pi)
     for p in out:
+        if type(p) is int and p in _ACCEPTED_PRIMES:
+            continue
         # n * rank**2 <= SCHEME_SIZE_CAP = 2**20 for every admitted scheme,
         # so no larger prime divides an order or valency it could ask about
         if type(p) is int and p > 1 << 20:
             raise ValueError(f"{p} is above 2**20, the largest order a scheme may have")
         if not is_prime(p):
             raise ValueError(f"{p!r} is not prime")
+        if len(_ACCEPTED_PRIMES) < _ACCEPTED_PRIMES_CAP:
+            _ACCEPTED_PRIMES.add(p)
     return out
 
 

@@ -66,7 +66,8 @@ def _proved_group(table: Sequence[Sequence[int]], name: str) -> tuple[Table, Hyp
                 raise NotAGroupError(f"entry {v} in row {x} outside 0..{n - 1}")
         rows.append(tuple(row))
     t = tuple(rows)
-    hg = Hypergroup(tuple(tuple(1 << v for v in row) for row in t), group_inverse(t), name=name)
+    masks = tuple(tuple(1 << v for v in row) for row in t)
+    hg = Hypergroup(masks, group_inverse(t), name=name, valencies=(1,) * n)
     _prove_group(hg, t)
     return t, hg
 
@@ -178,7 +179,8 @@ def direct_product(g1: Table, g2: Table) -> Table:
 def thin_hypergroup(table: Sequence[Sequence[int]], name: str = "") -> Hypergroup:
     """The group as a hypergroup with singleton products; validate_group's
     proof of the group axioms, run on this hypergroup, is its proof of
-    H1-H3."""
+    H1-H3.  It is the relation hypergroup of the group's thin scheme, so
+    it carries valency 1 on every element."""
     return _proved_group(table, name)[1]
 
 

@@ -37,10 +37,14 @@ coset must hold a relation that conjugates the first lifted Hall
 subset onto the later one.  compute_o_pi and the queries read the core,
 the Hall subsets and their subgroups off that family: extend_to_hall
 answers with the first lifted Hall subset that contains its seed.  A
-query re-checks only its inputs: a mask test on each, and
-conjugating_element's scan, which stops at the least relation that
-conjugates; an input is tested closed only when a query finds no
-answer, to tell a subset that is not closed from an engine bug.  That
+warm query re-checks only its inputs and looks up the rest: its pi's
+primes are each trial-divided once per process, and the context and
+the scheme's pi-facts (the pi-valenced mask and the pi-part of n) are
+found under the pi asked.  The input checks are a mask test on each,
+and conjugating_element's scan, which stops at the least relation that
+conjugates and is skipped for a subset asked onto itself, answered 0;
+an input is tested closed only when a query finds no answer, to tell
+a subset that is not closed from an engine bug.  That
 scan, the certificate's coset step and scheme.conjugators all read one
 search, hypergroup._conjugators.  G is
 held as the thin hypergroup the residue series built, so its derived
@@ -79,9 +83,11 @@ from .hypergroup import (
 from .quotient import QuotientHypergroup, _lift
 from .scheme import (
     AssociationScheme,
+    _by_pi,
     _own_subset,
+    _pi_facts,
     _pi_tests,
-    _pi_valenced_mask,
+    _raise_valency_not_dividing_n,
 )
 from .solvability import _residue_series
 
@@ -302,7 +308,7 @@ def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[Clos
     """Exhaustive filter: every closed pi-subset passing the Hall
     predicate, in closed_subsets order."""
     ps = validate_pi(pi)
-    return _hall_family(scheme, ps, _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps), 1)
+    return _hall_family(scheme, ps, *_pi_facts(scheme, ps), 1)
 
 
 def _hall_family(
@@ -324,9 +330,11 @@ def _hall_family(
     the closed subset walk narrowed to them finds them without the rest
     of the lattice.  The walk's results are filtered on the valencies it
     summed, by mask, and are returned with their valency unset, to be
-    summed on first read; the other candidates pass the Hall test,
-    which reads each valency.  A bottom that is no pi-subset leaves no
-    Hall subset.
+    summed on first read.  The other candidates are tested in one loop,
+    with no call per candidate: each valency read must divide n, the
+    check _pi_tests makes, and a candidate is Hall when its valency is
+    target and its relations lie in valenced.  A bottom that is no
+    pi-subset leaves no Hall subset.
 
     target is also the largest valency of a closed pi-subset: each
     valency is a pi-number dividing n, so it divides the pi-part.  A
@@ -355,7 +363,14 @@ def _hall_family(
 
         walked = _enumerate_closed(hg, closed_pi, bottom, lambda m: valency[m] == target)
         return tuple(t for t in walked if valency[t.bits] == target)
-    return tuple(t for t in candidates if _pi_tests(scheme, t, valenced, target)[1])
+    family = []
+    for t in candidates:
+        v = t.valency
+        if n % v:
+            _raise_valency_not_dividing_n()
+        if v == target and not t.bits & ~valenced:
+            family.append(t)
+    return tuple(family)
 
 
 class _HallContext:
@@ -413,7 +428,7 @@ class _HallContext:
 
     def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
         self.scheme = scheme
-        self.valenced, self.target = _pi_valenced_mask(scheme, ps), pi_part(scheme.n_points, ps)
+        self.valenced, self.target = _pi_facts(scheme, ps)
         hq, steps, self.core = _core_and_halls(scheme, ps, self.valenced)
         self.hq, self.halls = hq, tuple(steps)
         hg, cosets = scheme.hypergroup, hq.cosets
@@ -453,15 +468,12 @@ class _HallContext:
 def _context(scheme: AssociationScheme, ps: frozenset[int]) -> _HallContext:
     """The cached Hall context of (scheme, ps), built on first use.
 
-    Keyed by the primes of ps that divide n or a valency: no other
-    prime changes an answer.  A missing context is built with ps itself,
-    so error messages name the pi asked for; errors are not cached.
+    Found by scheme._by_pi: under ps itself, then under the primes of ps
+    that divide n or a valency, as no other prime changes an answer.  A
+    missing context is built with ps itself, so error messages name the
+    pi asked for; errors are not cached.
     """
-    key = ps & scheme.primes
-    ctx = scheme._hall_contexts.get(key)
-    if ctx is None:
-        ctx = scheme._hall_contexts[key] = _HallContext(scheme, ps)
-    return ctx
+    return _by_pi(scheme._hall_contexts, scheme, ps, _HallContext)
 
 
 def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
@@ -488,11 +500,13 @@ def conjugating_element(
     Inputs are re-verified as Hall subsets and the conjugator is the
     first that _conjugators yields over every relation, the least valid
     relation index; the context certified at build that its Hall family
-    is conjugate through the quotient group.  The Hall test reads a
-    subset's relations and valency only, so when no relation conjugates,
-    each input is tested closed first: one that is not raises
-    NotHallError naming it, and only two closed Hall subsets with no
-    conjugator raise NoConjugatorFoundError.
+    is conjugate through the quotient group.  Once both inputs pass, a
+    subset asked onto itself is answered 0 with no scan: 0^ T 0 = T by
+    H2, and 0 is the least index, so it is the scan's own answer.  The
+    Hall test reads a subset's relations and valency only, so when no
+    relation conjugates, each input is tested closed first: one that is
+    not raises NotHallError naming it, and only two closed Hall subsets
+    with no conjugator raise NoConjugatorFoundError.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
@@ -501,6 +515,8 @@ def conjugating_element(
         _own_subset(scheme, x)
         if not _pi_tests(scheme, x, ctx.valenced, ctx.target)[1]:
             raise _not_hall(label, x, ps)
+    if t.bits == u.bits:
+        return 0  # 0^ T 0 = T, by H2, and 0 is the least relation
 
     s = next(_conjugators(scheme.hypergroup, t.bits, u.bits, scheme.hypergroup.full_mask), None)
     if s is None:

@@ -115,7 +115,10 @@ class Hypergroup:
     the identity is what ties an ElementSubset to its parent.  Build
     instances through validate_hypergroup, or thin_hypergroup for a group.
     The hypergroup of an association scheme carries the scheme's
-    valencies, by relation; other hypergroups carry None.
+    valencies, by relation, given to the constructor by the door that
+    built it, except the quotient scheme's (see scheme.quotient_scheme);
+    a group's thin hypergroup, the relation hypergroup of its thin
+    scheme, carries 1 on each element; other hypergroups carry None.
     """
 
     __slots__ = (
@@ -128,12 +131,13 @@ class Hypergroup:
         table: tuple[tuple[int, ...], ...],
         inverse: tuple[int, ...],
         name: str = "",
+        valencies: tuple[int, ...] | None = None,
     ):
         self.size = len(table)
         self.table = table
         self.inverse = inverse
         self.name = name
-        self.valencies: tuple[int, ...] | None = None
+        self.valencies = valencies
         self._closed: tuple[ClosedSubset, ...] | None = None
         # Close-by-One's attributes, and the whole hypergroup's _generators:
         # see _attributes, _generators

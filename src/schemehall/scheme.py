@@ -20,11 +20,11 @@ QuotientHypergroup of T.  Nothing is set on a scheme after it is built.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import chain
 from operator import add
-from typing import NoReturn
+from typing import Any, NoReturn
 
 from .arith import is_pi_number, pi_part, prime_factors, validate_pi
 from .errors import (
@@ -86,10 +86,11 @@ class AssociationScheme:
         self.star_map = hypergroup.inverse
         self.valencies = hypergroup.valencies
         self.name = name
-        # Hall contexts by pi & primes, filled by schemehall.hall
+        # Hall contexts, filled by schemehall.hall, and the pair (mask of
+        # the pi-valenced relations, pi-part of n): each by pi & primes
+        # and aliased under the pi asked, see _by_pi
         self._hall_contexts: dict = {}
-        # masks of the pi-valenced relations, by pi & primes
-        self._pi_valenced: dict = {}
+        self._pi_facts: dict = {}
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -188,8 +189,7 @@ def validate_scheme(matrix: Sequence[Sequence[int]], name: str = "") -> Associat
             return scheme
     # a thin input the group proof refused is keyed row-major at once
     valencies, table = _relation_products(rel, cols, rank, upper=rank != len(rel))
-    hg = Hypergroup(table, star, name=name or "scheme relations")
-    hg.valencies = valencies
+    hg = Hypergroup(table, star, name=name or "scheme relations", valencies=valencies)
     try:
         _prove(hg, table, star)
     except Exception as exc:
@@ -302,8 +302,8 @@ def _group_scheme(rel: Matrix, name: str) -> AssociationScheme | None:
     stands for g_x = rel[0][x], and row x reads g_x rel[x][z] = g_z; once
     thin_hypergroup's group proof accepts that table, rel[x][z] =
     g_x^-1 g_z, so relation g is the pairs (x, y) with y = xg, and the
-    group's thin hypergroup, proved by that proof, is the input's
-    relation hypergroup."""
+    group's thin hypergroup, proved by that proof and carrying valency 1
+    on each relation, is the input's relation hypergroup."""
     n = len(rel)
     rel0 = rel[0]
     table: list[tuple[int, ...]] = [()] * n
@@ -316,7 +316,6 @@ def _group_scheme(rel: Matrix, name: str) -> AssociationScheme | None:
         hg = thin_hypergroup(table, name=name or "scheme relations")
     except NotAGroupError:
         return None
-    hg.valencies = (1,) * n
     return AssociationScheme(rel, hg, name)
 
 
@@ -365,7 +364,6 @@ def from_group(table: Sequence[Sequence[int]], name: str = "") -> AssociationSch
     just validated."""
     _check_size(len(table), len(table))
     hg = thin_hypergroup(table, name=name or "scheme relations")
-    hg.valencies = (1,) * hg.size
     rel = tuple(tuple(table[i]) for i in hg.inverse)  # row x is row x^-1 of the table
     return AssociationScheme(rel, hg, name)
 
@@ -422,6 +420,9 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
     so they are compared, not proved again: that QuotientHypergroup,
     with its parent, modulus, cosets and coset_of, and given the
     valencies of the block matrix, is the returned scheme's hypergroup.
+    It is the one hypergroup given its valencies after construction:
+    quotient builds and proves it before the block matrix exists, and
+    returns a hypergroup quotient with none.
     The valency law n_{s^T} * n_T = n_{TsT} is checked exactly.  Any
     failure past the axiom checks raises InternalInconsistencyError.
     """
@@ -500,19 +501,56 @@ class PiPredicates:
         )
 
 
+# entries a per-scheme cache by pi may hold before _by_pi stops adding
+# aliases, which a caller asking for ever new pi would otherwise grow
+_PI_ALIASES = 64
+
+
+def _by_pi(
+    cache: dict,
+    scheme: AssociationScheme,
+    ps: frozenset[int],
+    build: Callable[[AssociationScheme, frozenset[int]], Any],
+) -> Any:
+    """The entry of cache, one of the scheme's dicts by pi, for a
+    validated ps.  Looked up under ps itself first, which spares a warm
+    query the intersection, then under ps & scheme.primes, as no other
+    prime changes an entry, and built there by build(scheme, ps) on a
+    miss, so an error names the pi asked for and is not cached.  An
+    entry not found under ps is aliased there while the cache holds
+    fewer than _PI_ALIASES entries."""
+    entry = cache.get(ps)
+    if entry is None:
+        key = ps & scheme.primes
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = build(scheme, ps)
+        if len(cache) < _PI_ALIASES:
+            cache[ps] = entry
+    return entry
+
+
+def _pi_facts(scheme: AssociationScheme, ps: frozenset[int]) -> tuple[int, int]:
+    """The pi-facts of the scheme for a validated ps: the mask of the
+    relations whose valency is a ps-number and the ps-part of n, found
+    or built once per scheme and pi & primes by _by_pi.  The mask is the
+    union of the scheme's masks by valency over the valencies that are
+    ps-numbers, so each distinct valency is tested once and no relation
+    is read."""
+    return _by_pi(scheme._pi_facts, scheme, ps, _new_pi_facts)
+
+
+def _new_pi_facts(scheme: AssociationScheme, ps: frozenset[int]) -> tuple[int, int]:
+    """_pi_facts' entry, built."""
+    mask = sum(m for v, m in scheme._valency_masks.items() if is_pi_number(v, ps))
+    return mask, pi_part(scheme.n_points, ps)
+
+
 def _pi_valenced_mask(scheme: AssociationScheme, ps: frozenset[int]) -> int:
     """Mask of the relations whose valency is a ps-number, for a validated
-    ps: the union of the scheme's masks by valency over the valencies
-    that are ps-numbers, so each distinct valency is tested once and no
-    relation is read.  Cached per scheme by ps & primes, as no other
-    prime decides it."""
-    key = ps & scheme.primes
-    mask = scheme._pi_valenced.get(key)
-    if mask is None:
-        mask = scheme._pi_valenced[key] = sum(
-            m for v, m in scheme._valency_masks.items() if is_pi_number(v, key)
-        )
-    return mask
+    ps: read off the scheme's pi-facts entry, so it is counted once per
+    scheme and pi & primes, as _pi_facts says."""
+    return _pi_facts(scheme, ps)[0]
 
 
 def is_pi_valenced(scheme: AssociationScheme, pi: Iterable[int]) -> bool:
@@ -538,9 +576,8 @@ def pi_predicates(
     scheme.hypergroup is: one built by hand on a mask that is not closed
     gets the answers its relations and valency give."""
     _own_subset(scheme, subset)
-    ps = validate_pi(pi)
-    valenced = _pi_valenced_mask(scheme, ps)
-    closed_pi, hall = _pi_tests(scheme, subset, valenced, pi_part(scheme.n_points, ps))
+    valenced, target = _pi_facts(scheme, validate_pi(pi))
+    closed_pi, hall = _pi_tests(scheme, subset, valenced, target)
     return PiPredicates(subset.bits & ~valenced == 0, closed_pi, hall)
 
 
@@ -554,10 +591,17 @@ def _pi_tests(
     index n / v is a pi'-number too exactly when v is target."""
     v = subset.valency
     if scheme.n_points % v:
-        raise InternalInconsistencyError("closed subset valency must divide n")
+        _raise_valency_not_dividing_n()
     if subset.bits & ~valenced:
         return False, False
     return target % v == 0, v == target
+
+
+def _raise_valency_not_dividing_n() -> NoReturn:
+    """The one check that a closed subset's valency divides n, for
+    _pi_tests and the Hall filter's loop, which each test it on every
+    subset they read."""
+    raise InternalInconsistencyError("closed subset valency must divide n")
 
 
 def conjugate_subset(

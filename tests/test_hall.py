@@ -34,6 +34,7 @@ from oracles import (
 quotient_module = importlib.import_module("schemehall.quotient")
 hypergroup_module = importlib.import_module("schemehall.hypergroup")
 solvability_module = importlib.import_module("schemehall.solvability")
+scheme_module = importlib.import_module("schemehall.scheme")
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +92,19 @@ def test_s4_sylows_are_conjugate(s4_scheme):
 
 
 def test_conjugating_element_rejects_non_hall(s4_scheme):
+    """A closed pi-subset that is not Hall is refused in either position,
+    and also as both: the inputs are tested before a subset is answered
+    with relation 0 as conjugating it onto itself."""
     halls = sh.all_hall_subsets(s4_scheme, {2})
     with pytest.raises(sh.NotHallError):
         sh.conjugating_element(s4_scheme, s4_scheme.hypergroup.neutral_subset(), halls[0], {2})
+    v4 = sh.compute_o_pi(s4_scheme, {2})
+    assert sh.pi_predicates(s4_scheme, v4, {2}).is_closed_pi_subset
+    with pytest.raises(sh.NotHallError) as info:
+        sh.conjugating_element(s4_scheme, v4, v4, {2})
+    assert str(info.value) == (
+        "first subset (relations [0, 7, 16, 23], valency 4) is not a Hall {2}-subset"
+    )
 
 
 @pytest.mark.parametrize("mask", [0xFF, 0b110])
@@ -390,24 +401,36 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
 
 
 def test_context_build_masks_the_pi_valenced_relations_once(monkeypatch):
-    """A Hall context computes the pi-valenced mask once, for itself, its
-    core and Hall build and its check, which takes the mask and the
-    pi-part of n from the context rather than computing them again: 1
-    call for S4 with pi = {2}, and none for a query on the cached
-    context."""
-    calls = []
-    original = hall_module._pi_valenced_mask
+    """A Hall context reads the scheme's pi-facts entry, the mask of the
+    pi-valenced relations and the pi-part of n, once, for itself, its
+    core and Hall build and its check, and the entry is built once: 1
+    build and 1 read for S4 with pi = {2}.  A query on the cached context
+    reads it no more, all_hall_subsets reads it with no build, and
+    is_pi_valenced asked {2, 11} finds it under {2} and aliases it under
+    {2, 11}, with no build."""
+    builds, reads = [], []
+    real_build, real_read = scheme_module._new_pi_facts, hall_module._pi_facts
 
-    def counted(scheme, ps):
-        calls.append(ps)
-        return original(scheme, ps)
+    def counted_build(scheme, ps):
+        builds.append(ps)
+        return real_build(scheme, ps)
 
-    monkeypatch.setattr(hall_module, "_pi_valenced_mask", counted)
+    def counted_read(scheme, ps):
+        reads.append(ps)
+        return real_read(scheme, ps)
+
+    monkeypatch.setattr(scheme_module, "_new_pi_facts", counted_build)
+    monkeypatch.setattr(hall_module, "_pi_facts", counted_read)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     assert sh.find_hall(s4, {2}).hall.valency == 8
-    assert calls == [frozenset({2})]
+    assert builds == reads == [frozenset({2})]
     sh.find_hall(s4, {2})
-    assert len(calls) == 1
+    assert len(reads) == 1
+    assert len(sh.all_hall_subsets(s4, {2})) == 3
+    assert reads == [frozenset({2})] * 2
+    assert sh.is_pi_valenced(s4, {2, 11})
+    assert builds == [frozenset({2})]
+    assert s4._pi_facts[frozenset({2, 11})] is s4._pi_facts[frozenset({2})] == (2**24 - 1, 8)
 
 
 def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
@@ -599,21 +622,24 @@ def test_lifts_are_proved_hall_by_the_filter_equality(monkeypatch):
     """The context runs the Hall test only inside the exhaustive
     filter: with S4's lattice cached, once on each of the 6 of its 30
     closed subsets that contain the {2}-core V4, for pi = {2}, as the
-    filter reads the cached lattice above the core alone.  A lift that
+    filter reads the cached lattice above the core alone; the filter's
+    loop reads the valency of each, and of no other member.  A lift that
     is closed but not Hall (here every Hall subgroup of the quotient
     group is replaced by the core subgroup, O_2 = V4) is caught by the
     family's equality with that filter."""
     s4 = sh.from_group(sh.symmetric(4))
     lattice = s4.closed_subsets()
+    members = {id(t) for t in lattice}
     calls = []
-    real_tests = hall_module._pi_tests
+    real_valency = sh.ClosedSubset.valency
 
-    def counted(scheme, subset, valenced, target):
-        calls.append(subset.bits)
-        return real_tests(scheme, subset, valenced, target)
+    def counted(subset):
+        if id(subset) in members:
+            calls.append(subset.bits)
+        return real_valency.fget(subset)
 
     with monkeypatch.context() as m:
-        m.setattr(hall_module, "_pi_tests", counted)
+        m.setattr(sh.ClosedSubset, "valency", property(counted))
         cert = sh.find_hall(s4, {2})
     assert cert.hall.valency == 8 and cert.o_pi.valency == 4
     assert len(lattice) == 30
@@ -986,8 +1012,10 @@ def test_conjugating_element_is_the_least_conjugator():
 
 
 def test_conjugating_element_stops_at_the_first_conjugator(s4_scheme, monkeypatch):
-    """The 9 ordered pairs of S4's Sylow 2-subsets take 22 relation
-    conjugations, each pair up to its least conjugator, not 9 * 24."""
+    """The 9 ordered pairs of S4's Sylow 2-subsets take 19 relation
+    conjugations, each of the 6 pairs of two different subsets up to its
+    least conjugator, not 9 * 24; the 3 pairs of a subset with itself
+    take none, as relation 0 conjugates any subset onto itself."""
     halls = sh.all_hall_subsets(s4_scheme, {2})
     sh.find_hall(s4_scheme, {2})
     conjugations = []
@@ -999,9 +1027,12 @@ def test_conjugating_element_stops_at_the_first_conjugator(s4_scheme, monkeypatc
             yield h, conj
 
     monkeypatch.setattr(hypergroup_module, "_conjugates", counted)
-    answers = [sh.conjugating_element(s4_scheme, t, u, {2}) for t in halls for u in halls]
+    pairs = [(t, u) for t in halls for u in halls]
+    answers = [sh.conjugating_element(s4_scheme, t, u, {2}) for t, u in pairs]
     assert answers == [0, 4, 2, 3, 0, 1, 2, 1, 0]
-    assert len(conjugations) == sum(a + 1 for a in answers) == 22
+    off_diagonal = [a for a, (t, u) in zip(answers, pairs) if t != u]
+    assert len(off_diagonal) == 6
+    assert len(conjugations) == sum(a + 1 for a in off_diagonal) == 19
 
 
 def test_conjugating_element_reports_each_failed_cross_check(s4_scheme, monkeypatch):

@@ -13,9 +13,12 @@ Hand-checked values used below:
 """
 
 import importlib
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -623,6 +626,34 @@ def test_pi_rejects_anything_but_a_prime_int(bad, monkeypatch):
     monkeypatch.setattr(arith, "is_prime", lambda p: pytest.fail("trial division ran"))
     with pytest.raises(ValueError, match=r"^2305843009213693951 is above 2\*\*20, "):
         sh.validate_pi([2**61 - 1])
+
+
+def test_accepted_primes_admit_no_equal_non_int(monkeypatch):
+    """validate_pi takes a plain int it has accepted before with no
+    trial division, and nothing else: once {2, 3, 5, 7} passes, a float
+    or a bool equal to one of those primes, and an int above 2**20,
+    still raise the ValueError they raise on first sight, though
+    frozenset({3.0}) == frozenset({3}).  No prime is accepted at import."""
+    assert sh.validate_pi({2, 3, 5, 7}) == {2, 3, 5, 7}
+    with monkeypatch.context() as m:
+        m.setattr(arith, "is_prime", lambda p: pytest.fail("trial division ran"))
+        assert sh.validate_pi([7, 5, 3, 2]) == {2, 3, 5, 7}
+    assert frozenset({3.0}) == frozenset({3})
+    for bad, message in (
+        ([2.0], "2.0 is not prime"),
+        ([True], "True is not prime"),
+        (frozenset({3.0}), "3.0 is not prime"),
+        ([2**61 - 1], "2305843009213693951 is above 2**20, the largest order a scheme may have"),
+    ):
+        with pytest.raises(ValueError) as info:
+            sh.validate_pi(bad)
+        assert str(info.value) == message
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import schemehall.arith as a; print(len(a._ACCEPTED_PRIMES))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(arith.__file__).resolve().parent.parent)},
+    )
+    assert fresh.stdout == "0\n"
 
 
 # the scheme doors that take closed subsets: each asks scheme s about

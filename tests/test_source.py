@@ -436,6 +436,58 @@ def test_ab_bench_summary_applies_both_rules():
     assert ab_bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
 
 
+def test_call_medians_summary_credits_call_types():
+    """tools/call_medians.py's summary, on fixed numbers and with no
+    workload run: per call type, by descending sum, its item count, the
+    sum of its item medians in ms and their median in us; then p50 and
+    p90 of all item medians, as bench/run.py takes them, with the call
+    types of the items at the two ranks each interpolates between."""
+    spec = importlib.util.spec_from_file_location("call_medians", ROOT / "tools" / "call_medians.py")
+    call_medians = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(call_medians)
+    calls = ["a", "b", "a", "c", "b", "a", "c", "a", "b", "c", "c"]
+    us = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 30.0]
+    assert call_medians.summarize(calls, [x * 1e-6 for x in us]) == [
+        "call                    items  sum of medians (ms)  median (us)",
+        "c                           4               0.0510        8.500",
+        "a                           4               0.0180        4.500",
+        "b                           3               0.0160        5.000",
+        "p50 6.000 us, between items of a",
+        "p90 10.000 us, between items of c",
+    ]
+    # an even count: the median falls between a "b" and a "c" item
+    assert call_medians.summarize(["b", "c", "a", "c"], [2e-6, 4e-6, 1e-6, 3e-6])[-2:] == [
+        "p50 2.500 us, between items of b, c",
+        "p90 3.700 us, between items of c",
+    ]
+
+
+def test_valencies_are_given_to_the_hypergroup_constructor():
+    """Hypergroup.valencies is set by Hypergroup.__init__ from its
+    valencies argument, and no door assigns it to a built hypergroup but
+    quotient_scheme, whose hypergroup quotient builds and proves before
+    the block matrix gives its valencies.  AssociationScheme.__init__
+    reads the scheme's own valencies off its hypergroup."""
+    writers = sorted(
+        f"{path.name}:{fn.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr == "valencies"
+    )
+    assert writers == [
+        "hypergroup.py:__init__", "scheme.py:__init__", "scheme.py:quotient_scheme",
+    ]
+    init = next(
+        fn for cls in ast.parse((SOURCE / "hypergroup.py").read_text()).body
+        if isinstance(cls, ast.ClassDef) and cls.name == "Hypergroup"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    )
+    assert "valencies" in [a.arg for a in init.args.args]
+
+
 # public names whose only callers are tests, each with the reason it
 # stays public; __version__ is metadata
 TEST_ONLY_NAMES = {
