@@ -116,8 +116,7 @@ class Hypergroup:
     instances through validate_hypergroup, or thin_hypergroup for a group.
     The hypergroup of an association scheme carries the scheme's
     valencies, by relation, given to the constructor by the door that
-    built it, except the quotient scheme's (see scheme.quotient_scheme);
-    a group's thin hypergroup, the relation hypergroup of its thin
+    built it; a group's thin hypergroup, the relation hypergroup of its thin
     scheme, carries 1 on each element; other hypergroups carry None.
     """
 

@@ -62,43 +62,62 @@ class QuotientHypergroup(Hypergroup):
         cosets: tuple[int, ...],
         coset_of: tuple[int, ...],
         name: str = "",
+        valencies: tuple[int, ...] | None = None,
     ):
-        super().__init__(table, inverse, name=name)
+        super().__init__(table, inverse, name=name, valencies=valencies)
         self.parent = parent
         self.modulus = modulus
         self.cosets = cosets
         self.coset_of = coset_of
 
 
-def _quotient(
-    hg: Hypergroup, outer: int, modulus: ElementSubset, name: str
-) -> QuotientHypergroup:
-    """outer // F for a closed mask outer holding F, read off hg's own rows
-    and columns.  The product of cosets with representatives a and b is
-    the set of cosets meeting a F b, and the inverse of F r F is
-    F r^ F; _prove checks H1-H3 on the QuotientHypergroup returned.
-    H // {0} is H itself, its cosets the singletons: it shares hg's
-    table, proved when hg was built, and takes no double-coset work,
-    and it is given hg's generating set and attributes, which the table
-    alone decides, so its derived series picks no set of its own.
+def _coset_partition(
+    hg: Hypergroup, outer: int, modulus: ElementSubset
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cosets of outer // F, the double cosets F h F for h in the
+    closed mask outer, and coset_of, each element's coset index, -1
+    outside outer, once modulus F is checked closed.  For F = {0} and
+    outer = H the cosets are the singletons, with no double-coset work.
     Callers check that modulus is a subset of hg."""
     if not hg.is_closed_mask(modulus.bits):
         raise NotClosedError("quotient modulus must be a closed subset")
     f = modulus.bits
     if f == 1 and outer == hg.full_mask:
+        return tuple(1 << s for s in hg.elements), tuple(hg.elements)
+    cosets = tuple(_double_cosets(hg, f, outer))
+    coset_of = [-1] * hg.size
+    for idx, coset in enumerate(cosets):
+        for x in bits_of(coset):
+            if coset_of[x] != -1:
+                raise InternalInconsistencyError(
+                    "double cosets failed to partition the element set"
+                )
+            coset_of[x] = idx
+    return cosets, tuple(coset_of)
+
+
+def _quotient(
+    hg: Hypergroup,
+    outer: int,
+    modulus: ElementSubset,
+    name: str,
+    valencies: tuple[int, ...] | None = None,
+) -> QuotientHypergroup:
+    """outer // F for a closed mask outer holding F, on the cosets
+    _coset_partition gives, read off hg's own rows and columns.  The
+    product of cosets with representatives a and b is the set of cosets
+    meeting a F b, and the inverse of F r F is F r^ F; _prove checks
+    H1-H3 on the QuotientHypergroup returned, which carries valencies,
+    given by quotient_scheme alone.  H // {0} is H itself, its cosets
+    the singletons: it shares hg's table, proved when hg was built, and
+    it is given hg's generating set and attributes, which the table
+    alone decides, so its derived series picks no set of its own.
+    Callers check that modulus is a subset of hg."""
+    cosets, coset_of = _coset_partition(hg, outer, modulus)
+    f = modulus.bits
+    if f == 1 and outer == hg.full_mask:
         table, inverse = hg.table, hg.inverse
-        cosets = tuple(1 << s for s in hg.elements)
-        coset_of = hg.elements
     else:
-        cosets = tuple(_double_cosets(hg, f, outer))
-        coset_of = [-1] * hg.size
-        for idx, coset in enumerate(cosets):
-            for x in bits_of(coset):
-                if coset_of[x] != -1:
-                    raise InternalInconsistencyError(
-                        "double cosets failed to partition the element set"
-                    )
-                coset_of[x] = idx
         rows = hg.table
         f_members = bits_of(f)
         reps = [(c & -c).bit_length() - 1 for c in cosets]
@@ -124,7 +143,9 @@ def _quotient(
             raw.append(row)
         table = tuple(map(tuple, raw))
         inverse = tuple(coset_of[hg.inverse[r]] for r in reps)
-    hq = QuotientHypergroup(table, inverse, hg, ClosedSubset(hg, f), cosets, tuple(coset_of), name)
+    hq = QuotientHypergroup(
+        table, inverse, hg, ClosedSubset(hg, f), cosets, coset_of, name, valencies
+    )
     if table is hg.table:
         _share_table_caches(hg, hq)
     else:

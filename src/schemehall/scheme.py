@@ -49,7 +49,7 @@ from .hypergroup import (
     _prove,
     enumerate_closed_subsets,
 )
-from .quotient import quotient
+from .quotient import _coset_partition, _quotient
 from .solvability import SolvableChain, is_solvable, solvable_chain
 
 __all__ = [
@@ -414,20 +414,19 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
     (reflexive as 0 is in T, symmetric as T* = T, transitive as TT is
     inside T) and the block of x is read off row x.  Point i of S//T is
     the i-th block in order of least point, and its relation i is the
-    i-th double coset T s T of quotient(scheme.hypergroup, T).  The block
-    matrix passes validate_scheme's axiom checks, and its products and
-    star map must be the table and inverse quotient proved H1-H3 for,
-    so they are compared, not proved again: that QuotientHypergroup,
-    with its parent, modulus, cosets and coset_of, and given the
-    valencies of the block matrix, is the returned scheme's hypergroup.
-    It is the one hypergroup given its valencies after construction:
-    quotient builds and proves it before the block matrix exists, and
-    returns a hypergroup quotient with none.
-    The valency law n_{s^T} * n_T = n_{TsT} is checked exactly.  Any
+    i-th double coset T s T of quotient(scheme.hypergroup, T), read off
+    the coset partition quotient uses.  The block matrix passes
+    validate_scheme's axiom checks, and its valencies are given to the
+    hypergroup quotient as quotient._quotient builds it, which then
+    proves H1-H3 on it; the block matrix's products and star map must be
+    that hypergroup's table and inverse, so they are compared, not
+    proved again: that QuotientHypergroup, with its parent, modulus,
+    cosets and coset_of, is the returned scheme's hypergroup.  The
+    valency law n_{s^T} * n_T = n_{TsT} is checked exactly.  Any
     failure past the axiom checks raises InternalInconsistencyError.
     """
     hg = _own_subset(scheme, modulus, "modulus")
-    hq = quotient(hg, modulus)
+    coset_of = _coset_partition(hg, hg.full_mask, modulus)[1]
 
     n = scheme.n_points
     t_bits = modulus.bits
@@ -450,7 +449,7 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
         bx = block_of[x]
         rel_x = scheme.rel[x]
         for y in range(n):
-            c = hq.coset_of[rel_x[y]]
+            c = coset_of[rel_x[y]]
             cur = qrel[bx][block_of[y]]
             if cur == -1:
                 qrel[bx][block_of[y]] = c
@@ -459,12 +458,12 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
 
     rows, cols, star = _scheme_rows(qrel)
     valencies, table = _relation_products(rows, cols, len(star), upper=True)
+    hq = _quotient(hg, hg.full_mask, modulus, f"{hg.name}//{modulus.members()}", valencies)
     if table != hq.table or star != hq.inverse:
         raise InternalInconsistencyError(
             "hypergroup of the quotient scheme differs from the quotient "
             "of the hypergroup"
         )
-    hq.valencies = valencies
     qscheme = AssociationScheme(rows, hq, f"{scheme.name}//T" if scheme.name else "")
 
     n_t = modulus.valency

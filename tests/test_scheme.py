@@ -270,16 +270,16 @@ def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
     assert q.hypergroup.table == s.hypergroup.table
     # the one comparison left still catches a hypergroup quotient whose
     # table or inverse disagrees with the quotient scheme
-    real = scheme_module.quotient
+    real = scheme_module._quotient
     for skew in (
         lambda hq: (hq.table[:1] + hq.table[2:0:-1] + hq.table[3:], hq.inverse),
         lambda hq: (hq.table, hq.inverse[:1] + hq.inverse[:0:-1]),
     ):
-        def skewed(hg, modulus, skew=skew):
-            hq = real(hg, modulus)
+        def skewed(hg, outer, modulus, name, valencies, skew=skew):
+            hq = real(hg, outer, modulus, name, valencies)
             return sh.QuotientHypergroup(*skew(hq), hg, hq.modulus, hq.cosets, hq.coset_of)
 
-        monkeypatch.setattr(scheme_module, "quotient", skewed)
+        monkeypatch.setattr(scheme_module, "_quotient", skewed)
         with pytest.raises(sh.InternalInconsistencyError, match="^hypergroup of the quotient scheme differs"):
             sh.quotient_scheme(s, s.closed_subset([0, 1, 2, 3]))
 

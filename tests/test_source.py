@@ -464,10 +464,9 @@ def test_call_medians_summary_credits_call_types():
 
 def test_valencies_are_given_to_the_hypergroup_constructor():
     """Hypergroup.valencies is set by Hypergroup.__init__ from its
-    valencies argument, and no door assigns it to a built hypergroup but
-    quotient_scheme, whose hypergroup quotient builds and proves before
-    the block matrix gives its valencies.  AssociationScheme.__init__
-    reads the scheme's own valencies off its hypergroup."""
+    valencies argument, and no door assigns it to a built hypergroup.
+    AssociationScheme.__init__ reads the scheme's own valencies off its
+    hypergroup."""
     writers = sorted(
         f"{path.name}:{fn.name}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -477,9 +476,7 @@ def test_valencies_are_given_to_the_hypergroup_constructor():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
         and node.attr == "valencies"
     )
-    assert writers == [
-        "hypergroup.py:__init__", "scheme.py:__init__", "scheme.py:quotient_scheme",
-    ]
+    assert writers == ["hypergroup.py:__init__", "scheme.py:__init__"]
     init = next(
         fn for cls in ast.parse((SOURCE / "hypergroup.py").read_text()).body
         if isinstance(cls, ast.ClassDef) and cls.name == "Hypergroup"
