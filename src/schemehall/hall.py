@@ -3,55 +3,23 @@
 The route goes through one group per scheme: G = S // O^θ(S), the
 quotient by the thin residue, which the residue series that decides
 solvability builds and checks thin once.  For each pi the Hall
-pi-subgroups of G are found by the classical route and lifted back
-through the closed-subset correspondence; the pi-core is the lift of
-O_pi(G), their intersection.  That structure is built once per (scheme,
-pi) and cached on the scheme, and each of its facts has one check.  It
-costs what its pi needs: a pi-part of 1 or |G| leaves one Hall
-subgroup, found with no search, and the lift of all of G is the whole
-scheme, with no coset summed; otherwise the greedy build refuses each
-element of G whose order is no pi-number before closing anything, by
-Lagrange, closes each join from the generators that joined, and stops
-a closure at the first such element it meets.  A core from
-O_pi(G) = 1 is the residue modulus, checked closed by
-quotient._quotient and strongly normal by is_thin once per scheme in
-the residue series; one from O_pi(G) = G is the whole scheme.  Any
-other core is lifted by quotient._lift, which checks the lift closed,
-as no filter stands behind it, and is checked strongly normal by
-conjugating it with a generating set alone, which each hypergroup
-builds once.  G is solvable by the residue series.  Each lifted Hall
-subset is the plain sum of the cosets its subgroup names, and the
-family must equal a filter over the closed pi-subsets that contain the
-pi-core, read off the cached lattice when the hypergroup has one and
-walked above the core otherwise; every Hall pi-subset contains the
-core, by the lemma proved at _HallContext.  The walk stops at the Hall
-valency, the pi-part of n, the largest valency of a closed pi-subset,
-as each is a pi-number dividing n; a core of that valency is the whole
-family, and nothing is walked.  As the filter keeps only
-closed subsets passing the Hall predicate, that equality proves each
-lift closed and Hall.  After it, the family is certified conjugate:
-the orbit that built the Hall subgroups of G kept, for each, an
-element conjugating the greedy build onto it, so a conjugator of the
-first Hall subgroup onto each later one is one product in G, and its
-coset must hold a relation that conjugates the first lifted Hall
-subset onto the later one.  compute_o_pi and the queries read the core,
-the Hall subsets and their subgroups off that family: extend_to_hall
-answers with the first lifted Hall subset that contains its seed.  A
-warm query re-checks only its inputs and looks up the rest: its pi's
-primes are each trial-divided once per process, and the context and
-the scheme's pi-facts (the pi-valenced mask and the pi-part of n) are
-found under the pi asked.  The input checks are a mask test on each,
-and conjugating_element's scan, which stops at the least relation that
-conjugates and is skipped for a subset asked onto itself, answered 0;
-an input is tested closed only when a query finds no answer, to tell
-a subset that is not closed from an engine bug.  That
-scan, the certificate's coset step and scheme.conjugators all read one
-search, hypergroup._conjugators.  G is
-held as the thin hypergroup the residue series built, so its derived
-series and its Hall subgroups are joined by its own closure_mask and
-conjugated by the kernel S uses; only the group proof reads a Cayley
-index table, and none is kept: a certificate carries G as that
-hypergroup.
+pi-subgroups of G are found by the classical route (_hall_subgroups)
+and lifted back through the closed-subset correspondence; the pi-core
+is the lift of O_pi(G), their intersection (_core_and_halls).  The
+lifted family is proved closed and Hall by its equality with the
+exhaustive filter above the core (_hall_family), then certified
+conjugate through G (_HallContext).  G is held as the thin hypergroup
+the residue series built, so it is joined and conjugated by the kernels
+S uses, and a certificate carries it as that hypergroup; only the group
+proof reads a Cayley index table.
+
+What depends only on the scheme and pi is kept on the scheme's
+pi-record (scheme._pi_facts), one per scheme and pi & primes: the mask
+of the pi-valenced relations and the pi-part of n, set when it is
+built, and the family all_hall_subsets returns and the Hall context,
+set here on first success.  So each fact is checked once, and a warm
+query checks only its own inputs, testing one closed only when it finds
+no answer, to tell a subset that is not closed from an engine bug.
 """
 from __future__ import annotations
 
@@ -83,9 +51,9 @@ from .hypergroup import (
 from .quotient import QuotientHypergroup, _lift
 from .scheme import (
     AssociationScheme,
-    _by_pi,
     _own_subset,
     _pi_facts,
+    _PiFacts,
     _pi_tests,
     _raise_valency_not_dividing_n,
 )
@@ -306,9 +274,15 @@ def _hall_subgroups(hg: Hypergroup, ps: frozenset[int]) -> dict[int, int]:
 
 def all_hall_subsets(scheme: AssociationScheme, pi: Iterable[int]) -> tuple[ClosedSubset, ...]:
     """Exhaustive filter: every closed pi-subset passing the Hall
-    predicate, in closed_subsets order."""
+    predicate, in closed_subsets order.  Filtered once per scheme and
+    pi & primes, independently of the Hall context, and kept on the
+    scheme's pi-record."""
     ps = validate_pi(pi)
-    return _hall_family(scheme, ps, *_pi_facts(scheme, ps), 1)
+    facts = _pi_facts(scheme, ps)
+    family = facts.family
+    if family is None:
+        family = facts.family = _hall_family(scheme, ps, facts.valenced, facts.target, 1)
+    return family
 
 
 def _hall_family(
@@ -376,10 +350,10 @@ def _hall_family(
 class _HallContext:
     """The Hall structure of one (scheme, pi), built and checked once.
 
-    valenced masks the pi-valenced relations and target is the pi-part
-    of n, for the queries' tests.  core is the pi-core and hq the
-    quotient by the thin residue, shared by every pi, the group G as a
-    thin hypergroup.  halls are the Hall subgroups of hq in hall_subgroups
+    facts is the scheme's pi-record, whose valenced, the mask of the
+    pi-valenced relations, and target, the pi-part of n, the queries'
+    tests read.  core is the pi-core and hq the quotient by the thin
+    residue, shared by every pi, the group G as a thin hypergroup.  halls are the Hall subgroups of hq in hall_subgroups
     order and lifted[i] the sum of the cosets halls[i] names, given the
     valency target.  No lift is checked on its own: the family equals
     _hall_family's filter, whose members are closed and Hall, which
@@ -390,11 +364,20 @@ class _HallContext:
     halls[i] = b^ H b, H = a halls[0] a^, so g = a^ b, one product in
     the thin hq, has g^ halls[0] g = halls[i].  Only a core that is
     neither the residue modulus nor the whole scheme is checked closed
-    by _lift, in _core_and_halls.  best indexes the least lifted Hall
-    subset.  A family of one member needs no search for it, and the
-    lift of all of G is the whole scheme, as the cosets partition it;
-    the family check runs on it all the same.  Every pi with the same
-    primes among those of the scheme shares the context.
+    by _lift, in _core_and_halls.  The lift of all of G is the whole
+    scheme, as the cosets partition it; the family check runs on it all
+    the same.  Every pi with the same primes among those of the scheme
+    shares the context.
+
+    lifted[0] is the least lifted Hall subset by members(), the one
+    find_hall certifies, with no search: halls are in member-tuple
+    order, and lifting keeps that order, as the least relation of coset
+    i rises with i.  For Hall subgroups A before B, of the same order,
+    let a be the first coset in A and not in B.  The two lifts share
+    every relation below r_a, the least relation of a, as it lies in a
+    coset before a, which A and B hold alike; r_a lies in the lift of A
+    only, and the lift of B holds relations of its next member after
+    the shared ones, a coset after a, so all above r_a.
 
     The filter reads only the closed pi-subsets that contain the core,
     off the cached lattice if there is one and by a walk above the core
@@ -424,23 +407,22 @@ class _HallContext:
     fails it leaves the filter empty, and the check fires.
     """
 
-    __slots__ = ("scheme", "valenced", "target", "core", "hq", "halls", "lifted", "best")
+    __slots__ = ("scheme", "facts", "core", "hq", "halls", "lifted")
 
-    def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
-        self.scheme = scheme
-        self.valenced, self.target = _pi_facts(scheme, ps)
-        hq, steps, self.core = _core_and_halls(scheme, ps, self.valenced)
+    def __init__(self, scheme: AssociationScheme, ps: frozenset[int], facts: _PiFacts):
+        self.scheme, self.facts = scheme, facts
+        hq, steps, self.core = _core_and_halls(scheme, ps, facts.valenced)
         self.hq, self.halls = hq, tuple(steps)
         hg, cosets = scheme.hypergroup, hq.cosets
         self.lifted = tuple(
             ClosedSubset(
                 hg,
                 hg.full_mask if gm == hq.full_mask else sum(map(cosets.__getitem__, bits_of(gm))),
-                self.target,
+                facts.target,
             )
             for gm in self.halls
         )
-        filtered = _hall_family(scheme, ps, self.valenced, self.target, self.core.bits)
+        filtered = _hall_family(scheme, ps, facts.valenced, facts.target, self.core.bits)
         if {t.bits for t in self.lifted} != {t.bits for t in filtered}:
             raise InternalInconsistencyError(
                 "constructive Hall family differs from the exhaustive filter"
@@ -454,9 +436,6 @@ class _HallContext:
                     "no member of the lifted conjugator coset conjugates the "
                     "subsets directly"
                 )
-        self.best = 0
-        if len(self.lifted) > 1:
-            self.best = min(range(len(self.lifted)), key=lambda i: self.lifted[i].members())
 
     def certificate(self, i: int, ps: frozenset[int]) -> HallCertificate:
         """A fresh certificate for the i-th Hall subset, asked for pi = ps."""
@@ -466,14 +445,15 @@ class _HallContext:
 
 
 def _context(scheme: AssociationScheme, ps: frozenset[int]) -> _HallContext:
-    """The cached Hall context of (scheme, ps), built on first use.
-
-    Found by scheme._by_pi: under ps itself, then under the primes of ps
-    that divide n or a valency, as no other prime changes an answer.  A
-    missing context is built with ps itself, so error messages name the
-    pi asked for; errors are not cached.
-    """
-    return _by_pi(scheme._hall_contexts, scheme, ps, _HallContext)
+    """The Hall context of (scheme, ps), kept on the scheme's pi-record
+    that scheme._pi_facts finds, and built on first use with ps itself
+    and that record, so error messages name the pi asked for; errors
+    are not cached."""
+    facts = _pi_facts(scheme, ps)
+    ctx = facts.context
+    if ctx is None:
+        ctx = facts.context = _HallContext(scheme, ps, facts)
+    return ctx
 
 
 def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
@@ -485,8 +465,7 @@ def find_hall(scheme: AssociationScheme, pi: Iterable[int]) -> HallCertificate:
     call returns a new certificate.
     """
     ps = validate_pi(pi)
-    ctx = _context(scheme, ps)
-    return ctx.certificate(ctx.best, ps)
+    return _context(scheme, ps).certificate(0, ps)
 
 
 def conjugating_element(
@@ -513,7 +492,7 @@ def conjugating_element(
     inputs = (("first", t), ("second", u))
     for label, x in inputs:
         _own_subset(scheme, x)
-        if not _pi_tests(scheme, x, ctx.valenced, ctx.target)[1]:
+        if not _pi_tests(scheme, x, ctx.facts.valenced, ctx.facts.target)[1]:
             raise _not_hall(label, x, ps)
     if t.bits == u.bits:
         return 0  # 0^ T 0 = T, by H2, and 0 is the least relation
@@ -558,7 +537,7 @@ def extend_to_hall(
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
     _own_subset(scheme, subset)
-    if _pi_tests(scheme, subset, ctx.valenced, ctx.target)[0]:
+    if _pi_tests(scheme, subset, ctx.facts.valenced, ctx.facts.target)[0]:
         for i, h in enumerate(ctx.lifted):
             if subset.bits & ~h.bits == 0:
                 return ctx.certificate(i, ps)

@@ -102,18 +102,21 @@ def _quotient(
     modulus: ElementSubset,
     name: str,
     valencies: tuple[int, ...] | None = None,
+    partition: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> QuotientHypergroup:
     """outer // F for a closed mask outer holding F, on the cosets
-    _coset_partition gives, read off hg's own rows and columns.  The
-    product of cosets with representatives a and b is the set of cosets
-    meeting a F b, and the inverse of F r F is F r^ F; _prove checks
-    H1-H3 on the QuotientHypergroup returned, which carries valencies,
-    given by quotient_scheme alone.  H // {0} is H itself, its cosets
+    _coset_partition gives, or on partition, its answer for these
+    arguments when the caller holds it already, as quotient_scheme
+    does, read off hg's own rows and columns.  The product of cosets
+    with representatives a and b is the set of cosets meeting a F b,
+    and the inverse of F r F is F r^ F; _prove checks H1-H3 on the
+    QuotientHypergroup returned, which carries valencies, given by
+    quotient_scheme alone.  H // {0} is H itself, its cosets
     the singletons: it shares hg's table, proved when hg was built, and
     it is given hg's generating set and attributes, which the table
     alone decides, so its derived series picks no set of its own.
     Callers check that modulus is a subset of hg."""
-    cosets, coset_of = _coset_partition(hg, outer, modulus)
+    cosets, coset_of = partition or _coset_partition(hg, outer, modulus)
     f = modulus.bits
     if f == 1 and outer == hg.full_mask:
         table, inverse = hg.table, hg.inverse

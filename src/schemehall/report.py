@@ -39,7 +39,9 @@ def scheme_record(
     """Build the report record for one scheme file body, given as text or
     as the file's bytes.  Bytes that are not UTF-8 make an invalid record
     whose error names the first undecodable byte, as a body the parser
-    or validation refuses does.
+    or validation refuses does.  Each pi of pi_sets is validated before
+    any of that work, so one that is no set of primes raises ValueError
+    whatever the body.
 
     A pi whose Hall check finds an internal inconsistency gets an
     "error" entry instead of an answer; the other pi go on.  One found
@@ -49,6 +51,7 @@ def scheme_record(
     a top-level "error" in place of the analysis: the proof runs once
     the scheme axioms hold.
     """
+    pis = tuple(map(validate_pi, pi_sets))
     t0 = time.perf_counter()
     record: dict = {"schema": SCHEMA_VERSION, "input": name}
     try:
@@ -65,7 +68,7 @@ def scheme_record(
     else:
         record.update(_sizes(parsed, scheme.valencies))
         try:
-            record.update(_analysis(scheme, pi_sets))
+            record.update(_analysis(scheme, pis))
         except InternalInconsistencyError as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -85,8 +88,9 @@ def _sizes(parsed: SchemeFile, valencies: Iterable[int]) -> dict:
     }
 
 
-def _analysis(scheme: AssociationScheme, pi_sets: tuple[tuple[int, ...], ...]) -> dict:
-    """Solvability, closed-subset census and per-pi Hall entries."""
+def _analysis(scheme: AssociationScheme, pis: tuple[frozenset[int], ...]) -> dict:
+    """Solvability, closed-subset census and per-pi Hall entries, for
+    the validated pis."""
     out: dict = {"solvable": is_solvable_scheme(scheme)}
     census = scheme.closed_subsets()
     out["closed_subsets"] = {
@@ -94,8 +98,7 @@ def _analysis(scheme: AssociationScheme, pi_sets: tuple[tuple[int, ...], ...]) -
         "valencies": sorted(c.valency for c in census),
     }
     by_pi: dict[str, dict] = {}
-    for pi in pi_sets:
-        ps = validate_pi(pi)
+    for ps in pis:
         key = format_pi(ps)
         entry: dict = {}
         try:
@@ -134,18 +137,20 @@ def report_records(
     stays the sorted-name order either way.  The process pool is only
     imported then, so a serial report never loads concurrent.futures or
     multiprocessing.  A jobs that is not an int of at least 1, a bool
-    included, raises ValueError.
+    included, raises ValueError, and so does a pi that is no set of
+    primes, before any record is made or any pool started.
     """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    pis = tuple(map(validate_pi, pi_sets))
     ordered = sorted(inputs, key=lambda p: p[0])
     if jobs == 1 or len(ordered) <= 1:
-        return [scheme_record(name, text, pi_sets, timings) for name, text in ordered]
+        return [scheme_record(name, text, pis, timings) for name, text in ordered]
     from concurrent.futures import ProcessPoolExecutor
 
     names, texts = zip(*ordered)
     with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
-        return list(pool.map(scheme_record, names, texts, repeat(pi_sets), repeat(timings)))
+        return list(pool.map(scheme_record, names, texts, repeat(pis), repeat(timings)))
 
 
 def render_jsonl(records: list[dict]) -> str:

@@ -20,7 +20,7 @@ QuotientHypergroup of T.  Nothing is set on a scheme after it is built.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
 from operator import add
@@ -86,11 +86,8 @@ class AssociationScheme:
         self.star_map = hypergroup.inverse
         self.valencies = hypergroup.valencies
         self.name = name
-        # Hall contexts, filled by schemehall.hall, and the pair (mask of
-        # the pi-valenced relations, pi-part of n): each by pi & primes
-        # and aliased under the pi asked, see _by_pi
-        self._hall_contexts: dict = {}
-        self._pi_facts: dict = {}
+        # one _PiFacts record by pi & primes, see _pi_facts
+        self._pi_facts: dict[frozenset[int], _PiFacts] = {}
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -415,18 +412,20 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
     inside T) and the block of x is read off row x.  Point i of S//T is
     the i-th block in order of least point, and its relation i is the
     i-th double coset T s T of quotient(scheme.hypergroup, T), read off
-    the coset partition quotient uses.  The block matrix passes
-    validate_scheme's axiom checks, and its valencies are given to the
-    hypergroup quotient as quotient._quotient builds it, which then
-    proves H1-H3 on it; the block matrix's products and star map must be
-    that hypergroup's table and inverse, so they are compared, not
-    proved again: that QuotientHypergroup, with its parent, modulus,
-    cosets and coset_of, is the returned scheme's hypergroup.  The
-    valency law n_{s^T} * n_T = n_{TsT} is checked exactly.  Any
-    failure past the axiom checks raises InternalInconsistencyError.
+    the coset partition quotient uses, built once.  The block matrix
+    passes validate_scheme's axiom checks, and its valencies and that
+    partition are given to the hypergroup quotient as quotient._quotient
+    builds it, which then proves H1-H3 on it; the block matrix's
+    products and star map must be that hypergroup's table and inverse,
+    so they are compared, not proved again: that QuotientHypergroup,
+    with its parent, modulus, cosets and coset_of, is the returned
+    scheme's hypergroup.  The valency law n_{s^T} * n_T = n_{TsT} is
+    checked exactly.  Any failure past the axiom checks raises
+    InternalInconsistencyError.
     """
     hg = _own_subset(scheme, modulus, "modulus")
-    coset_of = _coset_partition(hg, hg.full_mask, modulus)[1]
+    partition = _coset_partition(hg, hg.full_mask, modulus)
+    coset_of = partition[1]
 
     n = scheme.n_points
     t_bits = modulus.bits
@@ -458,7 +457,8 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
 
     rows, cols, star = _scheme_rows(qrel)
     valencies, table = _relation_products(rows, cols, len(star), upper=True)
-    hq = _quotient(hg, hg.full_mask, modulus, f"{hg.name}//{modulus.members()}", valencies)
+    name = f"{hg.name}//{modulus.members()}"
+    hq = _quotient(hg, hg.full_mask, modulus, name, valencies, partition)
     if table != hq.table or star != hq.inverse:
         raise InternalInconsistencyError(
             "hypergroup of the quotient scheme differs from the quotient "
@@ -500,61 +500,43 @@ class PiPredicates:
         )
 
 
-# entries a per-scheme cache by pi may hold before _by_pi stops adding
-# aliases, which a caller asking for ever new pi would otherwise grow
-_PI_ALIASES = 64
+class _PiFacts:
+    """What depends only on a scheme and a validated pi, ps: valenced,
+    the mask of the relations whose valency is a ps-number, and target,
+    the ps-part of n, set here; and two fields schemehall.hall sets on
+    first success and never after, family, what all_hall_subsets
+    returns, and context, the Hall context.  An error leaves them None.
+    The mask is the union of the scheme's masks by valency over the
+    valencies that are ps-numbers, so each distinct valency is tested
+    once and no relation is read."""
+
+    __slots__ = ("valenced", "target", "family", "context")
+
+    def __init__(self, scheme: AssociationScheme, ps: frozenset[int]):
+        self.valenced = sum(m for v, m in scheme._valency_masks.items() if is_pi_number(v, ps))
+        self.target = pi_part(scheme.n_points, ps)
+        self.family: tuple[ClosedSubset, ...] | None = None
+        self.context: Any = None
 
 
-def _by_pi(
-    cache: dict,
-    scheme: AssociationScheme,
-    ps: frozenset[int],
-    build: Callable[[AssociationScheme, frozenset[int]], Any],
-) -> Any:
-    """The entry of cache, one of the scheme's dicts by pi, for a
-    validated ps.  Looked up under ps itself first, which spares a warm
-    query the intersection, then under ps & scheme.primes, as no other
-    prime changes an entry, and built there by build(scheme, ps) on a
-    miss, so an error names the pi asked for and is not cached.  An
-    entry not found under ps is aliased there while the cache holds
-    fewer than _PI_ALIASES entries."""
-    entry = cache.get(ps)
-    if entry is None:
+def _pi_facts(scheme: AssociationScheme, ps: frozenset[int]) -> _PiFacts:
+    """The scheme's pi-record for a validated ps, one per scheme and
+    ps & scheme.primes, as no other prime changes an entry.  Found under
+    ps, which spares a warm query the intersection, then under
+    ps & scheme.primes, and built there with ps on a miss; nothing is
+    stored under any other key."""
+    facts = scheme._pi_facts.get(ps)
+    if facts is None:
         key = ps & scheme.primes
-        entry = cache.get(key)
-        if entry is None:
-            entry = cache[key] = build(scheme, ps)
-        if len(cache) < _PI_ALIASES:
-            cache[ps] = entry
-    return entry
-
-
-def _pi_facts(scheme: AssociationScheme, ps: frozenset[int]) -> tuple[int, int]:
-    """The pi-facts of the scheme for a validated ps: the mask of the
-    relations whose valency is a ps-number and the ps-part of n, found
-    or built once per scheme and pi & primes by _by_pi.  The mask is the
-    union of the scheme's masks by valency over the valencies that are
-    ps-numbers, so each distinct valency is tested once and no relation
-    is read."""
-    return _by_pi(scheme._pi_facts, scheme, ps, _new_pi_facts)
-
-
-def _new_pi_facts(scheme: AssociationScheme, ps: frozenset[int]) -> tuple[int, int]:
-    """_pi_facts' entry, built."""
-    mask = sum(m for v, m in scheme._valency_masks.items() if is_pi_number(v, ps))
-    return mask, pi_part(scheme.n_points, ps)
-
-
-def _pi_valenced_mask(scheme: AssociationScheme, ps: frozenset[int]) -> int:
-    """Mask of the relations whose valency is a ps-number, for a validated
-    ps: read off the scheme's pi-facts entry, so it is counted once per
-    scheme and pi & primes, as _pi_facts says."""
-    return _pi_facts(scheme, ps)[0]
+        facts = scheme._pi_facts.get(key)
+        if facts is None:
+            facts = scheme._pi_facts[key] = _PiFacts(scheme, ps)
+    return facts
 
 
 def is_pi_valenced(scheme: AssociationScheme, pi: Iterable[int]) -> bool:
     """True when every relation valency of the scheme is a pi-number."""
-    return _pi_valenced_mask(scheme, validate_pi(pi)) == (1 << scheme.rank) - 1
+    return _pi_facts(scheme, validate_pi(pi)).valenced == (1 << scheme.rank) - 1
 
 
 def _own_subset(scheme: AssociationScheme, subset: object, what: str = "subset") -> Hypergroup:
@@ -575,9 +557,9 @@ def pi_predicates(
     scheme.hypergroup is: one built by hand on a mask that is not closed
     gets the answers its relations and valency give."""
     _own_subset(scheme, subset)
-    valenced, target = _pi_facts(scheme, validate_pi(pi))
-    closed_pi, hall = _pi_tests(scheme, subset, valenced, target)
-    return PiPredicates(subset.bits & ~valenced == 0, closed_pi, hall)
+    facts = _pi_facts(scheme, validate_pi(pi))
+    closed_pi, hall = _pi_tests(scheme, subset, facts.valenced, facts.target)
+    return PiPredicates(subset.bits & ~facts.valenced == 0, closed_pi, hall)
 
 
 def _pi_tests(

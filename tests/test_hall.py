@@ -401,36 +401,96 @@ def test_o_pi_runs_once_per_scheme_and_pi(monkeypatch):
 
 
 def test_context_build_masks_the_pi_valenced_relations_once(monkeypatch):
-    """A Hall context reads the scheme's pi-facts entry, the mask of the
-    pi-valenced relations and the pi-part of n, once, for itself, its
-    core and Hall build and its check, and the entry is built once: 1
-    build and 1 read for S4 with pi = {2}.  A query on the cached context
-    reads it no more, all_hall_subsets reads it with no build, and
-    is_pi_valenced asked {2, 11} finds it under {2} and aliases it under
-    {2, 11}, with no build."""
+    """A query reads the scheme's pi-record, which holds the mask of the
+    pi-valenced relations, the pi-part of n and the Hall context, once,
+    and the record is built once: the first find_hall on S4 with
+    pi = {2} makes 1 build and 1 read, handing the record to the context
+    for its core and Hall build and its check.  A query on the cached
+    context, and all_hall_subsets, read it once each with no build, and
+    is_pi_valenced asked {2, 11} finds it under {2}, with no build and
+    no second entry."""
     builds, reads = [], []
-    real_build, real_read = scheme_module._new_pi_facts, hall_module._pi_facts
+    real_read = hall_module._pi_facts
 
-    def counted_build(scheme, ps):
-        builds.append(ps)
-        return real_build(scheme, ps)
+    class CountedFacts(scheme_module._PiFacts):
+        __slots__ = ()
+
+        def __init__(self, scheme, ps):
+            builds.append(ps)
+            super().__init__(scheme, ps)
 
     def counted_read(scheme, ps):
         reads.append(ps)
         return real_read(scheme, ps)
 
-    monkeypatch.setattr(scheme_module, "_new_pi_facts", counted_build)
+    monkeypatch.setattr(scheme_module, "_PiFacts", CountedFacts)
     monkeypatch.setattr(hall_module, "_pi_facts", counted_read)
     s4 = sh.from_group(sh.symmetric(4), name="s4")
     assert sh.find_hall(s4, {2}).hall.valency == 8
     assert builds == reads == [frozenset({2})]
     sh.find_hall(s4, {2})
-    assert len(reads) == 1
-    assert len(sh.all_hall_subsets(s4, {2})) == 3
     assert reads == [frozenset({2})] * 2
+    assert len(sh.all_hall_subsets(s4, {2})) == 3
+    assert reads == [frozenset({2})] * 3
     assert sh.is_pi_valenced(s4, {2, 11})
-    assert builds == [frozenset({2})]
-    assert s4._pi_facts[frozenset({2, 11})] is s4._pi_facts[frozenset({2})] == (2**24 - 1, 8)
+    assert len(builds) == 1
+    facts, = s4._pi_facts.values()
+    assert list(s4._pi_facts) == [frozenset({2})]
+    assert (facts.valenced, facts.target) == (2**24 - 1, 8)
+
+
+def test_all_hall_subsets_filters_once_per_pi_record(monkeypatch):
+    """Repeated all_hall_subsets on a scheme runs the Hall filter once
+    per scheme and pi & primes, with no lattice cached and with one, and
+    returns what a fresh scheme returns: on S4, {2}, {2, 11} and {2, 7}
+    share one filter and {3} has its own.  A find_hall between the calls
+    filters above its core for itself and leaves the family as it was."""
+    calls = []
+    real = hall_module._hall_family
+
+    def counted(scheme, ps, valenced, target, bottom):
+        calls.append((scheme, ps, bottom))
+        return real(scheme, ps, valenced, target, bottom)
+
+    monkeypatch.setattr(hall_module, "_hall_family", counted)
+    for cached in (False, True):
+        s4 = sh.from_group(sh.symmetric(4))
+        if cached:
+            s4.closed_subsets()
+        calls.clear()
+        for pi in ({2}, {2, 11}, {2}, {3}, {2, 7}, {3}):
+            got = sh.all_hall_subsets(s4, pi)
+            if pi == {2, 11}:
+                sh.find_hall(s4, pi)
+            want = sh.all_hall_subsets(sh.from_group(sh.symmetric(4)), pi)
+            assert [(t.bits, t.valency) for t in got] == [(t.bits, t.valency) for t in want]
+            assert len(got) == (3 if 2 in pi else 4)
+        mine = [(ps, bottom) for scheme, ps, bottom in calls if scheme is s4]
+        v4 = sh.compute_o_pi(s4, {2}).bits
+        assert mine == [({2}, 1), ({2, 11}, v4), ({3}, 1)], cached
+
+
+def test_find_hall_certifies_the_least_hall_subset():
+    """find_hall's Hall subset, the context's first lifted one, is the
+    least of all_hall_subsets by members(), for every pi inside
+    {2, 3, 5, 7} that find_hall answers, on the thin schemes of the
+    bundled groups and the catalogue to order 12."""
+    schemes = [
+        *catalogue_schemes(12),
+        *(sh.from_group(sh.bundled_group(g).table) for g in sh.bundled_group_names()),
+    ]
+    answered = several = 0
+    for scheme in schemes:
+        for pi in ALL_PI:
+            try:
+                cert = sh.find_hall(scheme, pi)
+            except (sh.NotSolvableError, sh.NotPiValencedError):
+                continue
+            family = sh.all_hall_subsets(scheme, pi)
+            assert cert.hall.bits == min(family, key=lambda t: t.members()).bits
+            answered += 1
+            several += len(family) > 1
+    assert (answered, several) == (1288, 88)
 
 
 def test_context_builds_one_quotient_and_no_thin_hypergroup(monkeypatch):
@@ -1088,7 +1148,7 @@ def test_conjugacy_is_certified_once_per_family(table, pi, k, monkeypatch):
     monkeypatch.setattr(hall_module, "_conjugators", counted)
     scheme = sh.from_group(table)
     sh.find_hall(scheme, pi)
-    ctx, = scheme._hall_contexts.values()
+    ctx = scheme._pi_facts[frozenset(pi)].context
     assert [hg for hg, _, _, _ in calls if hg is ctx.hq] == []
     first = ctx.lifted[0].bits
     assert [(hg, a, b) for hg, a, b, _ in calls] == [

@@ -575,6 +575,37 @@ def test_report_jobs_must_be_at_least_one(capsys):
                 report_records(inputs, jobs=jobs)
 
 
+def test_report_refuses_a_bad_pi_before_any_work(monkeypatch):
+    """A pi that is no set of primes raises ValueError from scheme_record
+    and from report_records before any body is parsed or any pool
+    started: with a valid body, with an invalid one and for a batch of
+    invalid bodies alone, which would otherwise never reach a Hall
+    check."""
+    parsed = []
+    real = report.parse_scheme
+
+    def counted(text, name=""):
+        parsed.append(name)
+        return real(text, name=name)
+
+    def no_pool(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(report, "parse_scheme", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    good = (SCHEMES / "c6_thin.scm").read_text("utf-8")
+    for body in (good, BAD_SCHEME, b"\xff"):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            report.scheme_record("one", body, pi_sets=((4,),))
+    for batch in ([("a", good), ("b", BAD_SCHEME)], [("a", BAD_SCHEME), ("b", b"\xff")]):
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="^4 is not prime$"):
+                report_records(batch, pi_sets=((2,), (4,)), jobs=jobs)
+    assert parsed == []
+    record, = report_records([("a", good)], pi_sets=((2,),))
+    assert list(record["pi"]) == ["{2}"] and parsed == ["a"]
+
+
 def test_report_starts_no_more_workers_than_inputs(monkeypatch, capsys):
     """A pool that records its size and runs the tasks in this process,
     so no worker is ever started."""

@@ -52,7 +52,7 @@ from schemehall.hypergroup import (
     mask_of,
 )
 from schemehall.groups import _derived_series
-from schemehall.scheme import _pi_valenced_mask
+from schemehall.scheme import _pi_facts
 
 from conftest import (
     ALL_PI,
@@ -983,7 +983,7 @@ def closed_pi_keep(scheme, pi):
     """all_hall_subsets' keep: a mask of pi-valenced relations whose
     valency is a pi-number."""
     ps = frozenset(pi)
-    valenced = _pi_valenced_mask(scheme, ps)
+    valenced = _pi_facts(scheme, ps).valenced
     return lambda m: not m & ~valenced and sh.is_pi_number(scheme.hypergroup.valency_of_mask(m), ps)
 
 

@@ -28,6 +28,8 @@ from schemehall import hypergroup as hypergroup_module
 
 from conftest import ALL_PI, catalogue_schemes
 
+quotient_module = importlib.import_module("schemehall.quotient")
+
 P3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 STAR_BAD = [
     [0, 1, 1, 2],
@@ -275,13 +277,47 @@ def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
         lambda hq: (hq.table[:1] + hq.table[2:0:-1] + hq.table[3:], hq.inverse),
         lambda hq: (hq.table, hq.inverse[:1] + hq.inverse[:0:-1]),
     ):
-        def skewed(hg, outer, modulus, name, valencies, skew=skew):
-            hq = real(hg, outer, modulus, name, valencies)
+        def skewed(hg, outer, modulus, name, valencies, partition, skew=skew):
+            hq = real(hg, outer, modulus, name, valencies, partition)
             return sh.QuotientHypergroup(*skew(hq), hg, hq.modulus, hq.cosets, hq.coset_of)
 
         monkeypatch.setattr(scheme_module, "_quotient", skewed)
         with pytest.raises(sh.InternalInconsistencyError, match="^hypergroup of the quotient scheme differs"):
             sh.quotient_scheme(s, s.closed_subset([0, 1, 2, 3]))
+
+
+def test_quotient_scheme_builds_its_coset_partition_once(monkeypatch):
+    """quotient_scheme labels its block matrix with the coset partition
+    and hands that partition to _quotient, so S4 modulo A4 makes one
+    partition, one closedness check of the modulus and one double-coset
+    pass."""
+    s4 = sh.from_group(sh.symmetric(4))
+    hg = s4.hypergroup
+    a4 = next(t for t in s4.closed_subsets() if t.valency == 12)
+    partitions, closed, passes = [], [], []
+    real_partition, real_passes = quotient_module._coset_partition, quotient_module._double_cosets
+    real_closed = sh.Hypergroup.is_closed_mask
+
+    def counted_partition(hg, outer, modulus):
+        partitions.append(modulus.bits)
+        return real_partition(hg, outer, modulus)
+
+    def counted_closed(self, mask):
+        if self is hg:
+            closed.append(mask)
+        return real_closed(self, mask)
+
+    def counted_passes(hg, f, domain):
+        passes.append(f)
+        return real_passes(hg, f, domain)
+
+    for module in (quotient_module, scheme_module):
+        monkeypatch.setattr(module, "_coset_partition", counted_partition)
+    monkeypatch.setattr(quotient_module, "_double_cosets", counted_passes)
+    monkeypatch.setattr(sh.Hypergroup, "is_closed_mask", counted_closed)
+    q = sh.quotient_scheme(s4, a4)
+    assert (q.n_points, q.rank) == (2, 2)
+    assert partitions == closed == passes == [a4.bits]
 
 
 @pytest.mark.parametrize("x, row, message", [
@@ -506,7 +542,7 @@ def test_mask_hall_tests_match_the_prime_set_definitions():
     for scheme in schemes:
         n = scheme.n_points
         for pi in ALL_PI:
-            valenced = scheme_module._pi_valenced_mask(scheme, pi)
+            valenced = scheme_module._pi_facts(scheme, pi).valenced
             target = sh.pi_part(n, pi)
             for t in scheme.closed_subsets():
                 v = t.valency
@@ -556,18 +592,20 @@ def test_valency_must_divide_n_on_every_path():
     s4 = sh.from_group(sh.symmetric(4))
     hg = s4.hypergroup
     bad = sh.ClosedSubset(hg, 1, 5)
-    halls = sh.all_hall_subsets(s4, {2})
+    hall = sh.find_hall(s4, {2}).hall
     message = "closed subset valency must divide n"
     calls = [
         lambda: sh.pi_predicates(s4, bad, {2}),
-        lambda: sh.conjugating_element(s4, bad, halls[0], {2}),
-        lambda: sh.conjugating_element(s4, halls[0], bad, {2}),
+        lambda: sh.conjugating_element(s4, bad, hall, {2}),
+        lambda: sh.conjugating_element(s4, hall, bad, {2}),
         lambda: sh.extend_to_hall(s4, bad, {2}),
     ]
     for call in calls:
         with pytest.raises(sh.InternalInconsistencyError, match=message):
             call()
-    lattice = s4.closed_subsets()  # the cached lattice the filter reads
+    # the cached lattice the filter reads, planted before the first
+    # all_hall_subsets on s4, which keeps the family it returns
+    lattice = s4.closed_subsets()
     hg._closed = (*lattice[:3], sh.ClosedSubset(hg, lattice[3].bits, 5), *lattice[4:])
     with pytest.raises(sh.InternalInconsistencyError, match=message):
         sh.all_hall_subsets(s4, {2})

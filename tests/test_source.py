@@ -280,6 +280,38 @@ def test_hypergroup_caches_are_written_in_one_module_each():
     assert not spread, f"Hypergroup caches not written in exactly one module: {spread}"
 
 
+def test_pi_record_fields_are_written_in_one_module_each():
+    """The scheme's pi-record has one writer per field: valenced and
+    target are stored only in scheme.py, which builds the record, and
+    family and context only in hall.py, which fills them on first
+    success; the record's own __init__ starts those two at None.  A
+    store to self.<field> in the method of another class sets that
+    class's own attribute, such as a homomorphism's target, and is left
+    out."""
+    owner = {"valenced": "scheme.py", "target": "scheme.py", "family": "hall.py", "context": "hall.py"}
+    assert set(schemehall.scheme._PiFacts.__slots__) == set(owner)
+    writers: dict[str, set[str]] = {name: set() for name in owner}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                own |= {
+                    id(node)
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and (cls.name != "_PiFacts" or owner[node.attr] == "hall.py")
+                }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and node.attr in writers and id(node) not in own
+            ):
+                writers[node.attr].add(path.name)
+    assert writers == {name: {module} for name, module in owner.items()}
+
+
 def test_src_lines_counts_code_lines_only():
     """tools/src_lines.py leaves out blank lines, comment-only lines and
     module, class and function docstrings, and counts a code line that
