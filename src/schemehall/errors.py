@@ -127,8 +127,9 @@ class NotAGroupError(SchemehallError):
 
 class InternalInconsistencyError(SchemehallError):
     """A property that is guaranteed by theory failed on concrete data.
-    Each check that raises it fires in some test, and none repeats a
-    proof already made on the same object."""
+    Each check that raises it fires in some test, none repeats a proof
+    already made on the same object, and none is raised for a caller's
+    input."""
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .arith import format_pi, is_pi_number, pi_part, validate_pi
 from .errors import (
     InternalInconsistencyError,
     NoConjugatorFoundError,
+    NotAGroupError,
     NotClosedPiSubsetError,
     NotHallError,
     NotPiValencedError,
@@ -171,9 +172,10 @@ def compute_o_pi(scheme: AssociationScheme, pi: Iterable[int]) -> ClosedSubset:
 
 
 def group_from_thin(hg: Hypergroup) -> Table:
-    """Read a thin hypergroup off as a Cayley table, checking only thinness:
-    whichever door built hg proved H1-H3 on it with the neutral at 0, by
-    the one group proof when its table is thin.  The table of element
+    """Read a thin hypergroup off as a Cayley table, checking only thinness,
+    whose failure, a caller's input, raises NotAGroupError: whichever
+    door built hg proved H1-H3 on it with the neutral at 0, by the one
+    group proof when its table is thin.  The table of element
     indices is read afresh on each call, as no hypergroup keeps one.  No
     library code calls this: the library computes on the thin hypergroup
     itself."""
@@ -182,9 +184,7 @@ def group_from_thin(hg: Hypergroup) -> Table:
         p, q = next(
             (p, q) for p, row in enumerate(hg.table) for q, m in enumerate(row) if m & (m - 1)
         )
-        raise InternalInconsistencyError(
-            f"product {p} * {q} is not a single element; hypergroup is not thin"
-        )
+        raise NotAGroupError(f"product {p} * {q} is not a single element; hypergroup is not thin")
     return t
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import add
 from typing import Any, NoReturn
 
@@ -409,51 +409,45 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
 
     T is closed, so "rel(x, y) lies in T" is an equivalence relation
     (reflexive as 0 is in T, symmetric as T* = T, transitive as TT is
-    inside T) and the block of x is read off row x.  Point i of S//T is
-    the i-th block in order of least point, and its relation i is the
-    i-th double coset T s T of quotient(scheme.hypergroup, T), read off
-    the coset partition quotient uses, built once.  The block matrix
-    passes validate_scheme's axiom checks, and its valencies and that
-    partition are given to the hypergroup quotient as quotient._quotient
-    builds it, which then proves H1-H3 on it; the block matrix's
-    products and star map must be that hypergroup's table and inverse,
-    so they are compared, not proved again: that QuotientHypergroup,
-    with its parent, modulus, cosets and coset_of, is the returned
-    scheme's hypergroup.  The valency law n_{s^T} * n_T = n_{TsT} is
-    checked exactly.  Any failure past the axiom checks raises
-    InternalInconsistencyError.
+    inside T), whose classes, the blocks, are disjoint.  Point i of S//T
+    is the i-th block in order of least point, and only the rows of
+    those least points are read: a point that no earlier block holds is
+    the least of its own block, whose points are read off its row.
+    Block pair (i, j) is labelled by the double coset holding rel(a, b)
+    for their least points a and b, by its index in the coset partition
+    that quotient(scheme.hypergroup, T) uses, built once, so relation i
+    of S//T is the i-th double coset T s T.  One pair per block pair is
+    enough, as validation proved the scheme: for x in block i and y in
+    block j, the path x a b y puts rel(x, y) in T rel(a, b) T, since
+    p q holds every r with a_pq^r != 0.  Every row holds n_s points of
+    label s, so each block holds n_T points, and row 0 meets
+    n_{TsT} / n_T blocks of label T s T: the valency law
+    n_{s^T} * n_T = n_{TsT} holds as built.  Cost: n * k + k**2 reads
+    of rel for k blocks.
+
+    The block matrix passes validate_scheme's axiom checks, and its
+    valencies and that partition are given to the hypergroup quotient as
+    quotient._quotient builds it, which then proves H1-H3 on it; the
+    block matrix's products and star map must be that hypergroup's table
+    and inverse, so they are compared, not proved again: that
+    QuotientHypergroup, with its parent, modulus, cosets and coset_of,
+    is the returned scheme's hypergroup.  A failure past the axiom
+    checks raises InternalInconsistencyError.
     """
     hg = _own_subset(scheme, modulus, "modulus")
     partition = _coset_partition(hg, hg.full_mask, modulus)
     coset_of = partition[1]
 
-    n = scheme.n_points
-    t_bits = modulus.bits
-    block_of = [-1] * n
-    k = 0  # blocks so far
-    for x in range(n):
-        if block_of[x] != -1:
-            continue
-        block = [y for y, r in enumerate(scheme.rel[x]) if t_bits >> r & 1]
-        if len(block) != modulus.valency:
-            raise InternalInconsistencyError("blocks of a closed subset must all have size n_T")
-        for y in block:
-            if block_of[y] != -1:
-                raise InternalInconsistencyError("blocks of a closed subset overlap")
-            block_of[y] = k
-        k += 1
-
-    qrel = [[-1] * k for _ in range(k)]
-    for x in range(n):
-        bx = block_of[x]
-        rel_x = scheme.rel[x]
-        for y in range(n):
-            c = coset_of[rel_x[y]]
-            cur = qrel[bx][block_of[y]]
-            if cur == -1:
-                qrel[bx][block_of[y]] = c
-            elif cur != c:
-                raise InternalInconsistencyError("block pair met two different relation cosets")
+    rel = scheme.rel
+    in_t = [bool(modulus.bits >> s & 1) for s in range(scheme.rank)]
+    points = range(scheme.n_points)
+    reps: list[int] = []  # the least point of each block
+    covered: set[int] = set()
+    for x in points:
+        if x not in covered:
+            reps.append(x)
+            covered.update(compress(points, map(in_t.__getitem__, rel[x])))
+    qrel = [[coset_of[row[b]] for b in reps] for row in map(rel.__getitem__, reps)]
 
     rows, cols, star = _scheme_rows(qrel)
     valencies, table = _relation_products(rows, cols, len(star), upper=True)
@@ -464,19 +458,7 @@ def quotient_scheme(scheme: AssociationScheme, modulus: ClosedSubset) -> Associa
             "hypergroup of the quotient scheme differs from the quotient "
             "of the hypergroup"
         )
-    qscheme = AssociationScheme(rows, hq, f"{scheme.name}//T" if scheme.name else "")
-
-    n_t = modulus.valency
-    for s in range(scheme.rank):
-        c = hq.coset_of[s]
-        coset_valency = hg.valency_of_mask(hq.cosets[c])
-        if qscheme.valencies[c] * n_t != coset_valency:
-            raise InternalInconsistencyError(
-                f"valency law fails at relation {s}: "
-                f"{qscheme.valencies[c]} * {n_t} != {coset_valency}"
-            )
-
-    return qscheme
+    return AssociationScheme(rows, hq, f"{scheme.name}//T" if scheme.name else "")
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +534,12 @@ def pi_predicates(
     scheme: AssociationScheme, subset: ClosedSubset, pi: Iterable[int]
 ) -> PiPredicates:
     """Whether subset is pi-valenced, a closed pi-subset and a Hall
-    pi-subset.  The tests read only its relations and its valency, which
-    must divide n, and trust that it is closed, as a ClosedSubset of
-    scheme.hypergroup is: one built by hand on a mask that is not closed
-    gets the answers its relations and valency give."""
+    pi-subset.  The tests read only its relations and its valency, and
+    trust that it is closed, as a ClosedSubset of scheme.hypergroup is:
+    one built by hand on a mask that is not closed gets the answers its
+    relations and valency give, neither a closed pi-subset nor Hall when
+    that valency does not divide n, which for a closed one raises
+    InternalInconsistencyError."""
     _own_subset(scheme, subset)
     facts = _pi_facts(scheme, validate_pi(pi))
     closed_pi, hall = _pi_tests(scheme, subset, facts.valenced, facts.target)
@@ -569,10 +553,15 @@ def _pi_tests(
     scheme.hypergroup, from the mask of the pi-valenced relations and
     target, the pi-part of n.  Its valency v divides n, which is checked,
     so v is a pi-number exactly when it divides target, and then the
-    index n / v is a pi'-number too exactly when v is target."""
+    index n / v is a pi'-number too exactly when v is target.  A
+    ClosedSubset built by hand on a mask that is not closed may have a
+    valency that does not divide n, so divides no divisor of n, target
+    included: that subset is neither, and only a closed one raises."""
     v = subset.valency
     if scheme.n_points % v:
-        _raise_valency_not_dividing_n()
+        if scheme.hypergroup.is_closed_mask(subset.bits):
+            _raise_valency_not_dividing_n()
+        return False, False
     if subset.bits & ~valenced:
         return False, False
     return target % v == 0, v == target
@@ -580,8 +569,8 @@ def _pi_tests(
 
 def _raise_valency_not_dividing_n() -> NoReturn:
     """The one check that a closed subset's valency divides n, for
-    _pi_tests and the Hall filter's loop, which each test it on every
-    subset they read."""
+    _pi_tests, on a subset whose mask it finds closed, and the Hall
+    filter's loop, on every member of the lattice it reads."""
     raise InternalInconsistencyError("closed subset valency must divide n")
 
 

@@ -871,7 +871,7 @@ def test_group_from_thin_reads_the_validated_group():
         t = sh.bundled_group(name).table
         assert sh.group_from_thin(sh.thin_hypergroup(t)) == sh.validate_group(t), name
     pentagon = sh.bundled_scheme("pentagon").scheme().hypergroup
-    with pytest.raises(sh.InternalInconsistencyError) as exc:
+    with pytest.raises(sh.NotAGroupError) as exc:
         sh.group_from_thin(pentagon)
     assert str(exc.value) == "product 1 * 1 is not a single element; hypergroup is not thin"
 

@@ -514,6 +514,23 @@ def test_cli_quotient_emits_parseable_scheme(tmp_path, capsys):
     assert out.read_text("utf-8") == text
 
 
+def test_cli_quotient_output_is_pinned(capsys):
+    """hm176_28 modulo {0, 1, 2, 3} is the thin scheme of C7, emitted
+    byte for byte: point i is the block of the points 4i to 4i + 3."""
+    assert main(["quotient", str(SCHEMES / "hm176_28.scm"), "--t", "0,1,2,3"]) == 0
+    assert capsys.readouterr().out == (
+        "# name: hm176_28//T\n"
+        "7 7\n"
+        "0 1 2 3 4 5 6\n"
+        "6 0 1 2 3 4 5\n"
+        "5 6 0 1 2 3 4\n"
+        "4 5 6 0 1 2 3\n"
+        "3 4 5 6 0 1 2\n"
+        "2 3 4 5 6 0 1\n"
+        "1 2 3 4 5 6 0\n"
+    )
+
+
 def test_cli_missing_file_is_input_error(capsys):
     assert main(["validate", "no-such-file.scm"]) == 2
 

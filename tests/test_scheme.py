@@ -320,37 +320,38 @@ def test_quotient_scheme_builds_its_coset_partition_once(monkeypatch):
     assert partitions == closed == passes == [a4.bits]
 
 
-@pytest.mark.parametrize("x, row, message", [
-    # 0 meets point 1 in T's label 3: its block is {0, 1, 3}
-    (0, (0, 3, 2, 3, 4, 5), "blocks of a closed subset must all have size n_T"),
-    # 1 swaps its labels at points 0 and 4, T's 3 and 5: its block is {0, 1}
-    (1, (3, 0, 1, 2, 5, 4), "blocks of a closed subset overlap"),
-    # 0 meets point 1 in relation 2, outside T but in the coset {2, 5}
-    (0, (0, 2, 2, 3, 4, 5), "block pair met two different relation cosets"),
-])
-def test_quotient_scheme_checks_the_blocks(x, row, message):
-    """The blocks of a closed subset T are read off the relation matrix:
-    on C6 with T = {0, 3} they are {0, 3}, {1, 4} and {2, 5}, and each
-    block check fires once one row of the matrix is altered after
-    validation."""
-    s = sh.from_group(sh.cyclic(6))
-    t = s.closed_subset([0, 3])
-    assert s.rel[x] != row
-    s.rel = s.rel[:x] + (row,) + s.rel[x + 1:]
-    with pytest.raises(sh.InternalInconsistencyError) as info:
-        sh.quotient_scheme(s, t)
-    assert str(info.value) == message
+class _PoisonRow(tuple):
+    """A row that raises when it is iterated or indexed."""
+
+    def __iter__(self, *index):
+        raise AssertionError("a row of a point that is not a block's least was read")
+
+    __getitem__ = __iter__
 
 
-def test_quotient_scheme_checks_the_valency_law():
-    """n_{s^T} n_T = n_{TsT}: on C6 with T = {0, 3}, relation 1 given
-    valency 2 after validation makes its coset {1, 4} weigh 3."""
-    s = sh.from_group(sh.cyclic(6))
-    t = s.closed_subset([0, 3])
-    s.hypergroup.valencies = (1, 2, 1, 1, 1, 1)
-    with pytest.raises(sh.InternalInconsistencyError) as info:
-        sh.quotient_scheme(s, t)
-    assert str(info.value) == "valency law fails at relation 1: 1 * 2 != 3"
+def test_quotient_scheme_reads_only_the_least_point_of_each_block():
+    """quotient_scheme reads the rows of the least point of each block
+    and no other: with every other row made to raise when read, it
+    returns the same scheme, on S4 modulo each of its closed subsets
+    and on hm176_28 modulo {0, 1, 2, 3}, whose blocks are {0, 1, 2, 3},
+    {4, 5, 6, 7}, ..."""
+    s4 = sh.from_group(sh.symmetric(4))
+    wreath = sh.bundled_scheme("hm176_28").scheme()
+    cases = [(s4, t.members()) for t in s4.closed_subsets()] + [(wreath, [0, 1, 2, 3])]
+    for scheme, members in cases:
+        t = scheme.closed_subset(members)
+        want = sh.quotient_scheme(scheme, t)
+        rel = scheme.rel
+        least = {min(y for y, r in enumerate(row) if r in members) for row in rel}
+        scheme.rel = tuple(row if x in least else _PoisonRow(row) for x, row in enumerate(rel))
+        got = sh.quotient_scheme(scheme, t)
+        scheme.rel = rel
+        assert (got.rel, got.name, got.valencies) == (want.rel, want.name, want.valencies)
+        hq, want_hq = got.hypergroup, want.hypergroup
+        assert (hq.table, hq.inverse, hq.cosets, hq.coset_of) == (
+            want_hq.table, want_hq.inverse, want_hq.cosets, want_hq.coset_of
+        )
+    assert len(least) == 7
 
 
 def test_scheme_chain_is_checked_against_its_step_primes(monkeypatch):
@@ -609,6 +610,36 @@ def test_valency_must_divide_n_on_every_path():
     hg._closed = (*lattice[:3], sh.ClosedSubset(hg, lattice[3].bits, 5), *lattice[4:])
     with pytest.raises(sh.InternalInconsistencyError, match=message):
         sh.all_hall_subsets(s4, {2})
+
+
+def test_a_hand_built_subset_that_is_not_closed_gets_its_typed_error():
+    """A ClosedSubset built by hand on a mask that is not closed is a
+    caller's input, answered with the typed errors, not as an engine
+    bug, even when its valency does not divide n: on C6 at pi = {2},
+    {0, 1, 2, 3}, of valency 4, is neither a closed pi-subset nor Hall,
+    as is every mask whose valency does not divide n, and {0, 1} is
+    refused once it is found not closed."""
+    s = sh.from_group(sh.cyclic(6))
+    hg = s.hypergroup
+    hall = sh.find_hall(s, {2}).hall
+    bad = sh.ClosedSubset(hg, 0b1111)
+    assert not hg.is_closed_mask(bad.bits) and 6 % bad.valency
+    got = sh.pi_predicates(s, bad, {2})
+    assert (got.is_pi_valenced, got.is_closed_pi_subset, got.is_hall_pi_subset) == (True, False, False)
+    for mask, why in ((0b1111, ""), (0b11, "is not closed, so it ")):
+        bad = sh.ClosedSubset(hg, mask)
+        relations, v = list(bad.members()), bad.valency
+        with pytest.raises(sh.NotClosedPiSubsetError) as info:
+            sh.extend_to_hall(s, bad, {2})
+        assert str(info.value) == (
+            f"subset of valency {v} with relations {relations} is not a closed {{2}}-subset"
+        )
+        for label, t, u in (("first", bad, hall), ("second", hall, bad)):
+            with pytest.raises(sh.NotHallError) as info:
+                sh.conjugating_element(s, t, u, {2})
+            assert str(info.value) == (
+                f"{label} subset (relations {relations}, valency {v}) {why}is not a Hall {{2}}-subset"
+            )
 
 
 def test_is_pi_number_keeps_its_errors_and_pi_containers():

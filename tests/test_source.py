@@ -66,27 +66,42 @@ def _message_pattern(message: ast.expr) -> str:
     return pattern
 
 
+def _tool(name: str) -> types.ModuleType:
+    """The script tools/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_internal_check_fires_in_a_test():
     """Each InternalInconsistencyError and NoConjugatorFoundError raised
     in src/ is named in tests/: some string there, less a leading ^,
     begins with the leading text of its message, as _message_pattern
     reads it.  A check that no test makes fire may be unreachable, test
     the wrong thing or carry a wrong message; it fires in a test, through
-    a seeded fault or a natural bad input, or it goes."""
+    a seeded fault or a natural bad input, or it goes.  The scan finds
+    every site: as many as tools/src_lines.py counts raises of
+    InternalInconsistencyError, plus the NoConjugatorFoundError sites,
+    and that count is not zero."""
     named = [
         node.value.removeprefix("^")
         for path in sorted((ROOT / "tests").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     ]
+    sources = {path: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
     sites = [
-        (f"{path.name}:{node.lineno}", _message_pattern(node.args[0]))
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        (f"{path.name}:{node.lineno}", node.func.id, _message_pattern(node.args[0]))
+        for path, source in sources.items()
+        for node in ast.walk(ast.parse(source, filename=str(path)))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ENGINE_ERRORS
     ]
-    assert len(sites) > 20 and not any(p.startswith(".+") for _, p in sites), sites
-    silent = [site for site, pattern in sites if not any(re.match(pattern, s) for s in named)]
+    raises = sum(map(_tool("src_lines").check_sites, sources.values()))
+    no_conjugator = sum(error == "NoConjugatorFoundError" for _, error, _ in sites)
+    assert raises and len(sites) == raises + no_conjugator, (raises, sites)
+    assert not any(p.startswith(".+") for _, _, p in sites), sites
+    silent = [site for site, _, pattern in sites if not any(re.match(pattern, s) for s in named)]
     assert not silent, f"internal checks that no test makes fire: {silent}"
 
 
@@ -318,9 +333,7 @@ def test_src_lines_counts_code_lines_only():
     carries a trailing comment.  Its check sites are the raise statements
     of InternalInconsistencyError, called or bare, by name or through its
     module."""
-    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
-    src_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_lines)
+    src_lines = _tool("src_lines")
     source = (
         '"""Module docstring,\n'
         'two lines."""\n'
@@ -379,9 +392,7 @@ def test_src_coverage_lists_statements_only():
     docstrings, other bare strings, def, class and import lines, try and
     bare annotations.  A statement is unexecuted when none of those lines
     ran.  It runs no pytest."""
-    spec = importlib.util.spec_from_file_location("src_coverage", ROOT / "tools" / "src_coverage.py")
-    src_coverage = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_coverage)
+    src_coverage = _tool("src_coverage")
     source = (
         '"""Module docstring."""\n'           # 1
         "import os\n"                          # 2
@@ -427,9 +438,7 @@ def test_ab_bench_summary_applies_both_rules():
     fraction of the parent's median, and "unresolved" when the parent's
     spread between quartiles is wider than that fraction, unless every
     change run reads better than every parent run."""
-    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
-    ab_bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_bench)
+    ab_bench = _tool("ab_bench")
     metrics = [
         {"name": "items_per_s", "better": "higher", "bound": 0.25},
         {"name": "item_p90_ms", "better": "lower", "bound": 0.25},
@@ -474,9 +483,7 @@ def test_call_medians_summary_credits_call_types():
     sum of its item medians in ms and their median in us; then p50 and
     p90 of all item medians, as bench/run.py takes them, with the call
     types of the items at the two ranks each interpolates between."""
-    spec = importlib.util.spec_from_file_location("call_medians", ROOT / "tools" / "call_medians.py")
-    call_medians = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(call_medians)
+    call_medians = _tool("call_medians")
     calls = ["a", "b", "a", "c", "b", "a", "c", "a", "b", "c", "c"]
     us = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 30.0]
     assert call_medians.summarize(calls, [x * 1e-6 for x in us]) == [
