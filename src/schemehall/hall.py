@@ -18,8 +18,7 @@ pi-record (scheme._pi_facts), one per scheme and pi & primes: the mask
 of the pi-valenced relations and the pi-part of n, set when it is
 built, and the family all_hall_subsets returns and the Hall context,
 set here on first success.  So each fact is checked once, and a warm
-query checks only its own inputs, testing one closed only when it finds
-no answer, to tell a subset that is not closed from an engine bug.
+query checks only its own inputs, which are closed by their type.
 """
 from __future__ import annotations
 
@@ -42,6 +41,7 @@ from .groups import Table, is_solvable_group, thin_hypergroup
 from .hypergroup import (
     ClosedSubset,
     Hypergroup,
+    _closed,
     _conjugates,
     _conjugators,
     _enumerate_closed,
@@ -50,14 +50,7 @@ from .hypergroup import (
     is_strongly_normal,
 )
 from .quotient import QuotientHypergroup, _lift
-from .scheme import (
-    AssociationScheme,
-    _own_subset,
-    _pi_facts,
-    _PiFacts,
-    _pi_tests,
-    _raise_valency_not_dividing_n,
-)
+from .scheme import AssociationScheme, _own_subset, _pi_facts, _PiFacts, _pi_tests
 from .solvability import _residue_series
 
 __all__ = [
@@ -151,7 +144,7 @@ def _core_and_halls(
     halls = _hall_subgroups(hq, ps)
     meet = reduce(and_, halls)
     if meet == 1:
-        core = ClosedSubset(scheme.hypergroup, hq.modulus.bits)
+        core = _closed(scheme.hypergroup, hq.modulus.bits)
     elif meet == hq.full_mask:
         core = scheme.hypergroup.universe()
     else:
@@ -305,10 +298,11 @@ def _hall_family(
     of the lattice.  The walk's results are filtered on the valencies it
     summed, by mask, and are returned with their valency unset, to be
     summed on first read.  The other candidates are tested in one loop,
-    with no call per candidate: each valency read must divide n, the
-    check _pi_tests makes, and a candidate is Hall when its valency is
-    target and its relations lie in valenced.  A bottom that is no
-    pi-subset leaves no Hall subset.
+    with no call per candidate: each valency read must divide n, as the
+    classes of a closed subset partition the points, checked here once
+    per (scheme, pi), and a candidate is Hall when its valency is target
+    and its relations lie in valenced.  A bottom that is no pi-subset
+    leaves no Hall subset.
 
     target is also the largest valency of a closed pi-subset: each
     valency is a pi-number dividing n, so it divides the pi-part.  A
@@ -321,9 +315,9 @@ def _hall_family(
     hg = scheme.hypergroup
     n = scheme.n_points
     if target == n:
-        candidates = (ClosedSubset(hg, hg.full_mask, n),)
+        candidates = (_closed(hg, hg.full_mask, n),)
     elif target == 1:
-        candidates = (ClosedSubset(hg, 1, 1),)
+        candidates = (_closed(hg, 1, 1),)
     elif hg._closed is not None:  # {0} lies in every closed subset
         candidates = hg._closed if bottom == 1 else [c for c in hg._closed if not bottom & ~c.bits]
     else:
@@ -341,7 +335,7 @@ def _hall_family(
     for t in candidates:
         v = t.valency
         if n % v:
-            _raise_valency_not_dividing_n()
+            raise InternalInconsistencyError("closed subset valency must divide n")
         if v == target and not t.bits & ~valenced:
             family.append(t)
     return tuple(family)
@@ -415,7 +409,7 @@ class _HallContext:
         self.hq, self.halls = hq, tuple(steps)
         hg, cosets = scheme.hypergroup, hq.cosets
         self.lifted = tuple(
-            ClosedSubset(
+            _closed(
                 hg,
                 hg.full_mask if gm == hq.full_mask else sum(map(cosets.__getitem__, bits_of(gm))),
                 facts.target,
@@ -479,43 +473,30 @@ def conjugating_element(
     Inputs are re-verified as Hall subsets and the conjugator is the
     first that _conjugators yields over every relation, the least valid
     relation index; the context certified at build that its Hall family
-    is conjugate through the quotient group.  Once both inputs pass, a
+    is conjugate through the quotient group, so two Hall subsets with no
+    conjugator raise NoConjugatorFoundError.  Once both inputs pass, a
     subset asked onto itself is answered 0 with no scan: 0^ T 0 = T by
-    H2, and 0 is the least index, so it is the scan's own answer.  The
-    Hall test reads a subset's relations and valency only, so when no
-    relation conjugates, each input is tested closed first: one that is
-    not raises NotHallError naming it, and only two closed Hall subsets
-    with no conjugator raise NoConjugatorFoundError.
+    H2, and 0 is the least index, so it is the scan's own answer.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)  # raises the precondition errors; certifies conjugacy once
-    inputs = (("first", t), ("second", u))
-    for label, x in inputs:
+    for label, x in (("first", t), ("second", u)):
         _own_subset(scheme, x)
-        if not _pi_tests(scheme, x, ctx.facts.valenced, ctx.facts.target)[1]:
-            raise _not_hall(label, x, ps)
+        if not _pi_tests(x, ctx.facts.valenced, ctx.facts.target)[1]:
+            raise NotHallError(
+                f"{label} subset (relations {list(x.members())}, valency "
+                f"{x.valency}) is not a Hall {format_pi(ps)}-subset"
+            )
     if t.bits == u.bits:
         return 0  # 0^ T 0 = T, by H2, and 0 is the least relation
 
     s = next(_conjugators(scheme.hypergroup, t.bits, u.bits, scheme.hypergroup.full_mask), None)
     if s is None:
-        for label, x in inputs:  # a ClosedSubset built by hand may not be closed
-            if not scheme.hypergroup.is_closed_mask(x.bits):
-                raise _not_hall(label, x, ps, "is not closed, so it ")
         raise NoConjugatorFoundError(
             "no relation conjugates the first Hall subset onto the second; "
             "conjugacy is guaranteed here, so this is an engine bug"
         )
     return s
-
-
-def _not_hall(label: str, x: ClosedSubset, ps: frozenset[int], why: str = "") -> NotHallError:
-    """The error naming conjugating_element's label input x, with why
-    before its verdict."""
-    return NotHallError(
-        f"{label} subset (relations {list(x.members())}, valency "
-        f"{x.valency}) {why}is not a Hall {format_pi(ps)}-subset"
-    )
 
 
 def extend_to_hall(
@@ -529,24 +510,20 @@ def extend_to_hall(
     that contains the subset.  Each is closed and contains the core, the
     lift of the Hall subgroups' intersection, so this is the first one
     containing core * subset: the first Hall subgroup of the quotient
-    group containing its image.  The closed pi-subset test reads the
-    subset's relations and valency only, so when no Hall subset contains
-    it, it is tested closed: one that is not raises
-    NotClosedPiSubsetError, and only a closed one InternalInconsistencyError.
+    group containing its image.  So a closed pi-subset that no Hall
+    subset contains raises InternalInconsistencyError.
     """
     ps = validate_pi(pi)
     ctx = _context(scheme, ps)
     _own_subset(scheme, subset)
-    if _pi_tests(scheme, subset, ctx.facts.valenced, ctx.facts.target)[0]:
+    if _pi_tests(subset, ctx.facts.valenced, ctx.facts.target)[0]:
         for i, h in enumerate(ctx.lifted):
             if subset.bits & ~h.bits == 0:
                 return ctx.certificate(i, ps)
-        # a ClosedSubset built by hand may not be closed
-        if scheme.hypergroup.is_closed_mask(subset.bits):
-            raise InternalInconsistencyError(
-                f"no lifted Hall subset contains the closed subset with relations "
-                f"{list(subset.members())}"
-            )
+        raise InternalInconsistencyError(
+            f"no lifted Hall subset contains the closed subset with relations "
+            f"{list(subset.members())}"
+        )
     raise NotClosedPiSubsetError(
         f"subset of valency {subset.valency} with relations "
         f"{list(subset.members())} is not a closed {format_pi(ps)}-subset"

@@ -2,9 +2,12 @@
 
 Elements are the integers 0..size-1 and the neutral element always sits
 at index 0 (validation re-indexes the input if necessary).  Subsets of
-elements are bitmasks wrapped in ElementSubset; the wrapper remembers
-which hypergroup it belongs to and refuses to mix subsets of different
-parents.
+elements are bitmasks wrapped in ElementSubset; the wrapper checks its
+mask against its parent, remembers which hypergroup it belongs to and
+refuses to mix subsets of different parents.  A ClosedSubset is closed
+by construction: its public constructor checks the mask, and the
+library builds its own through _closed, which checks nothing, as each
+result is closed by a proof the library already has.
 
 The axioms checked by validate_hypergroup:
 
@@ -40,6 +43,7 @@ from .errors import (
     InternalInconsistencyError,
     NoInverseError,
     NotAGroupError,
+    NotClosedError,
     NoNeutralError,
     NotSubsetError,
     ParentMismatchError,
@@ -260,37 +264,41 @@ class Hypergroup:
     # -- subset constructors -------------------------------------------
 
     def subset(self, elements: Iterable[int] | int) -> "ElementSubset":
+        """The subset of a mask, which ElementSubset checks, or of an
+        iterable of elements, each checked by _check_element."""
         if isinstance(elements, int):
-            mask = elements
-            if type(mask) is not int:  # bool is an int subclass
-                raise ValueError(f"mask {mask!r} is not an int")
-            if mask >> self.size:
-                raise self._out_of_range(mask)
-        else:
-            mask = 0
-            for s in elements:
-                self._check_element(s)
-                mask |= 1 << s
+            return ElementSubset(self, elements)
+        mask = 0
+        for s in elements:
+            self._check_element(s)
+            mask |= 1 << s
         return ElementSubset(self, mask)
 
     def universe(self) -> "ClosedSubset":
-        return ClosedSubset(self, self.full_mask)
+        return _closed(self, self.full_mask)
 
     def neutral_subset(self) -> "ClosedSubset":
-        return ClosedSubset(self, 1)
+        return _closed(self, 1)
 
 
 class ElementSubset:
     """Subset of a hypergroup's elements, stored as a bitmask.
 
-    Algebraic operations require both operands to come from the same
-    parent object; mixing parents raises ParentMismatchError.  Equality
-    against a subset of a different parent is simply False.
+    The mask must be an int in range for parent, with no bit at or past
+    its size, so a negative one, whose sign extends, is refused too:
+    ValueError otherwise.  Algebraic operations require both operands to
+    come from the same parent object; mixing parents raises
+    ParentMismatchError.  Equality against a subset of a different
+    parent is simply False.
     """
 
     __slots__ = ("parent", "bits")
 
     def __init__(self, parent: Hypergroup, bits: int):
+        if type(bits) is not int:  # bool is an int subclass
+            raise ValueError(f"mask {bits!r} is not an int")
+        if bits >> parent.size:
+            raise parent._out_of_range(bits)
         self.parent = parent
         self.bits = bits
 
@@ -342,17 +350,23 @@ class ElementSubset:
 
 
 class ClosedSubset(ElementSubset):
-    """An ElementSubset that has been checked to be closed.  On a scheme's
-    hypergroup its valency sums its relations' valencies: given to the
-    constructor by a caller that has summed them, else summed on first
-    read and kept.  It is set once, either way, and never reassigned."""
+    """A closed subset of a hypergroup.  The constructor reads elements,
+    a mask or an iterable of elements, through parent.subset, which
+    checks them, and raises NotClosedError unless the result is closed.
+    The library builds its own through _closed.  On a scheme's
+    hypergroup its valency sums its relations' valencies: given by the
+    library caller that has summed them, else summed on first read and
+    kept.  It is set once, either way, and never reassigned."""
 
     __slots__ = ("_valency",)
 
-    def __init__(self, parent: Hypergroup, bits: int, valency: int | None = None):
+    def __init__(self, parent: Hypergroup, elements: Iterable[int] | int):
+        sub = parent.subset(elements)
+        if not sub.is_closed():
+            raise NotClosedError(f"relation set {sub.members()} is not closed")
         self.parent = parent
-        self.bits = bits
-        self._valency = valency
+        self.bits = sub.bits
+        self._valency = None
 
     @property
     def valency(self) -> int:
@@ -360,6 +374,15 @@ class ClosedSubset(ElementSubset):
         if v is None:
             v = self._valency = self.parent.valency_of_mask(self.bits)
         return v
+
+
+def _closed(parent: Hypergroup, bits: int, valency: int | None = None) -> ClosedSubset:
+    """The ClosedSubset of parent on bits, with valency if given, built
+    with no check: each caller holds a proof that bits is closed, and
+    that valency, if any, is its sum."""
+    c = object.__new__(ClosedSubset)
+    c.parent, c.bits, c._valency = parent, bits, valency
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +639,7 @@ def _h1_witness(masks: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
 def closure(subset: ElementSubset) -> ClosedSubset:
     """Smallest closed subset containing the given nonempty subset;
     closure_mask's exit test proves it closed."""
-    return ClosedSubset(subset.parent, subset.parent.closure_mask(subset.bits))
+    return _closed(subset.parent, subset.parent.closure_mask(subset.bits))
 
 
 def enumerate_closed_subsets(hg: Hypergroup) -> tuple[ClosedSubset, ...]:
@@ -719,7 +742,7 @@ def _enumerate_closed(
     if keep is not None and not keep(bottom):
         return ()
     if leaf is not None and leaf(bottom):
-        return (ClosedSubset(hg, bottom),)
+        return (_closed(hg, bottom),)
     attrs = [(s, c) for s, c in _attributes(hg) if not bottom >> s & 1]
     outside = 0
     if keep is not None:
@@ -746,7 +769,7 @@ def _enumerate_closed(
                 found.append(joined)
                 if leaf is None or not leaf(joined):
                     stack.append((joined, ext, i + 1, passed))
-    return tuple(sorted((ClosedSubset(hg, m) for m in found), key=ElementSubset.sort_key))
+    return tuple(sorted((_closed(hg, m) for m in found), key=ElementSubset.sort_key))
 
 
 def _normalizer(hg: Hypergroup, c: int, within: int) -> int:
@@ -873,7 +896,7 @@ def theta_core(hg: Hypergroup) -> ClosedSubset:
     the smallest one once it is strongly normal itself, which is checked
     rather than trusted.
     """
-    core = ClosedSubset(hg, _thin_residue(hg, hg.full_mask))
+    core = _closed(hg, _thin_residue(hg, hg.full_mask))
     if not is_strongly_normal(core, hg.universe()):
         raise InternalInconsistencyError("theta core lost strong normality")
     return core

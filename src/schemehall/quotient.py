@@ -23,6 +23,7 @@ from .hypergroup import (
     ClosedSubset,
     ElementSubset,
     Hypergroup,
+    _closed,
     _double_cosets,
     _prove,
     _share_table_caches,
@@ -76,11 +77,11 @@ def _coset_partition(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The cosets of outer // F, the double cosets F h F for h in the
     closed mask outer, and coset_of, each element's coset index, -1
-    outside outer, once modulus F is checked closed.  For F = {0} and
-    outer = H the cosets are the singletons, with no double-coset work.
-    Callers check that modulus is a subset of hg."""
-    if not hg.is_closed_mask(modulus.bits):
-        raise NotClosedError("quotient modulus must be a closed subset")
+    outside outer.  For F = {0} and outer = H the cosets are the
+    singletons, with no double-coset work.  Callers check that modulus
+    is a subset of hg, and closed: quotient and subquotient test it, a
+    ClosedSubset is closed by its type, and the residue series' moduli
+    are closure_mask results."""
     f = modulus.bits
     if f == 1 and outer == hg.full_mask:
         return tuple(1 << s for s in hg.elements), tuple(hg.elements)
@@ -115,7 +116,8 @@ def _quotient(
     the singletons: it shares hg's table, proved when hg was built, and
     it is given hg's generating set and attributes, which the table
     alone decides, so its derived series picks no set of its own.
-    Callers check that modulus is a subset of hg."""
+    Callers check that modulus is a closed subset of hg, as
+    _coset_partition needs."""
     cosets, coset_of = partition or _coset_partition(hg, outer, modulus)
     f = modulus.bits
     if f == 1 and outer == hg.full_mask:
@@ -147,7 +149,7 @@ def _quotient(
         table = tuple(map(tuple, raw))
         inverse = tuple(coset_of[hg.inverse[r]] for r in reps)
     hq = QuotientHypergroup(
-        table, inverse, hg, ClosedSubset(hg, f), cosets, coset_of, name, valencies
+        table, inverse, hg, _closed(hg, f), cosets, coset_of, name, valencies
     )
     if table is hg.table:
         _share_table_caches(hg, hq)
@@ -159,6 +161,8 @@ def _quotient(
 def quotient(hg: Hypergroup, modulus: ElementSubset) -> QuotientHypergroup:
     """H // F for a closed subset F of H."""
     hg.universe()._check(modulus)
+    if not hg.is_closed_mask(modulus.bits):
+        raise NotClosedError("quotient modulus must be a closed subset")
     return _quotient(hg, hg.full_mask, modulus, f"{hg.name}//{modulus.members()}")
 
 
@@ -171,6 +175,8 @@ def subquotient(hg: Hypergroup, outer: ElementSubset, inner: ElementSubset) -> Q
         raise NotSubsetError("inner subset must lie inside the outer one")
     if not hg.is_closed_mask(outer.bits):
         raise NotClosedError("can only restrict to a closed subset")
+    if not hg.is_closed_mask(inner.bits):
+        raise NotClosedError("quotient modulus must be a closed subset")
     return _quotient(hg, outer.bits, inner, f"{hg.name}|{outer.members()}//{inner.members()}")
 
 
@@ -196,7 +202,7 @@ def _lift(q: QuotientHypergroup, bits: int) -> ClosedSubset:
     m = sum(map(q.cosets.__getitem__, bits_of(bits)))  # the cosets are disjoint
     if not q.parent.is_closed_mask(m):
         raise InternalInconsistencyError("lift of a closed subset is not closed")
-    return ClosedSubset(q.parent, m)
+    return _closed(q.parent, m)
 
 
 def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset:
@@ -213,7 +219,7 @@ def project_closed(q: QuotientHypergroup, subset: ElementSubset) -> ClosedSubset
     m = mask_of(q.coset_of[x] for x in bits_of(subset.bits))
     if not q.is_closed_mask(m):
         raise InternalInconsistencyError("projection of a closed subset is not closed")
-    return ClosedSubset(q, m)
+    return _closed(q, m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,4 +281,4 @@ def kernel(phi: HypergroupHomomorphism) -> ClosedSubset:
             f"preimage {list(bits_of(m))} of the neutral element is not closed, "
             "so the map is not a homomorphism: build it with validate_homomorphism"
         )
-    return ClosedSubset(phi.source, m)
+    return _closed(phi.source, m)

@@ -31,7 +31,6 @@ from .errors import (
     IdentityViolationError,
     InternalInconsistencyError,
     NotAGroupError,
-    NotClosedError,
     NotPartitionError,
     ParentMismatchError,
     NotSquareError,
@@ -117,10 +116,7 @@ class AssociationScheme:
         return tuple(map(tuple, _count_table(rel, 0, rel[0].index(r), self.rank)))
 
     def closed_subset(self, relations: Iterable[int] | int) -> ClosedSubset:
-        sub = self.hypergroup.subset(relations)
-        if not sub.is_closed():
-            raise NotClosedError(f"relation set {sub.members()} is not closed")
-        return ClosedSubset(sub.parent, sub.bits)
+        return ClosedSubset(self.hypergroup, relations)
 
     def closed_subsets(self) -> tuple[ClosedSubset, ...]:
         """Every closed relation set: enumerate_closed_subsets of the hypergroup, cached there."""
@@ -534,44 +530,25 @@ def pi_predicates(
     scheme: AssociationScheme, subset: ClosedSubset, pi: Iterable[int]
 ) -> PiPredicates:
     """Whether subset is pi-valenced, a closed pi-subset and a Hall
-    pi-subset.  The tests read only its relations and its valency, and
-    trust that it is closed, as a ClosedSubset of scheme.hypergroup is:
-    one built by hand on a mask that is not closed gets the answers its
-    relations and valency give, neither a closed pi-subset nor Hall when
-    that valency does not divide n, which for a closed one raises
-    InternalInconsistencyError."""
+    pi-subset, read off its relations and its valency; it is closed, as
+    every ClosedSubset is."""
     _own_subset(scheme, subset)
     facts = _pi_facts(scheme, validate_pi(pi))
-    closed_pi, hall = _pi_tests(scheme, subset, facts.valenced, facts.target)
+    closed_pi, hall = _pi_tests(subset, facts.valenced, facts.target)
     return PiPredicates(subset.bits & ~facts.valenced == 0, closed_pi, hall)
 
 
-def _pi_tests(
-    scheme: AssociationScheme, subset: ClosedSubset, valenced: int, target: int
-) -> tuple[bool, bool]:
-    """(closed pi-subset, Hall pi-subset) for a closed subset of
-    scheme.hypergroup, from the mask of the pi-valenced relations and
-    target, the pi-part of n.  Its valency v divides n, which is checked,
-    so v is a pi-number exactly when it divides target, and then the
-    index n / v is a pi'-number too exactly when v is target.  A
-    ClosedSubset built by hand on a mask that is not closed may have a
-    valency that does not divide n, so divides no divisor of n, target
-    included: that subset is neither, and only a closed one raises."""
+def _pi_tests(subset: ClosedSubset, valenced: int, target: int) -> tuple[bool, bool]:
+    """(closed pi-subset, Hall pi-subset) for a closed subset of a
+    scheme's hypergroup, from the mask of the pi-valenced relations and
+    target, the pi-part of n.  Its valency v divides n, as its classes
+    partition the points, so v is a pi-number exactly when it divides
+    target, and then the index n / v is a pi'-number too exactly when v
+    is target."""
     v = subset.valency
-    if scheme.n_points % v:
-        if scheme.hypergroup.is_closed_mask(subset.bits):
-            _raise_valency_not_dividing_n()
-        return False, False
     if subset.bits & ~valenced:
         return False, False
     return target % v == 0, v == target
-
-
-def _raise_valency_not_dividing_n() -> NoReturn:
-    """The one check that a closed subset's valency divides n, for
-    _pi_tests, on a subset whose mask it finds closed, and the Hall
-    filter's loop, on every member of the lattice it reads."""
-    raise InternalInconsistencyError("closed subset valency must divide n")
 
 
 def conjugate_subset(

@@ -24,6 +24,7 @@ from .groups import _derived_series, is_solvable_group
 from .hypergroup import (
     ClosedSubset,
     Hypergroup,
+    _closed,
     _double_cosets,
     _thin_residue,
     bits_of,
@@ -57,8 +58,8 @@ def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
     """The factors T // O^θ(T) of the residue series from the top down,
     cached; None when hg is not solvable.  Each quotient is built by
     quotient._quotient over hg, its cosets masks over hg, with no check
-    that T is closed: T is the whole set or a closure_mask result, which
-    its exit test proved closed, and _quotient checks the modulus.  Each
+    that T or its residue is closed: each is the whole set or a
+    closure_mask result, which its exit test proved closed.  Each
     is checked thin by is_thin and solvable by its derived series, both
     read off the quotient.  is_thin reads
     only each s^s, which is enough: _prove checked H1-H3 on q, and once
@@ -78,7 +79,7 @@ def _residue_series(hg: Hypergroup) -> tuple[QuotientHypergroup, ...] | None:
     factors = []
     for outer, inner in zip(masks, masks[1:]):
         name = f"{hg.name}|{bits_of(outer)}//{bits_of(inner)}"
-        q = _quotient(hg, outer, ClosedSubset(hg, inner), name)
+        q = _quotient(hg, outer, _closed(hg, inner), name)
         if not is_thin(q):  # the step's strong-normality check
             raise InternalInconsistencyError(f"residue factor {q.name} is not thin")
         if not is_solvable_group(q):

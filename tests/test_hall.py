@@ -109,29 +109,24 @@ def test_conjugating_element_rejects_non_hall(s4_scheme):
 
 @pytest.mark.parametrize("mask", [0xFF, 0b110])
 def test_hall_queries_name_an_input_that_is_not_closed(s4_scheme, mask):
-    """A ClosedSubset built by hand on a mask that is not closed passes the
-    tests that read only its relations and valency: relations 0-7 have
-    the Hall valency 8 at {2}, and relations 1 and 2 the pi-valency 2.
-    When no answer is found, the input is tested closed and named as
-    not Hall, or not a closed pi-subset, rather than reported as an
-    engine bug, in either argument position of conjugating_element."""
+    """A mask that is not closed never reaches a Hall query, whose tests
+    read only a subset's relations and valency: relations 0-7 have the
+    Hall valency 8 at {2}, and relations 1 and 2 the pi-valency 2.  The
+    ClosedSubset constructor refuses it with NotClosedError naming its
+    relations, as closed_subset does, given as the mask or as the list
+    of its relations; its closure is accepted, and is closed_subset's
+    answer for it."""
     hg = s4_scheme.hypergroup
-    bad = sh.ClosedSubset(hg, mask)
     assert not hg.is_closed_mask(mask)
-    members, valency = list(bad.members()), bad.valency
-    hall = sh.all_hall_subsets(s4_scheme, {2})[0]
-    why = "is not closed, so it " if valency == 8 else ""
-    for label, t, u in (("first", bad, hall), ("second", hall, bad)):
-        with pytest.raises(sh.NotHallError) as info:
-            sh.conjugating_element(s4_scheme, t, u, {2})
-        assert str(info.value) == (
-            f"{label} subset (relations {members}, valency {valency}) {why}is not a Hall {{2}}-subset"
-        )
-    with pytest.raises(sh.NotClosedPiSubsetError) as info:
-        sh.extend_to_hall(s4_scheme, bad, {2})
-    assert str(info.value) == (
-        f"subset of valency {valency} with relations {members} is not a closed {{2}}-subset"
-    )
+    members = bits_of(mask)
+    for elements in (mask, list(members)):
+        for build in (sh.ClosedSubset, lambda hg, e: s4_scheme.closed_subset(e)):
+            with pytest.raises(sh.NotClosedError) as info:
+                build(hg, elements)
+            assert str(info.value) == f"relation set {members} is not closed"
+    closed = sh.closure(hg.subset(mask))
+    assert closed.bits != mask
+    assert sh.ClosedSubset(hg, closed.bits) == s4_scheme.closed_subset(closed.members()) == closed
 
 
 def test_o_pi_values(s4_scheme):

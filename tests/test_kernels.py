@@ -1072,12 +1072,12 @@ def test_hall_check_walks_only_above_the_core(monkeypatch):
 
 
 def test_residue_series_checks_only_the_moduli_closed(monkeypatch):
-    """The residue series quotients by each residue without checking the
-    set above it closed, as that set is the whole set or a closure: on a
-    fresh thin S4 the one is_closed_mask call is _quotient's check of
-    the modulus {0}, not the whole set's n^2 cells.  On the fresh wreath
-    product of an order-4 and an order-6 scheme (24 points), whose
-    series has four factors, the calls are the four moduli alone."""
+    """The residue series quotients by each residue without checking it
+    or the set above it closed, as each is the whole set or a closure:
+    on a fresh thin S4, and on the fresh wreath product of an order-4
+    and an order-6 scheme (24 points), whose series has four factors,
+    is_closed_mask is never called, neither on a modulus nor on the
+    whole set's n^2 cells."""
     calls = []
     original = Hypergroup.is_closed_mask
 
@@ -1091,14 +1091,15 @@ def test_residue_series_checks_only_the_moduli_closed(monkeypatch):
     s = sh.from_group(sh.symmetric(4))
     hg = s.hypergroup
     assert sh.is_solvable_scheme(s)
-    assert calls == [1]
+    assert calls == [] and len(hg._residue) == 1
     s = next(s for s in residue_corpus() if s.name.startswith("wreath 4:1"))
     s = sh.validate_scheme(s.rel, name=s.name)
     hg = s.hypergroup
     calls.clear()
     assert sh.is_solvable_scheme(s)
     assert len(hg._residue) == 4
-    assert calls == [q.modulus.bits for q in hg._residue] and hg.full_mask not in calls
+    assert calls == []
+    assert hg.is_closed_mask(1) and calls == [1]  # the count sees a call
 
 
 def test_keep_walk_sums_each_valency_once(monkeypatch):

@@ -81,6 +81,22 @@ def test_quotient_rejects_nonclosed_modulus(c6):
         sh.quotient(c6, c6.subset([0, 1]))
 
 
+def test_quotient_doors_check_the_modulus_closed_in_order(c6):
+    """quotient and subquotient, the doors that take any subset, check
+    the modulus closed, after the parent, containment and outer checks,
+    with one message."""
+    message = "quotient modulus must be a closed subset"
+    with pytest.raises(sh.NotClosedError, match=message):
+        sh.quotient(c6, c6.subset([0, 1]))
+    with pytest.raises(sh.NotClosedError, match=message):
+        sh.subquotient(c6, c6.universe(), c6.subset([0, 1]))
+    with pytest.raises(sh.NotSubsetError, match="inner subset must lie inside the outer one"):
+        sh.subquotient(c6, c6.subset([0, 2]), c6.subset([0, 1]))
+    with pytest.raises(sh.NotClosedError, match="can only restrict to a closed subset"):
+        sh.subquotient(c6, c6.subset([0, 1, 2]), c6.subset([0, 1]))
+    assert sh.subquotient(c6, c6.universe(), c6.subset([0, 3])).size == 3
+
+
 def test_quotient_rejects_foreign_subset(c6, c3):
     with pytest.raises(sh.ParentMismatchError):
         sh.quotient(c6, c3.subset([0]))

@@ -25,6 +25,7 @@ import pytest
 import schemehall as sh
 from schemehall import arith, groups as groups_module, scheme as scheme_module
 from schemehall import hypergroup as hypergroup_module
+from schemehall.hypergroup import _closed
 
 from conftest import ALL_PI, catalogue_schemes
 
@@ -289,8 +290,9 @@ def test_quotient_scheme_proves_the_hypergroup_axioms_once(monkeypatch):
 def test_quotient_scheme_builds_its_coset_partition_once(monkeypatch):
     """quotient_scheme labels its block matrix with the coset partition
     and hands that partition to _quotient, so S4 modulo A4 makes one
-    partition, one closedness check of the modulus and one double-coset
-    pass."""
+    partition and one double-coset pass, and no closedness check, as a
+    ClosedSubset modulus is closed by its type.  The hypergroup door
+    quotient, which takes any subset, checks its modulus closed once."""
     s4 = sh.from_group(sh.symmetric(4))
     hg = s4.hypergroup
     a4 = next(t for t in s4.closed_subsets() if t.valency == 12)
@@ -317,6 +319,10 @@ def test_quotient_scheme_builds_its_coset_partition_once(monkeypatch):
     monkeypatch.setattr(sh.Hypergroup, "is_closed_mask", counted_closed)
     q = sh.quotient_scheme(s4, a4)
     assert (q.n_points, q.rank) == (2, 2)
+    assert partitions == passes == [a4.bits] and closed == []
+    partitions.clear()
+    passes.clear()
+    assert sh.quotient(hg, hg.subset(a4.bits)).size == 2
     assert partitions == closed == passes == [a4.bits]
 
 
@@ -553,7 +559,7 @@ def test_mask_hall_tests_match_the_prime_set_definitions():
                 closed_pi = all(primes[scheme.valencies[s]] <= pi for s in t.members())
                 closed_pi = closed_pi and primes[v] <= pi
                 hall = closed_pi and not primes[n // v] & pi
-                got = scheme_module._pi_tests(scheme, t, valenced, target)
+                got = scheme_module._pi_tests(t, valenced, target)
                 assert got == (closed_pi, hall), (scheme.name, sorted(pi), t)
                 seen.add(got)
     assert len(schemes) == 176
@@ -587,59 +593,90 @@ def test_pi_valenced_mask_tests_each_valency_once(monkeypatch):
 
 
 def test_valency_must_divide_n_on_every_path():
-    """A closed subset whose valency does not divide n is refused with
-    the same InternalInconsistencyError by pi_predicates, the Hall
-    filter, conjugating_element and extend_to_hall."""
+    """The Hall filter refuses a closed subset whose valency does not
+    divide n with InternalInconsistencyError.  No caller's input reaches
+    that check: the ClosedSubset constructor takes no valency, and sums
+    its own on first read.  So the fault is planted in the cached
+    lattice the filter reads, before the first all_hall_subsets on s4,
+    which keeps the family it returns."""
     s4 = sh.from_group(sh.symmetric(4))
     hg = s4.hypergroup
-    bad = sh.ClosedSubset(hg, 1, 5)
-    hall = sh.find_hall(s4, {2}).hall
-    message = "closed subset valency must divide n"
-    calls = [
-        lambda: sh.pi_predicates(s4, bad, {2}),
-        lambda: sh.conjugating_element(s4, bad, hall, {2}),
-        lambda: sh.conjugating_element(s4, hall, bad, {2}),
-        lambda: sh.extend_to_hall(s4, bad, {2}),
-    ]
-    for call in calls:
-        with pytest.raises(sh.InternalInconsistencyError, match=message):
-            call()
-    # the cached lattice the filter reads, planted before the first
-    # all_hall_subsets on s4, which keeps the family it returns
+    with pytest.raises(TypeError):
+        sh.ClosedSubset(hg, 1, 5)
     lattice = s4.closed_subsets()
-    hg._closed = (*lattice[:3], sh.ClosedSubset(hg, lattice[3].bits, 5), *lattice[4:])
-    with pytest.raises(sh.InternalInconsistencyError, match=message):
+    hg._closed = (*lattice[:3], _closed(hg, lattice[3].bits, 5), *lattice[4:])
+    with pytest.raises(sh.InternalInconsistencyError, match="closed subset valency must divide n"):
         sh.all_hall_subsets(s4, {2})
 
 
 def test_a_hand_built_subset_that_is_not_closed_gets_its_typed_error():
-    """A ClosedSubset built by hand on a mask that is not closed is a
-    caller's input, answered with the typed errors, not as an engine
-    bug, even when its valency does not divide n: on C6 at pi = {2},
-    {0, 1, 2, 3}, of valency 4, is neither a closed pi-subset nor Hall,
-    as is every mask whose valency does not divide n, and {0, 1} is
-    refused once it is found not closed."""
+    """A mask that is not closed is a caller's input, refused with the
+    typed NotClosedError when the ClosedSubset is built, never answered
+    by a Hall query nor reported as an engine bug: on C6, {0, 1, 2, 3},
+    of valency 4, which divides no divisor of n, and {0, 1}, which
+    pi_predicates called a closed Hall {2}-subset when it could be
+    built, as its valency 2 is the 2-part of 6."""
     s = sh.from_group(sh.cyclic(6))
     hg = s.hypergroup
+    for mask, relations in ((0b1111, "(0, 1, 2, 3)"), (0b11, "(0, 1)")):
+        assert not hg.is_closed_mask(mask)
+        for build in (sh.ClosedSubset, lambda hg, m: s.closed_subset(m)):
+            with pytest.raises(sh.NotClosedError) as info:
+                build(hg, mask)
+            assert str(info.value) == f"relation set {relations} is not closed"
     hall = sh.find_hall(s, {2}).hall
-    bad = sh.ClosedSubset(hg, 0b1111)
-    assert not hg.is_closed_mask(bad.bits) and 6 % bad.valency
-    got = sh.pi_predicates(s, bad, {2})
-    assert (got.is_pi_valenced, got.is_closed_pi_subset, got.is_hall_pi_subset) == (True, False, False)
-    for mask, why in ((0b1111, ""), (0b11, "is not closed, so it ")):
-        bad = sh.ClosedSubset(hg, mask)
-        relations, v = list(bad.members()), bad.valency
-        with pytest.raises(sh.NotClosedPiSubsetError) as info:
-            sh.extend_to_hall(s, bad, {2})
-        assert str(info.value) == (
-            f"subset of valency {v} with relations {relations} is not a closed {{2}}-subset"
-        )
-        for label, t, u in (("first", bad, hall), ("second", hall, bad)):
-            with pytest.raises(sh.NotHallError) as info:
-                sh.conjugating_element(s, t, u, {2})
-            assert str(info.value) == (
-                f"{label} subset (relations {relations}, valency {v}) {why}is not a Hall {{2}}-subset"
-            )
+    assert hall.members() == (0, 3) and sh.pi_predicates(s, hall, {2}).is_hall_pi_subset
+
+
+def test_closed_subset_constructor_checks_its_input():
+    """ClosedSubset(parent, elements) reads elements as parent.subset
+    does, refusing a mask that is no int or out of range, or an element
+    out of range, with its ValueError, then a result that is not closed,
+    the empty set included, with NotClosedError; it takes no valency, and
+    sums its own on first read.  So no Hall or conjugation query sees a
+    bare ZeroDivisionError or IndexError from a subset built by hand."""
+    s4 = sh.from_group(sh.symmetric(4))
+    hg = s4.hypergroup
+    refused = [
+        (1 << 40, ValueError, "mask 0x10000000000 is out of range for order 24"),
+        (-2, ValueError, "mask -0x2 is out of range for order 24"),
+        (True, ValueError, "mask True is not an int"),
+        ([0, 24], ValueError, "element 24 is out of range for order 24"),
+        (0, sh.NotClosedError, "relation set () is not closed"),
+        ([0, 3], sh.NotClosedError, "relation set (0, 3) is not closed"),
+    ]
+    for elements, error, message in refused:
+        with pytest.raises(error) as info:
+            sh.ClosedSubset(hg, elements)
+        assert str(info.value) == message
+    with pytest.raises(TypeError):
+        sh.ClosedSubset(hg, 1, valency=1)
+    for t in s4.closed_subsets():
+        built = sh.ClosedSubset(hg, t.bits)
+        assert built == sh.ClosedSubset(hg, t.members()) == t and built._valency is None
+        assert built.valency == t.valency == sum(s4.valencies[r] for r in t.members())
+
+
+def test_element_subset_checks_its_mask():
+    """ElementSubset(parent, bits) is the one place a mask is checked,
+    and Hypergroup.subset hands a mask to it: an int in range for the
+    parent, so a mask past the order, or a negative one, whose sign
+    extends, is refused before normalizes or members read it."""
+    hg = sh.from_group(sh.symmetric(4)).hypergroup
+    refused = [
+        (1 << 40, "mask 0x10000000000 is out of range for order 24"),
+        (-2, "mask -0x2 is out of range for order 24"),
+        (True, "mask True is not an int"),
+    ]
+    for bits, message in refused:
+        for build in (sh.ElementSubset, lambda hg, b: hg.subset(b)):
+            with pytest.raises(ValueError) as info:
+                build(hg, bits)
+            assert str(info.value) == message
+    with pytest.raises(ValueError, match="mask 1.0 is not an int"):
+        sh.ElementSubset(hg, 1.0)
+    assert sh.normalizes(sh.ElementSubset(hg, hg.full_mask), hg.universe())
+    assert sh.ElementSubset(hg, 0b110).members() == (1, 2) and len(hg.subset(0b110)) == 2
 
 
 def test_is_pi_number_keeps_its_errors_and_pi_containers():

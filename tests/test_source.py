@@ -6,8 +6,8 @@ instead and this test keeps it that way.  No module imports a name it
 does not use, no chain of imports between modules is a cycle, the public API carries no name without a caller, no
 private helper lacks a caller in src/, the names and methods only
 tests call are listed, the public data slots only tests read are
-listed, ClosedSubset has no subclass, and every name the bench tracer
-patches exists.  Each internal check's message is named by a test, the
+listed, ClosedSubset has no subclass and only closed_subset calls its
+checking constructor, and every name the bench tracer patches exists.  Each internal check's message is named by a test, the
 one that makes it fire.  The README's quick tour runs and shows the
 values its comments state.  The package's __all__ is the union of its
 submodules' lists and nothing else.  Importing the package
@@ -646,6 +646,31 @@ def test_closed_subset_has_no_subclass():
     for info in pkgutil.iter_modules(schemehall.__path__):
         importlib.import_module(f"schemehall.{info.name}")
     assert schemehall.ClosedSubset.__subclasses__() == []
+
+
+def test_only_closed_subset_calls_the_checking_constructor():
+    """AssociationScheme.closed_subset is the one place in src/ that
+    calls ClosedSubset(...), whose constructor checks its input closed;
+    every other library result is closed by a proof the library holds,
+    and is built through hypergroup._closed, so no library path pays
+    the check."""
+    calls = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        scopes += [
+            (f"{cls.name}.{fn.name}", fn)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        ]
+        owner = {id(node): name for name, fn in scopes for node in ast.walk(fn)}
+        calls += [
+            (path.name, owner.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "ClosedSubset" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert calls == [("scheme.py", "AssociationScheme.closed_subset")]
 
 
 def test_package_surface_is_the_submodule_lists():
